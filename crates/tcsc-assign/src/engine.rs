@@ -55,9 +55,9 @@ use tcsc_index::{IndexMutation, MutableSpatialIndex, SpatialQuery, WorkerIndex, 
 use tcsc_obs::{NoopRecorder, Recorder, Stopwatch};
 
 use crate::candidates::{SlotCandidates, WorkerLedger};
-use crate::engine::commit::{inline_wave, msqm_commit_loop, msqm_commit_loop_celf, DenseBackend};
+use crate::engine::commit::{inline_wave, msqm_commit_loop, DenseBackend};
 use crate::multi::sapprox::SpatioTemporalObjective;
-use crate::multi::{ConflictAccounting, MultiOutcome, MultiTaskConfig, TaskState};
+use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
 pub use crate::multi::{RefreshStats, RefreshStrategy};
 
 /// Which aggregate objective a batch solve maximises.
@@ -109,11 +109,10 @@ pub struct CacheStats {
     /// Stale gain-ledger entries re-scored on pop (the lazy-greedy work).
     pub stale_pops: usize,
     /// Per-task best-candidate re-scores the MSQM commit loop issued beyond
-    /// the warm start: under [`crate::multi::ConflictAccounting::V1`] every
-    /// eagerly refreshed task per grant, under
-    /// [`crate::multi::ConflictAccounting::V2`] only the tasks whose lazy
-    /// upper bound actually bound the selection.  Like the rest of the
-    /// refresh block this is measurement, not behaviour (excluded from
+    /// the warm start: after every grant, the winner and each loser whose
+    /// planned worker was taken are re-scored, as are the tasks whose cached
+    /// candidate the shrinking budget made unaffordable.  Like the rest of
+    /// the refresh block this is measurement, not behaviour (excluded from
     /// `PartialEq`).
     pub commit_rescores: usize,
     /// Nanoseconds spent in commit-tail refresh work (searches beyond the
@@ -627,7 +626,6 @@ pub(crate) fn msqm_greedy_core(
     index: &dyn SpatialQuery,
     cost_model: &dyn CostModel,
     ledger: &mut WorkerLedger,
-    accounting: ConflictAccounting,
     stats: &mut CacheStats,
 ) -> (usize, usize) {
     let mut backend = DenseBackend {
@@ -635,14 +633,7 @@ pub(crate) fn msqm_greedy_core(
         cost_model,
         ledger,
     };
-    match accounting {
-        ConflictAccounting::V1 => {
-            msqm_commit_loop(states, budget, &mut backend, stats, &mut inline_wave)
-        }
-        ConflictAccounting::V2 => {
-            msqm_commit_loop_celf(states, budget, &mut backend, stats, &mut inline_wave)
-        }
-    }
+    msqm_commit_loop(states, budget, &mut backend, stats, &mut inline_wave)
 }
 
 /// Long-lived batched / streaming multi-task assignment engine.
@@ -1033,7 +1024,6 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
             self.index.as_ref(),
             self.cost_model,
             &mut self.ledger,
-            self.config.accounting,
             &mut stats,
         );
         if R::IS_ENABLED {

@@ -24,7 +24,6 @@ use tcsc_index::SpatialQuery;
 
 use crate::candidates::WorkerLedger;
 use crate::engine::CacheStats;
-use crate::multi::gain::GainLedger;
 use crate::multi::rebuild::HeapEntry;
 use crate::multi::{TaskCandidate, TaskState};
 
@@ -197,8 +196,7 @@ pub(crate) fn msqm_commit_loop(
         let invalidated: Vec<usize> = (0..states.len()).filter(|&i| cached[i].is_none()).collect();
         if !invalidated.is_empty() {
             if warm_start_done {
-                // Everything past the warm start is eager per-grant refresh
-                // work — the quantity the V2 lazy queue attacks.
+                // Everything past the warm start is per-grant re-score work.
                 stats.commit_rescores += invalidated.len();
             }
             warm_start_done = true;
@@ -273,201 +271,6 @@ pub(crate) fn msqm_commit_loop(
             cached[i] = None;
             backend.refresh_conflict_slot(&mut states[i], candidate.slot, stats);
         }
-    }
-
-    absorb_refresh_stats(states, stats);
-    (conflicts, executions)
-}
-
-/// One entry of the cross-task CELF queue: a task keyed by an upper bound on
-/// its best affordable heuristic.  `seq` version-kills superseded entries;
-/// `exact` marks keys that equal the task's stored candidate (fresh scores)
-/// as opposed to stale upper bounds left behind by a grant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CelfEntry {
-    key: f64,
-    task: usize,
-    seq: u32,
-    exact: bool,
-}
-
-impl Eq for CelfEntry {}
-
-impl Ord for CelfEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap on key; lower task index pops first on exact key ties (the
-        // selection tie-break), with seq/exact only completing the total
-        // order for duplicate (key, task) pairs.
-        self.key
-            .total_cmp(&other.key)
-            .then_with(|| other.task.cmp(&self.task))
-            .then_with(|| self.seq.cmp(&other.seq))
-            .then_with(|| self.exact.cmp(&other.exact))
-    }
-}
-
-impl PartialOrd for CelfEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The MSQM greedy under [`crate::multi::ConflictAccounting::V2`]: a
-/// cross-task CELF lazy priority queue instead of V1's eager per-grant
-/// refresh.  Returns `(conflicts, executions)`.
-///
-/// Every task sits in a global max-heap keyed by an **upper bound** on its
-/// best affordable heuristic.  After a grant, the winner is re-inserted with
-/// its pre-grant key as a stale bound instead of being re-scored — entropy
-/// gains diminish monotonically, and a conflict fallback only raises a slot's
-/// cost, so a task's true best can only drop below its old key (up to the
-/// float jitter [`GainLedger::could_beat`] absorbs).  A task is re-scored via
-/// [`TaskState::best_candidate`] only when its bound actually binds the
-/// selection; losers whose planned worker was taken keep their (now invalid)
-/// candidates and discover the conflict at their own selection attempt —
-/// that selection-time-only conflict charging is the V2 accounting contract,
-/// pinned bit-identically by [`crate::multi::rebuild::msqm_rebuild_v2`] and
-/// the `conflict_accounting_fuzz.rs` suite.  The committed plans are the same
-/// as V1's; only the conflict counts and the per-grant re-score work differ
-/// (`CacheStats::commit_rescores` measures the latter for both loops).
-pub(crate) fn msqm_commit_loop_celf(
-    states: &mut [TaskState],
-    budget: f64,
-    backend: &mut dyn CommitBackend,
-    stats: &mut CacheStats,
-    wave: &mut CandidateWave<'_>,
-) -> (usize, usize) {
-    let mut remaining = budget;
-    let mut conflicts = 0usize;
-    let mut executions = 0usize;
-
-    // Warm start: score the whole batch as one wave (parallelisable), then
-    // seed the queue with exact keys.
-    let mut current: Vec<Option<TaskCandidate>> = vec![None; states.len()];
-    let mut seq = vec![0u32; states.len()];
-    let mut retired = vec![false; states.len()];
-    let mut heap: BinaryHeap<CelfEntry> = BinaryHeap::with_capacity(states.len());
-    let all: Vec<usize> = (0..states.len()).collect();
-    for (i, candidate) in wave(states, &all, remaining) {
-        match candidate {
-            Some(c) => {
-                heap.push(CelfEntry {
-                    key: c.heuristic,
-                    task: i,
-                    seq: 0,
-                    exact: true,
-                });
-                current[i] = Some(c);
-            }
-            None => retired[i] = true,
-        }
-    }
-
-    let mut aside: Vec<CelfEntry> = Vec::new();
-    loop {
-        // Lazy selection: pop until no remaining key could beat the best
-        // exact candidate seen, re-scoring entries whose bound binds.
-        let mut best: Option<CelfEntry> = None;
-        aside.clear();
-        while let Some(&top) = heap.peek() {
-            if let Some(b) = &best {
-                if !GainLedger::could_beat(top.key, b.key) {
-                    break;
-                }
-            }
-            let top = heap.pop().expect("peeked entry exists");
-            if top.seq != seq[top.task] || retired[top.task] {
-                continue;
-            }
-            // An exact key stays trustworthy while its candidate remains
-            // affordable: a shrinking budget only removes competitors from
-            // the task's feasible set, never changes its stored argmax.
-            let fresh = top.exact && current[top.task].is_some_and(|c| c.cost <= remaining);
-            if !fresh {
-                stats.commit_rescores += 1;
-                seq[top.task] = seq[top.task].wrapping_add(1);
-                match states[top.task].best_candidate(remaining) {
-                    Some(c) => {
-                        heap.push(CelfEntry {
-                            key: c.heuristic,
-                            task: top.task,
-                            seq: seq[top.task],
-                            exact: true,
-                        });
-                        current[top.task] = Some(c);
-                    }
-                    None => {
-                        retired[top.task] = true;
-                        current[top.task] = None;
-                    }
-                }
-                continue;
-            }
-            // Exact vs exact: the full search's comparison (strict heuristic,
-            // lower task index on ties), immune to the margin band.
-            let candidate = current[top.task].expect("fresh entry has a candidate");
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    let bc = current[b.task].expect("best entry has a candidate");
-                    candidate.heuristic > bc.heuristic
-                        || (candidate.heuristic == bc.heuristic && top.task < b.task)
-                }
-            };
-            if better {
-                if let Some(prev) = best.replace(top) {
-                    aside.push(prev);
-                }
-            } else {
-                aside.push(top);
-            }
-        }
-        for entry in aside.drain(..) {
-            heap.push(entry);
-        }
-        let Some(winner) = best else {
-            break;
-        };
-        let task_idx = winner.task;
-        let candidate = current[task_idx].expect("winner has a candidate");
-
-        // Conflict check at selection time — the only place V2 charges
-        // conflicts.
-        let planned = *states[task_idx]
-            .candidates
-            .get(candidate.slot)
-            .expect("candidate slot has a planned worker");
-        if backend.is_occupied(&planned) {
-            conflicts += 1;
-            backend.refresh_conflict_slot(&mut states[task_idx], candidate.slot, stats);
-            // The slot's value only dropped (farther fallback worker), so the
-            // old key is a valid upper bound on the task's new best.
-            seq[task_idx] = seq[task_idx].wrapping_add(1);
-            current[task_idx] = None;
-            heap.push(CelfEntry {
-                key: winner.key,
-                task: task_idx,
-                seq: seq[task_idx],
-                exact: false,
-            });
-            continue;
-        }
-
-        // Execute; the winner re-enters the queue as a stale upper bound
-        // (diminishing gains: its next best can only be lower) and is only
-        // re-scored when that bound binds again — the CELF saving.
-        remaining -= candidate.cost;
-        backend.occupy(&planned);
-        states[task_idx].execute(candidate.slot);
-        executions += 1;
-        seq[task_idx] = seq[task_idx].wrapping_add(1);
-        current[task_idx] = None;
-        heap.push(CelfEntry {
-            key: winner.key,
-            task: task_idx,
-            seq: seq[task_idx],
-            exact: false,
-        });
     }
 
     absorb_refresh_stats(states, stats);

@@ -52,18 +52,15 @@ use std::sync::{Mutex, RwLock, RwLockReadGuard};
 use std::thread;
 
 use tcsc_core::{
-    AssignmentPlan, CandidateAssignment, CostModel, Location, MultiAssignment, SlotIndex, Task,
-    Worker, WorkerId,
+    CandidateAssignment, CostModel, Location, MultiAssignment, SlotIndex, Task, Worker, WorkerId,
 };
 use tcsc_index::{IndexMutation, MutableSpatialIndex, ShardedWorkerIndex};
 use tcsc_obs::{NoopRecorder, Recorder, Stopwatch};
 
 use crate::candidates::WorkerLedger;
-use crate::engine::commit::{
-    inline_wave, mmqm_commit_loop, msqm_commit_loop, msqm_commit_loop_celf, CommitBackend,
-};
+use crate::engine::commit::{inline_wave, mmqm_commit_loop, msqm_commit_loop, CommitBackend};
 use crate::engine::{CacheStats, CandidateCache, ChurnCounters, Objective};
-use crate::multi::{ConflictAccounting, MultiOutcome, MultiTaskConfig, TaskCandidate, TaskState};
+use crate::multi::{MultiOutcome, MultiTaskConfig, TaskCandidate, TaskState};
 
 /// Minimum number of simultaneously invalidated tasks before an in-loop
 /// candidate wave is dispatched to the thread pool; smaller waves (the common
@@ -231,110 +228,6 @@ impl CommitBackend for ShardedBackend<'_> {
     }
 }
 
-/// Relative slack applied to the home-tile interior bound when classifying a
-/// task as region-interior (and when re-checking a tile-local conflict
-/// fallback).  The classification must be *conservative*: a candidate whose
-/// distance lands within one ulp of the exact tile-edge distance is treated
-/// as boundary, so float noise in `tile_of`'s clamping arithmetic can never
-/// promote a genuinely edge-crossing task into an interior region.
-const INTERIOR_SLACK: f64 = 1e-9;
-
-/// The tile-local backend of a disjoint-region commit loop: occupancy is
-/// routed straight to the region's own ledger shard (every candidate the
-/// region ever commits lives strictly inside its tile — that is the
-/// admission test of `assign_batch_disjoint`), and a conflict fallback is
-/// recomputed *within the home tile only*.  A fallback at or beyond the tile
-/// interior bound might be beaten by a worker of a neighbouring tile, which
-/// this backend must not consult — the slot is dropped for this drain
-/// instead and counted in [`DisjointDrainReport::deferred_slots`].
-struct RegionBackend<'a> {
-    index: &'a ShardedWorkerIndex,
-    cost_model: &'a (dyn CostModel + Sync),
-    ledger: &'a ShardedLedger,
-    /// The spatial shard (== tile) this region owns.
-    shard: usize,
-    /// Conflict fallbacks discarded because they fell outside the tile
-    /// interior bound.
-    deferred: usize,
-}
-
-impl CommitBackend for RegionBackend<'_> {
-    fn is_occupied(&self, planned: &CandidateAssignment) -> bool {
-        self.ledger
-            .is_occupied(self.shard, planned.slot, planned.worker)
-    }
-
-    fn occupy(&mut self, planned: &CandidateAssignment) {
-        debug_assert_eq!(
-            self.index.spatial_shard_of(&planned.worker_location),
-            self.shard,
-            "a disjoint region may only commit workers of its own tile",
-        );
-        self.ledger.occupy(self.shard, planned.slot, planned.worker);
-    }
-
-    fn refresh_conflict_slot(
-        &mut self,
-        state: &mut TaskState,
-        slot: SlotIndex,
-        stats: &mut CacheStats,
-    ) {
-        let query = &state.task.location;
-        let relaxed = self.index.tile_interior_bound(query) * (1.0 - INTERIOR_SLACK);
-        let shard = self.shard;
-        let ledger = self.ledger;
-        let nearest = self.index.nearest_in_home_tile(slot, query, |worker| {
-            ledger.is_occupied(shard, slot, worker)
-        });
-        let candidate = match nearest {
-            Some(n) if n.distance < relaxed => {
-                let cost = self.cost_model.assignment_cost_at(
-                    &state.task.subtask(slot),
-                    n.worker,
-                    n.location,
-                );
-                Some(CandidateAssignment {
-                    slot,
-                    worker: n.worker,
-                    worker_location: n.location,
-                    cost,
-                    reliability: n.reliability,
-                })
-            }
-            Some(_) => {
-                // The in-tile fallback might lose to a neighbouring tile's
-                // worker; without cross-tile visibility the slot is deferred.
-                self.deferred += 1;
-                None
-            }
-            None => None,
-        };
-        state.set_candidate(slot, candidate);
-        stats.count_conflict_refresh();
-    }
-}
-
-/// What the last [`ConcurrentAssignmentEngine::drain_parallel`] did when the
-/// disjoint-region overlap was eligible (V2 accounting, MSQM objective,
-/// more than one spatial shard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DisjointDrainReport {
-    /// Interior regions whose commit loops ran overlapped (one per tile that
-    /// owned at least one interior task).
-    pub regions_used: usize,
-    /// Tasks admitted to an interior region: every candidate of every slot
-    /// strictly inside the task's home tile.
-    pub interior_tasks: usize,
-    /// Tasks left to the serial reconciliation pass (a candidate ring
-    /// touches or crosses a tile edge).
-    pub boundary_tasks: usize,
-    /// Conflict fallbacks interior regions dropped because the replacement
-    /// fell outside the tile interior bound.
-    pub deferred_slots: usize,
-    /// Selection-time conflicts charged by the serial boundary pass.
-    pub boundary_conflicts: usize,
-}
-
 /// Long-lived concurrent assignment engine over a sharded index: per-shard
 /// ledgers and candidate caches, parallel checkout/candidate phases, serial
 /// deterministic commit loop.  See the [module docs](self) for the shard
@@ -348,7 +241,6 @@ pub struct ConcurrentAssignmentEngine<'a, R: Recorder = NoopRecorder> {
     pending: Vec<Task>,
     threads: usize,
     lifetime_stats: CacheStats,
-    last_disjoint: Option<DisjointDrainReport>,
     churn: ChurnCounters,
     /// Event recorder (statically dispatched; `NoopRecorder` by default
     /// keeps the un-instrumented hot paths free of any recording code).
@@ -376,7 +268,6 @@ impl<'a> ConcurrentAssignmentEngine<'a> {
             pending: Vec::new(),
             threads: threads.max(1),
             lifetime_stats: CacheStats::default(),
-            last_disjoint: None,
             churn: ChurnCounters::default(),
             obs: NoopRecorder,
         }
@@ -397,7 +288,6 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
             pending: self.pending,
             threads: self.threads,
             lifetime_stats: self.lifetime_stats,
-            last_disjoint: self.last_disjoint,
             churn: self.churn,
             obs,
         }
@@ -597,47 +487,22 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
         self.pending.len()
     }
 
-    /// What the last [`ConcurrentAssignmentEngine::drain_parallel`] did with
-    /// the disjoint-region overlap, or `None` when the last drain was not
-    /// eligible for it (V1 accounting, MMQM objective or a single-shard
-    /// grid) or no drain ran yet.
-    pub fn last_drain_report(&self) -> Option<DisjointDrainReport> {
-        self.last_disjoint
-    }
-
     /// Solves every pending task as one parallel batch (in submission order)
     /// and commits the occupancy; like [`super::AssignmentEngine::drain`],
     /// the one-shot arrivals are evicted from their home-shard caches
     /// afterwards and the caches' arrival-round clocks advance.
     ///
-    /// Under [`ConflictAccounting::V2`] with [`Objective::SumQuality`] on a
-    /// grid with more than one spatial shard, the commit phase itself runs
-    /// region-overlapped: tasks whose entire candidate ring sits strictly
-    /// inside their home tile commit through per-tile CELF loops in
-    /// parallel, and only the boundary tasks go through the serial
-    /// reconciliation pass (see [`DisjointDrainReport`]).  The outcome is
-    /// independent of the thread count but — unlike
-    /// [`ConcurrentAssignmentEngine::assign_batch_parallel`] — *not*
-    /// bit-identical to the serial engine: the budget is pre-split across
-    /// regions proportionally to their task counts (the same concession the
-    /// group-parallel solver makes), with every region's unspent remainder
-    /// handed to the boundary pass.
+    /// The batch goes through
+    /// [`ConcurrentAssignmentEngine::assign_batch_parallel`], so a drain
+    /// commits exactly what [`super::AssignmentEngine::drain`] commits on the
+    /// same history, for any shard grid and any thread count.
     pub fn drain_parallel(&mut self, objective: Objective) -> MultiOutcome {
         let tasks = std::mem::take(&mut self.pending);
         if R::IS_ENABLED {
             self.obs.begin("cengine.drain", tasks.len() as u64);
         }
         let sw = R::IS_ENABLED.then(Stopwatch::start);
-        let disjoint_eligible = self.config.accounting == ConflictAccounting::V2
-            && matches!(objective, Objective::SumQuality)
-            && self.index.num_spatial_shards() > 1
-            && !tasks.is_empty();
-        let outcome = if disjoint_eligible {
-            self.assign_batch_disjoint(&tasks)
-        } else {
-            self.last_disjoint = None;
-            self.assign_batch_parallel(&tasks, objective)
-        };
+        let outcome = self.assign_batch_parallel(&tasks, objective);
         for task in &tasks {
             let shard = self.index.spatial_shard_of(&task.location);
             self.caches[shard]
@@ -666,8 +531,7 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
     }
 
     /// Publishes a finished drain/batch's counters into the recorder's
-    /// metrics registry (cache hit/miss, conflict/execution totals, and the
-    /// disjoint-region report when the overlapped path ran).
+    /// metrics registry (cache hit/miss and conflict/execution totals).
     fn publish_metrics(&self, outcome: &MultiOutcome) {
         self.obs
             .counter("cache.hits", outcome.stats.tasks_reused as u64);
@@ -677,16 +541,6 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
             .counter("cengine.conflicts", outcome.conflicts as u64);
         self.obs
             .counter("cengine.executions", outcome.executions as u64);
-        if let Some(report) = self.last_disjoint {
-            self.obs
-                .counter("router.regions_used", report.regions_used as u64);
-            self.obs
-                .counter("router.interior_tasks", report.interior_tasks as u64);
-            self.obs
-                .counter("router.boundary_tasks", report.boundary_tasks as u64);
-            self.obs
-                .counter("router.deferred_slots", report.deferred_slots as u64);
-        }
     }
 
     /// Solves one task batch under the configured budget and objective,
@@ -697,249 +551,6 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
         let outcome = match objective {
             Objective::SumQuality => self.run_msqm_parallel(tasks),
             Objective::MinQuality => self.run_mmqm_parallel(tasks),
-        };
-        self.lifetime_stats.merge(&outcome.stats);
-        outcome
-    }
-
-    /// The region-overlapped MSQM commit phase of a V2 drain: interior tasks
-    /// commit through per-tile CELF loops running in parallel (each against
-    /// its own ledger shard only), boundary tasks through one serial CELF
-    /// pass over the full sharded backend afterwards.
-    ///
-    /// Thread-count invariance holds by construction: each interior region's
-    /// loop is a deterministic function of its own task group, its budget
-    /// share and its own ledger shard (which no other region touches), the
-    /// budget shares are fixed up front, the unspent remainders are summed
-    /// in shard order, and the boundary pass starts only after every region
-    /// joined.
-    fn assign_batch_disjoint(&mut self, tasks: &[Task]) -> MultiOutcome {
-        let mut stats = CacheStats::default();
-        let states = self.checkout_states_parallel(tasks, &mut stats);
-
-        // Admission test: a task joins its home tile's region iff every slot
-        // candidate sits strictly inside the tile (relaxed bound, so a
-        // within-one-ulp-of-the-edge candidate conservatively demotes the
-        // task to the boundary pass).  A non-positive bound (task clamped in
-        // from outside the domain, or a degenerate tile) is never interior.
-        let mut interior: Vec<Vec<(usize, TaskState)>> = (0..self.index.num_spatial_shards())
-            .map(|_| Vec::new())
-            .collect();
-        let mut boundary: Vec<(usize, TaskState)> = Vec::new();
-        for (i, state) in states.into_iter().enumerate() {
-            let relaxed =
-                self.index.tile_interior_bound(&state.task.location) * (1.0 - INTERIOR_SLACK);
-            let inside = relaxed > 0.0
-                && (0..state.candidates.len()).all(|slot| {
-                    state.candidates.get(slot).map_or(true, |c| {
-                        state.task.location.distance(&c.worker_location) < relaxed
-                    })
-                });
-            if inside {
-                let shard = self.index.spatial_shard_of(&state.task.location);
-                interior[shard].push((i, state));
-            } else {
-                boundary.push((i, state));
-            }
-        }
-
-        // Fixed proportional budget split (the group-parallel precedent):
-        // every region gets `budget * |region| / |batch|`, the boundary pass
-        // gets the rest plus whatever the regions leave unspent.
-        // One interior region's commit job: (shard, [(batch index, task
-        // state)], proportional budget share).
-        type RegionJob = (usize, Vec<(usize, TaskState)>, f64);
-        let total = tasks.len() as f64;
-        let jobs: Vec<RegionJob> = interior
-            .into_iter()
-            .enumerate()
-            .filter(|(_, group)| !group.is_empty())
-            .map(|(shard, group)| {
-                let share = self.config.budget * group.len() as f64 / total;
-                (shard, group, share)
-            })
-            .collect();
-        let interior_total: f64 = jobs.iter().map(|(_, _, share)| share).sum();
-        let mut report = DisjointDrainReport {
-            regions_used: jobs.len(),
-            interior_tasks: jobs.iter().map(|(_, g, _)| g.len()).sum(),
-            boundary_tasks: boundary.len(),
-            deferred_slots: 0,
-            boundary_conflicts: 0,
-        };
-
-        struct RegionResult {
-            plans: Vec<(usize, AssignmentPlan)>,
-            conflicts: usize,
-            executions: usize,
-            stats: CacheStats,
-            unspent: f64,
-            deferred: usize,
-        }
-
-        let index = &self.index;
-        let cost_model = self.cost_model;
-        let ledger = &self.ledger;
-        let num_jobs = jobs.len();
-        let job_cells: Vec<Mutex<Option<RegionJob>>> =
-            jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
-        let workers = self.threads.min(num_jobs).max(1);
-        let next_job = AtomicUsize::new(0);
-        type WorkerYield = (Vec<(usize, RegionResult)>, Option<tcsc_obs::ThreadBuffer>);
-        let collected: Vec<WorkerYield> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let job_cells = &job_cells;
-                    let next_job = &next_job;
-                    // Per-thread span buffer (buffer tid 0 is the session
-                    // owner, so worker w records as tid w + 1); drained back
-                    // into the session after the join.
-                    let mut buf = self.obs.thread_buffer(w as u32 + 1);
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, RegionResult)> = Vec::new();
-                        loop {
-                            let j = next_job.fetch_add(1, Ordering::Relaxed);
-                            let Some(cell) = job_cells.get(j) else {
-                                break;
-                            };
-                            let (shard, group, share) = cell
-                                .lock()
-                                .expect("region job cell poisoned")
-                                .take()
-                                .expect("every region job is taken exactly once");
-                            if let Some(b) = buf.as_mut() {
-                                b.begin("cengine.region_drain", shard as u64);
-                            }
-                            let (orig, mut states): (Vec<usize>, Vec<TaskState>) =
-                                group.into_iter().unzip();
-                            let mut local_stats = CacheStats::default();
-                            let mut backend = RegionBackend {
-                                index,
-                                cost_model,
-                                ledger,
-                                shard,
-                                deferred: 0,
-                            };
-                            let (conflicts, executions) = msqm_commit_loop_celf(
-                                &mut states,
-                                share,
-                                &mut backend,
-                                &mut local_stats,
-                                &mut inline_wave,
-                            );
-                            let mut spent = 0.0;
-                            let plans: Vec<(usize, AssignmentPlan)> = orig
-                                .into_iter()
-                                .zip(states)
-                                .map(|(i, state)| {
-                                    let plan = state.into_plan();
-                                    spent += plan.executions.iter().map(|e| e.cost).sum::<f64>();
-                                    (i, plan)
-                                })
-                                .collect();
-                            if let Some(b) = buf.as_mut() {
-                                b.end("cengine.region_drain", shard as u64);
-                            }
-                            out.push((
-                                j,
-                                RegionResult {
-                                    plans,
-                                    conflicts,
-                                    executions,
-                                    stats: local_stats,
-                                    unspent: share - spent,
-                                    deferred: backend.deferred,
-                                },
-                            ));
-                        }
-                        (out, buf)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("region commit thread panicked"))
-                .collect()
-        });
-
-        // Reassemble in job (== shard) order so the float sums below are
-        // independent of which thread ran which region.
-        let mut results: Vec<Option<RegionResult>> = Vec::new();
-        results.resize_with(num_jobs, || None);
-        for (chunk, buf) in collected {
-            if let Some(buf) = buf {
-                self.obs.absorb_events(buf.into_events());
-            }
-            for (j, result) in chunk {
-                results[j] = Some(result);
-            }
-        }
-        let mut plans: Vec<Option<AssignmentPlan>> = Vec::new();
-        plans.resize_with(tasks.len(), || None);
-        let mut conflicts = 0usize;
-        let mut executions = 0usize;
-        let mut unspent = 0.0f64;
-        for result in results.into_iter().map(|r| r.expect("region job ran")) {
-            conflicts += result.conflicts;
-            executions += result.executions;
-            unspent += result.unspent;
-            report.deferred_slots += result.deferred;
-            stats.merge(&result.stats);
-            for (i, plan) in result.plans {
-                plans[i] = Some(plan);
-            }
-        }
-
-        // Serial reconciliation: the boundary tasks commit against the full
-        // sharded backend, seeing every interior commitment.  Their cached
-        // candidates may have been taken by an interior region — V2's
-        // selection-time conflict path resolves exactly those.
-        if !boundary.is_empty() {
-            let boundary_budget = (self.config.budget - interior_total) + unspent;
-            if R::IS_ENABLED {
-                self.obs
-                    .begin("cengine.boundary_pass", boundary.len() as u64);
-            }
-            let (orig, mut states): (Vec<usize>, Vec<TaskState>) = boundary.into_iter().unzip();
-            let mut backend = ShardedBackend {
-                index: &self.index,
-                cost_model: self.cost_model,
-                ledger: &self.ledger,
-            };
-            let threads = self.threads;
-            let mut wave = |states: &mut [TaskState], invalidated: &[usize], remaining: f64| {
-                candidate_wave(threads, states, invalidated, remaining)
-            };
-            let (b_conflicts, b_executions) = msqm_commit_loop_celf(
-                &mut states,
-                boundary_budget,
-                &mut backend,
-                &mut stats,
-                &mut wave,
-            );
-            report.boundary_conflicts = b_conflicts;
-            conflicts += b_conflicts;
-            executions += b_executions;
-            for (i, state) in orig.into_iter().zip(states) {
-                plans[i] = Some(state.into_plan());
-            }
-            if R::IS_ENABLED {
-                self.obs.end("cengine.boundary_pass", b_executions as u64);
-            }
-        }
-
-        self.last_disjoint = Some(report);
-        let assignment = MultiAssignment::new(
-            plans
-                .into_iter()
-                .map(|p| p.expect("every task was committed by exactly one pass"))
-                .collect(),
-        );
-        let outcome = MultiOutcome {
-            assignment,
-            conflicts,
-            executions,
-            stats,
         };
         self.lifetime_stats.merge(&outcome.stats);
         outcome
@@ -1055,7 +666,14 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
     /// ledger, so the result is independent of thread interleaving.
     fn run_msqm_parallel(&mut self, tasks: &[Task]) -> MultiOutcome {
         let mut stats = CacheStats::default();
+        if R::IS_ENABLED {
+            self.obs.begin("engine.checkout", tasks.len() as u64);
+        }
         let mut states = self.checkout_states_parallel(tasks, &mut stats);
+        if R::IS_ENABLED {
+            self.obs.end("engine.checkout", tasks.len() as u64);
+            self.obs.begin("engine.commit", tasks.len() as u64);
+        }
         let threads = self.threads;
         let mut backend = ShardedBackend {
             index: &self.index,
@@ -1065,22 +683,16 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
         let mut wave = |states: &mut [TaskState], invalidated: &[usize], remaining: f64| {
             candidate_wave(threads, states, invalidated, remaining)
         };
-        let (conflicts, executions) = match self.config.accounting {
-            ConflictAccounting::V1 => msqm_commit_loop(
-                &mut states,
-                self.config.budget,
-                &mut backend,
-                &mut stats,
-                &mut wave,
-            ),
-            ConflictAccounting::V2 => msqm_commit_loop_celf(
-                &mut states,
-                self.config.budget,
-                &mut backend,
-                &mut stats,
-                &mut wave,
-            ),
-        };
+        let (conflicts, executions) = msqm_commit_loop(
+            &mut states,
+            self.config.budget,
+            &mut backend,
+            &mut stats,
+            &mut wave,
+        );
+        if R::IS_ENABLED {
+            self.obs.end("engine.commit", tasks.len() as u64);
+        }
 
         let assignment =
             MultiAssignment::new(states.into_iter().map(TaskState::into_plan).collect());
@@ -1097,7 +709,14 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
     /// sequential.
     fn run_mmqm_parallel(&mut self, tasks: &[Task]) -> MultiOutcome {
         let mut stats = CacheStats::default();
+        if R::IS_ENABLED {
+            self.obs.begin("engine.checkout", tasks.len() as u64);
+        }
         let mut states = self.checkout_states_parallel(tasks, &mut stats);
+        if R::IS_ENABLED {
+            self.obs.end("engine.checkout", tasks.len() as u64);
+            self.obs.begin("engine.commit", tasks.len() as u64);
+        }
         let mut backend = ShardedBackend {
             index: &self.index,
             cost_model: self.cost_model,
@@ -1105,6 +724,9 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
         };
         let (conflicts, executions) =
             mmqm_commit_loop(&mut states, self.config.budget, &mut backend, &mut stats);
+        if R::IS_ENABLED {
+            self.obs.end("engine.commit", tasks.len() as u64);
+        }
 
         let assignment =
             MultiAssignment::new(states.into_iter().map(TaskState::into_plan).collect());
@@ -1262,75 +884,6 @@ mod tests {
             }
         }
         assert_eq!(engine.ledger().len(), round1.executions + round2.executions);
-    }
-
-    #[test]
-    fn v2_batches_match_the_serial_engine_bit_for_bit() {
-        for (seed, grid, threads) in [
-            (90, ShardGridConfig::new(1, 1), 1),
-            (91, ShardGridConfig::new(4, 4), 4),
-            (92, ShardGridConfig::new(3, 5).with_time_splits(2), 8),
-        ] {
-            let (tasks, dense, sharded, cost) = build(seed, grid);
-            let cfg = MultiTaskConfig::new(45.0).with_accounting(ConflictAccounting::V2);
-            let serial = AssignmentEngine::borrowed(&dense, &cost, cfg)
-                .assign_batch(&tasks, Objective::SumQuality);
-            let mut engine = ConcurrentAssignmentEngine::new(sharded, &cost, cfg, threads);
-            let parallel = engine.assign_batch_parallel(&tasks, Objective::SumQuality);
-            assert_eq!(serial.assignment, parallel.assignment, "{grid:?}");
-            assert_eq!(serial.conflicts, parallel.conflicts);
-            assert_eq!(serial.executions, parallel.executions);
-            assert_eq!(serial.stats, parallel.stats);
-        }
-    }
-
-    #[test]
-    fn disjoint_drain_is_thread_invariant_and_overlaps_regions() {
-        let (tasks, workers, domain) = small_world(96, 24, 12, 400);
-        let sharded = ShardedWorkerIndex::build(&workers, 12, &domain, ShardGridConfig::new(2, 2));
-        let cost = EuclideanCost::default();
-        let cfg = MultiTaskConfig::new(80.0).with_accounting(ConflictAccounting::V2);
-        let mut reference: Option<(MultiOutcome, DisjointDrainReport)> = None;
-        for threads in [1, 2, 4, 8] {
-            let mut engine = ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, threads);
-            engine.submit(tasks.clone());
-            let outcome = engine.drain_parallel(Objective::SumQuality);
-            let report = engine
-                .last_drain_report()
-                .expect("a V2 multi-shard drain must record a disjoint report");
-            assert_eq!(
-                report.interior_tasks + report.boundary_tasks,
-                tasks.len(),
-                "every task goes through exactly one pass"
-            );
-            assert!(
-                outcome.assignment.total_cost() <= cfg.budget + 1e-6,
-                "split budgets must still respect the global budget"
-            );
-            match &reference {
-                None => {
-                    assert!(
-                        report.regions_used >= 2,
-                        "expected >=2 overlapped interior regions, got {report:?}"
-                    );
-                    reference = Some((outcome, report));
-                }
-                Some((r_outcome, r_report)) => {
-                    assert_eq!(r_outcome, &outcome, "threads={threads}");
-                    assert_eq!(r_report, &report, "threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn v1_drains_never_use_the_disjoint_path() {
-        let (tasks, _, sharded, cost) = build(97, ShardGridConfig::new(4, 4));
-        let mut engine =
-            ConcurrentAssignmentEngine::new(sharded, &cost, MultiTaskConfig::new(45.0), 4);
-        engine.submit(tasks);
-        let _ = engine.drain_parallel(Objective::SumQuality);
-        assert_eq!(engine.last_drain_report(), None);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod multi;
 pub mod single;
 
 pub use candidates::{SlotCandidates, WorkerLedger};
-pub use engine::concurrent::{ConcurrentAssignmentEngine, DisjointDrainReport, ShardedLedger};
+pub use engine::concurrent::{ConcurrentAssignmentEngine, ShardedLedger};
 pub use engine::{AssignmentEngine, CacheStats, CandidateCache, ChurnCounters, Objective};
 pub use multi::conflict::{independence_graph, IndependenceGraph};
 pub use multi::gain::GainLedger;
@@ -65,7 +65,7 @@ pub use multi::msqm::msqm_serial;
 pub use multi::protocol::{
     CommittedExecution, GrantPolicy, MasterCommand, TaskMaster, TaskOwner, WorkerEvent,
 };
-pub use multi::rebuild::{mmqm_rebuild, msqm_rebuild, msqm_rebuild_v2};
+pub use multi::rebuild::{mmqm_rebuild, msqm_rebuild};
 #[allow(deprecated)]
 pub use multi::sapprox::sapprox;
 pub use multi::sapprox::SpatioTemporalObjective;
@@ -73,8 +73,7 @@ pub use multi::task_parallel::TaskParallelOutcome;
 #[allow(deprecated)]
 pub use multi::task_parallel::{msqm_task_parallel, msqm_task_parallel_optimistic};
 pub use multi::{
-    ConflictAccounting, MultiOutcome, MultiTaskConfig, RefreshStats, RefreshStrategy,
-    TaskCandidate, TaskState,
+    MultiOutcome, MultiTaskConfig, RefreshStats, RefreshStrategy, TaskCandidate, TaskState,
 };
 pub use single::baseline::{random_assignment, random_summary, RandSummary};
 pub use single::dual::{min_budget_for_quality, DualOutcome};

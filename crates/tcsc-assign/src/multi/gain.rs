@@ -312,10 +312,8 @@ impl GainLedger {
     }
 
     /// Could an entry with stale key `key` still beat `best_key` once
-    /// re-scored?  (Stale keys are upper bounds up to float jitter.)  Shared
-    /// with the cross-task CELF commit loop, whose task-level stale keys obey
-    /// the same upper-bound-plus-jitter contract.
-    pub(crate) fn could_beat(key: f64, best_key: f64) -> bool {
+    /// re-scored?  (Stale keys are upper bounds up to float jitter.)
+    fn could_beat(key: f64, best_key: f64) -> bool {
         key + RESCORE_MARGIN * key.abs() + RESCORE_MARGIN >= best_key
     }
 

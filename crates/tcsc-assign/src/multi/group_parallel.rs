@@ -203,7 +203,6 @@ pub fn msqm_group_parallel_cached(
                             index,
                             cost_model,
                             &mut ledger,
-                            cfg.accounting,
                             &mut group_stats,
                         );
                         let assignment = MultiAssignment::new(

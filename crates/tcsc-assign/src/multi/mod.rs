@@ -25,40 +25,6 @@ use crate::engine::CacheStats;
 use crate::multi::gain::{EntryState, GainLedger};
 pub use crate::multi::gain::{RefreshStats, RefreshStrategy};
 
-/// Which conflict-accounting contract the MSQM commit loop follows.
-///
-/// The two versions commit the **same plans** (same executions, same order,
-/// same qualities — locked by the differential fuzz suites); what differs is
-/// *when* worker conflicts are discovered and therefore how much per-grant
-/// refresh work the loop performs:
-///
-/// * [`ConflictAccounting::V1`] — the original eager contract: when a grant
-///   occupies a worker, every other task whose cached candidate planned that
-///   same `(slot, worker)` is charged a conflict **immediately** and its slot
-///   refreshed, and every task invalidated by the shrinking budget is
-///   re-scored before the next selection.  Bit-identical to the pinned
-///   [`crate::multi::rebuild::msqm_rebuild`] oracle, conflicts included.
-/// * [`ConflictAccounting::V2`] — the CELF lazy contract: candidates survive
-///   grants as *stale upper bounds* in a cross-task lazy priority queue; a
-///   task is only re-scored when its bound actually binds the selection, and
-///   a conflict is only charged when the task's planned worker turns out
-///   occupied at its own selection attempt.  Bit-identical to the
-///   [`crate::multi::rebuild::msqm_rebuild_v2`] oracle; conflict counts are
-///   generally **lower** than V1's (losers that never re-bind are never
-///   charged).
-///
-/// MMQM already discovers conflicts at selection time only, so both versions
-/// coincide there.  The task-parallel protocol and the distributed simulation
-/// replay V1's eager contract and reject V2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConflictAccounting {
-    /// Eager loser refresh at grant time (the original contract; default).
-    #[default]
-    V1,
-    /// Lazy CELF queue: conflicts discovered at selection time only.
-    V2,
-}
-
 /// Parameters shared by the multi-task solvers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiTaskConfig {
@@ -79,10 +45,6 @@ pub struct MultiTaskConfig {
     /// per-task [`GainLedger`] ([`RefreshStrategy::Incremental`], the
     /// default).  The committed plans are bit-identical either way.
     pub refresh: RefreshStrategy,
-    /// Which conflict-accounting contract the MSQM commit loop follows (V1
-    /// eager loser refresh vs the V2 lazy CELF queue); see
-    /// [`ConflictAccounting`].
-    pub accounting: ConflictAccounting,
 }
 
 impl MultiTaskConfig {
@@ -96,7 +58,6 @@ impl MultiTaskConfig {
             use_reliability: false,
             use_index: true,
             refresh: RefreshStrategy::Incremental,
-            accounting: ConflictAccounting::V1,
         }
     }
 
@@ -128,12 +89,6 @@ impl MultiTaskConfig {
     /// Overrides the best-candidate refresh strategy.
     pub fn with_refresh(mut self, refresh: RefreshStrategy) -> Self {
         self.refresh = refresh;
-        self
-    }
-
-    /// Overrides the conflict-accounting contract of the MSQM commit loop.
-    pub fn with_accounting(mut self, accounting: ConflictAccounting) -> Self {
-        self.accounting = accounting;
         self
     }
 }
@@ -636,9 +591,6 @@ mod tests {
         assert_eq!(cfg.ts, 6);
         assert!(!cfg.use_index);
         assert!(cfg.use_reliability);
-        assert_eq!(cfg.accounting, ConflictAccounting::V1);
-        let v2 = cfg.with_accounting(ConflictAccounting::V2);
-        assert_eq!(v2.accounting, ConflictAccounting::V2);
     }
 
     #[test]

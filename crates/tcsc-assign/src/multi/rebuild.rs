@@ -151,107 +151,6 @@ pub fn msqm_rebuild(
     }
 }
 
-/// The [`crate::multi::ConflictAccounting::V2`] oracle: the serial MSQM
-/// greedy with **selection-time-only** conflict charging, rebuilding all
-/// candidate state for this call.
-///
-/// Structurally this is [`msqm_rebuild`] minus its eager loser-invalidation
-/// scan: when a grant occupies a worker, every other task whose cached
-/// candidate planned that worker simply *keeps* it — the conflict is
-/// discovered (charged, and the slot refreshed) only if and when that task
-/// wins a later selection.  An invalid cached candidate can never change the
-/// committed plans: its true (refreshed) value is lower than its cached one,
-/// so whenever it tops the argmax its conflict resolves first, and whenever
-/// it does not, it would have lost under V1's refreshed value too.  The CELF
-/// commit loop ([`crate::multi::ConflictAccounting::V2`] in the engines) is
-/// differentially fuzzed against this oracle in
-/// `tests/conflict_accounting_fuzz.rs`.
-pub fn msqm_rebuild_v2(
-    tasks: &[Task],
-    index: &WorkerIndex,
-    cost_model: &dyn CostModel,
-    config: &MultiTaskConfig,
-) -> MultiOutcome {
-    let mut stats = CacheStats::default();
-    let mut states = rebuild_states(tasks, index, cost_model, config, &mut stats);
-    let mut ledger = WorkerLedger::new();
-    let mut remaining = config.budget;
-    let mut conflicts = 0usize;
-    let mut executions = 0usize;
-
-    // Cached best candidate per task; recomputed lazily when invalidated.
-    let mut cached: Vec<Option<Option<TaskCandidate>>> = vec![None; states.len()];
-
-    loop {
-        // Budget staleness works exactly as in V1: a candidate computed under
-        // a larger remaining budget is recomputed with the current one.
-        for (i, state) in states.iter_mut().enumerate() {
-            if let Some(Some(c)) = &cached[i] {
-                if c.cost > remaining {
-                    cached[i] = None;
-                }
-            }
-            if cached[i].is_none() {
-                cached[i] = Some(state.best_candidate(remaining));
-            }
-        }
-        // Globally maximal heuristic among the affordable candidates
-        // (identical rule and ties to V1).
-        let mut best: Option<(usize, TaskCandidate)> = None;
-        for (i, entry) in cached.iter().enumerate() {
-            let Some(Some(candidate)) = entry else {
-                continue;
-            };
-            if candidate.cost > remaining {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((bi, b)) => {
-                    candidate.heuristic > b.heuristic
-                        || (candidate.heuristic == b.heuristic && i < *bi)
-                }
-            };
-            if better {
-                best = Some((i, *candidate));
-            }
-        }
-        let Some((task_idx, candidate)) = best else {
-            break;
-        };
-
-        // Selection-time conflict check — the only place V2 charges
-        // conflicts.
-        let worker = states[task_idx]
-            .planned_worker(candidate.slot)
-            .expect("candidate slot has a planned worker");
-        if ledger.is_occupied(candidate.slot, worker) {
-            conflicts += 1;
-            states[task_idx].refresh_slot(candidate.slot, index, cost_model, &ledger);
-            stats.count_conflict_refresh();
-            cached[task_idx] = None;
-            continue;
-        }
-
-        // Execute.  No loser scan: other tasks planning this worker keep
-        // their cached candidates until their own selection attempt.
-        remaining -= candidate.cost;
-        ledger.occupy(candidate.slot, worker);
-        states[task_idx].execute(candidate.slot);
-        executions += 1;
-        cached[task_idx] = None;
-    }
-
-    absorb_refresh_stats(&states, &mut stats);
-    let assignment = MultiAssignment::new(states.into_iter().map(TaskState::into_plan).collect());
-    MultiOutcome {
-        assignment,
-        conflicts,
-        executions,
-        stats,
-    }
-}
-
 /// Ordered heap entry: (quality, task index).  `f64` is wrapped through its
 /// total ordering to make the heap usable.
 #[derive(Debug, PartialEq)]

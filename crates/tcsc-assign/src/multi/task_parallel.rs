@@ -193,13 +193,6 @@ fn run_task_parallel(
     use_priorities: bool,
     policy: GrantPolicy,
 ) -> TaskParallelOutcome {
-    assert_eq!(
-        config.accounting,
-        crate::multi::ConflictAccounting::V1,
-        "the task-parallel master replays the V1 eager conflict contract \
-         (grant/deny protocol refreshes losers immediately); run it with \
-         ConflictAccounting::V1 or use the serial/concurrent engines for V2",
-    );
     let threads = threads.clamp(1, tasks.len().max(1));
     if tasks.is_empty() {
         return TaskParallelOutcome {

@@ -1,13 +1,16 @@
 //! Concurrent-engine equivalence: [`ConcurrentAssignmentEngine`] must be
 //! **bit-identical** — plans, conflicts, executions *and* cache counters —
 //! to the single-threaded [`AssignmentEngine`] on the seeded scenario
-//! presets, for every shard grid and every thread count, in both the batch
-//! and the streaming serving modes.  This is the acceptance bar of the
-//! sharding subsystem: region parallelism is allowed to change *when* work
-//! happens, never *what* is decided.
+//! presets and on random small instances, for every shard grid and every
+//! thread count, in both the batch and the streaming serving modes.  This is
+//! the acceptance bar of the sharding subsystem: region parallelism is
+//! allowed to change *when* work happens, never *what* is decided.
 
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use tcsc_assign::{
     AssignmentEngine, ConcurrentAssignmentEngine, MultiOutcome, MultiTaskConfig, Objective,
+    RefreshStrategy,
 };
 use tcsc_core::{EuclideanCost, Task};
 use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
@@ -97,6 +100,50 @@ fn batch_assign_matches_the_serial_engine_on_every_preset() {
                 );
             }
         }
+    }
+    // Random small instances: task/slot/worker counts, placement, budget,
+    // shard grid, thread count, search and refresh strategy all drawn per
+    // seed.
+    for seed in 1000..1100u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let preset = ScenarioConfig::small()
+            .with_num_tasks(rng.gen_range(3..=10))
+            .with_num_slots(rng.gen_range(8..=32))
+            .with_num_workers(rng.gen_range(30..=160))
+            .with_budget(rng.gen_range(4.0..70.0));
+        let placement = match rng.gen_range(0..3) {
+            0 => SpatialDistribution::Uniform,
+            1 => SpatialDistribution::Gaussian,
+            _ => SpatialDistribution::zipf_default(),
+        };
+        let preset = preset
+            .with_placement(TaskPlacement::Synthetic(placement))
+            .with_seed(rng.next_u64());
+        let grid = match rng.gen_range(0..4) {
+            0 => ShardGridConfig::new(1, 1),
+            1 => ShardGridConfig::new(2, 2),
+            2 => ShardGridConfig::new(4, 3),
+            _ => ShardGridConfig::new(3, 3).with_time_splits(2),
+        };
+        let (tasks, dense, sharded) = prepare(&preset, grid);
+        let refresh = if rng.gen_bool(0.5) {
+            RefreshStrategy::Full
+        } else {
+            RefreshStrategy::Incremental
+        };
+        let cfg = MultiTaskConfig::new(preset.budget)
+            .with_index(rng.gen_bool(0.7))
+            .with_refresh(refresh);
+        let threads = rng.gen_range(1..=6);
+        let serial = AssignmentEngine::borrowed(&dense, &cost, cfg)
+            .assign_batch(&tasks, Objective::SumQuality);
+        let mut engine = ConcurrentAssignmentEngine::new(sharded, &cost, cfg, threads);
+        let parallel = engine.assign_batch_parallel(&tasks, Objective::SumQuality);
+        assert_identical(
+            &format!("seed {seed}, {grid:?}, threads {threads}"),
+            &parallel,
+            &serial,
+        );
     }
 }
 

@@ -2,7 +2,8 @@
 //! [`RefreshStrategy::Incremental`] must commit **bit-identical** outcomes —
 //! plans, conflicts, executions — over random scenarios, streaming drains and
 //! optimistic rollbacks, while the incremental path performs zero full
-//! best-candidate recomputes on the commit tail.
+//! best-candidate recomputes on the commit tail.  The MSQM batches are also
+//! checked against the [`msqm_rebuild`] oracle.
 //!
 //! ≥300 seeded cases across the four suites below.  Every case that fails
 //! here is a case where the gain ledger's lazy-greedy pop (or its
@@ -16,8 +17,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use tcsc_assign::{
-    msqm_serial, msqm_task_parallel_optimistic, AssignmentEngine, MasterCommand, MultiTaskConfig,
-    Objective, RefreshStrategy, SlotCandidates, TaskOwner, TaskState, WorkerEvent,
+    msqm_rebuild, msqm_serial, msqm_task_parallel_optimistic, AssignmentEngine, MasterCommand,
+    MultiTaskConfig, Objective, RefreshStrategy, SlotCandidates, TaskOwner, TaskState, WorkerEvent,
 };
 use tcsc_core::{EuclideanCost, Task, WorkerId};
 use tcsc_index::WorkerIndex;
@@ -87,6 +88,19 @@ fn batch_plans_are_bit_identical_across_strategies() {
             full.executions, inc.executions,
             "executions diverged, seed {seed}"
         );
+        // The engine's MSQM commit loop against the rebuild-per-call oracle:
+        // same plans, and the same conflicts charged along the way.
+        if objective == Objective::SumQuality {
+            let oracle = msqm_rebuild(&tasks, &index, &cost, &inc_cfg);
+            assert_eq!(
+                oracle.assignment, inc.assignment,
+                "plans diverged from the rebuild oracle, seed {seed}"
+            );
+            assert_eq!(
+                oracle.conflicts, inc.conflicts,
+                "conflicts diverged from the rebuild oracle, seed {seed}"
+            );
+        }
         // Directional refresh accounting: the incremental commit tail never
         // runs a full search; the full path runs one per commit-tail request.
         assert_eq!(

@@ -19,12 +19,6 @@
 //! share) — and **exits non-zero** when the two strategies' outcomes diverge,
 //! when the incremental path's measured per-grant refresh cost exceeds the
 //! full path's, or when the incremental commit tail ran a full recompute.
-//! Running `fig9celf` writes `BENCH_fig9c.json` — the CELF lazy commit queue
-//! against the eager V1 conflict contract (re-scores per commit, boundary
-//! conflict rate, disjoint-region drain sweep) — and **exits non-zero** when
-//! the concurrent V1 plan hash diverges from the serial V1 plan, when the
-//! lazy queue fails to re-score strictly fewer candidates than the eager
-//! contract, or when a multi-shard drain fails to overlap ≥2 regions.
 //! Running `fig9dist` writes `BENCH_fig9d.json` — the distributed-runtime
 //! sweep (node count × latency, barrier vs optimistic master) including the
 //! zero-latency-sim-vs-engine plan-hash gate, and **exits non-zero when the
@@ -86,29 +80,6 @@ fn run_figure(id: &str, scale: Scale) -> bool {
         assert_eq!(
             measurements.incremental.full_refreshes, 0,
             "the incremental commit tail must not run full best-candidate recomputes"
-        );
-        return true;
-    }
-    if id == "fig9celf" {
-        let measurements = figures::fig9celf_measurements(scale);
-        println!("{}", measurements.to_experiment().render());
-        match std::fs::write("BENCH_fig9c.json", measurements.to_json()) {
-            Ok(()) => eprintln!("wrote BENCH_fig9c.json"),
-            Err(e) => eprintln!("could not write BENCH_fig9c.json: {e}"),
-        }
-        assert!(
-            measurements.v1_plan_hash_match,
-            "the concurrent engine under ConflictAccounting::V1 must replay the serial V1 plan"
-        );
-        assert!(
-            measurements.v2_lazy_below_eager,
-            "the CELF lazy queue must re-score strictly fewer candidates than the eager V1 \
-             contract ({} vs {})",
-            measurements.v2_commit_rescores, measurements.v1_commit_rescores
-        );
-        assert!(
-            measurements.regions_overlapped,
-            "every V2 multi-shard drain must overlap at least two disjoint interior regions"
         );
         return true;
     }

@@ -12,8 +12,8 @@ use tcsc::solver::{Runtime, SolveObjective, SolverBuilder};
 use tcsc_assign::candidates::SlotCandidates;
 use tcsc_assign::{
     approx, approx_star, independence_graph, msqm_rebuild, optimal, random_summary,
-    AssignmentEngine, ConcurrentAssignmentEngine, ConflictAccounting, MultiTaskConfig, Objective,
-    SingleTaskConfig, SpatioTemporalObjective,
+    AssignmentEngine, ConcurrentAssignmentEngine, MultiTaskConfig, Objective, SingleTaskConfig,
+    SpatioTemporalObjective,
 };
 use tcsc_core::{EuclideanCost, InterpolationWeights};
 use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
@@ -1481,347 +1481,6 @@ pub fn fig9p(scale: Scale) -> Experiment {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 9celf (repo extension): the cross-task CELF lazy commit queue and
-// the disjoint-region overlapped drains
-// ---------------------------------------------------------------------------
-
-/// One thread-count cell of the fig9celf disjoint-drain sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig9cThreadRow {
-    /// Worker threads of the concurrent engine.
-    pub threads: usize,
-    /// `drain_parallel` wall clock (ms, best-of).
-    pub drain_ms: f64,
-    /// Interior regions whose CELF commit loops ran overlapped.
-    pub regions_used: usize,
-    /// Tasks committed inside an interior region.
-    pub interior_tasks: usize,
-    /// Tasks reconciled by the serial boundary pass.
-    pub boundary_tasks: usize,
-    /// Interior conflict fallbacks dropped because the replacement fell
-    /// outside the tile interior bound.
-    pub deferred_slots: usize,
-    /// Share of the drain's worker conflicts charged by the boundary pass.
-    pub boundary_conflict_rate: f64,
-}
-
-/// The raw measurements behind [`fig9celf`]: the same batch committed under
-/// the eager [`ConflictAccounting::V1`] contract and the lazy CELF
-/// [`ConflictAccounting::V2`] queue, plus the disjoint-region
-/// `drain_parallel` thread sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig9cMeasurements {
-    /// Scale label (`"quick"` / `"full"`).
-    pub scale: &'static str,
-    /// Number of tasks in the batch.
-    pub num_tasks: usize,
-    /// Global budget of the batch.
-    pub budget: f64,
-    /// Committed grants (identical across contracts).
-    pub executions: usize,
-    /// Commit-loop re-scores under the eager V1 contract (every refreshed
-    /// task per grant).
-    pub v1_commit_rescores: usize,
-    /// Commit-loop re-scores under the lazy V2 CELF queue (only the bounds
-    /// that actually bound a selection).
-    pub v2_commit_rescores: usize,
-    /// `v2_commit_rescores / v1_commit_rescores`.
-    pub lazy_rescore_ratio: f64,
-    /// Summed quality under V1.
-    pub v1_sum_quality: f64,
-    /// Summed quality under V2.
-    pub v2_sum_quality: f64,
-    /// `v1_sum_quality - v2_sum_quality` (zero: the contracts pick the same
-    /// plans and differ only in conflict bookkeeping).
-    pub quality_delta: f64,
-    /// CI gate: the concurrent engine under V1 committed the serial V1 plan
-    /// (FNV plan hash over the committed executions).
-    pub v1_plan_hash_match: bool,
-    /// CI gate: the CELF queue re-scored strictly fewer candidates than the
-    /// eager contract.
-    pub v2_lazy_below_eager: bool,
-    /// CI gate: every multi-thread drain overlapped at least two disjoint
-    /// interior regions.
-    pub regions_overlapped: bool,
-    /// The disjoint-drain thread sweep.
-    pub threads: Vec<Fig9cThreadRow>,
-    /// The per-drain interior/boundary split (one streaming round per
-    /// drain, top thread count) — the tracked baseline for the "widen
-    /// interior classification" follow-up.
-    pub drains: Vec<Fig9cDrainRow>,
-}
-
-/// One drain of the round-by-round disjoint-drain pass: how the region
-/// classifier split that drain's tasks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig9cDrainRow {
-    /// Drain index (one streaming round per drain).
-    pub drain: usize,
-    /// Disjoint regions overlapped in the drain.
-    pub regions_used: usize,
-    /// Tasks committed inside an interior region.
-    pub interior_tasks: usize,
-    /// Tasks reconciled by the serial boundary pass.
-    pub boundary_tasks: usize,
-    /// Interior conflict fallbacks deferred past the tile interior bound.
-    pub deferred_slots: usize,
-}
-
-impl Fig9cMeasurements {
-    /// Renders the measurements as an [`Experiment`] table.
-    pub fn to_experiment(&self) -> Experiment {
-        let mut rows = vec![Row::new(
-            "contracts",
-            vec![
-                ("V1Rescores".into(), self.v1_commit_rescores as f64),
-                ("V2Rescores".into(), self.v2_commit_rescores as f64),
-                ("LazyRatio".into(), self.lazy_rescore_ratio),
-                ("QualityDelta".into(), self.quality_delta),
-                (
-                    "V1HashMatch".into(),
-                    f64::from(u8::from(self.v1_plan_hash_match)),
-                ),
-            ],
-        )];
-        for row in &self.threads {
-            rows.push(Row::new(
-                format!("t={}", row.threads),
-                vec![
-                    ("DrainMs".into(), row.drain_ms),
-                    ("Regions".into(), row.regions_used as f64),
-                    ("Interior".into(), row.interior_tasks as f64),
-                    ("Boundary".into(), row.boundary_tasks as f64),
-                    ("Deferred".into(), row.deferred_slots as f64),
-                    ("BoundaryConflictRate".into(), row.boundary_conflict_rate),
-                ],
-            ));
-        }
-        Experiment {
-            id: "fig9celf",
-            caption: "CELF lazy commit queue (V1 eager vs V2 lazy re-scores) and \
-                      disjoint-region overlapped drains per thread count",
-            rows,
-        }
-    }
-
-    /// Serialises the measurements as the `BENCH_fig9c.json` artifact tracked
-    /// across PRs (hand-rolled JSON; no serde in the hermetic build).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"figure\": \"fig9celf\",\n");
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        out.push_str(&format!("  \"num_tasks\": {},\n", self.num_tasks));
-        out.push_str(&format!("  \"budget\": {:.4},\n", self.budget));
-        out.push_str(&format!("  \"executions\": {},\n", self.executions));
-        out.push_str(&format!(
-            "  \"v1\": {{ \"commit_rescores\": {}, \"rescores_per_commit\": {:.4}, \
-             \"sum_quality\": {:.6} }},\n",
-            self.v1_commit_rescores,
-            self.v1_commit_rescores as f64 / self.executions.max(1) as f64,
-            self.v1_sum_quality
-        ));
-        out.push_str(&format!(
-            "  \"v2\": {{ \"commit_rescores\": {}, \"rescores_per_commit\": {:.4}, \
-             \"sum_quality\": {:.6} }},\n",
-            self.v2_commit_rescores,
-            self.v2_commit_rescores as f64 / self.executions.max(1) as f64,
-            self.v2_sum_quality
-        ));
-        out.push_str(&format!(
-            "  \"lazy_rescore_ratio\": {:.4},\n",
-            self.lazy_rescore_ratio
-        ));
-        out.push_str(&format!(
-            "  \"quality_delta\": {:.6},\n",
-            self.quality_delta
-        ));
-        out.push_str(&format!(
-            "  \"v1_plan_hash_match\": {},\n",
-            self.v1_plan_hash_match
-        ));
-        out.push_str(&format!(
-            "  \"v2_lazy_below_eager\": {},\n",
-            self.v2_lazy_below_eager
-        ));
-        out.push_str(&format!(
-            "  \"regions_overlapped\": {},\n",
-            self.regions_overlapped
-        ));
-        out.push_str("  \"threads\": [\n");
-        for (i, row) in self.threads.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"threads\": {}, \"drain_ms\": {:.4}, \"regions_used\": {}, \
-                 \"interior_tasks\": {}, \"boundary_tasks\": {}, \"deferred_slots\": {}, \
-                 \"boundary_conflict_rate\": {:.4} }}{}\n",
-                row.threads,
-                row.drain_ms,
-                row.regions_used,
-                row.interior_tasks,
-                row.boundary_tasks,
-                row.deferred_slots,
-                row.boundary_conflict_rate,
-                if i + 1 < self.threads.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"drains\": [\n");
-        for (i, row) in self.drains.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"drain\": {}, \"regions_used\": {}, \"interior_tasks\": {}, \
-                 \"boundary_tasks\": {}, \"deferred_slots\": {} }}{}\n",
-                row.drain,
-                row.regions_used,
-                row.interior_tasks,
-                row.boundary_tasks,
-                row.deferred_slots,
-                if i + 1 < self.drains.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Measures Fig. 9celf: the region-partitioned streaming preset (clustered
-/// arrivals, so interior regions exist) solved serially under both conflict
-/// contracts, the concurrent V1 plan-hash gate, and the V2 disjoint-region
-/// `drain_parallel` at increasing thread counts.
-pub fn fig9celf_measurements(scale: Scale) -> Fig9cMeasurements {
-    let (label, regions, rounds, per_round, slots, workers, cores, runs) = match scale {
-        Scale::Quick => (
-            "quick",
-            3usize,
-            6usize,
-            12usize,
-            64usize,
-            900usize,
-            vec![1, 2, 4],
-            3,
-        ),
-        Scale::Full => ("full", 4, 8, 24, 128, 2400, vec![1, 2, 4, 8], 3),
-    };
-    let base = ScenarioConfig::small()
-        .with_num_slots(slots)
-        .with_num_workers(workers);
-    let streaming = StreamingConfig::region_partitioned(base, regions, rounds, per_round).build();
-    let tasks = streaming.concatenated();
-    let grid = ShardGridConfig::new(regions, regions);
-    let dense = WorkerIndex::build(&streaming.workers, slots, &streaming.domain);
-    let sharded = ShardedWorkerIndex::build(&streaming.workers, slots, &streaming.domain, grid);
-    let cost = EuclideanCost::default();
-    let budget = tasks.len() as f64 * 1.1;
-
-    // Serial V1 vs V2: same batch, same budget — the plans agree, only the
-    // commit-loop re-score counters (and conflict bookkeeping) differ.
-    let solve_serial = |accounting: ConflictAccounting| {
-        let cfg = MultiTaskConfig::new(budget).with_accounting(accounting);
-        AssignmentEngine::borrowed(&dense, &cost, cfg).assign_batch(&tasks, Objective::SumQuality)
-    };
-    let v1 = solve_serial(ConflictAccounting::V1);
-    let v2 = solve_serial(ConflictAccounting::V2);
-
-    // Gate 1: the concurrent engine under the pinned V1 contract replays the
-    // serial V1 plan bit-for-bit (compared through the FNV plan hash the
-    // distributed runtime uses).
-    let concurrent_v1 = ConcurrentAssignmentEngine::new(
-        sharded.clone(),
-        &cost,
-        MultiTaskConfig::new(budget).with_accounting(ConflictAccounting::V1),
-        4,
-    )
-    .assign_batch_parallel(&tasks, Objective::SumQuality);
-    let v1_plan_hash_match =
-        tcsc_sim::plan_hash(&v1.assignment) == tcsc_sim::plan_hash(&concurrent_v1.assignment);
-
-    // Thread sweep: V2 disjoint-region drains.  The engine is rebuilt per
-    // run (drains consume the pending batch); the report is identical across
-    // runs and threads by construction, the wall clock is best-of.
-    let mut thread_rows = Vec::new();
-    let mut regions_overlapped = true;
-    for &threads in &cores {
-        let cfg = MultiTaskConfig::new(budget).with_accounting(ConflictAccounting::V2);
-        let mut best_ms = f64::INFINITY;
-        let mut captured = None;
-        for _ in 0..runs.max(1) {
-            let mut engine = ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, threads);
-            engine.submit(tasks.iter().cloned());
-            let (outcome, ms) = timed(|| engine.drain_parallel(Objective::SumQuality));
-            best_ms = best_ms.min(ms);
-            let report = engine
-                .last_drain_report()
-                .expect("V2 multi-shard drains take the disjoint-region path");
-            captured = Some((outcome, report));
-        }
-        let (outcome, report) = captured.expect("at least one run");
-        if report.regions_used < 2 {
-            regions_overlapped = false;
-        }
-        thread_rows.push(Fig9cThreadRow {
-            threads,
-            drain_ms: best_ms,
-            regions_used: report.regions_used,
-            interior_tasks: report.interior_tasks,
-            boundary_tasks: report.boundary_tasks,
-            deferred_slots: report.deferred_slots,
-            boundary_conflict_rate: report.boundary_conflicts as f64
-                / outcome.conflicts.max(1) as f64,
-        });
-    }
-
-    // Per-drain split: the streaming rounds drained one at a time at the
-    // top thread count, so the interior/boundary classification gets a
-    // tracked per-drain baseline (previously only the one-off report of the
-    // final drain was visible).
-    let top_threads = *cores.last().expect("at least one thread count");
-    let mut round_engine = ConcurrentAssignmentEngine::new(
-        sharded.clone(),
-        &cost,
-        MultiTaskConfig::new(budget).with_accounting(ConflictAccounting::V2),
-        top_threads,
-    );
-    let mut drain_rows = Vec::new();
-    for (round, batch) in streaming.rounds.iter().enumerate() {
-        round_engine.submit(batch.iter().cloned());
-        let _ = round_engine.drain_parallel(Objective::SumQuality);
-        let report = round_engine
-            .last_drain_report()
-            .expect("V2 multi-shard drains take the disjoint-region path");
-        drain_rows.push(Fig9cDrainRow {
-            drain: round,
-            regions_used: report.regions_used,
-            interior_tasks: report.interior_tasks,
-            boundary_tasks: report.boundary_tasks,
-            deferred_slots: report.deferred_slots,
-        });
-    }
-
-    Fig9cMeasurements {
-        scale: label,
-        num_tasks: tasks.len(),
-        budget,
-        executions: v2.executions,
-        v1_commit_rescores: v1.stats.commit_rescores,
-        v2_commit_rescores: v2.stats.commit_rescores,
-        lazy_rescore_ratio: v2.stats.commit_rescores as f64
-            / v1.stats.commit_rescores.max(1) as f64,
-        v1_sum_quality: v1.sum_quality(),
-        v2_sum_quality: v2.sum_quality(),
-        quality_delta: v1.sum_quality() - v2.sum_quality(),
-        v1_plan_hash_match,
-        v2_lazy_below_eager: v2.stats.commit_rescores < v1.stats.commit_rescores,
-        regions_overlapped,
-        threads: thread_rows,
-        drains: drain_rows,
-    }
-}
-
-/// Fig. 9celf (repo extension): the CELF lazy commit queue and the
-/// disjoint-region overlapped drains.
-pub fn fig9celf(scale: Scale) -> Experiment {
-    fig9celf_measurements(scale).to_experiment()
-}
-
-// ---------------------------------------------------------------------------
 // Figure 9d (repo extension): the simulated distributed runtime
 // ---------------------------------------------------------------------------
 
@@ -3156,7 +2815,7 @@ fn fig9mob_service_run(
     let cost = EuclideanCost::default();
     let domain = arrivals.domain;
     let num_slots = arrivals.num_slots;
-    let cfg = MultiTaskConfig::new(capacity as f64 * 2.0).with_accounting(ConflictAccounting::V1);
+    let cfg = MultiTaskConfig::new(capacity as f64 * 2.0);
     let mut engine = ConcurrentAssignmentEngine::new(
         ShardedWorkerIndex::build(pool, num_slots, &domain, grid),
         &cost,
@@ -3567,8 +3226,8 @@ pub fn fig11c(scale: Scale) -> Experiment {
 pub const ALL_IDS: &[&str] = &[
     "fig6a", "fig6b", "fig7a", "fig7b", "fig7c", "fig7d", "fig8a", "fig8b", "fig8c", "fig8d",
     "fig8e", "fig8f", "fig8g", "fig8h", "fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f",
-    "fig9g", "fig9h", "fig9i", "fig9s", "fig9p", "fig9celf", "fig9dist", "fig9obs", "fig9svc",
-    "fig9mob", "fig11a", "fig11b", "fig11c",
+    "fig9g", "fig9h", "fig9i", "fig9s", "fig9p", "fig9dist", "fig9obs", "fig9svc", "fig9mob",
+    "fig11a", "fig11b", "fig11c",
 ];
 
 /// Every experiment, in figure order (derived from [`ALL_IDS`] so the id
@@ -3605,7 +3264,6 @@ pub fn by_id(id: &str, scale: Scale) -> Option<Experiment> {
         "fig9i" => fig9i(scale),
         "fig9s" => fig9s(scale),
         "fig9p" => fig9p(scale),
-        "fig9celf" => fig9celf(scale),
         "fig9dist" => fig9dist(scale),
         "fig9obs" => fig9obs(scale),
         "fig9svc" => fig9svc(scale),
@@ -3660,10 +3318,9 @@ mod tests {
         // check against the match arms is exercised by the binary smoke.)
         let unique: std::collections::HashSet<_> = ALL_IDS.iter().collect();
         assert_eq!(unique.len(), ALL_IDS.len());
-        assert_eq!(ALL_IDS.len(), 33);
+        assert_eq!(ALL_IDS.len(), 32);
         assert!(ALL_IDS.contains(&"fig9s"));
         assert!(ALL_IDS.contains(&"fig9p"));
-        assert!(ALL_IDS.contains(&"fig9celf"));
         assert!(ALL_IDS.contains(&"fig9dist"));
         assert!(ALL_IDS.contains(&"fig9obs"));
         assert!(ALL_IDS.contains(&"fig9svc"));
@@ -3723,50 +3380,6 @@ mod tests {
         assert!(json.contains("\"plans_match\": true"));
         assert!(json.contains("\"refresh_speedup\": 6.2500"));
         assert!(json.contains("\"strategy\": \"incremental\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn fig9celf_json_is_well_formed() {
-        let m = Fig9cMeasurements {
-            scale: "quick",
-            num_tasks: 72,
-            budget: 43.2,
-            executions: 60,
-            v1_commit_rescores: 900,
-            v2_commit_rescores: 120,
-            lazy_rescore_ratio: 120.0 / 900.0,
-            v1_sum_quality: 12.5,
-            v2_sum_quality: 12.5,
-            quality_delta: 0.0,
-            v1_plan_hash_match: true,
-            v2_lazy_below_eager: true,
-            regions_overlapped: true,
-            threads: vec![Fig9cThreadRow {
-                threads: 4,
-                drain_ms: 7.5,
-                regions_used: 5,
-                interior_tasks: 60,
-                boundary_tasks: 12,
-                deferred_slots: 1,
-                boundary_conflict_rate: 0.25,
-            }],
-            drains: vec![Fig9cDrainRow {
-                drain: 0,
-                regions_used: 3,
-                interior_tasks: 9,
-                boundary_tasks: 3,
-                deferred_slots: 0,
-            }],
-        };
-        let json = m.to_json();
-        assert!(json.contains("\"figure\": \"fig9celf\""));
-        assert!(json.contains("\"v1_plan_hash_match\": true"));
-        assert!(json.contains("\"v2_lazy_below_eager\": true"));
-        assert!(json.contains("\"regions_overlapped\": true"));
-        assert!(json.contains("\"regions_used\": 5"));
-        assert!(json.contains("\"drains\": ["));
-        assert!(json.contains("\"interior_tasks\": 9"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

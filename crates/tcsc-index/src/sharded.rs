@@ -141,10 +141,10 @@ pub struct ShardedWorkerIndex {
     /// Who is indexed where: the lookup that makes remove/move tile-local.
     registry: WorkerRegistry,
     /// Per-spatial-tile mutation counters: `tile_versions[tile]` bumps every
-    /// time one of the tile's buckets is spliced.  Pure-geometry bounds
-    /// ([`ShardedWorkerIndex::tile_interior_bound`], the k-th-distance tile
-    /// pruning) never change under mutation — the versions let cache layers
-    /// detect *content* churn per tile without diffing buckets.
+    /// time one of the tile's buckets is spliced.  Pure-geometry bounds (the
+    /// k-th-distance tile pruning) never change under mutation — the
+    /// versions let cache layers detect *content* churn per tile without
+    /// diffing buckets.
     tile_versions: Vec<u64>,
     /// Global mutation counter (total bucket splices over the index's life).
     version: u64,
@@ -426,69 +426,6 @@ impl ShardedWorkerIndex {
             dy = dy.max(query.y - (self.origin.y + (ty + 1) as f64 * self.tile_h));
         }
         (dx * dx + dy * dy).sqrt() * (1.0 - 1e-9)
-    }
-
-    /// Distance from `query` to the nearest **interior** side of its home
-    /// tile: a strict lower bound on the distance to any worker stored in a
-    /// *different* spatial shard.
-    ///
-    /// Grid-border sides are ignored (`INFINITY` when the home tile is the
-    /// whole grid): out-of-domain workers clamp *into* border tiles
-    /// ([`ShardedWorkerIndex::tile_of`]), so a worker beyond a grid border is
-    /// stored in this tile's own bucket, never hidden across it.  Any worker
-    /// whose bucket is another tile therefore lies outside the home tile's
-    /// rectangle on at least one interior side, at Euclidean distance at
-    /// least this bound.  Out-of-domain queries yield a non-positive bound —
-    /// no interior guarantee.
-    ///
-    /// This is the concurrent engine's disjoint-region router check: a task
-    /// whose candidate distances all fall strictly below (a slightly shrunk
-    /// copy of) this bound provably resolves every nearest-worker query
-    /// inside its home tile, so its commits can proceed in parallel with
-    /// other tiles' without consulting any shared state.
-    pub fn tile_interior_bound(&self, query: &Location) -> f64 {
-        let (tx, ty) = self.tile_of(query);
-        let mut bound = f64::INFINITY;
-        if tx > 0 {
-            bound = bound.min(query.x - (self.origin.x + tx as f64 * self.tile_w));
-        }
-        if tx + 1 < self.config.tiles_x {
-            bound = bound.min(self.origin.x + (tx + 1) as f64 * self.tile_w - query.x);
-        }
-        if ty > 0 {
-            bound = bound.min(query.y - (self.origin.y + ty as f64 * self.tile_h));
-        }
-        if ty + 1 < self.config.tiles_y {
-            bound = bound.min(self.origin.y + (ty + 1) as f64 * self.tile_h - query.y);
-        }
-        bound
-    }
-
-    /// The nearest non-excluded worker to `query` during `slot` **within the
-    /// query's home tile only** (cell-level pruned, ties by ascending worker
-    /// id).  Agrees with the global
-    /// [`ShardedWorkerIndex::nearest_excluding_with`] whenever the returned
-    /// distance is strictly below [`ShardedWorkerIndex::tile_interior_bound`]
-    /// — every other tile's workers are at least that far away.  The
-    /// region-local search of the concurrent engine's disjoint-region drains.
-    pub fn nearest_in_home_tile(
-        &self,
-        slot: SlotIndex,
-        query: &Location,
-        mut excluded: impl FnMut(WorkerId) -> bool,
-    ) -> Option<NearestWorker> {
-        if slot >= self.num_slots || self.available[slot] == 0 {
-            return None;
-        }
-        let (tx, ty) = self.tile_of(query);
-        let grid = self.bucket(slot, tx, ty)?;
-        grid.nearest_filtered(query, &mut excluded)
-            .map(|(distance, w)| NearestWorker {
-                worker: w.worker,
-                location: w.location,
-                reliability: w.reliability,
-                distance,
-            })
     }
 
     /// Visits the tiles whose exact Chebyshev distance from `(qx, qy)` equals

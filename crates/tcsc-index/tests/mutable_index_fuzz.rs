@@ -8,8 +8,7 @@
 //! 320 seeds × 24-op tapes, checkpointed every few ops.  Covered paths:
 //! `nearest`, `k_nearest` (several counts), `nearest_excluding_set`
 //! (including absent ids), the occupancy-filtered
-//! `nearest_excluding_with`, `nearest_in_home_tile` +
-//! `tile_interior_bound` consistency, and the structural counters
+//! `nearest_excluding_with`, and the structural counters
 //! (`available_count`, `total_workers`, `indexed_entries`, per-shard entry
 //! counts).  Tapes deliberately move and insert workers *outside* the
 //! domain, exercising the border-clamp invariant shared by `build` and
@@ -204,30 +203,6 @@ fn assert_checkpoint(
                     .map(|w| key(&w)),
                 "{ctx}"
             );
-            // Home-tile search + interior bound: identical to a rebuild, and
-            // whenever the answer is strictly inside the home tile's interior
-            // bound it must equal the *global* filtered answer.
-            let home = mutated_sharded
-                .nearest_in_home_tile(slot, q, occupied)
-                .map(|w| key(&w));
-            assert_eq!(
-                home,
-                fresh_sharded
-                    .nearest_in_home_tile(slot, q, occupied)
-                    .map(|w| key(&w)),
-                "{ctx}"
-            );
-            let bound = mutated_sharded.tile_interior_bound(q);
-            assert_eq!(
-                bound.to_bits(),
-                fresh_sharded.tile_interior_bound(q).to_bits(),
-                "{ctx}"
-            );
-            if let Some(h) = &home {
-                if f64::from_bits(h.1) < bound {
-                    assert_eq!(Some(*h), via_filter, "{ctx}: interior-bound guarantee");
-                }
-            }
         }
     }
 }

@@ -205,13 +205,6 @@ pub fn run_cluster(
     cost_model: Rc<dyn CostModel>,
     config: &SimClusterConfig,
 ) -> SimOutcome {
-    assert_eq!(
-        config.assignment.accounting,
-        tcsc_assign::ConflictAccounting::V1,
-        "the simulated cluster replays the V1 eager conflict contract (its \
-         master/shard message protocol refreshes losers at commit time); run \
-         it with ConflictAccounting::V1 or use the in-process engines for V2",
-    );
     if batches.is_empty() {
         // Nothing arrives, nothing runs: an empty outcome, not a stalled
         // dispatcher waiting for batches that never come.

@@ -65,9 +65,8 @@ pub mod prelude {
     pub use tcsc_assign::{
         approx, approx_star, independence_graph, min_budget_for_quality, optimal,
         random_assignment, random_summary, AssignmentEngine, CacheStats, CandidateCache,
-        ChurnCounters, ConcurrentAssignmentEngine, ConflictAccounting, DisjointDrainReport,
-        MultiTaskConfig, Objective, RefreshStrategy, ShardedLedger, SingleTaskConfig,
-        SlotCandidates, SpatioTemporalObjective, WorkerLedger,
+        ChurnCounters, ConcurrentAssignmentEngine, MultiTaskConfig, Objective, RefreshStrategy,
+        ShardedLedger, SingleTaskConfig, SlotCandidates, SpatioTemporalObjective, WorkerLedger,
     };
     #[allow(deprecated)]
     pub use tcsc_assign::{

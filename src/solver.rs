@@ -33,8 +33,8 @@
 use std::rc::Rc;
 
 use tcsc_assign::{
-    AssignmentEngine, ConcurrentAssignmentEngine, ConflictAccounting, GrantPolicy, MultiOutcome,
-    MultiTaskConfig, Objective, RefreshStrategy, SpatioTemporalObjective,
+    AssignmentEngine, ConcurrentAssignmentEngine, GrantPolicy, MultiOutcome, MultiTaskConfig,
+    Objective, RefreshStrategy, SpatioTemporalObjective,
 };
 use tcsc_core::{CostModel, Domain, InterpolationWeights, Task, WorkerPool};
 use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
@@ -48,18 +48,18 @@ pub enum Runtime {
     #[default]
     Serial,
     /// The sharded [`ConcurrentAssignmentEngine`]: region-parallel checkout
-    /// and candidate waves, serial deterministic commit loop (and, under
-    /// [`ConflictAccounting::V2`] drains, disjoint-region commit overlap).
+    /// and candidate waves, serial deterministic commit loop.  Commits the
+    /// same plan as [`Runtime::Serial`] for any shard grid and thread count.
     Concurrent,
     /// The task-level parallel master/owner framework
     /// (`msqm_task_parallel{,_optimistic}`; the grant policy picks the
-    /// barrier or optimistic master).  MSQM only, V1 accounting only.
+    /// barrier or optimistic master).  MSQM only.
     TaskParallel,
     /// The group-level parallel framework over the conflict-independence
     /// graph (`msqm_group_parallel{,_cached}`).  MSQM only.
     GroupParallel,
     /// The deterministic discrete-event cluster simulation (`run_cluster`).
-    /// MSQM only, V1 accounting only.
+    /// MSQM only.
     Sim,
 }
 
@@ -100,8 +100,8 @@ pub struct SolverBuilder {
 
 impl SolverBuilder {
     /// A serial MSQM solve under `budget`, with defaults everywhere else
-    /// (V1 accounting, full refresh, one thread, a 1×1 shard grid, the
-    /// barrier grant policy).
+    /// (incremental refresh, one thread, a 1×1 shard grid, the barrier grant
+    /// policy).
     pub fn new(budget: f64) -> Self {
         Self {
             config: MultiTaskConfig::new(budget),
@@ -119,7 +119,7 @@ impl SolverBuilder {
     }
 
     /// Replaces the full assignment configuration (budget, `k`, `ts`,
-    /// V-tree, refresh strategy, conflict accounting).
+    /// V-tree, reliability weighting, refresh strategy).
     pub fn with_config(mut self, config: MultiTaskConfig) -> Self {
         self.config = config;
         self
@@ -139,12 +139,6 @@ impl SolverBuilder {
     /// Selects the objective.
     pub fn with_objective(mut self, objective: SolveObjective) -> Self {
         self.objective = objective;
-        self
-    }
-
-    /// Selects the conflict-accounting contract (V1 eager, V2 CELF lazy).
-    pub fn with_accounting(mut self, accounting: ConflictAccounting) -> Self {
-        self.config = self.config.with_accounting(accounting);
         self
     }
 
@@ -211,10 +205,10 @@ impl SolverBuilder {
     ///
     /// The worker index (dense or sharded, depending on the runtime) is
     /// built internally from the pool.  Panics with a descriptive message on
-    /// unsupported combinations: a non-MSQM objective on a parallel
-    /// framework that only implements MSQM, or
-    /// [`ConflictAccounting::V2`] on the runtimes that replay the V1
-    /// eager-refresh protocol ([`Runtime::TaskParallel`], [`Runtime::Sim`]).
+    /// an unsupported combination: a non-MSQM objective on a runtime that
+    /// only implements MSQM ([`Runtime::TaskParallel`],
+    /// [`Runtime::GroupParallel`], [`Runtime::Sim`]), or the spatiotemporal
+    /// objective on [`Runtime::Concurrent`].
     pub fn solve<C: CostModel + Sync + Clone + 'static>(
         &self,
         tasks: &[Task],
