@@ -174,8 +174,8 @@ impl WorkerLedger {
         self.occupied.get(&slot).filter(|set| !set.is_empty())
     }
 
-    /// Releases one commitment (the rollback path of the optimistic master:
-    /// a provisional grant that a late heartbeat superseded is undone).
+    /// Releases one commitment (a released plan, or a worker that moved
+    /// out of its shard or left the pool).
     /// Returns `false` when the worker was not occupied at the slot.
     pub fn release(&mut self, slot: SlotIndex, worker: WorkerId) -> bool {
         let removed = self

@@ -103,8 +103,7 @@ pub struct CacheStats {
     /// Full best-candidate searches beyond each task's warm start (the
     /// commit-tail recomputes; `0` in steady state on the incremental path).
     pub full_refreshes: usize,
-    /// Gain-ledger entries patched (re-keyed) after candidate refreshes and
-    /// rollback undos.
+    /// Gain-ledger entries patched (re-keyed) after candidate refreshes.
     pub incremental_patches: usize,
     /// Stale gain-ledger entries re-scored on pop (the lazy-greedy work).
     pub stale_pops: usize,

@@ -62,16 +62,14 @@ pub use multi::group_parallel::{msqm_group_parallel, msqm_group_parallel_cached}
 pub use multi::mmqm::mmqm;
 #[allow(deprecated)]
 pub use multi::msqm::msqm_serial;
-pub use multi::protocol::{
-    CommittedExecution, GrantPolicy, MasterCommand, TaskMaster, TaskOwner, WorkerEvent,
-};
+pub use multi::protocol::{CommittedExecution, MasterCommand, TaskMaster, TaskOwner, WorkerEvent};
 pub use multi::rebuild::{mmqm_rebuild, msqm_rebuild};
 #[allow(deprecated)]
 pub use multi::sapprox::sapprox;
 pub use multi::sapprox::SpatioTemporalObjective;
-pub use multi::task_parallel::TaskParallelOutcome;
 #[allow(deprecated)]
-pub use multi::task_parallel::{msqm_task_parallel, msqm_task_parallel_optimistic};
+pub use multi::task_parallel::msqm_task_parallel;
+pub use multi::task_parallel::TaskParallelOutcome;
 pub use multi::{
     MultiOutcome, MultiTaskConfig, RefreshStats, RefreshStrategy, TaskCandidate, TaskState,
 };

@@ -17,8 +17,7 @@
 //! * when a grant lands on *another* `(slot, worker)` pair, nothing here is
 //!   touched — entries are only **patched** (re-scored and re-stamped) for
 //!   the slots whose candidate actually changed: the conflict-loser refreshes
-//!   that the reverse holder map already identifies, and the optimistic
-//!   master's `UndoRefresh` un-patches through the same entry point;
+//!   that the reverse holder map already identifies;
 //! * when a slot of *this* task executes, the task's gains shift, so the
 //!   ledger bumps a **score version**: every entry key becomes a *stale upper
 //!   bound* (the entropy quality metric has diminishing marginal gains — the
@@ -26,8 +25,8 @@
 //!   stale entries are **re-scored on pop**, exactly like a lazy-greedy
 //!   priority queue;
 //! * affordability never forces a recompute: entries costing more than the
-//!   query bound are *parked* and reactivated the moment a later query (e.g.
-//!   after an optimistic rollback restored budget) can afford them again.
+//!   query bound are *parked* and reactivated the moment a later query with
+//!   a larger bound (a caller that raised the budget) can afford them again.
 //!
 //! # Why the committed plan stays bit-identical
 //!
@@ -182,8 +181,8 @@ pub(crate) enum EntryState {
 pub struct GainLedger {
     heap: BinaryHeap<GainEntry>,
     /// Entries whose cost exceeded a query's budget bound: kept aside so a
-    /// later query with a larger bound (optimistic rollback) can reactivate
-    /// them instead of recomputing.
+    /// later query with a larger bound can reactivate them instead of
+    /// recomputing.
     parked: Vec<GainEntry>,
     /// Per-slot patch versions; entries stamped with an older version are
     /// dead.
@@ -271,8 +270,7 @@ impl GainLedger {
         self.heap.push(entry);
     }
 
-    /// Patch entry point: the slot's candidate changed (conflict fallback or
-    /// rollback undo).  Bumps the slot version so the old entry dies; the
+    /// Patch entry point: the slot's candidate changed (conflict fallback).  Bumps the slot version so the old entry dies; the
     /// caller re-scores and [`GainLedger::push_scored`]s the replacement if a
     /// candidate remains.
     pub(crate) fn invalidate_slot(&mut self, slot: SlotIndex) {
@@ -291,7 +289,7 @@ impl GainLedger {
     }
 
     /// Reactivates the parked entries `max_cost` can now afford (the
-    /// restored-budget case), dropping version-dead garbage and keeping the
+    /// raised-budget case), dropping version-dead garbage and keeping the
     /// still-unaffordable rest parked so a budget oscillation never cycles
     /// high-cost entries through the heap.
     fn reactivate_parked(&mut self, max_cost: f64) {
@@ -495,7 +493,7 @@ mod tests {
             .pop_best(2.0, |_| EntryState::Dead, &mut pops)
             .unwrap();
         assert_eq!(tight.slot, 1, "the expensive slot is parked");
-        // A restored budget (rollback) reactivates the parked entry.
+        // A raised budget reactivates the parked entry.
         let wide = ledger
             .pop_best(20.0, |_| EntryState::Dead, &mut pops)
             .unwrap();

@@ -401,7 +401,7 @@ impl TaskState {
     }
 
     /// Patches the gain ledger after one slot's candidate changed (conflict
-    /// fallback or rollback undo): the old `(slot, worker)` entry is
+    /// fallback): the old `(slot, worker)` entry is
     /// version-killed and a freshly scored replacement installed.  Touches
     /// exactly one slot — this is the incremental alternative to the full
     /// path's recompute-on-next-request.

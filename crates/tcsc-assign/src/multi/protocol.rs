@@ -4,8 +4,8 @@
 //! The master of [`super::task_parallel`] is factored out here as a pure,
 //! driver-agnostic state machine: [`TaskMaster`] consumes [`WorkerEvent`]s
 //! (heartbeats and execution confirmations from the task owners) and emits
-//! [`MasterCommand`]s (compute / refresh / execute / undo requests).  Two
-//! drivers exist:
+//! [`MasterCommand`]s (compute / refresh / execute requests).  Two drivers
+//! exist:
 //!
 //! * the **thread driver** of [`super::task_parallel`], where commands travel
 //!   over `std::sync::mpsc` channels to worker threads;
@@ -16,47 +16,26 @@
 //! Because the machine is pure, the committed behaviour can be verified once
 //! (against the serial greedy) and reused by both drivers.
 //!
-//! # Grant policies
+//! # The barrier
 //!
-//! [`GrantPolicy::Barrier`] reproduces the paper's deterministic master: a
-//! grant is only decided when **every** outstanding heartbeat has arrived, so
-//! each selection sees the complete heartbeat table.
+//! The master is the paper's deterministic one: a grant is only decided when
+//! **every** outstanding reply has arrived, so each selection sees the
+//! complete heartbeat table and the committed execution sequence is the
+//! serial greedy's.  After every event the master
 //!
-//! [`GrantPolicy::Optimistic`] removes the barrier with a **versioned
-//! heartbeat table and provisional grants**:
-//!
-//! * every compute / refresh request carries a per-task *version*; heartbeats
-//!   echo it, and a heartbeat whose version does not match the task's current
-//!   version is discarded (it belongs to a rolled-back timeline);
-//! * the master grants the current global-max execution as soon as it is
-//!   known, even while heartbeats are outstanding — the grant is
-//!   **provisional**: budget and worker occupancy are applied speculatively
-//!   and the conflict-loser refreshes are issued immediately (that is the
-//!   overlap the barrier forfeits), but the irreversible `Execute` command is
-//!   deferred;
-//! * each provisional grant remembers which tasks were outstanding at its
-//!   decision.  When such a late heartbeat arrives, it is checked against the
-//!   grant: if the late candidate is unaffordable at the grant's budget (the
-//!   barrier master would have recomputed it first) or *supersedes* the
-//!   granted candidate (strictly higher heuristic, or equal heuristic and
-//!   lower task index — the serial tie-break), the grant **rolls back**: the
-//!   speculative budget/occupancy are restored, speculative refreshes are
-//!   undone on the owner side ([`MasterCommand::UndoRefresh`], version bumps
-//!   discard their in-flight heartbeats), and the selection is re-run with
-//!   the late information incorporated;
-//! * a provisional grant **finalizes** — `Execute` is sent and the grant
-//!   becomes permanent — once every heartbeat outstanding at its decision has
-//!   arrived without superseding it.
-//!
-//! Rolled-back work is exactly the work the barrier master would not have
-//! done; surviving grants are exactly the barrier's grants.  The committed
-//! execution sequence of the optimistic master is therefore identical to the
-//! barrier master's on every input — locked in by
-//! `tests/optimistic_equivalence.rs`.
+//! 1. re-requests every entry whose candidate the remaining budget can no
+//!    longer afford (a recompute may find a cheaper slot);
+//! 2. when nothing is pending, selects the affordable candidate with the
+//!    maximum heuristic, ties to the lower task index;
+//! 3. on a selection-time conflict (the candidate's worker was taken since
+//!    it was computed) refreshes that task's slot and waits for it;
+//! 4. on a grant occupies the worker and charges the budget, refreshes the
+//!    conflict losers (tasks whose candidate targets the same worker at the
+//!    same slot), then emits `Execute` and the winner's follow-up `Compute`.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::HashMap;
 
-use tcsc_core::{AssignmentPlan, CandidateAssignment, CostModel, SlotIndex, WorkerId};
+use tcsc_core::{AssignmentPlan, CostModel, SlotIndex, WorkerId};
 use tcsc_index::SpatialQuery;
 use tcsc_obs::{NoopRecorder, Recorder, Scope};
 
@@ -64,33 +43,23 @@ use crate::candidates::WorkerLedger;
 use crate::multi::task_parallel::{ConflictRecord, LogEntry};
 use crate::multi::{TaskCandidate, TaskState};
 
-/// A per-task heartbeat version.  Compute / refresh commands carry the
-/// version the master expects; heartbeats echo it, and mismatches are
-/// discarded as belonging to a rolled-back timeline.
-pub type Version = u64;
-
 /// A command from the master to the owner (thread or region node) of a task.
+/// Every command is answered by exactly one [`WorkerEvent`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum MasterCommand {
     /// Compute the task's best candidate under the given budget and report a
-    /// heartbeat echoing `version`.
+    /// heartbeat.
     Compute {
         /// Task index.
         task: usize,
-        /// Version the heartbeat must echo.
-        version: Version,
         /// Budget bound for the candidate search.
         max_cost: f64,
     },
     /// Recompute the candidate of one slot excluding the occupied workers,
-    /// remember the replaced candidate for a potential
-    /// [`MasterCommand::UndoRefresh`], then report a heartbeat with the
-    /// task's new best candidate.
+    /// then report a heartbeat with the task's new best candidate.
     Refresh {
         /// Task index.
         task: usize,
-        /// Version the heartbeat must echo.
-        version: Version,
         /// The slot whose candidate must be recomputed.
         slot: SlotIndex,
         /// Workers occupied at the slot (the exclusion set).
@@ -98,18 +67,7 @@ pub enum MasterCommand {
         /// Budget bound for the follow-up candidate search.
         max_cost: f64,
     },
-    /// Undo the most recent not-yet-undone [`MasterCommand::Refresh`] of the
-    /// task (restore the replaced slot candidate).  Only emitted by the
-    /// optimistic master's rollback; expects no reply.
-    UndoRefresh {
-        /// Task index.
-        task: usize,
-        /// The slot whose previous candidate must be restored (sanity check
-        /// against the owner's undo stack).
-        slot: SlotIndex,
-    },
-    /// Execute a slot of the task with its current candidate worker.  Only
-    /// emitted for committed grants — never speculatively.
+    /// Execute a slot of the task with its current candidate worker.
     Execute {
         /// Task index.
         task: usize,
@@ -124,7 +82,6 @@ impl MasterCommand {
         match self {
             Self::Compute { task, .. }
             | Self::Refresh { task, .. }
-            | Self::UndoRefresh { task, .. }
             | Self::Execute { task, .. } => *task,
         }
     }
@@ -134,12 +91,10 @@ impl MasterCommand {
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkerEvent {
     /// The task's best candidate under the requested budget (`None` when no
-    /// affordable candidate remains), echoing the request's version.
+    /// affordable candidate remains).
     Heartbeat {
         /// Task index.
         task: usize,
-        /// Version echoed from the triggering command.
-        version: Version,
         /// The best candidate, or `None`.
         candidate: Option<TaskCandidate>,
         /// The worker currently planned for the candidate's slot.
@@ -158,19 +113,8 @@ pub enum WorkerEvent {
     },
 }
 
-/// How the master decides grants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrantPolicy {
-    /// Wait for every outstanding heartbeat before each grant (the paper's
-    /// deterministic full barrier).
-    Barrier,
-    /// Grant the current global max immediately; roll a provisional grant
-    /// back when a late heartbeat supersedes it.
-    Optimistic,
-}
-
 /// One committed execution, in grant order (the sequence the equivalence
-/// tests compare between policies).
+/// tests compare between runtimes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommittedExecution {
     /// Task index.
@@ -184,17 +128,15 @@ pub struct CommittedExecution {
 }
 
 /// The owner side of the protocol: the mutable [`TaskState`]s of the tasks a
-/// worker thread (or a simulated region node) owns, plus the per-task undo
-/// stacks that make speculative refreshes reversible.
+/// worker thread (or a simulated region node) owns.
 ///
 /// [`TaskOwner::handle`] executes one [`MasterCommand`] and returns the
-/// [`WorkerEvent`] to send back (if the command expects a reply).  The same
-/// executor backs the thread driver of [`super::task_parallel`] and the
-/// region-node components of `tcsc-sim`, so the two runtimes cannot drift.
+/// [`WorkerEvent`] to send back.  The same executor backs the thread driver
+/// of [`super::task_parallel`] and the region-node components of `tcsc-sim`,
+/// so the two runtimes cannot drift.
 #[derive(Debug, Default)]
 pub struct TaskOwner {
     states: HashMap<usize, TaskState>,
-    undo: HashMap<usize, Vec<(SlotIndex, Option<CandidateAssignment>)>>,
 }
 
 impl TaskOwner {
@@ -202,7 +144,6 @@ impl TaskOwner {
     pub fn new(states: impl IntoIterator<Item = (usize, TaskState)>) -> Self {
         Self {
             states: states.into_iter().collect(),
-            undo: HashMap::new(),
         }
     }
 
@@ -243,66 +184,31 @@ impl TaskOwner {
     }
 
     /// Executes one command against the owned states, returning the reply
-    /// event (`None` for [`MasterCommand::UndoRefresh`], which is
-    /// fire-and-forget).
+    /// event.
     pub fn handle(
         &mut self,
         command: MasterCommand,
         index: &dyn SpatialQuery,
         cost_model: &dyn CostModel,
-    ) -> Option<WorkerEvent> {
+    ) -> WorkerEvent {
         match command {
-            MasterCommand::Compute {
-                task,
-                version,
-                max_cost,
-            } => {
+            MasterCommand::Compute { task, max_cost } => {
                 let state = self.states.get_mut(&task).expect("task owned here");
-                let candidate = state.best_candidate(max_cost);
-                let planned_worker = candidate.and_then(|c| state.planned_worker(c.slot));
-                Some(WorkerEvent::Heartbeat {
-                    task,
-                    version,
-                    candidate,
-                    planned_worker,
-                })
+                Self::heartbeat(task, state, max_cost)
             }
             MasterCommand::Refresh {
                 task,
-                version,
                 slot,
                 occupied,
                 max_cost,
             } => {
                 let state = self.states.get_mut(&task).expect("task owned here");
-                self.undo
-                    .entry(task)
-                    .or_default()
-                    .push((slot, state.candidates.get(slot).copied()));
                 let mut ledger = WorkerLedger::new();
                 for w in occupied {
                     ledger.occupy(slot, w);
                 }
                 state.refresh_slot(slot, index, cost_model, &ledger);
-                let candidate = state.best_candidate(max_cost);
-                let planned_worker = candidate.and_then(|c| state.planned_worker(c.slot));
-                Some(WorkerEvent::Heartbeat {
-                    task,
-                    version,
-                    candidate,
-                    planned_worker,
-                })
-            }
-            MasterCommand::UndoRefresh { task, slot } => {
-                let state = self.states.get_mut(&task).expect("task owned here");
-                let (saved_slot, saved) = self
-                    .undo
-                    .get_mut(&task)
-                    .and_then(Vec::pop)
-                    .expect("an undo must match a prior speculative refresh");
-                assert_eq!(saved_slot, slot, "undo order must mirror refresh order");
-                state.set_candidate(slot, saved);
-                None
+                Self::heartbeat(task, state, max_cost)
             }
             MasterCommand::Execute { task, slot } => {
                 let state = self.states.get_mut(&task).expect("task owned here");
@@ -311,13 +217,24 @@ impl TaskOwner {
                     .get(slot)
                     .expect("granted slot has a candidate");
                 state.execute(slot);
-                Some(WorkerEvent::Executed {
+                WorkerEvent::Executed {
                     task,
                     slot,
                     worker: candidate.worker,
                     cost: candidate.cost,
-                })
+                }
             }
+        }
+    }
+
+    /// The heartbeat reporting a task's best candidate under `max_cost`.
+    fn heartbeat(task: usize, state: &mut TaskState, max_cost: f64) -> WorkerEvent {
+        let candidate = state.best_candidate(max_cost);
+        let planned_worker = candidate.and_then(|c| state.planned_worker(c.slot));
+        WorkerEvent::Heartbeat {
+            task,
+            candidate,
+            planned_worker,
         }
     }
 
@@ -333,65 +250,13 @@ impl TaskOwner {
 /// Per-task heartbeat-table entry.
 #[derive(Debug, Clone, PartialEq)]
 enum Entry {
-    /// A compute / refresh request is outstanding for the current version.
+    /// A compute / refresh request is outstanding.
     Pending,
-    /// The latest heartbeat for the current version.  `bound` is the budget
-    /// the candidate search ran under: the entry is only trustworthy while
-    /// `remaining <= bound` (a rollback that restores a larger budget must
-    /// recompute it, since candidates costing more than `bound` were never
-    /// considered).
+    /// The latest heartbeat.
     Known {
         candidate: Option<TaskCandidate>,
         worker: Option<WorkerId>,
-        bound: f64,
     },
-    /// The task is the winner of a provisional grant (not selectable).
-    Granted,
-}
-
-/// One step of the speculation journal.  Steps after (and including) a
-/// superseded grant are undone in reverse order.
-#[derive(Debug)]
-enum Step {
-    /// A provisional grant.
-    Grant {
-        task: usize,
-        candidate: TaskCandidate,
-        worker: WorkerId,
-        /// The entry the winner held before the grant.
-        old_entry: Entry,
-        /// `remaining` before this grant's subtraction (the budget the
-        /// barrier master would see at this selection).
-        budget_before: f64,
-        /// The slot's occupancy right after this grant (the exclusion set a
-        /// barrier master would hand this grant's losers).
-        occupied_after: Vec<WorkerId>,
-        /// Conflict losers invalidated by this grant, with their replaced
-        /// entries (refreshes for them were emitted speculatively).  Grows
-        /// when a late heartbeat turns out to target the granted worker.
-        losers: Vec<(usize, Entry)>,
-        /// Tasks whose heartbeats were outstanding at the decision; the grant
-        /// finalizes when this set empties.
-        waiting_on: BTreeSet<usize>,
-    },
-    /// A selection-time worker conflict (the picked candidate's worker was
-    /// already occupied): counted, recorded and refreshed speculatively.
-    /// Like a grant, the *selection* that derived it may be superseded by a
-    /// late heartbeat, so it carries the same validation state.
-    Conflict {
-        task: usize,
-        /// The conflicted candidate (supersede checks compare against its
-        /// heuristic).
-        candidate: TaskCandidate,
-        old_entry: Entry,
-        /// `remaining` at the selection (the barrier's staleness bound).
-        budget_at: f64,
-        /// Tasks whose heartbeats were outstanding at the selection.
-        waiting_on: BTreeSet<usize>,
-    },
-    /// A budget-staleness invalidation (the cached candidate became
-    /// unaffordable): a recompute was requested speculatively.
-    Invalidate { task: usize, old_entry: Entry },
 }
 
 /// The master state machine of the task-level parallel framework.  Feed it
@@ -399,26 +264,14 @@ enum Step {
 /// [`MasterCommand`]s to the task owners; broadcast the finish signal when
 /// [`TaskMaster::is_done`] turns true.
 pub struct TaskMaster<R: Recorder = NoopRecorder> {
-    policy: GrantPolicy,
     use_priorities: bool,
     remaining: f64,
     ledger: WorkerLedger,
-    versions: Vec<Version>,
     table: Vec<Entry>,
-    /// The budget bound of the latest command issued per task (stamped onto
-    /// the entry its heartbeat installs).
-    issued_bound: Vec<f64>,
-    /// Outstanding replies (heartbeats and execution confirmations),
-    /// including replies that will arrive stale.
+    /// Outstanding replies (heartbeats and execution confirmations).
     pending: usize,
-    journal: VecDeque<Step>,
     conflicts: usize,
     executions: usize,
-    rollbacks: usize,
-    /// Provisional grants rolled back because a late heartbeat won the serial
-    /// tie-break against them (a strict subset of `rollbacks`, which also
-    /// counts budget-staleness rollbacks).
-    supersedes: usize,
     committed: Vec<CommittedExecution>,
     conflict_table: Vec<ConflictRecord>,
     conflict_ranks: HashMap<(SlotIndex, WorkerId), usize>,
@@ -435,44 +288,33 @@ pub struct TaskMaster<R: Recorder = NoopRecorder> {
 impl<R: Recorder> std::fmt::Debug for TaskMaster<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskMaster")
-            .field("policy", &self.policy)
             .field("remaining", &self.remaining)
             .field("pending", &self.pending)
-            .field("journal", &self.journal.len())
             .field("executions", &self.executions)
-            .field("rollbacks", &self.rollbacks)
-            .field("supersedes", &self.supersedes)
             .field("done", &self.done)
             .finish_non_exhaustive()
     }
 }
 
 impl TaskMaster {
-    /// A master over `num_tasks` tasks with budget `budget` under `policy`,
-    /// starting from `ledger` (empty for a fresh batch; the committed
-    /// occupancy of earlier rounds for streaming drains).  Returns the
-    /// machine and the initial compute commands (one per task, version 0).
+    /// A master over `num_tasks` tasks with budget `budget`, starting from
+    /// `ledger` (empty for a fresh batch; the committed occupancy of earlier
+    /// rounds for streaming drains).  Returns the machine and the initial
+    /// compute commands (one per task).
     pub fn new(
         num_tasks: usize,
         budget: f64,
         ledger: WorkerLedger,
-        policy: GrantPolicy,
         use_priorities: bool,
     ) -> (Self, Vec<MasterCommand>) {
         let master = Self {
-            policy,
             use_priorities,
             remaining: budget,
             ledger,
-            versions: vec![0; num_tasks],
             table: vec![Entry::Pending; num_tasks],
-            issued_bound: vec![budget; num_tasks],
             pending: num_tasks,
-            journal: VecDeque::new(),
             conflicts: 0,
             executions: 0,
-            rollbacks: 0,
-            supersedes: 0,
             committed: Vec::new(),
             conflict_table: Vec::new(),
             conflict_ranks: HashMap::new(),
@@ -484,7 +326,6 @@ impl TaskMaster {
         let commands = (0..num_tasks)
             .map(|task| MasterCommand::Compute {
                 task,
-                version: 0,
                 max_cost: master.remaining,
             })
             .collect();
@@ -499,19 +340,13 @@ impl<R: Recorder> TaskMaster<R> {
     /// [`TaskMaster::new`].
     pub fn with_recorder<R2: Recorder>(self, obs: R2) -> TaskMaster<R2> {
         TaskMaster {
-            policy: self.policy,
             use_priorities: self.use_priorities,
             remaining: self.remaining,
             ledger: self.ledger,
-            versions: self.versions,
             table: self.table,
-            issued_bound: self.issued_bound,
             pending: self.pending,
-            journal: self.journal,
             conflicts: self.conflicts,
             executions: self.executions,
-            rollbacks: self.rollbacks,
-            supersedes: self.supersedes,
             committed: self.committed,
             conflict_table: self.conflict_table,
             conflict_ranks: self.conflict_ranks,
@@ -527,26 +362,14 @@ impl<R: Recorder> TaskMaster<R> {
         self.done
     }
 
-    /// Number of worker conflicts recorded so far (committed timeline only
-    /// once the run is done).
+    /// Number of worker conflicts recorded so far.
     pub fn conflicts(&self) -> usize {
         self.conflicts
     }
 
-    /// Number of committed executions so far.
+    /// Number of confirmed executions so far.
     pub fn executions(&self) -> usize {
         self.executions
-    }
-
-    /// Number of provisional grants that were rolled back.
-    pub fn rollbacks(&self) -> usize {
-        self.rollbacks
-    }
-
-    /// Number of provisional grants superseded by a late heartbeat winning
-    /// the serial tie-break (a subset of [`TaskMaster::rollbacks`]).
-    pub fn supersedes(&self) -> usize {
-        self.supersedes
     }
 
     /// The committed execution sequence, in grant order.
@@ -554,23 +377,14 @@ impl<R: Recorder> TaskMaster<R> {
         &self.committed
     }
 
-    /// The master's occupancy ledger (committed plus provisional grants).
-    pub fn ledger(&self) -> &WorkerLedger {
-        &self.ledger
-    }
-
     /// Consumes the machine, returning its tables:
-    /// `(conflict_table, log, committed, conflicts, executions, rollbacks,
-    /// supersedes)`.
-    #[allow(clippy::type_complexity)]
+    /// `(conflict_table, log, committed, conflicts, executions)`.
     pub fn into_tables(
         self,
     ) -> (
         Vec<ConflictRecord>,
         Vec<LogEntry>,
         Vec<CommittedExecution>,
-        usize,
-        usize,
         usize,
         usize,
     ) {
@@ -580,36 +394,27 @@ impl<R: Recorder> TaskMaster<R> {
             self.committed,
             self.conflicts,
             self.executions,
-            self.rollbacks,
-            self.supersedes,
         )
     }
 
     /// Feeds one worker event into the machine, returning the commands it
     /// triggers (in emission order).
     pub fn handle(&mut self, event: WorkerEvent) -> Vec<MasterCommand> {
-        let mut out = Vec::new();
+        self.pending -= 1;
         match event {
             WorkerEvent::Heartbeat {
                 task,
-                version,
                 candidate,
                 planned_worker,
             } => {
-                self.pending -= 1;
                 if R::IS_ENABLED {
-                    let stale = u64::from(version != self.versions[task]);
                     self.obs.instant(
                         Scope::Policy,
                         "master.heartbeat",
                         task as u64,
-                        version,
-                        stale,
+                        u64::from(candidate.is_some()),
+                        0,
                     );
-                }
-                if version != self.versions[task] {
-                    // A reply from a rolled-back timeline; drop it.
-                    return self.attempt(out);
                 }
                 self.log.push(LogEntry::Heartbeat {
                     task,
@@ -618,13 +423,10 @@ impl<R: Recorder> TaskMaster<R> {
                 if let Some(c) = &candidate {
                     self.last_heuristic[task] = Some(c.heuristic);
                 }
-                if self.incorporate_late_heartbeat(task, candidate, planned_worker, &mut out) {
-                    self.table[task] = Entry::Known {
-                        candidate,
-                        worker: planned_worker,
-                        bound: self.issued_bound[task],
-                    };
-                }
+                self.table[task] = Entry::Known {
+                    candidate,
+                    worker: planned_worker,
+                };
             }
             WorkerEvent::Executed {
                 task,
@@ -632,7 +434,6 @@ impl<R: Recorder> TaskMaster<R> {
                 worker,
                 cost,
             } => {
-                self.pending -= 1;
                 self.log.push(LogEntry::Execution {
                     task,
                     slot,
@@ -652,272 +453,26 @@ impl<R: Recorder> TaskMaster<R> {
                 }
             }
         }
-        self.attempt(out)
-    }
-
-    /// Checks an arriving current-version heartbeat against the provisional
-    /// grants in decision order; rolls back when it supersedes one (or when
-    /// the barrier master would have recomputed the task before the grant).
-    /// Returns whether the heartbeat should be installed in the table
-    /// (`false` when it was consumed — by the staleness recompute or by
-    /// becoming a late conflict loser of a standing grant).
-    fn incorporate_late_heartbeat(
-        &mut self,
-        task: usize,
-        candidate: Option<TaskCandidate>,
-        planned_worker: Option<WorkerId>,
-        out: &mut Vec<MasterCommand>,
-    ) -> bool {
-        // Walk the speculative steps oldest-first; only steps whose decision
-        // predates this heartbeat (the task is in their waiting set)
-        // participate.
-        let positions: Vec<usize> = self
-            .journal
-            .iter()
-            .enumerate()
-            .filter(|(_, step)| match step {
-                Step::Grant { waiting_on, .. } | Step::Conflict { waiting_on, .. } => {
-                    waiting_on.contains(&task)
-                }
-                Step::Invalidate { .. } => false,
-            })
-            .map(|(pos, _)| pos)
-            .collect();
-        for pos in positions {
-            // The selection that produced this step compared against some
-            // candidate under some budget; extract both.
-            let (sel_task, sel_candidate, budget_at) = match &self.journal[pos] {
-                Step::Grant {
-                    task: winner,
-                    candidate,
-                    budget_before,
-                    ..
-                } => (*winner, *candidate, *budget_before),
-                Step::Conflict {
-                    task: conflicted,
-                    candidate,
-                    budget_at,
-                    ..
-                } => (*conflicted, *candidate, *budget_at),
-                Step::Invalidate { .. } => unreachable!("filtered out above"),
-            };
-            match candidate {
-                Some(c) if c.cost > budget_at => {
-                    // The barrier master would have invalidated and
-                    // recomputed this task before this selection: the step
-                    // was decided on incomplete information.  Roll back and
-                    // re-request the compute under the restored budget.
-                    self.rollback_from(pos, out);
-                    self.versions[task] += 1;
-                    self.table[task] = Entry::Pending;
-                    self.pending += 1;
-                    self.issued_bound[task] = self.remaining;
-                    out.push(MasterCommand::Compute {
-                        task,
-                        version: self.versions[task],
-                        max_cost: self.remaining,
-                    });
-                    return false;
-                }
-                Some(c)
-                    if c.heuristic > sel_candidate.heuristic
-                        || (c.heuristic == sel_candidate.heuristic && task < sel_task) =>
-                {
-                    // The late candidate wins the serial tie-break: the
-                    // selection is superseded.  Roll back; the heartbeat is
-                    // installed and the re-run selection picks the true max.
-                    self.supersedes += 1;
-                    if R::IS_ENABLED {
-                        self.obs.instant(
-                            Scope::Policy,
-                            "master.supersede",
-                            task as u64,
-                            sel_task as u64,
-                            0,
-                        );
-                        self.obs.counter("master.supersedes", 1);
-                    }
-                    self.rollback_from(pos, out);
-                    return true;
-                }
-                _ => {}
+        let mut out = Vec::new();
+        loop {
+            let before = out.len();
+            self.rerequest_stale(&mut out);
+            if self.pending == 0 {
+                self.decide(&mut out);
             }
-            // The selection stands with respect to this task.  For a grant,
-            // an entry targeting the granted worker becomes a late conflict
-            // loser (in the barrier timeline it would have been present at
-            // the grant and lost the worker to it).
-            if let Step::Grant {
-                candidate: granted,
-                worker: granted_worker,
-                budget_before,
-                ..
-            } = &self.journal[pos]
-            {
-                let (granted, granted_worker, budget_before) =
-                    (*granted, *granted_worker, *budget_before);
-                if let Some(c) = candidate {
-                    if c.slot == granted.slot && planned_worker == Some(granted_worker) {
-                        self.conflicts += 1;
-                        let rank = self
-                            .conflict_ranks
-                            .entry((granted.slot, granted_worker))
-                            .and_modify(|r| *r += 1)
-                            .or_insert(2);
-                        self.conflict_table.push(ConflictRecord {
-                            tasks: vec![task],
-                            slot: granted.slot,
-                            worker: granted_worker,
-                            next_rank: *rank,
-                        });
-                        let Step::Grant {
-                            losers,
-                            waiting_on,
-                            occupied_after,
-                            ..
-                        } = &mut self.journal[pos]
-                        else {
-                            unreachable!("the step was just matched as a grant");
-                        };
-                        waiting_on.remove(&task);
-                        losers.push((
-                            task,
-                            Entry::Known {
-                                candidate,
-                                worker: planned_worker,
-                                bound: self.issued_bound[task],
-                            },
-                        ));
-                        let occupied = occupied_after.clone();
-                        self.versions[task] += 1;
-                        self.table[task] = Entry::Pending;
-                        self.pending += 1;
-                        self.issued_bound[task] = budget_before - granted.cost;
-                        out.push(MasterCommand::Refresh {
-                            task,
-                            version: self.versions[task],
-                            slot: granted.slot,
-                            occupied,
-                            max_cost: budget_before - granted.cost,
-                        });
-                        return false;
-                    }
-                }
-            }
-            match &mut self.journal[pos] {
-                Step::Grant { waiting_on, .. } | Step::Conflict { waiting_on, .. } => {
-                    waiting_on.remove(&task);
-                }
-                Step::Invalidate { .. } => unreachable!("filtered out above"),
+            if out.len() == before {
+                break;
             }
         }
-        true
-    }
-
-    /// Undoes journal steps from the top down to (and including) `from`, in
-    /// reverse order, emitting the owner-side undo commands.
-    fn rollback_from(&mut self, from: usize, out: &mut Vec<MasterCommand>) {
-        while self.journal.len() > from {
-            let step = self
-                .journal
-                .pop_back()
-                .expect("journal has steps beyond `from`");
-            match step {
-                Step::Grant {
-                    task,
-                    candidate,
-                    worker,
-                    old_entry,
-                    budget_before,
-                    losers,
-                    ..
-                } => {
-                    self.rollbacks += 1;
-                    if R::IS_ENABLED {
-                        self.obs.instant(
-                            Scope::Policy,
-                            "master.rollback",
-                            task as u64,
-                            candidate.slot as u64,
-                            losers.len() as u64,
-                        );
-                        self.obs.counter("master.rollbacks", 1);
-                    }
-                    for (loser, entry) in losers.into_iter().rev() {
-                        out.push(MasterCommand::UndoRefresh {
-                            task: loser,
-                            slot: candidate.slot,
-                        });
-                        self.versions[loser] += 1;
-                        self.table[loser] = entry;
-                        self.conflicts -= 1;
-                    }
-                    assert!(
-                        self.ledger.release(candidate.slot, worker),
-                        "rolling back a grant must release its occupancy"
-                    );
-                    self.remaining = budget_before;
-                    self.table[task] = old_entry;
-                }
-                Step::Conflict {
-                    task,
-                    candidate,
-                    old_entry,
-                    ..
-                } => {
-                    out.push(MasterCommand::UndoRefresh {
-                        task,
-                        slot: candidate.slot,
-                    });
-                    self.versions[task] += 1;
-                    self.table[task] = old_entry;
-                    self.conflicts -= 1;
-                }
-                Step::Invalidate { task, old_entry } => {
-                    self.versions[task] += 1;
-                    self.table[task] = old_entry;
-                }
-            }
-        }
-        // The rollback may have *raised* `remaining` past the budget bound
-        // some entries (or in-flight requests) were computed under — those
-        // searches never considered candidates costing more than their
-        // bound, so they are unusable in the restored timeline.  Recompute
-        // them under the restored budget (the barrier master, whose budget
-        // never grows, maintains this invariant for free).
-        for task in 0..self.table.len() {
-            match &self.table[task] {
-                Entry::Known { bound, .. } if *bound < self.remaining => {
-                    let old_entry = std::mem::replace(&mut self.table[task], Entry::Pending);
-                    self.journal.push_back(Step::Invalidate { task, old_entry });
-                    self.versions[task] += 1;
-                    self.pending += 1;
-                    self.issued_bound[task] = self.remaining;
-                    out.push(MasterCommand::Compute {
-                        task,
-                        version: self.versions[task],
-                        max_cost: self.remaining,
-                    });
-                }
-                Entry::Pending if self.issued_bound[task] < self.remaining => {
-                    self.versions[task] += 1;
-                    self.pending += 1;
-                    self.issued_bound[task] = self.remaining;
-                    out.push(MasterCommand::Compute {
-                        task,
-                        version: self.versions[task],
-                        max_cost: self.remaining,
-                    });
-                }
-                _ => {}
-            }
-        }
+        self.done = self.pending == 0 && self.select().is_none();
+        out
     }
 
     /// Records one conflict event: counts the losing tasks, bumps the
     /// `(slot, worker)` fallback rank (first conflict starts at the 2nd NN)
     /// and appends the conflicting-table record.  The single site of the
-    /// rank convention — the late-loser, selection-conflict and grant-loser
-    /// paths all go through it (rollback decrements `conflicts` per loser).
+    /// rank convention — the selection-conflict and grant-loser paths both go
+    /// through it.
     fn record_conflict(&mut self, tasks: Vec<usize>, slot: SlotIndex, worker: WorkerId) {
         self.conflicts += tasks.len();
         let rank = self
@@ -946,59 +501,34 @@ impl<R: Recorder> TaskMaster<R> {
         }
     }
 
-    /// Drives the machine forward: finalize ripe grants, invalidate stale
-    /// candidates, and (policy permitting) decide new grants.
-    fn attempt(&mut self, mut out: Vec<MasterCommand>) -> Vec<MasterCommand> {
-        loop {
-            let before = out.len();
-            self.finalize_ripe_grants(&mut out);
-
-            // Budget staleness: cached candidates computed under a larger
-            // budget may have become unaffordable; recompute them under the
-            // current budget so cheaper slots are still considered.
-            let mut stale: Vec<usize> = Vec::new();
-            for (task, entry) in self.table.iter().enumerate() {
-                if let Entry::Known {
-                    candidate: Some(c), ..
-                } = entry
-                {
-                    if c.cost > self.remaining {
-                        stale.push(task);
-                    }
-                }
-            }
-            self.priority_sort(&mut stale);
-            for task in stale {
-                let old_entry = std::mem::replace(&mut self.table[task], Entry::Pending);
-                self.journal.push_back(Step::Invalidate { task, old_entry });
-                self.versions[task] += 1;
-                self.pending += 1;
-                self.issued_bound[task] = self.remaining;
-                out.push(MasterCommand::Compute {
-                    task,
-                    version: self.versions[task],
-                    max_cost: self.remaining,
-                });
-            }
-
-            if self.may_grant() {
-                self.try_grant(&mut out);
-            }
-            self.finalize_ripe_grants(&mut out);
-
-            if out.len() == before {
-                break;
-            }
-        }
-        self.done = self.pending == 0 && self.journal.is_empty() && self.select().is_none();
-        out
+    /// Marks a task's entry pending: one more reply is outstanding.
+    fn request(&mut self, task: usize) {
+        self.table[task] = Entry::Pending;
+        self.pending += 1;
     }
 
-    /// Whether the policy currently allows deciding a grant.
-    fn may_grant(&self) -> bool {
-        match self.policy {
-            GrantPolicy::Barrier => self.pending == 0,
-            GrantPolicy::Optimistic => true,
+    /// Budget staleness: cached candidates computed under a larger budget
+    /// may have become unaffordable; recompute them under the current budget
+    /// so cheaper slots are still considered.
+    fn rerequest_stale(&mut self, out: &mut Vec<MasterCommand>) {
+        let mut stale: Vec<usize> = Vec::new();
+        for (task, entry) in self.table.iter().enumerate() {
+            if let Entry::Known {
+                candidate: Some(c), ..
+            } = entry
+            {
+                if c.cost > self.remaining {
+                    stale.push(task);
+                }
+            }
+        }
+        self.priority_sort(&mut stale);
+        for task in stale {
+            self.request(task);
+            out.push(MasterCommand::Compute {
+                task,
+                max_cost: self.remaining,
+            });
         }
     }
 
@@ -1010,7 +540,6 @@ impl<R: Recorder> TaskMaster<R> {
             let Entry::Known {
                 candidate: Some(c),
                 worker: Some(worker),
-                ..
             } = entry
             else {
                 continue;
@@ -1031,200 +560,84 @@ impl<R: Recorder> TaskMaster<R> {
         best
     }
 
-    /// Decides grants (and processes selection-time conflicts) while the
-    /// selection yields winners.
-    fn try_grant(&mut self, out: &mut Vec<MasterCommand>) {
-        while let Some((task, candidate, worker)) = self.select() {
-            if self.ledger.is_occupied(candidate.slot, worker) {
-                // Selection-time conflict: the cached candidate's worker was
-                // taken since the candidate was computed.  Count it, record
-                // it, and refresh the slot (speculatively — the refresh is
-                // undoable).
-                self.record_conflict(vec![task], candidate.slot, worker);
-                let waiting_on: BTreeSet<usize> = self
-                    .table
-                    .iter()
-                    .enumerate()
-                    .filter(|(t, e)| *t != task && matches!(e, Entry::Pending))
-                    .map(|(t, _)| t)
-                    .collect();
-                let old_entry = std::mem::replace(&mut self.table[task], Entry::Pending);
-                self.journal.push_back(Step::Conflict {
-                    task,
-                    candidate,
-                    old_entry,
-                    budget_at: self.remaining,
-                    waiting_on,
-                });
-                self.versions[task] += 1;
-                self.pending += 1;
-                self.issued_bound[task] = self.remaining;
-                out.push(MasterCommand::Refresh {
-                    task,
-                    version: self.versions[task],
-                    slot: candidate.slot,
-                    occupied: self.ledger.occupied_at(candidate.slot),
-                    max_cost: self.remaining,
-                });
-                if matches!(self.policy, GrantPolicy::Barrier) {
-                    // The barrier master waits for the refreshed heartbeat
-                    // before selecting again.
-                    break;
-                }
-                continue;
-            }
-
-            // Provisional grant: apply budget and occupancy speculatively and
-            // invalidate + refresh the conflict losers immediately; defer the
-            // irreversible Execute to finalization.
-            if R::IS_ENABLED {
-                self.obs.instant(
-                    Scope::Policy,
-                    "master.grant",
-                    task as u64,
-                    candidate.slot as u64,
-                    u64::from(worker.0),
-                );
-                self.obs.counter("master.grants", 1);
-            }
-            let budget_before = self.remaining;
-            self.remaining -= candidate.cost;
-            self.ledger.occupy(candidate.slot, worker);
-            let old_entry = std::mem::replace(&mut self.table[task], Entry::Granted);
-
-            let mut losers: Vec<usize> = Vec::new();
-            for (other, entry) in self.table.iter().enumerate() {
-                if other == task {
-                    continue;
-                }
-                if let Entry::Known {
-                    candidate: Some(c),
-                    worker: Some(w),
-                    ..
-                } = entry
-                {
-                    if c.slot == candidate.slot && *w == worker {
-                        losers.push(other);
-                    }
-                }
-            }
-            if !losers.is_empty() {
-                self.record_conflict(losers.clone(), candidate.slot, worker);
-            }
-            let mut ordered = losers.clone();
-            self.priority_sort(&mut ordered);
-            let occupied = self.ledger.occupied_at(candidate.slot);
-            let mut loser_entries = Vec::with_capacity(losers.len());
-            for &loser in &losers {
-                loser_entries.push((
-                    loser,
-                    std::mem::replace(&mut self.table[loser], Entry::Pending),
-                ));
-            }
-            for loser in ordered {
-                self.versions[loser] += 1;
-                self.pending += 1;
-                self.issued_bound[loser] = self.remaining;
-                out.push(MasterCommand::Refresh {
-                    task: loser,
-                    version: self.versions[loser],
-                    slot: candidate.slot,
-                    occupied: occupied.clone(),
-                    max_cost: self.remaining,
-                });
-            }
-
-            let waiting_on: BTreeSet<usize> = self
-                .table
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| matches!(e, Entry::Pending))
-                .map(|(t, _)| t)
-                .filter(|t| !losers.contains(t))
-                .collect();
-            self.journal.push_back(Step::Grant {
+    /// Decides one selection with the complete heartbeat table: either a
+    /// selection-time conflict (refresh and wait) or a grant.
+    fn decide(&mut self, out: &mut Vec<MasterCommand>) {
+        let Some((task, candidate, worker)) = self.select() else {
+            return;
+        };
+        let slot = candidate.slot;
+        if self.ledger.is_occupied(slot, worker) {
+            // The cached candidate's worker was taken since the candidate was
+            // computed: count it, record it, and refresh the slot.
+            self.record_conflict(vec![task], slot, worker);
+            self.request(task);
+            out.push(MasterCommand::Refresh {
                 task,
-                candidate,
-                worker,
-                old_entry,
-                budget_before,
-                occupied_after: occupied,
-                losers: loser_entries,
-                waiting_on,
+                slot,
+                occupied: self.ledger.occupied_at(slot),
+                max_cost: self.remaining,
             });
-
-            if matches!(self.policy, GrantPolicy::Barrier) {
-                // The barrier master decides at most one grant per epoch and
-                // finalizes it immediately (nothing was outstanding).
-                break;
-            }
+            return;
         }
-    }
 
-    /// Retires the journal from the oldest step up while waiting sets are
-    /// empty: ripe grants finalize (Execute + the winner's follow-up Compute
-    /// are emitted, the execution is committed), ripe conflicts and
-    /// invalidations simply become permanent.  Stops at the first step whose
-    /// selection is still awaiting late heartbeats — an irreversible Execute
-    /// may never overtake a step that could still roll back underneath it.
-    fn finalize_ripe_grants(&mut self, out: &mut Vec<MasterCommand>) {
-        while let Some(step) = self.journal.front() {
-            match step {
-                Step::Grant { waiting_on, .. } | Step::Conflict { waiting_on, .. }
-                    if !waiting_on.is_empty() =>
-                {
-                    return;
-                }
-                Step::Conflict { .. } | Step::Invalidate { .. } => {
-                    self.journal.pop_front();
-                }
-                Step::Grant {
-                    task,
-                    candidate,
-                    worker,
-                    budget_before,
-                    ..
-                } => {
-                    let (task, candidate, worker) = (*task, *candidate, *worker);
-                    let after_grant = *budget_before - candidate.cost;
-                    self.journal.pop_front();
-                    self.committed.push(CommittedExecution {
-                        task,
-                        slot: candidate.slot,
-                        worker,
-                        cost: candidate.cost,
-                    });
-                    self.pending += 2;
-                    out.push(MasterCommand::Execute {
-                        task,
-                        slot: candidate.slot,
-                    });
-                    self.versions[task] += 1;
-                    self.table[task] = Entry::Pending;
-                    self.issued_bound[task] = after_grant;
-                    out.push(MasterCommand::Compute {
-                        task,
-                        version: self.versions[task],
-                        // The budget the barrier master hands the winner:
-                        // remaining right after this grant's subtraction,
-                        // independent of any younger provisional grants.
-                        max_cost: after_grant,
-                    });
-                    // In the barrier timeline the winner's post-execution
-                    // heartbeat arrives before every later selection; steps
-                    // decided after this grant (still in the journal) must
-                    // therefore wait for it — it may supersede them.
-                    for step in &mut self.journal {
-                        match step {
-                            Step::Grant { waiting_on, .. } | Step::Conflict { waiting_on, .. } => {
-                                waiting_on.insert(task);
-                            }
-                            Step::Invalidate { .. } => {}
-                        }
-                    }
+        if R::IS_ENABLED {
+            self.obs.instant(
+                Scope::Policy,
+                "master.grant",
+                task as u64,
+                slot as u64,
+                u64::from(worker.0),
+            );
+            self.obs.counter("master.grants", 1);
+        }
+        self.remaining -= candidate.cost;
+        self.ledger.occupy(slot, worker);
+        self.committed.push(CommittedExecution {
+            task,
+            slot,
+            worker,
+            cost: candidate.cost,
+        });
+
+        // Conflict losers: every other task whose candidate targets the
+        // granted worker at the granted slot.
+        let mut losers: Vec<usize> = Vec::new();
+        for (other, entry) in self.table.iter().enumerate() {
+            if let Entry::Known {
+                candidate: Some(c),
+                worker: Some(w),
+            } = entry
+            {
+                if other != task && c.slot == slot && *w == worker {
+                    losers.push(other);
                 }
             }
         }
+        if !losers.is_empty() {
+            self.record_conflict(losers.clone(), slot, worker);
+        }
+        self.priority_sort(&mut losers);
+        let occupied = self.ledger.occupied_at(slot);
+        for loser in losers {
+            self.request(loser);
+            out.push(MasterCommand::Refresh {
+                task: loser,
+                slot,
+                occupied: occupied.clone(),
+                max_cost: self.remaining,
+            });
+        }
+
+        // The winner replies twice: the execution confirmation and the
+        // heartbeat of its follow-up compute.
+        self.request(task);
+        self.pending += 1;
+        out.push(MasterCommand::Execute { task, slot });
+        out.push(MasterCommand::Compute {
+            task,
+            max_cost: self.remaining,
+        });
     }
 }
 
@@ -1241,15 +654,9 @@ mod tests {
         }
     }
 
-    fn hb(
-        task: usize,
-        version: Version,
-        candidate: Option<TaskCandidate>,
-        worker: Option<WorkerId>,
-    ) -> WorkerEvent {
+    fn hb(task: usize, candidate: Option<TaskCandidate>, worker: Option<WorkerId>) -> WorkerEvent {
         WorkerEvent::Heartbeat {
             task,
-            version,
             candidate,
             planned_worker: worker,
         }
@@ -1257,132 +664,77 @@ mod tests {
 
     #[test]
     fn barrier_machine_waits_for_every_heartbeat() {
-        let (mut master, initial) =
-            TaskMaster::new(2, 10.0, WorkerLedger::new(), GrantPolicy::Barrier, false);
+        let (mut master, initial) = TaskMaster::new(2, 10.0, WorkerLedger::new(), false);
         assert_eq!(initial.len(), 2);
         // One heartbeat in: the barrier master must not grant yet.
-        let out = master.handle(hb(0, 0, Some(cand(0, 1.0, 3.0)), Some(WorkerId(0))));
+        let out = master.handle(hb(0, Some(cand(0, 1.0, 3.0)), Some(WorkerId(0))));
         assert!(out.is_empty(), "barrier must wait for task 1's heartbeat");
         // Second heartbeat: now the max (task 0) is granted and executed.
-        let out = master.handle(hb(1, 0, Some(cand(1, 1.0, 2.0)), Some(WorkerId(1))));
+        let out = master.handle(hb(1, Some(cand(1, 1.0, 2.0)), Some(WorkerId(1))));
         assert!(matches!(
             out[0],
             MasterCommand::Execute { task: 0, slot: 0 }
         ));
-        assert_eq!(master.rollbacks(), 0);
     }
 
     #[test]
-    fn optimistic_machine_grants_early_and_rolls_back_when_superseded() {
-        let (mut master, initial) =
-            TaskMaster::new(2, 10.0, WorkerLedger::new(), GrantPolicy::Optimistic, false);
-        assert_eq!(initial.len(), 2);
-        // Task 1 reports first; the optimistic master provisionally grants it
-        // (no Execute yet — task 0 is still outstanding and could supersede).
-        let out = master.handle(hb(1, 0, Some(cand(0, 1.0, 2.0)), Some(WorkerId(1))));
-        assert!(
-            !out.iter()
-                .any(|c| matches!(c, MasterCommand::Execute { .. })),
-            "a provisional grant must not execute"
-        );
-        assert!(master.ledger().is_occupied(0, WorkerId(1)));
-        // Task 0's late heartbeat beats the provisional grant: rollback, then
-        // task 0 is granted and finalized (nothing else is outstanding);
-        // task 1 is re-granted behind it, provisionally again — its commit
-        // must wait for task 0's post-execution recompute, exactly like the
-        // barrier master would.
-        let out = master.handle(hb(0, 0, Some(cand(0, 1.0, 3.0)), Some(WorkerId(0))));
-        assert_eq!(master.rollbacks(), 1);
-        let executes: Vec<usize> = out
-            .iter()
-            .filter_map(|c| match c {
-                MasterCommand::Execute { task, .. } => Some(*task),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(executes, vec![0], "commit order follows the serial max");
-        assert_eq!(master.committed()[0].task, 0);
-        let v0 = out
-            .iter()
-            .find_map(|c| match c {
-                MasterCommand::Compute {
-                    task: 0, version, ..
-                } => Some(*version),
-                _ => None,
-            })
-            .expect("the winner gets a follow-up compute");
-        master.handle(WorkerEvent::Executed {
-            task: 0,
-            slot: 0,
-            worker: WorkerId(0),
-            cost: 1.0,
-        });
-        // Task 0 has nothing left; the waiting provisional grant of task 1
-        // finalizes now.
-        let out = master.handle(hb(0, v0, None, None));
-        assert!(matches!(
-            out[0],
-            MasterCommand::Execute { task: 1, slot: 0 }
-        ));
-        assert_eq!(master.committed()[1].task, 1);
-        let v1 = out
-            .iter()
-            .find_map(|c| match c {
-                MasterCommand::Compute {
-                    task: 1, version, ..
-                } => Some(*version),
-                _ => None,
-            })
-            .expect("the winner gets a follow-up compute");
-        master.handle(WorkerEvent::Executed {
-            task: 1,
-            slot: 0,
-            worker: WorkerId(1),
-            cost: 1.0,
-        });
-        let out = master.handle(hb(1, v1, None, None));
-        assert!(out.is_empty());
-        assert!(master.is_done());
-        assert_eq!(master.executions(), 2);
-    }
-
-    #[test]
-    fn stale_heartbeats_from_rolled_back_timelines_are_dropped() {
-        let (mut master, _) =
-            TaskMaster::new(3, 10.0, WorkerLedger::new(), GrantPolicy::Optimistic, false);
-        // Tasks 1 and 2 both plan worker 9 at slot 0; task 1 wins the
-        // provisional grant and task 2 becomes a speculative loser (its
-        // refresh is version-bumped).
-        master.handle(hb(1, 0, Some(cand(0, 1.0, 5.0)), Some(WorkerId(9))));
-        let out = master.handle(hb(2, 0, Some(cand(0, 1.0, 4.0)), Some(WorkerId(9))));
-        assert!(out
-            .iter()
-            .any(|c| matches!(c, MasterCommand::Refresh { task: 2, .. })));
-        assert_eq!(master.conflicts(), 1);
-        // Task 0 supersedes the grant: the loser refresh is undone first, and
-        // the re-run selection re-grants task 1 behind task 0 — re-deriving
-        // task 2's loss with a fresh (higher-version) refresh.
-        let out = master.handle(hb(0, 0, Some(cand(1, 1.0, 6.0)), Some(WorkerId(3))));
-        assert_eq!(master.rollbacks(), 1);
-        let undo_pos = out
-            .iter()
-            .position(|c| matches!(c, MasterCommand::UndoRefresh { task: 2, .. }))
-            .expect("the speculative loser refresh is undone");
-        let redo_pos = out
-            .iter()
-            .position(|c| matches!(c, MasterCommand::Refresh { task: 2, .. }))
-            .expect("the loss is re-derived in the corrected timeline");
-        assert!(undo_pos < redo_pos, "undo precedes the re-derived refresh");
+    fn a_grant_refreshes_its_losers_before_execute_and_compute() {
+        let (mut master, _) = TaskMaster::new(3, 10.0, WorkerLedger::new(), false);
+        master.handle(hb(0, Some(cand(0, 1.0, 5.0)), Some(WorkerId(4))));
+        master.handle(hb(1, Some(cand(0, 1.0, 4.0)), Some(WorkerId(4))));
+        let out = master.handle(hb(2, Some(cand(1, 1.0, 3.0)), Some(WorkerId(7))));
         assert_eq!(
-            master.conflicts(),
-            1,
-            "one rolled-back conflict uncounted, one re-derived"
+            out,
+            vec![
+                MasterCommand::Refresh {
+                    task: 1,
+                    slot: 0,
+                    occupied: vec![WorkerId(4)],
+                    max_cost: 9.0,
+                },
+                MasterCommand::Execute { task: 0, slot: 0 },
+                MasterCommand::Compute {
+                    task: 0,
+                    max_cost: 9.0,
+                },
+            ]
         );
-        // The in-flight heartbeat of the *rolled-back* refresh carries a
-        // stale version and must be ignored (the re-derived refresh bumped
-        // past it).
-        master.handle(hb(2, 1, None, None));
+        assert_eq!(master.conflicts(), 1);
+        assert_eq!(master.committed()[0].worker, WorkerId(4));
+        let (table, ..) = master.into_tables();
+        assert_eq!(
+            table,
+            vec![ConflictRecord {
+                tasks: vec![1],
+                slot: 0,
+                worker: WorkerId(4),
+                next_rank: 2,
+            }]
+        );
+    }
+
+    #[test]
+    fn a_selection_time_conflict_refreshes_and_waits() {
+        let mut ledger = WorkerLedger::new();
+        ledger.occupy(0, WorkerId(4));
+        let (mut master, _) = TaskMaster::new(2, 10.0, ledger, false);
+        master.handle(hb(0, Some(cand(0, 1.0, 5.0)), Some(WorkerId(4))));
+        let out = master.handle(hb(1, Some(cand(1, 1.0, 3.0)), Some(WorkerId(2))));
+        // Task 0's worker is taken: refresh it and grant nothing until the
+        // refreshed heartbeat arrives.
+        assert_eq!(
+            out,
+            vec![MasterCommand::Refresh {
+                task: 0,
+                slot: 0,
+                occupied: vec![WorkerId(4)],
+                max_cost: 10.0,
+            }]
+        );
         assert_eq!(master.conflicts(), 1);
         assert!(!master.is_done());
+        // Task 0 has nothing left; task 1 is granted now.
+        let out = master.handle(hb(0, None, None));
+        assert_eq!(out[0], MasterCommand::Execute { task: 1, slot: 1 });
     }
 }

@@ -6,9 +6,7 @@
 //! aggregated tree).  The master maintains the control structures of the
 //! paper:
 //!
-//! * **Heartbeat table** — the latest heuristic value reported per task, now
-//!   *versioned*: every request carries a version the heartbeat echoes, so
-//!   replies from abandoned timelines are recognisable;
+//! * **Heartbeat table** — the latest heuristic value reported per task;
 //! * **Conflicting table** — records `⟨conflicting tasks, slot, j-th NN⟩`
 //!   describing which tasks competed for a worker and which fallback rank the
 //!   losers must use next;
@@ -22,23 +20,10 @@
 //! *thread driver*: it wires the machine and the
 //! [`crate::multi::protocol::TaskOwner`] executors over `std::sync::mpsc`
 //! channels.  (`tcsc-sim` drives the same machine over simulated network
-//! messages.)
-//!
-//! Two grant policies are offered:
-//!
-//! * [`msqm_task_parallel`] — the paper's deterministic **barrier** master:
-//!   it waits for every outstanding heartbeat before granting an execution,
-//!   so the sequence of executed subtasks — and therefore the final
-//!   assignment plan — is identical to the serial greedy of
-//!   [`super::msqm::msqm_serial`].
-//! * [`msqm_task_parallel_optimistic`] — the **optimistic non-blocking**
-//!   master: grants are decided as soon as a global max is known, applied
-//!   provisionally, and rolled back if a late heartbeat supersedes them (see
-//!   the [`crate::multi::protocol`] docs for the versioned-table mechanics).
-//!   Its *committed* execution sequence is identical to the barrier master's
-//!   — locked in by `tests/optimistic_equivalence.rs` — while conflict-loser
-//!   refreshes overlap with outstanding heartbeats instead of serialising
-//!   behind a full barrier.
+//! messages.)  The master waits for every outstanding heartbeat before
+//! granting an execution, so the sequence of executed subtasks — and
+//! therefore the final assignment plan — is identical to the serial greedy
+//! of [`super::msqm::msqm_serial`].
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -49,7 +34,7 @@ use tcsc_index::WorkerIndex;
 use crate::candidates::WorkerLedger;
 use crate::engine::CacheStats;
 use crate::multi::protocol::{
-    CommittedExecution, GrantPolicy, MasterCommand, TaskMaster, TaskOwner, WorkerEvent,
+    CommittedExecution, MasterCommand, TaskMaster, TaskOwner, WorkerEvent,
 };
 use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
 
@@ -98,19 +83,10 @@ pub struct TaskParallelOutcome {
     pub outcome: MultiOutcome,
     /// The conflicting table accumulated by the master thread.
     pub conflict_table: Vec<ConflictRecord>,
-    /// The logging table (heartbeats and executions, in arrival order; under
-    /// the optimistic policy it may also contain heartbeats of rolled-back
-    /// timelines).
+    /// The logging table (heartbeats and executions, in arrival order).
     pub log: Vec<LogEntry>,
-    /// The committed execution sequence, in grant order (identical between
-    /// the barrier and the optimistic master).
+    /// The committed execution sequence, in grant order.
     pub committed: Vec<CommittedExecution>,
-    /// Number of provisional grants that were rolled back (always 0 under
-    /// the barrier policy).
-    pub rollbacks: usize,
-    /// Number of provisional grants superseded by a late heartbeat winning
-    /// the serial tie-break (a subset of `rollbacks`).
-    pub supersedes: usize,
     /// Number of worker threads used.
     pub threads: usize,
 }
@@ -133,10 +109,7 @@ enum ThreadEvent {
 /// Runs MSQM with the task-level parallel framework on `threads` worker
 /// threads under the deterministic barrier master.  `use_priorities` toggles
 /// the dynamic priority ordering of recomputation requests (Fig. 9(f)).
-#[deprecated(
-    note = "use tcsc::solver::SolverBuilder with Runtime::TaskParallel and \
-            GrantPolicy::Barrier"
-)]
+#[deprecated(note = "use tcsc::solver::SolverBuilder with Runtime::TaskParallel")]
 pub fn msqm_task_parallel(
     tasks: &[Task],
     index: &WorkerIndex,
@@ -144,54 +117,6 @@ pub fn msqm_task_parallel(
     config: &MultiTaskConfig,
     threads: usize,
     use_priorities: bool,
-) -> TaskParallelOutcome {
-    run_task_parallel(
-        tasks,
-        index,
-        cost_model,
-        config,
-        threads,
-        use_priorities,
-        GrantPolicy::Barrier,
-    )
-}
-
-/// Runs MSQM with the task-level parallel framework under the optimistic
-/// non-blocking master: grants are applied provisionally without waiting for
-/// every outstanding heartbeat and rolled back when superseded.  The
-/// committed execution sequence (and hence the plans) is identical to
-/// [`msqm_task_parallel`].
-#[deprecated(
-    note = "use tcsc::solver::SolverBuilder with Runtime::TaskParallel and \
-            GrantPolicy::Optimistic"
-)]
-pub fn msqm_task_parallel_optimistic(
-    tasks: &[Task],
-    index: &WorkerIndex,
-    cost_model: &(dyn CostModel + Sync),
-    config: &MultiTaskConfig,
-    threads: usize,
-    use_priorities: bool,
-) -> TaskParallelOutcome {
-    run_task_parallel(
-        tasks,
-        index,
-        cost_model,
-        config,
-        threads,
-        use_priorities,
-        GrantPolicy::Optimistic,
-    )
-}
-
-fn run_task_parallel(
-    tasks: &[Task],
-    index: &WorkerIndex,
-    cost_model: &(dyn CostModel + Sync),
-    config: &MultiTaskConfig,
-    threads: usize,
-    use_priorities: bool,
-    policy: GrantPolicy,
 ) -> TaskParallelOutcome {
     let threads = threads.clamp(1, tasks.len().max(1));
     if tasks.is_empty() {
@@ -205,8 +130,6 @@ fn run_task_parallel(
             conflict_table: Vec::new(),
             log: Vec::new(),
             committed: Vec::new(),
-            rollbacks: 0,
-            supersedes: 0,
             threads,
         };
     }
@@ -255,9 +178,8 @@ fn run_task_parallel(
                 while let Ok(command) = command_rx.recv() {
                     match command {
                         ThreadCommand::Master(command) => {
-                            if let Some(event) = owner.handle(command, index, cost_model) {
-                                event_tx.send(ThreadEvent::Worker(event)).ok();
-                            }
+                            let event = owner.handle(command, index, cost_model);
+                            event_tx.send(ThreadEvent::Worker(event)).ok();
                         }
                         ThreadCommand::Finish => {
                             let refresh = owner.refresh_stats();
@@ -279,7 +201,6 @@ fn run_task_parallel(
             tasks.len(),
             config.budget,
             WorkerLedger::new(),
-            policy,
             use_priorities,
         );
         let dispatch = |commands: Vec<MasterCommand>, txs: &[Sender<ThreadCommand>]| {
@@ -318,7 +239,7 @@ fn run_task_parallel(
                     finished += 1;
                 }
                 ThreadEvent::Worker(_) => {
-                    // Late events from already-committed work; ignore.
+                    unreachable!("the master finishes only when no reply is outstanding")
                 }
             }
         }
@@ -330,8 +251,7 @@ fn run_task_parallel(
             })
             .collect();
 
-        let (conflict_table, log, committed, conflicts, executions, rollbacks, supersedes) =
-            master.into_tables();
+        let (conflict_table, log, committed, conflicts, executions) = master.into_tables();
         // Each committed conflict (selection-time or loser) triggered exactly
         // one slot refresh on the owning thread; account them like the serial
         // engine does.
@@ -349,8 +269,6 @@ fn run_task_parallel(
             conflict_table,
             log,
             committed,
-            rollbacks,
-            supersedes,
             threads,
         }
     })
@@ -381,7 +299,6 @@ mod tests {
                 serial.sum_quality()
             );
             assert_eq!(parallel.outcome.executions, serial.executions);
-            assert_eq!(parallel.rollbacks, 0, "the barrier master never rolls back");
         }
     }
 
@@ -469,17 +386,5 @@ mod tests {
         let outcome = msqm_task_parallel(&[], &index, &cost, &MultiTaskConfig::new(10.0), 2, true);
         assert_eq!(outcome.outcome.executions, 0);
         assert!(outcome.outcome.assignment.plans.is_empty());
-    }
-
-    #[test]
-    fn optimistic_master_commits_the_barrier_sequence() {
-        let (tasks, index, cost) = small_instance(48, 8, 20, 60);
-        let cfg = MultiTaskConfig::new(70.0);
-        let barrier = msqm_task_parallel(&tasks, &index, &cost, &cfg, 4, true);
-        let optimistic = msqm_task_parallel_optimistic(&tasks, &index, &cost, &cfg, 4, true);
-        assert_eq!(barrier.committed, optimistic.committed);
-        assert_eq!(barrier.outcome.assignment, optimistic.outcome.assignment);
-        assert_eq!(barrier.outcome.conflicts, optimistic.outcome.conflicts);
-        assert_eq!(barrier.outcome.executions, optimistic.outcome.executions);
     }
 }

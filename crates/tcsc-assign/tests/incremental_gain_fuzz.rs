@@ -1,13 +1,13 @@
 //! Differential fuzz: [`RefreshStrategy::Full`] vs
 //! [`RefreshStrategy::Incremental`] must commit **bit-identical** outcomes —
 //! plans, conflicts, executions — over random scenarios, streaming drains and
-//! optimistic rollbacks, while the incremental path performs zero full
+//! task-parallel runs, while the incremental path performs zero full
 //! best-candidate recomputes on the commit tail.  The MSQM batches are also
 //! checked against the [`msqm_rebuild`] oracle.
 //!
 //! ≥300 seeded cases across the four suites below.  Every case that fails
-//! here is a case where the gain ledger's lazy-greedy pop (or its
-//! patch/un-patch protocol) returned a different argmax than the full
+//! here is a case where the gain ledger's lazy-greedy pop (or its patch
+//! protocol) returned a different argmax than the full
 //! search — the exact regression the `Full` oracle exists to catch.
 
 // These suites pin the semantics of the deprecated free-function wrappers
@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use tcsc_assign::{
-    msqm_rebuild, msqm_serial, msqm_task_parallel_optimistic, AssignmentEngine, MasterCommand,
+    msqm_rebuild, msqm_serial, msqm_task_parallel, AssignmentEngine, MasterCommand,
     MultiTaskConfig, Objective, RefreshStrategy, SlotCandidates, TaskOwner, TaskState, WorkerEvent,
 };
 use tcsc_core::{EuclideanCost, Task, WorkerId};
@@ -166,11 +166,10 @@ fn streaming_drains_are_bit_identical_across_strategies() {
 }
 
 #[test]
-fn optimistic_rollbacks_commit_bit_identical_plans() {
-    // The optimistic master speculates and rolls back (UndoRefresh), so the
-    // incremental states' ledgers are patched *and un-patched* mid-run; the
-    // committed outcome must still equal the full-strategy run and the serial
-    // greedy.
+fn task_parallel_commits_bit_identical_plans_across_strategies() {
+    // The task-parallel owners patch their incremental states' ledgers on
+    // every conflict refresh; the committed outcome must still equal the
+    // full-strategy run and the serial greedy.
     let cost = EuclideanCost::default();
     for seed in 2000..2060u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -179,8 +178,8 @@ fn optimistic_rollbacks_commit_bit_identical_plans() {
         let threads = rng.gen_range(2..=4);
 
         let serial = msqm_serial(&tasks, &index, &cost, &inc_cfg);
-        let full = msqm_task_parallel_optimistic(&tasks, &index, &cost, &full_cfg, threads, true);
-        let inc = msqm_task_parallel_optimistic(&tasks, &index, &cost, &inc_cfg, threads, true);
+        let full = msqm_task_parallel(&tasks, &index, &cost, &full_cfg, threads, true);
+        let inc = msqm_task_parallel(&tasks, &index, &cost, &inc_cfg, threads, true);
 
         assert_eq!(
             full.committed, inc.committed,
@@ -193,19 +192,19 @@ fn optimistic_rollbacks_commit_bit_identical_plans() {
         assert_eq!(full.outcome.conflicts, inc.outcome.conflicts, "seed {seed}");
         assert_eq!(
             serial.assignment, inc.outcome.assignment,
-            "optimistic+incremental diverged from the serial greedy, seed {seed}"
+            "task-parallel+incremental diverged from the serial greedy, seed {seed}"
         );
     }
 }
 
 #[test]
-fn rollback_unpatch_restores_the_ledger_state() {
+fn owner_tape_with_raised_budgets_matches_the_full_search() {
     // Owner-level differential fuzz: drive one Full and one Incremental
     // `TaskOwner` with the *same* random command tape — computes under
-    // shrinking and (rollback-like) re-grown budgets, speculative refreshes,
-    // LIFO undos, executions — and require every reply event to be identical.
-    // This is the direct check that patch followed by un-patch leaves the
-    // gain ledger answering exactly like a never-patched full search.
+    // shrinking and re-grown budgets, refreshes, executions — and require
+    // every reply event to be identical.  This is the direct check that
+    // patching and parked-entry reactivation leave the gain ledger answering
+    // exactly like a full search.
     let cost = EuclideanCost::default();
     for seed in 3000..3090u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -228,58 +227,36 @@ fn rollback_unpatch_restores_the_ledger_state() {
             TaskOwner::new([(0, TaskState::from_candidates(&task, candidates, &inc_cfg))]);
 
         let mut max_cost: f64 = rng.gen_range(5.0..50.0);
-        let mut undo_stack: Vec<usize> = Vec::new();
         let mut last_best: Option<(usize, WorkerId)> = None;
         for step in 0..40 {
-            let command = match rng.gen_range(0..10) {
+            let command = match rng.gen_range(0..8) {
                 // Compute under a wandering budget: mostly shrinking, but
-                // sometimes restored upward like an optimistic rollback —
-                // that reactivates parked ledger entries.
+                // sometimes raised — that reactivates parked ledger entries.
                 0..=3 => {
                     max_cost = if rng.gen_bool(0.25) {
                         max_cost * rng.gen_range(1.1..2.0)
                     } else {
                         max_cost * rng.gen_range(0.6..1.0)
                     };
-                    MasterCommand::Compute {
-                        task: 0,
-                        version: step,
-                        max_cost,
-                    }
+                    MasterCommand::Compute { task: 0, max_cost }
                 }
-                // Speculative refresh of a random slot with random occupancy.
+                // Refresh of a random slot with random occupancy.
                 4..=6 => {
                     let slot = rng.gen_range(0..task.num_slots);
                     let occupied: Vec<WorkerId> = (0..rng.gen_range(1..6))
                         .map(|_| WorkerId(rng.gen_range(0..cfg.num_workers as u32)))
                         .collect();
-                    undo_stack.push(slot);
                     MasterCommand::Refresh {
                         task: 0,
-                        version: step,
                         slot,
                         occupied,
                         max_cost,
                     }
                 }
-                // Undo the most recent speculative refresh (LIFO, exactly
-                // like the optimistic master's rollback).
-                7..=8 => match undo_stack.pop() {
-                    Some(slot) => MasterCommand::UndoRefresh { task: 0, slot },
-                    None => MasterCommand::Compute {
-                        task: 0,
-                        version: step,
-                        max_cost,
-                    },
-                },
                 // Execute the last reported best candidate.
                 _ => match last_best.take() {
                     Some((slot, _)) => MasterCommand::Execute { task: 0, slot },
-                    None => MasterCommand::Compute {
-                        task: 0,
-                        version: step,
-                        max_cost,
-                    },
+                    None => MasterCommand::Compute { task: 0, max_cost },
                 },
             };
             let full_reply = full_owner.handle(command.clone(), &index, &cost);
@@ -288,11 +265,11 @@ fn rollback_unpatch_restores_the_ledger_state() {
                 full_reply, inc_reply,
                 "replies diverged at step {step}, seed {seed}, command {command:?}"
             );
-            if let Some(WorkerEvent::Heartbeat {
+            if let WorkerEvent::Heartbeat {
                 candidate: Some(c),
                 planned_worker: Some(w),
                 ..
-            }) = &full_reply
+            } = &full_reply
             {
                 last_best = Some((c.slot, *w));
             }

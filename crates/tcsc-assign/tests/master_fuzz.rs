@@ -1,9 +1,10 @@
-//! Deterministic interleaving fuzz of the optimistic master: the machine is
-//! driven in-process against [`TaskOwner`] executors with a seeded scheduler
-//! that picks, at every step, either a command to process or an event to
-//! deliver — exploring message orderings real threads would produce (per-owner
-//! command FIFO, arbitrary cross-owner event interleaving).  Every ordering
-//! must commit the barrier sequence with the barrier's conflict count.
+//! Deterministic interleaving fuzz of the task-parallel master: the machine
+//! is driven in-process against [`TaskOwner`] executors with a seeded
+//! scheduler that picks, at every step, either a command to process or an
+//! event to deliver — exploring message orderings real threads would produce
+//! (per-owner command FIFO, arbitrary cross-owner event interleaving).  Every
+//! ordering must commit the single-thread run's sequence with its conflict
+//! count.
 
 // These suites pin the semantics of the deprecated free-function wrappers
 // against the engines; they call the wrappers on purpose.
@@ -14,8 +15,8 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcsc_assign::{
-    msqm_task_parallel, CommittedExecution, GrantPolicy, MultiTaskConfig, TaskMaster, TaskOwner,
-    TaskState, WorkerLedger,
+    msqm_task_parallel, CommittedExecution, MultiTaskConfig, TaskMaster, TaskOwner, TaskState,
+    WorkerLedger,
 };
 use tcsc_core::{EuclideanCost, Task};
 use tcsc_index::WorkerIndex;
@@ -25,7 +26,6 @@ struct FuzzOutcome {
     committed: Vec<CommittedExecution>,
     conflicts: usize,
     executions: usize,
-    rollbacks: usize,
     sum_quality: f64,
 }
 
@@ -34,7 +34,6 @@ struct FuzzOutcome {
 /// master interleaves freely across owners.
 fn run_interleaved(
     seed: u64,
-    policy: GrantPolicy,
     owners: usize,
     tasks: &[Task],
     index: &WorkerIndex,
@@ -55,13 +54,8 @@ fn run_interleaved(
         })
         .collect();
 
-    let (mut master, initial) = TaskMaster::new(
-        tasks.len(),
-        config.budget,
-        WorkerLedger::new(),
-        policy,
-        true,
-    );
+    let (mut master, initial) =
+        TaskMaster::new(tasks.len(), config.budget, WorkerLedger::new(), true);
     let mut command_queues: Vec<VecDeque<_>> = vec![VecDeque::new(); owners];
     for command in initial {
         command_queues[owner_of[command.task()]].push_back(command);
@@ -86,9 +80,8 @@ fn run_interleaved(
         let (o, is_command) = choices[rng.gen_range(0..choices.len())];
         if is_command {
             let command = command_queues[o].pop_front().expect("chosen non-empty");
-            if let Some(event) = executors[o].handle(command, index, &cost) {
-                event_queues[o].push_back(event);
-            }
+            let event = executors[o].handle(command, index, &cost);
+            event_queues[o].push_back(event);
         } else {
             let event = event_queues[o].pop_front().expect("chosen non-empty");
             for command in master.handle(event) {
@@ -106,75 +99,55 @@ fn run_interleaved(
         .flat_map(TaskOwner::into_plans)
         .map(|(_, plan)| plan.quality)
         .sum();
-    let (_, _, committed, conflicts, executions, rollbacks, _) = master.into_tables();
+    let (_, _, committed, conflicts, executions) = master.into_tables();
     FuzzOutcome {
         committed,
         conflicts,
         executions,
-        rollbacks,
         sum_quality,
     }
 }
 
-#[test]
-fn every_delivery_order_commits_the_barrier_outcome() {
+/// Every seeded delivery order over `owner_counts` owners must commit the
+/// single-thread run's outcome on a `tasks x slots` scenario of `workers`.
+fn assert_order_insensitive(
+    (tasks, slots, workers): (usize, usize, usize),
+    budget: f64,
+    seeds: u64,
+    owner_counts: &[usize],
+) {
     let scenario = ScenarioConfig::small()
-        .with_num_tasks(8)
-        .with_num_slots(24)
-        .with_num_workers(60)
+        .with_num_tasks(tasks)
+        .with_num_slots(slots)
+        .with_num_workers(workers)
         .build();
-    let index = WorkerIndex::build(&scenario.workers, 24, &scenario.domain);
+    let index = WorkerIndex::build(&scenario.workers, slots, &scenario.domain);
     let cost = EuclideanCost::default();
-    let cfg = MultiTaskConfig::new(40.0);
+    let cfg = MultiTaskConfig::new(budget);
     let reference = msqm_task_parallel(&scenario.tasks, &index, &cost, &cfg, 1, true);
-    let mut rollbacks_seen = 0usize;
-    for seed in 0..60 {
-        for owners in [1, 3, 8] {
-            let run = run_interleaved(
-                seed,
-                GrantPolicy::Optimistic,
-                owners,
-                &scenario.tasks,
-                &index,
-                &cfg,
-            );
+    for seed in 0..seeds {
+        for &owners in owner_counts {
+            let run = run_interleaved(seed, owners, &scenario.tasks, &index, &cfg);
+            let at = format!("{tasks} tasks, seed {seed}, {owners} owners");
             assert_eq!(
                 run.committed, reference.committed,
-                "committed sequence diverged at seed {seed}, {owners} owners"
+                "committed diverged: {at}"
             );
             assert_eq!(
                 run.conflicts, reference.outcome.conflicts,
-                "conflict count diverged at seed {seed}, {owners} owners"
+                "conflicts diverged: {at}"
             );
-            assert_eq!(run.executions, reference.outcome.executions);
+            assert_eq!(run.executions, reference.outcome.executions, "{at}");
             assert!(
                 (run.sum_quality - reference.outcome.sum_quality()).abs() < 1e-9,
-                "quality diverged at seed {seed}, {owners} owners"
+                "quality diverged: {at}"
             );
-            rollbacks_seen += run.rollbacks;
         }
     }
-    assert!(
-        rollbacks_seen > 0,
-        "the fuzz must exercise the rollback path at least once"
-    );
 }
 
 #[test]
 fn barrier_policy_is_order_insensitive_too() {
-    let scenario = ScenarioConfig::small()
-        .with_num_tasks(6)
-        .with_num_slots(20)
-        .with_num_workers(50)
-        .build();
-    let index = WorkerIndex::build(&scenario.workers, 20, &scenario.domain);
-    let cost = EuclideanCost::default();
-    let cfg = MultiTaskConfig::new(25.0);
-    let reference = msqm_task_parallel(&scenario.tasks, &index, &cost, &cfg, 1, true);
-    for seed in 0..20 {
-        let run = run_interleaved(seed, GrantPolicy::Barrier, 3, &scenario.tasks, &index, &cfg);
-        assert_eq!(run.committed, reference.committed, "seed {seed}");
-        assert_eq!(run.conflicts, reference.outcome.conflicts);
-        assert_eq!(run.rollbacks, 0);
-    }
+    assert_order_insensitive((6, 20, 50), 25.0, 20, &[3]);
+    assert_order_insensitive((8, 24, 60), 40.0, 60, &[1, 3, 8]);
 }

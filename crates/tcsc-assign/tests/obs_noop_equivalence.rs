@@ -5,8 +5,8 @@
 //! layer: instrumentation may observe the timeline, never perturb it.
 
 use tcsc_assign::{
-    AssignmentEngine, ConcurrentAssignmentEngine, GrantPolicy, MultiTaskConfig, Objective,
-    TaskMaster, WorkerLedger,
+    AssignmentEngine, ConcurrentAssignmentEngine, MultiTaskConfig, Objective, TaskMaster,
+    WorkerLedger,
 };
 use tcsc_core::{EuclideanCost, Task};
 use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
@@ -169,10 +169,8 @@ fn task_master_is_bit_identical_with_recorder_attached() {
     // and a recorded master and compare every table.  The driver-level check
     // (threads + default recorder) rides in the test below.
     let session = ObsSession::wall();
-    let (plain, commands_a) =
-        TaskMaster::new(3, 10.0, WorkerLedger::new(), GrantPolicy::Optimistic, false);
-    let (observed, commands_b) =
-        TaskMaster::new(3, 10.0, WorkerLedger::new(), GrantPolicy::Optimistic, false);
+    let (plain, commands_a) = TaskMaster::new(3, 10.0, WorkerLedger::new(), false);
+    let (observed, commands_b) = TaskMaster::new(3, 10.0, WorkerLedger::new(), false);
     let mut plain = plain;
     let mut observed = observed.with_recorder(&session);
     assert_eq!(commands_a, commands_b);
@@ -181,7 +179,6 @@ fn task_master_is_bit_identical_with_recorder_attached() {
     use tcsc_core::WorkerId;
     let heartbeat = |task: usize, heuristic: f64, worker: u32| WorkerEvent::Heartbeat {
         task,
-        version: 0,
         candidate: Some(TaskCandidate {
             slot: task,
             gain: heuristic,
@@ -199,29 +196,22 @@ fn task_master_is_bit_identical_with_recorder_attached() {
         let b = observed.handle(event);
         assert_eq!(a, b, "identical commands with and without the recorder");
     }
-    assert_eq!(plain.rollbacks(), observed.rollbacks());
-    assert_eq!(plain.supersedes(), observed.supersedes());
     assert_eq!(plain.conflicts(), observed.conflicts());
     assert_eq!(plain.committed(), observed.committed());
-    // The optimistic master granted provisionally on the first heartbeat and
-    // rolled back when a later one superseded it — both visible in metrics.
+    // The last heartbeat completed the table and the master granted the
+    // maximum — visible in the recorded metrics.
     let metrics = session.metrics();
     assert_eq!(
-        metrics.counter_value("master.supersedes"),
-        observed.supersedes() as u64
+        metrics.counter_value("master.grants"),
+        observed.committed().len() as u64
     );
-    assert_eq!(
-        metrics.counter_value("master.rollbacks"),
-        observed.rollbacks() as u64
-    );
-    assert!(observed.supersedes() > 0, "the scenario must supersede");
+    assert_eq!(observed.committed().len(), 1, "the scenario must grant");
 }
 
 #[test]
 fn task_parallel_driver_matches_with_and_without_priorities() {
-    // The thread driver keeps the NoopRecorder default; this locks that the
-    // refactor (generic master, supersede counter) left its committed
-    // behaviour untouched and that `supersedes <= rollbacks` always holds.
+    // The thread driver keeps the NoopRecorder default; the dynamic
+    // priorities reorder its requests but must never change what commits.
     let cost = EuclideanCost::default();
     let config = ScenarioConfig::small()
         .with_seed(9)
@@ -229,25 +219,12 @@ fn task_parallel_driver_matches_with_and_without_priorities() {
         .with_budget(120.0);
     let (tasks, dense, _) = prepare(&config);
     let cfg = MultiTaskConfig::new(config.budget);
-    for policy in [GrantPolicy::Barrier, GrantPolicy::Optimistic] {
-        #[allow(deprecated)]
-        let outcome = match policy {
-            GrantPolicy::Barrier => {
-                tcsc_assign::msqm_task_parallel(&tasks, &dense, &cost, &cfg, 4, true)
-            }
-            GrantPolicy::Optimistic => {
-                tcsc_assign::msqm_task_parallel_optimistic(&tasks, &dense, &cost, &cfg, 4, true)
-            }
-        };
-        assert!(
-            outcome.supersedes <= outcome.rollbacks,
-            "supersedes ({}) is a subset of rollbacks ({})",
-            outcome.supersedes,
-            outcome.rollbacks
-        );
-        if policy == GrantPolicy::Barrier {
-            assert_eq!(outcome.rollbacks, 0);
-            assert_eq!(outcome.supersedes, 0);
-        }
-    }
+    #[allow(deprecated)]
+    let run =
+        |priorities| tcsc_assign::msqm_task_parallel(&tasks, &dense, &cost, &cfg, 4, priorities);
+    let with = run(true);
+    let without = run(false);
+    assert_eq!(with.committed, without.committed);
+    assert_eq!(with.outcome.assignment, without.outcome.assignment);
+    assert!(!with.committed.is_empty(), "the scenario must commit");
 }

@@ -1,6 +1,6 @@
 //! Figure 9d bench (repo extension): the discrete-event distributed runtime
 //! — how fast the simulator itself replays a region-partitioned arrival
-//! trace through the dispatcher/region-node cluster, per grant policy.
+//! trace through the dispatcher/region-node cluster.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -8,7 +8,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use tcsc_core::EuclideanCost;
-use tcsc_sim::{run_cluster, GrantPolicy, LatencyModel, SimBatch, SimClusterConfig};
+use tcsc_sim::{run_cluster, LatencyModel, SimBatch, SimClusterConfig};
 use tcsc_workload::{ArrivalTrace, ScenarioConfig, StreamingConfig};
 
 fn bench_sim_runtime(c: &mut Criterion) {
@@ -34,25 +34,19 @@ fn bench_sim_runtime(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    for (name, policy) in [
-        ("barrier", GrantPolicy::Barrier),
-        ("optimistic", GrantPolicy::Optimistic),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                run_cluster(
-                    &streaming.workers,
-                    slots,
-                    &streaming.domain,
-                    batches.clone(),
-                    Rc::new(EuclideanCost::default()),
-                    &SimClusterConfig::new(4, 3, budget, LatencyModel::Fixed(200))
-                        .with_policy(policy),
-                )
-                .executions
-            })
-        });
-    }
+    group.bench_function("barrier", |b| {
+        b.iter(|| {
+            run_cluster(
+                &streaming.workers,
+                slots,
+                &streaming.domain,
+                batches.clone(),
+                Rc::new(EuclideanCost::default()),
+                &SimClusterConfig::new(4, 3, budget, LatencyModel::Fixed(200)),
+            )
+            .executions
+        })
+    });
     group.finish();
 }
 

@@ -20,7 +20,7 @@
 //! when the incremental path's measured per-grant refresh cost exceeds the
 //! full path's, or when the incremental commit tail ran a full recompute.
 //! Running `fig9dist` writes `BENCH_fig9d.json` — the distributed-runtime
-//! sweep (node count × latency, barrier vs optimistic master) including the
+//! sweep (node count × latency) including the
 //! zero-latency-sim-vs-engine plan-hash gate, and **exits non-zero when the
 //! hashes disagree** so CI fails loudly.
 //! Running `fig9obs` writes `BENCH_obs.json`, a chrome://tracing dump

@@ -1493,27 +1493,17 @@ pub struct Fig9dRow {
     pub latency: String,
     /// Mean one-way latency (µs).
     pub latency_mean_us: f64,
-    /// Virtual completion time of the barrier master (ms).
-    pub barrier_virtual_ms: f64,
-    /// Virtual completion time of the optimistic master (ms).
-    pub optimistic_virtual_ms: f64,
-    /// Delivered events under the barrier master.
-    pub barrier_events: u64,
-    /// Delivered events under the optimistic master.
-    pub optimistic_events: u64,
-    /// Rolled-back provisional grants of the optimistic run.
-    pub optimistic_rollbacks: usize,
-    /// Serial-tie-break supersedes of the optimistic run (a subset of the
-    /// rollbacks: late heartbeats that beat an already-granted selection).
-    pub optimistic_supersedes: usize,
-    /// Wall-clock time to simulate both runs (ms).
+    /// Virtual completion time (ms).
+    pub virtual_ms: f64,
+    /// Delivered events.
+    pub events: u64,
+    /// Wall-clock time to simulate the run (ms).
     pub wall_ms: f64,
 }
 
 /// The raw measurements behind [`fig9dist`]: the distributed discrete-event
-/// runtime swept over node count × network latency, under both grant
-/// policies, plus the zero-latency single-node cross-check against the
-/// in-process engine (the CI gate).
+/// runtime swept over node count × network latency, plus the zero-latency
+/// single-node cross-check against the in-process engine (the CI gate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig9dMeasurements {
     /// Scale label (`"quick"` / `"full"`).
@@ -1532,10 +1522,6 @@ pub struct Fig9dMeasurements {
     pub engine_plan_hash: u64,
     /// Whether the two hashes agree (must be `true`; CI asserts it).
     pub plan_hash_matches: bool,
-    /// Speculation aggregates over the whole sweep, accumulated through the
-    /// `tcsc-obs` registry: total/per-cell rollback and supersede counts —
-    /// the baseline the speculation-tuning work starts from.
-    pub speculation: tcsc_obs::MetricsRegistry,
     /// The sweep cells.
     pub rows: Vec<Fig9dRow>,
 }
@@ -1554,19 +1540,15 @@ impl Fig9dMeasurements {
             rows.push(Row::new(
                 format!("n={} {}", row.nodes, row.latency),
                 vec![
-                    ("BarrierVmMs".into(), row.barrier_virtual_ms),
-                    ("OptimisticVmMs".into(), row.optimistic_virtual_ms),
-                    ("BarrierEvents".into(), row.barrier_events as f64),
-                    ("OptimisticEvents".into(), row.optimistic_events as f64),
-                    ("Rollbacks".into(), row.optimistic_rollbacks as f64),
-                    ("Supersedes".into(), row.optimistic_supersedes as f64),
+                    ("VirtualMs".into(), row.virtual_ms),
+                    ("Events".into(), row.events as f64),
                 ],
             ));
         }
         Experiment {
             id: "fig9dist",
             caption: "Distributed discrete-event runtime: virtual completion time vs \
-                      node count x network latency (barrier vs optimistic master)",
+                      node count x network latency",
             rows,
         }
     }
@@ -1593,32 +1575,16 @@ impl Fig9dMeasurements {
             "  \"plan_hash_matches\": {},\n",
             self.plan_hash_matches
         ));
-        let rollback_hist = self.speculation.histogram("fig9d.cell_rollbacks");
-        out.push_str(&format!(
-            "  \"speculation\": {{ \"total_rollbacks\": {}, \"total_supersedes\": {}, \
-             \"max_cell_rollbacks\": {}, \"p50_cell_rollbacks\": {} }},\n",
-            self.speculation.counter_value("fig9d.rollbacks"),
-            self.speculation.counter_value("fig9d.supersedes"),
-            rollback_hist.map_or(0, |h| h.max()),
-            rollback_hist.map_or(0, |h| h.p50()),
-        ));
         out.push_str("  \"sweep\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             out.push_str(&format!(
                 "    {{ \"nodes\": {}, \"latency\": \"{}\", \"latency_mean_us\": {:.1}, \
-                 \"barrier_virtual_ms\": {:.4}, \"optimistic_virtual_ms\": {:.4}, \
-                 \"barrier_events\": {}, \"optimistic_events\": {}, \
-                 \"optimistic_rollbacks\": {}, \"optimistic_supersedes\": {}, \
-                 \"wall_ms\": {:.4} }}{}\n",
+                 \"virtual_ms\": {:.4}, \"events\": {}, \"wall_ms\": {:.4} }}{}\n",
                 row.nodes,
                 row.latency,
                 row.latency_mean_us,
-                row.barrier_virtual_ms,
-                row.optimistic_virtual_ms,
-                row.barrier_events,
-                row.optimistic_events,
-                row.optimistic_rollbacks,
-                row.optimistic_supersedes,
+                row.virtual_ms,
+                row.events,
                 row.wall_ms,
                 if i + 1 < self.rows.len() { "," } else { "" }
             ));
@@ -1630,12 +1596,12 @@ impl Fig9dMeasurements {
 
 /// Measures fig9dist: a region-partitioned streaming workload converted to a
 /// timed arrival trace and replayed through the simulated distributed
-/// runtime, sweeping node count × network latency under both grant policies.
-/// Every cell's plans are checked against the in-process engine.
+/// runtime, sweeping node count × network latency.  Every cell's plans are
+/// checked against the in-process engine.
 pub fn fig9dist_measurements(scale: Scale) -> Fig9dMeasurements {
     use std::rc::Rc;
 
-    use tcsc_sim::{plan_hash, run_cluster, GrantPolicy, LatencyModel, SimBatch, SimClusterConfig};
+    use tcsc_sim::{plan_hash, run_cluster, LatencyModel, SimBatch, SimClusterConfig};
     use tcsc_workload::ArrivalTrace;
 
     let (label, regions, rounds, per_round, slots, workers, node_sweep, latencies) = match scale {
@@ -1702,72 +1668,45 @@ pub fn fig9dist_measurements(scale: Scale) -> Fig9dMeasurements {
             .collect()
     };
 
-    // CI gate: the zero-latency single-node barrier sim must reproduce the
-    // engine's plans bit for bit.
+    // CI gate: the zero-latency single-node sim must reproduce the engine's
+    // plans bit for bit.
     let gate = run_cluster(
         &streaming.workers,
         slots,
         &streaming.domain,
         batches(&trace),
         Rc::new(EuclideanCost::default()),
-        &SimClusterConfig::new(1, regions, budget, LatencyModel::Zero)
-            .with_policy(GrantPolicy::Barrier),
+        &SimClusterConfig::new(1, regions, budget, LatencyModel::Zero),
     );
     let sim_plan_hash = plan_hash(&gate.assignment);
     let plan_hash_matches = sim_plan_hash == engine_plan_hash;
 
     let mut rows = Vec::new();
-    let mut speculation = tcsc_obs::MetricsRegistry::new();
     for &nodes in &node_sweep {
         for latency in &latencies {
-            let ((barrier, optimistic), wall_ms) = timed(|| {
-                let barrier = run_cluster(
+            let (sim, wall_ms) = timed(|| {
+                run_cluster(
                     &streaming.workers,
                     slots,
                     &streaming.domain,
                     batches(&trace),
                     Rc::new(EuclideanCost::default()),
                     &SimClusterConfig::new(nodes, regions, budget, *latency)
-                        .with_policy(GrantPolicy::Barrier)
                         .with_service_us(50)
                         .with_pings(10_000, 16),
-                );
-                let optimistic = run_cluster(
-                    &streaming.workers,
-                    slots,
-                    &streaming.domain,
-                    batches(&trace),
-                    Rc::new(EuclideanCost::default()),
-                    &SimClusterConfig::new(nodes, regions, budget, *latency)
-                        .with_policy(GrantPolicy::Optimistic)
-                        .with_service_us(50)
-                        .with_pings(10_000, 16),
-                );
-                (barrier, optimistic)
+                )
             });
             assert_eq!(
-                plan_hash(&barrier.assignment),
+                plan_hash(&sim.assignment),
                 engine_plan_hash,
-                "barrier sim diverged from the engine at {nodes} nodes, {latency:?}"
+                "sim diverged from the engine at {nodes} nodes, {latency:?}"
             );
-            assert_eq!(
-                plan_hash(&optimistic.assignment),
-                engine_plan_hash,
-                "optimistic sim diverged from the engine at {nodes} nodes, {latency:?}"
-            );
-            speculation.counter("fig9d.rollbacks", optimistic.rollbacks as u64);
-            speculation.counter("fig9d.supersedes", optimistic.supersedes as u64);
-            speculation.value("fig9d.cell_rollbacks", optimistic.rollbacks as u64);
             rows.push(Fig9dRow {
                 nodes,
                 latency: latency.describe(),
                 latency_mean_us: latency.mean(),
-                barrier_virtual_ms: barrier.finish_time_us as f64 / 1000.0,
-                optimistic_virtual_ms: optimistic.finish_time_us as f64 / 1000.0,
-                barrier_events: barrier.delivered_events,
-                optimistic_events: optimistic.delivered_events,
-                optimistic_rollbacks: optimistic.rollbacks,
-                optimistic_supersedes: optimistic.supersedes,
+                virtual_ms: sim.finish_time_us as f64 / 1000.0,
+                events: sim.delivered_events,
                 wall_ms,
             });
         }
@@ -1782,13 +1721,12 @@ pub fn fig9dist_measurements(scale: Scale) -> Fig9dMeasurements {
         sim_plan_hash,
         engine_plan_hash,
         plan_hash_matches,
-        speculation,
         rows,
     }
 }
 
 /// Fig. 9d (repo extension): the distributed discrete-event runtime swept
-/// over node count × network latency, barrier vs optimistic master.
+/// over node count × network latency.
 pub fn fig9dist(scale: Scale) -> Experiment {
     fig9dist_measurements(scale).to_experiment()
 }
@@ -1798,15 +1736,13 @@ pub fn fig9dist(scale: Scale) -> Experiment {
 // stability across cluster layouts, trace export/replay, recorder overhead
 // ---------------------------------------------------------------------------
 
-/// One `(nodes, latency, policy)` cell of the fig9obs digest sweep.
+/// One `(nodes, latency)` cell of the fig9obs digest sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig9oRow {
     /// Region nodes in the cluster.
     pub nodes: usize,
     /// Latency-model label.
     pub latency: String,
-    /// Grant-policy label.
-    pub policy: &'static str,
     /// Logical-stream digest of the recorded run.
     pub digest: u64,
     /// Total recorded events (all scopes).
@@ -1874,7 +1810,7 @@ impl Fig9oMeasurements {
         ];
         for row in &self.rows {
             rows.push(Row::new(
-                format!("n={} {} {}", row.nodes, row.latency, row.policy),
+                format!("n={} {}", row.nodes, row.latency),
                 vec![
                     ("Events".into(), row.events as f64),
                     (
@@ -1910,11 +1846,10 @@ impl Fig9oMeasurements {
         out.push_str("  \"sweep\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             out.push_str(&format!(
-                "    {{ \"nodes\": {}, \"latency\": \"{}\", \"policy\": \"{}\", \
+                "    {{ \"nodes\": {}, \"latency\": \"{}\", \
                  \"digest\": \"{:#018x}\", \"events\": {} }}{}\n",
                 row.nodes,
                 row.latency,
-                row.policy,
                 row.digest,
                 row.events,
                 if i + 1 < self.rows.len() { "," } else { "" }
@@ -1925,15 +1860,15 @@ impl Fig9oMeasurements {
     }
 }
 
-/// Measures fig9obs: records the seeded sim across node count × latency ×
-/// grant policy and checks the logical digest is layout-invariant, round-trips
+/// Measures fig9obs: records the seeded sim across node count × latency and
+/// checks the logical digest is layout-invariant, round-trips
 /// one trace through the chrome exporter/parser, then times the fig9p-shaped
 /// commit-tail batch with and without a live recorder.
 pub fn fig9obs_measurements(scale: Scale) -> Fig9oMeasurements {
     use std::rc::Rc;
 
     use tcsc_obs::{parse_chrome_trace_jsonl, replay_digest, ObsSession};
-    use tcsc_sim::{run_cluster, GrantPolicy, LatencyModel, SimBatch, SimClusterConfig};
+    use tcsc_sim::{run_cluster, LatencyModel, SimBatch, SimClusterConfig};
 
     let (label, node_sweep, latencies, overhead_tasks, overhead_workers, runs) = match scale {
         Scale::Quick => (
@@ -1975,32 +1910,25 @@ pub fn fig9obs_measurements(scale: Scale) -> Fig9oMeasurements {
     let mut kept: Option<tcsc_obs::ObsReport> = None;
     for &nodes in &node_sweep {
         for latency in &latencies {
-            for policy in [GrantPolicy::Barrier, GrantPolicy::Optimistic] {
-                let config = SimClusterConfig::new(nodes, 3, 55.0, *latency)
-                    .with_policy(policy)
-                    .with_seed(7 + nodes as u64)
-                    .with_obs();
-                let outcome = run_cluster(
-                    &scenario.workers,
-                    slots,
-                    &scenario.domain,
-                    vec![SimBatch::immediate(scenario.tasks.clone())],
-                    Rc::new(EuclideanCost::default()),
-                    &config,
-                );
-                let report = outcome.obs.expect("with_obs() records");
-                rows.push(Fig9oRow {
-                    nodes,
-                    latency: latency.describe(),
-                    policy: match policy {
-                        GrantPolicy::Barrier => "barrier",
-                        GrantPolicy::Optimistic => "optimistic",
-                    },
-                    digest: report.digest,
-                    events: report.events.len(),
-                });
-                kept.get_or_insert(report);
-            }
+            let config = SimClusterConfig::new(nodes, 3, 55.0, *latency)
+                .with_seed(7 + nodes as u64)
+                .with_obs();
+            let outcome = run_cluster(
+                &scenario.workers,
+                slots,
+                &scenario.domain,
+                vec![SimBatch::immediate(scenario.tasks.clone())],
+                Rc::new(EuclideanCost::default()),
+                &config,
+            );
+            let report = outcome.obs.expect("with_obs() records");
+            rows.push(Fig9oRow {
+                nodes,
+                latency: latency.describe(),
+                digest: report.digest,
+                events: report.events.len(),
+            });
+            kept.get_or_insert(report);
         }
     }
     let reference = rows.first().map_or(0, |r| r.digest);
@@ -3427,32 +3355,19 @@ mod tests {
             sim_plan_hash: 0xabcd,
             engine_plan_hash: 0xabcd,
             plan_hash_matches: true,
-            speculation: {
-                let mut reg = tcsc_obs::MetricsRegistry::new();
-                reg.counter("fig9d.rollbacks", 7);
-                reg.counter("fig9d.supersedes", 3);
-                reg.value("fig9d.cell_rollbacks", 7);
-                reg
-            },
             rows: vec![Fig9dRow {
                 nodes: 2,
                 latency: "fixed:200us".into(),
                 latency_mean_us: 200.0,
-                barrier_virtual_ms: 12.5,
-                optimistic_virtual_ms: 11.25,
-                barrier_events: 400,
-                optimistic_events: 450,
-                optimistic_rollbacks: 7,
-                optimistic_supersedes: 3,
+                virtual_ms: 12.5,
+                events: 400,
                 wall_ms: 3.0,
             }],
         };
         let json = m.to_json();
         assert!(json.contains("\"figure\": \"fig9d\""));
         assert!(json.contains("\"plan_hash_matches\": true"));
-        assert!(json.contains("\"optimistic_rollbacks\": 7"));
-        assert!(json.contains("\"optimistic_supersedes\": 3"));
-        assert!(json.contains("\"speculation\": { \"total_rollbacks\": 7, \"total_supersedes\": 3"));
+        assert!(json.contains("\"virtual_ms\": 12.5000, \"events\": 400"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
@@ -3463,7 +3378,6 @@ mod tests {
             rows: vec![Fig9oRow {
                 nodes: 2,
                 latency: "zero".into(),
-                policy: "optimistic",
                 digest: 0xabcd,
                 events: 321,
             }],
@@ -3481,7 +3395,7 @@ mod tests {
         assert!(json.contains("\"digest_uniform\": true"));
         assert!(json.contains("\"digest_match\": true"));
         assert!(json.contains("\"overhead_ok\": true"));
-        assert!(json.contains("\"policy\": \"optimistic\""));
+        assert!(json.contains("\"digest\": \"0x000000000000abcd\", \"events\": 321"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let exp = m.to_experiment();
         assert_eq!(exp.id, "fig9obs");

@@ -29,11 +29,11 @@ fn fold_event(hash: u64, label: &str, phase: Phase, a: u64, b: u64, c: u64) -> u
 ///
 /// Timestamps and sequence numbers are deliberately excluded — they encode
 /// the node layout and latency model — and non-logical scopes are the
-/// "modulo policy-tagged events" of the equivalence lock: transport events
-/// differ per layout, policy events per grant policy, but the logical
-/// stream (committed executions, conflict totals) is bit-identical for the
-/// same seeded workload, so same seed ⇒ same digest across node counts,
-/// latency models and grant policies.
+/// "modulo policy-tagged events" of the equivalence lock: transport and
+/// policy events arrive in layout- and latency-dependent orders, but the
+/// logical stream (committed executions, conflict totals) is bit-identical
+/// for the same seeded workload, so same seed ⇒ same digest across node
+/// counts and latency models.
 pub fn obs_digest(events: &[TraceEvent]) -> u64 {
     obs_digest_parts(
         events
@@ -243,7 +243,7 @@ mod tests {
         let logical = vec![event(Scope::Logical, "execute", 1)];
         let mut with_noise = logical.clone();
         with_noise.push(event(Scope::Transport, "send", 9));
-        with_noise.push(event(Scope::Policy, "rollback", 9));
+        with_noise.push(event(Scope::Policy, "heartbeat", 9));
         with_noise.push(event(Scope::Perf, "span", 9));
         assert_eq!(obs_digest(&logical), obs_digest(&with_noise));
         let different = vec![event(Scope::Logical, "execute", 2)];

@@ -7,16 +7,17 @@
 //! * a clock abstraction over **wall time** (a monotonic [`Stopwatch`]
 //!   epoch) and **virtual time** (the discrete-event simulator's clock,
 //!   driven externally via [`ObsSession::set_virtual_nanos`]);
-//! * lightweight **spans and events** ([`TraceEvent`]) recorded into
-//!   per-thread buffers ([`ThreadBuffer`]) and merged deterministically by
-//!   `(time, thread, seq)` ([`ObsSession::merged_events`]);
+//! * lightweight **spans and events** ([`TraceEvent`]) recorded into the
+//!   session and ordered deterministically by `(time, thread, seq)`
+//!   ([`ObsSession::merged_events`]);
 //! * a [`MetricsRegistry`] of named counters and fixed-bucket power-of-two
 //!   [`Histogram`]s (p50/p99 assignment latency, per-grant refresh cost,
-//!   rollback/supersede counts, shard-router tile visits, cache hit/miss);
+//!   master grant/execution counts, shard-router tile visits, cache
+//!   hit/miss);
 //! * exporters: a chrome://tracing-compatible JSONL dump
 //!   ([`chrome_trace_jsonl`]), a plain-text summary table
 //!   ([`ObsSession::summary`]), and a stable [`obs_digest`] hash over the
-//!   **logical** (policy- and transport-invariant) projection of the
+//!   **logical** (layout- and latency-invariant) projection of the
 //!   virtual-time event stream.
 //!
 //! ## The `Recorder` trait and the no-op default
@@ -39,13 +40,14 @@
 //!
 //! ## The digest as an equivalence lock
 //!
-//! Virtual-time transport events (message send/recv) depend on the node
-//! layout and latency model, and policy events (grants, rollbacks,
-//! supersedes) depend on the grant policy.  The **logical** events — the
-//! committed executions and the conflict totals — are bit-identical across
-//! all of those by the engine-equivalence guarantees, so [`obs_digest`]
-//! hashes only [`Scope::Logical`] events: same seed ⇒ identical digest
-//! across node counts, latency models and grant policies.  Locked by
+//! Virtual-time transport events (message send/recv) and the master's
+//! policy events (heartbeat arrivals, grants, executions) are stamped with
+//! times and arrival orders that depend on the node layout and latency
+//! model.  The **logical** events — the committed executions and the
+//! conflict totals — are bit-identical across all of those by the
+//! engine-equivalence guarantees, so [`obs_digest`] hashes only
+//! [`Scope::Logical`] events: same seed ⇒ identical digest across node
+//! counts and latency models.  Locked by
 //! `tcsc-sim/tests/obs_trace.rs` and gated in CI by the `fig9obs` driver.
 
 #![forbid(unsafe_code)]
@@ -63,7 +65,7 @@ pub use export::{
 };
 pub use metrics::{Gauge, Histogram, MetricsRegistry};
 pub use profile::{profile_spans, PathStat, SpanProfile};
-pub use session::{ObsReport, ObsSession, ThreadBuffer};
+pub use session::{ObsReport, ObsSession};
 pub use slo::SlidingWindow;
 
 use std::time::Instant;
@@ -71,15 +73,15 @@ use std::time::Instant;
 /// Which projection of the stream an event belongs to.
 ///
 /// The [`obs_digest`] equivalence lock hashes only [`Scope::Logical`]
-/// events; the other scopes legitimately differ across node layouts,
-/// latency models and grant policies and are "modulo"-ed out.
+/// events; the other scopes legitimately differ across node layouts and
+/// latency models and are "modulo"-ed out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Scope {
-    /// Policy- and layout-invariant protocol outcomes (committed executions,
-    /// conflict totals).  The digest hashes exactly these.
+    /// Layout- and latency-invariant protocol outcomes (committed
+    /// executions, conflict totals).  The digest hashes exactly these.
     Logical,
-    /// Grant-policy-dependent events: provisional grants, rollbacks,
-    /// supersedes, heartbeat arbitration.
+    /// The task-parallel master's decisions as they happen: heartbeat
+    /// arrivals, grants, executions.
     Policy,
     /// Network/transport events: message send/recv, node hops.
     Transport,
@@ -152,15 +154,15 @@ impl Phase {
 ///
 /// `time` is nanoseconds — since the session epoch under the wall clock,
 /// or virtual-simulation nanoseconds under the virtual clock.  `seq` is the
-/// per-buffer record sequence; the deterministic merge key is
+/// session's record sequence; the deterministic merge key is
 /// `(time, tid, seq)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Event time in nanoseconds (wall-since-epoch or virtual).
     pub time: u64,
-    /// Per-buffer monotone sequence number.
+    /// Monotone record sequence number.
     pub seq: u64,
-    /// Logical thread id of the recording buffer (0 = session owner).
+    /// Logical thread id (0 = session owner; the chrome export's `tid`).
     pub tid: u32,
     /// Stream projection (see [`Scope`]).
     pub scope: Scope,
@@ -201,13 +203,6 @@ pub trait Recorder {
     fn gauge(&self, name: &'static str, value: u64);
     /// Records one observation into the named histogram.
     fn value(&self, name: &'static str, value: u64);
-    /// Merges a drained per-thread buffer into the session stream.
-    fn absorb_events(&self, events: Vec<TraceEvent>);
-    /// A per-thread buffer sharing this recorder's wall epoch, or `None`
-    /// when recording is disabled.  Created on the coordinating thread and
-    /// moved into workers; the drained events come back through
-    /// [`Recorder::absorb_events`].
-    fn thread_buffer(&self, tid: u32) -> Option<ThreadBuffer>;
 }
 
 /// The statically-dispatched disabled recorder: every instrumented runtime
@@ -230,12 +225,6 @@ impl Recorder for NoopRecorder {
     fn gauge(&self, _name: &'static str, _value: u64) {}
     #[inline(always)]
     fn value(&self, _name: &'static str, _value: u64) {}
-    #[inline(always)]
-    fn absorb_events(&self, _events: Vec<TraceEvent>) {}
-    #[inline(always)]
-    fn thread_buffer(&self, _tid: u32) -> Option<ThreadBuffer> {
-        None
-    }
 }
 
 /// Shared references record through the referent, so runtimes can hold
@@ -266,14 +255,6 @@ impl<R: Recorder> Recorder for &R {
     #[inline]
     fn value(&self, name: &'static str, value: u64) {
         (**self).value(name, value)
-    }
-    #[inline]
-    fn absorb_events(&self, events: Vec<TraceEvent>) {
-        (**self).absorb_events(events)
-    }
-    #[inline]
-    fn thread_buffer(&self, tid: u32) -> Option<ThreadBuffer> {
-        (**self).thread_buffer(tid)
     }
 }
 
@@ -319,16 +300,6 @@ impl<R: Recorder> Recorder for Option<R> {
         if let Some(r) = self {
             r.value(name, value)
         }
-    }
-    #[inline]
-    fn absorb_events(&self, events: Vec<TraceEvent>) {
-        if let Some(r) = self {
-            r.absorb_events(events)
-        }
-    }
-    #[inline]
-    fn thread_buffer(&self, tid: u32) -> Option<ThreadBuffer> {
-        self.as_ref().and_then(|r| r.thread_buffer(tid))
     }
 }
 
@@ -390,11 +361,6 @@ impl Stopwatch {
     pub fn elapsed_secs(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
-
-    /// The underlying epoch instant (shared with [`ThreadBuffer`]s).
-    pub fn epoch(&self) -> Instant {
-        self.start
-    }
 }
 
 /// Times a closure on the wall clock, returning `(result, elapsed ms)`.
@@ -419,7 +385,6 @@ mod tests {
         noop.begin("x", 0);
         noop.end("x", 0);
         noop.counter("c", 1);
-        assert!(noop.thread_buffer(1).is_none());
     }
 
     #[test]

@@ -99,9 +99,8 @@ impl ObsSession {
         });
     }
 
-    /// The merged event stream, sorted deterministically by
-    /// `(time, tid, seq)` — session-owner events and absorbed per-thread
-    /// buffers interleave in one total order.
+    /// The recorded event stream, sorted deterministically by
+    /// `(time, tid, seq)` — one total order, so re-merging is stable.
     pub fn merged_events(&self) -> Vec<TraceEvent> {
         let mut events = self.events.borrow().clone();
         events.sort_by_key(|e| (e.time, e.tid, e.seq));
@@ -186,14 +185,6 @@ impl Recorder for ObsSession {
         metrics.value(name, value);
         metrics.window_record(name, now, value);
     }
-
-    fn absorb_events(&self, events: Vec<TraceEvent>) {
-        self.events.borrow_mut().extend(events);
-    }
-
-    fn thread_buffer(&self, tid: u32) -> Option<ThreadBuffer> {
-        Some(ThreadBuffer::new(self.epoch, tid))
-    }
 }
 
 /// `Rc` handles record through the shared session (the simulation
@@ -224,75 +215,6 @@ impl Recorder for std::rc::Rc<ObsSession> {
     #[inline]
     fn value(&self, name: &'static str, value: u64) {
         (**self).value(name, value)
-    }
-    #[inline]
-    fn absorb_events(&self, events: Vec<TraceEvent>) {
-        (**self).absorb_events(events)
-    }
-    #[inline]
-    fn thread_buffer(&self, tid: u32) -> Option<ThreadBuffer> {
-        (**self).thread_buffer(tid)
-    }
-}
-
-/// A per-thread wall-clock event buffer: created on the coordinating thread
-/// via [`Recorder::thread_buffer`], moved into a worker (it is `Send`),
-/// recorded into without any synchronisation, and drained back into the
-/// session with [`Recorder::absorb_events`] after the join.
-#[derive(Debug)]
-pub struct ThreadBuffer {
-    epoch: Instant,
-    tid: u32,
-    seq: u64,
-    events: Vec<TraceEvent>,
-}
-
-impl ThreadBuffer {
-    /// A buffer stamping times against `epoch` and tagging events `tid`.
-    pub fn new(epoch: Instant, tid: u32) -> Self {
-        Self {
-            epoch,
-            tid,
-            seq: 0,
-            events: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, scope: Scope, phase: Phase, label: &'static str, a: u64, b: u64, c: u64) {
-        let time = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(TraceEvent {
-            time,
-            seq,
-            tid: self.tid,
-            scope,
-            phase,
-            label,
-            a,
-            b,
-            c,
-        });
-    }
-
-    /// Records a span begin.
-    pub fn begin(&mut self, label: &'static str, a: u64) {
-        self.push(Scope::Perf, Phase::Begin, label, a, 0, 0);
-    }
-
-    /// Records a span end.
-    pub fn end(&mut self, label: &'static str, a: u64) {
-        self.push(Scope::Perf, Phase::End, label, a, 0, 0);
-    }
-
-    /// Records an instantaneous event.
-    pub fn instant(&mut self, scope: Scope, label: &'static str, a: u64, b: u64, c: u64) {
-        self.push(scope, Phase::Instant, label, a, b, c);
-    }
-
-    /// Drains the recorded events for [`Recorder::absorb_events`].
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
     }
 }
 
@@ -328,27 +250,6 @@ mod tests {
         let events = session.merged_events();
         assert_eq!(events[0].time, 5_000);
         assert_eq!(events[1].time, 9_000);
-    }
-
-    #[test]
-    fn thread_buffers_merge_deterministically() {
-        let session = ObsSession::wall();
-        let mut buf1 = session.thread_buffer(1).unwrap();
-        let mut buf2 = session.thread_buffer(2).unwrap();
-        buf1.begin("region", 0);
-        buf1.end("region", 0);
-        buf2.begin("region", 1);
-        buf2.end("region", 1);
-        session.absorb_events(buf1.into_events());
-        session.absorb_events(buf2.into_events());
-        let merged = session.merged_events();
-        assert_eq!(merged.len(), 4);
-        // The merge is a total order: re-merging yields the same sequence.
-        let again = session.merged_events();
-        assert_eq!(merged, again);
-        // Within one thread, seq order is preserved.
-        let t1: Vec<_> = merged.iter().filter(|e| e.tid == 1).collect();
-        assert!(t1[0].seq < t1[1].seq);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use tcsc_assign::{CacheStats, CommittedExecution, GrantPolicy, MultiTaskConfig};
+use tcsc_assign::{CacheStats, CommittedExecution, MultiTaskConfig};
 use tcsc_core::{CostModel, Domain, MultiAssignment, Task, WorkerPool as CoreWorkerPool};
 use tcsc_index::{ShardGridConfig, ShardedWorkerIndex};
 use tcsc_obs::{ObsReport, ObsSession, Recorder, Scope};
@@ -24,8 +24,6 @@ pub struct SimClusterConfig {
     /// The spatial shard grid (shared by the replicated index, the node
     /// ledger partitions and the dispatcher's routing).
     pub grid: ShardGridConfig,
-    /// The master's grant policy.
-    pub policy: GrantPolicy,
     /// Assignment parameters (budget, `k`, `ts`, ...).
     pub assignment: MultiTaskConfig,
     /// One-way network latency between components.
@@ -42,7 +40,7 @@ pub struct SimClusterConfig {
     pub record_trace: bool,
     /// Whether to record a virtual-time observability trace: a shared
     /// [`ObsSession`] is driven by the kernel clock, the dispatcher's master
-    /// records its policy events through it, and the outcome carries the
+    /// records its heartbeat, grant and execution events through it, and the outcome carries the
     /// [`ObsReport`] (merged events, metrics, and the logical digest).
     pub record_obs: bool,
 }
@@ -54,7 +52,6 @@ impl SimClusterConfig {
         Self {
             nodes: nodes.max(1),
             grid: ShardGridConfig::new(regions.max(1), regions.max(1)),
-            policy: GrantPolicy::Optimistic,
             assignment: MultiTaskConfig::new(budget),
             latency,
             service_us: 0,
@@ -64,12 +61,6 @@ impl SimClusterConfig {
             record_trace: false,
             record_obs: false,
         }
-    }
-
-    /// Overrides the grant policy.
-    pub fn with_policy(mut self, policy: GrantPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Overrides the latency seed.
@@ -130,11 +121,6 @@ pub struct SimOutcome {
     pub conflicts: usize,
     /// Committed executions across all batches.
     pub executions: usize,
-    /// Rolled-back provisional grants (0 under the barrier policy).
-    pub rollbacks: usize,
-    /// Provisional grants superseded by a late heartbeat winning the serial
-    /// tie-break (a subset of `rollbacks`; 0 under the barrier policy).
-    pub supersedes: usize,
     /// Candidate-cache counters (comparable to the engines').
     pub stats: CacheStats,
     /// Committed executions in grant order (global task indices).
@@ -152,8 +138,8 @@ pub struct SimOutcome {
     pub trace: Vec<TraceRecord>,
     /// The observability report (`None` unless `record_obs` was enabled):
     /// the merged virtual-time event stream, the metrics snapshot and the
-    /// logical digest — same seed ⇒ same digest across node counts, latency
-    /// models and grant policies.
+    /// logical digest — same seed ⇒ same digest across node counts and
+    /// latency models.
     pub obs: Option<ObsReport>,
 }
 
@@ -212,8 +198,6 @@ pub fn run_cluster(
             assignment: MultiAssignment::default(),
             conflicts: 0,
             executions: 0,
-            rollbacks: 0,
-            supersedes: 0,
             stats: tcsc_assign::CacheStats::default(),
             committed: Vec::new(),
             finish_time_us: 0,
@@ -267,7 +251,6 @@ pub fn run_cluster(
     let outbox: Rc<RefCell<Option<DispatcherReport>>> = Rc::new(RefCell::new(None));
     let actual_dispatcher = sim.add_component(Box::new(Dispatcher::new(
         index.clone(),
-        config.policy,
         config.assignment.budget,
         node_ids,
         pool_ids.clone(),
@@ -317,9 +300,9 @@ pub fn run_cluster(
 
     // Emit the logical projection the digest hashes: the committed execution
     // sequence (in grant order), the run totals and the plan hash.  These
-    // are bit-identical across node counts, latency models and grant
-    // policies by the sim-equivalence locks, so the digest is too — while
-    // the transport/policy events recorded above legitimately differ.
+    // are bit-identical across node counts and latency models by the
+    // sim-equivalence locks, so the digest is too — while the transport and
+    // policy events recorded above legitimately differ.
     let obs = obs_session.map(|session| {
         session.set_virtual_nanos(report.finish_time_us.saturating_mul(1_000));
         for c in &report.committed {
@@ -338,8 +321,6 @@ pub fn run_cluster(
             report.conflicts as u64,
             plan_hash(&assignment),
         );
-        session.counter("sim.rollbacks", report.rollbacks as u64);
-        session.counter("sim.supersedes", report.supersedes as u64);
         session.counter("sim.delivered_events", delivered_events);
         session.value("sim.finish_time_us", report.finish_time_us);
         session.report()
@@ -349,8 +330,6 @@ pub fn run_cluster(
         assignment,
         conflicts: report.conflicts,
         executions: report.executions,
-        rollbacks: report.rollbacks,
-        supersedes: report.supersedes,
         stats: report.stats,
         committed: report.committed,
         finish_time_us: report.finish_time_us,

@@ -2,7 +2,7 @@
 //! `spatial_shard_of` and drives the task-parallel master state machine
 //! ([`TaskMaster`]) over the simulated network.
 //!
-//! The dispatcher is deliberately thin: every grant/rollback decision lives
+//! The dispatcher is deliberately thin: every grant decision lives
 //! in the shared, fuzz-verified machine of `tcsc-assign::multi::protocol`;
 //! this component only translates between batch-local and global task
 //! indices, snapshots committed occupancy for checkouts, and replicates
@@ -13,8 +13,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
 use tcsc_assign::{
-    CacheStats, CommittedExecution, GrantPolicy, MasterCommand, TaskMaster, WorkerEvent,
-    WorkerLedger,
+    CacheStats, CommittedExecution, MasterCommand, TaskMaster, WorkerEvent, WorkerLedger,
 };
 use tcsc_core::{AssignmentPlan, Task};
 use tcsc_index::ShardedWorkerIndex;
@@ -44,11 +43,6 @@ pub struct DispatcherReport {
     pub conflicts: usize,
     /// Committed executions across all batches.
     pub executions: usize,
-    /// Rolled-back provisional grants (0 under the barrier policy).
-    pub rollbacks: usize,
-    /// Provisional grants superseded by a late heartbeat winning the serial
-    /// tie-break (a subset of `rollbacks`; 0 under the barrier policy).
-    pub supersedes: usize,
     /// Candidate-cache counters summed over the nodes, plus the
     /// conflict-refresh accounting (matches the engines' convention).
     pub stats: CacheStats,
@@ -63,7 +57,6 @@ pub struct DispatcherReport {
 /// The master/router component.
 pub struct Dispatcher {
     index: Rc<ShardedWorkerIndex>,
-    policy: GrantPolicy,
     budget: f64,
     /// Region-node component ids, indexed by node number.
     nodes: Vec<ComponentId>,
@@ -96,7 +89,6 @@ impl Dispatcher {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         index: Rc<ShardedWorkerIndex>,
-        policy: GrantPolicy,
         budget: f64,
         nodes: Vec<ComponentId>,
         pools: Vec<ComponentId>,
@@ -106,7 +98,6 @@ impl Dispatcher {
     ) -> Self {
         Self {
             index,
-            policy,
             budget,
             nodes,
             pools,
@@ -131,31 +122,20 @@ impl Dispatcher {
     /// Rewrites a batch-local command to global indices.
     fn globalize(&self, command: MasterCommand, global: &[usize]) -> MasterCommand {
         match command {
-            MasterCommand::Compute {
-                task,
-                version,
-                max_cost,
-            } => MasterCommand::Compute {
+            MasterCommand::Compute { task, max_cost } => MasterCommand::Compute {
                 task: global[task],
-                version,
                 max_cost,
             },
             MasterCommand::Refresh {
                 task,
-                version,
                 slot,
                 occupied,
                 max_cost,
             } => MasterCommand::Refresh {
                 task: global[task],
-                version,
                 slot,
                 occupied,
                 max_cost,
-            },
-            MasterCommand::UndoRefresh { task, slot } => MasterCommand::UndoRefresh {
-                task: global[task],
-                slot,
             },
             MasterCommand::Execute { task, slot } => MasterCommand::Execute {
                 task: global[task],
@@ -211,13 +191,8 @@ impl Dispatcher {
             );
         }
 
-        let (master, initial) = TaskMaster::new(
-            global.len(),
-            self.budget,
-            self.mirror.clone(),
-            self.policy,
-            true,
-        );
+        let (master, initial) =
+            TaskMaster::new(global.len(), self.budget, self.mirror.clone(), true);
         let master = master.with_recorder(self.obs.clone());
         self.dispatch(initial, &global, ctx);
         let local_of = global.iter().enumerate().map(|(l, &g)| (g, l)).collect();
@@ -258,12 +233,9 @@ impl Dispatcher {
     /// Folds a finished batch's tables into the run report.
     fn finish_batch(&mut self, batch: Batch) {
         let global = batch.global;
-        let (_, _, committed, conflicts, executions, rollbacks, supersedes) =
-            batch.master.into_tables();
+        let (_, _, committed, conflicts, executions) = batch.master.into_tables();
         self.report.conflicts += conflicts;
         self.report.executions += executions;
-        self.report.rollbacks += rollbacks;
-        self.report.supersedes += supersedes;
         self.report
             .committed
             .extend(committed.into_iter().map(|c| CommittedExecution {
@@ -311,12 +283,10 @@ impl Component<NetMessage> for Dispatcher {
                 let local_event = match event {
                     WorkerEvent::Heartbeat {
                         task,
-                        version,
                         candidate,
                         planned_worker,
                     } => WorkerEvent::Heartbeat {
                         task: localize(task),
-                        version,
                         candidate,
                         planned_worker,
                     },

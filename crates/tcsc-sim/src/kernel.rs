@@ -12,8 +12,8 @@
 //!   never delivered before an earlier message of the same `(a, b)` pair,
 //!   even when the latency model samples a shorter delay for it (the delivery
 //!   time is clamped to the link's previous delivery).  The distributed
-//!   runtime's protocol relies on this — e.g. an `UndoRefresh` must not
-//!   overtake the `Refresh` it undoes.
+//!   runtime's protocol relies on this — e.g. a grant winner's follow-up
+//!   `Compute` must not overtake its `Execute`.
 //! * Latency samples are drawn from one seeded generator in delivery order,
 //!   so the virtual timeline itself is a pure function of `(seed, inputs)`.
 

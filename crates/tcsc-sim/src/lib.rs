@@ -15,8 +15,8 @@
 //!   candidate caches, ledger partitions and task states, plus
 //!   [`node::WorkerPool`] components emitting liveness heartbeats;
 //! * [`dispatcher`] — the [`dispatcher::Dispatcher`] component routing tasks
-//!   by `spatial_shard_of` and driving the (barrier or optimistic
-//!   non-blocking) task-parallel master over the simulated network;
+//!   by `spatial_shard_of` and driving the barrier task-parallel master
+//!   over the simulated network;
 //! * [`cluster`] — one-call assembly: build the cluster, feed timed task
 //!   arrivals, run to quiescence, collect the [`cluster::SimOutcome`].
 //!
@@ -26,14 +26,14 @@
 //!   plans, conflicts and executions, for every latency model.
 //! * **Engine bit-identity** — the committed results (plans, conflicts,
 //!   executions, cache counters) are identical to the in-process
-//!   [`tcsc_assign::AssignmentEngine`] for *any* node count, latency model
-//!   and grant policy; with zero latency and a single node the run degrades
-//!   to exactly the engine's loop.  Locked in by `tests/sim_equivalence.rs`.
+//!   [`tcsc_assign::AssignmentEngine`] for *any* node count and latency
+//!   model; with zero latency and a single node the run degrades to exactly
+//!   the engine's loop.  Locked in by `tests/sim_equivalence.rs`.
 //!
 //! The simulated runtime is the staging ground for a real multi-process
 //! deployment: the message protocol, the shard routing and the master's
-//! optimistic concurrency control are exercised here against the exact
-//! serial results before any real networking exists.
+//! barrier are exercised here against the exact serial results before any
+//! real networking exists.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,4 +51,3 @@ pub use kernel::{Component, ComponentId, Context, Message, SimTime, Simulation, 
 pub use latency::LatencyModel;
 pub use messages::NetMessage;
 pub use node::{RegionNode, WorkerPool};
-pub use tcsc_assign::GrantPolicy;

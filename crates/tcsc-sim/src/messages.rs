@@ -82,7 +82,6 @@ impl Message for NetMessage {
             Self::Checkout { .. } => "checkout",
             Self::Command(MasterCommand::Compute { .. }) => "compute",
             Self::Command(MasterCommand::Refresh { .. }) => "refresh",
-            Self::Command(MasterCommand::UndoRefresh { .. }) => "undo-refresh",
             Self::Command(MasterCommand::Execute { .. }) => "execute",
             Self::Event {
                 event: WorkerEvent::Heartbeat { .. },

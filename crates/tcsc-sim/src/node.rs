@@ -115,23 +115,21 @@ impl Component<NetMessage> for RegionNode {
                     }
                     _ => None,
                 };
-                if let Some(event) =
+                let event =
                     self.owner
-                        .handle(command, self.index.as_ref(), self.cost_model.as_ref())
-                {
-                    let worker_location = match &event {
-                        WorkerEvent::Executed { .. } => location,
-                        WorkerEvent::Heartbeat { .. } => None,
-                    };
-                    ctx.send_after(
-                        self.dispatcher,
-                        NetMessage::Event {
-                            event,
-                            worker_location,
-                        },
-                        self.service_us,
-                    );
-                }
+                        .handle(command, self.index.as_ref(), self.cost_model.as_ref());
+                let worker_location = match &event {
+                    WorkerEvent::Executed { .. } => location,
+                    WorkerEvent::Heartbeat { .. } => None,
+                };
+                ctx.send_after(
+                    self.dispatcher,
+                    NetMessage::Event {
+                        event,
+                        worker_location,
+                    },
+                    self.service_us,
+                );
             }
             NetMessage::Claim {
                 shard,

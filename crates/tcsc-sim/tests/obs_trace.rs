@@ -3,15 +3,14 @@
 //!
 //! * the same seed must reproduce a **byte-identical** chrome://tracing dump;
 //! * the logical-stream digest (`ObsReport::digest`) is invariant across node
-//!   counts, latency models and grant policies — transport and policy events
-//!   move, the committed logical timeline never does;
+//!   counts and latency models — transport and policy events move, the
+//!   committed logical timeline never does;
 //! * exporting a trace and replaying it through the parser reproduces the
 //!   digest bit-for-bit (`replay_digest` round trip);
 //! * turning recording on changes nothing about the outcome itself.
 
 use std::rc::Rc;
 
-use tcsc_assign::GrantPolicy;
 use tcsc_core::EuclideanCost;
 use tcsc_obs::{parse_chrome_trace_jsonl, replay_digest};
 use tcsc_sim::{run_cluster, LatencyModel, SimBatch, SimClusterConfig, SimOutcome};
@@ -44,7 +43,6 @@ fn run(scenario: &tcsc_workload::Scenario, slots: usize, config: &SimClusterConf
 fn same_seed_reproduces_a_byte_identical_chrome_trace() {
     let (scenario, slots) = scenario();
     let config = SimClusterConfig::new(3, 3, 40.0, LatencyModel::Uniform { min: 10, max: 900 })
-        .with_policy(GrantPolicy::Optimistic)
         .with_seed(21)
         .with_obs();
     let a = run(&scenario, slots, &config);
@@ -73,22 +71,19 @@ fn logical_digest_is_invariant_across_nodes_latency_and_policy() {
             LatencyModel::Fixed(250),
             LatencyModel::Uniform { min: 20, max: 4000 },
         ] {
-            for policy in [GrantPolicy::Barrier, GrantPolicy::Optimistic] {
-                let config = SimClusterConfig::new(nodes, 3, 55.0, latency)
-                    .with_policy(policy)
-                    .with_seed(7 + nodes as u64)
-                    .with_obs();
-                let outcome = run(&scenario, slots, &config);
-                let obs = outcome.obs.expect("obs recorded");
-                digests.push((nodes, latency, policy, obs.digest));
-            }
+            let config = SimClusterConfig::new(nodes, 3, 55.0, latency)
+                .with_seed(7 + nodes as u64)
+                .with_obs();
+            let outcome = run(&scenario, slots, &config);
+            let obs = outcome.obs.expect("obs recorded");
+            digests.push((nodes, latency, obs.digest));
         }
     }
-    let reference = digests[0].3;
-    for (nodes, latency, policy, digest) in &digests {
+    let reference = digests[0].2;
+    for (nodes, latency, digest) in &digests {
         assert_eq!(
             *digest, reference,
-            "logical digest diverged: {nodes} nodes, {latency:?}, {policy:?}"
+            "logical digest diverged: {nodes} nodes, {latency:?}"
         );
     }
 }
@@ -96,72 +91,48 @@ fn logical_digest_is_invariant_across_nodes_latency_and_policy() {
 #[test]
 fn exported_trace_replays_to_the_same_digest() {
     let (scenario, slots) = scenario();
-    for policy in [GrantPolicy::Barrier, GrantPolicy::Optimistic] {
-        let config = SimClusterConfig::new(2, 3, 40.0, LatencyModel::Fixed(300))
-            .with_policy(policy)
-            .with_seed(5)
-            .with_obs();
-        let outcome = run(&scenario, slots, &config);
-        let obs = outcome.obs.expect("obs recorded");
-        let replayed = parse_chrome_trace_jsonl(&obs.chrome_trace());
-        assert!(!replayed.is_empty(), "the dump must parse back");
-        assert_eq!(
-            replay_digest(&replayed),
-            obs.digest,
-            "export -> parse -> digest must round-trip under {policy:?}"
-        );
-    }
+    let config = SimClusterConfig::new(2, 3, 40.0, LatencyModel::Fixed(300))
+        .with_seed(5)
+        .with_obs();
+    let outcome = run(&scenario, slots, &config);
+    let obs = outcome.obs.expect("obs recorded");
+    let replayed = parse_chrome_trace_jsonl(&obs.chrome_trace());
+    assert!(!replayed.is_empty(), "the dump must parse back");
+    assert_eq!(
+        replay_digest(&replayed),
+        obs.digest,
+        "export -> parse -> digest must round-trip"
+    );
 }
 
 #[test]
 fn recording_never_perturbs_the_outcome() {
     let (scenario, slots) = scenario();
-    for policy in [GrantPolicy::Barrier, GrantPolicy::Optimistic] {
-        let base = SimClusterConfig::new(3, 3, 55.0, LatencyModel::Uniform { min: 20, max: 4000 })
-            .with_policy(policy)
-            .with_seed(13)
-            .with_trace();
-        let off = run(&scenario, slots, &base);
-        let on = run(&scenario, slots, &base.clone().with_obs());
-        assert!(off.obs.is_none());
-        assert!(on.obs.is_some());
-        assert_eq!(off.assignment, on.assignment, "plans diverged: {policy:?}");
-        assert_eq!(off.conflicts, on.conflicts);
-        assert_eq!(off.executions, on.executions);
-        assert_eq!(off.stats, on.stats);
-        assert_eq!(off.rollbacks, on.rollbacks);
-        assert_eq!(off.supersedes, on.supersedes);
-        assert_eq!(off.finish_time_us, on.finish_time_us);
-        assert_eq!(off.delivered_events, on.delivered_events);
-        assert_eq!(off.trace, on.trace, "the event trace must be untouched");
-        assert!(
-            on.supersedes <= on.rollbacks,
-            "supersedes is a subset of rollbacks"
-        );
-        if policy == GrantPolicy::Barrier {
-            assert_eq!(on.rollbacks, 0);
-        }
-    }
+    let base = SimClusterConfig::new(3, 3, 55.0, LatencyModel::Uniform { min: 20, max: 4000 })
+        .with_seed(13)
+        .with_trace();
+    let off = run(&scenario, slots, &base);
+    let on = run(&scenario, slots, &base.clone().with_obs());
+    assert!(off.obs.is_none());
+    assert!(on.obs.is_some());
+    assert_eq!(off.assignment, on.assignment, "plans diverged");
+    assert_eq!(off.conflicts, on.conflicts);
+    assert_eq!(off.executions, on.executions);
+    assert_eq!(off.stats, on.stats);
+    assert_eq!(off.finish_time_us, on.finish_time_us);
+    assert_eq!(off.delivered_events, on.delivered_events);
+    assert_eq!(off.trace, on.trace, "the event trace must be untouched");
 }
 
 #[test]
 fn recorded_metrics_mirror_the_outcome_counters() {
     let (scenario, slots) = scenario();
     let config = SimClusterConfig::new(4, 3, 60.0, LatencyModel::Fixed(1_000))
-        .with_policy(GrantPolicy::Optimistic)
         .with_seed(9)
         .with_obs();
     let outcome = run(&scenario, slots, &config);
     let obs = outcome.obs.as_ref().expect("obs recorded");
     let metrics = &obs.metrics;
-    assert_eq!(
-        metrics.counter_value("sim.rollbacks"),
-        outcome.rollbacks as u64
-    );
-    assert_eq!(
-        metrics.counter_value("sim.supersedes"),
-        outcome.supersedes as u64
-    );
     assert_eq!(
         metrics.counter_value("sim.delivered_events"),
         outcome.delivered_events
@@ -169,6 +140,11 @@ fn recorded_metrics_mirror_the_outcome_counters() {
     assert_eq!(
         metrics.counter_value("master.executions"),
         outcome.executions as u64
+    );
+    assert_eq!(
+        metrics.counter_value("master.grants"),
+        outcome.executions as u64,
+        "every grant is executed"
     );
     // The summary is the human-facing view of the same registry — spot-check
     // that it actually renders the counters it claims to hold.

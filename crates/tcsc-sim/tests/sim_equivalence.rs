@@ -3,13 +3,13 @@
 //! * zero-latency single-node runs must be **bit-identical** to
 //!   [`AssignmentEngine::assign_batch`] — plans, conflicts, executions and
 //!   cache counters;
-//! * any node count × latency model × grant policy must commit the same
-//!   results (latency moves messages, never decisions);
+//! * any node count × latency model must commit the same results (latency
+//!   moves messages, never decisions);
 //! * the same seed must replay the identical event trace.
 
 use std::rc::Rc;
 
-use tcsc_assign::{AssignmentEngine, GrantPolicy, MultiTaskConfig, Objective};
+use tcsc_assign::{AssignmentEngine, MultiTaskConfig, Objective};
 use tcsc_core::EuclideanCost;
 use tcsc_sim::{plan_hash, run_cluster, LatencyModel, SimBatch, SimClusterConfig};
 use tcsc_workload::{ScenarioConfig, SpatialDistribution, StreamingConfig, TaskPlacement};
@@ -36,8 +36,7 @@ fn zero_latency_single_node_is_bit_identical_to_the_engine() {
     let mut engine = AssignmentEngine::borrowed(&dense, &cost, MultiTaskConfig::new(budget));
     let reference = engine.assign_batch(&scenario.tasks, Objective::SumQuality);
 
-    let config =
-        SimClusterConfig::new(1, 3, budget, LatencyModel::Zero).with_policy(GrantPolicy::Barrier);
+    let config = SimClusterConfig::new(1, 3, budget, LatencyModel::Zero);
     let outcome = run_cluster(
         &scenario.workers,
         slots,
@@ -71,45 +70,32 @@ fn node_count_latency_and_policy_never_change_the_committed_results() {
     let mut engine = AssignmentEngine::borrowed(&dense, &cost, MultiTaskConfig::new(budget));
     let reference = engine.assign_batch(&scenario.tasks, Objective::SumQuality);
 
-    let mut optimistic_rollback_seen = false;
     for nodes in [1, 2, 4, 9] {
         for latency in [
             LatencyModel::Zero,
             LatencyModel::Fixed(250),
             LatencyModel::Uniform { min: 20, max: 4000 },
         ] {
-            for policy in [GrantPolicy::Barrier, GrantPolicy::Optimistic] {
-                let config = SimClusterConfig::new(nodes, 3, budget, latency)
-                    .with_policy(policy)
-                    .with_seed(7 + nodes as u64);
-                let outcome = run_cluster(
-                    &scenario.workers,
-                    slots,
-                    &scenario.domain,
-                    vec![SimBatch::immediate(scenario.tasks.clone())],
-                    Rc::new(EuclideanCost::default()),
-                    &config,
-                );
-                assert_eq!(
-                    outcome.assignment, reference.assignment,
-                    "plans diverged: {nodes} nodes, {latency:?}, {policy:?}"
-                );
-                assert_eq!(outcome.conflicts, reference.conflicts);
-                assert_eq!(outcome.executions, reference.executions);
-                assert_eq!(outcome.stats, reference.stats);
-                assert_eq!(outcome.shard_commitments, outcome.executions);
-                if policy == GrantPolicy::Barrier {
-                    assert_eq!(outcome.rollbacks, 0, "the barrier master never speculates");
-                } else if outcome.rollbacks > 0 {
-                    optimistic_rollback_seen = true;
-                }
-            }
+            let config =
+                SimClusterConfig::new(nodes, 3, budget, latency).with_seed(7 + nodes as u64);
+            let outcome = run_cluster(
+                &scenario.workers,
+                slots,
+                &scenario.domain,
+                vec![SimBatch::immediate(scenario.tasks.clone())],
+                Rc::new(EuclideanCost::default()),
+                &config,
+            );
+            assert_eq!(
+                outcome.assignment, reference.assignment,
+                "plans diverged: {nodes} nodes, {latency:?}"
+            );
+            assert_eq!(outcome.conflicts, reference.conflicts);
+            assert_eq!(outcome.executions, reference.executions);
+            assert_eq!(outcome.stats, reference.stats);
+            assert_eq!(outcome.shard_commitments, outcome.executions);
         }
     }
-    assert!(
-        optimistic_rollback_seen,
-        "at least one latency configuration must exercise the rollback path"
-    );
 }
 
 #[test]
@@ -173,11 +159,8 @@ fn streaming_rounds_match_the_engine_drain_sequence() {
         reference_executions += outcome.executions;
     }
 
-    for (latency, policy) in [
-        (LatencyModel::Zero, GrantPolicy::Barrier),
-        (LatencyModel::Fixed(100), GrantPolicy::Optimistic),
-    ] {
-        let config = SimClusterConfig::new(3, 3, budget, latency).with_policy(policy);
+    for latency in [LatencyModel::Zero, LatencyModel::Fixed(100)] {
+        let config = SimClusterConfig::new(3, 3, budget, latency);
         let batches = streaming
             .rounds
             .iter()
@@ -197,57 +180,11 @@ fn streaming_rounds_match_the_engine_drain_sequence() {
         );
         assert_eq!(
             outcome.assignment.plans, reference_plans,
-            "round plans diverged under {latency:?}/{policy:?}"
+            "round plans diverged under {latency:?}"
         );
         assert_eq!(outcome.conflicts, reference_conflicts);
         assert_eq!(outcome.executions, reference_executions);
     }
-}
-
-#[test]
-fn policies_trade_time_and_traffic_but_never_results() {
-    // The optimistic master overlaps conflict-loser refreshes with
-    // outstanding heartbeats at the price of speculative traffic that may be
-    // rolled back; which policy finishes earlier depends on the conflict
-    // density and the latency model (the fig9d sweep quantifies it).  What
-    // must hold unconditionally: identical committed results, an exercised
-    // speculation path, and more traffic on the optimistic side (the undone
-    // work is visible, never silently lost).
-    let cfg = ScenarioConfig::small()
-        .with_num_tasks(12)
-        .with_num_slots(20)
-        .with_num_workers(50)
-        .with_seed(9);
-    let slots = cfg.num_slots;
-    let scenario = cfg.build();
-    let run = |policy| {
-        let config = SimClusterConfig::new(4, 3, 60.0, LatencyModel::Fixed(1_000))
-            .with_policy(policy)
-            .with_service_us(100);
-        run_cluster(
-            &scenario.workers,
-            slots,
-            &scenario.domain,
-            vec![SimBatch::immediate(scenario.tasks.clone())],
-            Rc::new(EuclideanCost::default()),
-            &config,
-        )
-    };
-    let barrier = run(GrantPolicy::Barrier);
-    let optimistic = run(GrantPolicy::Optimistic);
-    assert_eq!(barrier.assignment, optimistic.assignment);
-    assert_eq!(barrier.conflicts, optimistic.conflicts);
-    assert_eq!(barrier.committed, optimistic.committed);
-    assert_eq!(barrier.rollbacks, 0);
-    assert!(
-        optimistic.rollbacks > 0,
-        "this conflict-heavy workload must exercise speculation"
-    );
-    assert!(
-        optimistic.delivered_events >= barrier.delivered_events,
-        "speculative work shows up as extra traffic"
-    );
-    assert!(barrier.finish_time_us > 0 && optimistic.finish_time_us > 0);
 }
 
 #[test]

@@ -22,8 +22,7 @@
 //!   arrival trace into one service event stream);
 //! * [`sim`] — the deterministic discrete-event simulation of the
 //!   distributed runtime: dispatcher / region-node components over a
-//!   virtual network, driving the (barrier or optimistic non-blocking)
-//!   task-parallel master;
+//!   virtual network, driving the barrier task-parallel master;
 //! * [`obs`] — zero-dependency tracing and metrics: the [`obs::Recorder`]
 //!   trait every runtime is generic over (no-op by default), wall/virtual
 //!   clocks, a counter/gauge/histogram registry with sliding-window SLOs
@@ -71,7 +70,7 @@ pub mod prelude {
     #[allow(deprecated)]
     pub use tcsc_assign::{
         mmqm, msqm_group_parallel, msqm_group_parallel_cached, msqm_serial, msqm_task_parallel,
-        msqm_task_parallel_optimistic, sapprox,
+        sapprox,
     };
     pub use tcsc_core::{
         AssignmentPlan, Budget, CostModel, Domain, EuclideanCost, InterpolationWeights, Location,

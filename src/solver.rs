@@ -1,9 +1,8 @@
 //! The unified [`SolverBuilder`] facade over the multi-task solver zoo.
 //!
-//! The repository grew one free function per (runtime × objective × policy)
-//! point — `msqm_serial`, `mmqm`, `sapprox`, `msqm_task_parallel`,
-//! `msqm_task_parallel_optimistic`, `msqm_group_parallel_cached`, plus the
-//! engine constructors.  The builder collapses that zoo into one declarative
+//! The repository grew one free function per (runtime × objective) point —
+//! `msqm_serial`, `mmqm`, `sapprox`, `msqm_task_parallel`,
+//! `msqm_group_parallel_cached`, plus the engine constructors.  The builder collapses that zoo into one declarative
 //! configuration surface:
 //!
 //! ```
@@ -33,8 +32,8 @@
 use std::rc::Rc;
 
 use tcsc_assign::{
-    AssignmentEngine, ConcurrentAssignmentEngine, GrantPolicy, MultiOutcome, MultiTaskConfig,
-    Objective, RefreshStrategy, SpatioTemporalObjective,
+    AssignmentEngine, ConcurrentAssignmentEngine, MultiOutcome, MultiTaskConfig, Objective,
+    RefreshStrategy, SpatioTemporalObjective,
 };
 use tcsc_core::{CostModel, Domain, InterpolationWeights, Task, WorkerPool};
 use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
@@ -51,9 +50,8 @@ pub enum Runtime {
     /// and candidate waves, serial deterministic commit loop.  Commits the
     /// same plan as [`Runtime::Serial`] for any shard grid and thread count.
     Concurrent,
-    /// The task-level parallel master/owner framework
-    /// (`msqm_task_parallel{,_optimistic}`; the grant policy picks the
-    /// barrier or optimistic master).  MSQM only.
+    /// The task-level parallel master/owner framework under the barrier
+    /// master (`msqm_task_parallel`).  MSQM only.
     TaskParallel,
     /// The group-level parallel framework over the conflict-independence
     /// graph (`msqm_group_parallel{,_cached}`).  MSQM only.
@@ -90,7 +88,6 @@ pub struct SolverBuilder {
     objective: SolveObjective,
     threads: usize,
     grid: ShardGridConfig,
-    policy: GrantPolicy,
     use_priorities: bool,
     group_cache: bool,
     sim_nodes: usize,
@@ -100,8 +97,7 @@ pub struct SolverBuilder {
 
 impl SolverBuilder {
     /// A serial MSQM solve under `budget`, with defaults everywhere else
-    /// (incremental refresh, one thread, a 1×1 shard grid, the barrier grant
-    /// policy).
+    /// (incremental refresh, one thread, a 1×1 shard grid).
     pub fn new(budget: f64) -> Self {
         Self {
             config: MultiTaskConfig::new(budget),
@@ -109,7 +105,6 @@ impl SolverBuilder {
             objective: SolveObjective::SumQuality,
             threads: 1,
             grid: ShardGridConfig::new(1, 1),
-            policy: GrantPolicy::Barrier,
             use_priorities: true,
             group_cache: false,
             sim_nodes: 2,
@@ -158,14 +153,6 @@ impl SolverBuilder {
     /// Shard grid of [`Runtime::Concurrent`] and [`Runtime::Sim`].
     pub fn with_grid(mut self, grid: ShardGridConfig) -> Self {
         self.grid = grid;
-        self
-    }
-
-    /// Grant policy of [`Runtime::TaskParallel`] and [`Runtime::Sim`]
-    /// (barrier = deterministic full barrier, optimistic = non-blocking with
-    /// rollback).
-    pub fn with_policy(mut self, policy: GrantPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -240,7 +227,6 @@ impl SolverBuilder {
                 self.require_msqm("Runtime::Sim");
                 let mut config =
                     SimClusterConfig::new(self.sim_nodes, 1, self.config.budget, self.sim_latency)
-                        .with_policy(self.policy)
                         .with_seed(self.sim_seed);
                 config.grid = self.grid;
                 config.assignment = self.config;
@@ -288,24 +274,14 @@ impl SolverBuilder {
             Runtime::TaskParallel => {
                 self.require_msqm("Runtime::TaskParallel");
                 #[allow(deprecated)]
-                let result = match self.policy {
-                    GrantPolicy::Barrier => tcsc_assign::msqm_task_parallel(
-                        tasks,
-                        index,
-                        cost_model,
-                        &self.config,
-                        self.threads,
-                        self.use_priorities,
-                    ),
-                    GrantPolicy::Optimistic => tcsc_assign::msqm_task_parallel_optimistic(
-                        tasks,
-                        index,
-                        cost_model,
-                        &self.config,
-                        self.threads,
-                        self.use_priorities,
-                    ),
-                };
+                let result = tcsc_assign::msqm_task_parallel(
+                    tasks,
+                    index,
+                    cost_model,
+                    &self.config,
+                    self.threads,
+                    self.use_priorities,
+                );
                 result.outcome
             }
             Runtime::GroupParallel => {

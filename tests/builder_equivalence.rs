@@ -85,28 +85,44 @@ fn min_quality_builder_matches_mmqm() {
 
 #[test]
 fn task_parallel_builder_matches_both_masters() {
+    // The barrier master under both of its drivers: the thread driver
+    // (`msqm_task_parallel`) and the simulated cluster.
     for (label, preset) in presets() {
         let (scenario, index) = prepare(&preset);
         let cost = EuclideanCost::default();
         let cfg = MultiTaskConfig::new(50.0);
         for threads in [1, 4] {
-            let barrier = msqm_task_parallel(&scenario.tasks, &index, &cost, &cfg, threads, true);
+            let threaded = msqm_task_parallel(&scenario.tasks, &index, &cost, &cfg, threads, true);
             let built = SolverBuilder::new(50.0)
                 .with_config(cfg)
                 .with_runtime(Runtime::TaskParallel)
                 .with_threads(threads)
                 .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost);
-            assert_eq!(barrier.outcome, built, "{label} barrier t={threads}");
+            assert_eq!(threaded.outcome, built, "{label} threads t={threads}");
 
-            let optimistic =
-                msqm_task_parallel_optimistic(&scenario.tasks, &index, &cost, &cfg, threads, true);
-            let built = SolverBuilder::new(50.0)
+            let simulated = SolverBuilder::new(50.0)
                 .with_config(cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_policy(tcsc_assign::GrantPolicy::Optimistic)
-                .with_threads(threads)
-                .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost);
-            assert_eq!(optimistic.outcome, built, "{label} optimistic t={threads}");
+                .with_runtime(Runtime::Sim)
+                .with_sim_nodes(threads)
+                .solve(
+                    &scenario.tasks,
+                    &scenario.workers,
+                    preset.num_slots,
+                    &scenario.domain,
+                    &cost,
+                );
+            assert_eq!(
+                simulated.assignment, built.assignment,
+                "{label} sim n={threads}"
+            );
+            assert_eq!(
+                simulated.conflicts, built.conflicts,
+                "{label} sim n={threads}"
+            );
+            assert_eq!(
+                simulated.executions, built.executions,
+                "{label} sim n={threads}"
+            );
         }
     }
 }
