@@ -3,12 +3,15 @@
 //! engine, on the region-partitioned streaming preset.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use tcsc_assign::{AssignmentEngine, ConcurrentAssignmentEngine, MultiTaskConfig, Objective};
 use tcsc_bench::figures::fig9s;
 use tcsc_bench::Scale;
-use tcsc_core::EuclideanCost;
+use tcsc_core::{EuclideanCost, WorkerId};
 use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
 use tcsc_workload::{ScenarioConfig, StreamingConfig};
 
@@ -54,6 +57,47 @@ fn bench_sharded_engine(c: &mut Criterion) {
             for task in &tasks {
                 for slot in (0..num_slots).step_by(5) {
                     acc += sharded.k_nearest(slot, &task.location, 8).len();
+                }
+            }
+            acc
+        })
+    });
+    // Occupancy-filtered queries against a seeded exclusion set holding
+    // about half of each slot's workers: the peak occupancy ratio of the
+    // serial service workload, where every conflict fallback and commit
+    // refresh asks for the nearest *free* worker.
+    let mut rng = StdRng::seed_from_u64(9);
+    let occupied: Vec<BTreeSet<WorkerId>> = (0..num_slots)
+        .map(|slot| {
+            streaming
+                .workers
+                .available_at(slot)
+                .filter(|_| rng.gen_bool(0.5))
+                .map(|(w, _)| w.id)
+                .collect()
+        })
+        .collect();
+    group.bench_function("dense_filtered_queries", |b| {
+        b.iter(|| {
+            let mut acc = 0usize;
+            for task in &tasks {
+                for slot in (0..num_slots).step_by(5) {
+                    acc += dense
+                        .nearest_excluding_set(slot, &task.location, &occupied[slot])
+                        .is_some() as usize;
+                }
+            }
+            acc
+        })
+    });
+    group.bench_function("sharded_filtered_queries", |b| {
+        b.iter(|| {
+            let mut acc = 0usize;
+            for task in &tasks {
+                for slot in (0..num_slots).step_by(5) {
+                    acc += sharded
+                        .nearest_excluding_set(slot, &task.location, &occupied[slot])
+                        .is_some() as usize;
                 }
             }
             acc

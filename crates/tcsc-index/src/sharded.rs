@@ -40,8 +40,8 @@ use std::collections::BTreeSet;
 use tcsc_core::{Domain, Location, SlotIndex, Worker, WorkerId, WorkerPool};
 
 use crate::spatial::{
-    imbalance_milli, IndexMutation, IndexedWorker, MutableSpatialIndex, NearestWorker, SlotGrid,
-    SpatialQuery, WorkerProfile, WorkerRegistry,
+    imbalance_milli, precedes, IndexMutation, IndexedWorker, MutableSpatialIndex, NearestWorker,
+    SlotGrid, SpatialQuery, WorkerProfile, WorkerRegistry,
 };
 
 thread_local! {
@@ -540,38 +540,35 @@ impl ShardedWorkerIndex {
 
     /// The nearest available worker to `query` during `slot`.
     pub fn nearest(&self, slot: SlotIndex, query: &Location) -> Option<NearestWorker> {
-        self.k_nearest(slot, query, 1).into_iter().next()
+        self.nearest_excluding_with(slot, query, |_, _| false)
     }
 
     /// The nearest worker to `query` during `slot` whose id is not in
-    /// `excluded` (same overfetch bound as the dense index: at most
-    /// `excluded.len()` candidates can be skipped).
+    /// `excluded`: the filtered tile search of
+    /// [`ShardedWorkerIndex::nearest_excluding_with`] with the set as its
+    /// filter, so occupied workers are skipped inside each tile's grid scan.
     pub fn nearest_excluding_set(
         &self,
         slot: SlotIndex,
         query: &Location,
         excluded: &BTreeSet<WorkerId>,
     ) -> Option<NearestWorker> {
-        if excluded.is_empty() {
-            return self.nearest(slot, query);
-        }
-        self.k_nearest(slot, query, excluded.len() + 1)
-            .into_iter()
-            .find(|c| !excluded.contains(&c.worker))
+        self.nearest_excluding_with(slot, query, |_, id| excluded.contains(&id))
     }
 
     /// The nearest worker to `query` during `slot` for which
-    /// `occupied(spatial_shard, worker)` is false.
+    /// `occupied(spatial_shard, worker)` is false: the single-best search
+    /// of the sharded index, behind [`ShardedWorkerIndex::nearest`] and
+    /// [`ShardedWorkerIndex::nearest_excluding_set`].
     ///
     /// This is the shard-local occupancy fast path of the concurrent
     /// assignment engine: a worker indexed in tile `t` has its occupancy
     /// recorded in ledger shard `t` (both routed through
     /// [`ShardedWorkerIndex::spatial_shard_of`] on the worker's slot
     /// location), so the filter only ever consults the ledger shard of the
-    /// tile currently being probed.  Returns the same worker as
-    /// [`ShardedWorkerIndex::nearest_excluding_set`] over the equivalent
-    /// global exclusion set: the minimum over non-excluded workers of
-    /// `(distance, worker id)`.
+    /// tile currently being probed.  Returns the minimum over non-excluded
+    /// workers of `(distance.total_cmp, worker id)` — the dense index's
+    /// answer for the equivalent global exclusion set.
     pub fn nearest_excluding_with(
         &self,
         slot: SlotIndex,
@@ -615,11 +612,7 @@ impl ShardedWorkerIndex {
                     else {
                         continue;
                     };
-                    let better = match &best {
-                        None => true,
-                        Some((bd, bw)) => d < *bd || (d == *bd && w.worker < bw.worker),
-                    };
-                    if better {
+                    if precedes(d, w.worker, best.as_ref()) {
                         best = Some((d, w));
                     }
                 }
@@ -630,12 +623,7 @@ impl ShardedWorkerIndex {
                 }
             }
         });
-        best.map(|(d, w)| NearestWorker {
-            worker: w.worker,
-            location: w.location,
-            reliability: w.reliability,
-            distance: d,
-        })
+        best.map(|(d, w)| w.at_distance(d))
     }
 }
 

@@ -225,6 +225,18 @@ pub struct IndexedWorker {
     pub reliability: f64,
 }
 
+impl IndexedWorker {
+    /// This worker as a query answer at `distance` from the query point.
+    pub(crate) fn at_distance(&self, distance: f64) -> NearestWorker {
+        NearestWorker {
+            worker: self.worker,
+            location: self.location,
+            reliability: self.reliability,
+            distance,
+        }
+    }
+}
+
 /// Result of a nearest-worker query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NearestWorker {
@@ -390,15 +402,11 @@ impl SlotGrid {
                     .map(|(i, w)| (query.distance(&w.location), i as u32)),
             );
             found.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            out.extend(found.iter().map(|&(d, idx)| {
-                let w = &self.workers[idx as usize];
-                NearestWorker {
-                    worker: w.worker,
-                    location: w.location,
-                    reliability: w.reliability,
-                    distance: d,
-                }
-            }));
+            out.extend(
+                found
+                    .iter()
+                    .map(|&(d, idx)| self.workers[idx as usize].at_distance(d)),
+            );
             return;
         }
         let (qx, qy) = Self::cell_coords(self.origin, self.cell_size, self.cols, self.rows, query);
@@ -436,24 +444,26 @@ impl SlotGrid {
             }
         }
         found.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out.extend(found.iter().take(count).map(|&(d, idx)| {
-            let w = &self.workers[idx as usize];
-            NearestWorker {
-                worker: w.worker,
-                location: w.location,
-                reliability: w.reliability,
-                distance: d,
-            }
-        }));
+        out.extend(
+            found
+                .iter()
+                .take(count)
+                .map(|&(d, idx)| self.workers[idx as usize].at_distance(d)),
+        );
     }
 
-    /// The nearest worker to `query` for which `skip` is false, with ties
-    /// resolved by ascending worker id (the per-bucket building block of the
-    /// sharded index's occupancy-filtered search).
+    /// The nearest worker to `query` for which `skip` is false: the minimum
+    /// of `(distance.total_cmp, worker id)` over the non-skipped workers, the
+    /// same total order as the sorted [`SlotGrid::nearest`] and
+    /// [`WorkerIndex::nearest_brute_force`].  The single-best search of both
+    /// indexes: every `nearest*` query of the dense index is this search over
+    /// the slot grid, and the sharded router runs it per tile bucket.
     ///
     /// Same ring expansion and stop bound as [`SlotGrid::nearest`]: a ring is
     /// scanned while the best answer so far is not strictly closer than the
-    /// edge of the scanned cell rectangle.
+    /// edge of the scanned cell rectangle, so skipped workers cost one
+    /// predicate call each and never widen a fetch.  A NaN best distance
+    /// never passes the strict stop test, so NaN queries scan every cell.
     pub(crate) fn nearest_filtered(
         &self,
         query: &Location,
@@ -481,11 +491,7 @@ impl SlotGrid {
                             continue;
                         }
                         let d = query.distance(&w.location);
-                        let better = match &best {
-                            None => true,
-                            Some((bd, bw)) => d < *bd || (d == *bd && w.worker < bw.worker),
-                        };
-                        if better {
+                        if precedes(d, w.worker, best.as_ref()) {
                             best = Some((d, w));
                         }
                     }
@@ -499,6 +505,17 @@ impl SlotGrid {
         }
         best
     }
+}
+
+/// Whether a candidate at distance `d` with id `id` beats the current `best`
+/// under the `(distance.total_cmp, worker id)` total order of every index
+/// query.  Plain `<` on `f64` is not a total order: with a NaN distance it
+/// would keep whichever candidate came first in scan order, so the dense and
+/// sharded scans (which visit workers in different orders) would disagree.
+pub(crate) fn precedes(d: f64, id: WorkerId, best: Option<&(f64, IndexedWorker)>) -> bool {
+    best.map_or(true, |(bd, bw)| {
+        d.total_cmp(bd).then(id.cmp(&bw.worker)).is_lt()
+    })
 }
 
 /// Per-slot spatial index over a worker pool.
@@ -579,7 +596,7 @@ impl WorkerIndex {
 
     /// The nearest available worker to `query` during `slot`.
     pub fn nearest(&self, slot: SlotIndex, query: &Location) -> Option<NearestWorker> {
-        self.k_nearest(slot, query, 1).into_iter().next()
+        self.nearest_filtered(slot, query, |_| false)
     }
 
     /// The `count` nearest available workers to `query` during `slot`, sorted
@@ -592,44 +609,32 @@ impl WorkerIndex {
             .map_or_else(Vec::new, |g| g.nearest(query, count))
     }
 
-    /// The `rank`-th nearest worker (0-based rank) to `query` during `slot`,
-    /// excluding any worker whose id is in `excluded`.
-    pub fn nearest_excluding(
-        &self,
-        slot: SlotIndex,
-        query: &Location,
-        excluded: &[WorkerId],
-    ) -> Option<NearestWorker> {
-        let grid = self.slots.get(slot)?;
-        // Ask for enough candidates to skip the excluded ones.
-        let want = excluded.len() + 1;
-        let candidates = grid.nearest(query, want + excluded.len());
-        candidates
-            .into_iter()
-            .find(|c| !excluded.contains(&c.worker))
-    }
-
-    /// Occupancy-aware fast path of [`WorkerIndex::nearest_excluding`]: the
-    /// nearest worker to `query` during `slot` whose id is not in `excluded`.
+    /// The nearest worker to `query` during `slot` whose id is not in
+    /// `excluded` (the occupancy-aware conflict-fallback query).
     ///
-    /// Takes the per-slot occupancy set of a ledger directly, so callers avoid
-    /// materialising (and sorting) a `Vec<WorkerId>` per query and membership
-    /// tests are `O(log n)` instead of a linear scan.  At most `excluded.len()`
-    /// of any candidate list can be excluded, so fetching `excluded.len() + 1`
-    /// nearest workers always suffices.
+    /// Takes the per-slot occupancy set of a ledger directly and filters
+    /// inside the slot grid's ring search: each occupied worker the rings
+    /// pass costs one `O(log n)` membership test, so the query does the work
+    /// of a plain nearest search however large the occupancy grows.  Ids
+    /// absent from the slot are never visited and cost nothing.
     pub fn nearest_excluding_set(
         &self,
         slot: SlotIndex,
         query: &Location,
         excluded: &BTreeSet<WorkerId>,
     ) -> Option<NearestWorker> {
-        if excluded.is_empty() {
-            return self.nearest(slot, query);
-        }
-        let grid = self.slots.get(slot)?;
-        grid.nearest(query, excluded.len() + 1)
-            .into_iter()
-            .find(|c| !excluded.contains(&c.worker))
+        self.nearest_filtered(slot, query, |id| excluded.contains(&id))
+    }
+
+    /// [`SlotGrid::nearest_filtered`] over the grid of `slot`.
+    fn nearest_filtered(
+        &self,
+        slot: SlotIndex,
+        query: &Location,
+        skip: impl FnMut(WorkerId) -> bool,
+    ) -> Option<NearestWorker> {
+        let (distance, w) = self.slots.get(slot)?.nearest_filtered(query, skip)?;
+        Some(w.at_distance(distance))
     }
 
     /// Brute-force nearest query, used as a correctness oracle in tests.
@@ -855,46 +860,68 @@ mod tests {
         let pool = pool_of(&[(0, 1.0, 0.0), (0, 2.0, 0.0), (0, 3.0, 0.0)]);
         let index = WorkerIndex::build(&pool, 1, &Domain::square(10.0));
         let q = Location::new(0.0, 0.0);
-        let first = index.nearest_excluding(0, &q, &[]).unwrap();
-        assert_eq!(first.worker, WorkerId(0));
-        let second = index.nearest_excluding(0, &q, &[WorkerId(0)]).unwrap();
-        assert_eq!(second.worker, WorkerId(1));
-        let third = index
-            .nearest_excluding(0, &q, &[WorkerId(0), WorkerId(1)])
-            .unwrap();
-        assert_eq!(third.worker, WorkerId(2));
-        assert!(index
-            .nearest_excluding(0, &q, &[WorkerId(0), WorkerId(1), WorkerId(2)])
-            .is_none());
+        let excluding = |ids: &[u32]| {
+            let set: BTreeSet<WorkerId> = ids.iter().copied().map(WorkerId).collect();
+            index.nearest_excluding_set(0, &q, &set).map(|w| w.worker)
+        };
+        assert_eq!(excluding(&[]), Some(WorkerId(0)));
+        assert_eq!(excluding(&[0]), Some(WorkerId(1)));
+        assert_eq!(excluding(&[0, 1]), Some(WorkerId(2)));
+        assert_eq!(excluding(&[0, 1, 2]), None);
+    }
+
+    /// The filtered-query oracle: the minimum of `(distance.total_cmp, id)`
+    /// over the slot's workers outside `excluded`.
+    fn brute_force_excluding(
+        pool: &WorkerPool,
+        slot: SlotIndex,
+        query: &Location,
+        excluded: &BTreeSet<WorkerId>,
+    ) -> Option<(WorkerId, u64)> {
+        pool.available_at(slot)
+            .filter(|(w, _)| !excluded.contains(&w.id))
+            .map(|(w, loc)| (query.distance(&loc), w.id))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .map(|(d, id)| (id, d.to_bits()))
     }
 
     #[test]
-    fn nearest_excluding_set_agrees_with_the_slice_path() {
-        let pool = pool_of(&[(0, 1.0, 0.0), (0, 2.0, 0.0), (0, 3.0, 0.0), (0, 4.0, 0.0)]);
+    fn nearest_excluding_set_agrees_with_brute_force() {
+        // Two workers share a location, so exclusions decide distance ties.
+        let pool = pool_of(&[
+            (0, 1.0, 0.0),
+            (0, 2.0, 0.0),
+            (0, 3.0, 0.0),
+            (0, 4.0, 0.0),
+            (0, 2.0, 0.0),
+        ]);
         let index = WorkerIndex::build(&pool, 1, &Domain::square(10.0));
-        let q = Location::new(0.0, 0.0);
-        for excluded in [
-            vec![],
-            vec![WorkerId(0)],
-            vec![WorkerId(0), WorkerId(1)],
-            vec![WorkerId(1), WorkerId(3)],
-            vec![WorkerId(0), WorkerId(1), WorkerId(2), WorkerId(3)],
-        ] {
-            let set: BTreeSet<WorkerId> = excluded.iter().copied().collect();
-            let via_slice = index.nearest_excluding(0, &q, &excluded);
-            let via_set = index.nearest_excluding_set(0, &q, &set);
-            assert_eq!(
-                via_slice.map(|w| w.worker),
-                via_set.map(|w| w.worker),
-                "excluding {excluded:?}"
-            );
+        for q in [Location::new(0.0, 0.0), Location::new(9.0, 9.0)] {
+            for excluded in [
+                vec![],
+                vec![0],
+                vec![0, 1],
+                vec![1, 3],
+                vec![0, 4],
+                vec![0, 1, 2, 3],
+                vec![0, 1, 2, 3, 4],
+            ] {
+                let set: BTreeSet<WorkerId> = excluded.iter().copied().map(WorkerId).collect();
+                assert_eq!(
+                    index
+                        .nearest_excluding_set(0, &q, &set)
+                        .map(|w| (w.worker, w.distance.to_bits())),
+                    brute_force_excluding(&pool, 0, &q, &set),
+                    "query {q}, excluding {excluded:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn nearest_excluding_set_skips_ids_missing_from_the_slot() {
-        // Excluded ids that are not available during the slot must not affect
-        // the fetch bound.
+        // Excluded ids that are not available during the slot must not hide
+        // the slot's own workers.
         let pool = pool_of(&[(0, 1.0, 0.0), (0, 2.0, 0.0)]);
         let index = WorkerIndex::build(&pool, 1, &Domain::square(10.0));
         let set: BTreeSet<WorkerId> = [WorkerId(0), WorkerId(7), WorkerId(9)].into();

@@ -447,6 +447,219 @@ fn worker_moved_out_of_domain_lands_in_the_rebuild_tile() {
     }
 }
 
+/// The filtered-query oracle, independent of both indexes: the minimum of
+/// `(distance.total_cmp, worker id)` over the slot's workers outside
+/// `excluded`, as `(worker, distance bits)`.
+fn brute_force_excluding(
+    pool: &WorkerPool,
+    slot: usize,
+    query: &Location,
+    excluded: &BTreeSet<WorkerId>,
+) -> Option<(WorkerId, u64)> {
+    pool.available_at(slot)
+        .filter(|(w, _)| !excluded.contains(&w.id))
+        .map(|(w, loc)| (query.distance(&loc), w.id))
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .map(|(d, id)| (id, d.to_bits()))
+}
+
+fn answer(found: Option<tcsc_index::NearestWorker>) -> Option<(WorkerId, u64)> {
+    found.map(|w| (w.worker, w.distance.to_bits()))
+}
+
+/// Asserts every single-best query of both indexes — dense `nearest` and
+/// `nearest_excluding_set`, sharded `nearest`, `nearest_excluding_set` and
+/// the tile-routed `nearest_excluding_with` — matches the brute-force oracle
+/// when a seeded random 0 / 25 / 50 / 90 / 100% of each slot's workers is
+/// occupied, plus ids absent from the slot.
+fn assert_filtered_match_oracle(
+    pool: &WorkerPool,
+    num_slots: usize,
+    domain: &Domain,
+    configs: &[ShardGridConfig],
+    queries: &[Location],
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dense = WorkerIndex::build(pool, num_slots, domain);
+    let sharded: Vec<_> = configs
+        .iter()
+        .map(|&config| ShardedWorkerIndex::build(pool, num_slots, domain, config))
+        .collect();
+    for slot in 0..num_slots {
+        // A seeded permutation of the slot's workers; each occupancy level
+        // excludes a prefix of it.
+        let mut order: Vec<(u64, WorkerId, Location)> = pool
+            .available_at(slot)
+            .map(|(w, loc)| (rng.gen_range(0..u64::MAX), w.id, loc))
+            .collect();
+        order.sort_by_key(|e| e.0);
+        for q in queries {
+            let oracle = brute_force_excluding(pool, slot, q, &BTreeSet::new());
+            assert_eq!(answer(dense.nearest(slot, q)), oracle, "dense nearest");
+            for (index, config) in sharded.iter().zip(configs) {
+                assert_eq!(
+                    answer(index.nearest(slot, q)),
+                    oracle,
+                    "sharded nearest at slot {slot}, query {q}, {config:?}"
+                );
+            }
+            for percent in [0, 25, 50, 90, 100] {
+                let occupied = &order[..order.len() * percent / 100];
+                let mut excluded: BTreeSet<WorkerId> = occupied.iter().map(|e| e.1).collect();
+                excluded.extend([WorkerId(u32::MAX), WorkerId(pool.len() as u32)]);
+                let ctx = format!("slot {slot}, query {q}, {percent}% occupied");
+                let oracle = brute_force_excluding(pool, slot, q, &excluded);
+                assert_eq!(
+                    answer(dense.nearest_excluding_set(slot, q, &excluded)),
+                    oracle,
+                    "dense: {ctx}"
+                );
+                for (index, config) in sharded.iter().zip(configs) {
+                    assert_eq!(
+                        answer(index.nearest_excluding_set(slot, q, &excluded)),
+                        oracle,
+                        "sharded set: {ctx}, {config:?}"
+                    );
+                    // Occupancy recorded under each worker's own tile, as
+                    // the concurrent engine's per-shard ledgers hold it.
+                    let by_shard: BTreeSet<(usize, WorkerId)> = occupied
+                        .iter()
+                        .map(|e| (index.spatial_shard_of(&e.2), e.1))
+                        .collect();
+                    assert_eq!(
+                        answer(index.nearest_excluding_with(slot, q, |s, w| {
+                            by_shard.contains(&(s, w))
+                        })),
+                        oracle,
+                        "sharded filter: {ctx}, {config:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Queries outside the domain on every side, including far away.
+fn outside_queries(domain: &Domain) -> Vec<Location> {
+    let (w, h) = (domain.width(), domain.height());
+    vec![
+        Location::new(domain.min.x - 0.3 * w, domain.center().y),
+        Location::new(domain.max.x + 0.1 * w, domain.max.y + 0.2 * h),
+        Location::new(domain.center().x, domain.min.y - 10.0 * h),
+        Location::new(domain.max.x + 1e6, domain.min.y - 1e6),
+    ]
+}
+
+#[test]
+fn filtered_queries_match_the_brute_force_oracle() {
+    let domain = Domain::square(100.0);
+    let pool = random_pool(73, 240, 4, &domain);
+    let mut queries = query_points(79, 10, &domain);
+    queries.extend(outside_queries(&domain));
+    assert_filtered_match_oracle(&pool, 4, &domain, &shard_layouts(), &queries, 83);
+}
+
+#[test]
+fn filtered_queries_resolve_duplicate_and_cell_edge_ties_by_id() {
+    // 128 workers on the 8x8 lattice of multiples of 12.5 — exactly the
+    // cell edges of the 8x8 slot grid a 128-worker slot builds over this
+    // domain, and tile edges of the 2x2, 4x4 and 16x16 layouts — each lattice
+    // point held by two workers (ids `i` and `i + 64`).  Lattice and
+    // half-lattice queries put many workers at equal distance, so every
+    // answer is decided by the id tie-break across cell and tile borders.
+    // Ids fall as x grows, so a worker on the (exclusive) right edge of the
+    // query's cell beats its equidistant rival inside the cell: queries on
+    // the bottom border at half-lattice x, e.g. (43.75, 0), are answered
+    // correctly only if the search scans the next ring at an exact tie
+    // with the stop bound.  Slot 1 holds every third worker, giving a
+    // coarser grid geometry.
+    let domain = Domain::square(100.0);
+    let pool: WorkerPool = (0..128u32)
+        .map(|i| {
+            let p = i % 64;
+            let location = Location::new((7 - p % 8) as f64 * 12.5, (p / 8) as f64 * 12.5);
+            let mut slots = vec![WorkerSlot { slot: 0, location }];
+            if i % 3 == 0 {
+                slots.push(WorkerSlot { slot: 1, location });
+            }
+            Worker::new(WorkerId(i), slots)
+        })
+        .collect();
+    let mut queries = vec![
+        Location::new(25.0, 25.0),
+        Location::new(37.5, 12.5),
+        Location::new(43.75, 43.75),
+        Location::new(43.75, 0.0),
+        Location::new(6.25, 0.0),
+        Location::new(50.0, 6.25),
+        Location::new(0.0, 0.0),
+        Location::new(87.5, 87.5),
+        Location::new(100.0, 100.0),
+        Location::new(-12.5, 50.0),
+    ];
+    queries.extend(outside_queries(&domain));
+    assert_filtered_match_oracle(&pool, 2, &domain, &shard_layouts(), &queries, 89);
+}
+
+#[test]
+fn non_finite_queries_agree_with_brute_force() {
+    // Every distance from a NaN query is NaN and every distance from an
+    // infinite one is +inf, so all workers tie and the lowest free id must
+    // win on every path.  A plain `<` comparison never prefers a later NaN,
+    // so it would keep whichever worker each index's scan order meets first.
+    let domain = Domain::square(100.0);
+    let pool = random_pool(97, 50, 1, &domain);
+    let queries = [
+        Location::new(f64::NAN, f64::NAN),
+        Location::new(f64::NAN, 40.0),
+        Location::new(40.0, f64::NAN),
+        Location::new(f64::INFINITY, 40.0),
+        Location::new(f64::NEG_INFINITY, 40.0),
+        Location::new(40.0, f64::INFINITY),
+        Location::new(f64::INFINITY, f64::NEG_INFINITY),
+        Location::new(f64::NAN, f64::INFINITY),
+    ];
+    let dense = WorkerIndex::build(&pool, 1, &domain);
+    let sharded = ShardedWorkerIndex::build(&pool, 1, &domain, ShardGridConfig::new(4, 4));
+    let tile_of: Vec<usize> = pool
+        .available_at(0)
+        .map(|(_, loc)| sharded.spatial_shard_of(&loc))
+        .collect();
+    for q in &queries {
+        for excluded in [vec![], vec![0u32, 1], vec![0, 2, 3, 7]] {
+            let set: BTreeSet<WorkerId> = excluded.iter().copied().map(WorkerId).collect();
+            let oracle = brute_force_excluding(&pool, 0, q, &set);
+            let ctx = format!("query {q}, excluding {excluded:?}");
+            if excluded.is_empty() {
+                assert_eq!(answer(dense.nearest(0, q)), oracle, "dense nearest: {ctx}");
+                assert_eq!(
+                    answer(sharded.nearest(0, q)),
+                    oracle,
+                    "sharded nearest: {ctx}"
+                );
+            }
+            assert_eq!(
+                answer(dense.nearest_excluding_set(0, q, &set)),
+                oracle,
+                "dense set: {ctx}"
+            );
+            assert_eq!(
+                answer(sharded.nearest_excluding_set(0, q, &set)),
+                oracle,
+                "sharded set: {ctx}"
+            );
+            assert_eq!(
+                answer(sharded.nearest_excluding_with(0, q, |s, w| {
+                    set.contains(&w) && tile_of[w.0 as usize] == s
+                })),
+                oracle,
+                "sharded filter: {ctx}"
+            );
+        }
+    }
+}
+
 #[test]
 fn nearest_excluding_with_matches_the_set_query() {
     // The closure-filtered query (used by the concurrent engine's per-shard
