@@ -6,23 +6,25 @@
 //! same tasks are solved again (budget sweeps, objective comparisons,
 //! re-planning).  [`AssignmentEngine`] is the long-lived alternative: it owns
 //! (or borrows) the [`WorkerIndex`], a persistent occupancy
-//! [`WorkerLedger`], and an incremental [`CandidateCache`] keyed by task, so
-//! that repeated and streaming solves amortise the worker-cost-retrieval work
-//! across calls.
+//! [`WorkerLedger`], and a [`CandidateCache`] keyed by task, so that
+//! re-planning the same tasks amortises the worker-cost-retrieval work across
+//! calls.
 //!
-//! # Cache invalidation protocol
+//! # Candidate cache
 //!
 //! * The cache stores, per task, the *base* per-slot candidates — the nearest
-//!   worker per slot under an **empty** ledger.  The base depends only on the
-//!   index, and the index only changes through the engine's own mutation API
-//!   ([`AssignmentEngine::insert_worker`] / [`AssignmentEngine::remove_worker`]
-//!   / [`AssignmentEngine::move_worker`]), which invalidates exactly the
-//!   affected cached slots through a persistent **worker → holder-tasks map**
-//!   — so the base is always exact with respect to the current index.
+//!   worker per slot under an **empty** ledger.  Only the re-planning entry
+//!   points ([`AssignmentEngine::assign_batch`],
+//!   [`AssignmentEngine::assign_spatiotemporal`]) use it; a drain computes
+//!   its one-shot arrivals directly.
+//! * The base depends only on the index, and the index only changes through
+//!   the engine's own mutation API ([`AssignmentEngine::insert_worker`] /
+//!   [`AssignmentEngine::remove_worker`] / [`AssignmentEngine::move_worker`])
+//!   or an index swap, each of which clears the cache — so a cached base is
+//!   always exact with respect to the current index.
 //! * At checkout the base is cloned and reconciled with the engine's current
-//!   ledger: only slots whose base candidate is occupied are recomputed
-//!   (invalidation-driven refresh); every other slot is served without
-//!   touching the index.
+//!   ledger: only slots whose base candidate is occupied are recomputed;
+//!   every other slot is served without touching the index.
 //! * During a solve, a **reverse holder map** `(slot, worker) -> tasks whose
 //!   best pending candidate targets that worker` is maintained.  Occupying a
 //!   worker then refreshes exactly the affected tasks' slots instead of
@@ -45,13 +47,13 @@ pub(crate) mod commit;
 pub mod concurrent;
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use tcsc_core::{
     CostModel, Domain, ExecutedSubtask, InterpolationWeights, Location, MultiAssignment,
     QualityParams, SpatioTemporalEvaluator, Task, TaskId, Worker, WorkerId,
 };
-use tcsc_index::{IndexMutation, MutableSpatialIndex, SpatialQuery, WorkerIndex, WorkerProfile};
+use tcsc_index::{IndexMutation, MutableSpatialIndex, SpatialQuery, WorkerIndex};
 use tcsc_obs::{NoopRecorder, Recorder, Stopwatch};
 
 use crate::candidates::{SlotCandidates, WorkerLedger};
@@ -186,16 +188,16 @@ pub struct ChurnCounters {
     /// Index entries a from-scratch rebuild after each mutation would have
     /// re-gridded (the cost the in-place mutations avoided).
     pub rebuild_equiv: u64,
-    /// Cached candidate slots refreshed by worker-scoped invalidation.
+    /// Cached candidate slots discarded by the mutations' cache clears.
     pub cache_refreshes: u64,
 }
 
 impl ChurnCounters {
-    fn note(&mut self, mutation: &IndexMutation, cache_refreshes: usize) {
+    fn note(&mut self, mutation: &IndexMutation, discarded_slots: usize) {
         self.ops += 1;
         self.entries_touched += mutation.entries_touched as u64;
         self.rebuild_equiv += mutation.rebuild_equiv_entries as u64;
-        self.cache_refreshes += cache_refreshes as u64;
+        self.cache_refreshes += discarded_slots as u64;
     }
 
     /// Publishes the counters (plus the index's current bucket-imbalance
@@ -211,147 +213,28 @@ impl ChurnCounters {
     }
 }
 
-/// One cached task: the task identity (to detect id reuse), its base
-/// candidates and the LRU stamp of its last checkout.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    task: Task,
-    base: SlotCandidates,
-    /// `(arrival round, checkout tick)`: eviction is keyed on the round first
-    /// so entries from older streaming rounds always leave before entries the
-    /// current round touched, with the per-checkout tick breaking ties.
-    last_used: (u64, u64),
-}
-
-/// Incremental per-task candidate cache.
+/// Per-task memo of base candidates for re-planning.
 ///
 /// Maps a task to its *base* [`SlotCandidates`] — the per-slot nearest
 /// workers under an empty ledger.  Occupancy is reconciled at checkout by
 /// refreshing only the slots whose base candidate is currently occupied.
 ///
-/// # Worker-scoped invalidation
-///
-/// The cache maintains a reverse **worker → holder-tasks** map: which cached
-/// tasks currently hold a given worker as a base candidate of at least one
-/// slot.  When the index mutates underneath the cache
-/// ([`MutableSpatialIndex`]), the engine calls the matching invalidation:
-///
-/// * [`CandidateCache::invalidate_removed`] — only the holder tasks of the
-///   removed worker can lose a candidate; exactly their holding slots are
-///   recomputed.
-/// * [`CandidateCache::invalidate_inserted`] — a new worker can only *win* a
-///   slot, so a cached slot is recomputed iff it is empty or the new worker's
-///   distance beats (or ties) the current candidate's — a cheap arithmetic
-///   ring bound per slot, no index query unless the slot can actually change.
-/// * [`CandidateCache::invalidate_moved`] — the union of both rules: every
-///   holding slot (the worker may have moved away, or just needs its cached
-///   location refreshed) plus every slot the new location can now win.
-///
-/// Every refresh recomputes the slot with the same empty-ledger
-/// `candidate_for_slot` a cold computation uses, so an invalidated cache is
-/// bit-identical to a cache rebuilt from scratch against the mutated index —
-/// locked in by `tests/mutation_equivalence.rs`.
-///
-/// # Eviction
-///
-/// By default the cache is unbounded (every distinct task seen is retained).
-/// [`CandidateCache::with_capacity`] bounds it: when an insert pushes the
-/// cache past its capacity, the least-recently-used entries are evicted,
-/// ordered by `(arrival round, checkout tick)`.  Rounds advance via
-/// [`CandidateCache::advance_round`] (the engine does this on every
-/// [`AssignmentEngine::drain`]), so a streaming deployment evicts the tasks
-/// of long-gone rounds first.  Eviction never affects correctness — an
-/// evicted task is simply recomputed on its next checkout.
+/// The memo pays off only when the same tasks are solved again (budget
+/// sweeps, objective comparisons), so only the re-planning entry points
+/// ([`AssignmentEngine::assign_batch`],
+/// [`AssignmentEngine::assign_spatiotemporal`]) consult it; drains compute
+/// their one-shot arrivals directly.  The base depends on the index alone,
+/// and every index change — a worker mutation or an index swap — clears the
+/// cache, so a cached base is always exact.
 #[derive(Debug, Default)]
 pub struct CandidateCache {
-    base: HashMap<TaskId, CacheEntry>,
-    /// Reverse map: worker -> cached tasks holding it as a base candidate of
-    /// at least one slot.  Kept exactly in sync with `base` (registered on
-    /// insert/refresh, unregistered on evict/replace), it turns a worker
-    /// removal into an `O(|holders|)` refresh instead of a full-cache scan.
-    holders: HashMap<WorkerId, BTreeSet<TaskId>>,
-    capacity: Option<usize>,
-    round: u64,
-    tick: u64,
-}
-
-/// Registers every base-candidate worker of `base` as held by `task`.
-fn register_holders(
-    holders: &mut HashMap<WorkerId, BTreeSet<TaskId>>,
-    task: TaskId,
-    base: &SlotCandidates,
-) {
-    for slot in 0..base.len() {
-        if let Some(c) = base.get(slot) {
-            holders.entry(c.worker).or_default().insert(task);
-        }
-    }
-}
-
-/// Removes `task` from the holder sets of every base-candidate worker of
-/// `base`, dropping sets that become empty.
-fn unregister_holders(
-    holders: &mut HashMap<WorkerId, BTreeSet<TaskId>>,
-    task: TaskId,
-    base: &SlotCandidates,
-) {
-    for slot in 0..base.len() {
-        if let Some(c) = base.get(slot) {
-            if let Some(set) = holders.get_mut(&c.worker) {
-                set.remove(&task);
-                if set.is_empty() {
-                    holders.remove(&c.worker);
-                }
-            }
-        }
-    }
+    base: HashMap<TaskId, (Task, SlotCandidates)>,
 }
 
 impl CandidateCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache retaining at most `capacity` tasks (LRU eviction).
-    ///
-    /// # Panics
-    /// Panics when `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "a bounded candidate cache needs capacity > 0");
-        Self {
-            capacity: Some(capacity),
-            ..Self::default()
-        }
-    }
-
-    /// The configured capacity (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Re-bounds the cache, evicting LRU entries if the new capacity is
-    /// already exceeded (`None` removes the bound).
-    ///
-    /// # Panics
-    /// Panics when `capacity` is `Some(0)`.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
-        assert!(
-            capacity != Some(0),
-            "a bounded candidate cache needs capacity > 0"
-        );
-        self.capacity = capacity;
-        self.enforce_capacity();
-    }
-
-    /// Advances the arrival-round clock used by the LRU eviction order.
-    pub fn advance_round(&mut self) {
-        self.round += 1;
-    }
-
-    /// The current arrival round.
-    pub fn round(&self) -> u64 {
-        self.round
     }
 
     /// Number of cached tasks.
@@ -364,170 +247,12 @@ impl CandidateCache {
         self.base.is_empty()
     }
 
-    /// Drops every cached entry (e.g. after swapping the worker index).
-    pub fn clear(&mut self) {
+    /// Drops every cached entry (the index changed underneath it), returning
+    /// the number of cached candidate slots discarded.
+    pub fn clear(&mut self) -> usize {
+        let slots = self.base.values().map(|(_, base)| base.len()).sum();
         self.base.clear();
-        self.holders.clear();
-    }
-
-    /// Evicts one task's entry, returning whether it was present.
-    pub fn evict(&mut self, task: TaskId) -> bool {
-        match self.base.remove(&task) {
-            Some(entry) => {
-                unregister_holders(&mut self.holders, task, &entry.base);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Number of cached tasks currently holding `worker` as a base candidate
-    /// of at least one slot (the invalidation fan-out of removing or moving
-    /// that worker).
-    pub fn holding_tasks(&self, worker: WorkerId) -> usize {
-        self.holders.get(&worker).map_or(0, BTreeSet::len)
-    }
-
-    /// Evicts least-recently-used entries until the capacity bound holds.
-    fn enforce_capacity(&mut self) {
-        let Some(capacity) = self.capacity else {
-            return;
-        };
-        while self.base.len() > capacity {
-            let lru = self
-                .base
-                .iter()
-                .min_by_key(|(id, e)| (e.last_used, id.0))
-                .map(|(id, _)| *id)
-                .expect("a non-empty cache has an LRU entry");
-            self.evict(lru);
-        }
-    }
-
-    /// Refreshes the cache after `id` was **removed** from the index: every
-    /// slot whose base candidate was the removed worker is recomputed with
-    /// empty-ledger semantics.  Only the holder tasks of `id` are touched.
-    /// Returns the number of slot refreshes performed.
-    pub fn invalidate_removed(
-        &mut self,
-        id: WorkerId,
-        index: &dyn SpatialQuery,
-        cost_model: &dyn CostModel,
-    ) -> usize {
-        let Some(tasks) = self.holders.get(&id) else {
-            return 0;
-        };
-        let tasks: Vec<TaskId> = tasks.iter().copied().collect();
-        let empty = WorkerLedger::new();
-        let mut refreshed = 0;
-        for tid in tasks {
-            let Some(entry) = self.base.get_mut(&tid) else {
-                continue;
-            };
-            unregister_holders(&mut self.holders, tid, &entry.base);
-            for slot in 0..entry.base.len() {
-                if entry.base.get(slot).is_some_and(|c| c.worker == id) {
-                    entry
-                        .base
-                        .refresh_slot(&entry.task, slot, index, cost_model, &empty);
-                    refreshed += 1;
-                }
-            }
-            register_holders(&mut self.holders, tid, &entry.base);
-        }
-        refreshed
-    }
-
-    /// Refreshes the cache after a worker was **inserted** into the index at
-    /// `profile`'s locations.  A fresh worker can only *win* a slot, so a
-    /// cached slot is recomputed iff it has no candidate, or the new worker's
-    /// distance beats (or ties) the current candidate's distance — checked by
-    /// arithmetic alone, with an index query only for slots that can change.
-    /// Returns the number of slot refreshes performed.
-    pub fn invalidate_inserted(
-        &mut self,
-        id: WorkerId,
-        profile: &WorkerProfile,
-        index: &dyn SpatialQuery,
-        cost_model: &dyn CostModel,
-    ) -> usize {
-        self.invalidate_upsert(id, profile, false, index, cost_model)
-    }
-
-    /// Refreshes the cache after a worker **moved** to `profile`'s (new)
-    /// locations: the union of the removal rule (every slot holding the
-    /// worker — it may have moved away, and its cached location must stay
-    /// current) and the insertion rule (every slot the new location can now
-    /// win).  Returns the number of slot refreshes performed.
-    pub fn invalidate_moved(
-        &mut self,
-        id: WorkerId,
-        profile: &WorkerProfile,
-        index: &dyn SpatialQuery,
-        cost_model: &dyn CostModel,
-    ) -> usize {
-        self.invalidate_upsert(id, profile, true, index, cost_model)
-    }
-
-    fn invalidate_upsert(
-        &mut self,
-        id: WorkerId,
-        profile: &WorkerProfile,
-        include_holding_slots: bool,
-        index: &dyn SpatialQuery,
-        cost_model: &dyn CostModel,
-    ) -> usize {
-        let empty = WorkerLedger::new();
-        let mut refreshed = 0;
-        // The win check scans every cached task, but it is pure arithmetic
-        // (two distances per in-horizon profile entry); the expensive index
-        // query runs only for slots that can actually change.
-        let ids: Vec<TaskId> = self.base.keys().copied().collect();
-        for tid in ids {
-            let entry = self.base.get_mut(&tid).expect("the id was just listed");
-            let mut slots: BTreeSet<usize> = BTreeSet::new();
-            if include_holding_slots {
-                for slot in 0..entry.base.len() {
-                    if entry.base.get(slot).is_some_and(|c| c.worker == id) {
-                        slots.insert(slot);
-                    }
-                }
-            }
-            for (slot, loc) in &profile.entries {
-                if *slot >= entry.base.len() {
-                    continue;
-                }
-                let wins = match entry.base.get(*slot) {
-                    // An empty slot gains its first candidate.
-                    None => true,
-                    // Already covered by the holding-slot rule above.
-                    Some(cur) if cur.worker == id => false,
-                    // Recompute on a tie as well: the index's own tie-break
-                    // decides, and a spurious refresh is merely redundant
-                    // work, never a wrong candidate.
-                    Some(cur) => {
-                        let d_new = entry.task.location.distance(loc);
-                        let d_cur = entry.task.location.distance(&cur.worker_location);
-                        d_new <= d_cur
-                    }
-                };
-                if wins {
-                    slots.insert(*slot);
-                }
-            }
-            if slots.is_empty() {
-                continue;
-            }
-            unregister_holders(&mut self.holders, tid, &entry.base);
-            for slot in slots {
-                entry
-                    .base
-                    .refresh_slot(&entry.task, slot, index, cost_model, &empty);
-                refreshed += 1;
-            }
-            register_holders(&mut self.holders, tid, &entry.base);
-        }
-        refreshed
+        slots
     }
 
     /// Checks a task's *base* candidates out of the cache: a clone of the
@@ -542,40 +267,16 @@ impl CandidateCache {
         cost_model: &dyn CostModel,
         stats: &mut CacheStats,
     ) -> SlotCandidates {
-        // What a rebuild-per-call strategy would pay for this task.
-        stats.rebuild_slot_computations += task.num_slots;
-        let hit = matches!(self.base.get(&task.id), Some(e) if e.task == *task);
-        if !hit {
-            stats.tasks_computed += 1;
-            stats.slot_computations += task.num_slots;
-            // Id reuse across different task identities: the stale entry's
-            // holder registrations must leave *before* the new ones arrive
-            // (the two bases may share workers).
-            if let Some(old) = self.base.remove(&task.id) {
-                unregister_holders(&mut self.holders, task.id, &old.base);
+        if let Some((cached, base)) = self.base.get(&task.id) {
+            if cached == task {
+                stats.rebuild_slot_computations += task.num_slots;
+                stats.tasks_reused += 1;
+                return base.clone();
             }
-            let base = SlotCandidates::compute(task, index, cost_model);
-            register_holders(&mut self.holders, task.id, &base);
-            self.base.insert(
-                task.id,
-                CacheEntry {
-                    task: task.clone(),
-                    base,
-                    last_used: (self.round, self.tick),
-                },
-            );
-            self.enforce_capacity();
-        } else {
-            stats.tasks_reused += 1;
         }
-        let stamp = (self.round, self.tick);
-        self.tick += 1;
-        let entry = self
-            .base
-            .get_mut(&task.id)
-            .expect("the entry was just inserted or verified present");
-        entry.last_used = stamp;
-        entry.base.clone()
+        let base = compute_base(task, index, cost_model, stats);
+        self.base.insert(task.id, (task.clone(), base.clone()));
+        base
     }
 
     /// Checks a task's working candidates out of the cache: the base
@@ -590,56 +291,57 @@ impl CandidateCache {
         ledger: &WorkerLedger,
         stats: &mut CacheStats,
     ) -> SlotCandidates {
-        let mut working = self.checkout_base(task, index, cost_model, stats);
-        if !ledger.is_empty() {
-            for slot in 0..working.len() {
-                // A `None` base candidate means the slot has no worker at all;
-                // occupancy can only shrink availability, so it stays `None`.
-                let occupied = working
-                    .get(slot)
-                    .is_some_and(|c| ledger.is_occupied(slot, c.worker));
-                if occupied {
-                    working.refresh_slot(task, slot, index, cost_model, ledger);
-                    stats.slot_computations += 1;
-                    stats.slot_refreshes += 1;
-                }
-            }
-        }
-        working
+        let base = self.checkout_base(task, index, cost_model, stats);
+        reconcile(task, base, index, cost_model, ledger, stats)
     }
 }
 
-/// The serial MSQM greedy over already-checked-out task states against a
-/// dense ledger: a thin wrapper binding [`commit::msqm_commit_loop`] to the
-/// dense backend with the inline candidate wave.  Returns
-/// `(conflicts, executions)`.
-///
-/// [`AssignmentEngine::assign_batch`], the cache-sharing group-parallel
-/// variant and (through the sharded backend) the concurrent engine all
-/// commit through the same loop, so their results can only differ through
-/// the candidates they feed in — the equivalence suites
-/// (`engine_equivalence.rs`, `concurrent_equivalence.rs`) are the tripwire.
-pub(crate) fn msqm_greedy_core(
-    states: &mut [TaskState],
-    budget: f64,
+/// A task's base candidates computed straight from the index, counted as a
+/// cache miss — what a drain pays for every one-shot arrival.
+pub(crate) fn compute_base(
+    task: &Task,
     index: &dyn SpatialQuery,
     cost_model: &dyn CostModel,
-    ledger: &mut WorkerLedger,
     stats: &mut CacheStats,
-) -> (usize, usize) {
-    let mut backend = DenseBackend {
-        index,
-        cost_model,
-        ledger,
-    };
-    msqm_commit_loop(states, budget, &mut backend, stats, &mut inline_wave)
+) -> SlotCandidates {
+    stats.rebuild_slot_computations += task.num_slots;
+    stats.tasks_computed += 1;
+    stats.slot_computations += task.num_slots;
+    SlotCandidates::compute(task, index, cost_model)
+}
+
+/// Reconciles base candidates with `ledger`: every slot whose base candidate
+/// is occupied is recomputed against the ledger, every other slot is kept.
+fn reconcile(
+    task: &Task,
+    mut working: SlotCandidates,
+    index: &dyn SpatialQuery,
+    cost_model: &dyn CostModel,
+    ledger: &WorkerLedger,
+    stats: &mut CacheStats,
+) -> SlotCandidates {
+    if !ledger.is_empty() {
+        for slot in 0..working.len() {
+            // A `None` base candidate means the slot has no worker at all;
+            // occupancy can only shrink availability, so it stays `None`.
+            let occupied = working
+                .get(slot)
+                .is_some_and(|c| ledger.is_occupied(slot, c.worker));
+            if occupied {
+                working.refresh_slot(task, slot, index, cost_model, ledger);
+                stats.slot_computations += 1;
+                stats.slot_refreshes += 1;
+            }
+        }
+    }
+    working
 }
 
 /// Long-lived batched / streaming multi-task assignment engine.
 ///
 /// Owns (or borrows) the worker index, a persistent occupancy ledger and the
-/// incremental [`CandidateCache`]; see the [module docs](self) for the
-/// invalidation protocol and the determinism argument.
+/// [`CandidateCache`]; see the [module docs](self) for the cache rules and
+/// the determinism argument.
 ///
 /// * [`AssignmentEngine::assign_batch`] solves one task batch against the
 ///   current ledger and commits the resulting occupancy.
@@ -776,7 +478,7 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
         &self.ledger
     }
 
-    /// The candidate cache (size inspection / manual eviction).
+    /// The candidate cache.
     pub fn cache(&mut self) -> &mut CandidateCache {
         &mut self.cache
     }
@@ -814,31 +516,18 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
     }
 
     /// Inserts a worker into the engine's index (an offline worker coming
-    /// online), invalidating exactly the cached candidate slots the new
-    /// worker can win.  Rejected (`applied == false`) and a no-op when a
-    /// worker with the same id is already registered.
+    /// online) and clears the candidate cache.  Rejected
+    /// (`applied == false`) and a no-op when a worker with the same id is
+    /// already registered.
     pub fn insert_worker(&mut self, worker: &Worker) -> IndexMutation {
         let mutation = self.index.to_mut().insert_worker(worker);
-        if mutation.applied {
-            let profile = self
-                .index
-                .worker_profile(worker.id)
-                .expect("the worker was just inserted");
-            let refreshed = self.cache.invalidate_inserted(
-                worker.id,
-                &profile,
-                self.index.as_ref(),
-                self.cost_model,
-            );
-            self.churn.note(&mutation, refreshed);
-        }
+        self.note_mutation(&mutation);
         mutation
     }
 
     /// Removes a worker from the engine's index (going offline), releasing
-    /// its ledger commitments at every in-horizon slot and refreshing exactly
-    /// the cached tasks that held it as a candidate.  Rejected and a no-op
-    /// for an unknown id.
+    /// its ledger commitments at every in-horizon slot and clearing the
+    /// candidate cache.  Rejected and a no-op for an unknown id.
     pub fn remove_worker(&mut self, id: WorkerId) -> IndexMutation {
         let profile = self.index.worker_profile(id);
         let mutation = self.index.to_mut().remove_worker(id);
@@ -848,32 +537,28 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
                     self.ledger.release(*slot, id);
                 }
             }
-            let refreshed = self
-                .cache
-                .invalidate_removed(id, self.index.as_ref(), self.cost_model);
-            self.churn.note(&mutation, refreshed);
         }
+        self.note_mutation(&mutation);
         mutation
     }
 
     /// Moves a worker: every availability entry relocates to `to` inside the
-    /// index (a tile-local splice, not a rebuild), and the cache refreshes
-    /// the slots that held the worker plus the slots its new position can
-    /// win.  Ledger commitments are unaffected — the dense ledger keys on
+    /// index (a tile-local splice, not a rebuild), and the candidate cache is
+    /// cleared.  Ledger commitments are unaffected — the dense ledger keys on
     /// `(slot, worker)` only.  Rejected and a no-op for an unknown id.
     pub fn move_worker(&mut self, id: WorkerId, to: Location) -> IndexMutation {
         let mutation = self.index.to_mut().move_worker(id, to);
-        if mutation.applied {
-            let profile = self
-                .index
-                .worker_profile(id)
-                .expect("a moved worker stays registered");
-            let refreshed =
-                self.cache
-                    .invalidate_moved(id, &profile, self.index.as_ref(), self.cost_model);
-            self.churn.note(&mutation, refreshed);
-        }
+        self.note_mutation(&mutation);
         mutation
+    }
+
+    /// An applied mutation changed the index under every cached base: the
+    /// cache is cleared and the churn counters note the discarded slots.
+    fn note_mutation(&mut self, mutation: &IndexMutation) {
+        if mutation.applied {
+            let discarded = self.cache.clear();
+            self.churn.note(mutation, discarded);
+        }
     }
 
     /// Swaps in a freshly built index — the rebuild-per-drain baseline the
@@ -923,28 +608,24 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
 
     /// Solves every pending task as one batch (in submission order) against
     /// the current ledger and commits the resulting occupancy.  Draining k
-    /// submission rounds at once is equivalent to one
-    /// [`AssignmentEngine::assign_batch`] call on the concatenated tasks.
+    /// submission rounds at once commits what one
+    /// [`AssignmentEngine::assign_batch`] call on the concatenated tasks
+    /// commits.
     ///
-    /// Streamed arrivals are one-shot: their plans are final, they never
-    /// re-arrive, so their cache entries are evicted after the solve and a
-    /// long-running stream holds memory proportional to one round, not to
-    /// every task ever served.  (Re-planning workloads that *do* re-solve the
-    /// same tasks should use [`AssignmentEngine::assign_batch`], which keeps
-    /// the cache warm.)
+    /// Streamed arrivals are one-shot: their plans are final and they never
+    /// re-arrive, so a drain computes their candidates directly and never
+    /// reads or fills the candidate cache.  (Re-planning workloads that *do*
+    /// re-solve the same tasks should use [`AssignmentEngine::assign_batch`],
+    /// which keeps the cache warm.)
     pub fn drain(&mut self, objective: Objective) -> MultiOutcome {
         let tasks = std::mem::take(&mut self.pending);
         if R::IS_ENABLED {
             self.obs.begin("engine.drain", tasks.len() as u64);
         }
-        let outcome = self.assign_batch(&tasks, objective);
+        let outcome = self.solve(&tasks, objective, false);
         if R::IS_ENABLED {
             self.obs.end("engine.drain", tasks.len() as u64);
         }
-        for task in &tasks {
-            self.cache.evict(task.id);
-        }
-        self.cache.advance_round();
         if R::IS_ENABLED {
             // Post-drain service levels: what is queued, held and cached
             // *now* — the SLO gauges a live dashboard samples per drain.
@@ -972,14 +653,18 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
     /// changes *how* candidates are obtained, never *which* candidates the
     /// greedy sees.
     pub fn assign_batch(&mut self, tasks: &[Task], objective: Objective) -> MultiOutcome {
+        self.solve(tasks, objective, true)
+    }
+
+    /// One instrumented batch solve; `cached` selects whether base
+    /// candidates go through the candidate cache (re-planning) or are
+    /// computed directly (drains).
+    fn solve(&mut self, tasks: &[Task], objective: Objective, cached: bool) -> MultiOutcome {
         if R::IS_ENABLED {
             self.obs.begin("engine.assign_batch", tasks.len() as u64);
         }
         let sw = R::IS_ENABLED.then(Stopwatch::start);
-        let outcome = match objective {
-            Objective::SumQuality => self.run_msqm(tasks),
-            Objective::MinQuality => self.run_mmqm(tasks),
-        };
+        let outcome = self.run(tasks, objective, cached);
         self.lifetime_stats.merge(&outcome.stats);
         if R::IS_ENABLED {
             self.publish_metrics(&outcome, sw.map_or(0, |s| s.elapsed_nanos()));
@@ -988,76 +673,49 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
         outcome
     }
 
-    /// Checks the working states of a batch out of the candidate cache.
-    fn checkout_states(&mut self, tasks: &[Task], stats: &mut CacheStats) -> Vec<TaskState> {
-        tasks
+    /// Checkout, then the MSQM or MMQM commit loop over the dense backend.
+    fn run(&mut self, tasks: &[Task], objective: Objective, cached: bool) -> MultiOutcome {
+        let mut stats = CacheStats::default();
+        if R::IS_ENABLED {
+            self.obs.begin("engine.checkout", tasks.len() as u64);
+        }
+        let index = self.index.as_ref();
+        let mut states: Vec<TaskState> = tasks
             .iter()
             .map(|task| {
-                let candidates = self.cache.checkout(
-                    task,
-                    self.index.as_ref(),
-                    self.cost_model,
-                    &self.ledger,
-                    stats,
-                );
+                let base = if cached {
+                    self.cache
+                        .checkout_base(task, index, self.cost_model, &mut stats)
+                } else {
+                    compute_base(task, index, self.cost_model, &mut stats)
+                };
+                let candidates =
+                    reconcile(task, base, index, self.cost_model, &self.ledger, &mut stats);
                 TaskState::from_candidates(task, candidates, &self.config)
             })
-            .collect()
-    }
-
-    /// MSQM greedy (port of the serial rebuild solver; the holder map
-    /// replaces its `O(|T|)` invalidation scan).
-    fn run_msqm(&mut self, tasks: &[Task]) -> MultiOutcome {
-        let mut stats = CacheStats::default();
-        if R::IS_ENABLED {
-            self.obs.begin("engine.checkout", tasks.len() as u64);
-        }
-        let mut states = self.checkout_states(tasks, &mut stats);
+            .collect();
         if R::IS_ENABLED {
             self.obs.end("engine.checkout", tasks.len() as u64);
             self.obs.begin("engine.commit", tasks.len() as u64);
         }
-        let (conflicts, executions) = msqm_greedy_core(
-            &mut states,
-            self.config.budget,
-            self.index.as_ref(),
-            self.cost_model,
-            &mut self.ledger,
-            &mut stats,
-        );
-        if R::IS_ENABLED {
-            self.obs.end("engine.commit", tasks.len() as u64);
-        }
-
-        let assignment =
-            MultiAssignment::new(states.into_iter().map(TaskState::into_plan).collect());
-        MultiOutcome {
-            assignment,
-            conflicts,
-            executions,
-            stats,
-        }
-    }
-
-    /// MMQM greedy (reinforce the weakest task, candidates served through the
-    /// cache), committing through the shared lazy-heap loop.
-    fn run_mmqm(&mut self, tasks: &[Task]) -> MultiOutcome {
-        let mut stats = CacheStats::default();
-        if R::IS_ENABLED {
-            self.obs.begin("engine.checkout", tasks.len() as u64);
-        }
-        let mut states = self.checkout_states(tasks, &mut stats);
-        if R::IS_ENABLED {
-            self.obs.end("engine.checkout", tasks.len() as u64);
-            self.obs.begin("engine.commit", tasks.len() as u64);
-        }
+        let budget = self.config.budget;
         let mut backend = DenseBackend {
-            index: self.index.as_ref(),
+            index,
             cost_model: self.cost_model,
             ledger: &mut self.ledger,
         };
-        let (conflicts, executions) =
-            commit::mmqm_commit_loop(&mut states, self.config.budget, &mut backend, &mut stats);
+        let (conflicts, executions) = match objective {
+            Objective::SumQuality => msqm_commit_loop(
+                &mut states,
+                budget,
+                &mut backend,
+                &mut stats,
+                &mut inline_wave,
+            ),
+            Objective::MinQuality => {
+                commit::mmqm_commit_loop(&mut states, budget, &mut backend, &mut stats)
+            }
+        };
         if R::IS_ENABLED {
             self.obs.end("engine.commit", tasks.len() as u64);
         }
@@ -1361,133 +1019,53 @@ mod tests {
     }
 
     #[test]
-    fn drained_tasks_are_evicted_from_the_cache() {
-        // Streamed arrivals are one-shot; a long-running stream must not
-        // accumulate cache entries for every task ever served.
+    fn drains_leave_the_cache_alone() {
+        // A drain computes its one-shot arrivals directly: it neither serves
+        // them from the cache nor inserts or evicts entries.
         let (tasks, index, cost) = small_instance(76, 9, 15, 120);
         let mut engine = AssignmentEngine::borrowed(&index, &cost, MultiTaskConfig::new(50.0));
-        for round in tasks.chunks(3) {
-            engine.submit(round.to_vec());
-            engine.drain(Objective::SumQuality);
-            assert!(engine.cache().is_empty(), "drain must evict its arrivals");
-        }
-        // assign_batch keeps entries (the re-planning path).
-        engine.assign_batch(&tasks[..3], Objective::SumQuality);
+        let batch = engine.assign_batch(&tasks[..3], Objective::SumQuality);
         assert_eq!(engine.cache().len(), 3);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_lru_and_recomputes_correctly() {
-        let (tasks, index, cost) = small_instance(80, 5, 12, 100);
-        let mut stats = CacheStats::default();
-        let mut bounded = CandidateCache::with_capacity(2);
-        assert_eq!(bounded.capacity(), Some(2));
-        for t in &tasks[..3] {
-            bounded.checkout_base(t, &index, &cost, &mut stats);
-        }
-        assert_eq!(bounded.len(), 2, "capacity bound must hold");
-        assert_eq!(stats.tasks_computed, 3);
-        // Task 0 was the least recently used, so it was evicted; tasks 1 and
-        // 2 are still served from the cache.
-        let mut probe = CacheStats::default();
-        bounded.checkout_base(&tasks[1], &index, &cost, &mut probe);
-        bounded.checkout_base(&tasks[2], &index, &cost, &mut probe);
-        assert_eq!(probe.tasks_reused, 2);
-        // Re-checkout of the evicted task recomputes — and the recomputed
-        // candidates are identical to a fresh computation.
-        let mut recompute = CacheStats::default();
-        let evicted = bounded.checkout_base(&tasks[0], &index, &cost, &mut recompute);
-        assert_eq!(recompute.tasks_computed, 1);
-        let fresh = SlotCandidates::compute(&tasks[0], &index, &cost);
-        assert_eq!(evicted.costs(), fresh.costs());
-        for slot in 0..evicted.len() {
-            assert_eq!(
-                evicted.get(slot).map(|c| c.worker),
-                fresh.get(slot).map(|c| c.worker)
-            );
-        }
-    }
-
-    #[test]
-    fn touching_an_entry_protects_it_from_eviction() {
-        let (tasks, index, cost) = small_instance(81, 3, 10, 80);
-        let mut stats = CacheStats::default();
-        let mut cache = CandidateCache::with_capacity(2);
-        cache.checkout_base(&tasks[0], &index, &cost, &mut stats);
-        cache.checkout_base(&tasks[1], &index, &cost, &mut stats);
-        // Touch task 0 so task 1 becomes the LRU entry.
-        cache.checkout_base(&tasks[0], &index, &cost, &mut stats);
-        cache.checkout_base(&tasks[2], &index, &cost, &mut stats);
-        let mut probe = CacheStats::default();
-        cache.checkout_base(&tasks[0], &index, &cost, &mut probe);
-        assert_eq!(probe.tasks_reused, 1, "task 0 must have survived");
-        cache.checkout_base(&tasks[1], &index, &cost, &mut probe);
-        assert_eq!(probe.tasks_computed, 1, "task 1 must have been evicted");
-    }
-
-    #[test]
-    fn eviction_prefers_entries_from_older_rounds() {
-        let (tasks, index, cost) = small_instance(82, 3, 10, 80);
-        let mut stats = CacheStats::default();
-        let mut cache = CandidateCache::with_capacity(2);
-        cache.checkout_base(&tasks[0], &index, &cost, &mut stats);
-        cache.advance_round();
-        assert_eq!(cache.round(), 1);
-        cache.checkout_base(&tasks[1], &index, &cost, &mut stats);
-        cache.checkout_base(&tasks[2], &index, &cost, &mut stats);
-        let mut probe = CacheStats::default();
-        cache.checkout_base(&tasks[1], &index, &cost, &mut probe);
-        cache.checkout_base(&tasks[2], &index, &cost, &mut probe);
-        assert_eq!(probe.tasks_reused, 2, "round-1 arrivals must survive");
-        cache.checkout_base(&tasks[0], &index, &cost, &mut probe);
+        engine.release_all();
+        engine.submit(tasks[..3].to_vec());
+        let drained = engine.drain(Objective::SumQuality);
+        assert_eq!(drained, batch, "a drain counts every arrival as a miss");
         assert_eq!(
-            probe.tasks_computed, 1,
-            "the round-0 arrival must have been evicted first"
+            engine.cache().len(),
+            3,
+            "the drain left the cache as it was"
         );
     }
 
     #[test]
-    fn set_capacity_shrinks_and_unbounds() {
-        let (tasks, index, cost) = small_instance(83, 4, 10, 80);
-        let mut stats = CacheStats::default();
-        let mut cache = CandidateCache::new();
-        for t in &tasks {
-            cache.checkout_base(t, &index, &cost, &mut stats);
-        }
-        assert_eq!(cache.len(), 4);
-        cache.set_capacity(Some(2));
-        assert_eq!(cache.len(), 2);
-        cache.set_capacity(None);
-        for t in &tasks {
-            cache.checkout_base(t, &index, &cost, &mut stats);
-        }
-        assert_eq!(cache.len(), 4);
-    }
+    fn worker_mutations_clear_the_cache() {
+        use tcsc_core::{Location, WorkerId};
+        let (tasks, index, cost) = small_instance(86, 6, 12, 60);
+        let cfg = MultiTaskConfig::new(40.0);
+        let mut engine = AssignmentEngine::new(index, &cost, cfg);
+        engine.assign_batch(&tasks, Objective::SumQuality);
+        let cached_slots: usize = tasks.iter().map(|t| t.num_slots).sum();
+        assert_eq!(engine.cache().len(), tasks.len());
 
-    #[test]
-    #[should_panic(expected = "capacity > 0")]
-    fn zero_capacity_is_rejected() {
-        let _ = CandidateCache::with_capacity(0);
-    }
+        assert!(engine.move_worker(WorkerId(3), tasks[0].location).applied);
+        assert_eq!(engine.cache().len(), 0);
+        assert_eq!(engine.churn().cache_refreshes, cached_slots as u64);
 
-    #[test]
-    fn bounded_engine_cache_reproduces_unbounded_plans() {
-        // Eviction may cost recomputation but must never change a plan.
-        let (tasks, index, cost) = small_instance(84, 6, 20, 120);
-        let cfg = MultiTaskConfig::new(35.0);
-        let mut unbounded = AssignmentEngine::borrowed(&index, &cost, cfg);
-        let mut bounded = AssignmentEngine::borrowed(&index, &cost, cfg);
-        bounded.cache().set_capacity(Some(2));
-        for _ in 0..3 {
-            let a = unbounded.assign_batch(&tasks, Objective::SumQuality);
-            let b = bounded.assign_batch(&tasks, Objective::SumQuality);
-            assert_eq!(a.assignment, b.assignment);
-            assert_eq!(a.conflicts, b.conflicts);
-            assert_eq!(a.executions, b.executions);
-            unbounded.release_all();
-            bounded.release_all();
-        }
-        assert!(bounded.cache().len() <= 2);
+        // The next batch recomputes every task and plans exactly what a fresh
+        // engine plans on the mutated index under the same ledger history.
+        engine.release_all();
+        let mut fresh = AssignmentEngine::new(engine.index().clone(), &cost, cfg);
+        let replanned = engine.assign_batch(&tasks, Objective::SumQuality);
+        assert_eq!(replanned.stats.tasks_computed, tasks.len());
+        assert_eq!(replanned, fresh.assign_batch(&tasks, Objective::SumQuality));
+
+        // A rejected mutation keeps the cache.
+        assert!(
+            !engine
+                .move_worker(WorkerId(9999), Location::new(0.0, 0.0))
+                .applied
+        );
+        assert_eq!(engine.cache().len(), tasks.len());
     }
 
     #[test]
@@ -1520,113 +1098,6 @@ mod tests {
         engine.submit(tasks);
         let again = engine.drain(Objective::SumQuality);
         assert_eq!(again.assignment, outcome.assignment);
-    }
-
-    /// Asserts that every cached base is bit-identical to a from-scratch
-    /// computation against the current index.
-    fn assert_cache_exact(
-        cache: &mut CandidateCache,
-        tasks: &[Task],
-        index: &WorkerIndex,
-        cost: &EuclideanCost,
-    ) {
-        for t in tasks {
-            let mut probe = CacheStats::default();
-            let cached = cache.checkout_base(t, index, cost, &mut probe);
-            assert_eq!(probe.tasks_reused, 1, "task {:?} must stay cached", t.id);
-            let fresh = SlotCandidates::compute(t, index, cost);
-            for slot in 0..cached.len() {
-                let (a, b) = (cached.get(slot), fresh.get(slot));
-                assert_eq!(
-                    a.map(|c| c.worker),
-                    b.map(|c| c.worker),
-                    "task {:?} slot {slot}",
-                    t.id
-                );
-                assert_eq!(a.map(|c| c.cost.to_bits()), b.map(|c| c.cost.to_bits()));
-                assert_eq!(
-                    a.map(|c| (c.worker_location.x.to_bits(), c.worker_location.y.to_bits())),
-                    b.map(|c| (c.worker_location.x.to_bits(), c.worker_location.y.to_bits())),
-                    "cached worker locations must track moves (task {:?} slot {slot})",
-                    t.id
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn worker_mutations_keep_cached_bases_exact() {
-        use tcsc_core::{Location, Worker, WorkerId, WorkerSlot};
-        let (tasks, index, cost) = small_instance(86, 6, 12, 60);
-        let mut index = index;
-        let mut cache = CandidateCache::new();
-        let mut stats = CacheStats::default();
-        for t in &tasks {
-            cache.checkout_base(t, &index, &cost, &mut stats);
-        }
-
-        // Move a worker right onto a task: it must win that task's slots.
-        let moved = WorkerId(3);
-        assert!(index.move_worker(moved, tasks[0].location).applied);
-        let profile = index.worker_profile(moved).unwrap();
-        cache.invalidate_moved(moved, &profile, &index, &cost);
-        assert_cache_exact(&mut cache, &tasks, &index, &cost);
-
-        // Insert a fresh worker between two tasks.
-        let newcomer = Worker::new(
-            WorkerId(1000),
-            [0usize, 3, 7]
-                .into_iter()
-                .map(|slot| WorkerSlot {
-                    slot,
-                    location: Location::new(tasks[1].location.x + 0.5, tasks[1].location.y),
-                })
-                .collect(),
-        );
-        assert!(index.insert_worker(&newcomer).applied);
-        let profile = index.worker_profile(newcomer.id).unwrap();
-        cache.invalidate_inserted(newcomer.id, &profile, &index, &cost);
-        assert_cache_exact(&mut cache, &tasks, &index, &cost);
-
-        // Remove workers until some cached slot actually loses its holder.
-        for id in [WorkerId(3), WorkerId(1000), WorkerId(0), WorkerId(7)] {
-            if index.remove_worker(id).applied {
-                cache.invalidate_removed(id, &index, &cost);
-                assert_cache_exact(&mut cache, &tasks, &index, &cost);
-            }
-        }
-
-        // Move a worker far away: holder slots must fall back correctly.
-        let far = WorkerId(11);
-        assert!(index.move_worker(far, Location::new(250.0, -40.0)).applied);
-        let profile = index.worker_profile(far).unwrap();
-        cache.invalidate_moved(far, &profile, &index, &cost);
-        assert_cache_exact(&mut cache, &tasks, &index, &cost);
-    }
-
-    #[test]
-    fn holder_map_follows_evictions_and_clears() {
-        let (tasks, index, cost) = small_instance(87, 4, 10, 50);
-        let mut cache = CandidateCache::new();
-        let mut stats = CacheStats::default();
-        for t in &tasks {
-            cache.checkout_base(t, &index, &cost, &mut stats);
-        }
-        let base = SlotCandidates::compute(&tasks[0], &index, &cost);
-        let held = base.get(0).expect("slot 0 has a candidate").worker;
-        assert!(cache.holding_tasks(held) >= 1);
-        // Evicting every task must leave no registration behind.
-        for t in &tasks {
-            cache.evict(t.id);
-        }
-        assert_eq!(cache.holding_tasks(held), 0);
-        // Re-checkout and clear: same outcome.
-        for t in &tasks {
-            cache.checkout_base(t, &index, &cost, &mut stats);
-        }
-        assert!(cache.holding_tasks(held) >= 1);
-        cache.clear();
-        assert_eq!(cache.holding_tasks(held), 0);
     }
 
     #[test]

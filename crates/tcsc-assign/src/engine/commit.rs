@@ -158,10 +158,10 @@ pub(crate) fn inline_wave(
 /// slots (the reverse holder map yields them without scanning the batch).
 /// Returns `(conflicts, executions)`.
 ///
-/// Every MSQM driver commits through this loop — the serial engine, the
-/// cache-sharing group-parallel variant and the concurrent engine (which
-/// passes its thread-pool wave); their results can only differ through the
-/// candidates they feed in.  The equivalence suites (`engine_equivalence.rs`,
+/// Every MSQM driver commits through this loop — the serial engine (and,
+/// through it, the group-parallel framework) and the concurrent engine
+/// (which passes its thread-pool wave); their results can only differ
+/// through the candidates they feed in.  The equivalence suites (`engine_equivalence.rs`,
 /// `concurrent_equivalence.rs`) are the tripwire.
 pub(crate) fn msqm_commit_loop(
     states: &mut [TaskState],

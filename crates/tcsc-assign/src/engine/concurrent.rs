@@ -11,7 +11,8 @@
 //!   ever consults ledger shard `t`);
 //! * the **candidate cache** becomes one `Mutex<CandidateCache>` per tile,
 //!   with each task owned by its *home shard* (the tile of the task's
-//!   location);
+//!   location); as in the serial engine, only re-planning
+//!   ([`ConcurrentAssignmentEngine::assign_batch_parallel`]) consults it;
 //! * the expensive phases — candidate checkout and the initial
 //!   best-candidate computation of every task — run on a scoped thread pool,
 //!   with worker threads pulling whole home-shard groups so tasks of
@@ -25,8 +26,8 @@
 //!
 //! * checkout and refresh of a task's candidates depend on the task, the
 //!   index state at the phase boundary (the index only mutates *between*
-//!   solves, through the engine's own insert/remove/move API, which keeps
-//!   the shard caches exact) and the ledger state at that boundary —
+//!   solves, through the engine's own insert/remove/move API, which clears
+//!   every shard cache) and the ledger state at that boundary —
 //!   computing them on any thread gives the same result the serial engine
 //!   computes inline;
 //! * budget arithmetic happens only in the commit loop, in commit order, so
@@ -59,7 +60,7 @@ use tcsc_obs::{NoopRecorder, Recorder, Stopwatch};
 
 use crate::candidates::WorkerLedger;
 use crate::engine::commit::{inline_wave, mmqm_commit_loop, msqm_commit_loop, CommitBackend};
-use crate::engine::{CacheStats, CandidateCache, ChurnCounters, Objective};
+use crate::engine::{compute_base, CacheStats, CandidateCache, ChurnCounters, Objective};
 use crate::multi::{MultiOutcome, MultiTaskConfig, TaskCandidate, TaskState};
 
 /// Minimum number of simultaneously invalidated tasks before an in-loop
@@ -262,9 +263,7 @@ impl<'a> ConcurrentAssignmentEngine<'a> {
             cost_model,
             config,
             ledger: ShardedLedger::new(num_shards),
-            caches: (0..num_shards)
-                .map(|_| Mutex::new(CandidateCache::new()))
-                .collect(),
+            caches: empty_caches(num_shards),
             pending: Vec::new(),
             threads: threads.max(1),
             lifetime_stats: CacheStats::default(),
@@ -331,17 +330,6 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
             .sum()
     }
 
-    /// Bounds every shard cache to `capacity` tasks (LRU per shard; `None`
-    /// removes the bound).
-    pub fn set_cache_capacity(&mut self, capacity: Option<usize>) {
-        for cache in &self.caches {
-            cache
-                .lock()
-                .expect("shard cache lock poisoned")
-                .set_capacity(capacity);
-        }
-    }
-
     /// Accumulated candidate-computation counters over the engine's lifetime.
     pub fn stats(&self) -> CacheStats {
         self.lifetime_stats
@@ -354,28 +342,17 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
     }
 
     /// Inserts a worker into the sharded index (an offline worker coming
-    /// online): a tile-local bucket splice, followed by worker-scoped
-    /// invalidation across every shard cache (a task homed in tile A may
-    /// hold a candidate of tile B).  Rejected and a no-op for a duplicate id.
+    /// online): a tile-local bucket splice, after which every shard cache is
+    /// cleared.  Rejected and a no-op for a duplicate id.
     pub fn insert_worker(&mut self, worker: &Worker) -> IndexMutation {
         let mutation = self.index.insert_worker(worker);
-        if mutation.applied {
-            let profile = self
-                .index
-                .worker_profile(worker.id)
-                .expect("the worker was just inserted");
-            let refreshed = self.invalidate_caches(|cache| {
-                cache.invalidate_inserted(worker.id, &profile, &self.index, self.cost_model)
-            });
-            self.churn.note(&mutation, refreshed);
-        }
+        self.note_mutation(&mutation);
         mutation
     }
 
     /// Removes a worker (going offline): its ledger commitments are released
-    /// from the shards owning its in-horizon locations, and the holder tasks
-    /// of every shard cache refresh their affected slots.  Rejected and a
-    /// no-op for an unknown id.
+    /// from the shards owning its in-horizon locations, and every shard cache
+    /// is cleared.  Rejected and a no-op for an unknown id.
     pub fn remove_worker(&mut self, id: WorkerId) -> IndexMutation {
         let profile = self.index.worker_profile(id);
         let mutation = self.index.remove_worker(id);
@@ -386,21 +363,17 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
                     self.ledger.release(shard, *slot, id);
                 }
             }
-            let refreshed = self.invalidate_caches(|cache| {
-                cache.invalidate_removed(id, &self.index, self.cost_model)
-            });
-            self.churn.note(&mutation, refreshed);
         }
+        self.note_mutation(&mutation);
         mutation
     }
 
-    /// Moves a worker: the index splices only the affected tile buckets, the
-    /// shard caches refresh only the slots the move can change, and — unlike
-    /// the dense engine, whose ledger is location-blind — any ledger
-    /// commitment of the worker **migrates** to the shard owning its new
-    /// location when the move crossed a tile, keeping the
-    /// shard-owns-its-workers'-occupancy routing invariant intact.  Rejected
-    /// and a no-op for an unknown id.
+    /// Moves a worker: the index splices only the affected tile buckets,
+    /// every shard cache is cleared, and — unlike the dense engine, whose
+    /// ledger is location-blind — any ledger commitment of the worker
+    /// **migrates** to the shard owning its new location when the move
+    /// crossed a tile, keeping the shard-owns-its-workers'-occupancy routing
+    /// invariant intact.  Rejected and a no-op for an unknown id.
     pub fn move_worker(&mut self, id: WorkerId, to: Location) -> IndexMutation {
         let before = self.index.worker_profile(id);
         let mutation = self.index.move_worker(id, to);
@@ -420,21 +393,23 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
                     self.ledger.occupy(new_shard, *slot, id);
                 }
             }
-            let refreshed = self.invalidate_caches(|cache| {
-                cache.invalidate_moved(id, &after, &self.index, self.cost_model)
-            });
-            self.churn.note(&mutation, refreshed);
         }
+        self.note_mutation(&mutation);
         mutation
     }
 
-    /// Runs a worker-scoped invalidation over every shard cache, summing the
-    /// slot refreshes.
-    fn invalidate_caches(&self, mut invalidate: impl FnMut(&mut CandidateCache) -> usize) -> usize {
-        self.caches
-            .iter()
-            .map(|cache| invalidate(&mut cache.lock().expect("shard cache lock poisoned")))
-            .sum()
+    /// An applied mutation changed the index under every cached base: every
+    /// shard cache is cleared and the churn counters note the discarded
+    /// slots.
+    fn note_mutation(&mut self, mutation: &IndexMutation) {
+        if mutation.applied {
+            let discarded = self
+                .caches
+                .iter_mut()
+                .map(|cache| cache.get_mut().expect("shard cache lock poisoned").clear())
+                .sum();
+            self.churn.note(mutation, discarded);
+        }
     }
 
     /// Swaps in a freshly built sharded index — the rebuild-per-drain
@@ -445,20 +420,10 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
     /// owning the worker's (possibly new) location.
     pub fn rebuild_index(&mut self, index: ShardedWorkerIndex) {
         let commitments = self.ledger.commitments();
-        let cache_capacity = self
-            .caches
-            .first()
-            .and_then(|c| c.lock().expect("shard cache lock poisoned").capacity());
         self.index = index;
         let num_shards = self.index.num_spatial_shards();
         self.ledger = ShardedLedger::new(num_shards);
-        self.caches = (0..num_shards)
-            .map(|_| {
-                let mut cache = CandidateCache::new();
-                cache.set_capacity(cache_capacity);
-                Mutex::new(cache)
-            })
-            .collect();
+        self.caches = empty_caches(num_shards);
         for (_, slot, worker) in commitments {
             let Some(profile) = self.index.worker_profile(worker) else {
                 continue;
@@ -489,33 +454,16 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
 
     /// Solves every pending task as one parallel batch (in submission order)
     /// and commits the occupancy; like [`super::AssignmentEngine::drain`],
-    /// the one-shot arrivals are evicted from their home-shard caches
-    /// afterwards and the caches' arrival-round clocks advance.
-    ///
-    /// The batch goes through
-    /// [`ConcurrentAssignmentEngine::assign_batch_parallel`], so a drain
-    /// commits exactly what [`super::AssignmentEngine::drain`] commits on the
-    /// same history, for any shard grid and any thread count.
+    /// the one-shot arrivals bypass the shard caches.  A drain commits
+    /// exactly what [`super::AssignmentEngine::drain`] commits on the same
+    /// history, for any shard grid and any thread count.
     pub fn drain_parallel(&mut self, objective: Objective) -> MultiOutcome {
         let tasks = std::mem::take(&mut self.pending);
         if R::IS_ENABLED {
             self.obs.begin("cengine.drain", tasks.len() as u64);
         }
         let sw = R::IS_ENABLED.then(Stopwatch::start);
-        let outcome = self.assign_batch_parallel(&tasks, objective);
-        for task in &tasks {
-            let shard = self.index.spatial_shard_of(&task.location);
-            self.caches[shard]
-                .lock()
-                .expect("shard cache lock poisoned")
-                .evict(task.id);
-        }
-        for cache in &self.caches {
-            cache
-                .lock()
-                .expect("shard cache lock poisoned")
-                .advance_round();
-        }
+        let outcome = self.solve_parallel(&tasks, objective, false);
         if R::IS_ENABLED {
             if let Some(sw) = sw {
                 self.obs.value("cengine.drain_ns", sw.elapsed_nanos());
@@ -548,21 +496,18 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
     /// Bit-identical to [`super::AssignmentEngine::assign_batch`] on the same
     /// engine history, for any shard grid and any thread count.
     pub fn assign_batch_parallel(&mut self, tasks: &[Task], objective: Objective) -> MultiOutcome {
-        let outcome = match objective {
-            Objective::SumQuality => self.run_msqm_parallel(tasks),
-            Objective::MinQuality => self.run_mmqm_parallel(tasks),
-        };
-        self.lifetime_stats.merge(&outcome.stats);
-        outcome
+        self.solve_parallel(tasks, objective, true)
     }
 
     /// Parallel checkout: tasks grouped by home shard, shard groups pulled by
-    /// the worker threads, candidates served from the shard's cache and
-    /// reconciled against a read snapshot of the sharded ledger.  Returns the
-    /// states in batch order with the merged cache counters.
+    /// the worker threads, base candidates served from the shard's cache
+    /// (`cached`) or computed directly, then reconciled against a read
+    /// snapshot of the sharded ledger.  Returns the states in batch order
+    /// with the merged cache counters.
     fn checkout_states_parallel(
         &mut self,
         tasks: &[Task],
+        cached: bool,
         stats: &mut CacheStats,
     ) -> Vec<TaskState> {
         // Group the batch by home shard, in shard order.
@@ -609,12 +554,19 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
                             let Some((shard, idxs)) = jobs.get(j) else {
                                 break;
                             };
-                            let mut cache =
-                                caches[*shard].lock().expect("shard cache lock poisoned");
+                            let mut cache = cached
+                                .then(|| caches[*shard].lock().expect("shard cache lock poisoned"));
                             for &i in idxs {
                                 let task = &tasks[i];
-                                let mut working =
-                                    cache.checkout_base(task, index, cost_model, &mut local_stats);
+                                let mut working = match cache.as_mut() {
+                                    Some(cache) => cache.checkout_base(
+                                        task,
+                                        index,
+                                        cost_model,
+                                        &mut local_stats,
+                                    ),
+                                    None => compute_base(task, index, cost_model, &mut local_stats),
+                                };
                                 if !ledger_empty {
                                     for slot in 0..working.len() {
                                         let occupied = working.get(slot).is_some_and(|c| {
@@ -657,45 +609,56 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
             .collect()
     }
 
-    /// MSQM: the shared greedy commit loop over the sharded backend, with
-    /// the checkout, the warm-start candidate wave and the budget-staleness
-    /// waves running region-parallel.  Conflict resolution is the
+    /// One batch solve: the parallel checkout (`cached` selects whether base
+    /// candidates go through the shard caches, for re-planning, or are
+    /// computed directly, for drains), then the shared MSQM or MMQM commit
+    /// loop over the sharded backend.  MSQM also runs its warm-start and
+    /// budget-staleness candidate waves region-parallel; MMQM's lazy heap
+    /// loop is inherently sequential.  Conflict resolution is the
     /// deterministic two-phase claim: granting a worker releases every claim
     /// registered on that `(shard, worker, slot)` (the holder map hands them
     /// over as a set) and the losers re-claim against the same post-commit
     /// ledger, so the result is independent of thread interleaving.
-    fn run_msqm_parallel(&mut self, tasks: &[Task]) -> MultiOutcome {
+    fn solve_parallel(
+        &mut self,
+        tasks: &[Task],
+        objective: Objective,
+        cached: bool,
+    ) -> MultiOutcome {
         let mut stats = CacheStats::default();
         if R::IS_ENABLED {
             self.obs.begin("engine.checkout", tasks.len() as u64);
         }
-        let mut states = self.checkout_states_parallel(tasks, &mut stats);
+        let mut states = self.checkout_states_parallel(tasks, cached, &mut stats);
         if R::IS_ENABLED {
             self.obs.end("engine.checkout", tasks.len() as u64);
             self.obs.begin("engine.commit", tasks.len() as u64);
         }
         let threads = self.threads;
+        let budget = self.config.budget;
         let mut backend = ShardedBackend {
             index: &self.index,
             cost_model: self.cost_model,
             ledger: &self.ledger,
         };
-        let mut wave = |states: &mut [TaskState], invalidated: &[usize], remaining: f64| {
-            candidate_wave(threads, states, invalidated, remaining)
+        let (conflicts, executions) = match objective {
+            Objective::SumQuality => {
+                let mut wave = |states: &mut [TaskState], invalidated: &[usize], remaining: f64| {
+                    candidate_wave(threads, states, invalidated, remaining)
+                };
+                msqm_commit_loop(&mut states, budget, &mut backend, &mut stats, &mut wave)
+            }
+            Objective::MinQuality => {
+                mmqm_commit_loop(&mut states, budget, &mut backend, &mut stats)
+            }
         };
-        let (conflicts, executions) = msqm_commit_loop(
-            &mut states,
-            self.config.budget,
-            &mut backend,
-            &mut stats,
-            &mut wave,
-        );
         if R::IS_ENABLED {
             self.obs.end("engine.commit", tasks.len() as u64);
         }
 
         let assignment =
             MultiAssignment::new(states.into_iter().map(TaskState::into_plan).collect());
+        self.lifetime_stats.merge(&stats);
         MultiOutcome {
             assignment,
             conflicts,
@@ -703,40 +666,13 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
             stats,
         }
     }
+}
 
-    /// MMQM: reinforce-the-weakest through the shared lazy-heap commit loop;
-    /// the parallel phase is the checkout, the heap loop is inherently
-    /// sequential.
-    fn run_mmqm_parallel(&mut self, tasks: &[Task]) -> MultiOutcome {
-        let mut stats = CacheStats::default();
-        if R::IS_ENABLED {
-            self.obs.begin("engine.checkout", tasks.len() as u64);
-        }
-        let mut states = self.checkout_states_parallel(tasks, &mut stats);
-        if R::IS_ENABLED {
-            self.obs.end("engine.checkout", tasks.len() as u64);
-            self.obs.begin("engine.commit", tasks.len() as u64);
-        }
-        let mut backend = ShardedBackend {
-            index: &self.index,
-            cost_model: self.cost_model,
-            ledger: &self.ledger,
-        };
-        let (conflicts, executions) =
-            mmqm_commit_loop(&mut states, self.config.budget, &mut backend, &mut stats);
-        if R::IS_ENABLED {
-            self.obs.end("engine.commit", tasks.len() as u64);
-        }
-
-        let assignment =
-            MultiAssignment::new(states.into_iter().map(TaskState::into_plan).collect());
-        MultiOutcome {
-            assignment,
-            conflicts,
-            executions,
-            stats,
-        }
-    }
+/// One empty candidate cache per shard.
+fn empty_caches(num_shards: usize) -> Vec<Mutex<CandidateCache>> {
+    (0..num_shards)
+        .map(|_| Mutex::new(CandidateCache::new()))
+        .collect()
 }
 
 /// Computes `best_candidate(remaining)` for every listed state, fanning the
@@ -863,7 +799,11 @@ mod tests {
         let (a, b) = tasks.split_at(4);
         engine.submit(a.to_vec());
         let round1 = engine.drain_parallel(Objective::SumQuality);
-        assert_eq!(engine.cached_tasks(), 0, "drain must evict its arrivals");
+        assert_eq!(
+            engine.cached_tasks(),
+            0,
+            "drains never fill the shard caches"
+        );
         engine.submit(b.to_vec());
         let round2 = engine.drain_parallel(Objective::SumQuality);
         assert_eq!(engine.pending(), 0);
@@ -952,6 +892,32 @@ mod tests {
             assert_eq!(s2.conflicts, c2.conflicts);
             assert_eq!(s2.executions, c2.executions);
         }
+    }
+
+    #[test]
+    fn worker_mutations_clear_every_shard_cache() {
+        let (tasks, _, sharded, cost) = build(101, ShardGridConfig::new(3, 3));
+        let cfg = MultiTaskConfig::new(50.0);
+        let mut engine = ConcurrentAssignmentEngine::new(sharded, &cost, cfg, 2);
+        engine.assign_batch_parallel(&tasks, Objective::SumQuality);
+        let cached_slots: usize = tasks.iter().map(|t| t.num_slots).sum();
+        assert_eq!(engine.cached_tasks(), tasks.len());
+
+        let to = tcsc_core::Location::new(99.5, 0.5);
+        assert!(engine.move_worker(WorkerId(3), to).applied);
+        assert_eq!(engine.cached_tasks(), 0);
+        assert_eq!(engine.churn().cache_refreshes, cached_slots as u64);
+
+        // The next batch recomputes every task and plans exactly what a fresh
+        // engine plans on the mutated index under the same ledger history.
+        engine.release_all();
+        let mut fresh = ConcurrentAssignmentEngine::new(engine.index().clone(), &cost, cfg, 2);
+        let replanned = engine.assign_batch_parallel(&tasks, Objective::SumQuality);
+        assert_eq!(replanned.stats.tasks_computed, tasks.len());
+        assert_eq!(
+            replanned,
+            fresh.assign_batch_parallel(&tasks, Objective::SumQuality)
+        );
     }
 
     #[test]

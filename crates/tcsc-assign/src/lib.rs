@@ -55,9 +55,9 @@ pub use engine::concurrent::{ConcurrentAssignmentEngine, ShardedLedger};
 pub use engine::{AssignmentEngine, CacheStats, CandidateCache, ChurnCounters, Objective};
 pub use multi::conflict::{independence_graph, IndependenceGraph};
 pub use multi::gain::GainLedger;
-pub use multi::group_parallel::GroupParallelOutcome;
 #[allow(deprecated)]
-pub use multi::group_parallel::{msqm_group_parallel, msqm_group_parallel_cached};
+pub use multi::group_parallel::msqm_group_parallel;
+pub use multi::group_parallel::GroupParallelOutcome;
 #[allow(deprecated)]
 pub use multi::mmqm::mmqm;
 #[allow(deprecated)]

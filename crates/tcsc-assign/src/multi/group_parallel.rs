@@ -14,11 +14,9 @@ use std::thread;
 use tcsc_core::{AssignmentPlan, CostModel, MultiAssignment, Task};
 use tcsc_index::WorkerIndex;
 
-use crate::candidates::{SlotCandidates, WorkerLedger};
-use crate::engine::{msqm_greedy_core, CacheStats, CandidateCache};
-use crate::engine::{AssignmentEngine, Objective};
+use crate::engine::{AssignmentEngine, CacheStats, Objective};
 use crate::multi::conflict::independence_graph;
-use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
+use crate::multi::{MultiOutcome, MultiTaskConfig};
 
 /// Outcome of the group-level parallel run, with the grouping statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,147 +116,6 @@ pub fn msqm_group_parallel(
     }
 }
 
-/// Runs MSQM with group-level parallelization, sharing one engine-style
-/// base-candidate cache across every group (and across calls).
-///
-/// [`msqm_group_parallel`] builds a fresh per-call engine per group, so each
-/// group re-queries the index for all of its tasks' base candidates on every
-/// call.  This variant checks every task's base candidates out of the shared
-/// `cache` once up front (the read path — groups never write occupancy into
-/// the cache, their ledgers are group-local), then runs the same per-group
-/// greedy over the pre-checked-out candidates.  Repeated calls — budget
-/// sweeps, wave after wave of the same region — reuse the cached bases
-/// instead of recomputing them per group.
-///
-/// The outcome is identical to [`msqm_group_parallel`] (same groups, same
-/// budget shares, same greedy over the same candidates); the equivalence is
-/// locked in by the tests below.
-#[deprecated(
-    note = "use tcsc::solver::SolverBuilder with Runtime::GroupParallel and \
-            with_group_cache(true)"
-)]
-pub fn msqm_group_parallel_cached(
-    tasks: &[Task],
-    index: &WorkerIndex,
-    cost_model: &(dyn CostModel + Sync),
-    config: &MultiTaskConfig,
-    threads: usize,
-    cache: &mut CandidateCache,
-) -> GroupParallelOutcome {
-    let threads = threads.max(1);
-    let graph = independence_graph(tasks, index, 8);
-    let groups = graph.groups.clone();
-    let total_tasks = tasks.len().max(1);
-
-    // Prewarm: one shared checkout of every task's base candidates (the
-    // empty-ledger nearest workers).  Misses are computed once for the whole
-    // call; hits are served from previous calls.
-    let mut stats = CacheStats::default();
-    let mut base: Vec<Option<SlotCandidates>> = tasks
-        .iter()
-        .map(|t| Some(cache.checkout_base(t, index, cost_model, &mut stats)))
-        .collect();
-
-    let jobs: Vec<(Vec<usize>, f64)> = groups
-        .iter()
-        .map(|g| {
-            let share = config.budget * g.len() as f64 / total_tasks as f64;
-            (g.clone(), share)
-        })
-        .collect();
-
-    let mut per_group: Vec<(Vec<usize>, MultiOutcome)> = Vec::with_capacity(jobs.len());
-    for wave in jobs.chunks(threads) {
-        let results: Vec<(Vec<usize>, MultiOutcome)> = thread::scope(|scope| {
-            let handles: Vec<_> = wave
-                .iter()
-                .map(|(group, share)| {
-                    let group_tasks: Vec<(Task, SlotCandidates)> = group
-                        .iter()
-                        .map(|&i| {
-                            let candidates = base[i]
-                                .take()
-                                .expect("each task belongs to exactly one group");
-                            (tasks[i].clone(), candidates)
-                        })
-                        .collect();
-                    let group = group.clone();
-                    let share = *share;
-                    scope.spawn(move || {
-                        let cfg = MultiTaskConfig {
-                            budget: share,
-                            ..*config
-                        };
-                        let mut group_stats = CacheStats::default();
-                        let mut states: Vec<TaskState> = group_tasks
-                            .into_iter()
-                            .map(|(task, candidates)| {
-                                TaskState::from_candidates(&task, candidates, &cfg)
-                            })
-                            .collect();
-                        let mut ledger = WorkerLedger::new();
-                        let (conflicts, executions) = msqm_greedy_core(
-                            &mut states,
-                            cfg.budget,
-                            index,
-                            cost_model,
-                            &mut ledger,
-                            &mut group_stats,
-                        );
-                        let assignment = MultiAssignment::new(
-                            states.into_iter().map(TaskState::into_plan).collect(),
-                        );
-                        (
-                            group,
-                            MultiOutcome {
-                                assignment,
-                                conflicts,
-                                executions,
-                                stats: group_stats,
-                            },
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("group worker thread panicked"))
-                .collect()
-        });
-        per_group.extend(results);
-    }
-
-    // Stitch the per-group plans back into the original task order.
-    let mut plans: Vec<Option<AssignmentPlan>> = vec![None; tasks.len()];
-    let mut conflicts = 0usize;
-    let mut executions = 0usize;
-    for (group, outcome) in per_group {
-        conflicts += outcome.conflicts;
-        executions += outcome.executions;
-        stats.merge(&outcome.stats);
-        for (local, &task_idx) in group.iter().enumerate() {
-            plans[task_idx] = Some(outcome.assignment.plans[local].clone());
-        }
-    }
-    let plans: Vec<AssignmentPlan> = plans
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| p.unwrap_or_else(|| AssignmentPlan::empty(tasks[i].id, tasks[i].num_slots)))
-        .collect();
-
-    GroupParallelOutcome {
-        outcome: MultiOutcome {
-            assignment: MultiAssignment::new(plans),
-            conflicts,
-            executions,
-            stats,
-        },
-        groups: groups.len(),
-        largest_group: graph.largest_group(),
-        conflict_edges: graph.conflict_count(),
-    }
-}
-
 #[cfg(test)]
 // The unit tests keep exercising the deprecated free-function wrappers on
 // purpose: they are the advertised migration shims and must stay correct.
@@ -321,42 +178,6 @@ mod tests {
         let many = msqm_group_parallel(&tasks, &index, &cost, &cfg, 8);
         assert!((one.outcome.sum_quality() - many.outcome.sum_quality()).abs() < 1e-9);
         assert_eq!(one.groups, many.groups);
-    }
-
-    #[test]
-    fn cached_variant_is_equivalent_to_the_per_group_engine_path() {
-        for seed in [36, 37] {
-            let (tasks, index, cost) = small_instance(seed, 8, 20, 100);
-            let cfg = MultiTaskConfig::new(45.0);
-            let current = msqm_group_parallel(&tasks, &index, &cost, &cfg, 4);
-            let mut cache = CandidateCache::new();
-            let cached = msqm_group_parallel_cached(&tasks, &index, &cost, &cfg, 4, &mut cache);
-            assert_eq!(current.outcome.assignment, cached.outcome.assignment);
-            assert_eq!(current.outcome.conflicts, cached.outcome.conflicts);
-            assert_eq!(current.outcome.executions, cached.outcome.executions);
-            assert_eq!(current.outcome.stats, cached.outcome.stats);
-            assert_eq!(current.groups, cached.groups);
-            assert_eq!(current.largest_group, cached.largest_group);
-            assert_eq!(current.conflict_edges, cached.conflict_edges);
-        }
-    }
-
-    #[test]
-    fn repeated_calls_reuse_the_shared_cache_across_groups() {
-        let (tasks, index, cost) = small_instance(38, 7, 20, 120);
-        let cfg = MultiTaskConfig::new(40.0);
-        let mut cache = CandidateCache::new();
-        let first = msqm_group_parallel_cached(&tasks, &index, &cost, &cfg, 4, &mut cache);
-        assert_eq!(first.outcome.stats.tasks_computed, tasks.len());
-        // A budget sweep over the same wave: all base candidates come from
-        // the shared cache, no task is recomputed.
-        let sweep_cfg = MultiTaskConfig::new(25.0);
-        let second = msqm_group_parallel_cached(&tasks, &index, &cost, &sweep_cfg, 4, &mut cache);
-        assert_eq!(second.outcome.stats.tasks_computed, 0);
-        assert_eq!(second.outcome.stats.tasks_reused, tasks.len());
-        // And the cached path still matches the rebuild-per-group baseline.
-        let baseline = msqm_group_parallel(&tasks, &index, &cost, &sweep_cfg, 4);
-        assert_eq!(baseline.outcome.assignment, second.outcome.assignment);
     }
 
     #[test]

@@ -137,18 +137,15 @@ pub fn msqm_task_parallel(
     // Task -> owning thread (round-robin).
     let owner: Vec<usize> = (0..tasks.len()).map(|i| i % threads).collect();
 
-    // The master retrieves every task's initial per-slot candidates through a
-    // candidate cache (real, measured `CacheStats`) and hands them to the
-    // owning threads, which build their mutable states from them.  With the
-    // empty initial ledger the checkout equals a fresh computation, so the
-    // framework's determinism is untouched.
+    // The master computes every task's initial per-slot candidates (counted
+    // in `CacheStats` as misses) and hands them to the owning threads, which
+    // build their mutable states from them.  The initial ledger is empty, so
+    // these are the base candidates.
     let mut stats = CacheStats::default();
-    let mut cache = crate::engine::CandidateCache::new();
-    let initial_ledger = WorkerLedger::new();
     let mut per_thread_candidates: Vec<HashMap<usize, crate::candidates::SlotCandidates>> =
         (0..threads).map(|_| HashMap::new()).collect();
     for (task_idx, task) in tasks.iter().enumerate() {
-        let candidates = cache.checkout(task, index, &cost_model, &initial_ledger, &mut stats);
+        let candidates = crate::engine::compute_base(task, index, &cost_model, &mut stats);
         per_thread_candidates[owner[task_idx]].insert(task_idx, candidates);
     }
 

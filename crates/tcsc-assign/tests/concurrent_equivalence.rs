@@ -168,8 +168,8 @@ fn thread_counts_are_interchangeable() {
 #[test]
 fn streaming_drains_match_the_serial_engine_round_by_round() {
     // The full streaming lifecycle — persistent occupancy across rounds,
-    // per-round cache eviction, round-clock advance — must track the serial
-    // engine exactly, on the region-partitioned preset the engine serves.
+    // drains that bypass the caches — must track the serial engine exactly,
+    // on the region-partitioned preset the engine serves.
     let cost = EuclideanCost::default();
     let streaming = StreamingConfig::region_partitioned(ScenarioConfig::small(), 4, 4, 3).build();
     let num_slots = streaming.config.base.num_slots;
@@ -193,7 +193,7 @@ fn streaming_drains_match_the_serial_engine_round_by_round() {
             assert_identical(&format!("round {r}, {objective:?}"), &b, &a);
         }
         assert_eq!(serial.ledger().len(), parallel.ledger().len());
-        assert_eq!(parallel.cached_tasks(), 0, "drains must evict arrivals");
+        assert_eq!(parallel.cached_tasks(), 0, "drains never fill the caches");
     }
 }
 

@@ -7,9 +7,9 @@
 //!
 //! This is the assignment-layer counterpart of `tcsc-index`'s
 //! `mutable_index_fuzz`: the index fuzz locks query-level equivalence, this
-//! suite locks that the cache invalidation (worker-scoped holder-map
-//! refreshes) and the ledger maintenance (release on remove, cross-tile
-//! migration on move) never change what gets planned.
+//! suite locks that the cache maintenance (every mutation clears the
+//! candidate caches) and the ledger maintenance (release on remove,
+//! cross-tile migration on move) never change what gets planned.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,10 +110,10 @@ fn apply_concurrent(engine: &mut ConcurrentAssignmentEngine<'_>, ops: &[Op]) {
     }
 }
 
-/// Warm-cache re-planning shape: the same batch is solved again after every
-/// tape (cache hits + worker-scoped invalidation on the mutating engines,
-/// cold recompute on the rebuilding engines), with occupancy released
-/// between rounds so plans stay comparable round over round.
+/// Re-planning shape: the same batch is solved again after every tape (the
+/// mutating engines clear their caches on each op, the rebuilding engines
+/// come back cold), with occupancy released between rounds so plans stay
+/// comparable round over round.
 #[test]
 fn mutated_engines_match_rebuilt_engines_on_replanning() {
     let cost = EuclideanCost::default();

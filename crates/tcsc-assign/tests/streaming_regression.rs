@@ -1,9 +1,8 @@
 //! Regression lock for the streaming engines: `drain_parallel` followed by
 //! `submit` of tasks in an already-drained region must not replay stale
-//! cache entries — the concurrent engine's per-shard caches evict drained
-//! arrivals exactly like the serial engine's single cache, and a re-arriving
-//! task id (same or changed content) must be solved from fresh candidates
-//! against the persisted occupancy.
+//! candidates — drains on both engines bypass the candidate caches, so a
+//! re-arriving task id (same or changed content) is solved from fresh
+//! candidates against the persisted occupancy.
 
 use tcsc_assign::{AssignmentEngine, ConcurrentAssignmentEngine, MultiTaskConfig, Objective};
 use tcsc_core::{EuclideanCost, Location};
@@ -59,7 +58,7 @@ fn submit_after_drain_in_a_drained_region_matches_the_serial_engine() {
         assert_eq!(
             concurrent.cached_tasks(),
             0,
-            "drain_parallel must evict its arrivals from every shard cache"
+            "drain_parallel must leave every shard cache empty"
         );
     }
 }

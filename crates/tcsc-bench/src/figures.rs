@@ -2544,7 +2544,7 @@ const MOB_DRAIN_EVERY_US: u64 = 5_000;
 /// How the mobile-worker pass keeps its index current between drains.
 enum MobMaintenance {
     /// Apply each motion event through the engine's mutation API
-    /// (tile-local splice + worker-scoped cache invalidation).
+    /// (tile-local splice; the shard caches are cleared).
     Mutate,
     /// Track the fleet in a mirror pool and rebuild the sharded index from
     /// scratch before every drain that saw motion — the pre-mutable-index
@@ -2750,11 +2750,6 @@ fn fig9mob_service_run(
         cfg,
         threads,
     );
-    // Service tasks are one-shot: cap each shard cache at roughly two
-    // drains' per-shard share so worker-scoped invalidation scans stay
-    // proportional to live tasks instead of growing with the whole stream.
-    let shards = engine.index().num_spatial_shards().max(1);
-    engine.set_cache_capacity(Some((2 * capacity / shards).max(16)));
     let mut mirror: Vec<tcsc_core::Worker> = pool.workers().to_vec();
 
     let mut run = MobRun {

@@ -327,7 +327,7 @@ fn assert_mutated_exact(
 }
 
 #[test]
-fn mutation_tapes_keep_pruning_and_interior_bounds_exact() {
+fn mutation_tapes_keep_pruning_bounds_exact() {
     // Arbitrary move/remove sequences — with moves drifting workers across
     // tiles and beyond the domain edges — must leave every distance bound
     // exact: the mutated index answers like a fresh dense rebuild.

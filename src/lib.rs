@@ -68,10 +68,7 @@ pub mod prelude {
         ShardedLedger, SingleTaskConfig, SlotCandidates, SpatioTemporalObjective, WorkerLedger,
     };
     #[allow(deprecated)]
-    pub use tcsc_assign::{
-        mmqm, msqm_group_parallel, msqm_group_parallel_cached, msqm_serial, msqm_task_parallel,
-        sapprox,
-    };
+    pub use tcsc_assign::{mmqm, msqm_group_parallel, msqm_serial, msqm_task_parallel, sapprox};
     pub use tcsc_core::{
         AssignmentPlan, Budget, CostModel, Domain, EuclideanCost, InterpolationWeights, Location,
         MultiAssignment, QualityEvaluator, QualityParams, SpatioTemporalEvaluator, Task, TaskId,

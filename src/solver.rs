@@ -2,8 +2,8 @@
 //!
 //! The repository grew one free function per (runtime × objective) point —
 //! `msqm_serial`, `mmqm`, `sapprox`, `msqm_task_parallel`,
-//! `msqm_group_parallel_cached`, plus the engine constructors.  The builder collapses that zoo into one declarative
-//! configuration surface:
+//! `msqm_group_parallel`, plus the engine constructors.  The builder
+//! collapses that zoo into one declarative configuration surface:
 //!
 //! ```
 //! use tcsc::solver::{Runtime, SolveObjective, SolverBuilder};
@@ -54,7 +54,7 @@ pub enum Runtime {
     /// master (`msqm_task_parallel`).  MSQM only.
     TaskParallel,
     /// The group-level parallel framework over the conflict-independence
-    /// graph (`msqm_group_parallel{,_cached}`).  MSQM only.
+    /// graph (`msqm_group_parallel`).  MSQM only.
     GroupParallel,
     /// The deterministic discrete-event cluster simulation (`run_cluster`).
     /// MSQM only.
@@ -89,7 +89,6 @@ pub struct SolverBuilder {
     threads: usize,
     grid: ShardGridConfig,
     use_priorities: bool,
-    group_cache: bool,
     sim_nodes: usize,
     sim_latency: LatencyModel,
     sim_seed: u64,
@@ -106,7 +105,6 @@ impl SolverBuilder {
             threads: 1,
             grid: ShardGridConfig::new(1, 1),
             use_priorities: true,
-            group_cache: false,
             sim_nodes: 2,
             sim_latency: LatencyModel::Zero,
             sim_seed: 42,
@@ -160,13 +158,6 @@ impl SolverBuilder {
     /// heartbeats (the paper's configuration) or plain FIFO arbitration.
     pub fn with_priorities(mut self, use_priorities: bool) -> Self {
         self.use_priorities = use_priorities;
-        self
-    }
-
-    /// Whether [`Runtime::GroupParallel`] shares the candidate cache across
-    /// groups (`msqm_group_parallel_cached`) or rebuilds per group.
-    pub fn with_group_cache(mut self, cached: bool) -> Self {
-        self.group_cache = cached;
         self
     }
 
@@ -287,25 +278,13 @@ impl SolverBuilder {
             Runtime::GroupParallel => {
                 self.require_msqm("Runtime::GroupParallel");
                 #[allow(deprecated)]
-                let result = if self.group_cache {
-                    let mut cache = tcsc_assign::CandidateCache::new();
-                    tcsc_assign::msqm_group_parallel_cached(
-                        tasks,
-                        index,
-                        cost_model,
-                        &self.config,
-                        self.threads,
-                        &mut cache,
-                    )
-                } else {
-                    tcsc_assign::msqm_group_parallel(
-                        tasks,
-                        index,
-                        cost_model,
-                        &self.config,
-                        self.threads,
-                    )
-                };
+                let result = tcsc_assign::msqm_group_parallel(
+                    tasks,
+                    index,
+                    cost_model,
+                    &self.config,
+                    self.threads,
+                );
                 result.outcome
             }
             Runtime::Concurrent | Runtime::Sim => panic!(

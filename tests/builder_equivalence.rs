@@ -9,7 +9,6 @@
 #![allow(deprecated)]
 
 use tcsc::prelude::*;
-use tcsc_assign::CandidateCache;
 
 /// The scenario presets every equivalence assertion sweeps.
 fn presets() -> Vec<(&'static str, ScenarioConfig)> {
@@ -139,18 +138,7 @@ fn group_parallel_builder_matches_both_variants() {
             .with_runtime(Runtime::GroupParallel)
             .with_threads(3)
             .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost);
-        assert_eq!(legacy.outcome, built, "{label} plain");
-
-        let mut cache = CandidateCache::new();
-        let cached =
-            msqm_group_parallel_cached(&scenario.tasks, &index, &cost, &cfg, 3, &mut cache);
-        let built = SolverBuilder::new(50.0)
-            .with_config(cfg)
-            .with_runtime(Runtime::GroupParallel)
-            .with_threads(3)
-            .with_group_cache(true)
-            .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost);
-        assert_eq!(cached.outcome, built, "{label} cached");
+        assert_eq!(legacy.outcome, built, "{label}");
     }
 }
 
