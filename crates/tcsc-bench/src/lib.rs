@@ -1,10 +1,12 @@
 //! # tcsc-bench
 //!
 //! Benchmark harness reproducing every figure of the paper's evaluation
-//! (Section V and the appendix).  Each figure has a driver in [`figures`]
-//! that generates the corresponding workload, runs the competing algorithms
-//! and returns the table rows the paper plots; the `experiments` binary prints
-//! them, and the Criterion benches time the underlying algorithm calls.
+//! (Section V and the appendix) plus the repository's extension figures.
+//! Each figure has a driver in [`figures`] that generates the corresponding
+//! workload, runs the competing algorithms and returns a [`Report`]: the
+//! table rows the figure plots, named scalars and pass/fail gates.  The
+//! `experiments` binary prints and writes every report, and the Criterion
+//! benches time the underlying algorithm calls.
 //!
 //! Absolute running times differ from the paper (different language, machine
 //! and data substitutes); the drivers are designed so the *shape* of every
@@ -72,27 +74,199 @@ impl Row {
     }
 }
 
-/// A complete experiment result: the figure id, a caption and the rows.
+/// A named scalar of a [`Report`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scalar {
+    /// A measurement or count.
+    Num(f64),
+    /// A yes/no fact.
+    Bool(bool),
+    /// A 64-bit hash, written as `{:#018x}`.
+    Hash(u64),
+}
+
+impl Scalar {
+    fn json(&self) -> String {
+        match self {
+            Scalar::Num(v) if v.is_finite() => format!("{v}"),
+            Scalar::Num(_) => "null".into(),
+            Scalar::Bool(b) => b.to_string(),
+            Scalar::Hash(h) => format!("\"{h:#018x}\""),
+        }
+    }
+}
+
+/// A named pass/fail check of a [`Report`]; the `experiments` binary exits
+/// non-zero when any gate of any figure it ran failed.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Experiment {
+pub struct Gate {
+    /// Gate name, unique within its figure (`plans_match`, ...).
+    pub name: &'static str,
+    /// Whether the check held.
+    pub pass: bool,
+    /// The measured quantities behind the verdict.
+    pub detail: String,
+}
+
+/// The result of one figure driver: the table rows the figure plots, named
+/// scalars, named gates and any extra files (traces, profiles, summaries).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
     /// Figure identifier, e.g. `"fig6a"`.
     pub id: &'static str,
     /// Human-readable caption.
     pub caption: &'static str,
+    /// Named scalars, in insertion order.
+    pub scalars: Vec<(&'static str, Scalar)>,
     /// The result rows.
     pub rows: Vec<Row>,
+    /// Named checks.
+    pub gates: Vec<Gate>,
+    /// Extra files to write next to `BENCH_<id>.json`: (file name, contents).
+    pub artifacts: Vec<(&'static str, String)>,
 }
 
-impl Experiment {
-    /// Renders the experiment as a printable block.
+impl Report {
+    /// A report holding only table rows.
+    pub fn new(id: &'static str, caption: &'static str, rows: Vec<Row>) -> Self {
+        Self {
+            id,
+            caption,
+            scalars: Vec::new(),
+            rows,
+            gates: Vec::new(),
+            artifacts: Vec::new(),
+        }
+    }
+
+    /// Adds a numeric scalar.
+    pub fn num(mut self, name: &'static str, value: f64) -> Self {
+        self.scalars.push((name, Scalar::Num(value)));
+        self
+    }
+
+    /// Adds a boolean scalar.
+    pub fn flag(mut self, name: &'static str, value: bool) -> Self {
+        self.scalars.push((name, Scalar::Bool(value)));
+        self
+    }
+
+    /// Adds a hash scalar.
+    pub fn hash(mut self, name: &'static str, value: u64) -> Self {
+        self.scalars.push((name, Scalar::Hash(value)));
+        self
+    }
+
+    /// Adds a gate.
+    pub fn gate(mut self, name: &'static str, pass: bool, detail: impl Into<String>) -> Self {
+        self.gates.push(Gate {
+            name,
+            pass,
+            detail: detail.into(),
+        });
+        self
+    }
+
+    /// Adds an extra file.
+    pub fn artifact(mut self, file_name: &'static str, contents: String) -> Self {
+        self.artifacts.push((file_name, contents));
+        self
+    }
+
+    /// The gates that did not hold.
+    pub fn failed(&self) -> impl Iterator<Item = &Gate> {
+        self.gates.iter().filter(|g| !g.pass)
+    }
+
+    /// Renders the table, the scalars and the gate verdicts as a printable
+    /// block.
     pub fn render(&self) -> String {
         let mut out = format!("== {} — {} ==\n", self.id, self.caption);
         for row in &self.rows {
             out.push_str(&row.render());
             out.push('\n');
         }
+        for (name, scalar) in &self.scalars {
+            let value = match scalar {
+                Scalar::Num(v) if v.fract() == 0.0 => format!("{v:.0}"),
+                Scalar::Num(v) => format!("{v:.4}"),
+                Scalar::Bool(b) => b.to_string(),
+                Scalar::Hash(h) => format!("{h:#018x}"),
+            };
+            out.push_str(&format!("{name:<18} {value}\n"));
+        }
+        for gate in &self.gates {
+            let verdict = if gate.pass { "pass" } else { "FAIL" };
+            out.push_str(&format!(
+                "gate {}/{}: {verdict} ({})\n",
+                self.id, gate.name, gate.detail
+            ));
+        }
         out
     }
+
+    /// Serialises the report as the `BENCH_<id>.json` artifact (hand-rolled
+    /// JSON; no serde in the hermetic build).
+    pub fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\n  \"figure\": {},\n  \"caption\": {},\n",
+            json_str(self.id),
+            json_str(self.caption)
+        );
+        for (name, scalar) in &self.scalars {
+            out.push_str(&format!("  {}: {},\n", json_str(name), scalar.json()));
+        }
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let values: Vec<String> = row
+                    .values
+                    .iter()
+                    .map(|(name, v)| format!("{}: {}", json_str(name), Scalar::Num(*v).json()))
+                    .collect();
+                format!(
+                    "    {{ \"label\": {}, {} }}",
+                    json_str(&row.label),
+                    values.join(", ")
+                )
+            })
+            .collect();
+        let gates: Vec<String> = self
+            .gates
+            .iter()
+            .map(|g| {
+                format!(
+                    "    {{ \"name\": {}, \"pass\": {}, \"detail\": {} }}",
+                    json_str(g.name),
+                    g.pass,
+                    json_str(&g.detail)
+                )
+            })
+            .collect();
+        out.push_str(&format!(
+            "  \"rows\": [\n{}\n  ],\n  \"gates\": [\n{}\n  ]\n}}\n",
+            rows.join(",\n"),
+            gates.join(",\n")
+        ));
+        out
+    }
+}
+
+/// A JSON string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Times a closure, returning (result, elapsed milliseconds).
@@ -177,14 +351,49 @@ mod tests {
     fn row_and_experiment_render() {
         let row = Row::new("Uniform", vec![("Approx".into(), 3.2), ("Opt".into(), 3.4)]);
         assert!(row.render().contains("Approx=3.2"));
-        let exp = Experiment {
-            id: "fig6a",
-            caption: "test",
-            rows: vec![row],
-        };
-        let rendered = exp.render();
+        let rendered = Report::new("fig6a", "test", vec![row]).render();
         assert!(rendered.starts_with("== fig6a"));
         assert!(rendered.contains("Uniform"));
+    }
+
+    #[test]
+    fn report_json_escapes_and_gates_show_in_failed_and_render() {
+        let report = Report::new(
+            "figX",
+            "a \"quoted\" caption",
+            vec![
+                Row::new("n=2 \"zero\"", vec![("Ms".into(), 12.5)]),
+                Row::new("empty", vec![("Ms".into(), f64::NAN)]),
+            ],
+        )
+        .flag("plans_match", true)
+        .num("refresh_speedup", 6.25)
+        .num("executions", 120.0)
+        .hash("plan_hash", 0xabcd)
+        .gate("holds", true, "1 <= 2")
+        .gate("breaks", false, "3 > 2")
+        .artifact("TRACE_figX.jsonl", "[\n]\n".into());
+
+        let json = report.to_json();
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(json.contains("\"figure\": \"figX\""));
+        assert!(json.contains("\"caption\": \"a \\\"quoted\\\" caption\""));
+        assert!(json.contains("\"label\": \"n=2 \\\"zero\\\"\", \"Ms\": 12.5 }"));
+        assert!(json.contains("\"Ms\": null"), "non-finite numbers are null");
+        assert!(json.contains("\"plans_match\": true,"));
+        assert!(json.contains("\"refresh_speedup\": 6.25,"));
+        assert!(json.contains("\"executions\": 120,"));
+        assert!(json.contains("\"plan_hash\": \"0x000000000000abcd\","));
+        assert!(json.contains("\"name\": \"breaks\", \"pass\": false, \"detail\": \"3 > 2\""));
+
+        let failed: Vec<_> = report.failed().map(|g| g.name).collect();
+        assert_eq!(failed, ["breaks"]);
+        let rendered = report.render();
+        assert!(rendered.contains("gate figX/holds: pass (1 <= 2)"));
+        assert!(rendered.contains("gate figX/breaks: FAIL (3 > 2)"));
+        assert!(rendered.contains("0x000000000000abcd"));
+        assert_eq!(report.artifacts[0].0, "TRACE_figX.jsonl");
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! * lightweight **spans and events** ([`TraceEvent`]) recorded into the
 //!   session and ordered deterministically by `(time, thread, seq)`
 //!   ([`ObsSession::merged_events`]);
-//! * a [`MetricsRegistry`] of named counters and fixed-bucket power-of-two
-//!   [`Histogram`]s (p50/p99 assignment latency, per-grant refresh cost,
-//!   master grant/execution counts, shard-router tile visits, cache
-//!   hit/miss);
+//! * a [`MetricsRegistry`] of named counters and log-linear [`Histogram`]s
+//!   (16 sub-buckets per power of two: p50/p99 assignment latency,
+//!   per-grant refresh cost, master grant/execution counts, shard-router
+//!   tile visits, cache hit/miss);
 //! * exporters: a chrome://tracing-compatible JSONL dump
 //!   ([`chrome_trace_jsonl`]), a plain-text summary table
 //!   ([`ObsSession::summary`]), and a stable [`obs_digest`] hash over the

@@ -1,34 +1,41 @@
-//! Counters, gauges, fixed-bucket histograms and sliding SLO windows.
+//! Counters, gauges, log-linear histograms and sliding SLO windows.
 //!
 //! The registry is deliberately tiny: names are `&'static str`, storage is a
 //! sorted association list (the workspace records a few dozen distinct
-//! names), and histograms use 64 fixed power-of-two buckets so recording is
-//! one index computation and one increment — no allocation after the first
-//! observation of a name.
+//! names), and histograms use HdrHistogram-style log-linear buckets (16
+//! linear sub-buckets per power of two) so recording is one index
+//! computation and one increment.
 //!
 //! # Quantile error bound
 //!
 //! Histograms retain bucket counts, not samples, so quantiles resolve to the
-//! power-of-two bucket containing the rank: [`Histogram::quantile`] returns
-//! the bucket's upper bound, clamped to the exact observed `min`/`max`.  The
-//! true `q`-quantile `x` lives in the same bucket `(2^(i-1), 2^i]`, so the
-//! reported value overestimates by **strictly less than 2×** (and never
-//! underestimates): `x <= reported < 2x` for `x > 1`, exact for `x <= 1` and
-//! whenever the rank falls in the min or max bucket ends clamped.  That is
-//! plenty for p50/p99 SLO reporting, where the question is "which latency
-//! band", not "which nanosecond" — the bound is locked by the exact-vs-
-//! bucketed property test in `tests/quantile_error.rs`.
+//! bucket containing the rank: [`Histogram::quantile`] returns the bucket's
+//! upper bound, clamped to the exact observed `min`/`max`.  Values below 32
+//! get a bucket each; above that, the power of two `[2^e, 2^(e+1))` is split
+//! into 16 buckets of width `2^(e-4)`.  The true `q`-quantile `x` shares the
+//! reported bucket, so the report never underestimates and overestimates by
+//! less than one bucket width, which is at most `x / 16`:
+//! `x <= reported <= x + x / 16` (exact below 32).  That tells 40 ms from
+//! 64 ms apart, which a power-of-two layout cannot — the bound is locked by
+//! the exact-vs-bucketed property test in `tests/quantile_error.rs`.
 
 use crate::slo::SlidingWindow;
 
-/// A fixed-bucket histogram over `u64` observations.
+/// Linear sub-buckets per power of two, as a bit count (16 sub-buckets).
+const SUB_BITS: u32 = 4;
+/// Linear sub-buckets per power of two.
+const SUB: u64 = 1 << SUB_BITS;
+
+/// A log-linear histogram over `u64` observations.
 ///
-/// Bucket `i` holds values whose bit length is `i` (i.e. value 0 → bucket 0,
-/// value `v > 0` → bucket `64 - v.leading_zeros()`), so percentile queries
-/// resolve to a power-of-two band; `min`/`max`/`sum` are tracked exactly.
+/// Values below 32 map to their own bucket; a value `v` with
+/// `2^e <= v < 2^(e+1)` (`e >= 4`) maps to one of 16 equal-width buckets
+/// covering that power of two.  The bucket vector grows only up to the
+/// largest value seen, so empty and small-valued histograms stay cheap to
+/// clone and merge; `min`/`max`/`sum` are tracked exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: [u64; 65],
+    buckets: Vec<u64>,
     count: u64,
     sum: u64,
     min: u64,
@@ -38,7 +45,7 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Self {
-            buckets: [0; 65],
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -49,12 +56,30 @@ impl Default for Histogram {
 
 impl Histogram {
     fn bucket_of(value: u64) -> usize {
-        (64 - value.leading_zeros()) as usize
+        if value < SUB {
+            return value as usize;
+        }
+        let shift = 63 - value.leading_zeros() - SUB_BITS;
+        ((u64::from(shift) + 1) * SUB + ((value >> shift) & (SUB - 1))) as usize
+    }
+
+    /// The largest value that maps to bucket `index`.
+    fn upper_of(index: usize) -> u64 {
+        let index = index as u64;
+        if index < SUB {
+            return index;
+        }
+        let shift = index / SUB - 1;
+        ((SUB + index % SUB) << shift) + ((1u64 << shift) - 1)
     }
 
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
+        let i = Self::bucket_of(value);
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
+        }
+        self.buckets[i] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
@@ -96,11 +121,10 @@ impl Histogram {
 
     /// The upper bound of the bucket containing the `q`-quantile
     /// (`0.0 ..= 1.0`), clamped to the exact observed `min`/`max`.  Exact
-    /// values are not retained, so this is a power-of-two-resolution
-    /// estimate: the true quantile `x` satisfies `x <= quantile(q) < 2 * x`
-    /// (never an underestimate, less than 2× over — see the module docs for
-    /// the derivation and `tests/quantile_error.rs` for the property lock).
-    /// Plenty for p50/p99 latency reporting.
+    /// values are not retained, so this is a log-linear estimate: the true
+    /// quantile `x` satisfies `x <= quantile(q) <= x + x / 16` (never an
+    /// underestimate — see the module docs for the derivation and
+    /// `tests/quantile_error.rs` for the property lock).
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -110,11 +134,7 @@ impl Histogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                // Bucket i > 0 holds bit-length-i values, upper bound
-                // 2^i - 1; bucket 64 (values >= 2^63) tops out at u64::MAX,
-                // which `1 << 64` would overflow.
-                let upper = if i == 0 { 0 } else { u64::MAX >> (64 - i) };
-                return upper.min(self.max).max(self.min());
+                return Self::upper_of(i).min(self.max).max(self.min());
             }
         }
         self.max
@@ -132,7 +152,10 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
         self.count += other.count;
@@ -398,8 +421,12 @@ mod tests {
         assert_eq!(h.count(), 1000);
         assert_eq!(h.min(), 1);
         assert_eq!(h.max(), 1000);
-        // p50 of 1..=1000 is 500; the bucket upper bound 511 brackets it.
-        assert!(h.p50() >= 500 && h.p50() <= 1023, "p50={}", h.p50());
+        // p50 of 1..=1000 is 500; its bucket [496, 511] tops out at 511.
+        assert!(
+            h.p50() >= 500 && h.p50() <= 500 + 500 / 16,
+            "p50={}",
+            h.p50()
+        );
         assert!(h.p99() >= 990, "p99={}", h.p99());
         assert!((h.mean() - 500.5).abs() < 1e-9);
     }

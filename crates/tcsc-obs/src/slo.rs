@@ -2,7 +2,7 @@
 //!
 //! Whole-run aggregates answer "how did the run go"; a service gets asked
 //! "what is p99 assignment latency *right now*".  A [`SlidingWindow`] keeps a
-//! ring of the registry's power-of-two [`Histogram`]s, one per **slice** of
+//! ring of the registry's log-linear [`Histogram`]s, one per **slice** of
 //! the window, and rotates the ring as the clock advances: recording is one
 //! histogram increment, windowed queries merge the live slices, and samples
 //! older than `slices × slice_nanos` fall out exactly one slice at a time.

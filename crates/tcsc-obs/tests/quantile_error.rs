@@ -1,13 +1,14 @@
-//! Property lock for the power-of-two histogram quantile error bound.
+//! Property lock for the log-linear histogram quantile error bound.
 //!
 //! [`tcsc_obs::Histogram`] keeps bucket counts, not samples, so quantiles
-//! resolve to the upper bound of the power-of-two bucket containing the
-//! rank.  The documented bound on `MetricsRegistry`'s quantile surface is:
-//! the true `q`-quantile `x` satisfies `x <= quantile(q) < 2 * x` for
-//! `x >= 1` (never an underestimate, strictly less than 2× over), and
-//! `quantile(q) == 0` exactly when `x == 0`.  This test checks the bound
-//! against exact quantiles computed from the retained samples, across
-//! seeded distributions spanning the bucket range.
+//! resolve to the upper bound of the bucket containing the rank; each power
+//! of two is split into 16 linear sub-buckets.  The documented bound on
+//! `MetricsRegistry`'s quantile surface is: the true `q`-quantile `x`
+//! satisfies `x <= quantile(q) <= x + x / 16` (never an underestimate, at
+//! most one sixteenth over, exact below 32), and `quantile(q) == 0` exactly
+//! when `x == 0`.  This test checks the bound against exact quantiles
+//! computed from the retained samples, across seeded distributions spanning
+//! the bucket range.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,27 +36,24 @@ fn assert_bound(samples: &[u64], context: &str) {
             bucketed >= exact,
             "{context}: q={q} underestimated: exact {exact}, bucketed {bucketed}"
         );
-        if exact == 0 {
-            assert_eq!(
-                bucketed, 0,
-                "{context}: q={q} nonzero estimate for a zero quantile"
-            );
-        } else {
-            assert!(
-                bucketed < 2 * exact,
-                "{context}: q={q} over 2x: exact {exact}, bucketed {bucketed}"
-            );
+        assert!(
+            bucketed <= exact.saturating_add(exact / 16),
+            "{context}: q={q} over 1/16: exact {exact}, bucketed {bucketed}"
+        );
+        if exact < 32 {
+            assert_eq!(bucketed, exact, "{context}: q={q} small values are exact");
         }
     }
 }
 
 #[test]
 fn bucketed_quantiles_never_underestimate_and_stay_under_2x() {
+    // The bound checked is the tighter `exact + exact / 16`.
     for seed in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(seed);
 
-        // Small values exercise the exact low buckets (0, 1, 2, 3).
-        let small: Vec<u64> = (0..500).map(|_| rng.gen_range(0..8u64)).collect();
+        // Small values exercise the exact low buckets (0..32).
+        let small: Vec<u64> = (0..500).map(|_| rng.gen_range(0..40u64)).collect();
         assert_bound(&small, "small uniform");
 
         // Wide uniform range crosses many buckets.
@@ -74,6 +72,12 @@ fn bucketed_quantiles_never_underestimate_and_stay_under_2x() {
             })
             .collect();
         assert_bound(&tailed, "heavy tail");
+
+        // The top of the range, where bucket arithmetic could overflow.
+        let huge: Vec<u64> = (0..100)
+            .map(|_| rng.gen_range(1u64 << 62..=u64::MAX))
+            .collect();
+        assert_bound(&huge, "top of range");
     }
 }
 
@@ -98,15 +102,32 @@ fn degenerate_distributions_hit_the_bound_exactly() {
 
 #[test]
 fn worst_case_error_approaches_but_never_reaches_2x() {
-    // 2^k is the first value of its bucket; with a larger max present the
-    // reported upper bound 2^(k+1)-1 is the worst case: ratio (2 - 2^-k)x.
+    // 2^k is the first value of its sub-bucket, which spans 2^(k-4) values;
+    // with a larger max present the reported upper bound 2^k + 2^(k-4) - 1
+    // is the worst case: ratio (1 + 1/16 - 2^-k)x, just under the bound.
     let mut h = Histogram::default();
     for _ in 0..99 {
-        h.record(1 << 20); // bucket 21 lower edge
+        h.record(1 << 20); // lower edge of its sub-bucket
     }
     h.record(u64::MAX); // keeps the max clamp out of the way
     let reported = h.quantile(0.5);
     let exact = 1u64 << 20;
-    assert_eq!(reported, (1 << 21) - 1);
-    assert!(reported >= exact && reported < 2 * exact);
+    assert_eq!(reported, exact + (1 << 16) - 1);
+    assert!(reported >= exact && reported <= exact + exact / 16);
+
+    // Merging keeps the layout: the same samples split over two histograms
+    // report the same quantiles as one.
+    let mut a = Histogram::default();
+    let mut b = Histogram::default();
+    let mut both = Histogram::default();
+    for v in (0..2_000u64).map(|i| i * i * 37) {
+        if v % 3 == 0 {
+            a.record(v);
+        } else {
+            b.record(v);
+        }
+        both.record(v);
+    }
+    a.merge(&b);
+    assert_eq!(a, both);
 }
