@@ -6,2414 +6,16 @@
 //! `Scale` parameter switches between CI-sized workloads (`Quick`) and
 //! workloads close to the paper's parameters (`Full`).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+mod extensions;
+mod paper;
 
-use tcsc::solver::{Runtime, SolveObjective, SolverBuilder};
-use tcsc_assign::candidates::SlotCandidates;
-use tcsc_assign::{
-    approx, approx_star, independence_graph, msqm_rebuild, optimal, random_summary,
-    AssignmentEngine, ConcurrentAssignmentEngine, MultiTaskConfig, Objective, SingleTaskConfig,
-    SpatioTemporalObjective,
-};
-use tcsc_core::{EuclideanCost, InterpolationWeights};
-use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
-use tcsc_workload::{
-    PoiConfig, ScenarioConfig, SpatialDistribution, StreamingConfig, TaskPlacement,
+pub use extensions::{fig9dist, fig9mob, fig9obs, fig9p, fig9s, fig9svc};
+pub use paper::{
+    fig11a, fig11b, fig11c, fig6a, fig6b, fig7a, fig7b, fig7c, fig7d, fig8a, fig8b, fig8c, fig8d,
+    fig8e, fig8f, fig8g, fig8h, fig9a, fig9b, fig9c, fig9d, fig9e, fig9f, fig9g, fig9h, fig9i,
 };
 
-use crate::{best_of, prepare_multi, prepare_single, timed, Report, Row, Scale};
-
-/// Shorthand: a [`SolverBuilder`] seeded from a figure's `MultiTaskConfig`.
-///
-/// Every multi-task figure routes through the facade; the prebuilt dense
-/// index stays outside the timed regions via [`SolverBuilder::solve_indexed`].
-fn builder(cfg: &MultiTaskConfig) -> SolverBuilder {
-    SolverBuilder::new(cfg.budget).with_config(*cfg)
-}
-
-/// Workload sizes per scale.
-struct Params {
-    /// `m` used for quality experiments where OPT must stay feasible.
-    opt_slots: usize,
-    /// `m` sweep for the single-task efficiency experiments (Fig. 8).
-    m_sweep: Vec<usize>,
-    /// Worker-count sweep for Fig. 8(b).
-    worker_sweep: Vec<usize>,
-    /// Default worker count.
-    workers: usize,
-    /// Task-count sweep for the multi-task experiments (Fig. 9).
-    task_sweep: Vec<usize>,
-    /// Default task count.
-    tasks: usize,
-    /// Default `m` for multi-task experiments.
-    multi_slots: usize,
-    /// Core-count sweep for Fig. 9(a)(f).
-    cores: Vec<usize>,
-    /// Randomized-baseline repetitions.
-    rand_runs: usize,
-}
-
-fn params(scale: Scale) -> Params {
-    match scale {
-        Scale::Quick => Params {
-            opt_slots: 14,
-            m_sweep: vec![100, 200, 300],
-            worker_sweep: vec![500, 1000, 2000],
-            workers: 1000,
-            task_sweep: vec![4, 8, 12],
-            tasks: 8,
-            multi_slots: 60,
-            cores: vec![1, 2, 4, 8],
-            rand_runs: 10,
-        },
-        Scale::Full => Params {
-            opt_slots: 18,
-            m_sweep: vec![300, 500, 1000],
-            worker_sweep: vec![5000, 7500, 10000],
-            workers: 10_357,
-            task_sweep: vec![100, 300, 500],
-            tasks: 100,
-            multi_slots: 300,
-            cores: vec![1, 2, 4, 8, 10, 12, 16],
-            rand_runs: 20,
-        },
-    }
-}
-
-/// The three synthetic distributions plus the POI ("real") placement.
-fn placements() -> Vec<TaskPlacement> {
-    vec![
-        TaskPlacement::Synthetic(SpatialDistribution::Uniform),
-        TaskPlacement::Synthetic(SpatialDistribution::Gaussian),
-        TaskPlacement::Synthetic(SpatialDistribution::zipf_default()),
-        TaskPlacement::Poi(PoiConfig::default()),
-    ]
-}
-
-fn synthetic_placements() -> Vec<TaskPlacement> {
-    placements().into_iter().take(3).collect()
-}
-
-/// The cost of executing every available slot of the prepared task; budgets
-/// are expressed as fractions of it, mirroring the paper's "12.5% / 25% /
-/// 50% of the average task cost" calibration.
-fn full_cost(candidates: &SlotCandidates) -> f64 {
-    (0..candidates.len())
-        .filter_map(|j| candidates.cost(j))
-        .sum()
-}
-
-// ---------------------------------------------------------------------------
-// Figure 6: quality of the single-task case
-// ---------------------------------------------------------------------------
-
-/// Fig. 6(a): single-task average quality per task-location distribution
-/// (RandMin, RandMax, Opt, Approx).
-pub fn fig6a(scale: Scale) -> Report {
-    let p = params(scale);
-    let mut rows = Vec::new();
-    for placement in placements() {
-        let cfg = ScenarioConfig::small()
-            .with_num_slots(p.opt_slots)
-            .with_num_workers(p.workers.min(2000))
-            .with_placement(placement.clone());
-        let prepared = prepare_single(&cfg);
-        let budget = 0.25 * full_cost(&prepared.candidates);
-        let single = SingleTaskConfig::new(budget);
-        let mut rng = StdRng::seed_from_u64(7);
-        let rand = random_summary(
-            &mut rng,
-            &prepared.task,
-            &prepared.candidates,
-            &single,
-            p.rand_runs,
-        );
-        let opt = optimal(&prepared.task, &prepared.candidates, &single);
-        let greedy = approx(&prepared.task, &prepared.candidates, &single);
-        rows.push(Row::new(
-            placement.label(),
-            vec![
-                ("RandMin".into(), rand.min),
-                ("RandMax".into(), rand.max),
-                ("Opt".into(), opt.quality),
-                ("Approx".into(), greedy.plan.quality),
-            ],
-        ));
-    }
-    Report::new(
-        "fig6a",
-        "Single-task quality vs task-location distribution",
-        rows,
-    )
-}
-
-/// Fig. 6(b): single-task quality vs budget (Opt, Approx, RandAvg).
-pub fn fig6b(scale: Scale) -> Report {
-    let p = params(scale);
-    let cfg = ScenarioConfig::small()
-        .with_num_slots(p.opt_slots)
-        .with_num_workers(p.workers.min(2000));
-    let prepared = prepare_single(&cfg);
-    let full = full_cost(&prepared.candidates);
-    let mut rows = Vec::new();
-    for fraction in [0.15, 0.25, 0.35] {
-        let single = SingleTaskConfig::new(fraction * full);
-        let mut rng = StdRng::seed_from_u64(11);
-        let rand = random_summary(
-            &mut rng,
-            &prepared.task,
-            &prepared.candidates,
-            &single,
-            p.rand_runs,
-        );
-        let opt = optimal(&prepared.task, &prepared.candidates, &single);
-        let greedy = approx(&prepared.task, &prepared.candidates, &single);
-        rows.push(Row::new(
-            format!("b={:.0}%", fraction * 100.0),
-            vec![
-                ("Opt".into(), opt.quality),
-                ("Approx".into(), greedy.plan.quality),
-                ("RandAvg".into(), rand.avg),
-            ],
-        ));
-    }
-    Report::new("fig6b", "Single-task quality vs budget", rows)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 7: quality of the multi-task case
-// ---------------------------------------------------------------------------
-
-fn multi_rand_baseline(
-    prepared: &crate::PreparedMulti,
-    config: &MultiTaskConfig,
-    runs: usize,
-) -> (f64, f64, f64, f64) {
-    // Randomized multi-task baseline: the budget is split evenly over tasks
-    // and each task assigns random subtasks to its nearest workers.  Returns
-    // (sum of per-task min, sum of per-task max, min over tasks of avg,
-    //  max over tasks of avg).
-    let per_task_budget = config.budget / prepared.scenario.tasks.len().max(1) as f64;
-    let cost_model = EuclideanCost::default();
-    let mut sum_min = 0.0;
-    let mut sum_max = 0.0;
-    let mut min_avg = f64::INFINITY;
-    let mut max_avg: f64 = 0.0;
-    for (i, task) in prepared.scenario.tasks.iter().enumerate() {
-        let candidates = SlotCandidates::compute(task, &prepared.index, &cost_model);
-        let single = SingleTaskConfig::new(per_task_budget).with_k(config.k);
-        let mut rng = StdRng::seed_from_u64(100 + i as u64);
-        let rand = random_summary(&mut rng, task, &candidates, &single, runs);
-        sum_min += rand.min;
-        sum_max += rand.max;
-        min_avg = min_avg.min(rand.avg);
-        max_avg = max_avg.max(rand.avg);
-    }
-    if !min_avg.is_finite() {
-        min_avg = 0.0;
-    }
-    (sum_min, sum_max, min_avg, max_avg)
-}
-
-fn multi_scenario(p: &Params, placement: TaskPlacement) -> ScenarioConfig {
-    ScenarioConfig::small()
-        .with_num_tasks(p.tasks)
-        .with_num_slots(p.multi_slots)
-        .with_num_workers(p.workers.min(3000))
-        .with_placement(placement)
-}
-
-/// Fig. 7(a): multi-task summation quality per distribution.
-pub fn fig7a(scale: Scale) -> Report {
-    let p = params(scale);
-    let mut rows = Vec::new();
-    for placement in synthetic_placements() {
-        let prepared = prepare_multi(&multi_scenario(&p, placement.clone()));
-        let budget = budget_for_multi(&prepared, 0.25);
-        let cfg = MultiTaskConfig::new(budget);
-        let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, p.rand_runs.min(5));
-        let outcome = builder(&cfg).solve_indexed(
-            &prepared.scenario.tasks,
-            &prepared.index,
-            &prepared.scenario.domain,
-            &EuclideanCost::default(),
-        );
-        rows.push(Row::new(
-            placement.label(),
-            vec![
-                ("RandMin".into(), rand_min),
-                ("RandMax".into(), rand_max),
-                ("Approx".into(), outcome.sum_quality()),
-            ],
-        ));
-    }
-    Report::new(
-        "fig7a",
-        "Multi-task summation quality vs distribution (q_sum)",
-        rows,
-    )
-}
-
-/// Budget for a multi-task scenario: `fraction` of the total full-completion
-/// cost of all tasks.
-fn budget_for_multi(prepared: &crate::PreparedMulti, fraction: f64) -> f64 {
-    let cost_model = EuclideanCost::default();
-    let total: f64 = prepared
-        .scenario
-        .tasks
-        .iter()
-        .map(|t| full_cost(&SlotCandidates::compute(t, &prepared.index, &cost_model)))
-        .sum();
-    fraction * total
-}
-
-/// Fig. 7(b): multi-task summation quality vs budget.
-pub fn fig7b(scale: Scale) -> Report {
-    let p = params(scale);
-    let prepared = prepare_multi(&multi_scenario(
-        &p,
-        TaskPlacement::Synthetic(SpatialDistribution::Uniform),
-    ));
-    let mut rows = Vec::new();
-    for fraction in [0.125, 0.25, 0.375, 0.5] {
-        let budget = budget_for_multi(&prepared, fraction);
-        let cfg = MultiTaskConfig::new(budget);
-        let (_, _, _, _) = (0.0, 0.0, 0.0, 0.0);
-        let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, 3);
-        let outcome = builder(&cfg).solve_indexed(
-            &prepared.scenario.tasks,
-            &prepared.index,
-            &prepared.scenario.domain,
-            &EuclideanCost::default(),
-        );
-        rows.push(Row::new(
-            format!("b={:.1}%", fraction * 100.0),
-            vec![
-                ("Approx".into(), outcome.sum_quality()),
-                ("RandAvg".into(), (rand_min + rand_max) / 2.0),
-            ],
-        ));
-    }
-    Report::new(
-        "fig7b",
-        "Multi-task summation quality vs budget (q_sum)",
-        rows,
-    )
-}
-
-/// Fig. 7(c): multi-task minimum quality per distribution.
-pub fn fig7c(scale: Scale) -> Report {
-    let p = params(scale);
-    let mut rows = Vec::new();
-    for placement in synthetic_placements() {
-        let prepared = prepare_multi(&multi_scenario(&p, placement.clone()));
-        let budget = budget_for_multi(&prepared, 0.25);
-        let cfg = MultiTaskConfig::new(budget);
-        let (_, _, rand_min_avg, rand_max_avg) =
-            multi_rand_baseline(&prepared, &cfg, p.rand_runs.min(5));
-        let outcome = builder(&cfg)
-            .with_objective(SolveObjective::MinQuality)
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &EuclideanCost::default(),
-            );
-        rows.push(Row::new(
-            placement.label(),
-            vec![
-                ("RandMin".into(), rand_min_avg),
-                ("RandMax".into(), rand_max_avg),
-                ("Approx".into(), outcome.min_quality()),
-            ],
-        ));
-    }
-    Report::new(
-        "fig7c",
-        "Multi-task minimum quality vs distribution (q_min)",
-        rows,
-    )
-}
-
-/// Fig. 7(d): multi-task minimum quality vs budget.
-pub fn fig7d(scale: Scale) -> Report {
-    let p = params(scale);
-    let prepared = prepare_multi(&multi_scenario(
-        &p,
-        TaskPlacement::Synthetic(SpatialDistribution::Uniform),
-    ));
-    let mut rows = Vec::new();
-    for fraction in [0.125, 0.25, 0.375, 0.5] {
-        let budget = budget_for_multi(&prepared, fraction);
-        let cfg = MultiTaskConfig::new(budget);
-        let (_, _, rand_min_avg, _) = multi_rand_baseline(&prepared, &cfg, 3);
-        let outcome = builder(&cfg)
-            .with_objective(SolveObjective::MinQuality)
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &EuclideanCost::default(),
-            );
-        rows.push(Row::new(
-            format!("b={:.1}%", fraction * 100.0),
-            vec![
-                ("Approx".into(), outcome.min_quality()),
-                ("RandAvg".into(), rand_min_avg),
-            ],
-        ));
-    }
-    Report::new(
-        "fig7d",
-        "Multi-task minimum quality vs budget (q_min)",
-        rows,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Figure 8: efficiency of the single-task case
-// ---------------------------------------------------------------------------
-
-fn single_efficiency_scenario(
-    m: usize,
-    workers: usize,
-    placement: TaskPlacement,
-) -> ScenarioConfig {
-    ScenarioConfig::small()
-        .with_num_slots(m)
-        .with_num_workers(workers)
-        .with_placement(placement)
-}
-
-/// Fig. 8(a): single-task running time vs `m` (Approx vs Approx*).
-pub fn fig8a(scale: Scale) -> Report {
-    let p = params(scale);
-    let mut rows = Vec::new();
-    for &m in &p.m_sweep {
-        let prepared = prepare_single(&single_efficiency_scenario(
-            m,
-            p.workers,
-            TaskPlacement::Synthetic(SpatialDistribution::Uniform),
-        ));
-        let budget = 0.25 * full_cost(&prepared.candidates);
-        let cfg = SingleTaskConfig::new(budget);
-        let (_, plain_ms) = timed(|| approx(&prepared.task, &prepared.candidates, &cfg));
-        let (_, fast_ms) = timed(|| approx_star(&prepared.task, &prepared.candidates, &cfg));
-        rows.push(Row::new(
-            format!("m={m}"),
-            vec![("Approx".into(), plain_ms), ("Approx*".into(), fast_ms)],
-        ));
-    }
-    Report::new(
-        "fig8a",
-        "Single-task time (ms) vs number of subtasks m",
-        rows,
-    )
-}
-
-/// Fig. 8(b): single-task running time vs number of workers.
-pub fn fig8b(scale: Scale) -> Report {
-    let p = params(scale);
-    let m = p.m_sweep[p.m_sweep.len() / 2];
-    let mut rows = Vec::new();
-    for &w in &p.worker_sweep {
-        let prepared = prepare_single(&single_efficiency_scenario(
-            m,
-            w,
-            TaskPlacement::Synthetic(SpatialDistribution::Uniform),
-        ));
-        let budget = 0.25 * full_cost(&prepared.candidates);
-        let cfg = SingleTaskConfig::new(budget);
-        let (_, plain_ms) = timed(|| approx(&prepared.task, &prepared.candidates, &cfg));
-        let (_, fast_ms) = timed(|| approx_star(&prepared.task, &prepared.candidates, &cfg));
-        rows.push(Row::new(
-            format!("|W|={w}"),
-            vec![("Approx".into(), plain_ms), ("Approx*".into(), fast_ms)],
-        ));
-    }
-    Report::new("fig8b", "Single-task time (ms) vs number of workers", rows)
-}
-
-/// Fig. 8(c): time breakdown of Approx vs Approx* (worker cost retrieval,
-/// heuristic calculation / k-NN interpolation, tree construction).
-pub fn fig8c(scale: Scale) -> Report {
-    let p = params(scale);
-    let m = p.m_sweep[p.m_sweep.len() / 2];
-    let prepared = prepare_single(&single_efficiency_scenario(
-        m,
-        p.workers,
-        TaskPlacement::Synthetic(SpatialDistribution::Uniform),
-    ));
-    let budget = 0.25 * full_cost(&prepared.candidates);
-    let cfg = SingleTaskConfig::new(budget);
-    let (plain, plain_ms) = timed(|| approx(&prepared.task, &prepared.candidates, &cfg));
-    let (fast, fast_ms) = timed(|| approx_star(&prepared.task, &prepared.candidates, &cfg));
-    Report::new(
-        "fig8c",
-        "Time breakdown (ms) of Approx and Approx*",
-        vec![
-            Row::new(
-                "Approx",
-                vec![
-                    ("WorkerCostRetrieval".into(), prepared.retrieval_ms),
-                    (
-                        "HeuristicCalc".into(),
-                        plain.stats.heuristic_seconds * 1000.0,
-                    ),
-                    ("Total".into(), plain_ms + prepared.retrieval_ms),
-                ],
-            ),
-            Row::new(
-                "Approx*",
-                vec![
-                    ("WorkerCostRetrieval".into(), prepared.retrieval_ms),
-                    ("HeuristicCalc".into(), fast.timings.search * 1000.0),
-                    (
-                        "TreeConstruction".into(),
-                        fast.timings.tree_construction * 1000.0,
-                    ),
-                    (
-                        "TreeMaintenance".into(),
-                        fast.timings.tree_maintenance * 1000.0,
-                    ),
-                    ("Total".into(), fast_ms + prepared.retrieval_ms),
-                ],
-            ),
-        ],
-    )
-}
-
-/// Fig. 8(d): pruning ratio of Approx* vs `m`, per distribution.
-pub fn fig8d(scale: Scale) -> Report {
-    let p = params(scale);
-    let mut rows = Vec::new();
-    for &m in &p.m_sweep {
-        let mut values = Vec::new();
-        for placement in placements() {
-            let prepared =
-                prepare_single(&single_efficiency_scenario(m, p.workers, placement.clone()));
-            let budget = 0.25 * full_cost(&prepared.candidates);
-            let outcome = approx_star(
-                &prepared.task,
-                &prepared.candidates,
-                &SingleTaskConfig::new(budget),
-            );
-            values.push((
-                placement.label().to_string(),
-                outcome.search_stats.pruning_ratio() * 100.0,
-            ));
-        }
-        rows.push(Row::new(format!("m={m}"), values));
-    }
-    Report::new(
-        "fig8d",
-        "Pruning ratio (%) of Approx* vs m, per distribution",
-        rows,
-    )
-}
-
-/// Fig. 8(e): tree construction time vs the split threshold `ts`.
-pub fn fig8e(scale: Scale) -> Report {
-    let p = params(scale);
-    let m = *p.m_sweep.last().unwrap();
-    let prepared = prepare_single(&single_efficiency_scenario(
-        m,
-        p.workers,
-        TaskPlacement::Synthetic(SpatialDistribution::Uniform),
-    ));
-    let budget = 0.25 * full_cost(&prepared.candidates);
-    let mut rows = Vec::new();
-    for ts in [2usize, 3, 4, 5, 6, 8, 10] {
-        let outcome = approx_star(
-            &prepared.task,
-            &prepared.candidates,
-            &SingleTaskConfig::new(budget).with_ts(ts),
-        );
-        rows.push(Row::new(
-            format!("ts={ts}"),
-            vec![
-                (
-                    "TreeConstructionMs".into(),
-                    outcome.timings.tree_construction * 1000.0,
-                ),
-                ("TreeNodes".into(), outcome.tree_nodes as f64),
-            ],
-        ));
-    }
-    Report::new(
-        "fig8e",
-        "Tree construction time vs split threshold ts",
-        rows,
-    )
-}
-
-/// Fig. 8(f): effect of the task-location distribution on running time.
-pub fn fig8f(scale: Scale) -> Report {
-    let p = params(scale);
-    let m = p.m_sweep[p.m_sweep.len() / 2];
-    let mut rows = Vec::new();
-    for placement in synthetic_placements() {
-        let prepared = prepare_single(&single_efficiency_scenario(m, p.workers, placement.clone()));
-        let budget = 0.25 * full_cost(&prepared.candidates);
-        let cfg = SingleTaskConfig::new(budget);
-        let (_, plain_ms) = timed(|| approx(&prepared.task, &prepared.candidates, &cfg));
-        let (_, fast_ms) = timed(|| approx_star(&prepared.task, &prepared.candidates, &cfg));
-        rows.push(Row::new(
-            placement.label(),
-            vec![("Approx*".into(), fast_ms), ("Approx".into(), plain_ms)],
-        ));
-    }
-    Report::new(
-        "fig8f",
-        "Single-task time (ms) vs task-location distribution",
-        rows,
-    )
-}
-
-/// Fig. 8(g): effect of the interpolation parameter `k`.
-pub fn fig8g(scale: Scale) -> Report {
-    let p = params(scale);
-    let m = p.m_sweep[p.m_sweep.len() / 2];
-    let prepared = prepare_single(&single_efficiency_scenario(
-        m,
-        p.workers,
-        TaskPlacement::Synthetic(SpatialDistribution::Uniform),
-    ));
-    let budget = 0.25 * full_cost(&prepared.candidates);
-    let mut rows = Vec::new();
-    for k in [1usize, 2, 3, 5, 7, 10] {
-        let cfg = SingleTaskConfig::new(budget).with_k(k);
-        let (_, plain_ms) = timed(|| approx(&prepared.task, &prepared.candidates, &cfg));
-        let (_, fast_ms) = timed(|| approx_star(&prepared.task, &prepared.candidates, &cfg));
-        rows.push(Row::new(
-            format!("k={k}"),
-            vec![("Approx".into(), plain_ms), ("Approx*".into(), fast_ms)],
-        ));
-    }
-    Report::new(
-        "fig8g",
-        "Single-task time (ms) vs interpolation parameter k",
-        rows,
-    )
-}
-
-/// Fig. 8(h): Approx* running time vs budget, per distribution.
-pub fn fig8h(scale: Scale) -> Report {
-    let p = params(scale);
-    let m = p.m_sweep[p.m_sweep.len() / 2];
-    let mut rows = Vec::new();
-    for fraction in [0.125, 0.25, 0.5] {
-        let mut values = Vec::new();
-        for placement in placements() {
-            let prepared =
-                prepare_single(&single_efficiency_scenario(m, p.workers, placement.clone()));
-            let budget = fraction * full_cost(&prepared.candidates);
-            let (_, fast_ms) = timed(|| {
-                approx_star(
-                    &prepared.task,
-                    &prepared.candidates,
-                    &SingleTaskConfig::new(budget),
-                )
-            });
-            values.push((placement.label().to_string(), fast_ms));
-        }
-        rows.push(Row::new(format!("b={:.1}%", fraction * 100.0), values));
-    }
-    Report::new(
-        "fig8h",
-        "Approx* time (ms) vs budget, per distribution",
-        rows,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9: efficiency of the multi-task case
-// ---------------------------------------------------------------------------
-
-/// Fig. 9(a): multi-task running time vs number of cores (task-level,
-/// group-level, without parallelization).
-pub fn fig9a(scale: Scale) -> Report {
-    let p = params(scale);
-    let prepared = prepare_multi(&multi_scenario(
-        &p,
-        TaskPlacement::Synthetic(SpatialDistribution::Uniform),
-    ));
-    let budget = budget_for_multi(&prepared, 0.25);
-    let cfg = MultiTaskConfig::new(budget);
-    let cost_model = EuclideanCost::default();
-    let (_, serial_ms) = timed(|| {
-        builder(&cfg).solve_indexed(
-            &prepared.scenario.tasks,
-            &prepared.index,
-            &prepared.scenario.domain,
-            &cost_model,
-        )
-    });
-    let mut rows = Vec::new();
-    for &cores in &p.cores {
-        let (_, task_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_threads(cores)
-                .with_priorities(true)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        let (_, group_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::GroupParallel)
-                .with_threads(cores)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        rows.push(Row::new(
-            format!("cores={cores}"),
-            vec![
-                ("TaskLevel".into(), task_ms),
-                ("GroupLevel".into(), group_ms),
-                ("NoParallel".into(), serial_ms),
-            ],
-        ));
-    }
-    Report::new("fig9a", "Multi-task time (ms) vs number of cores", rows)
-}
-
-/// Fig. 9(b): multi-task running time and worker conflicts vs distribution.
-pub fn fig9b(scale: Scale) -> Report {
-    let p = params(scale);
-    let cores = *p.cores.last().unwrap();
-    let cost_model = EuclideanCost::default();
-    let mut rows = Vec::new();
-    for placement in synthetic_placements() {
-        let prepared = prepare_multi(&multi_scenario(&p, placement.clone()));
-        let budget = budget_for_multi(&prepared, 0.25);
-        let cfg = MultiTaskConfig::new(budget);
-        let (task_outcome, task_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_threads(cores)
-                .with_priorities(true)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        let (_, group_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::GroupParallel)
-                .with_threads(cores)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        rows.push(Row::new(
-            placement.label(),
-            vec![
-                ("TaskLevel".into(), task_ms),
-                ("GroupLevel".into(), group_ms),
-                ("WorkerConflicts".into(), task_outcome.conflicts as f64),
-            ],
-        ));
-    }
-    Report::new(
-        "fig9b",
-        "Multi-task time (ms) and worker conflicts vs distribution",
-        rows,
-    )
-}
-
-/// Fig. 9(c): worker conflicts vs number of tasks, per distribution.
-pub fn fig9c(scale: Scale) -> Report {
-    let p = params(scale);
-    let cost_model = EuclideanCost::default();
-    let mut rows = Vec::new();
-    for &t in &p.task_sweep {
-        let mut values = Vec::new();
-        for placement in placements() {
-            let prepared = prepare_multi(&multi_scenario(&p, placement.clone()).with_num_tasks(t));
-            let budget = budget_for_multi(&prepared, 0.25);
-            let cfg = MultiTaskConfig::new(budget);
-            let outcome = builder(&cfg).solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
-            let graph = independence_graph(&prepared.scenario.tasks, &prepared.index, 4);
-            values.push((
-                placement.label().to_string(),
-                (outcome.conflicts + graph.conflict_count()) as f64,
-            ));
-        }
-        rows.push(Row::new(format!("|T|={t}"), values));
-    }
-    Report::new(
-        "fig9c",
-        "Worker conflicts vs number of tasks, per distribution",
-        rows,
-    )
-}
-
-/// Fig. 9(d): multi-task running time vs number of tasks.
-pub fn fig9d(scale: Scale) -> Report {
-    let p = params(scale);
-    let cores = *p.cores.last().unwrap();
-    let cost_model = EuclideanCost::default();
-    let mut rows = Vec::new();
-    for &t in &p.task_sweep {
-        let prepared = prepare_multi(
-            &multi_scenario(&p, TaskPlacement::Synthetic(SpatialDistribution::Uniform))
-                .with_num_tasks(t),
-        );
-        let budget = budget_for_multi(&prepared, 0.25);
-        let cfg = MultiTaskConfig::new(budget);
-        let (_, task_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_threads(cores)
-                .with_priorities(true)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        let (_, group_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::GroupParallel)
-                .with_threads(cores)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        rows.push(Row::new(
-            format!("|T|={t}"),
-            vec![
-                ("TaskLevel".into(), task_ms),
-                ("GroupLevel".into(), group_ms),
-            ],
-        ));
-    }
-    Report::new("fig9d", "Multi-task time (ms) vs number of tasks", rows)
-}
-
-/// Fig. 9(e): multi-task running time vs `m`, per distribution (task-level).
-pub fn fig9e(scale: Scale) -> Report {
-    let p = params(scale);
-    let cores = *p.cores.last().unwrap();
-    let cost_model = EuclideanCost::default();
-    let m_values: Vec<usize> = p
-        .m_sweep
-        .iter()
-        .map(|&m| m.min(p.multi_slots * 4))
-        .collect();
-    let mut rows = Vec::new();
-    for &m in &m_values {
-        let mut values = Vec::new();
-        for placement in placements() {
-            let prepared = prepare_multi(&multi_scenario(&p, placement.clone()).with_num_slots(m));
-            let budget = budget_for_multi(&prepared, 0.25);
-            let cfg = MultiTaskConfig::new(budget);
-            let (_, ms) = timed(|| {
-                builder(&cfg)
-                    .with_runtime(Runtime::TaskParallel)
-                    .with_threads(cores)
-                    .with_priorities(true)
-                    .solve_indexed(
-                        &prepared.scenario.tasks,
-                        &prepared.index,
-                        &prepared.scenario.domain,
-                        &cost_model,
-                    )
-            });
-            values.push((placement.label().to_string(), ms));
-        }
-        rows.push(Row::new(format!("m={m}"), values));
-    }
-    Report::new(
-        "fig9e",
-        "Multi-task time (ms) vs m, per distribution (task-level)",
-        rows,
-    )
-}
-
-/// Fig. 9(f): effect of dynamic thread priorities on the task-level framework.
-pub fn fig9f(scale: Scale) -> Report {
-    let p = params(scale);
-    let prepared = prepare_multi(&multi_scenario(
-        &p,
-        TaskPlacement::Synthetic(SpatialDistribution::Uniform),
-    ));
-    let budget = budget_for_multi(&prepared, 0.25);
-    let cfg = MultiTaskConfig::new(budget);
-    let cost_model = EuclideanCost::default();
-    let mut rows = Vec::new();
-    for &cores in &p.cores {
-        let (_, with_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_threads(cores)
-                .with_priorities(true)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        let (_, without_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_threads(cores)
-                .with_priorities(false)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        rows.push(Row::new(
-            format!("cores={cores}"),
-            vec![("Priority".into(), with_ms), ("Default".into(), without_ms)],
-        ));
-    }
-    Report::new(
-        "fig9f",
-        "Task-level parallelization time (ms): priority vs default",
-        rows,
-    )
-}
-
-/// Fig. 9(g): MMQM running time vs number of tasks (Approx vs Approx*).
-pub fn fig9g(scale: Scale) -> Report {
-    let p = params(scale);
-    let cost_model = EuclideanCost::default();
-    let mut rows = Vec::new();
-    for &t in &p.task_sweep {
-        let prepared = prepare_multi(
-            &multi_scenario(&p, TaskPlacement::Synthetic(SpatialDistribution::Uniform))
-                .with_num_tasks(t),
-        );
-        let budget = budget_for_multi(&prepared, 0.25);
-        let (_, plain_ms) = timed(|| {
-            builder(&MultiTaskConfig::new(budget).with_index(false))
-                .with_objective(SolveObjective::MinQuality)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        let (_, fast_ms) = timed(|| {
-            builder(&MultiTaskConfig::new(budget))
-                .with_objective(SolveObjective::MinQuality)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        rows.push(Row::new(
-            format!("|T|={t}"),
-            vec![("Approx".into(), plain_ms), ("Approx*".into(), fast_ms)],
-        ));
-    }
-    Report::new("fig9g", "MMQM time (ms) vs number of tasks", rows)
-}
-
-/// Fig. 9(h): MMQM running time vs `m` (Approx vs Approx*).
-pub fn fig9h(scale: Scale) -> Report {
-    let p = params(scale);
-    let cost_model = EuclideanCost::default();
-    let mut rows = Vec::new();
-    for &m in &p.m_sweep {
-        let prepared = prepare_multi(
-            &multi_scenario(&p, TaskPlacement::Synthetic(SpatialDistribution::Uniform))
-                .with_num_slots(m),
-        );
-        let budget = budget_for_multi(&prepared, 0.25);
-        let (_, plain_ms) = timed(|| {
-            builder(&MultiTaskConfig::new(budget).with_index(false))
-                .with_objective(SolveObjective::MinQuality)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        let (_, fast_ms) = timed(|| {
-            builder(&MultiTaskConfig::new(budget))
-                .with_objective(SolveObjective::MinQuality)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
-        });
-        rows.push(Row::new(
-            format!("m={m}"),
-            vec![("Approx".into(), plain_ms), ("Approx*".into(), fast_ms)],
-        ));
-    }
-    Report::new("fig9h", "MMQM time (ms) vs number of subtasks m", rows)
-}
-
-/// Fig. 9(i) — repo extension beyond the paper: throughput of the batched
-/// engine vs the rebuild-per-call baseline on a re-planning sweep (the same
-/// task batch solved under several budgets, as in the paper's budget
-/// ablations).  The rebuild baseline recomputes every task's candidates per
-/// call; the engine serves repeated solves from its incremental candidate
-/// cache.  Slot-computation counters are reported alongside wall-clock time.
-pub fn fig9i(scale: Scale) -> Report {
-    let p = params(scale);
-    let cost_model = EuclideanCost::default();
-    let mut rows = Vec::new();
-    for &t in &p.task_sweep {
-        let prepared = prepare_multi(
-            &multi_scenario(&p, TaskPlacement::Synthetic(SpatialDistribution::Uniform))
-                .with_num_tasks(t),
-        );
-        let tasks = &prepared.scenario.tasks;
-        let budgets: Vec<f64> = [0.125, 0.25, 0.375, 0.5]
-            .iter()
-            .map(|&f| budget_for_multi(&prepared, f))
-            .collect();
-
-        let (rebuild_slots, rebuild_ms) = timed(|| {
-            let mut slots = 0usize;
-            for &budget in &budgets {
-                let outcome = msqm_rebuild(
-                    tasks,
-                    &prepared.index,
-                    &cost_model,
-                    &MultiTaskConfig::new(budget),
-                );
-                slots += outcome.stats.slot_computations;
-            }
-            slots
-        });
-        let (engine_slots, engine_ms) = timed(|| {
-            let mut engine = AssignmentEngine::borrowed(
-                &prepared.index,
-                &cost_model,
-                MultiTaskConfig::new(budgets[0]),
-            );
-            for &budget in &budgets {
-                engine.release_all();
-                engine.set_budget(budget);
-                engine.assign_batch(tasks, Objective::SumQuality);
-            }
-            engine.stats().slot_computations
-        });
-        rows.push(Row::new(
-            format!("|T|={t}"),
-            vec![
-                ("Rebuild".into(), rebuild_ms),
-                ("Engine".into(), engine_ms),
-                ("RebuildSlotComps".into(), rebuild_slots as f64),
-                ("EngineSlotComps".into(), engine_slots as f64),
-            ],
-        ));
-    }
-    Report::new(
-        "fig9i",
-        "Batched engine vs rebuild-per-call: re-planning sweep time (ms) and slot computations",
-        rows,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9s (repo extension): sharded index + concurrent engine
-// ---------------------------------------------------------------------------
-
-/// Fig. 9s (repo extension): dense-vs-sharded k-NN query time, then
-/// cold-cache batch assignment of the region-partitioned streaming preset
-/// through the serial engine and through the concurrent engine at
-/// increasing thread counts.
-pub fn fig9s(scale: Scale) -> Report {
-    // The batch is deliberately wide (many concurrent arrivals) with a
-    // budget that executes a moderate fraction of it: the cold-cache
-    // checkout and the all-tasks warm-start candidate wave dominate, which
-    // is the work the region sharding spreads across threads; the serial
-    // commit tail (one winner refresh per grant) stays short.
-    let (regions, rounds, per_round, slots, workers, cores, runs) = match scale {
-        Scale::Quick => (
-            4usize,
-            8usize,
-            16usize,
-            96usize,
-            4000usize,
-            vec![1, 2, 4, 8],
-            3,
-        ),
-        Scale::Full => (8, 8, 40, 300, 10_357, vec![1, 2, 4, 8, 16], 3),
-    };
-    let base = ScenarioConfig::small()
-        .with_num_slots(slots)
-        .with_num_workers(workers);
-    let streaming = StreamingConfig::region_partitioned(base, regions, rounds, per_round).build();
-    let tasks = streaming.concatenated();
-    let grid = ShardGridConfig::new(regions, regions);
-    let dense = WorkerIndex::build(&streaming.workers, slots, &streaming.domain);
-    let sharded = ShardedWorkerIndex::build(&streaming.workers, slots, &streaming.domain, grid);
-    let cost = EuclideanCost::default();
-
-    // Index comparison: the conflict-fallback query shape (k-NN per task per
-    // slot) over both indexes.
-    let dense_knn_ms = best_of(runs, || {
-        let mut acc = 0usize;
-        for task in &tasks {
-            for slot in (0..slots).step_by(7) {
-                acc += dense.k_nearest(slot, &task.location, 8).len();
-            }
-        }
-        acc
-    });
-    let sharded_knn_ms = best_of(runs, || {
-        let mut acc = 0usize;
-        for task in &tasks {
-            for slot in (0..slots).step_by(7) {
-                acc += sharded.k_nearest(slot, &task.location, 8).len();
-            }
-        }
-        acc
-    });
-    let mut rows = vec![Row::new(
-        "index(kNN)",
-        vec![
-            ("DenseMs".into(), dense_knn_ms),
-            ("ShardedMs".into(), sharded_knn_ms),
-        ],
-    )];
-
-    // Engine comparison: cold-cache batch assignment.  The budget scales
-    // with the batch so the greedy grants a realistic number of executions
-    // without letting the (inherently serial) commit tail dominate.
-    let budget = tasks.len() as f64 * 0.2;
-    let cfg = MultiTaskConfig::new(budget);
-    let serial_ms = best_of(runs, || {
-        AssignmentEngine::borrowed(&dense, &cost, cfg).assign_batch(&tasks, Objective::SumQuality)
-    });
-    for t in cores {
-        let concurrent_ms = best_of(runs, || {
-            ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, t)
-                .assign_batch_parallel(&tasks, Objective::SumQuality)
-        });
-        rows.push(Row::new(
-            format!("threads={t}"),
-            vec![
-                ("Serial".into(), serial_ms),
-                ("Concurrent".into(), concurrent_ms),
-                ("Speedup".into(), serial_ms / concurrent_ms),
-                (
-                    "TasksPerSec".into(),
-                    tasks.len() as f64 / (concurrent_ms / 1000.0),
-                ),
-            ],
-        ));
-    }
-
-    // Hardware threads of the measuring machine: `1` serialises every
-    // parallel phase, so speedups can only materialise when this is > 1.
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    Report::new(
-        "fig9s",
-        "Sharded index + concurrent engine: batch assign vs threads \
-         (region-partitioned streaming preset)",
-        rows,
-    )
-    .num("hardware_threads", hardware_threads as f64)
-    .num("num_tasks", tasks.len() as f64)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9p (repo extension): incremental-gain commit engine
-// ---------------------------------------------------------------------------
-
-/// Fig. 9p (repo extension): one cold-cache MSQM batch with a commit-heavy
-/// budget (many grants, so the per-grant refresh dominates), solved under
-/// [`tcsc_assign::RefreshStrategy::Full`] (the recompute-per-grant path,
-/// kept as the oracle) and under
-/// [`tcsc_assign::RefreshStrategy::Incremental`] (the gain ledger), with the
-/// commit-tail refresh cost broken out.
-pub fn fig9p(scale: Scale) -> Report {
-    // The fig9s shape that motivated this figure: a wide batch of many-slot
-    // tasks under a tight budget, where every grant triggers the winner's
-    // recompute *and* budget-staleness invalidations across the batch — the
-    // commit tail that pinned the concurrent engine's speedup below 1x.
-    let (num_tasks, slots, workers, budget_per_task, runs) = match scale {
-        Scale::Quick => (128usize, 96usize, 4000usize, 0.2f64, 3usize),
-        Scale::Full => (256, 300, 10_357, 0.25, 3),
-    };
-    let cfg = ScenarioConfig::small()
-        .with_num_tasks(num_tasks)
-        .with_num_slots(slots)
-        .with_num_workers(workers);
-    let prepared = prepare_multi(&cfg);
-    let tasks = &prepared.scenario.tasks;
-    let cost = EuclideanCost::default();
-    let budget = num_tasks as f64 * budget_per_task;
-
-    // Best-of-`runs` on *both* reported quantities independently: the batch
-    // wall clock and the commit-tail refresh nanos.  The refresh figure is a
-    // hard gate (incremental must not exceed full), so it must not inherit
-    // the noise of whichever run happened to win on batch time — a
-    // preemption inside a timed section would flake the gate otherwise.
-    // All deterministic counters are identical across runs by construction.
-    let run = |strategy: tcsc_assign::RefreshStrategy| {
-        let mcfg = MultiTaskConfig::new(budget).with_refresh(strategy);
-        let mut best: Option<(tcsc_assign::MultiOutcome, f64)> = None;
-        let mut best_refresh_nanos = u64::MAX;
-        for _ in 0..runs.max(1) {
-            let (outcome, ms) = timed(|| {
-                AssignmentEngine::borrowed(&prepared.index, &cost, mcfg)
-                    .assign_batch(tasks, Objective::SumQuality)
-            });
-            best_refresh_nanos = best_refresh_nanos.min(outcome.stats.refresh_nanos);
-            if best.as_ref().map_or(true, |(_, best_ms)| ms < *best_ms) {
-                best = Some((outcome, ms));
-            }
-        }
-        let (outcome, ms) = best.expect("at least one run");
-        (outcome, ms, best_refresh_nanos)
-    };
-    let (full, full_ms, full_nanos) = run(tcsc_assign::RefreshStrategy::Full);
-    let (inc, inc_ms, inc_nanos) = run(tcsc_assign::RefreshStrategy::Incremental);
-
-    // Refresh time per committed grant (µs).
-    let per_grant_us = |outcome: &tcsc_assign::MultiOutcome, nanos: u64| {
-        nanos as f64 / 1e3 / outcome.executions.max(1) as f64
-    };
-    let strategy_row = |name: &str, outcome: &tcsc_assign::MultiOutcome, batch_ms: f64, nanos| {
-        let refresh_ms = nanos as f64 / 1e6;
-        Row::new(
-            name,
-            vec![
-                ("BatchMs".into(), batch_ms),
-                ("RefreshMs".into(), refresh_ms),
-                ("PerGrantUs".into(), per_grant_us(outcome, nanos)),
-                (
-                    "TailShare".into(),
-                    refresh_ms / batch_ms.max(f64::MIN_POSITIVE),
-                ),
-                ("FullRefreshes".into(), outcome.stats.full_refreshes as f64),
-                ("Patches".into(), outcome.stats.incremental_patches as f64),
-                ("StalePops".into(), outcome.stats.stale_pops as f64),
-            ],
-        )
-    };
-    let full_us = per_grant_us(&full, full_nanos);
-    let inc_us = per_grant_us(&inc, inc_nanos);
-    let plans_match = full.assignment == inc.assignment
-        && full.conflicts == inc.conflicts
-        && full.executions == inc.executions;
-
-    Report::new(
-        "fig9p",
-        "Incremental-gain commit engine: per-grant refresh cost and commit-tail \
-         share, full vs incremental strategy",
-        vec![
-            strategy_row("full", &full, full_ms, full_nanos),
-            strategy_row("incremental", &inc, inc_ms, inc_nanos),
-        ],
-    )
-    .num("num_tasks", num_tasks as f64)
-    .num("executions", inc.executions as f64)
-    .num("conflicts", inc.conflicts as f64)
-    .num("refresh_speedup", full_us / inc_us.max(f64::MIN_POSITIVE))
-    .gate(
-        "plans_match",
-        plans_match,
-        "incremental and full-refresh commits must agree on plans, conflicts and executions",
-    )
-    .gate(
-        "refresh_le_full",
-        inc_us <= full_us,
-        format!("per-grant refresh: incremental {inc_us:.2}us <= full {full_us:.2}us"),
-    )
-    .gate(
-        "full_refreshes_zero",
-        inc.stats.full_refreshes == 0,
-        format!(
-            "the incremental commit tail ran {} full best-candidate recomputes, must be 0",
-            inc.stats.full_refreshes
-        ),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9dist (repo extension): the simulated distributed runtime
-// ---------------------------------------------------------------------------
-
-/// Fig. 9dist (repo extension): a region-partitioned streaming workload
-/// converted to a timed arrival trace and replayed through the simulated
-/// distributed runtime, sweeping node count × network latency.  Every
-/// cell's plans are checked against the in-process engine.
-pub fn fig9dist(scale: Scale) -> Report {
-    use std::rc::Rc;
-
-    use tcsc_sim::{plan_hash, run_cluster, LatencyModel, SimBatch, SimClusterConfig};
-    use tcsc_workload::ArrivalTrace;
-
-    let (regions, rounds, per_round, slots, workers, node_sweep, latencies) = match scale {
-        Scale::Quick => (
-            3usize,
-            3usize,
-            6usize,
-            24usize,
-            120usize,
-            vec![1usize, 2, 4],
-            vec![
-                LatencyModel::Zero,
-                LatencyModel::Fixed(200),
-                LatencyModel::Uniform { min: 50, max: 2000 },
-            ],
-        ),
-        Scale::Full => (
-            4,
-            4,
-            15,
-            60,
-            800,
-            vec![1, 2, 4, 8, 16],
-            vec![
-                LatencyModel::Zero,
-                LatencyModel::Fixed(200),
-                LatencyModel::Fixed(2_000),
-                LatencyModel::Uniform { min: 50, max: 5000 },
-            ],
-        ),
-    };
-    let base = ScenarioConfig::small()
-        .with_num_slots(slots)
-        .with_num_workers(workers);
-    let streaming = StreamingConfig::region_partitioned(base, regions, rounds, per_round).build();
-    // Rounds arrive back to back (10ms apart), so completion time measures
-    // the protocol's latency behaviour rather than the arrival schedule.
-    let trace = ArrivalTrace::from_streaming(&streaming, 10_000);
-    let budget = trace.len() as f64 * 2.0;
-    let cost = EuclideanCost::default();
-
-    // The in-process reference: the serial engine on the same rounds.
-    let dense = WorkerIndex::build(&streaming.workers, slots, &streaming.domain);
-    let mut engine = AssignmentEngine::borrowed(&dense, &cost, MultiTaskConfig::new(budget));
-    let mut engine_plans = Vec::new();
-    let mut conflicts = 0usize;
-    let mut executions = 0usize;
-    for round in &streaming.rounds {
-        engine.submit(round.clone());
-        let outcome = engine.drain(Objective::SumQuality);
-        engine_plans.extend(outcome.assignment.plans);
-        conflicts += outcome.conflicts;
-        executions += outcome.executions;
-    }
-    let engine_plan_hash = tcsc_sim::plan_hash(&tcsc_core::MultiAssignment::new(engine_plans));
-
-    let batches = |trace: &ArrivalTrace| -> Vec<SimBatch> {
-        trace
-            .batches()
-            .into_iter()
-            .map(|(at_us, tasks)| SimBatch { at_us, tasks })
-            .collect()
-    };
-
-    // The zero-latency single-node sim must reproduce the engine's plans
-    // bit for bit.
-    let reference = run_cluster(
-        &streaming.workers,
-        slots,
-        &streaming.domain,
-        batches(&trace),
-        Rc::new(EuclideanCost::default()),
-        &SimClusterConfig::new(1, regions, budget, LatencyModel::Zero),
-    );
-    let sim_plan_hash = plan_hash(&reference.assignment);
-
-    let mut rows = Vec::new();
-    let mut diverged = Vec::new();
-    for &nodes in &node_sweep {
-        for latency in &latencies {
-            let (sim, wall_ms) = timed(|| {
-                run_cluster(
-                    &streaming.workers,
-                    slots,
-                    &streaming.domain,
-                    batches(&trace),
-                    Rc::new(EuclideanCost::default()),
-                    &SimClusterConfig::new(nodes, regions, budget, *latency)
-                        .with_service_us(50)
-                        .with_pings(10_000, 16),
-                )
-            });
-            let label = format!("n={nodes} {}", latency.describe());
-            if plan_hash(&sim.assignment) != engine_plan_hash {
-                diverged.push(label.clone());
-            }
-            rows.push(Row::new(
-                label,
-                vec![
-                    ("VirtualMs".into(), sim.finish_time_us as f64 / 1000.0),
-                    ("Events".into(), sim.delivered_events as f64),
-                    ("LatencyMeanUs".into(), latency.mean()),
-                    ("WallMs".into(), wall_ms),
-                ],
-            ));
-        }
-    }
-
-    Report::new(
-        "fig9dist",
-        "Distributed discrete-event runtime: virtual completion time vs \
-         node count x network latency",
-        rows,
-    )
-    .num("num_tasks", trace.len() as f64)
-    .num("rounds", trace.rounds as f64)
-    .num("conflicts", conflicts as f64)
-    .num("executions", executions as f64)
-    .hash("sim_plan_hash", sim_plan_hash)
-    .hash("engine_plan_hash", engine_plan_hash)
-    .gate(
-        "plan_hash_matches",
-        sim_plan_hash == engine_plan_hash,
-        format!(
-            "zero-latency single-node sim {sim_plan_hash:#018x} vs serial engine \
-             {engine_plan_hash:#018x}"
-        ),
-    )
-    .gate(
-        "sweep_plans_match",
-        diverged.is_empty(),
-        format!(
-            "sweep cells whose plans diverge from the engine: [{}]",
-            diverged.join(", ")
-        ),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9obs (repo extension): the observability layer itself — digest
-// stability across cluster layouts, trace export/replay, recorder overhead
-// ---------------------------------------------------------------------------
-
-/// Fig. 9obs (repo extension): records the seeded sim across node count ×
-/// latency and checks the logical digest is layout-invariant, round-trips
-/// one trace through the chrome exporter/parser, then times the
-/// fig9p-shaped commit-tail batch with and without a live recorder.
-pub fn fig9obs(scale: Scale) -> Report {
-    use std::rc::Rc;
-
-    use tcsc_obs::{parse_chrome_trace_jsonl, replay_digest, ObsSession};
-    use tcsc_sim::{run_cluster, LatencyModel, SimBatch, SimClusterConfig};
-
-    let (node_sweep, latencies, overhead_tasks, overhead_workers, runs) = match scale {
-        Scale::Quick => (
-            vec![1usize, 2, 4],
-            vec![
-                LatencyModel::Zero,
-                LatencyModel::Uniform { min: 20, max: 4000 },
-            ],
-            128usize,
-            4000usize,
-            3usize,
-        ),
-        Scale::Full => (
-            vec![1, 2, 4, 8],
-            vec![
-                LatencyModel::Zero,
-                LatencyModel::Fixed(250),
-                LatencyModel::Uniform { min: 20, max: 4000 },
-            ],
-            256,
-            10_357,
-            5,
-        ),
-    };
-
-    let cfg = ScenarioConfig::small()
-        .with_num_tasks(10)
-        .with_num_slots(30)
-        .with_num_workers(150)
-        .with_placement(TaskPlacement::Synthetic(SpatialDistribution::region_grid(
-            3,
-        )));
-    let scenario = cfg.build();
-    let slots = cfg.num_slots;
-
-    let mut cells = Vec::new();
-    let mut kept: Option<tcsc_obs::ObsReport> = None;
-    for &nodes in &node_sweep {
-        for latency in &latencies {
-            let config = SimClusterConfig::new(nodes, 3, 55.0, *latency)
-                .with_seed(7 + nodes as u64)
-                .with_obs();
-            let outcome = run_cluster(
-                &scenario.workers,
-                slots,
-                &scenario.domain,
-                vec![SimBatch::immediate(scenario.tasks.clone())],
-                Rc::new(EuclideanCost::default()),
-                &config,
-            );
-            let report = outcome.obs.expect("with_obs() records");
-            cells.push((
-                format!("n={nodes} {}", latency.describe()),
-                report.digest,
-                report.events.len(),
-            ));
-            kept.get_or_insert(report);
-        }
-    }
-    let kept = kept.expect("at least one sweep cell");
-    let digest_uniform = cells.iter().all(|(_, digest, _)| *digest == kept.digest);
-    let trace_jsonl = kept.chrome_trace();
-    let replayed = replay_digest(&parse_chrome_trace_jsonl(&trace_jsonl));
-
-    // Recorder overhead on the fig9p commit-tail shape: the per-grant
-    // incremental-refresh batch, untimed instrumentation (NoopRecorder
-    // default) against a live wall-clock session.
-    let pcfg = ScenarioConfig::small()
-        .with_num_tasks(overhead_tasks)
-        .with_num_slots(96)
-        .with_num_workers(overhead_workers);
-    let prepared = prepare_multi(&pcfg);
-    let tasks = &prepared.scenario.tasks;
-    let cost = EuclideanCost::default();
-    let mcfg = MultiTaskConfig::new(overhead_tasks as f64 * 0.2)
-        .with_refresh(tcsc_assign::RefreshStrategy::Incremental);
-    let noop_ms = best_of(runs, || {
-        AssignmentEngine::borrowed(&prepared.index, &cost, mcfg)
-            .assign_batch(tasks, Objective::SumQuality)
-    });
-    let session = ObsSession::wall();
-    let recorded_ms = best_of(runs, || {
-        AssignmentEngine::borrowed(&prepared.index, &cost, mcfg)
-            .with_recorder(&session)
-            .assign_batch(tasks, Objective::SumQuality)
-    });
-
-    let mut rows = vec![Row::new(
-        "overhead",
-        vec![
-            ("NoopMs".into(), noop_ms),
-            ("RecordedMs".into(), recorded_ms),
-            ("Ratio".into(), recorded_ms / noop_ms.max(f64::MIN_POSITIVE)),
-        ],
-    )];
-    for (label, digest, events) in &cells {
-        rows.push(Row::new(
-            label.as_str(),
-            vec![
-                ("Events".into(), *events as f64),
-                (
-                    "DigestOk".into(),
-                    f64::from(u8::from(*digest == kept.digest)),
-                ),
-            ],
-        ));
-    }
-    let report = Report::new(
-        "fig9obs",
-        "Observability layer: logical digest across cluster layouts, \
-         trace export/replay round trip, recorder overhead vs no-op",
-        rows,
-    )
-    .hash("digest", kept.digest)
-    .gate(
-        "digest_uniform",
-        digest_uniform,
-        format!(
-            "the logical-stream digest of all {} node-count x latency cells equals {:#018x}",
-            cells.len(),
-            kept.digest
-        ),
-    )
-    .gate(
-        "digest_match",
-        replayed == kept.digest,
-        format!(
-            "chrome-trace export replays to {replayed:#018x} vs recorded {:#018x}",
-            kept.digest
-        ),
-    )
-    // Within noise: a live session appends one buffered event per span —
-    // nanoseconds against a millisecond-scale batch.  The bound is generous
-    // (1.5x + 1ms) because CI machines preempt; it exists to catch a
-    // recorder that accidentally becomes O(events) per record.
-    .gate(
-        "overhead_ok",
-        recorded_ms <= noop_ms * 1.5 + 1.0,
-        format!("{recorded_ms:.2}ms recorded <= 1.5 x {noop_ms:.2}ms no-op + 1ms"),
-    )
-    .artifact("TRACE_fig9obs.jsonl", trace_jsonl);
-    let summary = format!("{}\n{}", report.render(), kept.metrics.render());
-    report.artifact("OBS_SUMMARY.txt", summary)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9svc (repo extension): service-mode SLOs — the streaming engine fed
-// by a heavy-tailed arrival process with rush-hour bursts, windowed latency
-// percentiles per phase, span-tree profile and retired-task GC
-// ---------------------------------------------------------------------------
-
-/// Slots per service task (kept small: the service figure measures latency
-/// under load, not assignment quality).
-const SVC_NUM_SLOTS: usize = 2;
-/// The service drains its queue every `DRAIN` microseconds of virtual time.
-const SVC_DRAIN_EVERY_US: u64 = 5_000;
-/// A committed plan occupies its workers for this long before the
-/// retired-task GC releases them back to the pool.
-const SVC_SERVICE_US: u64 = 20_000;
-/// Per-phase submit→commit latency windows installed on the virtual-clock
-/// session (indexed by phase position in the rush-hour schedule).
-const SVC_WINDOWS: [&str; 3] = [
-    "svc.latency_us.calm",
-    "svc.latency_us.rush",
-    "svc.latency_us.recovery",
-];
-/// Window slice width (virtual nanoseconds): two drain ticks per slice.
-const SVC_WINDOW_SLICE_NANOS: u64 = 2 * SVC_DRAIN_EVERY_US * 1_000;
-/// Slices per window: the windowed SLO spans the last 16 drain ticks.
-const SVC_WINDOW_SLICES: usize = 8;
-
-/// A virtual-clock session holding the per-phase latency windows.
-fn svc_latency_session() -> tcsc_obs::ObsSession {
-    let session = tcsc_obs::ObsSession::virtual_time();
-    for name in SVC_WINDOWS {
-        session.install_window(name, SVC_WINDOW_SLICE_NANOS, SVC_WINDOW_SLICES);
-    }
-    session
-}
-
-/// The outcome of one service pass (shared by the obs-off and obs-on runs).
-struct SvcRun {
-    plan_hash: u64,
-    commits: u64,
-    executions: u64,
-    drains: u64,
-    drain_wall_ms: f64,
-    peak_backlog: usize,
-    peak_ledger: usize,
-    released: u64,
-    final_ledger: usize,
-    virtual_end_us: u64,
-    phase_arrivals: Vec<u64>,
-    phase_commits: Vec<u64>,
-    phase_time_us: Vec<u64>,
-    phase_hist: Vec<tcsc_obs::Histogram>,
-    /// Each phase's sliding-window p99, read as the phase's last tick
-    /// closes (0 without a latency session).
-    phase_window_p99: Vec<u64>,
-}
-
-/// Folds one drain's plan hash into the running stream hash (order matters:
-/// the same plans in a different drain order must produce a different fold).
-fn fold_plan_hash(acc: u64, h: u64) -> u64 {
-    (acc.rotate_left(7) ^ h).wrapping_mul(0x0100_0000_01b3)
-}
-
-/// Drives one full service pass: a virtual clock ticking every
-/// [`SVC_DRAIN_EVERY_US`], arrivals pulled from the heavy-tailed sampler
-/// into a driver-side backlog, at most `capacity` tasks submitted per tick
-/// (the modelled drain rate — rush-hour arrivals outpace it, so the backlog
-/// and the latency tail grow), and committed plans retired back to the pool
-/// [`SVC_SERVICE_US`] later.  Submit→commit latency is the virtual time from
-/// arrival to the end of the drain that served the task; when a latency
-/// session (see [`svc_latency_session`]) is supplied, every latency feeds its
-/// phase's sliding window, the backlog depth is emitted as a counter track,
-/// and each phase's window p99 is read when the phase's last tick closes.
-fn fig9svc_service_run<R: tcsc_obs::Recorder>(
-    engine: &mut AssignmentEngine<'_, R>,
-    arrivals: &tcsc_workload::HeavyTailedArrivals,
-    total_tasks: usize,
-    capacity: usize,
-    latency: Option<&tcsc_obs::ObsSession>,
-) -> SvcRun {
-    use std::collections::VecDeque;
-
-    use tcsc_obs::Recorder as _;
-
-    let nphases = arrivals.schedule.phases().len();
-    let mut run = SvcRun {
-        plan_hash: 0xcbf2_9ce4_8422_2325,
-        commits: 0,
-        executions: 0,
-        drains: 0,
-        drain_wall_ms: 0.0,
-        peak_backlog: 0,
-        peak_ledger: 0,
-        released: 0,
-        final_ledger: 0,
-        virtual_end_us: 0,
-        phase_arrivals: vec![0; nphases],
-        phase_commits: vec![0; nphases],
-        phase_time_us: vec![0; nphases],
-        phase_hist: vec![tcsc_obs::Histogram::default(); nphases],
-        phase_window_p99: vec![0; nphases],
-    };
-    let mut sampler = arrivals.sampler();
-    let mut next = sampler.next_arrival();
-    let mut backlog: VecDeque<(u64, usize, tcsc_core::Task)> = VecDeque::new();
-    let mut retire: VecDeque<(u64, tcsc_core::AssignmentPlan)> = VecDeque::new();
-    let mut streamed = 0usize;
-    let mut tick_us = 0u64;
-
-    while streamed < total_tasks || !backlog.is_empty() || !retire.is_empty() {
-        tick_us += SVC_DRAIN_EVERY_US;
-
-        // Arrivals up to the tick join the backlog (O(1) memory upstream:
-        // the sampler is an infinite iterator, nothing is materialised).
-        while streamed < total_tasks && next.at_us < tick_us {
-            let arrival = std::mem::replace(&mut next, sampler.next_arrival());
-            let phase = arrival.round % nphases;
-            run.phase_arrivals[phase] += 1;
-            backlog.push_back((arrival.at_us, phase, arrival.task));
-            streamed += 1;
-        }
-        run.peak_backlog = run.peak_backlog.max(backlog.len());
-
-        // Retired-task GC: plans whose service window elapsed release their
-        // workers, keeping the ledger proportional to live commitments.
-        while retire.front().is_some_and(|(at, _)| *at <= tick_us) {
-            let (_, plan) = retire.pop_front().expect("front checked");
-            run.released += engine.release_plan(&plan) as u64;
-        }
-
-        // Serve up to `capacity` backlog tasks this tick.
-        let take = backlog.len().min(capacity);
-        if take > 0 {
-            let mut meta = Vec::with_capacity(take);
-            let mut batch = Vec::with_capacity(take);
-            for _ in 0..take {
-                let (at, phase, task) = backlog.pop_front().expect("take <= len");
-                meta.push((at, phase));
-                batch.push(task);
-            }
-            engine.submit(batch);
-            let (outcome, ms) = timed(|| engine.drain(Objective::SumQuality));
-            run.drain_wall_ms += ms;
-            run.drains += 1;
-            run.commits += take as u64;
-            run.executions += outcome.executions as u64;
-            run.plan_hash = fold_plan_hash(run.plan_hash, tcsc_sim::plan_hash(&outcome.assignment));
-            if let Some(session) = latency {
-                session.set_virtual_nanos(tick_us.saturating_mul(1_000));
-                session.gauge("svc.backlog", backlog.len() as u64);
-            }
-            for (at, phase) in meta {
-                let lat_us = tick_us - at;
-                run.phase_hist[phase].record(lat_us);
-                run.phase_commits[phase] += 1;
-                if let Some(session) = latency {
-                    session.value(SVC_WINDOWS[phase.min(SVC_WINDOWS.len() - 1)], lat_us);
-                }
-            }
-            for plan in outcome.assignment.plans {
-                if !plan.executions.is_empty() {
-                    retire.push_back((tick_us + SVC_SERVICE_US, plan));
-                }
-            }
-        }
-
-        let (segment, _) = arrivals.schedule.segment_at(tick_us - SVC_DRAIN_EVERY_US);
-        let phase = segment % nphases;
-        run.phase_time_us[phase] += SVC_DRAIN_EVERY_US;
-        run.peak_ledger = run.peak_ledger.max(engine.ledger().len());
-
-        // A phase's window is read as its last tick closes (the next tick
-        // starts a new segment, or the stream ends): by stream end it has
-        // rotated past every earlier phase.  A closing window that holds no
-        // samples keeps the phase's previous reading.
-        let stream_done = streamed == total_tasks && backlog.is_empty() && retire.is_empty();
-        let closes = stream_done || arrivals.schedule.segment_at(tick_us).0 != segment;
-        if let (Some(session), true) = (latency, closes) {
-            let window_p99 = session
-                .metrics()
-                .window(SVC_WINDOWS[phase.min(SVC_WINDOWS.len() - 1)])
-                .filter(|w| w.windowed_count() > 0)
-                .map(|w| w.windowed().quantile(0.99));
-            if let Some(p99) = window_p99 {
-                run.phase_window_p99[phase] = p99;
-            }
-        }
-    }
-    run.final_ledger = engine.ledger().len();
-    run.virtual_end_us = tick_us;
-    run
-}
-
-/// Fig. 9svc (repo extension): streams the heavy-tailed rush-hour workload
-/// through the batched engine twice — once unobserved (NoopRecorder), once
-/// with a wall-clock session on the engine plus a virtual-clock session
-/// holding the per-phase latency windows — then reconciles the span-tree
-/// profile against the measured drain wall clock and checks every service
-/// gate.
-pub fn fig9svc(scale: Scale) -> Report {
-    use tcsc_obs::{profile_spans, ObsSession};
-    use tcsc_workload::{BoundedPareto, HeavyTailedArrivals, PhaseSchedule};
-
-    let (total_tasks, workers) = match scale {
-        Scale::Quick => (30_000usize, 800usize),
-        Scale::Full => (1_000_000, 2_000),
-    };
-
-    let cfg = ScenarioConfig::small()
-        .with_num_slots(SVC_NUM_SLOTS)
-        .with_num_workers(workers);
-    let scenario = cfg.build();
-    let index = WorkerIndex::build(&scenario.workers, SVC_NUM_SLOTS, &scenario.domain);
-    let cost = EuclideanCost::default();
-
-    // Bounded-Pareto inter-arrivals (mean ≈ 57 µs) under the canonical
-    // calm → rush(×4) → recovery schedule.  The per-tick capacity sits
-    // between the calm and rush arrival rates, so the backlog — and the
-    // latency tail — grows during every rush and drains during recovery.
-    let inter = BoundedPareto::new(1.5, 20.0, 10_000.0);
-    let arrivals = HeavyTailedArrivals {
-        seed: 4242,
-        inter_arrival_us: inter,
-        schedule: PhaseSchedule::rush_hour(200_000, 50_000, 4.0),
-        num_slots: SVC_NUM_SLOTS,
-        distribution: SpatialDistribution::Uniform,
-        domain: scenario.domain,
-    };
-    let capacity = ((SVC_DRAIN_EVERY_US as f64 / inter.mean()) * 1.7).ceil() as usize;
-    let mcfg = MultiTaskConfig::new(capacity as f64 * 2.0);
-
-    // Pass 1: unobserved — the NoopRecorder default compiles every hook away.
-    let mut plain = AssignmentEngine::borrowed(&index, &cost, mcfg);
-    let off = fig9svc_service_run(&mut plain, &arrivals, total_tasks, capacity, None);
-
-    // Pass 2: observed — wall-clock session on the engine (spans, gauges),
-    // virtual-clock session owning the per-phase latency windows.
-    let wall = ObsSession::wall();
-    let virt = svc_latency_session();
-    let mut engine = AssignmentEngine::borrowed(&index, &cost, mcfg).with_recorder(&wall);
-    let on = fig9svc_service_run(&mut engine, &arrivals, total_tasks, capacity, Some(&virt));
-
-    // Span-tree profile over the engine's wall session: every root span is
-    // an `engine.drain`, so total self-time telescopes to the summed drain
-    // time and must reconcile with the stopwatch around the same calls.
-    let profile = profile_spans(&wall.merged_events());
-    let profile_self_ms = profile.total_self_nanos() as f64 / 1e6;
-    let drain_wall_ms = on.drain_wall_ms;
-
-    let mut rows = vec![
-        Row::new(
-            "service",
-            vec![
-                ("Tasks".into(), total_tasks as f64),
-                ("Drains".into(), on.drains as f64),
-                ("Execs".into(), on.executions as f64),
-                ("PeakLedger".into(), on.peak_ledger as f64),
-                ("PeakBacklog".into(), on.peak_backlog as f64),
-            ],
-        ),
-        Row::new(
-            "profile",
-            vec![
-                ("DrainMs".into(), drain_wall_ms),
-                ("SelfMs".into(), profile_self_ms),
-            ],
-        ),
-    ];
-    let mut p99_finite = true;
-    let mut throughput_positive = true;
-    for (i, phase) in arrivals.schedule.phases().iter().enumerate() {
-        let hist = &on.phase_hist[i];
-        let per_sec = on.phase_commits[i] as f64 * 1e6 / on.phase_time_us[i].max(1) as f64;
-        p99_finite &= on.phase_commits[i] > 0 && hist.quantile(0.99) > 0;
-        throughput_positive &= per_sec > 0.0;
-        rows.push(Row::new(
-            phase.label,
-            vec![
-                ("Arrivals".into(), on.phase_arrivals[i] as f64),
-                ("Commits".into(), on.phase_commits[i] as f64),
-                ("P50us".into(), hist.quantile(0.50) as f64),
-                ("P99us".into(), hist.quantile(0.99) as f64),
-                ("MaxUs".into(), hist.max() as f64),
-                ("WinP99us".into(), on.phase_window_p99[i] as f64),
-                ("PerSec".into(), per_sec),
-            ],
-        ));
-    }
-    let ledger_bounded = on.final_ledger == 0
-        && on.released == on.executions
-        && on.peak_ledger <= workers
-        && (on.peak_ledger as u64) < on.executions;
-
-    let report = Report::new(
-        "fig9svc",
-        "Service-mode SLOs: streaming engine under rush-hour bursts — \
-         windowed latency percentiles per phase, retired-task GC, \
-         span profile vs measured drain time",
-        rows,
-    )
-    .num("workers", workers as f64)
-    .num("capacity", capacity as f64)
-    .num("virtual_end_us", on.virtual_end_us as f64)
-    .num(
-        "peak_queue_depth",
-        wall.metrics().gauge_peak("engine.queue_depth") as f64,
-    )
-    .num("released", on.released as f64)
-    .num("final_ledger", on.final_ledger as f64)
-    .hash("noop_plan_hash", off.plan_hash)
-    .hash("obs_plan_hash", on.plan_hash)
-    .gate(
-        "p99_finite",
-        p99_finite,
-        "every phase must commit tasks and report a positive p99 latency",
-    )
-    .gate(
-        "throughput_positive",
-        throughput_positive,
-        "every phase must sustain positive committed throughput",
-    )
-    .gate(
-        "plan_hash_match",
-        off.plan_hash == on.plan_hash,
-        format!(
-            "observed pass {:#018x} vs unobserved pass {:#018x}",
-            on.plan_hash, off.plan_hash
-        ),
-    )
-    .gate(
-        "ledger_bounded",
-        ledger_bounded,
-        format!(
-            "peak ledger {} of {workers} workers, released {} of {} executions, final {}",
-            on.peak_ledger, on.released, on.executions, on.final_ledger
-        ),
-    )
-    .gate(
-        "profile_within_bound",
-        (profile_self_ms - drain_wall_ms).abs() <= drain_wall_ms * 0.05,
-        format!(
-            "span-tree self time {profile_self_ms:.2}ms within 5% of measured drain wall \
-             clock {drain_wall_ms:.2}ms"
-        ),
-    )
-    .artifact("TRACE_fig9svc.jsonl", wall.chrome_trace())
-    .artifact("PROFILE_fig9svc.txt", profile.collapsed_stacks());
-    let summary = format!(
-        "{}\nspan-tree profile:\n{}\nvirtual-session registry (latency windows):\n{}\n\
-         engine-session registry (index churn counters, gauges):\n{}",
-        report.render(),
-        profile.render(),
-        virt.metrics().render(),
-        wall.metrics().render()
-    );
-    report.artifact("SVC_SUMMARY.txt", summary)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9mob (repo extension): mobile workers on the mutable sharded index
-// ---------------------------------------------------------------------------
-
-/// Drain interval of the mobile-worker service loop, virtual µs (one motion
-/// tick per drain tick).
-const MOB_DRAIN_EVERY_US: u64 = 5_000;
-
-/// How the mobile-worker pass keeps its index current between drains.
-enum MobMaintenance {
-    /// Apply each motion event through the engine's mutation API
-    /// (tile-local splice; the shard caches are cleared).
-    Mutate,
-    /// Track the fleet in a mirror pool and rebuild the sharded index from
-    /// scratch before every drain that saw motion — the pre-mutable-index
-    /// baseline.
-    Rebuild,
-}
-
-/// One pass of the fig9mob service loop.
-struct MobRun {
-    plan_hash: u64,
-    executions: u64,
-    drains: u64,
-    maintenance_ms: f64,
-    rebuilds: u64,
-    moves: u64,
-    offline: u64,
-    online: u64,
-    entries_spliced: u64,
-    rebuild_equiv: u64,
-    final_ledger: usize,
-    final_imbalance_milli: u64,
-}
-
-/// Drives one mobile-worker service pass.  Arrivals join a backlog per tick
-/// and at most `capacity` are drained; motion events with `at_us` up to the
-/// tick are applied first (fleet state precedes planning, matching
-/// [`tcsc_workload::interleave`]'s tie order).  Under
-/// [`MobMaintenance::Mutate`] each event goes through the engine's mutation
-/// API as it arrives; under [`MobMaintenance::Rebuild`] events update a
-/// mirror pool and the sharded index is rebuilt before the next drain — so
-/// both passes plan every drain against the same fleet state, and the timed
-/// maintenance regions are exactly the work each strategy does to get there.
-#[allow(clippy::too_many_arguments)]
-fn fig9mob_service_run(
-    mode: MobMaintenance,
-    pool: &tcsc_core::WorkerPool,
-    arrivals: &tcsc_workload::HeavyTailedArrivals,
-    tape: &tcsc_workload::MotionTape,
-    total_tasks: usize,
-    capacity: usize,
-    grid: ShardGridConfig,
-    threads: usize,
-) -> MobRun {
-    use std::collections::VecDeque;
-
-    use tcsc_index::MutableSpatialIndex as _;
-    use tcsc_workload::WorkerMotion;
-
-    let cost = EuclideanCost::default();
-    let domain = arrivals.domain;
-    let num_slots = arrivals.num_slots;
-    let cfg = MultiTaskConfig::new(capacity as f64 * 2.0);
-    let mut engine = ConcurrentAssignmentEngine::new(
-        ShardedWorkerIndex::build(pool, num_slots, &domain, grid),
-        &cost,
-        cfg,
-        threads,
-    );
-    let mut mirror: Vec<tcsc_core::Worker> = pool.workers().to_vec();
-
-    let mut run = MobRun {
-        plan_hash: 0xcbf2_9ce4_8422_2325,
-        executions: 0,
-        drains: 0,
-        maintenance_ms: 0.0,
-        rebuilds: 0,
-        moves: 0,
-        offline: 0,
-        online: 0,
-        entries_spliced: 0,
-        rebuild_equiv: 0,
-        final_ledger: 0,
-        final_imbalance_milli: 0,
-    };
-    let mut sampler = arrivals.sampler();
-    let mut next = sampler.next_arrival();
-    let mut events = tape.events.iter().peekable();
-    let mut backlog: VecDeque<tcsc_core::Task> = VecDeque::new();
-    let mut streamed = 0usize;
-    let mut tick_us = 0u64;
-    let mut stale = false;
-
-    while streamed < total_tasks || !backlog.is_empty() {
-        tick_us += MOB_DRAIN_EVERY_US;
-        while streamed < total_tasks && next.at_us < tick_us {
-            let arrival = std::mem::replace(&mut next, sampler.next_arrival());
-            backlog.push_back(arrival.task);
-            streamed += 1;
-        }
-
-        // Fleet motion up to the tick.
-        let mut due = Vec::new();
-        while events.peek().is_some_and(|e| e.at_us <= tick_us) {
-            due.push(&events.next().expect("peeked").motion);
-        }
-        for motion in &due {
-            match motion {
-                WorkerMotion::Move { .. } => run.moves += 1,
-                WorkerMotion::Offline { .. } => run.offline += 1,
-                WorkerMotion::Online { .. } => run.online += 1,
-            }
-        }
-        match mode {
-            MobMaintenance::Mutate => {
-                let (mutations, ms) = timed(|| {
-                    due.iter()
-                        .map(|motion| match motion {
-                            WorkerMotion::Move { id, to } => engine.move_worker(*id, *to),
-                            WorkerMotion::Offline { id } => engine.remove_worker(*id),
-                            WorkerMotion::Online { worker } => engine.insert_worker(worker),
-                        })
-                        .collect::<Vec<_>>()
-                });
-                run.maintenance_ms += ms;
-                for m in mutations {
-                    assert!(m.applied, "motion tapes only target live sessions");
-                    run.entries_spliced += m.entries_touched as u64;
-                    run.rebuild_equiv += m.rebuild_equiv_entries as u64;
-                }
-            }
-            MobMaintenance::Rebuild => {
-                let (_, ms) = timed(|| {
-                    for motion in &due {
-                        match motion {
-                            WorkerMotion::Move { id, to } => {
-                                let at = mirror
-                                    .iter()
-                                    .position(|w| w.id == *id)
-                                    .expect("move targets a live session");
-                                let old = &mirror[at];
-                                let slots = old
-                                    .availability()
-                                    .iter()
-                                    .map(|ws| tcsc_core::WorkerSlot {
-                                        slot: ws.slot,
-                                        location: *to,
-                                    })
-                                    .collect();
-                                mirror[at] = tcsc_core::Worker::with_reliability(
-                                    *id,
-                                    slots,
-                                    old.reliability,
-                                );
-                            }
-                            WorkerMotion::Offline { id } => {
-                                mirror.retain(|w| w.id != *id);
-                            }
-                            WorkerMotion::Online { worker } => mirror.push((*worker).clone()),
-                        }
-                    }
-                });
-                run.maintenance_ms += ms;
-                stale = stale || !due.is_empty();
-            }
-        }
-
-        let take = backlog.len().min(capacity);
-        if take > 0 {
-            if let (MobMaintenance::Rebuild, true) = (&mode, stale) {
-                let (_, ms) = timed(|| {
-                    let rebuilt = tcsc_core::WorkerPool::new(mirror.clone());
-                    engine.rebuild_index(ShardedWorkerIndex::build(
-                        &rebuilt, num_slots, &domain, grid,
-                    ));
-                });
-                run.maintenance_ms += ms;
-                run.rebuilds += 1;
-                stale = false;
-            }
-            engine.submit(backlog.drain(..take));
-            let outcome = engine.drain_parallel(Objective::SumQuality);
-            run.drains += 1;
-            run.executions += outcome.executions as u64;
-            run.plan_hash = fold_plan_hash(run.plan_hash, tcsc_sim::plan_hash(&outcome.assignment));
-        }
-    }
-    run.final_ledger = engine.ledger().len();
-    run.final_imbalance_milli = engine.index().occupancy_imbalance_milli();
-    run
-}
-
-/// Fig. 9mob (repo extension): the heavy-tailed service stream with
-/// per-tick worker motion (waypoint drift + session churn), served by the
-/// concurrent sharded engine twice over identical tapes — mutate-in-place vs
-/// rebuild-per-drain — with the plan-hash identity and the ≥5×
-/// maintenance-speedup gate.
-pub fn fig9mob(scale: Scale) -> Report {
-    use tcsc_workload::{
-        BoundedPareto, HeavyTailedArrivals, MotionTape, PhaseSchedule, WorkerChurnConfig,
-    };
-
-    // The worker pool is deliberately large relative to the task stream:
-    // the rebuild baseline pays O(workers) per drain while a tile-local
-    // splice pays O(bucket), so the fleet size is what separates the two
-    // maintenance strategies (mobile fleets are big; drains are frequent).
-    let (total_tasks, workers, grid, threads) = match scale {
-        Scale::Quick => (6_000usize, 2_400usize, ShardGridConfig::new(5, 5), 4),
-        Scale::Full => (200_000, 10_000, ShardGridConfig::new(8, 8), 8),
-    };
-
-    let cfg = ScenarioConfig::small()
-        .with_num_slots(SVC_NUM_SLOTS)
-        .with_num_workers(workers);
-    let scenario = cfg.build();
-    let inter = BoundedPareto::new(1.5, 20.0, 10_000.0);
-    let arrivals = HeavyTailedArrivals {
-        seed: 4242,
-        inter_arrival_us: inter,
-        schedule: PhaseSchedule::rush_hour(200_000, 50_000, 4.0),
-        num_slots: SVC_NUM_SLOTS,
-        distribution: SpatialDistribution::Uniform,
-        domain: scenario.domain,
-    };
-    let capacity = ((MOB_DRAIN_EVERY_US as f64 / inter.mean()) * 1.7).ceil() as usize;
-
-    // One motion tick per drain tick, generously over-provisioned past the
-    // expected stream duration (leftover events are simply never due).
-    let churn = WorkerChurnConfig {
-        seed: 77,
-        tick_us: MOB_DRAIN_EVERY_US,
-        moves_per_tick: 6,
-        churn_prob: 0.3,
-        drift_fraction: 0.25,
-        num_slots: SVC_NUM_SLOTS,
-        domain: scenario.domain,
-    };
-    let ticks = (total_tasks as f64 * inter.mean() / MOB_DRAIN_EVERY_US as f64 * 2.0) as usize + 50;
-    let tape = MotionTape::generate(&churn, &scenario.workers, ticks);
-
-    let mutate = fig9mob_service_run(
-        MobMaintenance::Mutate,
-        &scenario.workers,
-        &arrivals,
-        &tape,
-        total_tasks,
-        capacity,
-        grid,
-        threads,
-    );
-    let rebuild = fig9mob_service_run(
-        MobMaintenance::Rebuild,
-        &scenario.workers,
-        &arrivals,
-        &tape,
-        total_tasks,
-        capacity,
-        grid,
-        threads,
-    );
-
-    let speedup = rebuild.maintenance_ms / mutate.maintenance_ms.max(1e-9);
-    Report::new(
-        "fig9mob",
-        "Mobile workers: mutate-in-place sharded index vs rebuild-per-drain \
-         — maintenance cost under the identical-plans gate",
-        vec![
-            Row::new(
-                "maintenance",
-                vec![
-                    ("MutateMs".into(), mutate.maintenance_ms),
-                    ("RebuildMs".into(), rebuild.maintenance_ms),
-                    ("Speedup".into(), speedup),
-                    ("Rebuilds".into(), rebuild.rebuilds as f64),
-                ],
-            ),
-            Row::new(
-                "motion",
-                vec![
-                    ("Moves".into(), mutate.moves as f64),
-                    ("Offline".into(), mutate.offline as f64),
-                    ("Online".into(), mutate.online as f64),
-                    ("Spliced".into(), mutate.entries_spliced as f64),
-                    ("RebuildEquiv".into(), mutate.rebuild_equiv as f64),
-                ],
-            ),
-            Row::new(
-                "service",
-                vec![
-                    ("Tasks".into(), total_tasks as f64),
-                    ("Drains".into(), mutate.drains as f64),
-                    ("Execs".into(), mutate.executions as f64),
-                    ("ImbalanceMilli".into(), mutate.final_imbalance_milli as f64),
-                ],
-            ),
-        ],
-    )
-    .num("workers", workers as f64)
-    .num("capacity", capacity as f64)
-    .num("final_ledger", mutate.final_ledger as f64)
-    .hash("mutate_plan_hash", mutate.plan_hash)
-    .hash("rebuild_plan_hash", rebuild.plan_hash)
-    .gate(
-        "plan_hash_match",
-        mutate.plan_hash == rebuild.plan_hash && mutate.final_ledger == rebuild.final_ledger,
-        format!(
-            "mutate-in-place {:#018x} vs rebuild-per-drain {:#018x}, final ledgers {} vs {}",
-            mutate.plan_hash, rebuild.plan_hash, mutate.final_ledger, rebuild.final_ledger
-        ),
-    )
-    .gate(
-        "maintenance_speedup_ok",
-        speedup >= 5.0,
-        format!(
-            "in-place maintenance {:.2}ms vs rebuild {:.2}ms: {speedup:.1}x >= 5x",
-            mutate.maintenance_ms, rebuild.maintenance_ms
-        ),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Figure 11: spatiotemporal interpolation (appendix)
-// ---------------------------------------------------------------------------
-
-fn st_scenario(p: &Params, placement: TaskPlacement) -> ScenarioConfig {
-    ScenarioConfig::small()
-        .with_num_tasks(p.tasks.min(6))
-        .with_num_slots(p.opt_slots)
-        .with_num_workers(p.workers.min(2000))
-        .with_placement(placement)
-}
-
-/// Fig. 11(a): quality per distribution with spatiotemporal interpolation
-/// (RandMin, RandMax, Approx, SApprox, Opt — Opt reported per-task averaged).
-pub fn fig11a(scale: Scale) -> Report {
-    let p = params(scale);
-    let cost_model = EuclideanCost::default();
-    let mut rows = Vec::new();
-    for placement in synthetic_placements() {
-        let prepared = prepare_multi(&st_scenario(&p, placement.clone()));
-        let budget = budget_for_multi(&prepared, 0.25);
-        let cfg = MultiTaskConfig::new(budget);
-        let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, 5);
-        let temporal = builder(&cfg)
-            .with_objective(SolveObjective::SpatioTemporal {
-                weights: InterpolationWeights::temporal_only(),
-                objective: SpatioTemporalObjective::Sum,
-            })
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
-        let spatiotemporal = builder(&cfg)
-            .with_objective(SolveObjective::SpatioTemporal {
-                weights: InterpolationWeights::paper_default(),
-                objective: SpatioTemporalObjective::Sum,
-            })
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
-        // Per-task OPT (temporal metric) with an even budget split serves as
-        // the optimal yardstick of the appendix figure.
-        let per_task_budget = budget / prepared.scenario.tasks.len() as f64;
-        let opt_sum: f64 = prepared
-            .scenario
-            .tasks
-            .iter()
-            .map(|task| {
-                let candidates = SlotCandidates::compute(task, &prepared.index, &cost_model);
-                optimal(task, &candidates, &SingleTaskConfig::new(per_task_budget)).quality
-            })
-            .sum();
-        let n = prepared.scenario.tasks.len() as f64;
-        rows.push(Row::new(
-            placement.label(),
-            vec![
-                ("RandMin".into(), rand_min / n),
-                ("RandMax".into(), rand_max / n),
-                ("Approx".into(), temporal.sum_quality() / n),
-                ("SApprox".into(), spatiotemporal.sum_quality() / n),
-                ("Opt".into(), opt_sum / n),
-            ],
-        ));
-    }
-    Report::new(
-        "fig11a",
-        "Average quality vs distribution with spatiotemporal interpolation",
-        rows,
-    )
-}
-
-/// Fig. 11(b): quality vs budget with spatiotemporal interpolation.
-pub fn fig11b(scale: Scale) -> Report {
-    let p = params(scale);
-    let cost_model = EuclideanCost::default();
-    let prepared = prepare_multi(&st_scenario(
-        &p,
-        TaskPlacement::Synthetic(SpatialDistribution::Uniform),
-    ));
-    let mut rows = Vec::new();
-    for fraction in [0.15, 0.25, 0.35] {
-        let budget = budget_for_multi(&prepared, fraction);
-        let cfg = MultiTaskConfig::new(budget);
-        let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, 3);
-        let n = prepared.scenario.tasks.len() as f64;
-        let temporal = builder(&cfg)
-            .with_objective(SolveObjective::SpatioTemporal {
-                weights: InterpolationWeights::temporal_only(),
-                objective: SpatioTemporalObjective::Sum,
-            })
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
-        let spatiotemporal = builder(&cfg)
-            .with_objective(SolveObjective::SpatioTemporal {
-                weights: InterpolationWeights::paper_default(),
-                objective: SpatioTemporalObjective::Sum,
-            })
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
-        rows.push(Row::new(
-            format!("b={:.0}%", fraction * 100.0),
-            vec![
-                ("Approx".into(), temporal.sum_quality() / n),
-                ("SApprox".into(), spatiotemporal.sum_quality() / n),
-                ("RandAvg".into(), (rand_min + rand_max) / (2.0 * n)),
-            ],
-        ));
-    }
-    Report::new(
-        "fig11b",
-        "Average quality vs budget with spatiotemporal interpolation",
-        rows,
-    )
-}
-
-/// Fig. 11(c): quality vs the temporal weight `w_t` (Gaussian distribution).
-pub fn fig11c(scale: Scale) -> Report {
-    let p = params(scale);
-    let cost_model = EuclideanCost::default();
-    let prepared = prepare_multi(&st_scenario(
-        &p,
-        TaskPlacement::Synthetic(SpatialDistribution::Gaussian),
-    ));
-    let budget = budget_for_multi(&prepared, 0.25);
-    let cfg = MultiTaskConfig::new(budget);
-    let n = prepared.scenario.tasks.len() as f64;
-    let mut rows = Vec::new();
-    for wt in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
-        let outcome = builder(&cfg)
-            .with_objective(SolveObjective::SpatioTemporal {
-                weights: InterpolationWeights::from_temporal_ratio(wt),
-                objective: SpatioTemporalObjective::Sum,
-            })
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
-        rows.push(Row::new(
-            format!("wt={wt:.1}"),
-            vec![("SApprox".into(), outcome.sum_quality() / n)],
-        ));
-    }
-    Report::new(
-        "fig11c",
-        "Average quality vs temporal weight w_t (Gaussian)",
-        rows,
-    )
-}
+use crate::{Report, Scale};
 
 /// A figure driver.
 pub type Driver = fn(Scale) -> Report;
@@ -2465,6 +67,14 @@ pub fn by_id(id: &str) -> Option<Driver> {
 
 #[cfg(test)]
 mod tests {
+    use tcsc_assign::{AssignmentEngine, MultiTaskConfig};
+    use tcsc_core::EuclideanCost;
+    use tcsc_index::WorkerIndex;
+    use tcsc_workload::{ScenarioConfig, SpatialDistribution};
+
+    use super::extensions::{
+        fig9svc_service_run, svc_latency_session, SVC_DRAIN_EVERY_US, SVC_NUM_SLOTS,
+    };
     use super::*;
 
     // The figure drivers are exercised end-to-end by the benches and the
