@@ -579,16 +579,16 @@ pub(super) struct SvcRun {
     pub(super) plan_hash: u64,
     pub(super) commits: u64,
     pub(super) executions: u64,
-    pub(super) drains: u64,
-    pub(super) drain_wall_ms: f64,
-    pub(super) peak_backlog: usize,
+    drains: u64,
+    drain_wall_ms: f64,
+    peak_backlog: usize,
     pub(super) peak_ledger: usize,
     pub(super) released: u64,
     pub(super) final_ledger: usize,
-    pub(super) virtual_end_us: u64,
-    pub(super) phase_arrivals: Vec<u64>,
-    pub(super) phase_commits: Vec<u64>,
-    pub(super) phase_time_us: Vec<u64>,
+    virtual_end_us: u64,
+    phase_arrivals: Vec<u64>,
+    phase_commits: Vec<u64>,
+    phase_time_us: Vec<u64>,
     pub(super) phase_hist: Vec<tcsc_obs::Histogram>,
     /// Each phase's sliding-window p99, read as the phase's last tick
     /// closes (0 without a latency session).

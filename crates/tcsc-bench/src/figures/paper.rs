@@ -8,19 +8,37 @@ use tcsc::solver::{Runtime, SolveObjective, SolverBuilder};
 use tcsc_assign::candidates::SlotCandidates;
 use tcsc_assign::{
     approx, approx_star, independence_graph, msqm_rebuild, optimal, random_summary,
-    AssignmentEngine, MultiTaskConfig, Objective, SingleTaskConfig, SpatioTemporalObjective,
+    AssignmentEngine, MultiOutcome, MultiTaskConfig, Objective, SingleTaskConfig,
+    SpatioTemporalObjective,
 };
 use tcsc_core::{EuclideanCost, InterpolationWeights};
 use tcsc_workload::{PoiConfig, ScenarioConfig, SpatialDistribution, TaskPlacement};
 
-use crate::{prepare_multi, prepare_single, timed, Report, Row, Scale};
+use crate::{prepare_multi, prepare_single, timed, PreparedMulti, Report, Row, Scale};
 
 /// Shorthand: a [`SolverBuilder`] seeded from a figure's `MultiTaskConfig`.
 ///
 /// Every multi-task figure routes through the facade; the prebuilt dense
-/// index stays outside the timed regions via [`SolverBuilder::solve_indexed`].
+/// index stays outside the timed regions via [`SolvePrepared`].
 fn builder(cfg: &MultiTaskConfig) -> SolverBuilder {
     SolverBuilder::new(cfg.budget).with_config(*cfg)
+}
+
+/// Solving a prepared batch through the facade over its prebuilt dense
+/// index (Euclidean cost), so the index build stays outside timed regions.
+trait SolvePrepared {
+    fn solve_prepared(&self, prepared: &PreparedMulti) -> MultiOutcome;
+}
+
+impl SolvePrepared for SolverBuilder {
+    fn solve_prepared(&self, prepared: &PreparedMulti) -> MultiOutcome {
+        self.solve_indexed(
+            &prepared.scenario.tasks,
+            &prepared.index,
+            &prepared.scenario.domain,
+            &EuclideanCost::default(),
+        )
+    }
 }
 
 /// Workload sizes per scale.
@@ -177,7 +195,7 @@ pub fn fig6b(scale: Scale) -> Report {
 // ---------------------------------------------------------------------------
 
 fn multi_rand_baseline(
-    prepared: &crate::PreparedMulti,
+    prepared: &PreparedMulti,
     config: &MultiTaskConfig,
     runs: usize,
 ) -> (f64, f64, f64, f64) {
@@ -224,12 +242,7 @@ pub fn fig7a(scale: Scale) -> Report {
         let budget = budget_for_multi(&prepared, 0.25);
         let cfg = MultiTaskConfig::new(budget);
         let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, p.rand_runs.min(5));
-        let outcome = builder(&cfg).solve_indexed(
-            &prepared.scenario.tasks,
-            &prepared.index,
-            &prepared.scenario.domain,
-            &EuclideanCost::default(),
-        );
+        let outcome = builder(&cfg).solve_prepared(&prepared);
         rows.push(Row::new(
             placement.label(),
             vec![
@@ -248,7 +261,7 @@ pub fn fig7a(scale: Scale) -> Report {
 
 /// Budget for a multi-task scenario: `fraction` of the total full-completion
 /// cost of all tasks.
-fn budget_for_multi(prepared: &crate::PreparedMulti, fraction: f64) -> f64 {
+fn budget_for_multi(prepared: &PreparedMulti, fraction: f64) -> f64 {
     let cost_model = EuclideanCost::default();
     let total: f64 = prepared
         .scenario
@@ -270,14 +283,8 @@ pub fn fig7b(scale: Scale) -> Report {
     for fraction in [0.125, 0.25, 0.375, 0.5] {
         let budget = budget_for_multi(&prepared, fraction);
         let cfg = MultiTaskConfig::new(budget);
-        let (_, _, _, _) = (0.0, 0.0, 0.0, 0.0);
         let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, 3);
-        let outcome = builder(&cfg).solve_indexed(
-            &prepared.scenario.tasks,
-            &prepared.index,
-            &prepared.scenario.domain,
-            &EuclideanCost::default(),
-        );
+        let outcome = builder(&cfg).solve_prepared(&prepared);
         rows.push(Row::new(
             format!("b={:.1}%", fraction * 100.0),
             vec![
@@ -305,12 +312,7 @@ pub fn fig7c(scale: Scale) -> Report {
             multi_rand_baseline(&prepared, &cfg, p.rand_runs.min(5));
         let outcome = builder(&cfg)
             .with_objective(SolveObjective::MinQuality)
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &EuclideanCost::default(),
-            );
+            .solve_prepared(&prepared);
         rows.push(Row::new(
             placement.label(),
             vec![
@@ -341,12 +343,7 @@ pub fn fig7d(scale: Scale) -> Report {
         let (_, _, rand_min_avg, _) = multi_rand_baseline(&prepared, &cfg, 3);
         let outcome = builder(&cfg)
             .with_objective(SolveObjective::MinQuality)
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &EuclideanCost::default(),
-            );
+            .solve_prepared(&prepared);
         rows.push(Row::new(
             format!("b={:.1}%", fraction * 100.0),
             vec![
@@ -632,15 +629,7 @@ pub fn fig9a(scale: Scale) -> Report {
     ));
     let budget = budget_for_multi(&prepared, 0.25);
     let cfg = MultiTaskConfig::new(budget);
-    let cost_model = EuclideanCost::default();
-    let (_, serial_ms) = timed(|| {
-        builder(&cfg).solve_indexed(
-            &prepared.scenario.tasks,
-            &prepared.index,
-            &prepared.scenario.domain,
-            &cost_model,
-        )
-    });
+    let (_, serial_ms) = timed(|| builder(&cfg).solve_prepared(&prepared));
     let mut rows = Vec::new();
     for &cores in &p.cores {
         let (_, task_ms) = timed(|| {
@@ -648,23 +637,13 @@ pub fn fig9a(scale: Scale) -> Report {
                 .with_runtime(Runtime::TaskParallel)
                 .with_threads(cores)
                 .with_priorities(true)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         let (_, group_ms) = timed(|| {
             builder(&cfg)
                 .with_runtime(Runtime::GroupParallel)
                 .with_threads(cores)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         rows.push(Row::new(
             format!("cores={cores}"),
@@ -682,7 +661,6 @@ pub fn fig9a(scale: Scale) -> Report {
 pub fn fig9b(scale: Scale) -> Report {
     let p = params(scale);
     let cores = *p.cores.last().unwrap();
-    let cost_model = EuclideanCost::default();
     let mut rows = Vec::new();
     for placement in synthetic_placements() {
         let prepared = prepare_multi(&multi_scenario(&p, placement.clone()));
@@ -693,23 +671,13 @@ pub fn fig9b(scale: Scale) -> Report {
                 .with_runtime(Runtime::TaskParallel)
                 .with_threads(cores)
                 .with_priorities(true)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         let (_, group_ms) = timed(|| {
             builder(&cfg)
                 .with_runtime(Runtime::GroupParallel)
                 .with_threads(cores)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         rows.push(Row::new(
             placement.label(),
@@ -730,7 +698,6 @@ pub fn fig9b(scale: Scale) -> Report {
 /// Fig. 9(c): worker conflicts vs number of tasks, per distribution.
 pub fn fig9c(scale: Scale) -> Report {
     let p = params(scale);
-    let cost_model = EuclideanCost::default();
     let mut rows = Vec::new();
     for &t in &p.task_sweep {
         let mut values = Vec::new();
@@ -738,12 +705,7 @@ pub fn fig9c(scale: Scale) -> Report {
             let prepared = prepare_multi(&multi_scenario(&p, placement.clone()).with_num_tasks(t));
             let budget = budget_for_multi(&prepared, 0.25);
             let cfg = MultiTaskConfig::new(budget);
-            let outcome = builder(&cfg).solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
+            let outcome = builder(&cfg).solve_prepared(&prepared);
             let graph = independence_graph(&prepared.scenario.tasks, &prepared.index, 4);
             values.push((
                 placement.label().to_string(),
@@ -763,7 +725,6 @@ pub fn fig9c(scale: Scale) -> Report {
 pub fn fig9d(scale: Scale) -> Report {
     let p = params(scale);
     let cores = *p.cores.last().unwrap();
-    let cost_model = EuclideanCost::default();
     let mut rows = Vec::new();
     for &t in &p.task_sweep {
         let prepared = prepare_multi(
@@ -777,23 +738,13 @@ pub fn fig9d(scale: Scale) -> Report {
                 .with_runtime(Runtime::TaskParallel)
                 .with_threads(cores)
                 .with_priorities(true)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         let (_, group_ms) = timed(|| {
             builder(&cfg)
                 .with_runtime(Runtime::GroupParallel)
                 .with_threads(cores)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         rows.push(Row::new(
             format!("|T|={t}"),
@@ -810,7 +761,6 @@ pub fn fig9d(scale: Scale) -> Report {
 pub fn fig9e(scale: Scale) -> Report {
     let p = params(scale);
     let cores = *p.cores.last().unwrap();
-    let cost_model = EuclideanCost::default();
     let m_values: Vec<usize> = p
         .m_sweep
         .iter()
@@ -828,12 +778,7 @@ pub fn fig9e(scale: Scale) -> Report {
                     .with_runtime(Runtime::TaskParallel)
                     .with_threads(cores)
                     .with_priorities(true)
-                    .solve_indexed(
-                        &prepared.scenario.tasks,
-                        &prepared.index,
-                        &prepared.scenario.domain,
-                        &cost_model,
-                    )
+                    .solve_prepared(&prepared)
             });
             values.push((placement.label().to_string(), ms));
         }
@@ -855,7 +800,6 @@ pub fn fig9f(scale: Scale) -> Report {
     ));
     let budget = budget_for_multi(&prepared, 0.25);
     let cfg = MultiTaskConfig::new(budget);
-    let cost_model = EuclideanCost::default();
     let mut rows = Vec::new();
     for &cores in &p.cores {
         let (_, with_ms) = timed(|| {
@@ -863,24 +807,14 @@ pub fn fig9f(scale: Scale) -> Report {
                 .with_runtime(Runtime::TaskParallel)
                 .with_threads(cores)
                 .with_priorities(true)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         let (_, without_ms) = timed(|| {
             builder(&cfg)
                 .with_runtime(Runtime::TaskParallel)
                 .with_threads(cores)
                 .with_priorities(false)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         rows.push(Row::new(
             format!("cores={cores}"),
@@ -897,7 +831,6 @@ pub fn fig9f(scale: Scale) -> Report {
 /// Fig. 9(g): MMQM running time vs number of tasks (Approx vs Approx*).
 pub fn fig9g(scale: Scale) -> Report {
     let p = params(scale);
-    let cost_model = EuclideanCost::default();
     let mut rows = Vec::new();
     for &t in &p.task_sweep {
         let prepared = prepare_multi(
@@ -908,22 +841,12 @@ pub fn fig9g(scale: Scale) -> Report {
         let (_, plain_ms) = timed(|| {
             builder(&MultiTaskConfig::new(budget).with_index(false))
                 .with_objective(SolveObjective::MinQuality)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         let (_, fast_ms) = timed(|| {
             builder(&MultiTaskConfig::new(budget))
                 .with_objective(SolveObjective::MinQuality)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         rows.push(Row::new(
             format!("|T|={t}"),
@@ -936,7 +859,6 @@ pub fn fig9g(scale: Scale) -> Report {
 /// Fig. 9(h): MMQM running time vs `m` (Approx vs Approx*).
 pub fn fig9h(scale: Scale) -> Report {
     let p = params(scale);
-    let cost_model = EuclideanCost::default();
     let mut rows = Vec::new();
     for &m in &p.m_sweep {
         let prepared = prepare_multi(
@@ -947,22 +869,12 @@ pub fn fig9h(scale: Scale) -> Report {
         let (_, plain_ms) = timed(|| {
             builder(&MultiTaskConfig::new(budget).with_index(false))
                 .with_objective(SolveObjective::MinQuality)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         let (_, fast_ms) = timed(|| {
             builder(&MultiTaskConfig::new(budget))
                 .with_objective(SolveObjective::MinQuality)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost_model,
-                )
+                .solve_prepared(&prepared)
         });
         rows.push(Row::new(
             format!("m={m}"),
@@ -1048,6 +960,14 @@ fn st_scenario(p: &Params, placement: TaskPlacement) -> ScenarioConfig {
         .with_placement(placement)
 }
 
+/// The facade on the summed spatiotemporal (STCC) objective.
+fn st_sum(cfg: &MultiTaskConfig, weights: InterpolationWeights) -> SolverBuilder {
+    builder(cfg).with_objective(SolveObjective::SpatioTemporal {
+        weights,
+        objective: SpatioTemporalObjective::Sum,
+    })
+}
+
 /// Fig. 11(a): quality per distribution with spatiotemporal interpolation
 /// (RandMin, RandMax, Approx, SApprox, Opt — Opt reported per-task averaged).
 pub fn fig11a(scale: Scale) -> Report {
@@ -1059,28 +979,10 @@ pub fn fig11a(scale: Scale) -> Report {
         let budget = budget_for_multi(&prepared, 0.25);
         let cfg = MultiTaskConfig::new(budget);
         let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, 5);
-        let temporal = builder(&cfg)
-            .with_objective(SolveObjective::SpatioTemporal {
-                weights: InterpolationWeights::temporal_only(),
-                objective: SpatioTemporalObjective::Sum,
-            })
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
-        let spatiotemporal = builder(&cfg)
-            .with_objective(SolveObjective::SpatioTemporal {
-                weights: InterpolationWeights::paper_default(),
-                objective: SpatioTemporalObjective::Sum,
-            })
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
+        let temporal =
+            st_sum(&cfg, InterpolationWeights::temporal_only()).solve_prepared(&prepared);
+        let spatiotemporal =
+            st_sum(&cfg, InterpolationWeights::paper_default()).solve_prepared(&prepared);
         // Per-task OPT (temporal metric) with an even budget split serves as
         // the optimal yardstick of the appendix figure.
         let per_task_budget = budget / prepared.scenario.tasks.len() as f64;
@@ -1115,7 +1017,6 @@ pub fn fig11a(scale: Scale) -> Report {
 /// Fig. 11(b): quality vs budget with spatiotemporal interpolation.
 pub fn fig11b(scale: Scale) -> Report {
     let p = params(scale);
-    let cost_model = EuclideanCost::default();
     let prepared = prepare_multi(&st_scenario(
         &p,
         TaskPlacement::Synthetic(SpatialDistribution::Uniform),
@@ -1126,28 +1027,10 @@ pub fn fig11b(scale: Scale) -> Report {
         let cfg = MultiTaskConfig::new(budget);
         let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, 3);
         let n = prepared.scenario.tasks.len() as f64;
-        let temporal = builder(&cfg)
-            .with_objective(SolveObjective::SpatioTemporal {
-                weights: InterpolationWeights::temporal_only(),
-                objective: SpatioTemporalObjective::Sum,
-            })
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
-        let spatiotemporal = builder(&cfg)
-            .with_objective(SolveObjective::SpatioTemporal {
-                weights: InterpolationWeights::paper_default(),
-                objective: SpatioTemporalObjective::Sum,
-            })
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
+        let temporal =
+            st_sum(&cfg, InterpolationWeights::temporal_only()).solve_prepared(&prepared);
+        let spatiotemporal =
+            st_sum(&cfg, InterpolationWeights::paper_default()).solve_prepared(&prepared);
         rows.push(Row::new(
             format!("b={:.0}%", fraction * 100.0),
             vec![
@@ -1167,7 +1050,6 @@ pub fn fig11b(scale: Scale) -> Report {
 /// Fig. 11(c): quality vs the temporal weight `w_t` (Gaussian distribution).
 pub fn fig11c(scale: Scale) -> Report {
     let p = params(scale);
-    let cost_model = EuclideanCost::default();
     let prepared = prepare_multi(&st_scenario(
         &p,
         TaskPlacement::Synthetic(SpatialDistribution::Gaussian),
@@ -1177,17 +1059,8 @@ pub fn fig11c(scale: Scale) -> Report {
     let n = prepared.scenario.tasks.len() as f64;
     let mut rows = Vec::new();
     for wt in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
-        let outcome = builder(&cfg)
-            .with_objective(SolveObjective::SpatioTemporal {
-                weights: InterpolationWeights::from_temporal_ratio(wt),
-                objective: SpatioTemporalObjective::Sum,
-            })
-            .solve_indexed(
-                &prepared.scenario.tasks,
-                &prepared.index,
-                &prepared.scenario.domain,
-                &cost_model,
-            );
+        let outcome =
+            st_sum(&cfg, InterpolationWeights::from_temporal_ratio(wt)).solve_prepared(&prepared);
         rows.push(Row::new(
             format!("wt={wt:.1}"),
             vec![("SApprox".into(), outcome.sum_quality() / n)],

@@ -220,16 +220,13 @@ impl Report {
             .rows
             .iter()
             .map(|row| {
-                let values: Vec<String> = row
+                let label = format!("\"label\": {}", json_str(&row.label));
+                let values = row
                     .values
                     .iter()
-                    .map(|(name, v)| format!("{}: {}", json_str(name), Scalar::Num(*v).json()))
-                    .collect();
-                format!(
-                    "    {{ \"label\": {}, {} }}",
-                    json_str(&row.label),
-                    values.join(", ")
-                )
+                    .map(|(name, v)| format!("{}: {}", json_str(name), Scalar::Num(*v).json()));
+                let fields: Vec<String> = std::iter::once(label).chain(values).collect();
+                format!("    {{ {} }}", fields.join(", "))
             })
             .collect();
         let gates: Vec<String> = self
