@@ -72,10 +72,221 @@ mod tests {
     use tcsc_index::WorkerIndex;
     use tcsc_workload::{ScenarioConfig, SpatialDistribution};
 
+    use tcsc_index::ShardGridConfig;
+    use tcsc_sim::LatencyModel;
+
     use super::extensions::{
-        fig9svc_service_run, svc_latency_session, SVC_DRAIN_EVERY_US, SVC_NUM_SLOTS,
+        fig9dist_sized, fig9mob_sized, fig9obs_sized, fig9p_sized, fig9s_sized,
+        fig9svc_service_run, fig9svc_sized, svc_latency_session, SVC_DRAIN_EVERY_US, SVC_NUM_SLOTS,
     };
     use super::*;
+
+    /// The report's `BENCH_<id>.json`, checked for balanced nesting and its
+    /// figure id.
+    fn bench_json(report: &Report, id: &str) -> String {
+        let json = report.to_json();
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(json.contains(&format!("\"figure\": \"{id}\",")), "{json}");
+        json
+    }
+
+    /// Asserts every `"name":` key appears in the JSON (scalars and row
+    /// series serialise as `"name": value`).
+    fn assert_fields(json: &str, names: &[&str]) {
+        for name in names {
+            assert!(
+                json.contains(&format!("\"{name}\": ")),
+                "{name} missing:\n{json}"
+            );
+        }
+    }
+
+    /// Asserts the named gates are present in the JSON and held.
+    fn assert_gates_pass(json: &str, gates: &[&str]) {
+        for gate in gates {
+            assert!(
+                json.contains(&format!("\"name\": \"{gate}\", \"pass\": true")),
+                "gate {gate} missing or failed:\n{json}"
+            );
+        }
+    }
+
+    /// Asserts the named gates are present in the JSON, whatever their
+    /// verdict (wall-clock gates are not meaningful on a test-sized run).
+    fn assert_gates_present(json: &str, gates: &[&str]) {
+        for gate in gates {
+            assert!(
+                json.contains(&format!("\"name\": \"{gate}\", \"pass\": ")),
+                "gate {gate} missing:\n{json}"
+            );
+        }
+    }
+
+    #[test]
+    fn fig9s_json_is_well_formed() {
+        let report = fig9s_sized(2, 2, 4, 12, 200, &[1, 2], 1);
+        let json = bench_json(&report, "fig9s");
+        assert_fields(
+            &json,
+            &[
+                "hardware_threads",
+                "num_tasks",
+                "DenseMs",
+                "ShardedMs",
+                "Speedup",
+            ],
+        );
+        assert!(
+            json.contains("\"num_tasks\": 8,"),
+            "rounds x per_round tasks"
+        );
+        assert!(json.contains("\"label\": \"threads=2\", \"Serial\": "));
+        assert_eq!(
+            report.rows.len(),
+            3,
+            "index row plus one row per thread count"
+        );
+    }
+
+    #[test]
+    fn fig9p_json_is_well_formed() {
+        let report = fig9p_sized(16, 12, 300, 0.2, 1);
+        let json = bench_json(&report, "fig9p");
+        assert_fields(
+            &json,
+            &[
+                "num_tasks",
+                "executions",
+                "conflicts",
+                "refresh_speedup",
+                "PerGrantUs",
+            ],
+        );
+        assert!(json.contains("\"label\": \"incremental\", \"BatchMs\": "));
+        assert_gates_pass(&json, &["plans_match", "full_refreshes_zero"]);
+        assert_gates_present(&json, &["refresh_le_full"]);
+    }
+
+    #[test]
+    fn fig9mob_json_is_well_formed() {
+        let report = fig9mob_sized(2_000, 400, ShardGridConfig::new(2, 2), 2);
+        let json = bench_json(&report, "fig9mob");
+        assert_fields(
+            &json,
+            &[
+                "workers",
+                "capacity",
+                "final_ledger",
+                "mutate_plan_hash",
+                "rebuild_plan_hash",
+                "Speedup",
+                "Spliced",
+            ],
+        );
+        assert_gates_pass(&json, &["plan_hash_match"]);
+        assert_gates_present(&json, &["maintenance_speedup_ok"]);
+    }
+
+    #[test]
+    fn fig9dist_json_is_well_formed() {
+        let report = fig9dist_sized(
+            2,
+            2,
+            3,
+            8,
+            60,
+            &[1, 2],
+            &[LatencyModel::Zero, LatencyModel::Fixed(200)],
+        );
+        let json = bench_json(&report, "fig9dist");
+        assert_fields(
+            &json,
+            &[
+                "num_tasks",
+                "rounds",
+                "sim_plan_hash",
+                "engine_plan_hash",
+                "VirtualMs",
+            ],
+        );
+        assert!(json.contains("\"label\": \"n=2 fixed:200us\", \"VirtualMs\": "));
+        assert_eq!(
+            report.rows.len(),
+            4,
+            "one row per node count x latency cell"
+        );
+        assert_gates_pass(&json, &["plan_hash_matches", "sweep_plans_match"]);
+    }
+
+    #[test]
+    fn fig9obs_json_is_well_formed() {
+        let report = fig9obs_sized(
+            &[1, 2],
+            &[
+                LatencyModel::Zero,
+                LatencyModel::Uniform { min: 20, max: 4000 },
+            ],
+            16,
+            300,
+            1,
+        );
+        let json = bench_json(&report, "fig9obs");
+        assert_fields(&json, &["digest", "NoopMs", "RecordedMs", "DigestOk"]);
+        assert!(
+            json.contains("\"digest\": \"0x"),
+            "the digest is a hex hash"
+        );
+        assert_eq!(report.rows.len(), 5, "overhead row plus one row per cell");
+        assert_gates_pass(&json, &["digest_uniform", "digest_match"]);
+        assert_gates_present(&json, &["overhead_ok"]);
+        let files: Vec<_> = report.artifacts.iter().map(|(name, _)| *name).collect();
+        assert_eq!(files, ["TRACE_fig9obs.jsonl", "OBS_SUMMARY.txt"]);
+    }
+
+    #[test]
+    fn fig9svc_json_is_well_formed() {
+        // Enough tasks to reach the recovery phase of the first rush-hour
+        // cycle, so every phase row is populated.
+        let report = fig9svc_sized(12_000, 800);
+        let json = bench_json(&report, "fig9svc");
+        assert_fields(
+            &json,
+            &[
+                "workers",
+                "capacity",
+                "virtual_end_us",
+                "peak_queue_depth",
+                "released",
+                "final_ledger",
+                "noop_plan_hash",
+                "obs_plan_hash",
+                "WinP99us",
+            ],
+        );
+        for phase in ["calm", "rush", "recovery"] {
+            assert!(json.contains(&format!("\"label\": \"{phase}\", \"Arrivals\": ")));
+        }
+        assert_gates_pass(
+            &json,
+            &[
+                "p99_finite",
+                "throughput_positive",
+                "plan_hash_match",
+                "ledger_bounded",
+            ],
+        );
+        assert_gates_present(&json, &["profile_within_bound"]);
+        let files: Vec<_> = report.artifacts.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            files,
+            [
+                "TRACE_fig9svc.jsonl",
+                "PROFILE_fig9svc.txt",
+                "SVC_SUMMARY.txt"
+            ]
+        );
+    }
 
     // The figure drivers are exercised end-to-end by the benches and the
     // `experiments` binary; here we only smoke-test the cheapest quality

@@ -7,6 +7,7 @@
 use tcsc_assign::{AssignmentEngine, ConcurrentAssignmentEngine, MultiTaskConfig, Objective};
 use tcsc_core::EuclideanCost;
 use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
+use tcsc_sim::LatencyModel;
 use tcsc_workload::{ScenarioConfig, SpatialDistribution, StreamingConfig, TaskPlacement};
 
 use crate::{best_of, prepare_multi, timed, Report, Row, Scale};
@@ -25,18 +26,24 @@ pub fn fig9s(scale: Scale) -> Report {
     // checkout and the all-tasks warm-start candidate wave dominate, which
     // is the work the region sharding spreads across threads; the serial
     // commit tail (one winner refresh per grant) stays short.
-    let (regions, rounds, per_round, slots, workers, cores, runs) = match scale {
-        Scale::Quick => (
-            4usize,
-            8usize,
-            16usize,
-            96usize,
-            4000usize,
-            vec![1, 2, 4, 8],
-            3,
-        ),
-        Scale::Full => (8, 8, 40, 300, 10_357, vec![1, 2, 4, 8, 16], 3),
-    };
+    match scale {
+        Scale::Quick => fig9s_sized(4, 8, 16, 96, 4000, &[1, 2, 4, 8], 3),
+        Scale::Full => fig9s_sized(8, 8, 40, 300, 10_357, &[1, 2, 4, 8, 16], 3),
+    }
+}
+
+/// [`fig9s`] on an explicit workload: `regions`² shards, `rounds` ×
+/// `per_round` tasks of `slots` slots over `workers` workers, the concurrent
+/// engine at each of `cores` threads, best of `runs`.
+pub(super) fn fig9s_sized(
+    regions: usize,
+    rounds: usize,
+    per_round: usize,
+    slots: usize,
+    workers: usize,
+    cores: &[usize],
+    runs: usize,
+) -> Report {
     let base = ScenarioConfig::small()
         .with_num_slots(slots)
         .with_num_workers(workers);
@@ -83,7 +90,7 @@ pub fn fig9s(scale: Scale) -> Report {
     let serial_ms = best_of(runs, || {
         AssignmentEngine::borrowed(&dense, &cost, cfg).assign_batch(&tasks, Objective::SumQuality)
     });
-    for t in cores {
+    for &t in cores {
         let concurrent_ms = best_of(runs, || {
             ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, t)
                 .assign_batch_parallel(&tasks, Objective::SumQuality)
@@ -130,10 +137,22 @@ pub fn fig9p(scale: Scale) -> Report {
     // tasks under a tight budget, where every grant triggers the winner's
     // recompute *and* budget-staleness invalidations across the batch — the
     // commit tail that pinned the concurrent engine's speedup below 1x.
-    let (num_tasks, slots, workers, budget_per_task, runs) = match scale {
-        Scale::Quick => (128usize, 96usize, 4000usize, 0.2f64, 3usize),
-        Scale::Full => (256, 300, 10_357, 0.25, 3),
-    };
+    match scale {
+        Scale::Quick => fig9p_sized(128, 96, 4000, 0.2, 3),
+        Scale::Full => fig9p_sized(256, 300, 10_357, 0.25, 3),
+    }
+}
+
+/// [`fig9p`] on an explicit workload: `num_tasks` tasks of `slots` slots
+/// over `workers` workers, a budget of `budget_per_task` per task, best of
+/// `runs`.
+pub(super) fn fig9p_sized(
+    num_tasks: usize,
+    slots: usize,
+    workers: usize,
+    budget_per_task: f64,
+    runs: usize,
+) -> Report {
     let cfg = ScenarioConfig::small()
         .with_num_tasks(num_tasks)
         .with_num_slots(slots)
@@ -239,40 +258,54 @@ pub fn fig9p(scale: Scale) -> Report {
 /// distributed runtime, sweeping node count × network latency.  Every
 /// cell's plans are checked against the in-process engine.
 pub fn fig9dist(scale: Scale) -> Report {
-    use std::rc::Rc;
-
-    use tcsc_sim::{plan_hash, run_cluster, LatencyModel, SimBatch, SimClusterConfig};
-    use tcsc_workload::ArrivalTrace;
-
-    let (regions, rounds, per_round, slots, workers, node_sweep, latencies) = match scale {
-        Scale::Quick => (
-            3usize,
-            3usize,
-            6usize,
-            24usize,
-            120usize,
-            vec![1usize, 2, 4],
-            vec![
+    match scale {
+        Scale::Quick => fig9dist_sized(
+            3,
+            3,
+            6,
+            24,
+            120,
+            &[1, 2, 4],
+            &[
                 LatencyModel::Zero,
                 LatencyModel::Fixed(200),
                 LatencyModel::Uniform { min: 50, max: 2000 },
             ],
         ),
-        Scale::Full => (
+        Scale::Full => fig9dist_sized(
             4,
             4,
             15,
             60,
             800,
-            vec![1, 2, 4, 8, 16],
-            vec![
+            &[1, 2, 4, 8, 16],
+            &[
                 LatencyModel::Zero,
                 LatencyModel::Fixed(200),
                 LatencyModel::Fixed(2_000),
                 LatencyModel::Uniform { min: 50, max: 5000 },
             ],
         ),
-    };
+    }
+}
+
+/// [`fig9dist`] on an explicit workload: `regions` regions, `rounds` ×
+/// `per_round` tasks of `slots` slots over `workers` workers, swept over
+/// `node_sweep` × `latencies`.
+pub(super) fn fig9dist_sized(
+    regions: usize,
+    rounds: usize,
+    per_round: usize,
+    slots: usize,
+    workers: usize,
+    node_sweep: &[usize],
+    latencies: &[LatencyModel],
+) -> Report {
+    use std::rc::Rc;
+
+    use tcsc_sim::{plan_hash, run_cluster, SimBatch, SimClusterConfig};
+    use tcsc_workload::ArrivalTrace;
+
     let base = ScenarioConfig::small()
         .with_num_slots(slots)
         .with_num_workers(workers);
@@ -320,8 +353,8 @@ pub fn fig9dist(scale: Scale) -> Report {
 
     let mut rows = Vec::new();
     let mut diverged = Vec::new();
-    for &nodes in &node_sweep {
-        for latency in &latencies {
+    for &nodes in node_sweep {
+        for latency in latencies {
             let (sim, wall_ms) = timed(|| {
                 run_cluster(
                     &streaming.workers,
@@ -390,25 +423,20 @@ pub fn fig9dist(scale: Scale) -> Report {
 /// one trace through the chrome exporter/parser, then times the
 /// fig9p-shaped commit-tail batch with and without a live recorder.
 pub fn fig9obs(scale: Scale) -> Report {
-    use std::rc::Rc;
-
-    use tcsc_obs::{parse_chrome_trace_jsonl, replay_digest, ObsSession};
-    use tcsc_sim::{run_cluster, LatencyModel, SimBatch, SimClusterConfig};
-
-    let (node_sweep, latencies, overhead_tasks, overhead_workers, runs) = match scale {
-        Scale::Quick => (
-            vec![1usize, 2, 4],
-            vec![
+    match scale {
+        Scale::Quick => fig9obs_sized(
+            &[1, 2, 4],
+            &[
                 LatencyModel::Zero,
                 LatencyModel::Uniform { min: 20, max: 4000 },
             ],
-            128usize,
-            4000usize,
-            3usize,
+            128,
+            4000,
+            3,
         ),
-        Scale::Full => (
-            vec![1, 2, 4, 8],
-            vec![
+        Scale::Full => fig9obs_sized(
+            &[1, 2, 4, 8],
+            &[
                 LatencyModel::Zero,
                 LatencyModel::Fixed(250),
                 LatencyModel::Uniform { min: 20, max: 4000 },
@@ -417,7 +445,23 @@ pub fn fig9obs(scale: Scale) -> Report {
             10_357,
             5,
         ),
-    };
+    }
+}
+
+/// [`fig9obs`] on an explicit workload: the digest sweep over `node_sweep`
+/// × `latencies`, the overhead batch of `overhead_tasks` tasks over
+/// `overhead_workers` workers, best of `runs`.
+pub(super) fn fig9obs_sized(
+    node_sweep: &[usize],
+    latencies: &[LatencyModel],
+    overhead_tasks: usize,
+    overhead_workers: usize,
+    runs: usize,
+) -> Report {
+    use std::rc::Rc;
+
+    use tcsc_obs::{parse_chrome_trace_jsonl, replay_digest, ObsSession};
+    use tcsc_sim::{run_cluster, SimBatch, SimClusterConfig};
 
     let cfg = ScenarioConfig::small()
         .with_num_tasks(10)
@@ -431,8 +475,8 @@ pub fn fig9obs(scale: Scale) -> Report {
 
     let mut cells = Vec::new();
     let mut kept: Option<tcsc_obs::ObsReport> = None;
-    for &nodes in &node_sweep {
-        for latency in &latencies {
+    for &nodes in node_sweep {
+        for latency in latencies {
             let config = SimClusterConfig::new(nodes, 3, 55.0, *latency)
                 .with_seed(7 + nodes as u64)
                 .with_obs();
@@ -738,13 +782,17 @@ pub(super) fn fig9svc_service_run<R: tcsc_obs::Recorder>(
 /// profile against the measured drain wall clock and checks every service
 /// gate.
 pub fn fig9svc(scale: Scale) -> Report {
+    match scale {
+        Scale::Quick => fig9svc_sized(30_000, 800),
+        Scale::Full => fig9svc_sized(1_000_000, 2_000),
+    }
+}
+
+/// [`fig9svc`] on an explicit workload: a stream of `total_tasks` tasks
+/// over `workers` workers.
+pub(super) fn fig9svc_sized(total_tasks: usize, workers: usize) -> Report {
     use tcsc_obs::{profile_spans, ObsSession};
     use tcsc_workload::{BoundedPareto, HeavyTailedArrivals, PhaseSchedule};
-
-    let (total_tasks, workers) = match scale {
-        Scale::Quick => (30_000usize, 800usize),
-        Scale::Full => (1_000_000, 2_000),
-    };
 
     let cfg = ScenarioConfig::small()
         .with_num_slots(SVC_NUM_SLOTS)
@@ -1095,17 +1143,27 @@ fn fig9mob_service_run(
 /// rebuild-per-drain — with the plan-hash identity and the ≥5×
 /// maintenance-speedup gate.
 pub fn fig9mob(scale: Scale) -> Report {
-    use tcsc_workload::{
-        BoundedPareto, HeavyTailedArrivals, MotionTape, PhaseSchedule, WorkerChurnConfig,
-    };
-
     // The worker pool is deliberately large relative to the task stream:
     // the rebuild baseline pays O(workers) per drain while a tile-local
     // splice pays O(bucket), so the fleet size is what separates the two
     // maintenance strategies (mobile fleets are big; drains are frequent).
-    let (total_tasks, workers, grid, threads) = match scale {
-        Scale::Quick => (6_000usize, 2_400usize, ShardGridConfig::new(5, 5), 4),
-        Scale::Full => (200_000, 10_000, ShardGridConfig::new(8, 8), 8),
+    match scale {
+        Scale::Quick => fig9mob_sized(6_000, 2_400, ShardGridConfig::new(5, 5), 4),
+        Scale::Full => fig9mob_sized(200_000, 10_000, ShardGridConfig::new(8, 8), 8),
+    }
+}
+
+/// [`fig9mob`] on an explicit workload: a stream of `total_tasks` tasks
+/// over `workers` mobile workers on a `grid` of shards, drained by
+/// `threads` threads.
+pub(super) fn fig9mob_sized(
+    total_tasks: usize,
+    workers: usize,
+    grid: ShardGridConfig,
+    threads: usize,
+) -> Report {
+    use tcsc_workload::{
+        BoundedPareto, HeavyTailedArrivals, MotionTape, PhaseSchedule, WorkerChurnConfig,
     };
 
     let cfg = ScenarioConfig::small()
