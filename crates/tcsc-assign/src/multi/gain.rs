@@ -46,9 +46,9 @@
 //! tie-break depends on the V-tree's internal visit order; the caller falls
 //! back to the full search for those (they are immediately executed, so the
 //! fallback is at most a handful of searches per task).  The differential
-//! fuzz suite (`tests/incremental_gain_fuzz.rs`) and every pre-existing
-//! equivalence suite pin the bit-identity across presets × grids × threads ×
-//! grant policies.
+//! fuzz suite (`crates/tcsc-assign/tests/incremental_gain_fuzz.rs`) and every
+//! pre-existing equivalence suite pin the bit-identity across presets ×
+//! grids × threads.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

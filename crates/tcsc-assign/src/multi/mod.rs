@@ -113,8 +113,11 @@ pub struct TaskCandidate {
 pub struct TaskState {
     /// The task being assigned.
     pub task: Task,
-    /// The entropy-quality evaluator of the task.
-    pub evaluator: QualityEvaluator,
+    /// The entropy-quality evaluator of the task; mutated only by
+    /// [`TaskState::execute`], which keeps `quality` in step.
+    evaluator: QualityEvaluator,
+    /// `evaluator.quality()`, recomputed only when a slot executes.
+    quality: f64,
     /// The aggregated tree index (present when `use_index` is on).
     pub tree: Option<VTree>,
     /// The per-slot candidate assignments (kept consistent with the ledger).
@@ -190,6 +193,7 @@ impl TaskState {
             .then(|| VTree::build(&evaluator, candidates.costs(), VTreeConfig::new(config.ts)));
         Self {
             task: task.clone(),
+            quality: evaluator.quality(),
             evaluator,
             tree,
             candidates,
@@ -384,6 +388,7 @@ impl TaskState {
         } else {
             self.evaluator.execute(slot);
         }
+        self.quality = self.evaluator.quality();
         if let Some(tree) = &mut self.tree {
             tree.notify_executed(&self.evaluator, slot);
         }
@@ -474,14 +479,14 @@ impl TaskState {
         AssignmentPlan {
             task: self.task.id,
             num_slots: self.task.num_slots,
-            quality: self.evaluator.quality(),
+            quality: self.quality,
             executions: self.executions,
         }
     }
 
-    /// The task's current quality.
+    /// The task's current quality (cached; recomputed once per execution).
     pub fn quality(&self) -> f64 {
-        self.evaluator.quality()
+        self.quality
     }
 }
 

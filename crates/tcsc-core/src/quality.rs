@@ -23,6 +23,28 @@
 //! [`QualityEvaluator`] is the single shared implementation of this metric:
 //! the greedy algorithms, the Voronoi-tree index and the baselines all consult
 //! it, so Eq. 1–5 are defined in exactly one place.
+//!
+//! # The unit-reliability table
+//!
+//! The k-NN walk folds the neighbours through a closure, so no per-slot query
+//! allocates.  On top of that, while every executed reliability (and the
+//! tentative one, if any) is exactly `1` — always the case for the basic
+//! metric — a slot's partial quality depends only on the integer sum `S` of
+//! its `k` neighbour distances (`S = 0` for an executed slot, `S = k·m` when
+//! nothing is executed).  Such slots read `−p·log2 p` from a table of `k·m + 1`
+//! entries instead of calling `log2`.  The table is filled by the same
+//! expression the formula path evaluates, fed the same `f64` operands: with
+//! unit reliabilities the formula's neighbour sums are `Σ 1 = k` and
+//! `Σ 1·d = S`, both integers far below `2^53` and therefore exact in any
+//! summation order, so every entry equals the formula's result to the bit.
+//! Debug builds assert this on every lookup.  One table is built per
+//! `(m, k)` per process and shared by every evaluator with those parameters;
+//! a slot executed with `λ ≠ 1` switches its evaluator to the formula path
+//! until it is unexecuted again.
+
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::model::SlotIndex;
 
@@ -78,6 +100,21 @@ pub struct Neighbor {
     pub reliability: f64,
 }
 
+/// A slot's partial quality together with its k-NN distances, from one
+/// neighbour walk (see [`QualityEvaluator::slot_summary`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlotSummary {
+    /// `−p(j)·log2 p(j)`, bit-identical to
+    /// [`QualityEvaluator::partial_quality`].
+    pub partial_quality: f64,
+    /// Whether the slot is executed.  The distances below are `0` then.
+    pub executed: bool,
+    /// Distance to the k-th nearest neighbour (`m` for a padding neighbour).
+    pub kth_distance: usize,
+    /// Sum of the `k` neighbour distances.
+    pub distance_sum: usize,
+}
+
 /// `x · log2(x)` with the convention `0 · log2(0) = 0`.
 #[inline]
 fn xlog2x(x: f64) -> f64 {
@@ -86,6 +123,60 @@ fn xlog2x(x: f64) -> f64 {
     } else {
         x * x.log2()
     }
+}
+
+/// Largest unit-reliability table (`k·m + 1` entries) that is shared; larger
+/// shapes stay on the formula path rather than pin megabytes per `(m, k)`.
+const MAX_TABLE_LEN: usize = 1 << 16;
+
+/// The neighbour sums of one slot, accumulated in walk order.
+#[derive(Clone, Copy)]
+struct KnnSums {
+    /// `Σ λ`, started from `-0.0` exactly like `Iterator::sum`.
+    reliability: f64,
+    /// `Σ λ·d`, started from `-0.0` exactly like `Iterator::sum`.
+    weighted: f64,
+    /// `Σ d`.
+    distance: usize,
+    /// The last (largest) neighbour distance.
+    kth: usize,
+}
+
+/// Finishing probability of an unexecuted slot from its neighbour sums
+/// (Eq. 2 / Eq. 4): `(Σλ / k − Σλ·d / (k·m)) / m`, clamped at zero.
+#[inline]
+fn probability_from_sums(params: QualityParams, reliability_sum: f64, weighted_sum: f64) -> f64 {
+    let k = params.k as f64;
+    let m = params.num_slots as f64;
+    let avg_reliability = reliability_sum / k;
+    let rho = weighted_sum / (k * m);
+    ((avg_reliability - rho) / m).max(0.0)
+}
+
+/// The shared unit-reliability table of `params`: entry `S` is the partial
+/// quality of a slot whose `k` unit-reliability neighbours sum to distance
+/// `S`.  `None` when the table would exceed [`MAX_TABLE_LEN`].
+fn unit_table(params: QualityParams) -> Option<Arc<[f64]>> {
+    type Tables = Mutex<HashMap<(usize, usize), Arc<[f64]>>>;
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    let len = params.k.checked_mul(params.num_slots)?.checked_add(1)?;
+    if len > MAX_TABLE_LEN {
+        return None;
+    }
+    // A poisoned lock still guards a valid map: a table is inserted only
+    // after it is fully built.
+    let mut tables = TABLES
+        .get_or_init(Tables::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let table = tables
+        .entry((params.num_slots, params.k))
+        .or_insert_with(|| {
+            (0..len)
+                .map(|s| -xlog2x(probability_from_sums(params, params.k as f64, s as f64)))
+                .collect()
+        });
+    Some(Arc::clone(table))
 }
 
 /// Incremental evaluator of the entropy-based task quality.
@@ -99,11 +190,25 @@ fn xlog2x(x: f64) -> f64 {
 /// * the *quality gain* of tentatively executing one more slot
 ///   ([`Self::gain_if_executed`]), the quantity the greedy Algorithm 1
 ///   maximises per unit cost.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct QualityEvaluator {
     params: QualityParams,
     /// Executed slots sorted by slot index.
     executed: Vec<ExecutedSlot>,
+    /// Number of executed slots whose reliability is not exactly `1`; the
+    /// unit-reliability table applies only while this is zero.
+    non_unit: usize,
+    /// The shared unit-reliability table of `params` (module docs).
+    unit_table: Option<Arc<[f64]>>,
+}
+
+impl fmt::Debug for QualityEvaluator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QualityEvaluator")
+            .field("params", &self.params)
+            .field("executed", &self.executed)
+            .finish_non_exhaustive()
+    }
 }
 
 impl QualityEvaluator {
@@ -112,6 +217,8 @@ impl QualityEvaluator {
         Self {
             params,
             executed: Vec::new(),
+            non_unit: 0,
+            unit_table: unit_table(params),
         }
     }
 
@@ -145,19 +252,21 @@ impl QualityEvaluator {
         self.executed.len()
     }
 
+    /// `Ok(i)` when `slot` is executed at `executed[i]`, otherwise `Err(i)`
+    /// with its insertion point.
+    #[inline]
+    fn search(&self, slot: SlotIndex) -> Result<usize, usize> {
+        self.executed.binary_search_by_key(&slot, |e| e.slot)
+    }
+
     /// Whether `slot` has been executed.
     pub fn is_executed(&self, slot: SlotIndex) -> bool {
-        self.executed
-            .binary_search_by_key(&slot, |e| e.slot)
-            .is_ok()
+        self.search(slot).is_ok()
     }
 
     /// Reliability recorded for an executed slot, if any.
     pub fn reliability_of(&self, slot: SlotIndex) -> Option<f64> {
-        self.executed
-            .binary_search_by_key(&slot, |e| e.slot)
-            .ok()
-            .map(|i| self.executed[i].reliability)
+        self.search(slot).ok().map(|i| self.executed[i].reliability)
     }
 
     /// Marks `slot` as executed by a fully reliable worker.
@@ -182,11 +291,14 @@ impl QualityEvaluator {
             (0.0..=1.0).contains(&reliability),
             "reliability must lie in [0, 1]"
         );
-        match self.executed.binary_search_by_key(&slot, |e| e.slot) {
+        match self.search(slot) {
             Ok(_) => false,
             Err(pos) => {
                 self.executed
                     .insert(pos, ExecutedSlot { slot, reliability });
+                if reliability != 1.0 {
+                    self.non_unit += 1;
+                }
                 true
             }
         }
@@ -196,13 +308,115 @@ impl QualityEvaluator {
     /// algorithms that roll back tentative executions).  Returns `true` when
     /// the slot was executed.
     pub fn unexecute(&mut self, slot: SlotIndex) -> bool {
-        match self.executed.binary_search_by_key(&slot, |e| e.slot) {
+        match self.search(slot) {
             Ok(pos) => {
-                self.executed.remove(pos);
+                if self.executed.remove(pos).reliability != 1.0 {
+                    self.non_unit -= 1;
+                }
                 true
             }
             Err(_) => false,
         }
+    }
+
+    /// The unit-reliability table, when it applies to a query with `extra`.
+    #[inline]
+    fn table_for(&self, extra: Option<ExecutedSlot>) -> Option<&[f64]> {
+        if self.non_unit == 0 && extra.map_or(true, |e| e.reliability == 1.0) {
+            self.unit_table.as_deref()
+        } else {
+            None
+        }
+    }
+
+    /// Walks the `k` temporal nearest neighbours of `slot` outwards from its
+    /// position `found` in the executed list (the result of
+    /// [`Self::search`]), merged with the optional `extra`, and hands each to
+    /// `visit` in ascending order of distance (ties towards the earlier slot;
+    /// an `extra` on an executed slot comes after that slot).  Missing
+    /// neighbours are padded with distance `m` and reliability `1`.  The
+    /// query slot itself is never its own neighbour.
+    #[inline]
+    fn walk_knn(
+        &self,
+        slot: SlotIndex,
+        found: Result<usize, usize>,
+        extra: Option<ExecutedSlot>,
+        mut visit: impl FnMut(Neighbor),
+    ) {
+        let executed = &self.executed;
+        // `executed[..left]` lies left of `slot`, `executed[right..]` right.
+        let (mut left, mut right) = match found {
+            Ok(i) => (i, i + 1),
+            Err(i) => (i, i),
+        };
+        let mut extra = extra.filter(|e| e.slot != slot);
+        for _ in 0..self.params.k {
+            // Closest of the three cursors; between the two executed ones the
+            // left wins a distance tie because its slot is smaller.
+            let mut best: Option<(usize, ExecutedSlot)> = None;
+            let mut from = 0u8;
+            if left > 0 {
+                let e = executed[left - 1];
+                best = Some((slot - e.slot, e));
+                from = 1;
+            }
+            if let Some(&e) = executed.get(right) {
+                let d = e.slot - slot;
+                if best.map_or(true, |(bd, _)| d < bd) {
+                    best = Some((d, e));
+                    from = 2;
+                }
+            }
+            if let Some(e) = extra {
+                let d = e.slot.abs_diff(slot);
+                if best.map_or(true, |(bd, be)| d < bd || (d == bd && e.slot < be.slot)) {
+                    best = Some((d, e));
+                    from = 3;
+                }
+            }
+            match from {
+                1 => left -= 1,
+                2 => right += 1,
+                3 => extra = None,
+                _ => {}
+            }
+            visit(match best {
+                Some((distance, e)) => Neighbor {
+                    slot: Some(e.slot),
+                    distance,
+                    reliability: e.reliability,
+                },
+                None => Neighbor {
+                    slot: None,
+                    distance: self.params.num_slots,
+                    reliability: 1.0,
+                },
+            });
+        }
+    }
+
+    /// The neighbour sums of `slot` from one walk.
+    #[inline]
+    fn knn_sums(
+        &self,
+        slot: SlotIndex,
+        found: Result<usize, usize>,
+        extra: Option<ExecutedSlot>,
+    ) -> KnnSums {
+        let mut sums = KnnSums {
+            reliability: -0.0,
+            weighted: -0.0,
+            distance: 0,
+            kth: 0,
+        };
+        self.walk_knn(slot, found, extra, |n| {
+            sums.reliability += n.reliability;
+            sums.weighted += n.reliability * n.distance as f64;
+            sums.distance += n.distance;
+            sums.kth = n.distance;
+        });
+        sums
     }
 
     /// The `k` executed slots nearest in time to `slot` (the set
@@ -219,76 +433,8 @@ impl QualityEvaluator {
     /// slot (a *tentative execution*).  The query slot itself is never its own
     /// neighbour.
     pub fn knn_with_extra(&self, slot: SlotIndex, extra: Option<ExecutedSlot>) -> Vec<Neighbor> {
-        let k = self.params.k;
-        let m = self.params.num_slots;
-        let mut result: Vec<Neighbor> = Vec::with_capacity(k);
-
-        // Two-pointer walk outwards from the insertion point of `slot` in the
-        // sorted executed list, merged with the optional extra slot.
-        let pos = self
-            .executed
-            .binary_search_by_key(&slot, |e| e.slot)
-            .unwrap_or_else(|p| p);
-        // Left cursor points at the next candidate to the left (inclusive of
-        // an executed slot equal to `slot`, which we skip below).
-        let mut left: isize = pos as isize - 1;
-        let mut right: usize = pos;
-        // Skip the query slot itself if it is executed.
-        if right < self.executed.len() && self.executed[right].slot == slot {
-            right += 1;
-        }
-        let mut extra = extra.filter(|e| e.slot != slot);
-
-        while result.len() < k {
-            let left_cand = (left >= 0).then(|| self.executed[left as usize]);
-            let right_cand = (right < self.executed.len()).then(|| self.executed[right]);
-            let extra_cand = extra;
-
-            // Pick the closest among the three cursors; ties go to the
-            // smallest slot index.
-            let mut best: Option<(usize, ExecutedSlot, u8)> = None;
-            for (cand, tag) in [(left_cand, 0u8), (right_cand, 1u8), (extra_cand, 2u8)] {
-                if let Some(e) = cand {
-                    let d = e.slot.abs_diff(slot);
-                    let better = match best {
-                        None => true,
-                        Some((bd, be, _)) => d < bd || (d == bd && e.slot < be.slot),
-                    };
-                    if better {
-                        best = Some((d, e, tag));
-                    }
-                }
-            }
-
-            match best {
-                Some((d, e, tag)) => {
-                    result.push(Neighbor {
-                        slot: Some(e.slot),
-                        distance: d,
-                        reliability: e.reliability,
-                    });
-                    match tag {
-                        0 => left -= 1,
-                        1 => {
-                            right += 1;
-                            if right < self.executed.len() && self.executed[right].slot == slot {
-                                right += 1;
-                            }
-                        }
-                        _ => extra = None,
-                    }
-                }
-                None => {
-                    // Fewer than k executed slots: pad with the largest
-                    // possible interpolation distance m and reliability 1.
-                    result.push(Neighbor {
-                        slot: None,
-                        distance: m,
-                        reliability: 1.0,
-                    });
-                }
-            }
-        }
+        let mut result = Vec::with_capacity(self.params.k);
+        self.walk_knn(slot, self.search(slot), extra, |n| result.push(n));
         result
     }
 
@@ -301,7 +447,8 @@ impl QualityEvaluator {
 
     /// Error ratio assuming `extra` were additionally executed.
     pub fn error_ratio_with_extra(&self, slot: SlotIndex, extra: Option<ExecutedSlot>) -> f64 {
-        if self.is_executed(slot) || extra.map(|e| e.slot) == Some(slot) {
+        let found = self.search(slot);
+        if found.is_ok() || extra.map(|e| e.slot) == Some(slot) {
             return 0.0;
         }
         if self.executed.is_empty() && extra.is_none() {
@@ -309,12 +456,7 @@ impl QualityEvaluator {
         }
         let k = self.params.k as f64;
         let m = self.params.num_slots as f64;
-        let neighbors = self.knn_with_extra(slot, extra);
-        neighbors
-            .iter()
-            .map(|n| n.reliability * n.distance as f64)
-            .sum::<f64>()
-            / (k * m)
+        self.knn_sums(slot, found, extra).weighted / (k * m)
     }
 
     /// Subtask finishing probability `p(j)` (Eq. 2, or Eq. 4 with worker
@@ -329,39 +471,98 @@ impl QualityEvaluator {
         slot: SlotIndex,
         extra: Option<ExecutedSlot>,
     ) -> f64 {
-        let m = self.params.num_slots as f64;
-        // Executed slot: p = λ / m.
-        if let Some(lambda) = self.reliability_of(slot) {
-            return lambda / m;
+        let found = self.search(slot);
+        match self.executed_reliability(slot, found, extra) {
+            Some(lambda) => lambda / self.params.num_slots as f64,
+            None => self.unexecuted_probability(&self.knn_sums(slot, found, extra), extra),
         }
-        if let Some(e) = extra {
-            if e.slot == slot {
-                return e.reliability / m;
-            }
+    }
+
+    /// The reliability `slot` counts as executed with: its own, or the
+    /// tentative `extra`'s when `extra` is the slot.  `None` when unexecuted.
+    #[inline]
+    fn executed_reliability(
+        &self,
+        slot: SlotIndex,
+        found: Result<usize, usize>,
+        extra: Option<ExecutedSlot>,
+    ) -> Option<f64> {
+        match found {
+            Ok(i) => Some(self.executed[i].reliability),
+            Err(_) => extra.filter(|e| e.slot == slot).map(|e| e.reliability),
         }
-        // Nothing executed at all: zero knowledge about the subtask.
+    }
+
+    /// Finishing probability of an unexecuted slot from its neighbour sums:
+    /// zero when nothing is executed at all, Eq. 2 / Eq. 4 otherwise.
+    #[inline]
+    fn unexecuted_probability(&self, sums: &KnnSums, extra: Option<ExecutedSlot>) -> f64 {
         if self.executed.is_empty() && extra.is_none() {
             return 0.0;
         }
-        let k = self.params.k as f64;
-        let neighbors = self.knn_with_extra(slot, extra);
-        let avg_reliability = neighbors.iter().map(|n| n.reliability).sum::<f64>() / k;
-        let rho = neighbors
-            .iter()
-            .map(|n| n.reliability * n.distance as f64)
-            .sum::<f64>()
-            / (k * m);
-        ((avg_reliability - rho) / m).max(0.0)
+        probability_from_sums(self.params, sums.reliability, sums.weighted)
+    }
+
+    /// Partial quality of an executed slot with reliability `lambda`.
+    #[inline]
+    fn executed_partial(&self, lambda: f64) -> f64 {
+        let formula = || -xlog2x(lambda / self.params.num_slots as f64);
+        match self.unit_table.as_deref() {
+            Some(table) if lambda == 1.0 => {
+                debug_assert_eq!(table[0].to_bits(), formula().to_bits());
+                table[0]
+            }
+            _ => formula(),
+        }
+    }
+
+    /// Partial quality of an unexecuted slot from its neighbour sums: the
+    /// table entry while all reliabilities are one, Eq. 1 otherwise.
+    #[inline]
+    fn unexecuted_partial(&self, sums: &KnnSums, extra: Option<ExecutedSlot>) -> f64 {
+        let formula = || -xlog2x(self.unexecuted_probability(sums, extra));
+        match self.table_for(extra) {
+            Some(table) => {
+                debug_assert_eq!(table[sums.distance].to_bits(), formula().to_bits());
+                table[sums.distance]
+            }
+            None => formula(),
+        }
     }
 
     /// Partial quality of a single slot: `−p(j)·log2 p(j)`.
     pub fn partial_quality(&self, slot: SlotIndex) -> f64 {
-        -xlog2x(self.finishing_probability(slot))
+        self.partial_quality_with_extra(slot, None)
     }
 
     /// Partial quality of a slot assuming `extra` were additionally executed.
     pub fn partial_quality_with_extra(&self, slot: SlotIndex, extra: Option<ExecutedSlot>) -> f64 {
-        -xlog2x(self.finishing_probability_with_extra(slot, extra))
+        let found = self.search(slot);
+        match self.executed_reliability(slot, found, extra) {
+            Some(lambda) => self.executed_partial(lambda),
+            None => self.unexecuted_partial(&self.knn_sums(slot, found, extra), extra),
+        }
+    }
+
+    /// [`Self::partial_quality`] of `slot` together with its k-th neighbour
+    /// distance and neighbour distance sum, from a single walk.
+    pub fn slot_summary(&self, slot: SlotIndex) -> SlotSummary {
+        let found = self.search(slot);
+        if let Ok(i) = found {
+            return SlotSummary {
+                partial_quality: self.executed_partial(self.executed[i].reliability),
+                executed: true,
+                kth_distance: 0,
+                distance_sum: 0,
+            };
+        }
+        let sums = self.knn_sums(slot, found, None);
+        SlotSummary {
+            partial_quality: self.unexecuted_partial(&sums, None),
+            executed: false,
+            kth_distance: sums.kth,
+            distance_sum: sums.distance,
+        }
     }
 
     /// Total task quality `q(τ)` (Eq. 1).

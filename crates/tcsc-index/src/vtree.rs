@@ -6,9 +6,10 @@
 //! segment `[l, r]` and stores the auxiliary quadruple of the paper —
 //! `⟨k-set, knn(l), knn(r), q′⟩` — materialised here as:
 //!
-//! * the k-NN results of the two end slots (and their k-th NN distances
-//!   `kmax(l)`, `kmax(r)`, from which the node's *influence range*
-//!   `[l − kmax(l), r + kmax(r)]` is derived);
+//! * the k-th NN distances `kmax(l)`, `kmax(r)` of the two end slots, from
+//!   which the node's *influence range* `[l − kmax(l), r + kmax(r)]` is
+//!   derived (their k-NN sets decide the split at build time and are not
+//!   kept);
 //! * the aggregated partial quality `q′` of all slots in the segment;
 //! * additional aggregates used by the pruned search: the summed *potential*
 //!   (the largest possible partial-quality improvement of each unexecuted
@@ -131,9 +132,6 @@ struct Node {
     kmax_l: usize,
     /// Same for the right end slot.
     kmax_r: usize,
-    /// k-NN site set of the left / right end slots (for the split condition).
-    knn_l: Vec<SlotIndex>,
-    knn_r: Vec<SlotIndex>,
 }
 
 impl Node {
@@ -186,6 +184,13 @@ pub struct VTree {
     num_slots: usize,
     k: usize,
     costs: Vec<Option<f64>>,
+    /// Per-slot partial quality, written by the slot's leaf on every
+    /// recompute.
+    slot_pq: Vec<f64>,
+    /// Per-slot k-th NN distance (`0` for an executed slot), written with
+    /// `slot_pq`.  A tentative execution at `t` with `|j − t| > slot_kth[j]`
+    /// cannot enter slot `j`'s neighbour set, so `slot_pq[j]` stays exact.
+    slot_kth: Vec<usize>,
     nodes: Vec<Node>,
     root: usize,
     /// Milliseconds-free construction statistics: number of slots whose
@@ -211,6 +216,8 @@ impl VTree {
             num_slots: m,
             k: evaluator.k(),
             costs,
+            slot_pq: vec![0.0; m],
+            slot_kth: vec![0; m],
             nodes: Vec::with_capacity(2 * m / config.ts.max(1) + 4),
             root: 0,
             recomputed_slots: 0,
@@ -325,8 +332,6 @@ impl VTree {
             candidates: 0,
             kmax_l,
             kmax_r,
-            knn_l,
-            knn_r,
         });
 
         if stop {
@@ -358,7 +363,6 @@ impl VTree {
             (n.start, n.end)
         };
         let m = self.num_slots as f64;
-        let max_pq_after_exec = Self::entropy_term(1.0 / m);
         let mut quality = 0.0;
         let mut potential = 0.0;
         let mut min_unexec_pq = f64::INFINITY;
@@ -368,17 +372,19 @@ impl VTree {
 
         for slot in start..=end {
             self.recomputed_slots += 1;
-            let pq = evaluator.partial_quality(slot);
+            let summary = evaluator.slot_summary(slot);
+            let pq = summary.partial_quality;
             quality += pq;
-            if evaluator.is_executed(slot) {
+            self.slot_pq[slot] = pq;
+            self.slot_kth[slot] = summary.kth_distance;
+            if summary.executed {
                 continue;
             }
             // Potential improvement of this slot under one more execution
             // elsewhere (Eq. 6): its k-th NN distance can drop to 1 at best.
-            let neighbors = evaluator.knn(slot);
-            let kth_dist = neighbors.last().map_or(self.num_slots, |n| n.distance);
+            let kth_dist = summary.kth_distance;
             max_kth_dist = max_kth_dist.max(kth_dist);
-            let dist_sum: f64 = neighbors.iter().map(|n| n.distance as f64).sum();
+            let dist_sum = summary.distance_sum as f64;
             let k = self.k as f64;
             // Lower bound on the error ratio after one extra execution: the
             // k-th neighbour is replaced by one at distance 1.
@@ -393,7 +399,6 @@ impl VTree {
                 min_unexec_pq = min_unexec_pq.min(pq);
             }
         }
-        let _ = max_pq_after_exec;
         let node = &mut self.nodes[idx];
         node.quality = quality;
         node.potential = potential;
@@ -453,7 +458,12 @@ impl VTree {
     // ------------------------------------------------------------------
 
     /// Exact quality increment of tentatively executing `slot` (with a fully
-    /// reliable worker), reusing stored aggregates of unaffected nodes.
+    /// reliable worker), reusing stored aggregates of unaffected nodes and,
+    /// inside influenced leaves, the stored partial quality of every slot the
+    /// tentative execution cannot reach (executed slots, and slots `j` with
+    /// `|j − slot|` beyond their k-th NN distance: Lemma 8 at slot grain).
+    /// The summed values and their order are those of a full leaf recompute,
+    /// so the result is bit-identical to it.
     pub fn gain(&self, evaluator: &QualityEvaluator, slot: SlotIndex) -> f64 {
         if evaluator.is_executed(slot) {
             return 0.0;
@@ -478,11 +488,54 @@ impl VTree {
         }
         if node.is_leaf() {
             (node.start..=node.end)
-                .map(|j| evaluator.partial_quality_with_extra(j, Some(extra)))
+                .map(|j| {
+                    if j.abs_diff(extra.slot) > self.slot_kth[j] {
+                        self.slot_pq[j]
+                    } else {
+                        evaluator.partial_quality_with_extra(j, Some(extra))
+                    }
+                })
                 .sum()
         } else {
             self.quality_with_extra(evaluator, node.left.unwrap(), extra)
                 + self.quality_with_extra(evaluator, node.right.unwrap(), extra)
+        }
+    }
+
+    /// [`VTree::gain`] without the per-slot cache: every slot of an
+    /// influenced leaf is re-evaluated.  The reference the cached sum must
+    /// match bit for bit.
+    #[cfg(test)]
+    fn gain_uncached(&self, evaluator: &QualityEvaluator, slot: SlotIndex) -> f64 {
+        if evaluator.is_executed(slot) {
+            return 0.0;
+        }
+        let extra = ExecutedSlot {
+            slot,
+            reliability: 1.0,
+        };
+        self.quality_with_extra_uncached(evaluator, self.root, extra)
+            - self.nodes[self.root].quality
+    }
+
+    #[cfg(test)]
+    fn quality_with_extra_uncached(
+        &self,
+        evaluator: &QualityEvaluator,
+        idx: usize,
+        extra: ExecutedSlot,
+    ) -> f64 {
+        let node = &self.nodes[idx];
+        if !node.influence_contains(extra.slot, self.num_slots) {
+            return node.quality;
+        }
+        if node.is_leaf() {
+            (node.start..=node.end)
+                .map(|j| evaluator.partial_quality_with_extra(j, Some(extra)))
+                .sum()
+        } else {
+            self.quality_with_extra_uncached(evaluator, node.left.unwrap(), extra)
+                + self.quality_with_extra_uncached(evaluator, node.right.unwrap(), extra)
         }
     }
 
@@ -524,8 +577,6 @@ impl VTree {
                 let node = &mut self.nodes[idx];
                 node.left = Some(new_left);
                 node.right = Some(new_right);
-                node.knn_l = knn_l;
-                node.knn_r = knn_r;
                 node.kmax_l = kmax_l;
                 node.kmax_r = kmax_r;
             }
@@ -778,6 +829,56 @@ mod tests {
                 (expected - got).abs() < 1e-9,
                 "slot {slot}: tree gain {got} vs evaluator {expected}"
             );
+        }
+    }
+
+    #[test]
+    fn cached_gain_is_bit_identical_to_full_leaf_sum() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5107);
+        for case in 0..60 {
+            let m = rng.gen_range(1usize..=100);
+            let k = rng.gen_range(1usize..=5);
+            let ts = rng.gen_range(1usize..=8);
+            // Every fourth case executes some slots with reliability < 1, so
+            // the evaluator leaves the unit-reliability table.
+            let mixed = case % 4 == 3;
+            let mut ev = QualityEvaluator::with_slots(m, k);
+            let costs: Vec<Option<f64>> = (0..m).map(|_| Some(rng.gen_range(0.5..4.0))).collect();
+            let mut tree = VTree::build(&ev, costs, VTreeConfig::new(ts));
+            let steps = rng.gen_range(0..=m);
+            for step in 0..=steps {
+                for t in 0..m {
+                    let cached = tree.gain(&ev, t);
+                    let full = tree.gain_uncached(&ev, t);
+                    assert_eq!(
+                        cached.to_bits(),
+                        full.to_bits(),
+                        "case {case} (m={m}, k={k}, ts={ts}) step {step} slot {t}: \
+                         {cached} vs {full}"
+                    );
+                }
+                if step == steps {
+                    break;
+                }
+                if rng.gen_bool(0.3) {
+                    let slot = rng.gen_range(0..m);
+                    let cost = rng.gen_bool(0.8).then(|| rng.gen_range(0.5..4.0));
+                    tree.update_cost(&ev, slot, cost);
+                } else {
+                    let slot = rng.gen_range(0..m);
+                    let reliability = if mixed && rng.gen_bool(0.5) {
+                        rng.gen_range(0.2..1.0)
+                    } else {
+                        1.0
+                    };
+                    if ev.execute_with_reliability(slot, reliability) {
+                        tree.notify_executed(&ev, slot);
+                    }
+                }
+            }
         }
     }
 
