@@ -57,7 +57,7 @@ use tcsc_index::{IndexMutation, MutableSpatialIndex, SpatialQuery, WorkerIndex};
 use tcsc_obs::{NoopRecorder, Recorder, Stopwatch};
 
 use crate::candidates::{SlotCandidates, WorkerLedger};
-use crate::engine::commit::{inline_wave, msqm_commit_loop, DenseBackend};
+use crate::engine::commit::{msqm_commit_loop, DenseBackend};
 use crate::multi::sapprox::SpatioTemporalObjective;
 use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
 pub use crate::multi::{RefreshStats, RefreshStrategy};
@@ -705,13 +705,9 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
             ledger: &mut self.ledger,
         };
         let (conflicts, executions) = match objective {
-            Objective::SumQuality => msqm_commit_loop(
-                &mut states,
-                budget,
-                &mut backend,
-                &mut stats,
-                &mut inline_wave,
-            ),
+            Objective::SumQuality => {
+                msqm_commit_loop(&mut states, budget, &mut backend, &mut stats)
+            }
             Objective::MinQuality => {
                 commit::mmqm_commit_loop(&mut states, budget, &mut backend, &mut stats)
             }
@@ -931,7 +927,7 @@ impl<R: Recorder> std::fmt::Debug for AssignmentEngine<'_, R> {
         f.debug_struct("AssignmentEngine")
             .field("config", &self.config)
             .field("ledger_commitments", &self.ledger.len())
-            .field("cached_tasks", &self.cache.len())
+            .field("cache_entries", &self.cache.len())
             .field("pending", &self.pending.len())
             .field("lifetime_stats", &self.lifetime_stats)
             .finish()

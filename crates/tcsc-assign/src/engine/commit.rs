@@ -1,14 +1,10 @@
 //! The shared greedy commit loops.
 //!
-//! Before this module, the MSQM holder-map loop lived twice (serial engine,
-//! concurrent engine) and the MMQM lazy-heap loop three times (serial engine,
-//! rebuild baseline, concurrent engine) — every copy a line-for-line port
-//! that had to be patched in lockstep (the equivalence suites were the only
-//! tripwire).  The incremental-gain ledger gives the commit tail exactly one
-//! implementation to patch by factoring both loops here, parameterized by a
-//! [`CommitBackend`]: the only thing the drivers actually differ in is *where
-//! occupancy lives* (a dense [`WorkerLedger`] vs the sharded per-tile
-//! ledgers) and therefore how a conflict-invalidated slot is refreshed.
+//! The MSQM holder-map loop and the MMQM lazy-heap loop each exist once, here,
+//! parameterized by a [`CommitBackend`]: the only thing the drivers (serial
+//! engine, sharded engine, rebuild baseline) differ in is *where occupancy
+//! lives* (a dense [`WorkerLedger`] vs the sharded per-tile ledgers) and
+//! therefore how a conflict-invalidated slot is refreshed.
 //!
 //! The loops never compute candidates themselves — they call
 //! [`TaskState::best_candidate`], which dispatches on the task's
@@ -132,26 +128,6 @@ impl HolderMap {
     }
 }
 
-/// A candidate wave: recomputes `best_candidate(remaining)` for the listed
-/// states, returning `(task index, candidate)` pairs in ascending task order.
-/// The serial drivers answer inline; the concurrent engine fans large waves
-/// out to its thread pool.  Each answer is a pure function of the task's own
-/// state and `remaining`, so inline and parallel execution coincide.
-pub(crate) type CandidateWave<'a> =
-    dyn FnMut(&mut [TaskState], &[usize], f64) -> Vec<(usize, Option<TaskCandidate>)> + 'a;
-
-/// The inline (serial) candidate wave.
-pub(crate) fn inline_wave(
-    states: &mut [TaskState],
-    invalidated: &[usize],
-    remaining: f64,
-) -> Vec<(usize, Option<TaskCandidate>)> {
-    invalidated
-        .iter()
-        .map(|&i| (i, states[i].best_candidate(remaining)))
-        .collect()
-}
-
 /// The serial MSQM greedy over already-checked-out task states: repeatedly
 /// execute the globally best affordable `(gain / cost)` candidate, arbitrate
 /// worker conflicts through the backend and refresh exactly the invalidated
@@ -159,16 +135,15 @@ pub(crate) fn inline_wave(
 /// Returns `(conflicts, executions)`.
 ///
 /// Every MSQM driver commits through this loop — the serial engine (and,
-/// through it, the group-parallel framework) and the concurrent engine
-/// (which passes its thread-pool wave); their results can only differ
-/// through the candidates they feed in.  The equivalence suites (`engine_equivalence.rs`,
-/// `concurrent_equivalence.rs`) are the tripwire.
+/// through it, the group-parallel framework) and the sharded engine; their
+/// results can only differ through the candidates they feed in.  The
+/// equivalence suites (`engine_equivalence.rs`, `concurrent_equivalence.rs`)
+/// are the tripwire.
 pub(crate) fn msqm_commit_loop(
     states: &mut [TaskState],
     budget: f64,
     backend: &mut dyn CommitBackend,
     stats: &mut CacheStats,
-    wave: &mut CandidateWave<'_>,
 ) -> (usize, usize) {
     let mut remaining = budget;
     let mut conflicts = 0usize;
@@ -191,8 +166,8 @@ pub(crate) fn msqm_commit_loop(
                 }
             }
         }
-        // Recompute every invalidated candidate as one wave (the first
-        // iteration recomputes the whole batch — the warm start).
+        // Recompute every invalidated candidate, in ascending task order
+        // (the first iteration recomputes the whole batch — the warm start).
         let invalidated: Vec<usize> = (0..states.len()).filter(|&i| cached[i].is_none()).collect();
         if !invalidated.is_empty() {
             if warm_start_done {
@@ -200,7 +175,8 @@ pub(crate) fn msqm_commit_loop(
                 stats.commit_rescores += invalidated.len();
             }
             warm_start_done = true;
-            for (i, candidate) in wave(states, &invalidated, remaining) {
+            for i in invalidated {
+                let candidate = states[i].best_candidate(remaining);
                 if let Some(c) = &candidate {
                     let worker = states[i]
                         .planned_worker(c.slot)
@@ -284,8 +260,7 @@ pub(crate) fn msqm_commit_loop(
 /// trusted.  Returns `(conflicts, executions)`.
 ///
 /// The single implementation behind the serial engine, the rebuild baseline
-/// and the concurrent engine (which previously carried three line-for-line
-/// copies of this loop).
+/// and the sharded engine.
 pub(crate) fn mmqm_commit_loop(
     states: &mut [TaskState],
     budget: f64,

@@ -1,56 +1,34 @@
-//! The concurrent, region-parallel assignment engine.
+//! The assignment engine over a sharded worker index.
 //!
-//! [`super::AssignmentEngine`] is single-threaded: one ledger, one candidate
-//! cache, one thread.  [`ConcurrentAssignmentEngine`] partitions that state
-//! along the spatial tiles of a [`ShardedWorkerIndex`]:
+//! [`ConcurrentAssignmentEngine`] runs the serial greedy of
+//! [`super::AssignmentEngine`] on a [`ShardedWorkerIndex`], with occupancy
+//! partitioned along the index's spatial tiles: the ledger is a
+//! [`ShardedLedger`] — one `RwLock<WorkerLedger>` per tile, where a worker's
+//! occupancy at a slot is recorded in the shard owning the worker's
+//! *location* during that slot (the same routing function the sharded index
+//! uses, so an index probe of tile `t` only ever consults ledger shard `t`).
 //!
-//! * the **ledger** becomes a [`ShardedLedger`] — one `RwLock<WorkerLedger>`
-//!   per tile, where a worker's occupancy at a slot is recorded in the shard
-//!   owning the worker's *location* during that slot (the same routing
-//!   function the sharded index uses, so an index probe of tile `t` only
-//!   ever consults ledger shard `t`);
-//! * the **candidate cache** becomes one `Mutex<CandidateCache>` per tile,
-//!   with each task owned by its *home shard* (the tile of the task's
-//!   location); as in the serial engine, only re-planning
-//!   ([`ConcurrentAssignmentEngine::assign_batch_parallel`]) consults it;
-//! * the expensive phases — candidate checkout and the initial
-//!   best-candidate computation of every task — run on a scoped thread pool,
-//!   with worker threads pulling whole home-shard groups so tasks of
-//!   disjoint regions never contend on a lock.
+//! The engine is single-threaded: running checkout and candidate searches on
+//! a thread pool was measured slower than one thread on every benchmarked
+//! workload.  The `threads` argument of [`ConcurrentAssignmentEngine::new`]
+//! is accepted for source compatibility and ignored.  The engine keeps no
+//! candidate cache: every solve computes each task's candidates from the
+//! index.
 //!
 //! # Determinism and bit-identity
 //!
-//! The commit loop (pick the globally best candidate, arbitrate conflicts,
-//! subtract budget) is the exact serial greedy of the single-threaded
-//! engine; only *pure computations* are parallelised:
-//!
-//! * checkout and refresh of a task's candidates depend on the task, the
-//!   index state at the phase boundary (the index only mutates *between*
-//!   solves, through the engine's own insert/remove/move API, which clears
-//!   every shard cache) and the ledger state at that boundary —
-//!   computing them on any thread gives the same result the serial engine
-//!   computes inline;
-//! * budget arithmetic happens only in the commit loop, in commit order, so
-//!   every affordability comparison sees the exact `f64` the serial engine
-//!   sees.
-//!
-//! Cross-shard candidates (a task in tile A whose nearest worker sits in
-//! tile B) are resolved by a deterministic **two-phase claim**: when a
-//! worker is granted, phase one *releases* every task registered on that
-//! `(shard, worker, slot)` claim (the holder map hands them over as a set),
-//! and phase two lets the losers *re-claim* replacement candidates in
-//! ascending `(shard, worker, task)` order, each computed against the same
-//! post-commit ledger state — so the outcome is independent of thread
-//! interleaving.  The net result:
-//! [`ConcurrentAssignmentEngine::assign_batch_parallel`] is **bit-identical**
-//! (plans, conflicts, executions, cache counters) to
-//! [`super::AssignmentEngine::assign_batch`] for every shard grid and every
-//! thread count — locked in by `tests/concurrent_equivalence.rs` over the
-//! seeded `ScenarioConfig` presets.
+//! Checkout computes every task's per-slot nearest worker and reconciles it
+//! against the sharded ledger, exactly as the serial engine's drain path does
+//! against its flat ledger; the commit loops are the shared `engine::commit`
+//! loops, fed through a backend that routes occupancy to the owning shard.
+//! [`ConcurrentAssignmentEngine::assign_batch_parallel`] is therefore
+//! **bit-identical** (plans, conflicts, executions) to
+//! [`super::AssignmentEngine::assign_batch`] for every shard grid, and so
+//! are the cache counters whenever the serial engine computes every task too
+//! (a fresh engine, a drain) — locked in by `tests/concurrent_equivalence.rs`
+//! over the seeded `ScenarioConfig` presets.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock, RwLockReadGuard};
-use std::thread;
+use std::sync::{RwLock, RwLockReadGuard};
 
 use tcsc_core::{
     CandidateAssignment, CostModel, Location, MultiAssignment, SlotIndex, Task, Worker, WorkerId,
@@ -59,15 +37,9 @@ use tcsc_index::{IndexMutation, MutableSpatialIndex, ShardedWorkerIndex};
 use tcsc_obs::{NoopRecorder, Recorder, Stopwatch};
 
 use crate::candidates::WorkerLedger;
-use crate::engine::commit::{inline_wave, mmqm_commit_loop, msqm_commit_loop, CommitBackend};
-use crate::engine::{compute_base, CacheStats, CandidateCache, ChurnCounters, Objective};
-use crate::multi::{MultiOutcome, MultiTaskConfig, TaskCandidate, TaskState};
-
-/// Minimum number of simultaneously invalidated tasks before an in-loop
-/// candidate wave is dispatched to the thread pool; smaller waves (the common
-/// 0–2 conflict losers) run inline, where thread spawn overhead would
-/// dominate.
-const PARALLEL_WAVE_MIN: usize = 8;
+use crate::engine::commit::{mmqm_commit_loop, msqm_commit_loop, CommitBackend};
+use crate::engine::{compute_base, CacheStats, ChurnCounters, Objective};
+use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
 
 /// Worker occupancy partitioned by spatial shard behind per-shard locks.
 ///
@@ -158,9 +130,8 @@ impl ShardedLedger {
         }
     }
 
-    /// Read guards over every shard, for a bulk-synchronous read phase (each
-    /// worker thread of a parallel phase holds its own set; `std` RwLock
-    /// readers do not contend with each other).
+    /// Read guards over every shard, for a read phase that consults many
+    /// shards (checkout, a conflict refresh).
     fn read_all(&self) -> Vec<RwLockReadGuard<'_, WorkerLedger>> {
         self.shards
             .iter()
@@ -200,7 +171,7 @@ fn candidate_for_slot_sharded(
 /// every shard.
 struct ShardedBackend<'a> {
     index: &'a ShardedWorkerIndex,
-    cost_model: &'a (dyn CostModel + Sync),
+    cost_model: &'a dyn CostModel,
     ledger: &'a ShardedLedger,
 }
 
@@ -229,18 +200,15 @@ impl CommitBackend for ShardedBackend<'_> {
     }
 }
 
-/// Long-lived concurrent assignment engine over a sharded index: per-shard
-/// ledgers and candidate caches, parallel checkout/candidate phases, serial
-/// deterministic commit loop.  See the [module docs](self) for the shard
-/// routing and the bit-identity argument.
+/// Long-lived assignment engine over a sharded index: the serial greedy with
+/// occupancy kept in per-shard ledgers.  See the [module docs](self) for the
+/// shard routing and the bit-identity argument.
 pub struct ConcurrentAssignmentEngine<'a, R: Recorder = NoopRecorder> {
     index: ShardedWorkerIndex,
-    cost_model: &'a (dyn CostModel + Sync),
+    cost_model: &'a dyn CostModel,
     config: MultiTaskConfig,
     ledger: ShardedLedger,
-    caches: Vec<Mutex<CandidateCache>>,
     pending: Vec<Task>,
-    threads: usize,
     lifetime_stats: CacheStats,
     churn: ChurnCounters,
     /// Event recorder (statically dispatched; `NoopRecorder` by default
@@ -249,13 +217,13 @@ pub struct ConcurrentAssignmentEngine<'a, R: Recorder = NoopRecorder> {
 }
 
 impl<'a> ConcurrentAssignmentEngine<'a> {
-    /// An engine owning a sharded index, running its parallel phases on
-    /// `threads` worker threads (1 = fully serial, still shard-partitioned).
+    /// An engine owning a sharded index.  `threads` is ignored: the engine
+    /// runs on the calling thread.
     pub fn new(
         index: ShardedWorkerIndex,
-        cost_model: &'a (dyn CostModel + Sync),
+        cost_model: &'a dyn CostModel,
         config: MultiTaskConfig,
-        threads: usize,
+        _threads: usize,
     ) -> Self {
         let num_shards = index.num_spatial_shards();
         Self {
@@ -263,9 +231,7 @@ impl<'a> ConcurrentAssignmentEngine<'a> {
             cost_model,
             config,
             ledger: ShardedLedger::new(num_shards),
-            caches: empty_caches(num_shards),
             pending: Vec::new(),
-            threads: threads.max(1),
             lifetime_stats: CacheStats::default(),
             churn: ChurnCounters::default(),
             obs: NoopRecorder,
@@ -276,16 +242,14 @@ impl<'a> ConcurrentAssignmentEngine<'a> {
 impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
     /// Rebinds the engine to a different recorder (typically from the
     /// `NoopRecorder` default to a live `&ObsSession`), carrying over the
-    /// ledger, the shard caches and the lifetime counters unchanged.
+    /// ledger and the lifetime counters unchanged.
     pub fn with_recorder<R2: Recorder>(self, obs: R2) -> ConcurrentAssignmentEngine<'a, R2> {
         ConcurrentAssignmentEngine {
             index: self.index,
             cost_model: self.cost_model,
             config: self.config,
             ledger: self.ledger,
-            caches: self.caches,
             pending: self.pending,
-            threads: self.threads,
             lifetime_stats: self.lifetime_stats,
             churn: self.churn,
             obs,
@@ -302,16 +266,6 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
         &self.config
     }
 
-    /// The configured degree of parallelism.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Changes the degree of parallelism (results never depend on it).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
     /// Overrides the budget used by subsequent solves.
     pub fn set_budget(&mut self, budget: f64) {
         self.config.budget = budget;
@@ -322,28 +276,19 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
         &self.ledger
     }
 
-    /// Number of tasks cached across all shard caches.
-    pub fn cached_tasks(&self) -> usize {
-        self.caches
-            .iter()
-            .map(|c| c.lock().expect("shard cache lock poisoned").len())
-            .sum()
-    }
-
     /// Accumulated candidate-computation counters over the engine's lifetime.
     pub fn stats(&self) -> CacheStats {
         self.lifetime_stats
     }
 
-    /// Releases every occupancy commitment while keeping the shard caches
-    /// warm.
+    /// Releases every occupancy commitment.
     pub fn release_all(&mut self) {
         self.ledger.clear();
     }
 
     /// Inserts a worker into the sharded index (an offline worker coming
-    /// online): a tile-local bucket splice, after which every shard cache is
-    /// cleared.  Rejected and a no-op for a duplicate id.
+    /// online): a tile-local bucket splice.  Rejected and a no-op for a
+    /// duplicate id.
     pub fn insert_worker(&mut self, worker: &Worker) -> IndexMutation {
         let mutation = self.index.insert_worker(worker);
         self.note_mutation(&mutation);
@@ -351,8 +296,8 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
     }
 
     /// Removes a worker (going offline): its ledger commitments are released
-    /// from the shards owning its in-horizon locations, and every shard cache
-    /// is cleared.  Rejected and a no-op for an unknown id.
+    /// from the shards owning its in-horizon locations.  Rejected and a no-op
+    /// for an unknown id.
     pub fn remove_worker(&mut self, id: WorkerId) -> IndexMutation {
         let profile = self.index.worker_profile(id);
         let mutation = self.index.remove_worker(id);
@@ -368,8 +313,8 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
         mutation
     }
 
-    /// Moves a worker: the index splices only the affected tile buckets,
-    /// every shard cache is cleared, and — unlike the dense engine, whose
+    /// Moves a worker: the index splices only the affected tile buckets, and
+    /// — unlike the dense engine, whose
     /// ledger is location-blind — any ledger commitment of the worker
     /// **migrates** to the shard owning its new location when the move
     /// crossed a tile, keeping the shard-owns-its-workers'-occupancy routing
@@ -398,32 +343,23 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
         mutation
     }
 
-    /// An applied mutation changed the index under every cached base: every
-    /// shard cache is cleared and the churn counters note the discarded
-    /// slots.
+    /// Notes an applied mutation in the churn counters (the engine has no
+    /// candidate cache, so no cached slot is ever discarded).
     fn note_mutation(&mut self, mutation: &IndexMutation) {
         if mutation.applied {
-            let discarded = self
-                .caches
-                .iter_mut()
-                .map(|cache| cache.get_mut().expect("shard cache lock poisoned").clear())
-                .sum();
-            self.churn.note(mutation, discarded);
+            self.churn.note(mutation, 0);
         }
     }
 
     /// Swaps in a freshly built sharded index — the rebuild-per-drain
-    /// baseline the mutation API above replaces.  The shard caches come back
-    /// cold (sized to the new grid), and every surviving ledger commitment is
-    /// re-routed through the new index's registry: a commitment is kept iff
+    /// baseline the mutation API above replaces.  Every surviving ledger
+    /// commitment is re-routed through the new index's registry: a commitment is kept iff
     /// the new index holds its worker at its slot, and it lands in the shard
     /// owning the worker's (possibly new) location.
     pub fn rebuild_index(&mut self, index: ShardedWorkerIndex) {
         let commitments = self.ledger.commitments();
         self.index = index;
-        let num_shards = self.index.num_spatial_shards();
-        self.ledger = ShardedLedger::new(num_shards);
-        self.caches = empty_caches(num_shards);
+        self.ledger = ShardedLedger::new(self.index.num_spatial_shards());
         for (_, slot, worker) in commitments {
             let Some(profile) = self.index.worker_profile(worker) else {
                 continue;
@@ -452,18 +388,17 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
         self.pending.len()
     }
 
-    /// Solves every pending task as one parallel batch (in submission order)
-    /// and commits the occupancy; like [`super::AssignmentEngine::drain`],
-    /// the one-shot arrivals bypass the shard caches.  A drain commits
-    /// exactly what [`super::AssignmentEngine::drain`] commits on the same
-    /// history, for any shard grid and any thread count.
+    /// Solves every pending task as one batch (in submission order) and
+    /// commits the occupancy.  A drain commits exactly what
+    /// [`super::AssignmentEngine::drain`] commits on the same history, for
+    /// any shard grid.
     pub fn drain_parallel(&mut self, objective: Objective) -> MultiOutcome {
         let tasks = std::mem::take(&mut self.pending);
         if R::IS_ENABLED {
             self.obs.begin("cengine.drain", tasks.len() as u64);
         }
         let sw = R::IS_ENABLED.then(Stopwatch::start);
-        let outcome = self.solve_parallel(&tasks, objective, false);
+        let outcome = self.solve(&tasks, objective);
         if R::IS_ENABLED {
             if let Some(sw) = sw {
                 self.obs.value("cengine.drain_ns", sw.elapsed_nanos());
@@ -491,150 +426,78 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
             .counter("cengine.executions", outcome.executions as u64);
     }
 
-    /// Solves one task batch under the configured budget and objective,
-    /// running checkout and candidate waves region-parallel across shards.
-    /// Bit-identical to [`super::AssignmentEngine::assign_batch`] on the same
-    /// engine history, for any shard grid and any thread count.
+    /// Solves one task batch under the configured budget and objective
+    /// against the current ledger, committing the resulting occupancy.
+    /// Plans, conflicts and executions are bit-identical to
+    /// [`super::AssignmentEngine::assign_batch`] on the same engine history,
+    /// for any shard grid.
     pub fn assign_batch_parallel(&mut self, tasks: &[Task], objective: Objective) -> MultiOutcome {
-        self.solve_parallel(tasks, objective, true)
+        self.solve(tasks, objective)
     }
 
-    /// Parallel checkout: tasks grouped by home shard, shard groups pulled by
-    /// the worker threads, base candidates served from the shard's cache
-    /// (`cached`) or computed directly, then reconciled against a read
-    /// snapshot of the sharded ledger.  Returns the states in batch order
-    /// with the merged cache counters.
-    fn checkout_states_parallel(
-        &mut self,
-        tasks: &[Task],
-        cached: bool,
-        stats: &mut CacheStats,
-    ) -> Vec<TaskState> {
-        // Group the batch by home shard, in shard order.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.caches.len()];
-        for (i, task) in tasks.iter().enumerate() {
-            by_shard[self.index.spatial_shard_of(&task.location)].push(i);
-        }
-        let jobs: Vec<(usize, Vec<usize>)> = by_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .collect();
+    /// Checkout: each task's base candidates computed straight from the
+    /// index, then reconciled against the sharded ledger by recomputing
+    /// every slot whose base worker is occupied in its owning shard.
+    /// Returns the states in batch order.
+    fn checkout_states(&self, tasks: &[Task], stats: &mut CacheStats) -> Vec<TaskState> {
         if R::IS_ENABLED {
-            // Shard-router accounting: distinct tiles this batch touched and
-            // the tasks routed into them (counted here, at the phase
-            // boundary, so the k-NN hot path stays atomics-free).
-            self.obs.counter("router.tile_visits", jobs.len() as u64);
+            // Shard-router accounting: distinct home tiles this batch touched
+            // and the tasks routed into them.
+            let mut homes: Vec<usize> = tasks
+                .iter()
+                .map(|task| self.index.spatial_shard_of(&task.location))
+                .collect();
+            homes.sort_unstable();
+            homes.dedup();
+            self.obs.counter("router.tile_visits", homes.len() as u64);
             self.obs.counter("router.tasks_routed", tasks.len() as u64);
         }
-
         let index = &self.index;
-        let cost_model = self.cost_model;
-        let config = self.config;
-        let ledger = &self.ledger;
-        let ledger_empty = self.ledger.is_empty();
-        let caches = &self.caches;
-
-        let mut states: Vec<Option<TaskState>> = Vec::new();
-        states.resize_with(tasks.len(), || None);
-
-        let workers = self.threads.min(jobs.len()).max(1);
-        let next_job = AtomicUsize::new(0);
-        let collected: Vec<(Vec<(usize, TaskState)>, CacheStats)> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let jobs = &jobs;
-                    let next_job = &next_job;
-                    scope.spawn(move || {
-                        let guards = ledger.read_all();
-                        let mut local_stats = CacheStats::default();
-                        let mut out: Vec<(usize, TaskState)> = Vec::new();
-                        loop {
-                            let j = next_job.fetch_add(1, Ordering::Relaxed);
-                            let Some((shard, idxs)) = jobs.get(j) else {
-                                break;
-                            };
-                            let mut cache = cached
-                                .then(|| caches[*shard].lock().expect("shard cache lock poisoned"));
-                            for &i in idxs {
-                                let task = &tasks[i];
-                                let mut working = match cache.as_mut() {
-                                    Some(cache) => cache.checkout_base(
-                                        task,
-                                        index,
-                                        cost_model,
-                                        &mut local_stats,
-                                    ),
-                                    None => compute_base(task, index, cost_model, &mut local_stats),
-                                };
-                                if !ledger_empty {
-                                    for slot in 0..working.len() {
-                                        let occupied = working.get(slot).is_some_and(|c| {
-                                            let owner = index.spatial_shard_of(&c.worker_location);
-                                            guards[owner].is_occupied(slot, c.worker)
-                                        });
-                                        if occupied {
-                                            working.set(
-                                                slot,
-                                                candidate_for_slot_sharded(
-                                                    task, slot, index, cost_model, &guards,
-                                                ),
-                                            );
-                                            local_stats.slot_computations += 1;
-                                            local_stats.slot_refreshes += 1;
-                                        }
-                                    }
-                                }
-                                out.push((i, TaskState::from_candidates(task, working, &config)));
-                            }
+        let guards = self.ledger.read_all();
+        let ledger_empty = guards.iter().all(|ledger| ledger.is_empty());
+        tasks
+            .iter()
+            .map(|task| {
+                let mut working = compute_base(task, index, self.cost_model, stats);
+                if !ledger_empty {
+                    for slot in 0..working.len() {
+                        let occupied = working.get(slot).is_some_and(|c| {
+                            let owner = index.spatial_shard_of(&c.worker_location);
+                            guards[owner].is_occupied(slot, c.worker)
+                        });
+                        if occupied {
+                            working.set(
+                                slot,
+                                candidate_for_slot_sharded(
+                                    task,
+                                    slot,
+                                    index,
+                                    self.cost_model,
+                                    &guards,
+                                ),
+                            );
+                            stats.slot_computations += 1;
+                            stats.slot_refreshes += 1;
                         }
-                        (out, local_stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("checkout worker thread panicked"))
-                .collect()
-        });
-        for (chunk, local_stats) in collected {
-            stats.merge(&local_stats);
-            for (i, state) in chunk {
-                states[i] = Some(state);
-            }
-        }
-        states
-            .into_iter()
-            .map(|s| s.expect("every task was checked out by exactly one shard job"))
+                    }
+                }
+                TaskState::from_candidates(task, working, &self.config)
+            })
             .collect()
     }
 
-    /// One batch solve: the parallel checkout (`cached` selects whether base
-    /// candidates go through the shard caches, for re-planning, or are
-    /// computed directly, for drains), then the shared MSQM or MMQM commit
-    /// loop over the sharded backend.  MSQM also runs its warm-start and
-    /// budget-staleness candidate waves region-parallel; MMQM's lazy heap
-    /// loop is inherently sequential.  Conflict resolution is the
-    /// deterministic two-phase claim: granting a worker releases every claim
-    /// registered on that `(shard, worker, slot)` (the holder map hands them
-    /// over as a set) and the losers re-claim against the same post-commit
-    /// ledger, so the result is independent of thread interleaving.
-    fn solve_parallel(
-        &mut self,
-        tasks: &[Task],
-        objective: Objective,
-        cached: bool,
-    ) -> MultiOutcome {
+    /// One batch solve: checkout, then the shared MSQM or MMQM commit loop
+    /// over the sharded backend.
+    fn solve(&mut self, tasks: &[Task], objective: Objective) -> MultiOutcome {
         let mut stats = CacheStats::default();
         if R::IS_ENABLED {
             self.obs.begin("engine.checkout", tasks.len() as u64);
         }
-        let mut states = self.checkout_states_parallel(tasks, cached, &mut stats);
+        let mut states = self.checkout_states(tasks, &mut stats);
         if R::IS_ENABLED {
             self.obs.end("engine.checkout", tasks.len() as u64);
             self.obs.begin("engine.commit", tasks.len() as u64);
         }
-        let threads = self.threads;
         let budget = self.config.budget;
         let mut backend = ShardedBackend {
             index: &self.index,
@@ -643,10 +506,7 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
         };
         let (conflicts, executions) = match objective {
             Objective::SumQuality => {
-                let mut wave = |states: &mut [TaskState], invalidated: &[usize], remaining: f64| {
-                    candidate_wave(threads, states, invalidated, remaining)
-                };
-                msqm_commit_loop(&mut states, budget, &mut backend, &mut stats, &mut wave)
+                msqm_commit_loop(&mut states, budget, &mut backend, &mut stats)
             }
             Objective::MinQuality => {
                 mmqm_commit_loop(&mut states, budget, &mut backend, &mut stats)
@@ -668,61 +528,12 @@ impl<'a, R: Recorder> ConcurrentAssignmentEngine<'a, R> {
     }
 }
 
-/// One empty candidate cache per shard.
-fn empty_caches(num_shards: usize) -> Vec<Mutex<CandidateCache>> {
-    (0..num_shards)
-        .map(|_| Mutex::new(CandidateCache::new()))
-        .collect()
-}
-
-/// Computes `best_candidate(remaining)` for every listed state, fanning the
-/// searches out to a scoped thread pool when the wave is large enough.
-/// Results come back in ascending task order; each is a pure function of the
-/// task's own state and `remaining`, so inline and parallel execution
-/// coincide.
-fn candidate_wave(
-    threads: usize,
-    states: &mut [TaskState],
-    invalidated: &[usize],
-    remaining: f64,
-) -> Vec<(usize, Option<TaskCandidate>)> {
-    if threads == 1 || invalidated.len() < PARALLEL_WAVE_MIN {
-        return inline_wave(states, invalidated, remaining);
-    }
-    let members: std::collections::BTreeSet<usize> = invalidated.iter().copied().collect();
-    let mut refs: Vec<(usize, &mut TaskState)> = states
-        .iter_mut()
-        .enumerate()
-        .filter(|(i, _)| members.contains(i))
-        .collect();
-    let chunk_size = refs.len().div_ceil(threads);
-    thread::scope(|scope| {
-        let handles: Vec<_> = refs
-            .chunks_mut(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter_mut()
-                        .map(|(i, state)| (*i, state.best_candidate(remaining)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("candidate wave thread panicked"))
-            .collect()
-    })
-}
-
 impl<R: Recorder> std::fmt::Debug for ConcurrentAssignmentEngine<'_, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConcurrentAssignmentEngine")
             .field("config", &self.config)
-            .field("shards", &self.caches.len())
-            .field("threads", &self.threads)
+            .field("shards", &self.ledger.num_shards())
             .field("ledger_commitments", &self.ledger.len())
-            .field("cached_tasks", &self.cached_tasks())
             .field("pending", &self.pending.len())
             .field("lifetime_stats", &self.lifetime_stats)
             .finish()
@@ -799,11 +610,6 @@ mod tests {
         let (a, b) = tasks.split_at(4);
         engine.submit(a.to_vec());
         let round1 = engine.drain_parallel(Objective::SumQuality);
-        assert_eq!(
-            engine.cached_tasks(),
-            0,
-            "drains never fill the shard caches"
-        );
         engine.submit(b.to_vec());
         let round2 = engine.drain_parallel(Objective::SumQuality);
         assert_eq!(engine.pending(), 0);
@@ -900,13 +706,11 @@ mod tests {
         let cfg = MultiTaskConfig::new(50.0);
         let mut engine = ConcurrentAssignmentEngine::new(sharded, &cost, cfg, 2);
         engine.assign_batch_parallel(&tasks, Objective::SumQuality);
-        let cached_slots: usize = tasks.iter().map(|t| t.num_slots).sum();
-        assert_eq!(engine.cached_tasks(), tasks.len());
 
         let to = tcsc_core::Location::new(99.5, 0.5);
         assert!(engine.move_worker(WorkerId(3), to).applied);
-        assert_eq!(engine.cached_tasks(), 0);
-        assert_eq!(engine.churn().cache_refreshes, cached_slots as u64);
+        assert_eq!(engine.churn().ops, 1);
+        assert_eq!(engine.churn().cache_refreshes, 0, "there is no cache");
 
         // The next batch recomputes every task and plans exactly what a fresh
         // engine plans on the mutated index under the same ledger history.
@@ -966,6 +770,6 @@ mod tests {
         assert!(engine.ledger().is_empty());
         let second = engine.assign_batch_parallel(&tasks, Objective::SumQuality);
         assert_eq!(first.assignment, second.assignment);
-        assert_eq!(second.stats.tasks_reused, tasks.len());
+        assert_eq!(second.stats.tasks_computed, tasks.len());
     }
 }

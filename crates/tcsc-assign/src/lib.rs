@@ -11,15 +11,15 @@
 //! * [`multi`] — the MSQM / MMQM problems, worker-conflict analysis, the
 //!   group-level and task-level parallel frameworks, and the spatiotemporal
 //!   `SApprox` extension;
-//! * [`engine`] — the long-lived batched / streaming assignment engine: a
-//!   shared incremental candidate cache with invalidation-driven refresh that
-//!   all multi-task solvers route through, plus the `assign_batch` and
-//!   `submit`/`drain` APIs that amortise index lookups across calls;
-//! * [`engine::concurrent`] — the region-parallel engine over a sharded
-//!   worker index: per-shard ledgers and caches behind per-shard locks, with
-//!   `assign_batch_parallel` / `drain_parallel` running checkout and
-//!   candidate waves on a scoped thread pool, bit-identical to the serial
-//!   engine for any shard grid and thread count.
+//! * [`engine`] — the long-lived batched / streaming assignment engine that
+//!   runs the MSQM, MMQM and `SApprox` greedies: `assign_batch` /
+//!   `assign_spatiotemporal` for re-planning (a per-task candidate memo
+//!   amortises index lookups across calls) and `submit`/`drain` for
+//!   streamed arrivals;
+//! * [`engine::concurrent`] — the same serial greedy over a sharded worker
+//!   index, with occupancy kept in per-shard ledgers; `assign_batch_parallel`
+//!   / `drain_parallel` are bit-identical to the serial engine for any shard
+//!   grid.
 //!
 //! ## Quick example
 //!
@@ -55,21 +55,11 @@ pub use engine::concurrent::{ConcurrentAssignmentEngine, ShardedLedger};
 pub use engine::{AssignmentEngine, CacheStats, CandidateCache, ChurnCounters, Objective};
 pub use multi::conflict::{independence_graph, IndependenceGraph};
 pub use multi::gain::GainLedger;
-#[allow(deprecated)]
-pub use multi::group_parallel::msqm_group_parallel;
-pub use multi::group_parallel::GroupParallelOutcome;
-#[allow(deprecated)]
-pub use multi::mmqm::mmqm;
-#[allow(deprecated)]
-pub use multi::msqm::msqm_serial;
+pub use multi::group_parallel::{msqm_group_parallel, GroupParallelOutcome};
 pub use multi::protocol::{CommittedExecution, MasterCommand, TaskMaster, TaskOwner, WorkerEvent};
 pub use multi::rebuild::{mmqm_rebuild, msqm_rebuild};
-#[allow(deprecated)]
-pub use multi::sapprox::sapprox;
 pub use multi::sapprox::SpatioTemporalObjective;
-#[allow(deprecated)]
-pub use multi::task_parallel::msqm_task_parallel;
-pub use multi::task_parallel::TaskParallelOutcome;
+pub use multi::task_parallel::{msqm_task_parallel, TaskParallelOutcome};
 pub use multi::{
     MultiOutcome, MultiTaskConfig, RefreshStats, RefreshStrategy, TaskCandidate, TaskState,
 };

@@ -33,7 +33,6 @@ pub struct GroupParallelOutcome {
 
 /// Runs MSQM with group-level parallelization over at most `threads`
 /// concurrent worker threads.
-#[deprecated(note = "use tcsc::solver::SolverBuilder with Runtime::GroupParallel")]
 pub fn msqm_group_parallel(
     tasks: &[Task],
     index: &WorkerIndex,
@@ -117,9 +116,6 @@ pub fn msqm_group_parallel(
 }
 
 #[cfg(test)]
-// The unit tests keep exercising the deprecated free-function wrappers on
-// purpose: they are the advertised migration shims and must stay correct.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::multi::test_support::small_instance;
@@ -187,7 +183,8 @@ mod tests {
         // ballpark (and never exceed it by construction of the greedy rule).
         let (tasks, index, cost) = small_instance(35, 6, 25, 200);
         let cfg = MultiTaskConfig::new(60.0);
-        let serial = crate::multi::msqm::msqm_serial(&tasks, &index, &cost, &cfg);
+        let serial = AssignmentEngine::borrowed(&index, &cost, cfg)
+            .assign_batch(&tasks, Objective::SumQuality);
         let grouped = msqm_group_parallel(&tasks, &index, &cost, &cfg, 4);
         assert!(grouped.outcome.sum_quality() > 0.0);
         assert!(

@@ -11,45 +11,23 @@
 //! ledger still guarantees that one worker never serves two tasks in the same
 //! slot.
 //!
-//! The greedy itself lives in [`crate::engine::AssignmentEngine`]; this entry
-//! point wraps a per-call engine around the caller's index so existing users
-//! keep their signature while routing through the shared candidate cache.
-//! The pre-engine implementation survives as
-//! [`crate::multi::rebuild::mmqm_rebuild`], the rebuild-per-call baseline.
-
-use tcsc_core::{CostModel, Task};
-use tcsc_index::WorkerIndex;
-
-use crate::engine::{AssignmentEngine, Objective};
-use crate::multi::{MultiOutcome, MultiTaskConfig};
-
-/// Runs the MMQM greedy (maximise the minimum task quality).
-#[deprecated(note = "use tcsc::solver::SolverBuilder with Runtime::Serial and \
-            SolveObjective::MinQuality, or AssignmentEngine directly")]
-pub fn mmqm(
-    tasks: &[Task],
-    index: &WorkerIndex,
-    cost_model: &dyn CostModel,
-    config: &MultiTaskConfig,
-) -> MultiOutcome {
-    AssignmentEngine::borrowed(index, cost_model, *config)
-        .assign_batch(tasks, Objective::MinQuality)
-}
+//! The solver is [`crate::engine::AssignmentEngine::assign_batch`] with
+//! [`crate::engine::Objective::MinQuality`]; the pre-engine implementation
+//! survives as [`crate::multi::rebuild::mmqm_rebuild`], the rebuild-per-call
+//! baseline.  This module holds the solver's unit tests.
 
 #[cfg(test)]
-// The unit tests keep exercising the deprecated free-function wrappers on
-// purpose: they are the advertised migration shims and must stay correct.
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use crate::multi::msqm::msqm_serial;
+    use crate::engine::{AssignmentEngine, Objective};
     use crate::multi::test_support::small_instance;
+    use crate::multi::MultiTaskConfig;
 
     #[test]
     fn respects_the_global_budget() {
         let (tasks, index, cost) = small_instance(11, 4, 25, 200);
         for budget in [5.0, 20.0, 50.0] {
-            let outcome = mmqm(&tasks, &index, &cost, &MultiTaskConfig::new(budget));
+            let outcome = AssignmentEngine::borrowed(&index, &cost, MultiTaskConfig::new(budget))
+                .assign_batch(&tasks, Objective::MinQuality);
             assert!(outcome.assignment.total_cost() <= budget + 1e-6);
         }
     }
@@ -59,7 +37,8 @@ mod tests {
         let (tasks, index, cost) = small_instance(12, 4, 25, 300);
         let mut last = -1.0;
         for budget in [10.0, 30.0, 80.0] {
-            let outcome = mmqm(&tasks, &index, &cost, &MultiTaskConfig::new(budget));
+            let outcome = AssignmentEngine::borrowed(&index, &cost, MultiTaskConfig::new(budget))
+                .assign_batch(&tasks, Objective::MinQuality);
             assert!(outcome.min_quality() >= last - 1e-9);
             last = outcome.min_quality();
         }
@@ -71,8 +50,10 @@ mod tests {
         // at least that of the sum-oriented greedy under the same budget.
         let (tasks, index, cost) = small_instance(13, 5, 30, 300);
         let cfg = MultiTaskConfig::new(40.0);
-        let min_focused = mmqm(&tasks, &index, &cost, &cfg);
-        let sum_focused = msqm_serial(&tasks, &index, &cost, &cfg);
+        let min_focused = AssignmentEngine::borrowed(&index, &cost, cfg)
+            .assign_batch(&tasks, Objective::MinQuality);
+        let sum_focused = AssignmentEngine::borrowed(&index, &cost, cfg)
+            .assign_batch(&tasks, Objective::SumQuality);
         assert!(
             min_focused.min_quality() + 1e-9 >= sum_focused.min_quality(),
             "MMQM min {} should not be below MSQM min {}",
@@ -84,7 +65,8 @@ mod tests {
     #[test]
     fn no_double_booked_workers() {
         let (tasks, index, cost) = small_instance(14, 6, 20, 50);
-        let outcome = mmqm(&tasks, &index, &cost, &MultiTaskConfig::new(300.0));
+        let outcome = AssignmentEngine::borrowed(&index, &cost, MultiTaskConfig::new(300.0))
+            .assign_batch(&tasks, Objective::MinQuality);
         let mut seen = std::collections::HashSet::new();
         for plan in &outcome.assignment.plans {
             for exec in &plan.executions {
@@ -96,20 +78,19 @@ mod tests {
     #[test]
     fn zero_budget_executes_nothing() {
         let (tasks, index, cost) = small_instance(15, 3, 20, 100);
-        let outcome = mmqm(&tasks, &index, &cost, &MultiTaskConfig::new(0.0));
+        let outcome = AssignmentEngine::borrowed(&index, &cost, MultiTaskConfig::new(0.0))
+            .assign_batch(&tasks, Objective::MinQuality);
         assert_eq!(outcome.executions, 0);
     }
 
     #[test]
     fn indexed_and_plain_variants_agree_on_min_quality() {
         let (tasks, index, cost) = small_instance(16, 3, 25, 200);
-        let a = mmqm(&tasks, &index, &cost, &MultiTaskConfig::new(30.0));
-        let b = mmqm(
-            &tasks,
-            &index,
-            &cost,
-            &MultiTaskConfig::new(30.0).with_index(false),
-        );
+        let a = AssignmentEngine::borrowed(&index, &cost, MultiTaskConfig::new(30.0))
+            .assign_batch(&tasks, Objective::MinQuality);
+        let b =
+            AssignmentEngine::borrowed(&index, &cost, MultiTaskConfig::new(30.0).with_index(false))
+                .assign_batch(&tasks, Objective::MinQuality);
         assert!((a.min_quality() - b.min_quality()).abs() < 1e-6);
     }
 }

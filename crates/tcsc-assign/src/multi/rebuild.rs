@@ -12,8 +12,7 @@
 //! * **throughput baseline** — the `fig9i` batched-vs-rebuild comparison in
 //!   `tcsc-bench` measures the engine's amortisation against them.
 //!
-//! Production callers should use [`crate::msqm_serial`] / [`crate::mmqm`]
-//! (which route through the engine) or a long-lived engine directly.
+//! Production callers should use [`crate::engine::AssignmentEngine`].
 
 use tcsc_core::{CostModel, MultiAssignment, Task};
 use tcsc_index::WorkerIndex;

@@ -8,12 +8,9 @@
 //! `q_min` remain submodular and non-decreasing, so the same greedy framework
 //! applies: at each step execute the (task, slot) pair with the largest
 //! increase of the objective per unit cost.
-
-use tcsc_core::{CostModel, Domain, InterpolationWeights, Task};
-use tcsc_index::WorkerIndex;
-
-use crate::engine::AssignmentEngine;
-use crate::multi::{MultiOutcome, MultiTaskConfig};
+//!
+//! The greedy is [`crate::engine::AssignmentEngine::assign_spatiotemporal`];
+//! this module holds its objective type and unit tests.
 
 /// Which aggregate objective `SApprox` maximises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,38 +21,13 @@ pub enum SpatioTemporalObjective {
     Min,
 }
 
-/// Runs `SApprox` over a task set.
-///
-/// All tasks must share the same number of slots (as in the paper's setup).
-/// The greedy itself lives in
-/// [`AssignmentEngine::assign_spatiotemporal`]; this entry point wraps a
-/// per-call engine around the caller's index so candidates route through the
-/// shared cache.
-#[deprecated(
-    note = "use tcsc::solver::SolverBuilder with SolveObjective::SpatioTemporal, \
-            or AssignmentEngine::assign_spatiotemporal directly"
-)]
-pub fn sapprox(
-    tasks: &[Task],
-    index: &WorkerIndex,
-    cost_model: &dyn CostModel,
-    domain: &Domain,
-    weights: InterpolationWeights,
-    objective: SpatioTemporalObjective,
-    config: &MultiTaskConfig,
-) -> MultiOutcome {
-    AssignmentEngine::borrowed(index, cost_model, *config)
-        .assign_spatiotemporal(tasks, domain, weights, objective)
-}
-
 #[cfg(test)]
-// The unit tests keep exercising the deprecated free-function wrappers on
-// purpose: they are the advertised migration shims and must stay correct.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::engine::AssignmentEngine;
     use crate::multi::test_support::small_instance;
-    use tcsc_core::Domain;
+    use crate::multi::{MultiOutcome, MultiTaskConfig};
+    use tcsc_core::{Domain, InterpolationWeights};
 
     fn run(
         seed: u64,
@@ -65,15 +37,8 @@ mod tests {
     ) -> MultiOutcome {
         let (tasks, index, cost) = small_instance(seed, 4, 20, 150);
         let domain = Domain::square(100.0);
-        sapprox(
-            &tasks,
-            &index,
-            &cost,
-            &domain,
-            weights,
-            objective,
-            &MultiTaskConfig::new(budget),
-        )
+        AssignmentEngine::borrowed(&index, &cost, MultiTaskConfig::new(budget))
+            .assign_spatiotemporal(&tasks, &domain, weights, objective)
     }
 
     #[test]
@@ -161,15 +126,13 @@ mod tests {
     #[test]
     fn empty_task_set_is_fine() {
         let (_, index, cost) = small_instance(56, 1, 10, 20);
-        let outcome = sapprox(
-            &[],
-            &index,
-            &cost,
-            &Domain::square(100.0),
-            InterpolationWeights::paper_default(),
-            SpatioTemporalObjective::Sum,
-            &MultiTaskConfig::new(10.0),
-        );
+        let outcome = AssignmentEngine::borrowed(&index, &cost, MultiTaskConfig::new(10.0))
+            .assign_spatiotemporal(
+                &[],
+                &Domain::square(100.0),
+                InterpolationWeights::paper_default(),
+                SpatioTemporalObjective::Sum,
+            );
         assert_eq!(outcome.executions, 0);
     }
 }

@@ -23,7 +23,7 @@
 //! messages.)  The master waits for every outstanding heartbeat before
 //! granting an execution, so the sequence of executed subtasks — and
 //! therefore the final assignment plan — is identical to the serial greedy
-//! of [`super::msqm::msqm_serial`].
+//! of [`crate::engine::AssignmentEngine::assign_batch`].
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -109,7 +109,6 @@ enum ThreadEvent {
 /// Runs MSQM with the task-level parallel framework on `threads` worker
 /// threads under the deterministic barrier master.  `use_priorities` toggles
 /// the dynamic priority ordering of recomputation requests (Fig. 9(f)).
-#[deprecated(note = "use tcsc::solver::SolverBuilder with Runtime::TaskParallel")]
 pub fn msqm_task_parallel(
     tasks: &[Task],
     index: &WorkerIndex,
@@ -272,12 +271,9 @@ pub fn msqm_task_parallel(
 }
 
 #[cfg(test)]
-// The unit tests keep exercising the deprecated free-function wrappers on
-// purpose: they are the advertised migration shims and must stay correct.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::multi::msqm::msqm_serial;
+    use crate::engine::{AssignmentEngine, Objective};
     use crate::multi::test_support::small_instance;
 
     #[test]
@@ -286,7 +282,8 @@ mod tests {
         // plan (the paper's consistency claim).
         let (tasks, index, cost) = small_instance(41, 6, 25, 120);
         let cfg = MultiTaskConfig::new(60.0);
-        let serial = msqm_serial(&tasks, &index, &cost, &cfg);
+        let serial = AssignmentEngine::borrowed(&index, &cost, cfg)
+            .assign_batch(&tasks, Objective::SumQuality);
         for threads in [1, 2, 4] {
             let parallel = msqm_task_parallel(&tasks, &index, &cost, &cfg, threads, true);
             assert!(

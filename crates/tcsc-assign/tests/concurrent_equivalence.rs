@@ -1,10 +1,11 @@
-//! Concurrent-engine equivalence: [`ConcurrentAssignmentEngine`] must be
-//! **bit-identical** — plans, conflicts, executions *and* cache counters —
-//! to the single-threaded [`AssignmentEngine`] on the seeded scenario
-//! presets and on random small instances, for every shard grid and every
-//! thread count, in both the batch and the streaming serving modes.  This is
-//! the acceptance bar of the sharding subsystem: region parallelism is
-//! allowed to change *when* work happens, never *what* is decided.
+//! Sharded-engine equivalence: [`ConcurrentAssignmentEngine`] must be
+//! **bit-identical** to the dense-index [`AssignmentEngine`] on the seeded
+//! scenario presets and on random small instances, for every shard grid and
+//! every (ignored) thread count, in both the batch and the streaming serving
+//! modes: plans, conflicts and executions always, and the cache counters
+//! wherever the serial engine computes every task too (a fresh engine, a
+//! drain).  This is the acceptance bar of the sharding subsystem: sharding
+//! is allowed to change *where* occupancy lives, never *what* is decided.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -61,8 +62,8 @@ fn grids() -> Vec<ShardGridConfig> {
     ]
 }
 
-/// Full bit-identity, including the candidate-computation counters.
-fn assert_identical(label: &str, parallel: &MultiOutcome, serial: &MultiOutcome) {
+/// Plans, conflicts and executions agree.
+fn assert_same_plan(label: &str, parallel: &MultiOutcome, serial: &MultiOutcome) {
     assert_eq!(
         parallel.assignment, serial.assignment,
         "{label}: plans differ"
@@ -75,6 +76,11 @@ fn assert_identical(label: &str, parallel: &MultiOutcome, serial: &MultiOutcome)
         parallel.executions, serial.executions,
         "{label}: execution counts differ"
     );
+}
+
+/// Full bit-identity, including the candidate-computation counters.
+fn assert_identical(label: &str, parallel: &MultiOutcome, serial: &MultiOutcome) {
+    assert_same_plan(label, parallel, serial);
     assert_eq!(
         parallel.stats, serial.stats,
         "{label}: cache counters differ"
@@ -168,7 +174,7 @@ fn thread_counts_are_interchangeable() {
 #[test]
 fn streaming_drains_match_the_serial_engine_round_by_round() {
     // The full streaming lifecycle — persistent occupancy across rounds,
-    // drains that bypass the caches — must track the serial engine exactly,
+    // one-shot arrivals — must track the serial engine exactly,
     // on the region-partitioned preset the engine serves.
     let cost = EuclideanCost::default();
     let streaming = StreamingConfig::region_partitioned(ScenarioConfig::small(), 4, 4, 3).build();
@@ -193,15 +199,15 @@ fn streaming_drains_match_the_serial_engine_round_by_round() {
             assert_identical(&format!("round {r}, {objective:?}"), &b, &a);
         }
         assert_eq!(serial.ledger().len(), parallel.ledger().len());
-        assert_eq!(parallel.cached_tasks(), 0, "drains never fill the caches");
     }
 }
 
 #[test]
 fn replanning_reuses_the_shard_caches_and_stays_identical() {
-    // Budget sweep over one batch: the concurrent engine must reuse its
-    // per-shard caches across solves exactly as the serial engine reuses its
-    // global cache — same plans, same lifetime counters.
+    // Budget sweep over one batch: the sharded engine recomputes every task
+    // on every solve while the serial engine serves re-plans from its
+    // candidate memo, and both must commit the same plans in every round.
+    // Their counters agree only on the cold first solve.
     let cost = EuclideanCost::default();
     let preset = ScenarioConfig::small()
         .with_placement(TaskPlacement::Synthetic(SpatialDistribution::region_grid(
@@ -212,15 +218,18 @@ fn replanning_reuses_the_shard_caches_and_stays_identical() {
     let mut serial = AssignmentEngine::borrowed(&dense, &cost, MultiTaskConfig::new(30.0));
     let mut parallel =
         ConcurrentAssignmentEngine::new(sharded, &cost, MultiTaskConfig::new(30.0), 4);
-    for budget in [30.0, 18.0, 45.0] {
+    for (round, budget) in [30.0, 18.0, 45.0].into_iter().enumerate() {
         serial.release_all();
         parallel.release_all();
         serial.set_budget(budget);
         parallel.set_budget(budget);
         let a = serial.assign_batch(&tasks, Objective::SumQuality);
         let b = parallel.assign_batch_parallel(&tasks, Objective::SumQuality);
-        assert_identical(&format!("budget {budget}"), &b, &a);
+        let label = format!("budget {budget}");
+        if round == 0 {
+            assert_identical(&label, &b, &a);
+        } else {
+            assert_same_plan(&label, &b, &a);
+        }
     }
-    assert_eq!(serial.stats(), parallel.stats(), "lifetime counters differ");
-    assert_eq!(serial.cache().len(), parallel.cached_tasks());
 }

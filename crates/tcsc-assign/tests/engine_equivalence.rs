@@ -4,13 +4,9 @@
 //! candidate-refresh counters must show the cache doing strictly less work
 //! than the rebuild-per-call baseline.
 
-// These suites pin the semantics of the deprecated free-function wrappers
-// against the engines; they call the wrappers on purpose.
-#![allow(deprecated)]
-
 use tcsc_assign::{
-    mmqm, mmqm_rebuild, msqm_rebuild, msqm_serial, sapprox, AssignmentEngine, MultiOutcome,
-    MultiTaskConfig, Objective, SpatioTemporalObjective,
+    mmqm_rebuild, msqm_rebuild, AssignmentEngine, MultiOutcome, MultiTaskConfig, Objective,
+    SpatioTemporalObjective,
 };
 use tcsc_core::{EuclideanCost, InterpolationWeights, Task};
 use tcsc_index::WorkerIndex;
@@ -70,9 +66,6 @@ fn assign_batch_matches_msqm_rebuild_on_every_preset() {
         let mut engine = AssignmentEngine::borrowed(&index, &cost, cfg);
         let outcome = engine.assign_batch(&tasks, Objective::SumQuality);
         assert_same_outcome(&format!("msqm preset {i}"), &outcome, &reference);
-        // The public wrapper routes through the engine and must agree too.
-        let wrapper = msqm_serial(&tasks, &index, &cost, &cfg);
-        assert_same_outcome(&format!("msqm wrapper preset {i}"), &wrapper, &reference);
     }
 }
 
@@ -86,8 +79,6 @@ fn assign_batch_matches_mmqm_rebuild_on_every_preset() {
         let mut engine = AssignmentEngine::borrowed(&index, &cost, cfg);
         let outcome = engine.assign_batch(&tasks, Objective::MinQuality);
         assert_same_outcome(&format!("mmqm preset {i}"), &outcome, &reference);
-        let wrapper = mmqm(&tasks, &index, &cost, &cfg);
-        assert_same_outcome(&format!("mmqm wrapper preset {i}"), &wrapper, &reference);
     }
 }
 
@@ -178,9 +169,8 @@ fn per_round_drains_are_deterministic_and_share_occupancy() {
 
 #[test]
 fn sapprox_through_the_engine_is_deterministic() {
-    // `sapprox` routes through the engine; two invocations over the same
-    // scenario must agree bit-for-bit (the engine introduces no hidden
-    // state into a fresh call).
+    // Two `SApprox` solves on fresh engines over the same scenario must agree
+    // bit-for-bit (the engine introduces no hidden state into a fresh call).
     let cost = EuclideanCost::default();
     let scenario = ScenarioConfig::small().with_num_tasks(5).build();
     let index = WorkerIndex::build(
@@ -190,14 +180,11 @@ fn sapprox_through_the_engine_is_deterministic() {
     );
     let cfg = MultiTaskConfig::new(20.0);
     let run = || {
-        sapprox(
+        AssignmentEngine::borrowed(&index, &cost, cfg).assign_spatiotemporal(
             &scenario.tasks,
-            &index,
-            &cost,
             &scenario.domain,
             InterpolationWeights::paper_default(),
             SpatioTemporalObjective::Sum,
-            &cfg,
         )
     };
     let a = run();

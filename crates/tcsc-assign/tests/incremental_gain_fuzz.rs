@@ -10,15 +10,11 @@
 //! protocol) returned a different argmax than the full
 //! search — the exact regression the `Full` oracle exists to catch.
 
-// These suites pin the semantics of the deprecated free-function wrappers
-// against the engines; they call the wrappers on purpose.
-#![allow(deprecated)]
-
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use tcsc_assign::{
-    msqm_rebuild, msqm_serial, msqm_task_parallel, AssignmentEngine, MasterCommand,
-    MultiTaskConfig, Objective, RefreshStrategy, SlotCandidates, TaskOwner, TaskState, WorkerEvent,
+    msqm_rebuild, msqm_task_parallel, AssignmentEngine, MasterCommand, MultiTaskConfig, Objective,
+    RefreshStrategy, SlotCandidates, TaskOwner, TaskState, WorkerEvent,
 };
 use tcsc_core::{EuclideanCost, Task, WorkerId};
 use tcsc_index::WorkerIndex;
@@ -177,7 +173,8 @@ fn task_parallel_commits_bit_identical_plans_across_strategies() {
         let (full_cfg, inc_cfg) = configs(budget, true);
         let threads = rng.gen_range(2..=4);
 
-        let serial = msqm_serial(&tasks, &index, &cost, &inc_cfg);
+        let serial = AssignmentEngine::borrowed(&index, &cost, inc_cfg)
+            .assign_batch(&tasks, Objective::SumQuality);
         let full = msqm_task_parallel(&tasks, &index, &cost, &full_cfg, threads, true);
         let inc = msqm_task_parallel(&tasks, &index, &cost, &inc_cfg, threads, true);
 

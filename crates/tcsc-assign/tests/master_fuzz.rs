@@ -6,10 +6,6 @@
 //! ordering must commit the single-thread run's sequence with its conflict
 //! count.
 
-// These suites pin the semantics of the deprecated free-function wrappers
-// against the engines; they call the wrappers on purpose.
-#![allow(deprecated)]
-
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;

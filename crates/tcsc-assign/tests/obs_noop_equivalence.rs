@@ -219,7 +219,6 @@ fn task_parallel_driver_matches_with_and_without_priorities() {
         .with_budget(120.0);
     let (tasks, dense, _) = prepare(&config);
     let cfg = MultiTaskConfig::new(config.budget);
-    #[allow(deprecated)]
     let run =
         |priorities| tcsc_assign::msqm_task_parallel(&tasks, &dense, &cost, &cfg, 4, priorities);
     let with = run(true);

@@ -1,8 +1,8 @@
 //! Regression lock for the streaming engines: `drain_parallel` followed by
 //! `submit` of tasks in an already-drained region must not replay stale
-//! candidates — drains on both engines bypass the candidate caches, so a
-//! re-arriving task id (same or changed content) is solved from fresh
-//! candidates against the persisted occupancy.
+//! candidates — the serial engine's drains bypass its candidate cache and the
+//! sharded engine keeps none, so a re-arriving task id (same or changed
+//! content) is solved from fresh candidates against the persisted occupancy.
 
 use tcsc_assign::{AssignmentEngine, ConcurrentAssignmentEngine, MultiTaskConfig, Objective};
 use tcsc_core::{EuclideanCost, Location};
@@ -55,11 +55,6 @@ fn submit_after_drain_in_a_drained_region_matches_the_serial_engine() {
         );
         assert_eq!(s.executions, c.executions);
         assert_eq!(s.stats, c.stats, "cache counters diverged in round {round}");
-        assert_eq!(
-            concurrent.cached_tasks(),
-            0,
-            "drain_parallel must leave every shard cache empty"
-        );
     }
 }
 

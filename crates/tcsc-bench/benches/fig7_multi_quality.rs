@@ -4,8 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
-use tcsc::solver::{SolveObjective, SolverBuilder};
-use tcsc_assign::MultiTaskConfig;
+use tcsc_assign::{AssignmentEngine, MultiTaskConfig, Objective};
 use tcsc_bench::figures::{fig7a, fig7b, fig7c, fig7d};
 use tcsc_bench::{prepare_multi, Scale};
 use tcsc_core::EuclideanCost;
@@ -32,27 +31,14 @@ fn bench_fig7(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     group.bench_function("msqm_serial_6x40", |b| {
         b.iter(|| {
-            SolverBuilder::new(cfg.budget)
-                .with_config(cfg)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost,
-                )
+            AssignmentEngine::borrowed(&prepared.index, &cost, cfg)
+                .assign_batch(&prepared.scenario.tasks, Objective::SumQuality)
         })
     });
     group.bench_function("mmqm_6x40", |b| {
         b.iter(|| {
-            SolverBuilder::new(cfg.budget)
-                .with_config(cfg)
-                .with_objective(SolveObjective::MinQuality)
-                .solve_indexed(
-                    &prepared.scenario.tasks,
-                    &prepared.index,
-                    &prepared.scenario.domain,
-                    &cost,
-                )
+            AssignmentEngine::borrowed(&prepared.index, &cost, cfg)
+                .assign_batch(&prepared.scenario.tasks, Objective::MinQuality)
         })
     });
     group.finish();

@@ -1,6 +1,6 @@
 //! Figure 9s bench (repo extension): the sharded spatial index against the
-//! dense grid, and the concurrent region-parallel engine against the serial
-//! engine, on the region-partitioned streaming preset.
+//! dense grid, and the sharded engine against the serial dense-index engine,
+//! on the region-partitioned streaming preset.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -109,15 +109,15 @@ fn bench_sharded_engine(c: &mut Criterion) {
                 .assign_batch(&tasks, Objective::SumQuality)
         })
     });
-    group.bench_function("concurrent_engine_batch_4t", |b| {
+    group.bench_function("concurrent_engine_batch", |b| {
         b.iter(|| {
-            ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 4)
+            ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 1)
                 .assign_batch_parallel(&tasks, Objective::SumQuality)
         })
     });
-    group.bench_function("concurrent_engine_streaming_drains_4t", |b| {
+    group.bench_function("concurrent_engine_streaming_drains", |b| {
         b.iter(|| {
-            let mut engine = ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 4);
+            let mut engine = ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 1);
             for round in &streaming.rounds {
                 engine.submit(round.clone());
                 engine.drain_parallel(Objective::SumQuality);

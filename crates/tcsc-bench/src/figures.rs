@@ -125,28 +125,25 @@ mod tests {
 
     #[test]
     fn fig9s_json_is_well_formed() {
-        let report = fig9s_sized(2, 2, 4, 12, 200, &[1, 2], 1);
+        let report = fig9s_sized(2, 2, 4, 12, 200, 1);
         let json = bench_json(&report, "fig9s");
         assert_fields(
             &json,
             &[
-                "hardware_threads",
                 "num_tasks",
                 "DenseMs",
                 "ShardedMs",
                 "Speedup",
+                "TasksPerSec",
             ],
         );
         assert!(
             json.contains("\"num_tasks\": 8,"),
             "rounds x per_round tasks"
         );
-        assert!(json.contains("\"label\": \"threads=2\", \"Serial\": "));
-        assert_eq!(
-            report.rows.len(),
-            3,
-            "index row plus one row per thread count"
-        );
+        assert!(json.contains("\"label\": \"engine\", \"Serial\": "));
+        assert!(!json.contains("hardware_threads"));
+        assert_eq!(report.rows.len(), 2, "index row plus the engine row");
     }
 
     #[test]
@@ -170,7 +167,7 @@ mod tests {
 
     #[test]
     fn fig9mob_json_is_well_formed() {
-        let report = fig9mob_sized(2_000, 400, ShardGridConfig::new(2, 2), 2);
+        let report = fig9mob_sized(2_000, 400, ShardGridConfig::new(2, 2));
         let json = bench_json(&report, "fig9mob");
         assert_fields(
             &json,

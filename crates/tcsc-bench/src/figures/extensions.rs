@@ -1,4 +1,4 @@
-//! Repo-extension figures beyond the paper: the sharded concurrent engine
+//! Repo-extension figures beyond the paper: the sharded index and engine
 //! (fig9s), the incremental-gain commit engine (fig9p), the simulated
 //! distributed runtime (fig9dist), the observability layer (fig9obs), the
 //! service-mode SLO driver (fig9svc) and mobile workers on the mutable index
@@ -13,35 +13,33 @@ use tcsc_workload::{ScenarioConfig, SpatialDistribution, StreamingConfig, TaskPl
 use crate::{best_of, prepare_multi, timed, Report, Row, Scale};
 
 // ---------------------------------------------------------------------------
-// Figure 9s (repo extension): sharded index + concurrent engine
+// Figure 9s (repo extension): sharded index + sharded engine
 // ---------------------------------------------------------------------------
 
 /// Fig. 9s (repo extension): dense-vs-sharded k-NN query time, then
 /// cold-cache batch assignment of the region-partitioned streaming preset
-/// through the serial engine and through the concurrent engine at
-/// increasing thread counts.
+/// through the serial engine on the dense index and through the same greedy
+/// on the sharded index.
 pub fn fig9s(scale: Scale) -> Report {
     // The batch is deliberately wide (many concurrent arrivals) with a
     // budget that executes a moderate fraction of it: the cold-cache
-    // checkout and the all-tasks warm-start candidate wave dominate, which
-    // is the work the region sharding spreads across threads; the serial
-    // commit tail (one winner refresh per grant) stays short.
+    // checkout and the all-tasks warm-start candidate search dominate, and
+    // the commit tail (one winner refresh per grant) stays short.
     match scale {
-        Scale::Quick => fig9s_sized(4, 8, 16, 96, 4000, &[1, 2, 4, 8], 3),
-        Scale::Full => fig9s_sized(8, 8, 40, 300, 10_357, &[1, 2, 4, 8, 16], 3),
+        Scale::Quick => fig9s_sized(4, 8, 16, 96, 4000, 3),
+        Scale::Full => fig9s_sized(8, 8, 40, 300, 10_357, 3),
     }
 }
 
 /// [`fig9s`] on an explicit workload: `regions`² shards, `rounds` ×
-/// `per_round` tasks of `slots` slots over `workers` workers, the concurrent
-/// engine at each of `cores` threads, best of `runs`.
+/// `per_round` tasks of `slots` slots over `workers` workers, best of
+/// `runs`.
 pub(super) fn fig9s_sized(
     regions: usize,
     rounds: usize,
     per_round: usize,
     slots: usize,
     workers: usize,
-    cores: &[usize],
     runs: usize,
 ) -> Report {
     let base = ScenarioConfig::small()
@@ -90,35 +88,29 @@ pub(super) fn fig9s_sized(
     let serial_ms = best_of(runs, || {
         AssignmentEngine::borrowed(&dense, &cost, cfg).assign_batch(&tasks, Objective::SumQuality)
     });
-    for &t in cores {
-        let concurrent_ms = best_of(runs, || {
-            ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, t)
-                .assign_batch_parallel(&tasks, Objective::SumQuality)
-        });
-        rows.push(Row::new(
-            format!("threads={t}"),
-            vec![
-                ("Serial".into(), serial_ms),
-                ("Concurrent".into(), concurrent_ms),
-                ("Speedup".into(), serial_ms / concurrent_ms),
-                (
-                    "TasksPerSec".into(),
-                    tasks.len() as f64 / (concurrent_ms / 1000.0),
-                ),
-            ],
-        ));
-    }
+    let concurrent_ms = best_of(runs, || {
+        ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 1)
+            .assign_batch_parallel(&tasks, Objective::SumQuality)
+    });
+    rows.push(Row::new(
+        "engine",
+        vec![
+            ("Serial".into(), serial_ms),
+            ("Concurrent".into(), concurrent_ms),
+            ("Speedup".into(), serial_ms / concurrent_ms),
+            (
+                "TasksPerSec".into(),
+                tasks.len() as f64 / (concurrent_ms / 1000.0),
+            ),
+        ],
+    ));
 
-    // Hardware threads of the measuring machine: `1` serialises every
-    // parallel phase, so speedups can only materialise when this is > 1.
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     Report::new(
         "fig9s",
-        "Sharded index + concurrent engine: batch assign vs threads \
+        "Sharded index + sharded engine vs dense serial engine: batch assign \
          (region-partitioned streaming preset)",
         rows,
     )
-    .num("hardware_threads", hardware_threads as f64)
     .num("num_tasks", tasks.len() as f64)
 }
 
@@ -955,7 +947,7 @@ const MOB_DRAIN_EVERY_US: u64 = 5_000;
 /// How the mobile-worker pass keeps its index current between drains.
 enum MobMaintenance {
     /// Apply each motion event through the engine's mutation API
-    /// (tile-local splice; the shard caches are cleared).
+    /// (tile-local splice).
     Mutate,
     /// Track the fleet in a mirror pool and rebuild the sharded index from
     /// scratch before every drain that saw motion — the pre-mutable-index
@@ -988,7 +980,6 @@ struct MobRun {
 /// mirror pool and the sharded index is rebuilt before the next drain — so
 /// both passes plan every drain against the same fleet state, and the timed
 /// maintenance regions are exactly the work each strategy does to get there.
-#[allow(clippy::too_many_arguments)]
 fn fig9mob_service_run(
     mode: MobMaintenance,
     pool: &tcsc_core::WorkerPool,
@@ -997,7 +988,6 @@ fn fig9mob_service_run(
     total_tasks: usize,
     capacity: usize,
     grid: ShardGridConfig,
-    threads: usize,
 ) -> MobRun {
     use std::collections::VecDeque;
 
@@ -1012,7 +1002,7 @@ fn fig9mob_service_run(
         ShardedWorkerIndex::build(pool, num_slots, &domain, grid),
         &cost,
         cfg,
-        threads,
+        1,
     );
     let mut mirror: Vec<tcsc_core::Worker> = pool.workers().to_vec();
 
@@ -1148,20 +1138,14 @@ pub fn fig9mob(scale: Scale) -> Report {
     // splice pays O(bucket), so the fleet size is what separates the two
     // maintenance strategies (mobile fleets are big; drains are frequent).
     match scale {
-        Scale::Quick => fig9mob_sized(6_000, 2_400, ShardGridConfig::new(5, 5), 4),
-        Scale::Full => fig9mob_sized(200_000, 10_000, ShardGridConfig::new(8, 8), 8),
+        Scale::Quick => fig9mob_sized(6_000, 2_400, ShardGridConfig::new(5, 5)),
+        Scale::Full => fig9mob_sized(200_000, 10_000, ShardGridConfig::new(8, 8)),
     }
 }
 
 /// [`fig9mob`] on an explicit workload: a stream of `total_tasks` tasks
-/// over `workers` mobile workers on a `grid` of shards, drained by
-/// `threads` threads.
-pub(super) fn fig9mob_sized(
-    total_tasks: usize,
-    workers: usize,
-    grid: ShardGridConfig,
-    threads: usize,
-) -> Report {
+/// over `workers` mobile workers on a `grid` of shards.
+pub(super) fn fig9mob_sized(total_tasks: usize, workers: usize, grid: ShardGridConfig) -> Report {
     use tcsc_workload::{
         BoundedPareto, HeavyTailedArrivals, MotionTape, PhaseSchedule, WorkerChurnConfig,
     };
@@ -1203,7 +1187,6 @@ pub(super) fn fig9mob_sized(
         total_tasks,
         capacity,
         grid,
-        threads,
     );
     let rebuild = fig9mob_service_run(
         MobMaintenance::Rebuild,
@@ -1213,7 +1196,6 @@ pub(super) fn fig9mob_sized(
         total_tasks,
         capacity,
         grid,
-        threads,
     );
 
     let speedup = rebuild.maintenance_ms / mutate.maintenance_ms.max(1e-9);

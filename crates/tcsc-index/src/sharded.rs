@@ -289,8 +289,7 @@ impl ShardedWorkerIndex {
     }
 
     /// The spatial shard (tile) id owning a location: the routing function
-    /// shared by this index and the concurrent engine's per-shard ledgers and
-    /// caches.
+    /// shared by this index and the sharded engine's per-shard ledgers.
     pub fn spatial_shard_of(&self, loc: &Location) -> usize {
         let (tx, ty) = self.tile_of(loc);
         ty * self.config.tiles_x + tx

@@ -41,7 +41,7 @@ pub enum SpatialDistribution {
     /// within the region's *interior*, shrunk by `margin` (a fraction of the
     /// region size per side).  Tasks therefore cluster strictly inside
     /// region cells and never sit on a region boundary — the workload shape
-    /// the sharded index and the region-parallel engine are built for.
+    /// the sharded index and the sharded engine are built for.
     RegionGrid {
         /// Regions along the x axis.
         cols: usize,

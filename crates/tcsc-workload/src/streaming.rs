@@ -55,8 +55,8 @@ impl StreamingConfig {
     /// from [`SpatialDistribution::RegionGrid`] over a `regions x regions`
     /// lattice, so every arrival clusters strictly inside one region cell
     /// (workers still roam the whole domain).  This is the scenario shape
-    /// the sharded index and the concurrent region-parallel engine are
-    /// benchmarked on (`fig9s`): matching the engine's shard grid to
+    /// the sharded index and the sharded engine are benchmarked on
+    /// (`fig9s`): matching the engine's shard grid to
     /// `regions` makes almost every task's candidates shard-local.
     pub fn region_partitioned(
         base: ScenarioConfig,

@@ -67,8 +67,7 @@ pub mod prelude {
         ChurnCounters, ConcurrentAssignmentEngine, MultiTaskConfig, Objective, RefreshStrategy,
         ShardedLedger, SingleTaskConfig, SlotCandidates, SpatioTemporalObjective, WorkerLedger,
     };
-    #[allow(deprecated)]
-    pub use tcsc_assign::{mmqm, msqm_group_parallel, msqm_serial, msqm_task_parallel, sapprox};
+    pub use tcsc_assign::{msqm_group_parallel, msqm_task_parallel};
     pub use tcsc_core::{
         AssignmentPlan, Budget, CostModel, Domain, EuclideanCost, InterpolationWeights, Location,
         MultiAssignment, QualityEvaluator, QualityParams, SpatioTemporalEvaluator, Task, TaskId,

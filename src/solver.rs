@@ -1,9 +1,9 @@
-//! The unified [`SolverBuilder`] facade over the multi-task solver zoo.
+//! The unified [`SolverBuilder`] facade over the multi-task solvers.
 //!
-//! The repository grew one free function per (runtime × objective) point —
-//! `msqm_serial`, `mmqm`, `sapprox`, `msqm_task_parallel`,
-//! `msqm_group_parallel`, plus the engine constructors.  The builder
-//! collapses that zoo into one declarative configuration surface:
+//! One declarative configuration surface picks the runtime (the serial
+//! [`AssignmentEngine`], the same greedy on a sharded index, the paper's
+//! task-level and group-level parallel frameworks, or the simulated cluster)
+//! and the objective (MSQM, MMQM or `SApprox`):
 //!
 //! ```
 //! use tcsc::solver::{Runtime, SolveObjective, SolverBuilder};
@@ -13,7 +13,6 @@
 //! let outcome = SolverBuilder::new(30.0)
 //!     .with_runtime(Runtime::Concurrent)
 //!     .with_grid(ShardGridConfig::new(2, 2))
-//!     .with_threads(4)
 //!     .solve(
 //!         &scenario.tasks,
 //!         &scenario.workers,
@@ -25,9 +24,8 @@
 //! ```
 //!
 //! Every runtime commits through the same greedy core, so for a fixed
-//! configuration the builder is **bit-identical** to the legacy free
-//! function it replaces (locked by `tests/builder_equivalence.rs`); the
-//! legacy functions remain available as `#[deprecated]` wrappers.
+//! configuration the builder is **bit-identical** to calling the engine or
+//! driver directly (locked by `tests/builder_equivalence.rs`).
 
 use std::rc::Rc;
 
@@ -42,13 +40,14 @@ use tcsc_sim::{run_cluster, LatencyModel, SimBatch, SimClusterConfig};
 /// Which execution substrate runs the greedy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Runtime {
-    /// The single-threaded [`AssignmentEngine`] (the `msqm_serial` / `mmqm` /
-    /// `sapprox` substrate).
+    /// The single-threaded [`AssignmentEngine`] on a dense index (MSQM,
+    /// MMQM and `SApprox`).
     #[default]
     Serial,
-    /// The sharded [`ConcurrentAssignmentEngine`]: region-parallel checkout
-    /// and candidate waves, serial deterministic commit loop.  Commits the
-    /// same plan as [`Runtime::Serial`] for any shard grid and thread count.
+    /// The serial greedy on a sharded index
+    /// ([`ConcurrentAssignmentEngine`], occupancy kept per shard).  Commits
+    /// the same plan as [`Runtime::Serial`] for any shard grid; the thread
+    /// count is ignored.
     Concurrent,
     /// The task-level parallel master/owner framework under the barrier
     /// master (`msqm_task_parallel`).  MSQM only.
@@ -141,8 +140,9 @@ impl SolverBuilder {
         self
     }
 
-    /// Degree of parallelism of the parallel runtimes (ignored by
-    /// [`Runtime::Serial`]; never changes any outcome).
+    /// Thread count of [`Runtime::TaskParallel`] and
+    /// [`Runtime::GroupParallel`] (ignored by the other runtimes; never
+    /// changes any outcome).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -264,7 +264,6 @@ impl SolverBuilder {
             }
             Runtime::TaskParallel => {
                 self.require_msqm("Runtime::TaskParallel");
-                #[allow(deprecated)]
                 let result = tcsc_assign::msqm_task_parallel(
                     tasks,
                     index,
@@ -277,7 +276,6 @@ impl SolverBuilder {
             }
             Runtime::GroupParallel => {
                 self.require_msqm("Runtime::GroupParallel");
-                #[allow(deprecated)]
                 let result = tcsc_assign::msqm_group_parallel(
                     tasks,
                     index,

@@ -1,12 +1,8 @@
-//! Builder/legacy equivalence: [`SolverBuilder`] is a *facade*, not a fork —
-//! for every runtime it must reproduce the outcome of the deprecated free
-//! function it replaces **bit-for-bit** (plans, conflicts, executions, cache
-//! counters) on the seeded scenario presets.  These suites are the migration
-//! contract: as long as they pass, swapping a legacy call for the builder is
-//! a pure refactor.
-// The whole point of this file is to call the deprecated wrappers next to
-// the builder, so the lint is off for the file.
-#![allow(deprecated)]
+//! Builder equivalence: [`SolverBuilder`] is a *facade*, not a fork — for
+//! every runtime it must reproduce the outcome of the engine or driver it
+//! runs **bit-for-bit** (plans, conflicts, executions, cache counters) on the
+//! seeded scenario presets.  As long as these suites pass, swapping a direct
+//! engine or driver call for the builder is a pure refactor.
 
 use tcsc::prelude::*;
 
@@ -55,7 +51,8 @@ fn serial_builder_matches_msqm_serial() {
         let cost = EuclideanCost::default();
         for budget in [20.0, 60.0] {
             let cfg = MultiTaskConfig::new(budget);
-            let legacy = msqm_serial(&scenario.tasks, &index, &cost, &cfg);
+            let legacy = AssignmentEngine::borrowed(&index, &cost, cfg)
+                .assign_batch(&scenario.tasks, Objective::SumQuality);
             let built = SolverBuilder::new(budget).with_config(cfg).solve_indexed(
                 &scenario.tasks,
                 &index,
@@ -73,7 +70,8 @@ fn min_quality_builder_matches_mmqm() {
         let (scenario, index) = prepare(&preset);
         let cost = EuclideanCost::default();
         let cfg = MultiTaskConfig::new(45.0);
-        let legacy = mmqm(&scenario.tasks, &index, &cost, &cfg);
+        let legacy = AssignmentEngine::borrowed(&index, &cost, cfg)
+            .assign_batch(&scenario.tasks, Objective::MinQuality);
         let built = SolverBuilder::new(45.0)
             .with_config(cfg)
             .with_objective(SolveObjective::MinQuality)
@@ -152,14 +150,11 @@ fn spatiotemporal_builder_matches_sapprox() {
             InterpolationWeights::temporal_only(),
             InterpolationWeights::paper_default(),
         ] {
-            let legacy = sapprox(
+            let legacy = AssignmentEngine::borrowed(&index, &cost, cfg).assign_spatiotemporal(
                 &scenario.tasks,
-                &index,
-                &cost,
                 &scenario.domain,
                 weights,
                 SpatioTemporalObjective::Sum,
-                &cfg,
             );
             let built = SolverBuilder::new(40.0)
                 .with_config(cfg)
