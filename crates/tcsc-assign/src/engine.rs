@@ -81,9 +81,10 @@ pub enum Objective {
 /// work.  The difference is the engine's saving.
 ///
 /// The refresh-accounting block (`full_refreshes`, `incremental_patches`,
-/// `stale_pops`, `refresh_nanos`) measures the *commit-tail* best-candidate
-/// work of the run — the cost the [`RefreshStrategy::Incremental`] gain
-/// ledger attacks.  Those four fields are **measurement, not behaviour**:
+/// `stale_pops`, `commit_rescores`, `refresh_nanos`, `warm_nanos`) measures
+/// the best-candidate work of the commit loop — the warm start, and the
+/// *commit tail* beyond it that the [`RefreshStrategy::Incremental`] gain
+/// ledger attacks.  Those fields are **measurement, not behaviour**:
 /// different drivers of the same plan (engine greedy vs task-parallel master
 /// vs simulated cluster) legitimately issue different best-candidate request
 /// sequences, so the refresh block is excluded from `PartialEq` and from
@@ -119,6 +120,11 @@ pub struct CacheStats {
     /// Nanoseconds spent in commit-tail refresh work (searches beyond the
     /// warm start, ledger pops and patches).
     pub refresh_nanos: u64,
+    /// Nanoseconds spent in each task's warm start (its first best-candidate
+    /// request, which `refresh_nanos` leaves out).  Both run inside the
+    /// `engine.commit` span, so `warm_nanos + refresh_nanos` never exceeds
+    /// it; the remainder is the commit loop's own work.
+    pub warm_nanos: u64,
 }
 
 /// Equality covers the candidate-computation counters only; the refresh
@@ -147,6 +153,7 @@ impl CacheStats {
         self.stale_pops += other.stale_pops;
         self.commit_rescores += other.commit_rescores;
         self.refresh_nanos += other.refresh_nanos;
+        self.warm_nanos += other.warm_nanos;
     }
 
     /// Counts one conflict-driven slot refresh (a real index-backed
@@ -165,6 +172,7 @@ impl CacheStats {
         self.incremental_patches += refresh.incremental_patches;
         self.stale_pops += refresh.stale_pops;
         self.refresh_nanos += refresh.refresh_nanos;
+        self.warm_nanos += refresh.warm_nanos;
     }
 
     /// Slot computations saved relative to the rebuild-per-call baseline.
@@ -450,6 +458,7 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
         self.obs
             .counter("engine.executions", outcome.executions as u64);
         self.obs.value("engine.batch_ns", batch_nanos);
+        self.obs.value("engine.warm_start_ns", stats.warm_nanos);
         if outcome.executions > 0 {
             self.obs.value(
                 "engine.grant_refresh_ns",
@@ -1194,5 +1203,35 @@ mod tests {
             a.stats.slot_computations + b.stats.slot_computations
         );
         assert!(total.saved_slot_computations() > 0);
+    }
+
+    #[test]
+    fn warm_start_and_refresh_time_fit_inside_the_commit_span() {
+        let (tasks, index, cost) = small_instance(76, 6, 24, 120);
+        let session = tcsc_obs::ObsSession::wall();
+        let mut engine = AssignmentEngine::borrowed(&index, &cost, MultiTaskConfig::new(40.0))
+            .with_recorder(&session);
+        let outcome = engine.assign_batch(&tasks, Objective::SumQuality);
+        let stats = outcome.stats;
+        assert!(outcome.executions > 0);
+        assert!(stats.warm_nanos > 0, "every task's first search is timed");
+        let profile = tcsc_obs::profile_spans(&session.merged_events());
+        let commit = profile
+            .get("engine.assign_batch;engine.commit")
+            .expect("one commit span per solve");
+        assert_eq!(commit.calls, 1);
+        assert!(
+            stats.warm_nanos + stats.refresh_nanos <= commit.total_nanos,
+            "warm {} + refresh {} ns exceed the commit span's {} ns",
+            stats.warm_nanos,
+            stats.refresh_nanos,
+            commit.total_nanos
+        );
+        let metrics = session.metrics();
+        let warm = metrics
+            .histogram("engine.warm_start_ns")
+            .expect("the warm start is published");
+        assert_eq!(warm.count(), 1);
+        assert_eq!(warm.sum(), stats.warm_nanos);
     }
 }

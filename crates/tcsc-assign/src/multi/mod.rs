@@ -223,10 +223,11 @@ impl TaskState {
     pub fn best_candidate(&mut self, max_cost: f64) -> Option<TaskCandidate> {
         self.searches += 1;
         // The first request is the warm start both strategies pay alike (the
-        // full path's initial search, the ledger's initial build); only the
-        // commit tail beyond it is accounted as refresh work.
+        // full path's initial search, the ledger's initial build); it is
+        // timed on its own, and only the commit tail beyond it is accounted
+        // as refresh work.
         let warm = self.searches == 1;
-        let start = (!warm).then(Stopwatch::start);
+        let start = Stopwatch::start();
         let result = match self.refresh {
             RefreshStrategy::Full => {
                 if !warm {
@@ -236,8 +237,11 @@ impl TaskState {
             }
             RefreshStrategy::Incremental => self.best_candidate_incremental(max_cost),
         };
-        if let Some(start) = start {
-            self.refresh_stats.refresh_nanos += start.elapsed_nanos();
+        let nanos = start.elapsed_nanos();
+        if warm {
+            self.refresh_stats.warm_nanos += nanos;
+        } else {
+            self.refresh_stats.refresh_nanos += nanos;
         }
         result
     }

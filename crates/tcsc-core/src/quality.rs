@@ -41,6 +41,14 @@
 //! `(m, k)` per process and shared by every evaluator with those parameters;
 //! a slot executed with `λ ≠ 1` switches its evaluator to the formula path
 //! until it is unexecuted again.
+//!
+//! The table has a second reader: [`QualityEvaluator::unit_partial_table`]
+//! hands it to the V-tree (`tcsc_index::vtree`), which caches every slot's
+//! `S` and k-th neighbour distance and scores a tentative execution at `t`
+//! without a walk.  A unit-reliability `t` that enters slot `j`'s neighbour
+//! set replaces the k-th neighbour, so `j`'s new sum is the exact integer
+//! `S − kth + |j − t|` and its partial quality is the table entry the walk
+//! would have read.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -317,6 +325,17 @@ impl QualityEvaluator {
             }
             Err(_) => false,
         }
+    }
+
+    /// The unit-reliability table (module docs) while it applies, i.e. while
+    /// every executed slot has reliability exactly `1`: entry `S` is the
+    /// partial quality of an unexecuted slot whose `k` neighbour distances
+    /// (padded with `m`) sum to `S`, and entry `0` that of an executed slot.
+    /// Valid for any query whose tentative execution, if any, is also fully
+    /// reliable.  `None` under mixed reliabilities, and for shapes with
+    /// `k·m + 1 > 65_536`, which have no table.
+    pub fn unit_partial_table(&self) -> Option<&[f64]> {
+        self.table_for(None)
     }
 
     /// The unit-reliability table, when it applies to a query with `extra`.
@@ -730,6 +749,25 @@ mod tests {
         ev.execute(10);
         let after = ev.quality();
         assert!((after - before - gain).abs() < 1e-9);
+    }
+
+    #[test]
+    fn unit_partial_table_applies_only_to_unit_reliabilities() {
+        let mut ev = QualityEvaluator::with_slots(12, 3);
+        let table = ev.unit_partial_table().expect("a 37-entry table").to_vec();
+        assert_eq!(table.len(), 3 * 12 + 1);
+        ev.execute(4);
+        assert_eq!(
+            table[0].to_bits(),
+            ev.partial_quality(4).to_bits(),
+            "entry 0 is an executed slot"
+        );
+        // Slot 6's neighbours: 4 at distance 2, then two paddings at m = 12.
+        assert_eq!(table[2 + 24].to_bits(), ev.partial_quality(6).to_bits());
+        ev.execute_with_reliability(9, 0.5);
+        assert!(ev.unit_partial_table().is_none());
+        ev.unexecute(9);
+        assert!(ev.unit_partial_table().is_some());
     }
 
     #[test]

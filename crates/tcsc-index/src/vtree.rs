@@ -27,6 +27,12 @@
 //! * [`VTree::gain`] — the exact quality increment of tentatively executing a
 //!   slot, computed by reusing the stored `q′` of every node whose influence
 //!   range excludes the tentative slot (the "locality of k-NN searching");
+//!   inside an influenced leaf, each slot's cached partial quality, k-th NN
+//!   distance and neighbour-distance sum are reused too.  A slot the
+//!   tentative execution cannot reach keeps its cached partial quality; with
+//!   unit reliabilities a slot it does reach reads the evaluator's shared
+//!   entropy table at the exactly updated distance sum, so no neighbour walk
+//!   runs and the result stays bit-identical to a full leaf recompute;
 //! * [`VTree::best_slot`] — best-first search over the tree with an
 //!   admissible upper bound on each node's heuristic value (quality increment
 //!   per unit cost), pruning nodes that cannot beat the best exact value
@@ -191,6 +197,12 @@ pub struct VTree {
     /// `slot_pq`.  A tentative execution at `t` with `|j − t| > slot_kth[j]`
     /// cannot enter slot `j`'s neighbour set, so `slot_pq[j]` stays exact.
     slot_kth: Vec<usize>,
+    /// Per-slot sum of the `k` neighbour distances, missing neighbours
+    /// padded with `m` (`0` for an executed slot), written with `slot_pq`.
+    /// With `slot_kth` it gives the exact distance sum under a tentative
+    /// execution, `slot_sum[j] − slot_kth[j] + |j − t|`, which
+    /// [`VTree::gain`] looks up in the unit-reliability table.
+    slot_sum: Vec<usize>,
     nodes: Vec<Node>,
     root: usize,
     /// Milliseconds-free construction statistics: number of slots whose
@@ -218,6 +230,7 @@ impl VTree {
             costs,
             slot_pq: vec![0.0; m],
             slot_kth: vec![0; m],
+            slot_sum: vec![0; m],
             nodes: Vec::with_capacity(2 * m / config.ts.max(1) + 4),
             root: 0,
             recomputed_slots: 0,
@@ -377,6 +390,7 @@ impl VTree {
             quality += pq;
             self.slot_pq[slot] = pq;
             self.slot_kth[slot] = summary.kth_distance;
+            self.slot_sum[slot] = summary.distance_sum;
             if summary.executed {
                 continue;
             }
@@ -462,8 +476,18 @@ impl VTree {
     /// inside influenced leaves, the stored partial quality of every slot the
     /// tentative execution cannot reach (executed slots, and slots `j` with
     /// `|j − slot|` beyond their k-th NN distance: Lemma 8 at slot grain).
-    /// The summed values and their order are those of a full leaf recompute,
-    /// so the result is bit-identical to it.
+    ///
+    /// While the evaluator's unit-reliability table applies
+    /// ([`QualityEvaluator::unit_partial_table`]), the reachable slots cost a
+    /// table lookup instead of a neighbour walk: `slot` itself reads entry
+    /// `0`, and a slot `j` with `d = |j − slot| < slot_kth[j]` takes the
+    /// tentative execution in place of its k-th neighbour, so it reads entry
+    /// `slot_sum[j] − slot_kth[j] + d` (at `d = slot_kth[j]` the sum does not
+    /// change and the stored value stands).  That index is the exact integer
+    /// the walk sums and the entry is the one it reads; mixed reliabilities
+    /// and shapes without a table walk as before.  Either way the summed
+    /// values and their order are those of a full leaf recompute, so the
+    /// result is bit-identical to it.
     pub fn gain(&self, evaluator: &QualityEvaluator, slot: SlotIndex) -> f64 {
         if evaluator.is_executed(slot) {
             return 0.0;
@@ -487,15 +511,40 @@ impl VTree {
             return node.quality;
         }
         if node.is_leaf() {
-            (node.start..=node.end)
-                .map(|j| {
-                    if j.abs_diff(extra.slot) > self.slot_kth[j] {
-                        self.slot_pq[j]
-                    } else {
-                        evaluator.partial_quality_with_extra(j, Some(extra))
-                    }
-                })
-                .sum()
+            let slots = node.start..=node.end;
+            match evaluator.unit_partial_table() {
+                Some(table) => slots
+                    .map(|j| {
+                        let d = j.abs_diff(extra.slot);
+                        let kth = self.slot_kth[j];
+                        let pq = if d == 0 {
+                            table[0]
+                        } else if d < kth {
+                            table[self.slot_sum[j] - kth + d]
+                        } else {
+                            self.slot_pq[j]
+                        };
+                        debug_assert_eq!(
+                            pq.to_bits(),
+                            evaluator
+                                .partial_quality_with_extra(j, Some(extra))
+                                .to_bits(),
+                            "cached sums of slot {j} disagree with the walk (tentative {})",
+                            extra.slot
+                        );
+                        pq
+                    })
+                    .sum(),
+                None => slots
+                    .map(|j| {
+                        if j.abs_diff(extra.slot) > self.slot_kth[j] {
+                            self.slot_pq[j]
+                        } else {
+                            evaluator.partial_quality_with_extra(j, Some(extra))
+                        }
+                    })
+                    .sum(),
+            }
         } else {
             self.quality_with_extra(evaluator, node.left.unwrap(), extra)
                 + self.quality_with_extra(evaluator, node.right.unwrap(), extra)
@@ -838,9 +887,14 @@ mod tests {
         use rand::{Rng, SeedableRng};
 
         let mut rng = StdRng::seed_from_u64(0x5107);
-        for case in 0..60 {
-            let m = rng.gen_range(1usize..=100);
-            let k = rng.gen_range(1usize..=5);
+        for case in 0..64 {
+            // 60 random shapes, then the `k > m` shapes (`m` in 1..=4,
+            // `k = 5`) the random draw reaches only occasionally.
+            let (m, k) = if case < 60 {
+                (rng.gen_range(1usize..=100), rng.gen_range(1usize..=5))
+            } else {
+                (case - 59, 5)
+            };
             let ts = rng.gen_range(1usize..=8);
             // Every fourth case executes some slots with reliability < 1, so
             // the evaluator leaves the unit-reliability table.
@@ -878,6 +932,32 @@ mod tests {
                         tree.notify_executed(&ev, slot);
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn gain_walks_bit_identically_on_a_shape_without_a_table() {
+        // `k·m + 1 > 65_536`: no unit-reliability table exists, so
+        // `VTree::gain` keeps the neighbour walk even with unit reliabilities.
+        let (m, k) = (21_846, 3);
+        let mut ev = QualityEvaluator::with_slots(m, k);
+        assert!(ev.unit_partial_table().is_none());
+        let mut tree = VTree::build(&ev, uniform_costs(m, 1.0), VTreeConfig::default());
+        let probes = [
+            0, 1, 99, 100, 101, 2_500, 5_000, 10_922, 10_923, 17_000, 21_844, 21_845,
+        ];
+        for slot in [5_000, 100, 17_001, 10_923, 21_845] {
+            ev.execute(slot);
+            tree.notify_executed(&ev, slot);
+            for &t in &probes {
+                let cached = tree.gain(&ev, t);
+                let full = tree.gain_uncached(&ev, t);
+                assert_eq!(
+                    cached.to_bits(),
+                    full.to_bits(),
+                    "after executing {slot}, slot {t}: {cached} vs {full}"
+                );
             }
         }
     }
