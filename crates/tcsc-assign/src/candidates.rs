@@ -11,7 +11,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use tcsc_core::{CandidateAssignment, CostModel, SlotIndex, Task, WorkerId};
-use tcsc_index::SpatialQuery;
+use tcsc_index::{NearestWorker, SpatialQuery};
 
 /// The per-slot candidate assignments of one task.
 #[derive(Debug, Clone, Default)]
@@ -103,23 +103,32 @@ pub(crate) fn candidate_for_slot(
     cost_model: &dyn CostModel,
     ledger: &WorkerLedger,
 ) -> Option<CandidateAssignment> {
-    let subtask = task.subtask(slot);
     // The ledger hands its per-slot occupancy set to the index directly; no
     // per-query exclusion vector is built and no pseudo-worker is constructed.
     let nearest = match ledger.occupied_set_at(slot) {
         Some(excluded) => index.nearest_excluding_set(slot, &task.location, excluded)?,
         None => index.nearest(slot, &task.location)?,
     };
-    // The cost model may weight the distance (or price the worker); rebuild
-    // the cost through it so that alternative models keep working.
-    let cost = cost_model.assignment_cost_at(&subtask, nearest.worker, nearest.location);
-    Some(CandidateAssignment {
+    Some(priced(task, slot, nearest, cost_model))
+}
+
+/// The candidate assignment of `nearest` to a task's slot.  The cost model
+/// may weight the distance (or price the worker), so the cost is rebuilt
+/// through it rather than taken from the index's distance.
+pub(crate) fn priced(
+    task: &Task,
+    slot: SlotIndex,
+    nearest: NearestWorker,
+    cost_model: &dyn CostModel,
+) -> CandidateAssignment {
+    let cost = cost_model.assignment_cost_at(&task.subtask(slot), nearest.worker, nearest.location);
+    CandidateAssignment {
         slot,
         worker: nearest.worker,
         worker_location: nearest.location,
         cost,
         reliability: nearest.reliability,
-    })
+    }
 }
 
 /// Tracks which workers are already committed at which time slots across a

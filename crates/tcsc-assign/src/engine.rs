@@ -4,22 +4,45 @@
 //! candidate state from scratch on each invocation: `TaskState::new` runs one
 //! index query per slot, and nothing survives between calls even when the
 //! same tasks are solved again (budget sweeps, objective comparisons,
-//! re-planning).  [`AssignmentEngine`] is the long-lived alternative: it owns
-//! (or borrows) the [`WorkerIndex`], a persistent occupancy
-//! [`WorkerLedger`], and a [`CandidateCache`] keyed by task, so that
-//! re-planning the same tasks amortises the worker-cost-retrieval work across
-//! calls.
+//! re-planning).  [`GreedyEngine`] is the long-lived alternative: it owns
+//! (or borrows) a worker index, a persistent occupancy store and a
+//! [`CandidateCache`] keyed by task, so that re-planning the same tasks
+//! amortises the worker-cost-retrieval work across calls.
+//!
+//! # One engine, two indexes
+//!
+//! [`GreedyEngine`] is generic over its index `I` and its occupancy store
+//! `L`, which implements [`Occupancy<I>`].  Two aliases name the supported
+//! pairs:
+//!
+//! * [`AssignmentEngine`] — the dense [`WorkerIndex`] with a flat
+//!   [`WorkerLedger`];
+//! * [`ConcurrentAssignmentEngine`] — the [`ShardedWorkerIndex`] with a
+//!   [`ShardedLedger`], whose commitments live in the tile owning the
+//!   worker's location (see [`concurrent`]).
+//!
+//! Every method exists once, on the generic struct.  [`Occupancy`] owns all
+//! that differs between the two stores: occupancy checks, claims and
+//! releases (routed by the worker's location on the sharded side), the
+//! nearest free worker of a slot, the ledger migration of a cross-tile move,
+//! the re-routing after an index swap and the shard-router counters.  Only
+//! three items are index-specific, and only for source compatibility with
+//! existing callers: the dense `new(index, cost, config)`, the sharded
+//! `new(index, cost, config, threads)` — whose thread count is ignored, the
+//! engine runs on the calling thread — and the sharded
+//! [`ConcurrentAssignmentEngine::drain_parallel`], a forward to
+//! [`GreedyEngine::drain`].
 //!
 //! # Candidate cache
 //!
 //! * The cache stores, per task, the *base* per-slot candidates — the nearest
 //!   worker per slot under an **empty** ledger.  Only the re-planning entry
-//!   points ([`AssignmentEngine::assign_batch`],
-//!   [`AssignmentEngine::assign_spatiotemporal`]) use it; a drain computes
+//!   points ([`GreedyEngine::assign_batch`],
+//!   [`GreedyEngine::assign_spatiotemporal`]) use it; a drain computes
 //!   its one-shot arrivals directly.
 //! * The base depends only on the index, and the index only changes through
-//!   the engine's own mutation API ([`AssignmentEngine::insert_worker`] /
-//!   [`AssignmentEngine::remove_worker`] / [`AssignmentEngine::move_worker`])
+//!   the engine's own mutation API ([`GreedyEngine::insert_worker`] /
+//!   [`GreedyEngine::remove_worker`] / [`GreedyEngine::move_worker`])
 //!   or an index swap, each of which clears the cache — so a cached base is
 //!   always exact with respect to the current index.
 //! * At checkout the base is cloned and reconciled with the engine's current
@@ -38,10 +61,13 @@
 //! targets `(slot, worker)` — exactly the predicate of the serial scan — so
 //! the engine performs the *same* candidate refreshes, counts the *same*
 //! conflicts and executes the *same* subtasks in the same order.  On a fresh
-//! engine, [`AssignmentEngine::assign_batch`] is bit-identical to
+//! engine, [`GreedyEngine::assign_batch`] is bit-identical to
 //! [`crate::multi::rebuild::msqm_rebuild`] / [`crate::multi::rebuild::mmqm_rebuild`]
 //! (the pre-engine solvers, kept as the rebuild-per-call baseline); the
-//! equivalence is locked in by `tests/engine_equivalence.rs`.
+//! equivalence is locked in by `tests/engine_equivalence.rs`.  Both indexes
+//! answer every nearest-worker query bit-identically, so the two aliases
+//! commit the same plans with the same counters on the same history, for
+//! any shard grid (`tests/concurrent_equivalence.rs`).
 
 pub(crate) mod commit;
 pub mod concurrent;
@@ -50,14 +76,18 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use tcsc_core::{
-    CostModel, Domain, ExecutedSubtask, InterpolationWeights, Location, MultiAssignment,
-    QualityParams, SpatioTemporalEvaluator, Task, TaskId, Worker, WorkerId,
+    CandidateAssignment, CostModel, Domain, ExecutedSubtask, InterpolationWeights, Location,
+    MultiAssignment, QualityParams, SlotIndex, SpatioTemporalEvaluator, Task, TaskId, Worker,
+    WorkerId,
 };
-use tcsc_index::{IndexMutation, MutableSpatialIndex, SpatialQuery, WorkerIndex};
+use tcsc_index::{
+    IndexMutation, MutableSpatialIndex, ShardedWorkerIndex, SpatialQuery, WorkerIndex,
+};
 use tcsc_obs::{NoopRecorder, Recorder, Stopwatch};
 
-use crate::candidates::{SlotCandidates, WorkerLedger};
-use crate::engine::commit::{msqm_commit_loop, DenseBackend};
+use crate::candidates::{candidate_for_slot, SlotCandidates, WorkerLedger};
+use crate::engine::commit::{mmqm_commit_loop, msqm_commit_loop};
+pub use crate::engine::concurrent::ShardedLedger;
 use crate::multi::sapprox::SpatioTemporalObjective;
 use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
 pub use crate::multi::{RefreshStats, RefreshStrategy};
@@ -221,30 +251,16 @@ impl ChurnCounters {
     }
 }
 
-/// Per-task memo of base candidates for re-planning.
-///
-/// Maps a task to its *base* [`SlotCandidates`] — the per-slot nearest
-/// workers under an empty ledger.  Occupancy is reconciled at checkout by
-/// refreshing only the slots whose base candidate is currently occupied.
-///
-/// The memo pays off only when the same tasks are solved again (budget
-/// sweeps, objective comparisons), so only the re-planning entry points
-/// ([`AssignmentEngine::assign_batch`],
-/// [`AssignmentEngine::assign_spatiotemporal`]) consult it; drains compute
-/// their one-shot arrivals directly.  The base depends on the index alone,
-/// and every index change — a worker mutation or an index swap — clears the
-/// cache, so a cached base is always exact.
+/// Per-task memo of base candidates for re-planning: each task's *base*
+/// [`SlotCandidates`], the per-slot nearest workers under an empty ledger.
+/// See the [module docs](self) for who consults it and why a cached base is
+/// always exact.
 #[derive(Debug, Default)]
 pub struct CandidateCache {
     base: HashMap<TaskId, (Task, SlotCandidates)>,
 }
 
 impl CandidateCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of cached tasks.
     pub fn len(&self) -> usize {
         self.base.len()
@@ -286,22 +302,6 @@ impl CandidateCache {
         self.base.insert(task.id, (task.clone(), base.clone()));
         base
     }
-
-    /// Checks a task's working candidates out of the cache: the base
-    /// candidates of [`CandidateCache::checkout_base`], reconciled against
-    /// `ledger` by refreshing exactly the slots whose base candidate is
-    /// occupied.
-    pub fn checkout(
-        &mut self,
-        task: &Task,
-        index: &dyn SpatialQuery,
-        cost_model: &dyn CostModel,
-        ledger: &WorkerLedger,
-        stats: &mut CacheStats,
-    ) -> SlotCandidates {
-        let base = self.checkout_base(task, index, cost_model, stats);
-        reconcile(task, base, index, cost_model, ledger, stats)
-    }
 }
 
 /// A task's base candidates computed straight from the index, counted as a
@@ -320,55 +320,174 @@ pub(crate) fn compute_base(
 
 /// Reconciles base candidates with `ledger`: every slot whose base candidate
 /// is occupied is recomputed against the ledger, every other slot is kept.
-fn reconcile(
+fn reconcile<I, L: Occupancy<I>>(
     task: &Task,
     mut working: SlotCandidates,
-    index: &dyn SpatialQuery,
+    index: &I,
     cost_model: &dyn CostModel,
-    ledger: &WorkerLedger,
+    ledger: &L,
     stats: &mut CacheStats,
 ) -> SlotCandidates {
-    if !ledger.is_empty() {
-        for slot in 0..working.len() {
-            // A `None` base candidate means the slot has no worker at all;
-            // occupancy can only shrink availability, so it stays `None`.
-            let occupied = working
-                .get(slot)
-                .is_some_and(|c| ledger.is_occupied(slot, c.worker));
-            if occupied {
-                working.refresh_slot(task, slot, index, cost_model, ledger);
-                stats.slot_computations += 1;
-                stats.slot_refreshes += 1;
-            }
+    for slot in 0..working.len() {
+        // A `None` base candidate means the slot has no worker at all;
+        // occupancy can only shrink availability, so it stays `None`.
+        if working.get(slot).is_some_and(|c| ledger.is_taken(index, c)) {
+            working.set(slot, ledger.nearest_free(index, task, slot, cost_model));
+            stats.slot_computations += 1;
+            stats.slot_refreshes += 1;
         }
     }
     working
 }
 
-/// Long-lived batched / streaming multi-task assignment engine.
+/// A one-shot arrival's working candidates, checked out the way a drain
+/// checks them out: the base computed straight from the index (counted as a
+/// cache miss), then reconciled against `ledger`.
+pub fn checkout_one_shot<I: MutableSpatialIndex, L: Occupancy<I>>(
+    task: &Task,
+    index: &I,
+    cost_model: &dyn CostModel,
+    ledger: &L,
+    stats: &mut CacheStats,
+) -> SlotCandidates {
+    let base = compute_base(task, index, cost_model, stats);
+    reconcile(task, base, index, cost_model, ledger, stats)
+}
+
+/// Where `index` holds `worker` during `slot`, if it does.
+pub(crate) fn location_at(
+    index: &impl MutableSpatialIndex,
+    worker: WorkerId,
+    slot: SlotIndex,
+) -> Option<Location> {
+    let profile = index.worker_profile(worker)?;
+    profile
+        .entries
+        .into_iter()
+        .find(|(s, _)| *s == slot)
+        .map(|(_, at)| at)
+}
+
+/// The occupancy store of a [`GreedyEngine`] over index `I`: which
+/// `(slot, worker)` pairs are committed, and everything about them that
+/// depends on how the index lays its workers out.
 ///
-/// Owns (or borrows) the worker index, a persistent occupancy ledger and the
+/// [`WorkerLedger`] implements it for any [`MutableSpatialIndex`]
+/// (occupancy keyed on `(slot, worker)` alone); [`ShardedLedger`] implements it for the
+/// [`ShardedWorkerIndex`], routing each commitment to the tile owning the
+/// worker's location.
+pub trait Occupancy<I> {
+    /// An empty store laid out for `index`.
+    fn empty_for(index: &I) -> Self;
+
+    /// Number of `(slot, worker)` commitments held.
+    fn held(&self) -> usize;
+
+    /// Whether the candidate's worker is occupied at the candidate's slot.
+    fn is_taken(&self, index: &I, candidate: &CandidateAssignment) -> bool;
+
+    /// Occupies the candidate's `(slot, worker)`.
+    fn take(&mut self, index: &I, candidate: &CandidateAssignment);
+
+    /// Releases `worker`'s commitment at `slot`, routed by the worker's
+    /// current location in `index`.  Returns whether it was held.
+    fn release(&mut self, index: &I, slot: SlotIndex, worker: WorkerId) -> bool;
+
+    /// The nearest worker of `index` that is free during `slot`, priced for
+    /// `task`.
+    fn nearest_free(
+        &self,
+        index: &I,
+        task: &Task,
+        slot: SlotIndex,
+        cost_model: &dyn CostModel,
+    ) -> Option<CandidateAssignment>;
+
+    /// Moves a worker inside `index`, carrying along whatever of the store
+    /// depends on the worker's location.
+    fn relocate(&mut self, index: &mut I, id: WorkerId, to: Location) -> IndexMutation;
+
+    /// Re-routes every commitment through a freshly swapped-in `index`: a
+    /// commitment survives iff the index still holds its worker at its slot.
+    fn reroute(&mut self, index: &I);
+
+    /// Publishes the routing counters of one checkout of `tasks` (none by
+    /// default).
+    fn count_routing(&self, _index: &I, _tasks: &[Task], _obs: &impl Recorder) {}
+}
+
+/// The flat ledger is location-blind: moves leave it alone, and it serves
+/// any index through the occupancy-set k-NN query.
+impl<I: MutableSpatialIndex> Occupancy<I> for WorkerLedger {
+    fn empty_for(_index: &I) -> Self {
+        WorkerLedger::new()
+    }
+
+    fn held(&self) -> usize {
+        self.len()
+    }
+
+    fn is_taken(&self, _index: &I, candidate: &CandidateAssignment) -> bool {
+        self.is_occupied(candidate.slot, candidate.worker)
+    }
+
+    fn take(&mut self, _index: &I, candidate: &CandidateAssignment) {
+        self.occupy(candidate.slot, candidate.worker);
+    }
+
+    fn release(&mut self, _index: &I, slot: SlotIndex, worker: WorkerId) -> bool {
+        WorkerLedger::release(self, slot, worker)
+    }
+
+    fn nearest_free(
+        &self,
+        index: &I,
+        task: &Task,
+        slot: SlotIndex,
+        cost_model: &dyn CostModel,
+    ) -> Option<CandidateAssignment> {
+        candidate_for_slot(task, slot, index, cost_model, self)
+    }
+
+    fn relocate(&mut self, index: &mut I, id: WorkerId, to: Location) -> IndexMutation {
+        index.move_worker(id, to)
+    }
+
+    fn reroute(&mut self, index: &I) {
+        for (slot, worker) in self.commitments() {
+            if location_at(index, worker, slot).is_none() {
+                WorkerLedger::release(self, slot, worker);
+            }
+        }
+    }
+}
+
+/// Long-lived batched / streaming multi-task assignment engine over index
+/// `I` with occupancy store `L`; use it through [`AssignmentEngine`] or
+/// [`ConcurrentAssignmentEngine`].
+///
+/// Owns (or borrows) the worker index, a persistent occupancy store and the
 /// [`CandidateCache`]; see the [module docs](self) for the cache rules and
 /// the determinism argument.
 ///
-/// * [`AssignmentEngine::assign_batch`] solves one task batch against the
+/// * [`GreedyEngine::assign_batch`] solves one task batch against the
 ///   current ledger and commits the resulting occupancy.
-/// * [`AssignmentEngine::submit`] / [`AssignmentEngine::drain`] accept task
+/// * [`GreedyEngine::submit`] / [`GreedyEngine::drain`] accept task
 ///   arrivals across rounds and solve them batch-wise; occupancy persists
 ///   between rounds so a worker granted in round `r` is unavailable in round
 ///   `r + 1`.
-/// * [`AssignmentEngine::release_all`] frees every commitment (re-planning),
+/// * [`GreedyEngine::release_all`] frees every commitment (re-planning),
 ///   while the candidate cache keeps amortising index lookups.
 ///
 /// The engine is generic over a [`Recorder`]; the default
 /// [`NoopRecorder`] compiles every instrumentation site away
 /// (`R::IS_ENABLED` is a `const`), so observability is free unless a live
-/// session is attached via [`AssignmentEngine::with_recorder`].
-pub struct AssignmentEngine<'a, R: Recorder = NoopRecorder> {
-    index: Cow<'a, WorkerIndex>,
+/// session is attached via [`GreedyEngine::with_recorder`].
+pub struct GreedyEngine<'a, I: Clone, L, R: Recorder = NoopRecorder> {
+    index: Cow<'a, I>,
     cost_model: &'a dyn CostModel,
     config: MultiTaskConfig,
-    ledger: WorkerLedger,
+    ledger: L,
     cache: CandidateCache,
     pending: Vec<Task>,
     lifetime_stats: CacheStats,
@@ -376,33 +495,56 @@ pub struct AssignmentEngine<'a, R: Recorder = NoopRecorder> {
     obs: R,
 }
 
+/// The engine on the dense [`WorkerIndex`] with a flat [`WorkerLedger`].
+pub type AssignmentEngine<'a, R = NoopRecorder> = GreedyEngine<'a, WorkerIndex, WorkerLedger, R>;
+
+/// The engine on the [`ShardedWorkerIndex`] with a per-tile
+/// [`ShardedLedger`]; commits what [`AssignmentEngine`] commits on the same
+/// history, for any shard grid.
+pub type ConcurrentAssignmentEngine<'a, R = NoopRecorder> =
+    GreedyEngine<'a, ShardedWorkerIndex, ShardedLedger, R>;
+
 impl<'a> AssignmentEngine<'a> {
     /// An engine owning its worker index (the long-lived serving setup).
     pub fn new(index: WorkerIndex, cost_model: &'a dyn CostModel, config: MultiTaskConfig) -> Self {
         Self::from_cow(Cow::Owned(index), cost_model, config)
     }
+}
 
-    /// An engine borrowing a caller-owned worker index (the cheap,
-    /// per-call construction used by the [`crate::multi`] solver wrappers).
-    pub fn borrowed(
-        index: &'a WorkerIndex,
+impl<'a> ConcurrentAssignmentEngine<'a> {
+    /// An engine owning a sharded index.  `threads` is ignored: the engine
+    /// runs on the calling thread.
+    pub fn new(
+        index: ShardedWorkerIndex,
         cost_model: &'a dyn CostModel,
         config: MultiTaskConfig,
+        _threads: usize,
     ) -> Self {
+        Self::from_cow(Cow::Owned(index), cost_model, config)
+    }
+}
+
+impl<R: Recorder> ConcurrentAssignmentEngine<'_, R> {
+    /// Same as [`GreedyEngine::drain`].
+    pub fn drain_parallel(&mut self, objective: Objective) -> MultiOutcome {
+        self.drain(objective)
+    }
+}
+
+impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>> GreedyEngine<'a, I, L> {
+    /// An engine borrowing a caller-owned worker index (the cheap,
+    /// per-call construction used by the [`crate::multi`] solver wrappers).
+    pub fn borrowed(index: &'a I, cost_model: &'a dyn CostModel, config: MultiTaskConfig) -> Self {
         Self::from_cow(Cow::Borrowed(index), cost_model, config)
     }
 
-    fn from_cow(
-        index: Cow<'a, WorkerIndex>,
-        cost_model: &'a dyn CostModel,
-        config: MultiTaskConfig,
-    ) -> Self {
+    fn from_cow(index: Cow<'a, I>, cost_model: &'a dyn CostModel, config: MultiTaskConfig) -> Self {
         Self {
+            ledger: L::empty_for(&index),
             index,
             cost_model,
             config,
-            ledger: WorkerLedger::new(),
-            cache: CandidateCache::new(),
+            cache: CandidateCache::default(),
             pending: Vec::new(),
             lifetime_stats: CacheStats::default(),
             churn: ChurnCounters::default(),
@@ -411,13 +553,13 @@ impl<'a> AssignmentEngine<'a> {
     }
 }
 
-impl<'a, R: Recorder> AssignmentEngine<'a, R> {
+impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEngine<'a, I, L, R> {
     /// Rebinds the engine to a live recorder (checkout/commit spans, cache
     /// and refresh counters, batch-latency histograms).  The committed
     /// plans/conflicts/executions are bit-identical with any recorder —
     /// locked by `tests/obs_noop_equivalence.rs`.
-    pub fn with_recorder<R2: Recorder>(self, obs: R2) -> AssignmentEngine<'a, R2> {
-        AssignmentEngine {
+    pub fn with_recorder<R2: Recorder>(self, obs: R2) -> GreedyEngine<'a, I, L, R2> {
+        GreedyEngine {
             index: self.index,
             cost_model: self.cost_model,
             config: self.config,
@@ -436,27 +578,20 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
     /// equivalence-contract carrier).
     fn publish_metrics(&self, outcome: &MultiOutcome, batch_nanos: u64) {
         let stats = &outcome.stats;
-        self.obs.counter("cache.hits", stats.tasks_reused as u64);
-        self.obs
-            .counter("cache.misses", stats.tasks_computed as u64);
-        self.obs
-            .counter("engine.slot_computations", stats.slot_computations as u64);
-        self.obs
-            .counter("engine.slot_refreshes", stats.slot_refreshes as u64);
-        self.obs
-            .counter("engine.commit_rescores", stats.commit_rescores as u64);
-        self.obs
-            .counter("engine.full_refreshes", stats.full_refreshes as u64);
-        self.obs.counter(
-            "engine.incremental_patches",
-            stats.incremental_patches as u64,
-        );
-        self.obs
-            .counter("engine.stale_pops", stats.stale_pops as u64);
-        self.obs
-            .counter("engine.conflicts", outcome.conflicts as u64);
-        self.obs
-            .counter("engine.executions", outcome.executions as u64);
+        for (name, count) in [
+            ("cache.hits", stats.tasks_reused),
+            ("cache.misses", stats.tasks_computed),
+            ("engine.slot_computations", stats.slot_computations),
+            ("engine.slot_refreshes", stats.slot_refreshes),
+            ("engine.commit_rescores", stats.commit_rescores),
+            ("engine.full_refreshes", stats.full_refreshes),
+            ("engine.incremental_patches", stats.incremental_patches),
+            ("engine.stale_pops", stats.stale_pops),
+            ("engine.conflicts", outcome.conflicts),
+            ("engine.executions", outcome.executions),
+        ] {
+            self.obs.counter(name, count as u64);
+        }
         self.obs.value("engine.batch_ns", batch_nanos);
         self.obs.value("engine.warm_start_ns", stats.warm_nanos);
         if outcome.executions > 0 {
@@ -468,7 +603,7 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
     }
 
     /// The engine's worker index.
-    pub fn index(&self) -> &WorkerIndex {
+    pub fn index(&self) -> &I {
         &self.index
     }
 
@@ -482,8 +617,8 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
         self.config.budget = budget;
     }
 
-    /// The persistent occupancy ledger.
-    pub fn ledger(&self) -> &WorkerLedger {
+    /// The persistent occupancy store.
+    pub fn ledger(&self) -> &L {
         &self.ledger
     }
 
@@ -501,7 +636,7 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
     /// warm (re-planning the same scenario under a different budget or
     /// objective).
     pub fn release_all(&mut self) {
-        self.ledger.clear();
+        self.ledger = L::empty_for(&self.index);
     }
 
     /// Releases one committed plan's worker occupancies — the retired-task
@@ -514,12 +649,12 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
         let released = plan
             .executions
             .iter()
-            .filter(|exec| self.ledger.release(exec.slot, exec.worker))
+            .filter(|exec| self.ledger.release(&self.index, exec.slot, exec.worker))
             .count();
         if R::IS_ENABLED && released > 0 {
             self.obs.counter("engine.released", released as u64);
             self.obs
-                .gauge("engine.ledger_size", self.ledger.len() as u64);
+                .gauge("engine.ledger_size", self.ledger.held() as u64);
         }
         released
     }
@@ -538,25 +673,25 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
     /// its ledger commitments at every in-horizon slot and clearing the
     /// candidate cache.  Rejected and a no-op for an unknown id.
     pub fn remove_worker(&mut self, id: WorkerId) -> IndexMutation {
-        let profile = self.index.worker_profile(id);
-        let mutation = self.index.to_mut().remove_worker(id);
-        if mutation.applied {
-            if let Some(profile) = &profile {
-                for (slot, _) in &profile.entries {
-                    self.ledger.release(*slot, id);
-                }
+        // Release while the index still knows where the worker is: the
+        // sharded ledger routes each commitment by that location.
+        if let Some(profile) = self.index.worker_profile(id) {
+            for (slot, _) in &profile.entries {
+                self.ledger.release(&self.index, *slot, id);
             }
         }
+        let mutation = self.index.to_mut().remove_worker(id);
         self.note_mutation(&mutation);
         mutation
     }
 
     /// Moves a worker: every availability entry relocates to `to` inside the
-    /// index (a tile-local splice, not a rebuild), and the candidate cache is
-    /// cleared.  Ledger commitments are unaffected — the dense ledger keys on
-    /// `(slot, worker)` only.  Rejected and a no-op for an unknown id.
+    /// index (a tile-local splice, not a rebuild), the occupancy store
+    /// follows the move (the sharded ledger migrates the worker's
+    /// commitments when it crossed a tile) and the candidate cache is
+    /// cleared.  Rejected and a no-op for an unknown id.
     pub fn move_worker(&mut self, id: WorkerId, to: Location) -> IndexMutation {
-        let mutation = self.index.to_mut().move_worker(id, to);
+        let mutation = self.ledger.relocate(self.index.to_mut(), id, to);
         self.note_mutation(&mutation);
         mutation
     }
@@ -574,26 +709,14 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
     /// mutation API above replaces.  The candidate cache is dropped cold, and
     /// ledger commitments the new index no longer supports (worker absent, or
     /// no longer available at the slot) are released, matching what the
-    /// in-place path's `remove_worker` releases.  (An id removed and later
-    /// re-registered *with the same slot* is indistinguishable from one that
-    /// never left — avoid recycling worker ids across a rebuild.)
-    pub fn replace_index(&mut self, index: WorkerIndex) {
+    /// in-place path's `remove_worker` releases; the rest are re-routed
+    /// through the new index.  (An id removed and later re-registered *with
+    /// the same slot* is indistinguishable from one that never left — avoid
+    /// recycling worker ids across a rebuild.)
+    pub fn replace_index(&mut self, index: I) {
         self.index = Cow::Owned(index);
         self.cache.clear();
-        let retained: Vec<(usize, WorkerId)> = self
-            .ledger
-            .commitments()
-            .into_iter()
-            .filter(|(slot, worker)| {
-                self.index
-                    .worker_profile(*worker)
-                    .is_some_and(|p| p.entries.iter().any(|(s, _)| s == slot))
-            })
-            .collect();
-        self.ledger.clear();
-        for (slot, worker) in retained {
-            self.ledger.occupy(slot, worker);
-        }
+        self.ledger.reroute(&self.index);
     }
 
     /// The index-churn counters accumulated since the last drain.
@@ -601,7 +724,7 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
         self.churn
     }
 
-    /// Queues task arrivals for the next [`AssignmentEngine::drain`].
+    /// Queues task arrivals for the next [`GreedyEngine::drain`].
     pub fn submit(&mut self, tasks: impl IntoIterator<Item = Task>) {
         self.pending.extend(tasks);
         if R::IS_ENABLED {
@@ -618,13 +741,13 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
     /// Solves every pending task as one batch (in submission order) against
     /// the current ledger and commits the resulting occupancy.  Draining k
     /// submission rounds at once commits what one
-    /// [`AssignmentEngine::assign_batch`] call on the concatenated tasks
+    /// [`GreedyEngine::assign_batch`] call on the concatenated tasks
     /// commits.
     ///
     /// Streamed arrivals are one-shot: their plans are final and they never
     /// re-arrive, so a drain computes their candidates directly and never
     /// reads or fills the candidate cache.  (Re-planning workloads that *do*
-    /// re-solve the same tasks should use [`AssignmentEngine::assign_batch`],
+    /// re-solve the same tasks should use [`GreedyEngine::assign_batch`],
     /// which keeps the cache warm.)
     pub fn drain(&mut self, objective: Objective) -> MultiOutcome {
         let tasks = std::mem::take(&mut self.pending);
@@ -634,14 +757,12 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
         let outcome = self.solve(&tasks, objective, false);
         if R::IS_ENABLED {
             self.obs.end("engine.drain", tasks.len() as u64);
-        }
-        if R::IS_ENABLED {
             // Post-drain service levels: what is queued, held and cached
             // *now* — the SLO gauges a live dashboard samples per drain.
             self.obs
                 .gauge("engine.queue_depth", self.pending.len() as u64);
             self.obs
-                .gauge("engine.ledger_size", self.ledger.len() as u64);
+                .gauge("engine.ledger_size", self.ledger.held() as u64);
             self.obs
                 .gauge("engine.cache_entries", self.cache.len() as u64);
             let imbalance = self.index.occupancy_imbalance_milli();
@@ -682,44 +803,74 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
         outcome
     }
 
-    /// Checkout, then the MSQM or MMQM commit loop over the dense backend.
+    /// Each task's working candidates: the base (through the cache when
+    /// `cached`, else computed directly) reconciled against the current
+    /// ledger.
+    fn checkout(
+        &mut self,
+        tasks: &[Task],
+        cached: bool,
+        stats: &mut CacheStats,
+    ) -> Vec<SlotCandidates> {
+        if R::IS_ENABLED {
+            self.ledger.count_routing(&self.index, tasks, &self.obs);
+        }
+        let index = self.index.as_ref();
+        // Counted once per checkout: the sharded count locks every shard.
+        let occupied = self.ledger.held() > 0;
+        tasks
+            .iter()
+            .map(|task| {
+                let base = if cached {
+                    self.cache
+                        .checkout_base(task, index, self.cost_model, stats)
+                } else {
+                    compute_base(task, index, self.cost_model, stats)
+                };
+                if occupied {
+                    reconcile(task, base, index, self.cost_model, &self.ledger, stats)
+                } else {
+                    base
+                }
+            })
+            .collect()
+    }
+
+    /// Checkout, then the MSQM or MMQM commit loop.
     fn run(&mut self, tasks: &[Task], objective: Objective, cached: bool) -> MultiOutcome {
         let mut stats = CacheStats::default();
         if R::IS_ENABLED {
             self.obs.begin("engine.checkout", tasks.len() as u64);
         }
-        let index = self.index.as_ref();
-        let mut states: Vec<TaskState> = tasks
-            .iter()
-            .map(|task| {
-                let base = if cached {
-                    self.cache
-                        .checkout_base(task, index, self.cost_model, &mut stats)
-                } else {
-                    compute_base(task, index, self.cost_model, &mut stats)
-                };
-                let candidates =
-                    reconcile(task, base, index, self.cost_model, &self.ledger, &mut stats);
-                TaskState::from_candidates(task, candidates, &self.config)
-            })
+        let mut states: Vec<TaskState> = self
+            .checkout(tasks, cached, &mut stats)
+            .into_iter()
+            .zip(tasks)
+            .map(|(candidates, task)| TaskState::from_candidates(task, candidates, &self.config))
             .collect();
         if R::IS_ENABLED {
             self.obs.end("engine.checkout", tasks.len() as u64);
             self.obs.begin("engine.commit", tasks.len() as u64);
         }
-        let budget = self.config.budget;
-        let mut backend = DenseBackend {
-            index,
-            cost_model: self.cost_model,
-            ledger: &mut self.ledger,
-        };
+        let (index, budget) = (self.index.as_ref(), self.config.budget);
+        let ledger = &mut self.ledger;
         let (conflicts, executions) = match objective {
-            Objective::SumQuality => {
-                msqm_commit_loop(&mut states, budget, &mut backend, &mut stats)
-            }
-            Objective::MinQuality => {
-                commit::mmqm_commit_loop(&mut states, budget, &mut backend, &mut stats)
-            }
+            Objective::SumQuality => msqm_commit_loop(
+                &mut states,
+                budget,
+                index,
+                self.cost_model,
+                ledger,
+                &mut stats,
+            ),
+            Objective::MinQuality => mmqm_commit_loop(
+                &mut states,
+                budget,
+                index,
+                self.cost_model,
+                ledger,
+                &mut stats,
+            ),
         };
         if R::IS_ENABLED {
             self.obs.end("engine.commit", tasks.len() as u64);
@@ -790,18 +941,7 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
             *domain,
             weights,
         );
-        let mut candidates: Vec<SlotCandidates> = tasks
-            .iter()
-            .map(|t| {
-                self.cache.checkout(
-                    t,
-                    self.index.as_ref(),
-                    self.cost_model,
-                    &self.ledger,
-                    &mut stats,
-                )
-            })
-            .collect();
+        let mut candidates = self.checkout(tasks, true, &mut stats);
         let mut executions_log: Vec<Vec<ExecutedSubtask>> = vec![Vec::new(); tasks.len()];
         let mut remaining = config.budget;
         let mut conflicts = 0usize;
@@ -880,22 +1020,18 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
                 .get(slot)
                 .expect("selected candidate exists");
             // Worker conflict: fall back to the next nearest worker.
-            if self.ledger.is_occupied(slot, candidate.worker) {
+            if self.ledger.is_taken(&self.index, &candidate) {
                 conflicts += 1;
-                candidates[task_idx].refresh_slot(
-                    &tasks[task_idx],
+                candidates[task_idx].set(
                     slot,
-                    self.index.as_ref(),
-                    self.cost_model,
-                    &self.ledger,
+                    self.ledger
+                        .nearest_free(&self.index, &tasks[task_idx], slot, self.cost_model),
                 );
-                stats.slot_computations += 1;
-                stats.slot_refreshes += 1;
-                stats.rebuild_slot_computations += 1;
+                stats.count_conflict_refresh();
                 continue;
             }
             remaining -= cost;
-            self.ledger.occupy(slot, candidate.worker);
+            self.ledger.take(&self.index, &candidate);
             let reliability = if config.use_reliability {
                 candidate.reliability
             } else {
@@ -931,11 +1067,13 @@ impl<'a, R: Recorder> AssignmentEngine<'a, R> {
     }
 }
 
-impl<R: Recorder> std::fmt::Debug for AssignmentEngine<'_, R> {
+impl<I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> std::fmt::Debug
+    for GreedyEngine<'_, I, L, R>
+{
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AssignmentEngine")
+        f.debug_struct("GreedyEngine")
             .field("config", &self.config)
-            .field("ledger_commitments", &self.ledger.len())
+            .field("ledger_commitments", &self.ledger.held())
             .field("cache_entries", &self.cache.len())
             .field("pending", &self.pending.len())
             .field("lifetime_stats", &self.lifetime_stats)

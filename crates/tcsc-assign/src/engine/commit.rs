@@ -1,10 +1,10 @@
 //! The shared greedy commit loops.
 //!
 //! The MSQM holder-map loop and the MMQM lazy-heap loop each exist once, here,
-//! parameterized by a [`CommitBackend`]: the only thing the drivers (serial
-//! engine, sharded engine, rebuild baseline) differ in is *where occupancy
-//! lives* (a dense [`WorkerLedger`] vs the sharded per-tile ledgers) and
-//! therefore how a conflict-invalidated slot is refreshed.
+//! generic over the engine's [`Occupancy`] store: the only thing the drivers
+//! (the engine on either index, the rebuild baseline) differ in is *where
+//! occupancy lives* (a dense [`crate::WorkerLedger`] vs the sharded per-tile
+//! ledgers) and therefore how a conflict-invalidated slot is refreshed.
 //!
 //! The loops never compute candidates themselves — they call
 //! [`TaskState::best_candidate`], which dispatches on the task's
@@ -15,59 +15,11 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use tcsc_core::{CandidateAssignment, CostModel, SlotIndex, WorkerId};
-use tcsc_index::SpatialQuery;
+use tcsc_core::{CostModel, SlotIndex, WorkerId};
 
-use crate::candidates::WorkerLedger;
-use crate::engine::CacheStats;
+use crate::engine::{CacheStats, Occupancy};
 use crate::multi::rebuild::HeapEntry;
 use crate::multi::{TaskCandidate, TaskState};
-
-/// What a commit loop needs from its occupancy store: conflict checks,
-/// claims, and the post-conflict slot refresh.
-pub(crate) trait CommitBackend {
-    /// Whether the planned worker is already occupied at the planned slot.
-    fn is_occupied(&self, planned: &CandidateAssignment) -> bool;
-
-    /// Claims the planned `(slot, worker)` (the caller checked availability).
-    fn occupy(&mut self, planned: &CandidateAssignment);
-
-    /// Recomputes one slot's candidate against the current occupancy (the
-    /// conflict fallback), counting the refresh into `stats`.
-    fn refresh_conflict_slot(
-        &mut self,
-        state: &mut TaskState,
-        slot: SlotIndex,
-        stats: &mut CacheStats,
-    );
-}
-
-/// The dense-ledger backend of the serial engine and the rebuild baselines.
-pub(crate) struct DenseBackend<'a> {
-    pub index: &'a dyn SpatialQuery,
-    pub cost_model: &'a dyn CostModel,
-    pub ledger: &'a mut WorkerLedger,
-}
-
-impl CommitBackend for DenseBackend<'_> {
-    fn is_occupied(&self, planned: &CandidateAssignment) -> bool {
-        self.ledger.is_occupied(planned.slot, planned.worker)
-    }
-
-    fn occupy(&mut self, planned: &CandidateAssignment) {
-        self.ledger.occupy(planned.slot, planned.worker);
-    }
-
-    fn refresh_conflict_slot(
-        &mut self,
-        state: &mut TaskState,
-        slot: SlotIndex,
-        stats: &mut CacheStats,
-    ) {
-        state.refresh_slot(slot, self.index, self.cost_model, self.ledger);
-        stats.count_conflict_refresh();
-    }
-}
 
 /// Folds every state's refresh accounting into the run's stats (called once
 /// per finished commit loop; states are per-solve, so nothing double-counts).
@@ -130,19 +82,21 @@ impl HolderMap {
 
 /// The serial MSQM greedy over already-checked-out task states: repeatedly
 /// execute the globally best affordable `(gain / cost)` candidate, arbitrate
-/// worker conflicts through the backend and refresh exactly the invalidated
+/// worker conflicts through the occupancy store and refresh exactly the invalidated
 /// slots (the reverse holder map yields them without scanning the batch).
 /// Returns `(conflicts, executions)`.
 ///
-/// Every MSQM driver commits through this loop — the serial engine (and,
-/// through it, the group-parallel framework) and the sharded engine; their
-/// results can only differ through the candidates they feed in.  The
+/// Every MSQM driver commits through this loop — the engine on either index
+/// (and, through it, the group-parallel framework); their results can only
+/// differ through the candidates they feed in.  The
 /// equivalence suites (`engine_equivalence.rs`, `concurrent_equivalence.rs`)
 /// are the tripwire.
-pub(crate) fn msqm_commit_loop(
+pub(crate) fn msqm_commit_loop<I, L: Occupancy<I>>(
     states: &mut [TaskState],
     budget: f64,
-    backend: &mut dyn CommitBackend,
+    index: &I,
+    cost_model: &dyn CostModel,
+    ledger: &mut L,
     stats: &mut CacheStats,
 ) -> (usize, usize) {
     let mut remaining = budget;
@@ -217,18 +171,21 @@ pub(crate) fn msqm_commit_loop(
             .candidates
             .get(candidate.slot)
             .expect("candidate slot has a planned worker");
-        if backend.is_occupied(&planned) {
+        if ledger.is_taken(index, &planned) {
             // Conflict: fall back to the next nearest worker and retry.
             conflicts += 1;
             holders.deregister(task_idx);
             cached[task_idx] = None;
-            backend.refresh_conflict_slot(&mut states[task_idx], candidate.slot, stats);
+            let refreshed =
+                ledger.nearest_free(index, &states[task_idx].task, candidate.slot, cost_model);
+            states[task_idx].set_candidate(candidate.slot, refreshed);
+            stats.count_conflict_refresh();
             continue;
         }
 
         // Execute.
         remaining -= candidate.cost;
-        backend.occupy(&planned);
+        ledger.take(index, &planned);
         states[task_idx].execute(candidate.slot);
         executions += 1;
         holders.deregister(task_idx);
@@ -245,7 +202,9 @@ pub(crate) fn msqm_commit_loop(
         for i in losers {
             conflicts += 1;
             cached[i] = None;
-            backend.refresh_conflict_slot(&mut states[i], candidate.slot, stats);
+            let refreshed = ledger.nearest_free(index, &states[i].task, candidate.slot, cost_model);
+            states[i].set_candidate(candidate.slot, refreshed);
+            stats.count_conflict_refresh();
         }
     }
 
@@ -254,17 +213,20 @@ pub(crate) fn msqm_commit_loop(
 }
 
 /// The MMQM lazy-heap greedy: repeatedly reinforce the weakest task with its
-/// best affordable candidate, arbitrating conflicts through the backend.
+/// best affordable candidate, arbitrating conflicts through the occupancy
+/// store.
 /// Heap entries are lazily refreshed — a popped entry whose quality no longer
 /// matches the task is re-pushed with the current quality instead of being
 /// trusted.  Returns `(conflicts, executions)`.
 ///
-/// The single implementation behind the serial engine, the rebuild baseline
-/// and the sharded engine.
-pub(crate) fn mmqm_commit_loop(
+/// The single implementation behind the engine on either index and the
+/// rebuild baseline.
+pub(crate) fn mmqm_commit_loop<I, L: Occupancy<I>>(
     states: &mut [TaskState],
     budget: f64,
-    backend: &mut dyn CommitBackend,
+    index: &I,
+    cost_model: &dyn CostModel,
+    ledger: &mut L,
     stats: &mut CacheStats,
 ) -> (usize, usize) {
     let mut remaining = budget;
@@ -304,15 +266,18 @@ pub(crate) fn mmqm_commit_loop(
             .candidates
             .get(candidate.slot)
             .expect("candidate slot has a planned worker");
-        if backend.is_occupied(&planned) {
+        if ledger.is_taken(index, &planned) {
             conflicts += 1;
-            backend.refresh_conflict_slot(&mut states[task_idx], candidate.slot, stats);
+            let refreshed =
+                ledger.nearest_free(index, &states[task_idx].task, candidate.slot, cost_model);
+            states[task_idx].set_candidate(candidate.slot, refreshed);
+            stats.count_conflict_refresh();
             heap.push(Reverse(HeapEntry(states[task_idx].quality(), task_idx)));
             continue;
         }
 
         remaining -= candidate.cost;
-        backend.occupy(&planned);
+        ledger.take(index, &planned);
         states[task_idx].execute(candidate.slot);
         executions += 1;
         heap.push(Reverse(HeapEntry(states[task_idx].quality(), task_idx)));

@@ -15,11 +15,12 @@
 //!   runs the MSQM, MMQM and `SApprox` greedies: `assign_batch` /
 //!   `assign_spatiotemporal` for re-planning (a per-task candidate memo
 //!   amortises index lookups across calls) and `submit`/`drain` for
-//!   streamed arrivals;
-//! * [`engine::concurrent`] — the same serial greedy over a sharded worker
-//!   index, with occupancy kept in per-shard ledgers; `assign_batch_parallel`
-//!   / `drain_parallel` are bit-identical to the serial engine for any shard
-//!   grid.
+//!   streamed arrivals.  One [`GreedyEngine`] serves both indexes through
+//!   two aliases: [`AssignmentEngine`] on the dense index and
+//!   [`ConcurrentAssignmentEngine`] on the sharded one, bit-identical for
+//!   any shard grid;
+//! * [`engine::concurrent`] — the sharded index's occupancy store, with
+//!   commitments kept in per-tile ledgers.
 //!
 //! ## Quick example
 //!
@@ -51,8 +52,10 @@ pub mod multi;
 pub mod single;
 
 pub use candidates::{SlotCandidates, WorkerLedger};
-pub use engine::concurrent::{ConcurrentAssignmentEngine, ShardedLedger};
-pub use engine::{AssignmentEngine, CacheStats, CandidateCache, ChurnCounters, Objective};
+pub use engine::{
+    checkout_one_shot, AssignmentEngine, CacheStats, CandidateCache, ChurnCounters,
+    ConcurrentAssignmentEngine, GreedyEngine, Objective, Occupancy, ShardedLedger,
+};
 pub use multi::conflict::{independence_graph, IndependenceGraph};
 pub use multi::gain::GainLedger;
 pub use multi::group_parallel::{msqm_group_parallel, GroupParallelOutcome};

@@ -1,7 +1,7 @@
 //! Incremental-gain maintenance for the greedy commit loops.
 //!
-//! Every multi-task driver (serial engine, concurrent engine, task-parallel
-//! master, simulated cluster) repeatedly asks one question of a task: *"what
+//! Every multi-task driver (the engine on either index, the task-parallel
+//! master, the simulated cluster) repeatedly asks one question of a task: *"what
 //! is your best affordable `(gain / cost)` execution right now?"*.  The
 //! original answer — [`RefreshStrategy::Full`] — recomputes it from scratch
 //! on every call: a V-tree best-first search (or a plain scan) over the whole

@@ -20,7 +20,7 @@ use tcsc_core::{
 };
 use tcsc_index::{SearchStats, SpatialQuery, VTree, VTreeConfig};
 
-use crate::candidates::{SlotCandidates, WorkerLedger};
+use crate::candidates::{candidate_for_slot, SlotCandidates, WorkerLedger};
 use crate::engine::CacheStats;
 use crate::multi::gain::{EntryState, GainLedger};
 pub use crate::multi::gain::{RefreshStats, RefreshStrategy};
@@ -449,18 +449,13 @@ impl TaskState {
         cost_model: &dyn CostModel,
         ledger: &WorkerLedger,
     ) {
-        self.candidates
-            .refresh_slot(&self.task, slot, index, cost_model, ledger);
-        if let Some(tree) = &mut self.tree {
-            tree.update_cost(&self.evaluator, slot, self.candidates.cost(slot));
-        }
-        self.patch_gain_slot(slot);
+        let candidate = candidate_for_slot(&self.task, slot, index, cost_model, ledger);
+        self.set_candidate(slot, candidate);
     }
 
-    /// Replaces the candidate of one slot directly (the entry point used by
-    /// the concurrent engine, whose refreshes go through the sharded ledger
-    /// rather than a dense [`WorkerLedger`]), keeping the tree's cost
-    /// aggregates in sync.
+    /// Replaces the candidate of one slot directly (the entry point of the
+    /// engine's commit loops, whose refreshes go through its occupancy
+    /// store), keeping the tree's cost aggregates in sync.
     pub fn set_candidate(
         &mut self,
         slot: SlotIndex,

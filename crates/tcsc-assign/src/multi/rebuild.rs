@@ -18,7 +18,7 @@ use tcsc_core::{CostModel, MultiAssignment, Task};
 use tcsc_index::WorkerIndex;
 
 use crate::candidates::WorkerLedger;
-use crate::engine::commit::{absorb_refresh_stats, mmqm_commit_loop, DenseBackend};
+use crate::engine::commit::{absorb_refresh_stats, mmqm_commit_loop};
 use crate::engine::CacheStats;
 use crate::multi::{MultiOutcome, MultiTaskConfig, RefreshStrategy, TaskCandidate, TaskState};
 
@@ -179,13 +179,14 @@ pub fn mmqm_rebuild(
     let mut stats = CacheStats::default();
     let mut states = rebuild_states(tasks, index, cost_model, config, &mut stats);
     let mut ledger = WorkerLedger::new();
-    let mut backend = DenseBackend {
+    let (conflicts, executions) = mmqm_commit_loop(
+        &mut states,
+        config.budget,
         index,
         cost_model,
-        ledger: &mut ledger,
-    };
-    let (conflicts, executions) =
-        mmqm_commit_loop(&mut states, config.budget, &mut backend, &mut stats);
+        &mut ledger,
+        &mut stats,
+    );
 
     let assignment = MultiAssignment::new(states.into_iter().map(TaskState::into_plan).collect());
     MultiOutcome {

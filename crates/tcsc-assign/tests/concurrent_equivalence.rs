@@ -1,11 +1,10 @@
 //! Sharded-engine equivalence: [`ConcurrentAssignmentEngine`] must be
-//! **bit-identical** to the dense-index [`AssignmentEngine`] on the seeded
-//! scenario presets and on random small instances, for every shard grid and
-//! every (ignored) thread count, in both the batch and the streaming serving
-//! modes: plans, conflicts and executions always, and the cache counters
-//! wherever the serial engine computes every task too (a fresh engine, a
-//! drain).  This is the acceptance bar of the sharding subsystem: sharding
-//! is allowed to change *where* occupancy lives, never *what* is decided.
+//! **bit-identical** — plans, conflicts, executions *and* cache counters —
+//! to the dense-index [`AssignmentEngine`] on the seeded scenario presets and
+//! on random small instances, for every shard grid and every (ignored)
+//! thread count, in both the batch and the streaming serving modes.  This is
+//! the acceptance bar of the sharding subsystem: sharding is allowed to
+//! change *where* occupancy lives, never *what* is decided.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -62,8 +61,8 @@ fn grids() -> Vec<ShardGridConfig> {
     ]
 }
 
-/// Plans, conflicts and executions agree.
-fn assert_same_plan(label: &str, parallel: &MultiOutcome, serial: &MultiOutcome) {
+/// Full bit-identity, including the candidate-computation counters.
+fn assert_identical(label: &str, parallel: &MultiOutcome, serial: &MultiOutcome) {
     assert_eq!(
         parallel.assignment, serial.assignment,
         "{label}: plans differ"
@@ -76,11 +75,6 @@ fn assert_same_plan(label: &str, parallel: &MultiOutcome, serial: &MultiOutcome)
         parallel.executions, serial.executions,
         "{label}: execution counts differ"
     );
-}
-
-/// Full bit-identity, including the candidate-computation counters.
-fn assert_identical(label: &str, parallel: &MultiOutcome, serial: &MultiOutcome) {
-    assert_same_plan(label, parallel, serial);
     assert_eq!(
         parallel.stats, serial.stats,
         "{label}: cache counters differ"
@@ -98,7 +92,7 @@ fn batch_assign_matches_the_serial_engine_on_every_preset() {
                 let serial =
                     AssignmentEngine::borrowed(&dense, &cost, cfg).assign_batch(&tasks, objective);
                 let mut engine = ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 4);
-                let parallel = engine.assign_batch_parallel(&tasks, objective);
+                let parallel = engine.assign_batch(&tasks, objective);
                 assert_identical(
                     &format!("preset {i}, {grid:?}, {objective:?}"),
                     &parallel,
@@ -144,7 +138,7 @@ fn batch_assign_matches_the_serial_engine_on_every_preset() {
         let serial = AssignmentEngine::borrowed(&dense, &cost, cfg)
             .assign_batch(&tasks, Objective::SumQuality);
         let mut engine = ConcurrentAssignmentEngine::new(sharded, &cost, cfg, threads);
-        let parallel = engine.assign_batch_parallel(&tasks, Objective::SumQuality);
+        let parallel = engine.assign_batch(&tasks, Objective::SumQuality);
         assert_identical(
             &format!("seed {seed}, {grid:?}, threads {threads}"),
             &parallel,
@@ -166,7 +160,7 @@ fn thread_counts_are_interchangeable() {
         AssignmentEngine::borrowed(&dense, &cost, cfg).assign_batch(&tasks, Objective::SumQuality);
     for threads in [1, 2, 3, 8, 32] {
         let mut engine = ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, threads);
-        let parallel = engine.assign_batch_parallel(&tasks, Objective::SumQuality);
+        let parallel = engine.assign_batch(&tasks, Objective::SumQuality);
         assert_identical(&format!("threads={threads}"), &parallel, &serial);
     }
 }
@@ -195,7 +189,7 @@ fn streaming_drains_match_the_serial_engine_round_by_round() {
             serial.submit(round.clone());
             parallel.submit(round.clone());
             let a = serial.drain(objective);
-            let b = parallel.drain_parallel(objective);
+            let b = parallel.drain(objective);
             assert_identical(&format!("round {r}, {objective:?}"), &b, &a);
         }
         assert_eq!(serial.ledger().len(), parallel.ledger().len());
@@ -204,10 +198,9 @@ fn streaming_drains_match_the_serial_engine_round_by_round() {
 
 #[test]
 fn replanning_reuses_the_shard_caches_and_stays_identical() {
-    // Budget sweep over one batch: the sharded engine recomputes every task
-    // on every solve while the serial engine serves re-plans from its
-    // candidate memo, and both must commit the same plans in every round.
-    // Their counters agree only on the cold first solve.
+    // Budget sweep over one batch: both engines serve re-plans from their
+    // candidate memo, and must commit the same plans with the same counters
+    // in every round.
     let cost = EuclideanCost::default();
     let preset = ScenarioConfig::small()
         .with_placement(TaskPlacement::Synthetic(SpatialDistribution::region_grid(
@@ -224,12 +217,12 @@ fn replanning_reuses_the_shard_caches_and_stays_identical() {
         serial.set_budget(budget);
         parallel.set_budget(budget);
         let a = serial.assign_batch(&tasks, Objective::SumQuality);
-        let b = parallel.assign_batch_parallel(&tasks, Objective::SumQuality);
-        let label = format!("budget {budget}");
-        if round == 0 {
-            assert_identical(&label, &b, &a);
-        } else {
-            assert_same_plan(&label, &b, &a);
+        let b = parallel.assign_batch(&tasks, Objective::SumQuality);
+        assert_identical(&format!("budget {budget}"), &b, &a);
+        if round == 1 {
+            assert_eq!(b.stats.tasks_reused, tasks.len(), "the re-plan hits");
         }
     }
+    assert_eq!(serial.stats(), parallel.stats(), "lifetime counters differ");
+    assert_eq!(serial.cache().len(), parallel.cache().len());
 }

@@ -1,9 +1,8 @@
 //! Engine-level rebuild equivalence of the mutable worker index: applying
 //! seeded insert/remove/move tapes to *live* engines (warm candidate caches,
 //! persistent ledgers) must reproduce — bit for bit — the plans of engines
-//! that **rebuild their index from scratch** after every tape, for both the
-//! serial dense engine (`replace_index`) and the concurrent sharded engine
-//! (`rebuild_index`).
+//! that **rebuild their index from scratch** after every tape
+//! (`replace_index`), on both the dense and the sharded index.
 //!
 //! This is the assignment-layer counterpart of `tcsc-index`'s
 //! `mutable_index_fuzz`: the index fuzz locks query-level equivalence, this
@@ -157,8 +156,8 @@ fn mutated_engines_match_rebuilt_engines_on_replanning() {
             let ctx = format!("seed {seed}, round {round}");
             let a = serial_mut.assign_batch(&scenario.tasks, Objective::SumQuality);
             let b = serial_reb.assign_batch(&scenario.tasks, Objective::SumQuality);
-            let c = conc_mut.assign_batch_parallel(&scenario.tasks, Objective::SumQuality);
-            let d = conc_reb.assign_batch_parallel(&scenario.tasks, Objective::SumQuality);
+            let c = conc_mut.assign_batch(&scenario.tasks, Objective::SumQuality);
+            let d = conc_reb.assign_batch(&scenario.tasks, Objective::SumQuality);
             for (label, other) in [
                 ("serial-rebuild", &b),
                 ("conc-mutate", &c),
@@ -178,7 +177,7 @@ fn mutated_engines_match_rebuilt_engines_on_replanning() {
             apply_concurrent(&mut conc_mut, &tape);
             let pool = WorkerPool::new(mirror.clone());
             serial_reb.replace_index(WorkerIndex::build(&pool, num_slots, &domain));
-            conc_reb.rebuild_index(ShardedWorkerIndex::build(&pool, num_slots, &domain, grid));
+            conc_reb.replace_index(ShardedWorkerIndex::build(&pool, num_slots, &domain, grid));
         }
     }
 }
@@ -225,8 +224,8 @@ fn mutated_engines_match_rebuilt_engines_across_drains() {
             conc_mut.submit(batch.to_vec());
             conc_reb.submit(batch.to_vec());
             let a = serial_mut.drain(Objective::SumQuality);
-            let b = conc_mut.drain_parallel(Objective::SumQuality);
-            let c = conc_reb.drain_parallel(Objective::SumQuality);
+            let b = conc_mut.drain(Objective::SumQuality);
+            let c = conc_reb.drain(Objective::SumQuality);
             for (label, other) in [("conc-mutate", &b), ("conc-rebuild", &c)] {
                 assert_eq!(a.assignment, other.assignment, "{ctx}: {label} plans");
                 assert_eq!(a.conflicts, other.conflicts, "{ctx}: {label} conflicts");
@@ -239,7 +238,7 @@ fn mutated_engines_match_rebuilt_engines_across_drains() {
             apply_serial(&mut serial_mut, &tape);
             apply_concurrent(&mut conc_mut, &tape);
             let pool = WorkerPool::new(mirror.clone());
-            conc_reb.rebuild_index(ShardedWorkerIndex::build(&pool, num_slots, &domain, grid));
+            conc_reb.replace_index(ShardedWorkerIndex::build(&pool, num_slots, &domain, grid));
         }
     }
 }

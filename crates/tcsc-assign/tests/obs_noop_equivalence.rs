@@ -145,13 +145,13 @@ fn concurrent_engine_is_bit_identical_with_recorder_attached() {
         let cfg = MultiTaskConfig::new(config.budget);
         let mut plain = ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 4);
         plain.submit(tasks.clone());
-        let reference = plain.drain_parallel(Objective::SumQuality);
+        let reference = plain.drain(Objective::SumQuality);
 
         let session = ObsSession::wall();
         let mut observed =
             ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 4).with_recorder(&session);
         observed.submit(tasks.clone());
-        let outcome = observed.drain_parallel(Objective::SumQuality);
+        let outcome = observed.drain(Objective::SumQuality);
 
         assert_eq!(reference.assignment, outcome.assignment);
         assert_eq!(reference.conflicts, outcome.conflicts);
@@ -160,6 +160,16 @@ fn concurrent_engine_is_bit_identical_with_recorder_attached() {
         let metrics = session.metrics();
         assert!(metrics.counter_value("router.tile_visits") > 0);
         assert!(metrics.counter_value("router.tasks_routed") >= tasks.len() as u64);
+        // The sharded alias emits the dense engine's spans and counters.
+        assert_eq!(
+            metrics.counter_value("engine.executions"),
+            outcome.executions as u64
+        );
+        let profile = tcsc_obs::profile_spans(&session.merged_events());
+        for leaf in ["engine.checkout", "engine.commit"] {
+            let path = format!("engine.drain;engine.assign_batch;{leaf}");
+            assert!(profile.get(&path).is_some(), "no {path} span");
+        }
     }
 }
 

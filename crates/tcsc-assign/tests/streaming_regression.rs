@@ -1,8 +1,8 @@
-//! Regression lock for the streaming engines: `drain_parallel` followed by
-//! `submit` of tasks in an already-drained region must not replay stale
-//! candidates — the serial engine's drains bypass its candidate cache and the
-//! sharded engine keeps none, so a re-arriving task id (same or changed
-//! content) is solved from fresh candidates against the persisted occupancy.
+//! Regression lock for the streaming engines: `drain` followed by `submit` of
+//! tasks in an already-drained region must not replay stale candidates —
+//! drains bypass the candidate cache on either index, so a re-arriving task
+//! id (same or changed content) is solved from fresh candidates against the
+//! persisted occupancy.
 
 use tcsc_assign::{AssignmentEngine, ConcurrentAssignmentEngine, MultiTaskConfig, Objective};
 use tcsc_core::{EuclideanCost, Location};
@@ -44,7 +44,7 @@ fn submit_after_drain_in_a_drained_region_matches_the_serial_engine() {
         serial.submit(tasks.clone());
         concurrent.submit(tasks.clone());
         let s = serial.drain(Objective::SumQuality);
-        let c = concurrent.drain_parallel(Objective::SumQuality);
+        let c = concurrent.drain(Objective::SumQuality);
         assert_eq!(
             s.assignment, c.assignment,
             "plans diverged in round {round}"
@@ -83,14 +83,14 @@ fn re_submitted_task_id_is_not_served_from_a_stale_cache_entry() {
     serial.submit(round1.clone());
     concurrent.submit(round1.clone());
     serial.drain(Objective::SumQuality);
-    concurrent.drain_parallel(Objective::SumQuality);
+    concurrent.drain(Objective::SumQuality);
 
     // Unchanged re-arrival of the drained round's first task.
     let replay = vec![round1[0].clone()];
     serial.submit(replay.clone());
     concurrent.submit(replay.clone());
     let s = serial.drain(Objective::SumQuality);
-    let c = concurrent.drain_parallel(Objective::SumQuality);
+    let c = concurrent.drain(Objective::SumQuality);
     assert_eq!(s.assignment, c.assignment, "unchanged re-arrival diverged");
     assert_eq!(s.stats, c.stats);
 
@@ -103,7 +103,7 @@ fn re_submitted_task_id_is_not_served_from_a_stale_cache_entry() {
     serial.submit(vec![moved.clone()]);
     concurrent.submit(vec![moved.clone()]);
     let s = serial.drain(Objective::SumQuality);
-    let c = concurrent.drain_parallel(Objective::SumQuality);
+    let c = concurrent.drain(Objective::SumQuality);
     assert_eq!(s.assignment, c.assignment, "moved re-arrival diverged");
     assert_eq!(s.conflicts, c.conflicts);
     assert_eq!(s.stats, c.stats);
@@ -111,10 +111,10 @@ fn re_submitted_task_id_is_not_served_from_a_stale_cache_entry() {
     // with a fresh engine fed the exact same history; lock that in too.
     let mut fresh = ConcurrentAssignmentEngine::new(sharded, &cost, cfg, 2);
     fresh.submit(round1.clone());
-    fresh.drain_parallel(Objective::SumQuality);
+    fresh.drain(Objective::SumQuality);
     fresh.submit(replay);
-    fresh.drain_parallel(Objective::SumQuality);
+    fresh.drain(Objective::SumQuality);
     fresh.submit(vec![moved]);
-    let f = fresh.drain_parallel(Objective::SumQuality);
+    let f = fresh.drain(Objective::SumQuality);
     assert_eq!(f.assignment, c.assignment);
 }

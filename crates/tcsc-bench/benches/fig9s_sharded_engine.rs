@@ -112,7 +112,7 @@ fn bench_sharded_engine(c: &mut Criterion) {
     group.bench_function("concurrent_engine_batch", |b| {
         b.iter(|| {
             ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 1)
-                .assign_batch_parallel(&tasks, Objective::SumQuality)
+                .assign_batch(&tasks, Objective::SumQuality)
         })
     });
     group.bench_function("concurrent_engine_streaming_drains", |b| {
@@ -120,7 +120,7 @@ fn bench_sharded_engine(c: &mut Criterion) {
             let mut engine = ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 1);
             for round in &streaming.rounds {
                 engine.submit(round.clone());
-                engine.drain_parallel(Objective::SumQuality);
+                engine.drain(Objective::SumQuality);
             }
         })
     });

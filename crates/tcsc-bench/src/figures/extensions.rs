@@ -90,7 +90,7 @@ pub(super) fn fig9s_sized(
     });
     let concurrent_ms = best_of(runs, || {
         ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 1)
-            .assign_batch_parallel(&tasks, Objective::SumQuality)
+            .assign_batch(&tasks, Objective::SumQuality)
     });
     rows.push(Row::new(
         "engine",
@@ -1107,7 +1107,7 @@ fn fig9mob_service_run(
             if let (MobMaintenance::Rebuild, true) = (&mode, stale) {
                 let (_, ms) = timed(|| {
                     let rebuilt = tcsc_core::WorkerPool::new(mirror.clone());
-                    engine.rebuild_index(ShardedWorkerIndex::build(
+                    engine.replace_index(ShardedWorkerIndex::build(
                         &rebuilt, num_slots, &domain, grid,
                     ));
                 });
@@ -1116,7 +1116,7 @@ fn fig9mob_service_run(
                 stale = false;
             }
             engine.submit(backlog.drain(..take));
-            let outcome = engine.drain_parallel(Objective::SumQuality);
+            let outcome = engine.drain(Objective::SumQuality);
             run.drains += 1;
             run.executions += outcome.executions as u64;
             run.plan_hash = fold_plan_hash(run.plan_hash, tcsc_sim::plan_hash(&outcome.assignment));

@@ -140,14 +140,6 @@ pub struct ShardedWorkerIndex {
     available: Vec<usize>,
     /// Who is indexed where: the lookup that makes remove/move tile-local.
     registry: WorkerRegistry,
-    /// Per-spatial-tile mutation counters: `tile_versions[tile]` bumps every
-    /// time one of the tile's buckets is spliced.  Pure-geometry bounds (the
-    /// k-th-distance tile pruning) never change under mutation — the
-    /// versions let cache layers detect *content* churn per tile without
-    /// diffing buckets.
-    tile_versions: Vec<u64>,
-    /// Global mutation counter (total bucket splices over the index's life).
-    version: u64,
     /// Total indexed `(worker, slot)` entries.
     indexed_entries: usize,
 }
@@ -182,8 +174,6 @@ impl ShardedWorkerIndex {
             num_slots,
             available: Vec::new(),
             registry: WorkerRegistry::from_pool(pool, num_slots),
-            tile_versions: vec![0; config.num_tiles()],
-            version: 0,
             indexed_entries: 0,
         };
         // Pool iteration is worker-id ascending, so every per-slot bucket
@@ -355,22 +345,7 @@ impl ShardedWorkerIndex {
         };
         self.available[slot] = self.available[slot] + after - before;
         self.indexed_entries = self.indexed_entries + after - before;
-        self.tile_versions[tile] += 1;
-        self.version += 1;
         after
-    }
-
-    /// The mutation counter of one spatial tile: bumps on every splice of
-    /// one of the tile's buckets (any time range).  See the `tile_versions`
-    /// field for why the geometric pruning bounds need no such counter.
-    pub fn tile_version(&self, tile: usize) -> u64 {
-        self.tile_versions.get(tile).copied().unwrap_or(0)
-    }
-
-    /// Global mutation counter: total bucket splices over the index's life
-    /// (0 for a freshly built index).
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Lower bound on the distance from `query` to any worker in a tile NOT
@@ -944,7 +919,6 @@ mod tests {
             ShardedWorkerIndex::build(&pool, 2, &Domain::square(10.0), ShardGridConfig::new(2, 2));
         assert_eq!(index.total_workers(), 3);
         assert_eq!(index.indexed_entries(), 3);
-        assert_eq!(index.version(), 0);
 
         // Insert: a new worker becomes queryable; duplicates are rejected.
         let w = Worker::new(
@@ -984,24 +958,6 @@ mod tests {
                 .move_worker(WorkerId(9), Location::new(1.0, 1.0))
                 .applied
         );
-    }
-
-    #[test]
-    fn tile_versions_bump_only_on_touched_tiles() {
-        let pool = pool_of(&[(0, 1.0, 1.0), (0, 9.0, 9.0)]);
-        let mut index =
-            ShardedWorkerIndex::build(&pool, 1, &Domain::square(10.0), ShardGridConfig::new(2, 2));
-        let home = index.spatial_shard_of(&Location::new(1.0, 1.0));
-        let far = index.spatial_shard_of(&Location::new(9.0, 9.0));
-        // In-tile drift: only the home tile's version bumps.
-        index.move_worker(WorkerId(0), Location::new(2.0, 2.0));
-        assert_eq!(index.tile_version(home), 1);
-        assert_eq!(index.tile_version(far), 0);
-        // Cross-tile move: both the source and destination tiles bump.
-        index.move_worker(WorkerId(0), Location::new(8.0, 8.0));
-        assert_eq!(index.tile_version(home), 2);
-        assert_eq!(index.tile_version(far), 1);
-        assert_eq!(index.version(), 3);
     }
 
     #[test]

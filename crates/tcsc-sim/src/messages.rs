@@ -20,9 +20,9 @@ pub enum NetMessage {
         /// `(global task index, task)` pairs, in arrival order.
         entries: Vec<(usize, Task)>,
     },
-    /// Dispatcher → region node: check the listed tasks out of the node's
-    /// shard caches, reconciling against the master's committed-occupancy
-    /// snapshot (non-empty from the second round on).
+    /// Dispatcher → region node: check the listed tasks out against the
+    /// replicated index, reconciling against the master's
+    /// committed-occupancy snapshot (non-empty from the second round on).
     Checkout {
         /// `(global task index, task)` pairs homed in this node's shards.
         entries: Vec<(usize, Task)>,

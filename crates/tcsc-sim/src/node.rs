@@ -1,15 +1,18 @@
 //! The region-node and worker-pool components.
 //!
 //! A [`RegionNode`] owns a subset of the spatial shards: for each owned shard
-//! it holds a [`CandidateCache`] and a ledger partition of the sharded
-//! occupancy, plus the [`TaskOwner`] states of every task homed in its
-//! shards.  It answers the three message families of the runtime:
+//! it holds a ledger partition of the sharded occupancy, plus the
+//! [`TaskOwner`] states of every task homed in its shards.  It answers the
+//! three message families of the runtime:
 //!
-//! * **checkout** — build task states from the shard caches, reconciled
-//!   against the dispatcher's committed-occupancy snapshot;
+//! * **checkout** — build task states from candidates computed against the
+//!   replicated index and reconciled against the dispatcher's
+//!   committed-occupancy snapshot, the one-shot checkout of an engine drain
+//!   (every task of a [`crate::SimBatch`] is checked out once, so a per-node
+//!   candidate memo would never hit);
 //! * **candidate** — the [`tcsc_assign::MasterCommand`]
-//!   compute/refresh/undo/execute protocol, executed by the shared
-//!   [`TaskOwner`] (bit-identical to the thread driver);
+//!   compute/refresh/execute protocol, executed by the shared [`TaskOwner`]
+//!   (bit-identical to the thread driver);
 //! * **claim** — replication of committed grants into the owning shard's
 //!   ledger partition, with a double-grant authority check.
 //!
@@ -19,7 +22,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use tcsc_assign::{CacheStats, CandidateCache, TaskOwner, TaskState, WorkerLedger};
+use tcsc_assign::{checkout_one_shot, CacheStats, TaskOwner, TaskState, WorkerLedger};
 use tcsc_assign::{MultiTaskConfig, WorkerEvent};
 use tcsc_core::CostModel;
 use tcsc_index::ShardedWorkerIndex;
@@ -33,8 +36,6 @@ pub struct RegionNode {
     cost_model: Rc<dyn CostModel>,
     config: MultiTaskConfig,
     dispatcher: ComponentId,
-    /// Per-owned-shard candidate caches.
-    caches: HashMap<usize, CandidateCache>,
     /// Per-owned-shard ledger partitions (claim replication target).
     ledger: HashMap<usize, WorkerLedger>,
     owner: TaskOwner,
@@ -63,7 +64,6 @@ impl RegionNode {
             cost_model,
             config,
             dispatcher,
-            caches: HashMap::new(),
             ledger: HashMap::new(),
             owner: TaskOwner::default(),
             stats: CacheStats::default(),
@@ -90,9 +90,7 @@ impl Component<NetMessage> for RegionNode {
                     }
                 }
                 for (global, task) in entries {
-                    let shard = self.index.spatial_shard_of(&task.location);
-                    let cache = self.caches.entry(shard).or_default();
-                    let candidates = cache.checkout(
+                    let candidates = checkout_one_shot(
                         &task,
                         self.index.as_ref(),
                         self.cost_model.as_ref(),

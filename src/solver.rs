@@ -30,11 +30,11 @@
 use std::rc::Rc;
 
 use tcsc_assign::{
-    AssignmentEngine, ConcurrentAssignmentEngine, MultiOutcome, MultiTaskConfig, Objective,
-    RefreshStrategy, SpatioTemporalObjective,
+    AssignmentEngine, ConcurrentAssignmentEngine, GreedyEngine, MultiOutcome, MultiTaskConfig,
+    Objective, Occupancy, RefreshStrategy, SpatioTemporalObjective,
 };
 use tcsc_core::{CostModel, Domain, InterpolationWeights, Task, WorkerPool};
-use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
+use tcsc_index::{MutableSpatialIndex, ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
 use tcsc_sim::{run_cluster, LatencyModel, SimBatch, SimClusterConfig};
 
 /// Which execution substrate runs the greedy.
@@ -44,10 +44,10 @@ pub enum Runtime {
     /// MMQM and `SApprox`).
     #[default]
     Serial,
-    /// The serial greedy on a sharded index
-    /// ([`ConcurrentAssignmentEngine`], occupancy kept per shard).  Commits
-    /// the same plan as [`Runtime::Serial`] for any shard grid; the thread
-    /// count is ignored.
+    /// The same engine on a sharded index
+    /// ([`ConcurrentAssignmentEngine`], occupancy kept per shard; MSQM,
+    /// MMQM and `SApprox`).  Commits the same plan as [`Runtime::Serial`]
+    /// for any shard grid; the thread count is ignored.
     Concurrent,
     /// The task-level parallel master/owner framework under the barrier
     /// master (`msqm_task_parallel`).  MSQM only.
@@ -185,8 +185,8 @@ impl SolverBuilder {
     /// built internally from the pool.  Panics with a descriptive message on
     /// an unsupported combination: a non-MSQM objective on a runtime that
     /// only implements MSQM ([`Runtime::TaskParallel`],
-    /// [`Runtime::GroupParallel`], [`Runtime::Sim`]), or the spatiotemporal
-    /// objective on [`Runtime::Concurrent`].
+    /// [`Runtime::GroupParallel`], [`Runtime::Sim`]).  [`Runtime::Serial`]
+    /// and [`Runtime::Concurrent`] run every objective.
     pub fn solve<C: CostModel + Sync + Clone + 'static>(
         &self,
         tasks: &[Task],
@@ -201,18 +201,10 @@ impl SolverBuilder {
                 self.solve_indexed(tasks, &index, domain, cost_model)
             }
             Runtime::Concurrent => {
-                let objective = match self.objective {
-                    SolveObjective::SumQuality => Objective::SumQuality,
-                    SolveObjective::MinQuality => Objective::MinQuality,
-                    SolveObjective::SpatioTemporal { .. } => panic!(
-                        "Runtime::Concurrent does not implement the spatiotemporal \
-                         objective; use Runtime::Serial"
-                    ),
-                };
                 let sharded = ShardedWorkerIndex::build(workers, num_slots, domain, self.grid);
                 let mut engine =
                     ConcurrentAssignmentEngine::new(sharded, cost_model, self.config, self.threads);
-                engine.assign_batch_parallel(tasks, objective)
+                self.run_engine(&mut engine, tasks, domain)
             }
             Runtime::Sim => {
                 self.require_msqm("Runtime::Sim");
@@ -254,13 +246,7 @@ impl SolverBuilder {
         match self.runtime {
             Runtime::Serial => {
                 let mut engine = AssignmentEngine::borrowed(index, cost_model, self.config);
-                match self.objective {
-                    SolveObjective::SumQuality => engine.assign_batch(tasks, Objective::SumQuality),
-                    SolveObjective::MinQuality => engine.assign_batch(tasks, Objective::MinQuality),
-                    SolveObjective::SpatioTemporal { weights, objective } => {
-                        engine.assign_spatiotemporal(tasks, domain, weights, objective)
-                    }
-                }
+                self.run_engine(&mut engine, tasks, domain)
             }
             Runtime::TaskParallel => {
                 self.require_msqm("Runtime::TaskParallel");
@@ -290,6 +276,22 @@ impl SolverBuilder {
                  use SolverBuilder::solve",
                 self.runtime
             ),
+        }
+    }
+
+    /// The configured objective on either engine alias.
+    fn run_engine<I: MutableSpatialIndex + Clone, L: Occupancy<I>>(
+        &self,
+        engine: &mut GreedyEngine<'_, I, L>,
+        tasks: &[Task],
+        domain: &Domain,
+    ) -> MultiOutcome {
+        match self.objective {
+            SolveObjective::SumQuality => engine.assign_batch(tasks, Objective::SumQuality),
+            SolveObjective::MinQuality => engine.assign_batch(tasks, Objective::MinQuality),
+            SolveObjective::SpatioTemporal { weights, objective } => {
+                engine.assign_spatiotemporal(tasks, domain, weights, objective)
+            }
         }
     }
 
