@@ -10,9 +10,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use tcsc_assign::{
     AssignmentEngine, ConcurrentAssignmentEngine, MultiOutcome, MultiTaskConfig, Objective,
-    RefreshStrategy,
+    RefreshStrategy, SpatioTemporalObjective,
 };
-use tcsc_core::{EuclideanCost, Task};
+use tcsc_core::{EuclideanCost, InterpolationWeights, Task};
 use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
 use tcsc_workload::{
     PoiConfig, ScenarioConfig, SpatialDistribution, StreamingConfig, TaskPlacement,
@@ -144,6 +144,26 @@ fn batch_assign_matches_the_serial_engine_on_every_preset() {
             &parallel,
             &serial,
         );
+    }
+}
+
+#[test]
+fn spatiotemporal_matches_the_serial_engine_on_every_preset() {
+    let cost = EuclideanCost::default();
+    for (i, preset) in presets().into_iter().enumerate() {
+        let domain = preset.build().domain;
+        for grid in grids() {
+            let (tasks, dense, sharded) = prepare(&preset, grid);
+            let cfg = MultiTaskConfig::new(preset.budget);
+            for objective in [SpatioTemporalObjective::Sum, SpatioTemporalObjective::Min] {
+                let weights = InterpolationWeights::paper_default();
+                let serial = AssignmentEngine::borrowed(&dense, &cost, cfg)
+                    .assign_spatiotemporal(&tasks, &domain, weights, objective);
+                let sharded = ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 1)
+                    .assign_spatiotemporal(&tasks, &domain, weights, objective);
+                assert_eq!(sharded, serial, "preset {i}, {grid:?}, {objective:?}");
+            }
+        }
     }
 }
 

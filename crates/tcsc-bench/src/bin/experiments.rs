@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [--quick|--full] [all | fig6a fig6b ... fig9s ... fig11c]
+//! experiments [--quick|--full] [all | fig6a fig6b ... fig9mob ... fig11c]
 //! ```
 //!
 //! With no figure ids, every figure is run.  `--quick` (default) uses

@@ -9,7 +9,7 @@
 mod extensions;
 mod paper;
 
-pub use extensions::{fig9dist, fig9mob, fig9obs, fig9p, fig9s, fig9svc};
+pub use extensions::{fig9dist, fig9mob, fig9obs, fig9p, fig9svc};
 pub use paper::{
     fig11a, fig11b, fig11c, fig6a, fig6b, fig7a, fig7b, fig7c, fig7d, fig8a, fig8b, fig8c, fig8d,
     fig8e, fig8f, fig8g, fig8h, fig9a, fig9b, fig9c, fig9d, fig9e, fig9f, fig9g, fig9h, fig9i,
@@ -46,7 +46,6 @@ pub const FIGURES: &[(&str, Driver)] = &[
     ("fig9g", fig9g),
     ("fig9h", fig9h),
     ("fig9i", fig9i),
-    ("fig9s", fig9s),
     ("fig9p", fig9p),
     ("fig9dist", fig9dist),
     ("fig9obs", fig9obs),
@@ -76,8 +75,8 @@ mod tests {
     use tcsc_sim::LatencyModel;
 
     use super::extensions::{
-        fig9dist_sized, fig9mob_sized, fig9obs_sized, fig9p_sized, fig9s_sized,
-        fig9svc_service_run, fig9svc_sized, svc_latency_session, SVC_DRAIN_EVERY_US, SVC_NUM_SLOTS,
+        fig9dist_sized, fig9mob_sized, fig9obs_sized, fig9p_sized, fig9svc_service_run,
+        fig9svc_sized, svc_latency_session, SVC_DRAIN_EVERY_US, SVC_NUM_SLOTS,
     };
     use super::*;
 
@@ -121,29 +120,6 @@ mod tests {
                 "gate {gate} missing:\n{json}"
             );
         }
-    }
-
-    #[test]
-    fn fig9s_json_is_well_formed() {
-        let report = fig9s_sized(2, 2, 4, 12, 200, 1);
-        let json = bench_json(&report, "fig9s");
-        assert_fields(
-            &json,
-            &[
-                "num_tasks",
-                "DenseMs",
-                "ShardedMs",
-                "Speedup",
-                "TasksPerSec",
-            ],
-        );
-        assert!(
-            json.contains("\"num_tasks\": 8,"),
-            "rounds x per_round tasks"
-        );
-        assert!(json.contains("\"label\": \"engine\", \"Serial\": "));
-        assert!(!json.contains("hardware_threads"));
-        assert_eq!(report.rows.len(), 2, "index row plus the engine row");
     }
 
     #[test]
@@ -316,12 +292,12 @@ mod tests {
     #[test]
     fn by_id_knows_every_figure() {
         // Only check the id table, not the (expensive) runs: ids are unique,
-        // all 32 figures are present, and unknown ids are rejected.
+        // all 31 figures are present, and unknown ids are rejected.
         let unique: std::collections::HashSet<_> = FIGURES.iter().map(|(id, _)| id).collect();
         assert_eq!(unique.len(), FIGURES.len());
-        assert_eq!(FIGURES.len(), 32);
+        assert_eq!(FIGURES.len(), 31);
         for id in [
-            "fig6a", "fig9s", "fig9p", "fig9dist", "fig9obs", "fig9svc", "fig9mob",
+            "fig6a", "fig9p", "fig9dist", "fig9obs", "fig9svc", "fig9mob",
         ] {
             assert!(by_id(id).is_some(), "{id} missing");
         }

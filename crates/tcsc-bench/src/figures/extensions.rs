@@ -1,8 +1,7 @@
-//! Repo-extension figures beyond the paper: the sharded index and engine
-//! (fig9s), the incremental-gain commit engine (fig9p), the simulated
-//! distributed runtime (fig9dist), the observability layer (fig9obs), the
-//! service-mode SLO driver (fig9svc) and mobile workers on the mutable index
-//! (fig9mob).
+//! Repo-extension figures beyond the paper: the incremental-gain commit
+//! engine (fig9p), the simulated distributed runtime (fig9dist), the
+//! observability layer (fig9obs), the service-mode SLO driver (fig9svc) and
+//! mobile workers on the mutable index (fig9mob).
 
 use tcsc_assign::{AssignmentEngine, ConcurrentAssignmentEngine, MultiTaskConfig, Objective};
 use tcsc_core::EuclideanCost;
@@ -11,108 +10,6 @@ use tcsc_sim::LatencyModel;
 use tcsc_workload::{ScenarioConfig, SpatialDistribution, StreamingConfig, TaskPlacement};
 
 use crate::{best_of, prepare_multi, timed, Report, Row, Scale};
-
-// ---------------------------------------------------------------------------
-// Figure 9s (repo extension): sharded index + sharded engine
-// ---------------------------------------------------------------------------
-
-/// Fig. 9s (repo extension): dense-vs-sharded k-NN query time, then
-/// cold-cache batch assignment of the region-partitioned streaming preset
-/// through the serial engine on the dense index and through the same greedy
-/// on the sharded index.
-pub fn fig9s(scale: Scale) -> Report {
-    // The batch is deliberately wide (many concurrent arrivals) with a
-    // budget that executes a moderate fraction of it: the cold-cache
-    // checkout and the all-tasks warm-start candidate search dominate, and
-    // the commit tail (one winner refresh per grant) stays short.
-    match scale {
-        Scale::Quick => fig9s_sized(4, 8, 16, 96, 4000, 3),
-        Scale::Full => fig9s_sized(8, 8, 40, 300, 10_357, 3),
-    }
-}
-
-/// [`fig9s`] on an explicit workload: `regions`² shards, `rounds` ×
-/// `per_round` tasks of `slots` slots over `workers` workers, best of
-/// `runs`.
-pub(super) fn fig9s_sized(
-    regions: usize,
-    rounds: usize,
-    per_round: usize,
-    slots: usize,
-    workers: usize,
-    runs: usize,
-) -> Report {
-    let base = ScenarioConfig::small()
-        .with_num_slots(slots)
-        .with_num_workers(workers);
-    let streaming = StreamingConfig::region_partitioned(base, regions, rounds, per_round).build();
-    let tasks = streaming.concatenated();
-    let grid = ShardGridConfig::new(regions, regions);
-    let dense = WorkerIndex::build(&streaming.workers, slots, &streaming.domain);
-    let sharded = ShardedWorkerIndex::build(&streaming.workers, slots, &streaming.domain, grid);
-    let cost = EuclideanCost::default();
-
-    // Index comparison: the conflict-fallback query shape (k-NN per task per
-    // slot) over both indexes.
-    let dense_knn_ms = best_of(runs, || {
-        let mut acc = 0usize;
-        for task in &tasks {
-            for slot in (0..slots).step_by(7) {
-                acc += dense.k_nearest(slot, &task.location, 8).len();
-            }
-        }
-        acc
-    });
-    let sharded_knn_ms = best_of(runs, || {
-        let mut acc = 0usize;
-        for task in &tasks {
-            for slot in (0..slots).step_by(7) {
-                acc += sharded.k_nearest(slot, &task.location, 8).len();
-            }
-        }
-        acc
-    });
-    let mut rows = vec![Row::new(
-        "index(kNN)",
-        vec![
-            ("DenseMs".into(), dense_knn_ms),
-            ("ShardedMs".into(), sharded_knn_ms),
-        ],
-    )];
-
-    // Engine comparison: cold-cache batch assignment.  The budget scales
-    // with the batch so the greedy grants a realistic number of executions
-    // without letting the (inherently serial) commit tail dominate.
-    let budget = tasks.len() as f64 * 0.2;
-    let cfg = MultiTaskConfig::new(budget);
-    let serial_ms = best_of(runs, || {
-        AssignmentEngine::borrowed(&dense, &cost, cfg).assign_batch(&tasks, Objective::SumQuality)
-    });
-    let concurrent_ms = best_of(runs, || {
-        ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 1)
-            .assign_batch(&tasks, Objective::SumQuality)
-    });
-    rows.push(Row::new(
-        "engine",
-        vec![
-            ("Serial".into(), serial_ms),
-            ("Concurrent".into(), concurrent_ms),
-            ("Speedup".into(), serial_ms / concurrent_ms),
-            (
-                "TasksPerSec".into(),
-                tasks.len() as f64 / (concurrent_ms / 1000.0),
-            ),
-        ],
-    ));
-
-    Report::new(
-        "fig9s",
-        "Sharded index + sharded engine vs dense serial engine: batch assign \
-         (region-partitioned streaming preset)",
-        rows,
-    )
-    .num("num_tasks", tasks.len() as f64)
-}
 
 // ---------------------------------------------------------------------------
 // Figure 9p (repo extension): incremental-gain commit engine
@@ -125,10 +22,9 @@ pub(super) fn fig9s_sized(
 /// [`tcsc_assign::RefreshStrategy::Incremental`] (the gain ledger), with the
 /// commit-tail refresh cost broken out.
 pub fn fig9p(scale: Scale) -> Report {
-    // The fig9s shape that motivated this figure: a wide batch of many-slot
-    // tasks under a tight budget, where every grant triggers the winner's
-    // recompute *and* budget-staleness invalidations across the batch — the
-    // commit tail that pinned the concurrent engine's speedup below 1x.
+    // A wide batch of many-slot tasks under a tight budget, where every
+    // grant triggers the winner's recompute *and* budget-staleness
+    // invalidations across the batch: the commit tail dominates.
     match scale {
         Scale::Quick => fig9p_sized(128, 96, 4000, 0.2, 3),
         Scale::Full => fig9p_sized(256, 300, 10_357, 0.25, 3),

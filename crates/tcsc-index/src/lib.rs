@@ -17,7 +17,10 @@
 //!   optional time-range split) behind a neighbour-ring router, answering the
 //!   same queries bit-identically while keeping shards independently owned;
 //!   worker insert/remove/move mutate single tile buckets in place, staying
-//!   bit-identical to a from-scratch rebuild.
+//!   bit-identical to a from-scratch rebuild;
+//! * [`tiles`] — the tile layout ([`ShardGridConfig`]) and the border-clamp
+//!   [`TileRouter`] that maps a location to its tile, shared by the sharded
+//!   index and the simulated cluster's dispatcher.
 //!
 //! These indexes are consumed by the assignment algorithms in `tcsc-assign`.
 
@@ -26,13 +29,15 @@
 
 pub mod sharded;
 pub mod spatial;
+pub mod tiles;
 pub mod voronoi;
 pub mod vtree;
 
-pub use sharded::{ShardGridConfig, ShardedWorkerIndex};
+pub use sharded::ShardedWorkerIndex;
 pub use spatial::{
     IndexMutation, IndexedWorker, MutableSpatialIndex, NearestWorker, SpatialQuery, WorkerIndex,
     WorkerProfile,
 };
+pub use tiles::{ShardGridConfig, TileRouter};
 pub use voronoi::{site_knn_set, OrderKVoronoi, VoronoiCell};
 pub use vtree::{BestSlot, SearchStats, VTree, VTreeConfig};

@@ -7,12 +7,13 @@
 //! The dense [`crate::WorkerIndex`] is one grid over the whole domain, so every
 //! parallel framework funnels its queries (and, in the assignment layer, its
 //! occupancy bookkeeping) through one shared structure.
-//! [`ShardedWorkerIndex`] splits that structure along spatial tiles: a thin
-//! router answers [`SpatialQuery`] queries by probing the query point's tile
-//! and expanding to neighbour rings **only while a closer worker could still
-//! exist across a tile boundary**, so shards stay independently owned — the
-//! property the concurrent assignment engine's per-shard ledgers and caches
-//! build on (see `tcsc-assign::engine::concurrent`).
+//! [`ShardedWorkerIndex`] splits that structure along the tiles of a
+//! [`TileRouter`]: it answers [`SpatialQuery`] queries by probing the query
+//! point's tile and expanding to neighbour rings **only while a closer worker
+//! could still exist across a tile boundary**, so shards stay independently
+//! owned.  A worker mutation splices one tile's bucket, and the sharded
+//! engine's per-shard ledgers key occupancy by the same tile id (see
+//! `tcsc-assign::engine::concurrent`).
 //!
 //! # Neighbour-ring expansion bound
 //!
@@ -43,6 +44,7 @@ use crate::spatial::{
     imbalance_milli, precedes, IndexMutation, IndexedWorker, MutableSpatialIndex, NearestWorker,
     SlotGrid, SpatialQuery, WorkerProfile, WorkerRegistry,
 };
+use crate::tiles::{ShardGridConfig, TileRouter};
 
 thread_local! {
     /// Per-thread scratch of the sharded k-NN path, reused across queries:
@@ -66,49 +68,6 @@ struct KnnScratch {
     ring: Vec<(f64, u32, u32)>,
 }
 
-/// Shard-grid layout: how many spatial tiles per axis and how many contiguous
-/// time ranges the slot axis is split into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardGridConfig {
-    /// Number of tiles along the x axis (min 1).
-    pub tiles_x: usize,
-    /// Number of tiles along the y axis (min 1).
-    pub tiles_y: usize,
-    /// Number of contiguous time ranges the slot axis is split into (min 1;
-    /// 1 means no time split).
-    pub time_splits: usize,
-}
-
-impl ShardGridConfig {
-    /// A `tiles_x x tiles_y` spatial grid without a time split.
-    pub fn new(tiles_x: usize, tiles_y: usize) -> Self {
-        Self {
-            tiles_x: tiles_x.max(1),
-            tiles_y: tiles_y.max(1),
-            time_splits: 1,
-        }
-    }
-
-    /// Adds a time-range split: shards own `ceil(num_slots / time_splits)`
-    /// consecutive slots each.
-    pub fn with_time_splits(mut self, time_splits: usize) -> Self {
-        self.time_splits = time_splits.max(1);
-        self
-    }
-
-    /// Number of spatial tiles.
-    pub fn num_tiles(&self) -> usize {
-        self.tiles_x * self.tiles_y
-    }
-}
-
-impl Default for ShardGridConfig {
-    /// An 8×8 spatial grid without a time split.
-    fn default() -> Self {
-        Self::new(8, 8)
-    }
-}
-
 /// One shard: the per-slot worker buckets of a single (tile, time-range)
 /// cell.  Each bucket is a dense [`SlotGrid`] over the tile's rectangle, so
 /// scanning a tile prunes at cell level instead of walking a flat vector;
@@ -129,10 +88,8 @@ struct Shard {
 #[derive(Debug, Clone)]
 pub struct ShardedWorkerIndex {
     shards: Vec<Shard>,
-    config: ShardGridConfig,
-    origin: Location,
-    tile_w: f64,
-    tile_h: f64,
+    /// The tile layout and the location → tile routing rule.
+    router: TileRouter,
     /// Slots per time range (`ceil(num_slots / time_splits)`).
     slots_per_split: usize,
     num_slots: usize,
@@ -153,23 +110,15 @@ impl ShardedWorkerIndex {
         domain: &Domain,
         config: ShardGridConfig,
     ) -> Self {
-        let config = ShardGridConfig {
-            tiles_x: config.tiles_x.max(1),
-            tiles_y: config.tiles_y.max(1),
-            time_splits: config.time_splits.max(1),
-        };
-        let tile_w = (domain.width() / config.tiles_x as f64).max(f64::MIN_POSITIVE);
-        let tile_h = (domain.height() / config.tiles_y as f64).max(f64::MIN_POSITIVE);
+        let router = TileRouter::new(domain, config);
+        let config = router.grid;
         let slots_per_split = num_slots.div_ceil(config.time_splits).max(1);
         let num_shards = config.num_tiles() * config.time_splits;
         let mut buckets: Vec<Vec<Vec<IndexedWorker>>> = vec![Vec::new(); num_shards];
         let mut available = vec![0usize; num_slots];
         let mut index = Self {
             shards: Vec::new(),
-            config,
-            origin: domain.min,
-            tile_w,
-            tile_h,
+            router,
             slots_per_split,
             num_slots,
             available: Vec::new(),
@@ -206,7 +155,7 @@ impl ShardedWorkerIndex {
             .into_iter()
             .enumerate()
             .map(|(shard_id, bucket)| {
-                let tile = shard_id % index.config.num_tiles();
+                let tile = shard_id % index.router.grid.num_tiles();
                 let tile_domain = index.tile_domain(tile);
                 let entries = bucket.iter().map(Vec::len).sum();
                 Shard {
@@ -227,18 +176,21 @@ impl ShardedWorkerIndex {
 
     /// The rectangle of one spatial tile (by tile id within the grid).
     fn tile_domain(&self, tile: usize) -> Domain {
-        let tx = tile % self.config.tiles_x;
-        let ty = tile / self.config.tiles_x;
+        let tx = tile % self.router.grid.tiles_x;
+        let ty = tile / self.router.grid.tiles_x;
         let min = Location::new(
-            self.origin.x + tx as f64 * self.tile_w,
-            self.origin.y + ty as f64 * self.tile_h,
+            self.router.origin.x + tx as f64 * self.router.tile_w,
+            self.router.origin.y + ty as f64 * self.router.tile_h,
         );
-        Domain::new(min, Location::new(min.x + self.tile_w, min.y + self.tile_h))
+        Domain::new(
+            min,
+            Location::new(min.x + self.router.tile_w, min.y + self.router.tile_h),
+        )
     }
 
     /// The shard layout.
     pub fn config(&self) -> &ShardGridConfig {
-        &self.config
+        &self.router.grid
     }
 
     /// Total number of shards (`tiles_x * tiles_y * time_splits`).
@@ -248,47 +200,28 @@ impl ShardedWorkerIndex {
 
     /// Number of spatial shards (tiles), ignoring the time split.
     pub fn num_spatial_shards(&self) -> usize {
-        self.config.num_tiles()
+        self.router.grid.num_tiles()
     }
 
-    /// Clamps one axis of a location into the tile grid: the **border-clamp
-    /// invariant**.  Out-of-domain coordinates route to the nearest border
-    /// tile (negative offsets to tile 0, offsets at or beyond the domain edge
-    /// to the last tile).  This is the *single* routing rule of the index —
-    /// [`ShardedWorkerIndex::build`] and every [`MutableSpatialIndex`] op
-    /// place workers through [`ShardedWorkerIndex::tile_of`], which calls
-    /// this helper for both axes — so a worker moved out of the domain lands
-    /// in exactly the tile a from-scratch rebuild would place it in
-    /// (regression-locked in `tests/sharded_properties.rs`).  The query-side
-    /// consequence: border tiles are unbounded on their grid-edge sides, so
-    /// [`ShardedWorkerIndex::tile_min_distance`] must not (and does not)
-    /// bound them there.
-    fn clamp_tile_axis(offset: f64, tile_extent: f64, tiles: usize) -> usize {
-        let tile = (offset / tile_extent).floor().max(0.0) as usize;
-        tile.min(tiles - 1)
-    }
-
-    /// The tile coordinates of a location (clamped into the grid per the
-    /// border-clamp invariant of `clamp_tile_axis`, so out-of-domain points
-    /// route to the nearest boundary tile).
+    /// The tile coordinates of a location, by [`TileRouter::tile_of`].  The
+    /// build and every [`MutableSpatialIndex`] op place workers through it,
+    /// so a worker moved out of the domain lands in the border tile a rebuild
+    /// would place it in (locked in `tests/sharded_properties.rs`), and the
+    /// ring search never bounds border tiles on their grid-edge sides.
     pub fn tile_of(&self, loc: &Location) -> (usize, usize) {
-        (
-            Self::clamp_tile_axis(loc.x - self.origin.x, self.tile_w, self.config.tiles_x),
-            Self::clamp_tile_axis(loc.y - self.origin.y, self.tile_h, self.config.tiles_y),
-        )
+        self.router.tile_of(loc)
     }
 
-    /// The spatial shard (tile) id owning a location: the routing function
-    /// shared by this index and the sharded engine's per-shard ledgers.
+    /// The spatial shard (tile) id owning a location, by
+    /// [`TileRouter::tile_id`].
     pub fn spatial_shard_of(&self, loc: &Location) -> usize {
-        let (tx, ty) = self.tile_of(loc);
-        ty * self.config.tiles_x + tx
+        self.router.tile_id(loc)
     }
 
     /// The shard id owning `(slot, location)`.
     pub fn shard_of(&self, slot: SlotIndex, loc: &Location) -> usize {
         let time_range = slot / self.slots_per_split;
-        time_range * self.config.num_tiles() + self.spatial_shard_of(loc)
+        time_range * self.router.grid.num_tiles() + self.spatial_shard_of(loc)
     }
 
     /// Number of indexed (worker, slot) entries a shard owns (zero for empty
@@ -301,8 +234,8 @@ impl ShardedWorkerIndex {
     /// `slot` (`None` when the bucket is empty).
     fn bucket(&self, slot: SlotIndex, tx: usize, ty: usize) -> Option<&SlotGrid> {
         let time_range = slot / self.slots_per_split;
-        let shard =
-            &self.shards[time_range * self.config.num_tiles() + ty * self.config.tiles_x + tx];
+        let shard = &self.shards
+            [time_range * self.router.grid.num_tiles() + ty * self.router.grid.tiles_x + tx];
         let local = slot - time_range * self.slots_per_split;
         shard.slots.get(local).and_then(Option::as_ref)
     }
@@ -322,7 +255,7 @@ impl ShardedWorkerIndex {
         edit: impl FnOnce(&mut Vec<IndexedWorker>),
     ) -> usize {
         let shard_id = self.shard_of(slot, loc);
-        let tile = shard_id % self.config.num_tiles();
+        let tile = shard_id % self.router.grid.num_tiles();
         let tile_domain = self.tile_domain(tile);
         let range_start = (slot / self.slots_per_split) * self.slots_per_split;
         let local = slot - range_start;
@@ -361,16 +294,20 @@ impl ShardedWorkerIndex {
     fn unscanned_bound(&self, query: &Location, qx: usize, qy: usize, ring: usize) -> f64 {
         let mut bound = f64::INFINITY;
         if qx > ring {
-            bound = bound.min(query.x - (self.origin.x + (qx - ring) as f64 * self.tile_w));
+            bound = bound
+                .min(query.x - (self.router.origin.x + (qx - ring) as f64 * self.router.tile_w));
         }
-        if qx + ring + 1 < self.config.tiles_x {
-            bound = bound.min(self.origin.x + (qx + ring + 1) as f64 * self.tile_w - query.x);
+        if qx + ring + 1 < self.router.grid.tiles_x {
+            bound = bound
+                .min(self.router.origin.x + (qx + ring + 1) as f64 * self.router.tile_w - query.x);
         }
         if qy > ring {
-            bound = bound.min(query.y - (self.origin.y + (qy - ring) as f64 * self.tile_h));
+            bound = bound
+                .min(query.y - (self.router.origin.y + (qy - ring) as f64 * self.router.tile_h));
         }
-        if qy + ring + 1 < self.config.tiles_y {
-            bound = bound.min(self.origin.y + (qy + ring + 1) as f64 * self.tile_h - query.y);
+        if qy + ring + 1 < self.router.grid.tiles_y {
+            bound = bound
+                .min(self.router.origin.y + (qy + ring + 1) as f64 * self.router.tile_h - query.y);
         }
         bound
     }
@@ -387,17 +324,17 @@ impl ShardedWorkerIndex {
     fn tile_min_distance(&self, query: &Location, tx: usize, ty: usize) -> f64 {
         let mut dx = 0.0f64;
         if tx > 0 {
-            dx = dx.max(self.origin.x + tx as f64 * self.tile_w - query.x);
+            dx = dx.max(self.router.origin.x + tx as f64 * self.router.tile_w - query.x);
         }
-        if tx + 1 < self.config.tiles_x {
-            dx = dx.max(query.x - (self.origin.x + (tx + 1) as f64 * self.tile_w));
+        if tx + 1 < self.router.grid.tiles_x {
+            dx = dx.max(query.x - (self.router.origin.x + (tx + 1) as f64 * self.router.tile_w));
         }
         let mut dy = 0.0f64;
         if ty > 0 {
-            dy = dy.max(self.origin.y + ty as f64 * self.tile_h - query.y);
+            dy = dy.max(self.router.origin.y + ty as f64 * self.router.tile_h - query.y);
         }
-        if ty + 1 < self.config.tiles_y {
-            dy = dy.max(query.y - (self.origin.y + (ty + 1) as f64 * self.tile_h));
+        if ty + 1 < self.router.grid.tiles_y {
+            dy = dy.max(query.y - (self.router.origin.y + (ty + 1) as f64 * self.router.tile_h));
         }
         (dx * dx + dy * dy).sqrt() * (1.0 - 1e-9)
     }
@@ -413,9 +350,9 @@ impl ShardedWorkerIndex {
         mut visit: impl FnMut(usize, usize),
     ) {
         let x_lo = qx.saturating_sub(ring);
-        let x_hi = (qx + ring).min(self.config.tiles_x - 1);
+        let x_hi = (qx + ring).min(self.router.grid.tiles_x - 1);
         let y_lo = qy.saturating_sub(ring);
-        let y_hi = (qy + ring).min(self.config.tiles_y - 1);
+        let y_hi = (qy + ring).min(self.router.grid.tiles_y - 1);
         for ty in y_lo..=y_hi {
             for tx in x_lo..=x_hi {
                 if tx.abs_diff(qx).max(ty.abs_diff(qy)) != ring {
@@ -465,7 +402,7 @@ impl ShardedWorkerIndex {
             let tile_buf = &mut scratch.tile;
             let ring_buf = &mut scratch.ring;
             found.clear();
-            let max_ring = self.config.tiles_x.max(self.config.tiles_y);
+            let max_ring = self.router.grid.tiles_x.max(self.router.grid.tiles_y);
             // The count-th best distance seen so far (from the previous
             // ring's sort): a tile whose rectangle lies strictly beyond it
             // cannot contribute to the top-`count` and is skipped whole.
@@ -554,7 +491,7 @@ impl ShardedWorkerIndex {
         }
         let (qx, qy) = self.tile_of(query);
         let mut best: Option<(f64, IndexedWorker)> = None;
-        let max_ring = self.config.tiles_x.max(self.config.tiles_y);
+        let max_ring = self.router.grid.tiles_x.max(self.router.grid.tiles_y);
         // The sorted ring buffer is thread-local scratch shared with
         // `k_nearest`; `occupied` callbacks must not re-enter this index's
         // query methods (in-tree callers only consult ledger shards).
@@ -575,7 +512,7 @@ impl ShardedWorkerIndex {
                         }
                     }
                     let (tx, ty) = (tx as usize, ty as usize);
-                    let shard = ty * self.config.tiles_x + tx;
+                    let shard = ty * self.router.grid.tiles_x + tx;
                     let Some(grid) = self.bucket(slot, tx, ty) else {
                         continue;
                     };

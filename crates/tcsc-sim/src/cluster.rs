@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use tcsc_assign::{CacheStats, CommittedExecution, MultiTaskConfig};
 use tcsc_core::{CostModel, Domain, MultiAssignment, Task, WorkerPool as CoreWorkerPool};
-use tcsc_index::{ShardGridConfig, ShardedWorkerIndex};
+use tcsc_index::{ShardGridConfig, TileRouter, WorkerIndex};
 use tcsc_obs::{ObsReport, ObsSession, Recorder, Scope};
 
 use crate::dispatcher::{Dispatcher, DispatcherReport};
@@ -19,10 +19,12 @@ use crate::node::{RegionNode, WorkerPool};
 /// Configuration of one simulated cluster run.
 #[derive(Debug, Clone)]
 pub struct SimClusterConfig {
-    /// Number of region nodes (spatial shards are striped over them).
+    /// Number of region nodes (spatial shards are striped over them; 0 runs
+    /// as 1).
     pub nodes: usize,
-    /// The spatial shard grid (shared by the replicated index, the node
-    /// ledger partitions and the dispatcher's routing).
+    /// The spatial shard grid: the dispatcher routes tasks and claims by its
+    /// [`TileRouter`], and the nodes partition their ledgers by its tiles
+    /// (the time split is ignored).
     pub grid: ShardGridConfig,
     /// Assignment parameters (budget, `k`, `ts`, ...).
     pub assignment: MultiTaskConfig,
@@ -180,9 +182,10 @@ pub fn plan_hash(assignment: &MultiAssignment) -> u64 {
 /// Builds the cluster, feeds the batches, runs to quiescence and returns the
 /// outcome.
 ///
-/// The replicated [`ShardedWorkerIndex`] is built once from the pool and
-/// shared (read-only) by every node — the simulated stand-in for each node
-/// holding a copy of the immutable index.
+/// The dense [`WorkerIndex`] is built once from the pool and shared
+/// (read-only) by every node and the dispatcher — the simulated stand-in for
+/// each node holding a copy of the immutable index.  Tasks and claims are
+/// routed to nodes by the [`TileRouter`] of `config.grid` over `domain`.
 pub fn run_cluster(
     workers: &CoreWorkerPool,
     num_slots: usize,
@@ -208,12 +211,8 @@ pub fn run_cluster(
             obs: None,
         };
     }
-    let index = Rc::new(ShardedWorkerIndex::build(
-        workers,
-        num_slots,
-        domain,
-        config.grid,
-    ));
+    let nodes = config.nodes.max(1);
+    let index = Rc::new(WorkerIndex::build(workers, num_slots, domain));
     let mut sim: Simulation<NetMessage> =
         Simulation::new(config.latency, config.seed, config.record_trace);
     let obs_session = config
@@ -225,9 +224,9 @@ pub fn run_cluster(
     // can address it; its construction needs the node ids, so it is
     // registered through a placeholder-free two-phase add (nodes first,
     // dispatcher last, nodes learn the dispatcher id up front).
-    let dispatcher_id = config.nodes + config.nodes; // nodes + pools precede it
-    let mut node_ids = Vec::with_capacity(config.nodes);
-    for _ in 0..config.nodes {
+    let dispatcher_id = nodes + nodes; // nodes + pools precede it
+    let mut node_ids = Vec::with_capacity(nodes);
+    for _ in 0..nodes {
         let id = sim.add_component(Box::new(RegionNode::new(
             index.clone(),
             cost_model.clone(),
@@ -237,8 +236,8 @@ pub fn run_cluster(
         )));
         node_ids.push(id);
     }
-    let per_pool = workers.len().div_ceil(config.nodes.max(1));
-    let mut pool_ids = Vec::with_capacity(config.nodes);
+    let per_pool = workers.len().div_ceil(nodes);
+    let mut pool_ids = Vec::with_capacity(nodes);
     for &node in &node_ids {
         let id = sim.add_component(Box::new(WorkerPool::new(
             node,
@@ -250,7 +249,8 @@ pub fn run_cluster(
     }
     let outbox: Rc<RefCell<Option<DispatcherReport>>> = Rc::new(RefCell::new(None));
     let actual_dispatcher = sim.add_component(Box::new(Dispatcher::new(
-        index.clone(),
+        index,
+        TileRouter::new(domain, config.grid),
         config.assignment.budget,
         node_ids,
         pool_ids.clone(),

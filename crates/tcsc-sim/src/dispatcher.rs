@@ -1,5 +1,5 @@
-//! The dispatcher component: routes task batches to region nodes by
-//! `spatial_shard_of` and drives the task-parallel master state machine
+//! The dispatcher component: routes task batches to region nodes by their
+//! [`TileRouter`] tile and drives the task-parallel master state machine
 //! ([`TaskMaster`]) over the simulated network.
 //!
 //! The dispatcher is deliberately thin: every grant decision lives
@@ -16,7 +16,7 @@ use tcsc_assign::{
     CacheStats, CommittedExecution, MasterCommand, TaskMaster, WorkerEvent, WorkerLedger,
 };
 use tcsc_core::{AssignmentPlan, Task};
-use tcsc_index::ShardedWorkerIndex;
+use tcsc_index::{TileRouter, WorkerIndex};
 use tcsc_obs::ObsSession;
 
 use crate::kernel::{Component, ComponentId, Context, SimTime};
@@ -56,7 +56,9 @@ pub struct DispatcherReport {
 
 /// The master/router component.
 pub struct Dispatcher {
-    index: Rc<ShardedWorkerIndex>,
+    index: Rc<WorkerIndex>,
+    /// Location → tile routing of tasks and claims.
+    router: TileRouter,
     budget: f64,
     /// Region-node component ids, indexed by node number.
     nodes: Vec<ComponentId>,
@@ -88,7 +90,8 @@ impl Dispatcher {
     /// into `outbox` when every node has returned its plans.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        index: Rc<ShardedWorkerIndex>,
+        index: Rc<WorkerIndex>,
+        router: TileRouter,
         budget: f64,
         nodes: Vec<ComponentId>,
         pools: Vec<ComponentId>,
@@ -98,6 +101,7 @@ impl Dispatcher {
     ) -> Self {
         Self {
             index,
+            router,
             budget,
             nodes,
             pools,
@@ -116,7 +120,7 @@ impl Dispatcher {
 
     /// The node number owning a task (its home shard, striped over nodes).
     fn node_of(&self, task: &Task) -> usize {
-        self.index.spatial_shard_of(&task.location) % self.nodes.len()
+        self.router.tile_id(&task.location) % self.nodes.len()
     }
 
     /// Rewrites a batch-local command to global indices.
@@ -166,7 +170,7 @@ impl Dispatcher {
         };
         // Committed-occupancy snapshot for the checkout reconciliation (the
         // ledger exposes per-slot sets; walk the slots the index covers).
-        let snapshot: Vec<_> = (0..tcsc_index::SpatialQuery::num_slots(self.index.as_ref()))
+        let snapshot: Vec<_> = (0..self.index.num_slots())
             .filter_map(|slot| {
                 let occupied = self.mirror.occupied_at(slot);
                 (!occupied.is_empty()).then_some((slot, occupied))
@@ -301,7 +305,7 @@ impl Component<NetMessage> for Dispatcher {
                         self.mirror.occupy(slot, worker);
                         let location =
                             worker_location.expect("executed events carry the worker location");
-                        let shard = self.index.spatial_shard_of(&location);
+                        let shard = self.router.tile_id(&location);
                         let node = shard % self.nodes.len();
                         ctx.send(
                             self.nodes[node],

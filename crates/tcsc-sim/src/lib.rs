@@ -12,11 +12,12 @@
 //! * [`messages`] — the runtime's network protocol, wrapping the
 //!   master/owner protocol of `tcsc-assign::multi::protocol`;
 //! * [`node`] — [`node::RegionNode`] components owning spatial-shard
-//!   candidate caches, ledger partitions and task states, plus
-//!   [`node::WorkerPool`] components emitting liveness heartbeats;
+//!   ledger partitions and task states, computing against one shared
+//!   read-only worker index, plus [`node::WorkerPool`] components emitting
+//!   liveness heartbeats;
 //! * [`dispatcher`] — the [`dispatcher::Dispatcher`] component routing tasks
-//!   by `spatial_shard_of` and driving the barrier task-parallel master
-//!   over the simulated network;
+//!   by their [`tcsc_index::TileRouter`] tile and driving the barrier
+//!   task-parallel master over the simulated network;
 //! * [`cluster`] — one-call assembly: build the cluster, feed timed task
 //!   arrivals, run to quiescence, collect the [`cluster::SimOutcome`].
 //!

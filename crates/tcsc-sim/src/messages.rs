@@ -21,7 +21,7 @@ pub enum NetMessage {
         entries: Vec<(usize, Task)>,
     },
     /// Dispatcher → region node: check the listed tasks out against the
-    /// replicated index, reconciling against the master's
+    /// shared index, reconciling against the master's
     /// committed-occupancy snapshot (non-empty from the second round on).
     Checkout {
         /// `(global task index, task)` pairs homed in this node's shards.

@@ -1,12 +1,13 @@
 //! The region-node and worker-pool components.
 //!
-//! A [`RegionNode`] owns a subset of the spatial shards: for each owned shard
-//! it holds a ledger partition of the sharded occupancy, plus the
+//! A [`RegionNode`] owns a subset of the spatial shards (the tiles of the
+//! cluster's [`tcsc_index::TileRouter`]): for each owned shard it holds a
+//! ledger partition of the committed occupancy, plus the
 //! [`TaskOwner`] states of every task homed in its shards.  It answers the
 //! three message families of the runtime:
 //!
 //! * **checkout** — build task states from candidates computed against the
-//!   replicated index and reconciled against the dispatcher's
+//!   shared read-only index and reconciled against the dispatcher's
 //!   committed-occupancy snapshot, the one-shot checkout of an engine drain
 //!   (every task of a [`crate::SimBatch`] is checked out once, so a per-node
 //!   candidate memo would never hit);
@@ -25,14 +26,14 @@ use std::rc::Rc;
 use tcsc_assign::{checkout_one_shot, CacheStats, TaskOwner, TaskState, WorkerLedger};
 use tcsc_assign::{MultiTaskConfig, WorkerEvent};
 use tcsc_core::CostModel;
-use tcsc_index::ShardedWorkerIndex;
+use tcsc_index::WorkerIndex;
 
 use crate::kernel::{Component, ComponentId, Context, SimTime};
 use crate::messages::NetMessage;
 
 /// A region node owning a set of spatial shards.
 pub struct RegionNode {
-    index: Rc<ShardedWorkerIndex>,
+    index: Rc<WorkerIndex>,
     cost_model: Rc<dyn CostModel>,
     config: MultiTaskConfig,
     dispatcher: ComponentId,
@@ -50,10 +51,10 @@ pub struct RegionNode {
 }
 
 impl RegionNode {
-    /// A node serving `dispatcher`, computing against the replicated sharded
+    /// A node serving `dispatcher`, computing against the shared read-only
     /// index.
     pub fn new(
-        index: Rc<ShardedWorkerIndex>,
+        index: Rc<WorkerIndex>,
         cost_model: Rc<dyn CostModel>,
         config: MultiTaskConfig,
         dispatcher: ComponentId,

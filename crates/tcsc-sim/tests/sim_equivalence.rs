@@ -11,6 +11,7 @@ use std::rc::Rc;
 
 use tcsc_assign::{AssignmentEngine, MultiTaskConfig, Objective};
 use tcsc_core::EuclideanCost;
+use tcsc_index::ShardGridConfig;
 use tcsc_sim::{plan_hash, run_cluster, LatencyModel, SimBatch, SimClusterConfig};
 use tcsc_workload::{ScenarioConfig, SpatialDistribution, StreamingConfig, TaskPlacement};
 
@@ -201,4 +202,46 @@ fn an_empty_arrival_schedule_yields_an_empty_outcome() {
     assert!(outcome.assignment.plans.is_empty());
     assert_eq!(outcome.executions, 0);
     assert_eq!(outcome.delivered_events, 0);
+}
+
+/// A traced run of the standard scenario under `config`: the plans, the
+/// counters, the timeline and the delivered event stream.
+fn traced_run(config: &SimClusterConfig) -> impl PartialEq + std::fmt::Debug {
+    let (scenario, slots) = scenario();
+    let o = run_cluster(
+        &scenario.workers,
+        slots,
+        &scenario.domain,
+        vec![SimBatch::immediate(scenario.tasks.clone())],
+        Rc::new(EuclideanCost::default()),
+        &config.clone().with_trace(),
+    );
+    let timeline = (o.finish_time_us, o.delivered_events, o.trace);
+    (o.assignment, (o.conflicts, o.executions, o.stats), timeline)
+}
+
+#[test]
+fn zero_nodes_run_as_one_node() {
+    // `nodes` is a public field, so a struct update can bypass the clamp in
+    // `SimClusterConfig::new`; the run must clamp it, not divide by zero.
+    let one = SimClusterConfig::new(1, 2, 30.0, LatencyModel::Fixed(100));
+    let zero = SimClusterConfig {
+        nodes: 0,
+        ..one.clone()
+    };
+    assert_eq!(traced_run(&zero), traced_run(&one));
+}
+
+#[test]
+fn a_zero_tile_grid_routes_like_the_one_tile_grid() {
+    let one = SimClusterConfig::new(2, 1, 30.0, LatencyModel::Fixed(100));
+    let zero = SimClusterConfig {
+        grid: ShardGridConfig {
+            tiles_x: 0,
+            tiles_y: 0,
+            time_splits: 0,
+        },
+        ..one.clone()
+    };
+    assert_eq!(traced_run(&zero), traced_run(&one));
 }

@@ -54,10 +54,9 @@ impl StreamingConfig {
     /// A region-partitioned streaming workload: task locations are drawn
     /// from [`SpatialDistribution::RegionGrid`] over a `regions x regions`
     /// lattice, so every arrival clusters strictly inside one region cell
-    /// (workers still roam the whole domain).  This is the scenario shape
-    /// the sharded index and the sharded engine are benchmarked on
-    /// (`fig9s`): matching the engine's shard grid to
-    /// `regions` makes almost every task's candidates shard-local.
+    /// (workers still roam the whole domain).  The simulated cluster's
+    /// figures run on this shape (`fig9dist`): matching its region grid to
+    /// `regions` homes every task of a region on one node.
     pub fn region_partitioned(
         base: ScenarioConfig,
         regions: usize,

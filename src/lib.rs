@@ -8,7 +8,8 @@
 //! * [`index`] — order-k 1-D Voronoi diagrams, the aggregated tree index with
 //!   best-first pruned search, and the spatial worker grid — dense and
 //!   sharded, both mutable in place ([`index::MutableSpatialIndex`]:
-//!   tile-local insert / remove / move with per-tile version counters);
+//!   insert / remove / move, tile-local on the sharded index) — plus the
+//!   tile router the simulated cluster routes by;
 //! * [`assign`] — single-task (`Approx`, `Approx*`, `OPT`, `Rand`) and
 //!   multi-task (MSQM, MMQM, `SApprox`) assignment, the group-level and
 //!   task-level parallel frameworks, and the batched / streaming
@@ -64,8 +65,8 @@ pub mod prelude {
     pub use tcsc_assign::{
         approx, approx_star, independence_graph, min_budget_for_quality, optimal,
         random_assignment, random_summary, AssignmentEngine, CacheStats, CandidateCache,
-        ChurnCounters, ConcurrentAssignmentEngine, MultiTaskConfig, Objective, RefreshStrategy,
-        ShardedLedger, SingleTaskConfig, SlotCandidates, SpatioTemporalObjective, WorkerLedger,
+        ChurnCounters, MultiTaskConfig, Objective, RefreshStrategy, SingleTaskConfig,
+        SlotCandidates, SpatioTemporalObjective, WorkerLedger,
     };
     pub use tcsc_assign::{msqm_group_parallel, msqm_task_parallel};
     pub use tcsc_core::{
@@ -74,8 +75,8 @@ pub mod prelude {
         Worker, WorkerId, WorkerPool, WorkerSlot,
     };
     pub use tcsc_index::{
-        IndexMutation, MutableSpatialIndex, OrderKVoronoi, ShardGridConfig, ShardedWorkerIndex,
-        SpatialQuery, VTree, VTreeConfig, WorkerIndex, WorkerProfile,
+        IndexMutation, MutableSpatialIndex, OrderKVoronoi, ShardGridConfig, SpatialQuery, VTree,
+        VTreeConfig, WorkerIndex, WorkerProfile,
     };
     pub use tcsc_obs::{
         obs_digest, profile_spans, replay_digest, Gauge, Histogram, MetricsRegistry, NoopRecorder,

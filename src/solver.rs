@@ -1,9 +1,9 @@
 //! The unified [`SolverBuilder`] facade over the multi-task solvers.
 //!
 //! One declarative configuration surface picks the runtime (the serial
-//! [`AssignmentEngine`], the same greedy on a sharded index, the paper's
-//! task-level and group-level parallel frameworks, or the simulated cluster)
-//! and the objective (MSQM, MMQM or `SApprox`):
+//! [`AssignmentEngine`], the paper's task-level and group-level parallel
+//! frameworks, or the simulated cluster) and the objective (MSQM, MMQM or
+//! `SApprox`):
 //!
 //! ```
 //! use tcsc::solver::{Runtime, SolveObjective, SolverBuilder};
@@ -11,8 +11,9 @@
 //!
 //! let scenario = ScenarioConfig::small().build();
 //! let outcome = SolverBuilder::new(30.0)
-//!     .with_runtime(Runtime::Concurrent)
+//!     .with_runtime(Runtime::Sim)
 //!     .with_grid(ShardGridConfig::new(2, 2))
+//!     .with_sim_nodes(3)
 //!     .solve(
 //!         &scenario.tasks,
 //!         &scenario.workers,
@@ -30,11 +31,11 @@
 use std::rc::Rc;
 
 use tcsc_assign::{
-    AssignmentEngine, ConcurrentAssignmentEngine, GreedyEngine, MultiOutcome, MultiTaskConfig,
-    Objective, Occupancy, RefreshStrategy, SpatioTemporalObjective,
+    AssignmentEngine, MultiOutcome, MultiTaskConfig, Objective, RefreshStrategy,
+    SpatioTemporalObjective,
 };
 use tcsc_core::{CostModel, Domain, InterpolationWeights, Task, WorkerPool};
-use tcsc_index::{MutableSpatialIndex, ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
+use tcsc_index::{ShardGridConfig, WorkerIndex};
 use tcsc_sim::{run_cluster, LatencyModel, SimBatch, SimClusterConfig};
 
 /// Which execution substrate runs the greedy.
@@ -44,11 +45,6 @@ pub enum Runtime {
     /// MMQM and `SApprox`).
     #[default]
     Serial,
-    /// The same engine on a sharded index
-    /// ([`ConcurrentAssignmentEngine`], occupancy kept per shard; MSQM,
-    /// MMQM and `SApprox`).  Commits the same plan as [`Runtime::Serial`]
-    /// for any shard grid; the thread count is ignored.
-    Concurrent,
     /// The task-level parallel master/owner framework under the barrier
     /// master (`msqm_task_parallel`).  MSQM only.
     TaskParallel,
@@ -78,7 +74,7 @@ pub enum SolveObjective {
 }
 
 /// Declarative configuration of one multi-task solve: runtime, objective,
-/// assignment parameters, parallelism and shard layout.  See the
+/// assignment parameters, parallelism and the simulated cluster.  See the
 /// [module docs](self) for the zoo it replaces.
 #[derive(Debug, Clone)]
 pub struct SolverBuilder {
@@ -95,7 +91,7 @@ pub struct SolverBuilder {
 
 impl SolverBuilder {
     /// A serial MSQM solve under `budget`, with defaults everywhere else
-    /// (incremental refresh, one thread, a 1×1 shard grid).
+    /// (incremental refresh, one thread, a 1×1 region grid).
     pub fn new(budget: f64) -> Self {
         Self {
             config: MultiTaskConfig::new(budget),
@@ -148,7 +144,8 @@ impl SolverBuilder {
         self
     }
 
-    /// Shard grid of [`Runtime::Concurrent`] and [`Runtime::Sim`].
+    /// Region grid of [`Runtime::Sim`]: the dispatcher routes each task to
+    /// the node owning its tile (never changes any outcome).
     pub fn with_grid(mut self, grid: ShardGridConfig) -> Self {
         self.grid = grid;
         self
@@ -181,12 +178,11 @@ impl SolverBuilder {
 
     /// Runs the configured solve over one task batch.
     ///
-    /// The worker index (dense or sharded, depending on the runtime) is
-    /// built internally from the pool.  Panics with a descriptive message on
-    /// an unsupported combination: a non-MSQM objective on a runtime that
-    /// only implements MSQM ([`Runtime::TaskParallel`],
-    /// [`Runtime::GroupParallel`], [`Runtime::Sim`]).  [`Runtime::Serial`]
-    /// and [`Runtime::Concurrent`] run every objective.
+    /// The dense worker index is built internally from the pool.  Panics
+    /// with a descriptive message on an unsupported combination: a non-MSQM
+    /// objective on a runtime that only implements MSQM
+    /// ([`Runtime::TaskParallel`], [`Runtime::GroupParallel`],
+    /// [`Runtime::Sim`]).  [`Runtime::Serial`] runs every objective.
     pub fn solve<C: CostModel + Sync + Clone + 'static>(
         &self,
         tasks: &[Task],
@@ -199,12 +195,6 @@ impl SolverBuilder {
             Runtime::Serial | Runtime::TaskParallel | Runtime::GroupParallel => {
                 let index = WorkerIndex::build(workers, num_slots, domain);
                 self.solve_indexed(tasks, &index, domain, cost_model)
-            }
-            Runtime::Concurrent => {
-                let sharded = ShardedWorkerIndex::build(workers, num_slots, domain, self.grid);
-                let mut engine =
-                    ConcurrentAssignmentEngine::new(sharded, cost_model, self.config, self.threads);
-                self.run_engine(&mut engine, tasks, domain)
             }
             Runtime::Sim => {
                 self.require_msqm("Runtime::Sim");
@@ -233,9 +223,8 @@ impl SolverBuilder {
 
     /// Runs the configured solve over a caller-built dense index (the
     /// timing-sensitive entry point: the index build stays outside the
-    /// measured region).  Only the dense-index runtimes are supported;
-    /// [`Runtime::Concurrent`] and [`Runtime::Sim`] build their own sharded
-    /// state from the pool and must go through [`SolverBuilder::solve`].
+    /// measured region).  [`Runtime::Sim`] builds its own cluster from the
+    /// pool and must go through [`SolverBuilder::solve`].
     pub fn solve_indexed<C: CostModel + Sync>(
         &self,
         tasks: &[Task],
@@ -246,7 +235,13 @@ impl SolverBuilder {
         match self.runtime {
             Runtime::Serial => {
                 let mut engine = AssignmentEngine::borrowed(index, cost_model, self.config);
-                self.run_engine(&mut engine, tasks, domain)
+                match self.objective {
+                    SolveObjective::SumQuality => engine.assign_batch(tasks, Objective::SumQuality),
+                    SolveObjective::MinQuality => engine.assign_batch(tasks, Objective::MinQuality),
+                    SolveObjective::SpatioTemporal { weights, objective } => {
+                        engine.assign_spatiotemporal(tasks, domain, weights, objective)
+                    }
+                }
             }
             Runtime::TaskParallel => {
                 self.require_msqm("Runtime::TaskParallel");
@@ -271,27 +266,10 @@ impl SolverBuilder {
                 );
                 result.outcome
             }
-            Runtime::Concurrent | Runtime::Sim => panic!(
-                "{:?} builds its own sharded state from the worker pool; \
-                 use SolverBuilder::solve",
-                self.runtime
+            Runtime::Sim => panic!(
+                "Runtime::Sim builds its own cluster from the worker pool; \
+                 use SolverBuilder::solve"
             ),
-        }
-    }
-
-    /// The configured objective on either engine alias.
-    fn run_engine<I: MutableSpatialIndex + Clone, L: Occupancy<I>>(
-        &self,
-        engine: &mut GreedyEngine<'_, I, L>,
-        tasks: &[Task],
-        domain: &Domain,
-    ) -> MultiOutcome {
-        match self.objective {
-            SolveObjective::SumQuality => engine.assign_batch(tasks, Objective::SumQuality),
-            SolveObjective::MinQuality => engine.assign_batch(tasks, Objective::MinQuality),
-            SolveObjective::SpatioTemporal { weights, objective } => {
-                engine.assign_spatiotemporal(tasks, domain, weights, objective)
-            }
         }
     }
 
@@ -299,7 +277,7 @@ impl SolverBuilder {
         assert!(
             matches!(self.objective, SolveObjective::SumQuality),
             "{runtime} only implements the MSQM (SumQuality) objective; \
-             use Runtime::Serial or Runtime::Concurrent for {:?}",
+             use Runtime::Serial for {:?}",
             self.objective,
         );
     }

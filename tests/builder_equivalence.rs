@@ -169,65 +169,6 @@ fn spatiotemporal_builder_matches_sapprox() {
 }
 
 #[test]
-fn concurrent_builder_matches_the_serial_plan() {
-    for (label, preset) in presets() {
-        let (scenario, index) = prepare(&preset);
-        let cost = EuclideanCost::default();
-        let cfg = MultiTaskConfig::new(55.0);
-        let serial = SolverBuilder::new(55.0).with_config(cfg).solve_indexed(
-            &scenario.tasks,
-            &index,
-            &scenario.domain,
-            &cost,
-        );
-        let concurrent = SolverBuilder::new(55.0)
-            .with_config(cfg)
-            .with_runtime(Runtime::Concurrent)
-            .with_grid(ShardGridConfig::new(2, 2))
-            .with_threads(4)
-            .solve(
-                &scenario.tasks,
-                &scenario.workers,
-                preset.num_slots,
-                &scenario.domain,
-                &cost,
-            );
-        assert_eq!(serial.assignment, concurrent.assignment, "{label}");
-        assert_eq!(serial.conflicts, concurrent.conflicts, "{label}");
-        assert_eq!(serial.executions, concurrent.executions, "{label}");
-    }
-}
-
-#[test]
-fn concurrent_builder_runs_the_spatiotemporal_objective() {
-    for (label, preset) in presets() {
-        let (scenario, index) = prepare(&preset);
-        let cost = EuclideanCost::default();
-        let cfg = MultiTaskConfig::new(40.0);
-        for objective in [SpatioTemporalObjective::Sum, SpatioTemporalObjective::Min] {
-            let builder = SolverBuilder::new(40.0).with_config(cfg).with_objective(
-                SolveObjective::SpatioTemporal {
-                    weights: InterpolationWeights::paper_default(),
-                    objective,
-                },
-            );
-            let serial = builder.solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost);
-            let concurrent = builder
-                .with_runtime(Runtime::Concurrent)
-                .with_grid(ShardGridConfig::new(2, 2))
-                .solve(
-                    &scenario.tasks,
-                    &scenario.workers,
-                    preset.num_slots,
-                    &scenario.domain,
-                    &cost,
-                );
-            assert_eq!(serial, concurrent, "{label} {objective:?}");
-        }
-    }
-}
-
-#[test]
 fn sim_builder_replays_the_serial_plan() {
     let (scenario, index) = prepare(&presets()[0].1);
     let cost = EuclideanCost::default();
