@@ -64,8 +64,8 @@
 //! engine, [`GreedyEngine::assign_batch`] is bit-identical to
 //! [`crate::multi::rebuild::msqm_rebuild`] / [`crate::multi::rebuild::mmqm_rebuild`]
 //! (the pre-engine solvers, kept as the rebuild-per-call baseline); the
-//! equivalence is locked in by `tests/engine_equivalence.rs`.  Both indexes
-//! answer every nearest-worker query bit-identically, so the two aliases
+//! equivalence is locked in by `tests/engine_equivalence.rs`.  The sharded
+//! index is a tile-routed view over the dense one, so the two aliases
 //! commit the same plans with the same counters on the same history, for
 //! any shard grid (`tests/concurrent_equivalence.rs`).
 

@@ -5,8 +5,10 @@
 //! [`ShardedWorkerIndex`].  Occupancy is partitioned along the index's
 //! spatial tiles — one `RwLock<WorkerLedger>` per tile — and a worker's
 //! commitment at a slot is recorded in the shard owning the worker's
-//! *location* during that slot (the same routing function the sharded index
-//! uses, so an index probe of tile `t` only ever consults ledger shard `t`).
+//! *location* during that slot.  The index's filtered search hands its
+//! filter the tile of each worker it visits, computed by the same routing
+//! function, so each probe consults only the ledger shard that can hold the
+//! visited worker's commitment.
 //!
 //! Everything location-dependent lives in the [`Occupancy`] impl below:
 //! routing checks, claims and releases to the owning shard, the
@@ -23,10 +25,11 @@
 //!
 //! # Determinism and bit-identity
 //!
-//! The sharded index answers every nearest-worker query bit-identically to
-//! the dense one, and the shard-filtered query excludes exactly the workers
-//! a flat ledger would, so the engine on either index commits the same
-//! plans with the same counters on the same history, for every shard grid —
+//! The sharded index is a view over the dense one, so it gives the same
+//! answer to every nearest-worker query, and the shard-filtered query
+//! excludes exactly the workers a flat ledger would.  The engine on either
+//! index therefore commits the same plans with the same counters on the
+//! same history, for every shard grid —
 //! locked in by `tests/concurrent_equivalence.rs` over the seeded
 //! `ScenarioConfig` presets.
 
@@ -44,7 +47,7 @@ use crate::engine::{location_at, Occupancy};
 /// A commitment `(slot, worker)` lives in the shard owning the worker's
 /// location during that slot — [`ShardedWorkerIndex::spatial_shard_of`] is
 /// the routing function, shared with the index itself, so ledger shard `t`
-/// holds exactly the occupancy of the workers that index shard `t` stores.
+/// holds exactly the occupancy of the workers located in tile `t`.
 #[derive(Debug)]
 pub struct ShardedLedger {
     shards: Vec<RwLock<WorkerLedger>>,
@@ -157,10 +160,10 @@ impl Occupancy<ShardedWorkerIndex> for ShardedLedger {
         Some(priced(task, slot, nearest, cost_model))
     }
 
-    /// The index splices only the affected tile buckets, and any commitment
-    /// of the worker **migrates** to the shard owning its new location when
-    /// the move crossed a tile, keeping the shard-owns-its-workers'-occupancy
-    /// routing invariant intact.
+    /// The index edits only the grid cells the worker leaves and enters, and
+    /// any commitment of the worker **migrates** to the shard owning its new
+    /// location when the move crossed a tile, keeping the
+    /// shard-owns-its-workers'-occupancy routing invariant intact.
     fn relocate(
         &mut self,
         index: &mut ShardedWorkerIndex,
@@ -244,7 +247,7 @@ mod tests {
         for (seed, grid, threads) in [
             (90, ShardGridConfig::new(1, 1), 1),
             (91, ShardGridConfig::new(4, 4), 4),
-            (92, ShardGridConfig::new(3, 5).with_time_splits(2), 8),
+            (92, ShardGridConfig::new(3, 5), 8),
         ] {
             let (tasks, dense, sharded, cost) = build(seed, grid);
             let cfg = MultiTaskConfig::new(45.0);
@@ -313,7 +316,7 @@ mod tests {
         use tcsc_core::{Location, Worker, WorkerSlot};
         for (seed, grid, threads) in [
             (98u64, ShardGridConfig::new(3, 3), 4),
-            (99, ShardGridConfig::new(2, 4).with_time_splits(2), 2),
+            (99, ShardGridConfig::new(2, 4), 2),
         ] {
             let (tasks, dense, sharded, cost) = build(seed, grid);
             let cfg = MultiTaskConfig::new(55.0);

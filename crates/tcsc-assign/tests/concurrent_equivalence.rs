@@ -57,7 +57,7 @@ fn grids() -> Vec<ShardGridConfig> {
     vec![
         ShardGridConfig::new(1, 1),
         ShardGridConfig::new(4, 4),
-        ShardGridConfig::new(3, 5).with_time_splits(2),
+        ShardGridConfig::new(3, 5),
     ]
 }
 
@@ -123,7 +123,7 @@ fn batch_assign_matches_the_serial_engine_on_every_preset() {
             0 => ShardGridConfig::new(1, 1),
             1 => ShardGridConfig::new(2, 2),
             2 => ShardGridConfig::new(4, 3),
-            _ => ShardGridConfig::new(3, 3).with_time_splits(2),
+            _ => ShardGridConfig::new(3, 3),
         };
         let (tasks, dense, sharded) = prepare(&preset, grid);
         let refresh = if rng.gen_bool(0.5) {

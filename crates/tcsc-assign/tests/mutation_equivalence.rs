@@ -118,7 +118,7 @@ fn mutated_engines_match_rebuilt_engines_on_replanning() {
     let cost = EuclideanCost::default();
     for (seed, grid, threads) in [
         (11u64, ShardGridConfig::new(3, 3), 4),
-        (12, ShardGridConfig::new(4, 2).with_time_splits(2), 2),
+        (12, ShardGridConfig::new(4, 2), 2),
         (13, ShardGridConfig::new(1, 1), 1),
     ] {
         let config = ScenarioConfig::small().with_seed(seed);
@@ -190,7 +190,7 @@ fn mutated_engines_match_rebuilt_engines_across_drains() {
     let cost = EuclideanCost::default();
     for (seed, grid, threads) in [
         (21u64, ShardGridConfig::new(3, 3), 4),
-        (22, ShardGridConfig::new(2, 3).with_time_splits(2), 3),
+        (22, ShardGridConfig::new(2, 3), 3),
     ] {
         let config = ScenarioConfig::small().with_seed(seed).with_num_workers(80);
         let scenario = config.build();

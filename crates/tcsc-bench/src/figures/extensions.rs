@@ -833,7 +833,7 @@ pub(super) fn fig9svc_sized(total_tasks: usize, workers: usize) -> Report {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 9mob (repo extension): mobile workers on the mutable sharded index
+// Figure 9mob (repo extension): mobile workers on the mutable index
 // ---------------------------------------------------------------------------
 
 /// Drain interval of the mobile-worker service loop, virtual µs (one motion
@@ -842,8 +842,8 @@ const MOB_DRAIN_EVERY_US: u64 = 5_000;
 
 /// How the mobile-worker pass keeps its index current between drains.
 enum MobMaintenance {
-    /// Apply each motion event through the engine's mutation API
-    /// (tile-local splice).
+    /// Apply each motion event through the engine's mutation API (in-place
+    /// grid cell edits).
     Mutate,
     /// Track the fleet in a mirror pool and rebuild the sharded index from
     /// scratch before every drain that saw motion — the pre-mutable-index
@@ -1030,8 +1030,8 @@ fn fig9mob_service_run(
 /// maintenance-speedup gate.
 pub fn fig9mob(scale: Scale) -> Report {
     // The worker pool is deliberately large relative to the task stream:
-    // the rebuild baseline pays O(workers) per drain while a tile-local
-    // splice pays O(bucket), so the fleet size is what separates the two
+    // the rebuild baseline pays O(workers) per drain while an in-place edit
+    // pays O(cell), so the fleet size is what separates the two
     // maintenance strategies (mobile fleets are big; drains are frequent).
     match scale {
         Scale::Quick => fig9mob_sized(6_000, 2_400, ShardGridConfig::new(5, 5)),
@@ -1097,7 +1097,8 @@ pub(super) fn fig9mob_sized(total_tasks: usize, workers: usize, grid: ShardGridC
     let speedup = rebuild.maintenance_ms / mutate.maintenance_ms.max(1e-9);
     Report::new(
         "fig9mob",
-        "Mobile workers: mutate-in-place sharded index vs rebuild-per-drain \
+        "Mobile workers: in-place cell edits vs rebuild-per-drain on the \
+         tile-routed index \
          — maintenance cost under the identical-plans gate",
         vec![
             Row::new(

@@ -10,17 +10,16 @@
 //!   subtree aggregates, and the best-first search with upper-bound pruning
 //!   used by the `Approx*` algorithm;
 //! * [`spatial`] — a per-time-slot uniform grid over worker locations for
-//!   nearest-available-worker queries (worker cost retrieval), and the
-//!   [`SpatialQuery`] / [`MutableSpatialIndex`] traits shared by every worker
-//!   index;
-//! * [`sharded`] — the domain partitioned into spatial-tile shards (plus an
-//!   optional time-range split) behind a neighbour-ring router, answering the
-//!   same queries bit-identically while keeping shards independently owned;
-//!   worker insert/remove/move mutate single tile buckets in place, staying
-//!   bit-identical to a from-scratch rebuild;
+//!   nearest-available-worker queries (worker cost retrieval), whose worker
+//!   insert/remove/move edit single grid cells in place, staying
+//!   bit-identical to a from-scratch rebuild; and the [`SpatialQuery`] /
+//!   [`MutableSpatialIndex`] traits shared by every worker index;
+//! * [`sharded`] — that dense index seen through a [`TileRouter`]: the same
+//!   answers, plus the spatial tile owning each worker, which the sharded
+//!   engine's per-tile ledgers key occupancy by;
 //! * [`tiles`] — the tile layout ([`ShardGridConfig`]) and the border-clamp
 //!   [`TileRouter`] that maps a location to its tile, shared by the sharded
-//!   index and the simulated cluster's dispatcher.
+//!   view and the simulated cluster's dispatcher.
 //!
 //! These indexes are consumed by the assignment algorithms in `tcsc-assign`.
 

@@ -5,21 +5,22 @@
 //! resolution of Section IV-A, *"who is the j-th nearest?"*).  This module
 //! answers those queries with a per-slot uniform grid over worker locations,
 //! which is the classic light-weight index for low-dimensional nearest
-//! neighbour search.  A brute-force path is kept both as a correctness oracle
-//! for the tests and for very small pools.
+//! neighbour search.  Moving workers edit the grid in place, cell by cell, in
+//! the manner of uniform grids for moving objects (Šidlauskas et al., "Trees
+//! or grids?", GIS 2009).  A brute-force path is kept as a correctness oracle
+//! for the tests.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{hash_map::Entry, BTreeSet, HashMap};
 
 use tcsc_core::{Domain, Location, SlotIndex, Worker, WorkerId, WorkerPool};
 
 /// Nearest-available-worker queries over a per-slot worker index.
 ///
-/// Implemented by the dense [`WorkerIndex`] (one grid over the whole domain)
-/// and by [`crate::sharded::ShardedWorkerIndex`] (a router over spatial-tile
-/// shards).  The two implementations are **bit-identical**: every method
-/// resolves distance ties by ascending worker id, so the assignment layer can
-/// swap one for the other without changing a single plan (locked in by
-/// `tests/sharded_properties.rs`).
+/// Implemented by the dense [`WorkerIndex`] and by
+/// [`crate::sharded::ShardedWorkerIndex`], a tile-routed view that forwards
+/// every query to one.  Every method orders its answers by
+/// `(distance.total_cmp, worker id)`, so no answer depends on the grid's
+/// geometry or on the order in which a search visits its cells.
 pub trait SpatialQuery {
     /// Number of time slots covered by the index.
     fn num_slots(&self) -> usize;
@@ -50,18 +51,18 @@ pub trait SpatialQuery {
 /// Point mutations over a per-slot spatial index: insert, remove and move a
 /// worker without rebuilding the whole structure.
 ///
-/// Implemented by the dense [`WorkerIndex`] (the oracle: each touched slot
-/// grid is rebuilt whole) and by [`crate::sharded::ShardedWorkerIndex`]
-/// (tile-local: only the affected tile bucket(s) are spliced and re-gridded).
-/// Both uphold the **rebuild equivalence invariant**: after any sequence of
-/// mutations, every [`SpatialQuery`] method answers bit-identically to an
-/// index freshly built from the equivalently mutated worker pool — same
-/// workers, same order, same `f64` distances.  This holds because each
-/// mutation keeps the affected per-slot worker list in ascending-id order
-/// (the pool iteration order a fresh build would produce) and rebuilds the
-/// affected grid from that list with the same deterministic constructor a
-/// fresh build uses.  `tests/mutable_index_fuzz.rs` locks the invariant in
-/// over hundreds of seeded mutation tapes.
+/// Implemented by the dense [`WorkerIndex`], whose mutations edit only the
+/// grid cells an entry leaves or enters, and by the sharded view, which
+/// forwards to it.  Both uphold the **rebuild equivalence invariant**: after
+/// any sequence of mutations, every [`SpatialQuery`] method answers
+/// bit-identically to an index freshly built from the equivalently mutated
+/// worker pool — same workers, same order, same `f64` distances.  A mutated
+/// slot grid keeps the geometry of its last build while a fresh build sizes
+/// its grid to the current population, but the answers cannot tell: each
+/// cell holds the same entries in ascending-id order and every query orders
+/// by `(distance.total_cmp, worker id)`.  `tests/mutable_index_fuzz.rs` locks
+/// the invariant in over hundreds of seeded mutation tapes, including tapes
+/// that cross the re-grid threshold.
 pub trait MutableSpatialIndex: SpatialQuery {
     /// Inserts a new worker (all in-horizon availability entries).  Rejected
     /// (`applied == false`) when a worker with the same id is already
@@ -88,8 +89,9 @@ pub trait MutableSpatialIndex: SpatialQuery {
     fn indexed_entries(&self) -> usize;
 
     /// Bucket-occupancy imbalance as `max_len * 1000 / mean_len` over the
-    /// index's non-empty buckets (milli-scaled; `1000` = perfectly balanced,
-    /// `0` = no buckets).  The service drivers export this as a gauge.
+    /// index's non-empty grid cells (milli-scaled; `1000` = perfectly
+    /// balanced, `0` = no cells).  The service drivers export this as a
+    /// gauge.
     fn occupancy_imbalance_milli(&self) -> u64;
 }
 
@@ -99,8 +101,11 @@ pub struct IndexMutation {
     /// Whether the operation applied (`false`: duplicate id on insert,
     /// unknown id on remove/move — the index is unchanged).
     pub applied: bool,
-    /// Number of `(worker, slot)` entries re-gridded by the splice — the
-    /// actual maintenance cost paid.
+    /// Number of `(worker, slot)` entries the operation wrote — the actual
+    /// maintenance cost paid: one per entry inserted, removed or relocated,
+    /// plus every entry of each slot grid the operation re-gridded (a slot
+    /// re-grids when its population has doubled or halved since its last
+    /// build).
     pub entries_touched: usize,
     /// What a from-scratch rebuild at the resulting state would re-grid
     /// (the total indexed entries): the cost the in-place mutation avoided.
@@ -118,98 +123,62 @@ pub struct WorkerProfile {
 }
 
 /// Registry of the workers an index currently holds: the lookup that makes
-/// `remove`/`move` local (which buckets hold this worker?) without consulting
-/// the original pool.  Shared by the dense and sharded indexes.
+/// `remove`/`move` local (which cells hold this worker?) without consulting
+/// the original pool.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct WorkerRegistry {
+struct WorkerRegistry {
     entries: HashMap<WorkerId, RegisteredWorker>,
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct RegisteredWorker {
+struct RegisteredWorker {
     reliability: f64,
     /// In-horizon `(slot, location)` entries, ascending slot.
     slots: Vec<(SlotIndex, Location)>,
 }
 
 impl WorkerRegistry {
-    pub(crate) fn from_pool(pool: &WorkerPool, num_slots: usize) -> Self {
-        let mut registry = Self::default();
-        for worker in pool.workers() {
-            registry.insert(worker, num_slots);
-        }
-        registry
-    }
-
     /// Registers a worker; returns its in-horizon entries, or `None` when the
     /// id is already present (the registry is unchanged).
-    pub(crate) fn insert(
-        &mut self,
-        worker: &Worker,
-        num_slots: usize,
-    ) -> Option<Vec<(SlotIndex, Location)>> {
-        if self.entries.contains_key(&worker.id) {
+    fn insert(&mut self, worker: &Worker, num_slots: usize) -> Option<&[(SlotIndex, Location)]> {
+        let Entry::Vacant(entry) = self.entries.entry(worker.id) else {
             return None;
-        }
-        let slots: Vec<(SlotIndex, Location)> = worker
+        };
+        let slots = worker
             .availability()
             .iter()
             .filter(|ws| ws.slot < num_slots)
             .map(|ws| (ws.slot, ws.location))
             .collect();
-        self.entries.insert(
-            worker.id,
-            RegisteredWorker {
-                reliability: worker.reliability,
-                slots: slots.clone(),
-            },
-        );
-        Some(slots)
+        let registered = entry.insert(RegisteredWorker {
+            reliability: worker.reliability,
+            slots,
+        });
+        Some(&registered.slots)
     }
 
     /// Unregisters a worker, returning its entries (`None` for unknown ids).
-    pub(crate) fn remove(&mut self, id: WorkerId) -> Option<RegisteredWorker> {
+    fn remove(&mut self, id: WorkerId) -> Option<RegisteredWorker> {
         self.entries.remove(&id)
     }
 
-    /// Relocates every entry of a worker to `new_loc`, returning the
-    /// *previous* `(slot, location)` entries (`None` for unknown ids).
-    pub(crate) fn relocate(
-        &mut self,
-        id: WorkerId,
-        new_loc: Location,
-    ) -> Option<Vec<(SlotIndex, Location)>> {
-        let reg = self.entries.get_mut(&id)?;
-        let old = reg.slots.clone();
-        for (_, loc) in &mut reg.slots {
-            *loc = new_loc;
-        }
-        Some(old)
+    /// A worker's `(slot, location)` entries, for relocating in place
+    /// (`None` for unknown ids).
+    fn slots_mut(&mut self, id: WorkerId) -> Option<&mut [(SlotIndex, Location)]> {
+        self.entries
+            .get_mut(&id)
+            .map(|reg| reg.slots.as_mut_slice())
     }
 
-    pub(crate) fn get(&self, id: WorkerId) -> Option<&RegisteredWorker> {
-        self.entries.get(&id)
-    }
-
-    pub(crate) fn profile(&self, id: WorkerId) -> Option<WorkerProfile> {
+    fn profile(&self, id: WorkerId) -> Option<WorkerProfile> {
         self.entries.get(&id).map(|reg| WorkerProfile {
             reliability: reg.reliability,
             entries: reg.slots.clone(),
         })
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.entries.len()
-    }
-}
-
-impl RegisteredWorker {
-    pub(crate) fn reliability(&self) -> f64 {
-        self.reliability
-    }
-
-    pub(crate) fn slots(&self) -> &[(SlotIndex, Location)] {
-        &self.slots
     }
 }
 
@@ -227,7 +196,7 @@ pub struct IndexedWorker {
 
 impl IndexedWorker {
     /// This worker as a query answer at `distance` from the query point.
-    pub(crate) fn at_distance(&self, distance: f64) -> NearestWorker {
+    fn at_distance(&self, distance: f64) -> NearestWorker {
         NearestWorker {
             worker: self.worker,
             location: self.location,
@@ -250,91 +219,147 @@ pub struct NearestWorker {
     pub distance: f64,
 }
 
+impl NearestWorker {
+    /// The total order of every index answer: `(distance.total_cmp, worker
+    /// id)`.  Plain `<` on `f64` is not a total order: with a NaN distance it
+    /// would keep whichever candidate a scan met first.
+    fn cmp_rank(&self, other: &Self) -> std::cmp::Ordering {
+        self.distance
+            .total_cmp(&other.distance)
+            .then(self.worker.cmp(&other.worker))
+    }
+}
+
 /// Uniform grid over the workers available during a single time slot.
 ///
-/// Shared between the dense [`WorkerIndex`] (one grid per slot over the whole
-/// domain) and the sharded index (one grid per `(shard, slot)` bucket over
-/// the shard's tile), so both resolve distance ties identically: workers are
-/// stored in ascending id order and every query sorts by
-/// `(distance, position)`.
+/// The geometry — `cols × cols` square cells of side `cell_size` from
+/// `origin`, sized for about two workers per cell — is fixed when the grid is
+/// built.  Insert and remove then edit only the touched cell, each of which
+/// holds its workers inline in ascending-id order, and the owner re-grids
+/// ([`SlotGrid::rebalance`]) only once the population has doubled or halved
+/// since the last build.
 #[derive(Debug, Clone)]
-pub(crate) struct SlotGrid {
-    /// All workers available in this slot.
-    workers: Vec<IndexedWorker>,
-    /// Grid buckets holding indices into `workers`.
-    cells: Vec<Vec<u32>>,
+struct SlotGrid {
+    /// Row-major cells, each in ascending worker-id order.
+    cells: Vec<Vec<IndexedWorker>>,
+    /// Number of workers in the grid.
+    len: usize,
+    /// `len` at the last build: the reference of the re-grid rule.
+    built_len: usize,
+    /// Cells per axis.
     cols: usize,
-    rows: usize,
     cell_size: f64,
     origin: Location,
 }
 
 impl SlotGrid {
-    pub(crate) fn build(workers: Vec<IndexedWorker>, domain: &Domain) -> Self {
+    /// The grid over `domain` of `workers`, given in ascending-id order.
+    fn build(workers: Vec<IndexedWorker>, domain: &Domain) -> Self {
         // Aim for a handful of workers per cell on average.
         let n = workers.len().max(1);
         let target_cells = (n as f64 / 2.0).ceil().max(1.0);
         let cols = (target_cells.sqrt().ceil() as usize).max(1);
-        let rows = cols;
-        let cell_size = (domain.width().max(domain.height()) / cols as f64).max(f64::MIN_POSITIVE);
-        let mut cells = vec![Vec::new(); cols * rows];
-        let origin = domain.min;
-        for (i, w) in workers.iter().enumerate() {
-            let (cx, cy) = Self::cell_coords(origin, cell_size, cols, rows, &w.location);
-            cells[cy * cols + cx].push(i as u32);
-        }
-        Self {
-            workers,
-            cells,
+        let mut grid = Self {
+            cells: Vec::new(),
+            len: workers.len(),
+            built_len: workers.len(),
             cols,
-            rows,
-            cell_size,
-            origin,
+            cell_size: (domain.width().max(domain.height()) / cols as f64).max(f64::MIN_POSITIVE),
+            origin: domain.min,
+        };
+        // Size every cell exactly: most cells hold a couple of workers, below
+        // the capacity a first push would reserve.
+        let homes: Vec<usize> = workers.iter().map(|w| grid.cell_of(&w.location)).collect();
+        let mut sizes = vec![0; cols * cols];
+        for &cell in &homes {
+            sizes[cell] += 1;
         }
+        grid.cells = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (w, cell) in workers.into_iter().zip(homes) {
+            grid.cells[cell].push(w);
+        }
+        grid
     }
 
-    /// The indexed workers in ascending-id (build) order.
-    pub(crate) fn workers(&self) -> &[IndexedWorker] {
-        &self.workers
+    /// The `(column, row)` of the cell holding `loc`.  Locations outside the
+    /// domain clamp into the border cells.
+    fn cell_coords(&self, loc: &Location) -> (usize, usize) {
+        let axis =
+            |offset: f64| ((offset / self.cell_size).floor().max(0.0) as usize).min(self.cols - 1);
+        (axis(loc.x - self.origin.x), axis(loc.y - self.origin.y))
     }
 
-    /// Takes the worker list out of the grid for a splice-and-rebuild
-    /// mutation.  The grid is left with dangling cell indices and MUST be
-    /// replaced by a fresh [`SlotGrid::build`] before the next query — the
-    /// mutable-index ops do exactly that, which is what keeps a mutated grid
-    /// bit-identical to a freshly built one (grid geometry depends on the
-    /// worker count, so in-place cell edits could not be).
-    pub(crate) fn take_workers(&mut self) -> Vec<IndexedWorker> {
-        std::mem::take(&mut self.workers)
+    fn cell_of(&self, loc: &Location) -> usize {
+        let (cx, cy) = self.cell_coords(loc);
+        cy * self.cols + cx
+    }
+
+    /// Inserts a worker into its cell, keeping the cell in ascending-id
+    /// order.
+    fn insert(&mut self, worker: IndexedWorker) {
+        let cell = self.cell_of(&worker.location);
+        let cell = &mut self.cells[cell];
+        let at = cell.partition_point(|w| w.worker < worker.worker);
+        cell.insert(at, worker);
+        self.len += 1;
+    }
+
+    /// Removes worker `id` from the cell of `at`, its indexed location.
+    fn remove(&mut self, id: WorkerId, at: &Location) -> Option<IndexedWorker> {
+        let cell = self.cell_of(at);
+        let cell = &mut self.cells[cell];
+        let pos = cell.binary_search_by_key(&id, |w| w.worker).ok()?;
+        self.len -= 1;
+        Some(cell.remove(pos))
+    }
+
+    /// Re-grids over `domain` once the population has doubled or halved
+    /// since the last build, so cells keep about two workers each.  Returns
+    /// the number of entries re-gridded (zero when the geometry stands).
+    fn rebalance(&mut self, domain: &Domain) -> usize {
+        let base = self.built_len.max(1);
+        if self.len < 2 * base && 2 * self.len > base {
+            return 0;
+        }
+        let mut workers: Vec<IndexedWorker> = self.cells.drain(..).flatten().collect();
+        workers.sort_unstable_by_key(|w| w.worker);
+        *self = Self::build(workers, domain);
+        self.len
     }
 
     /// `(max_len, non_empty_cells, total_entries)` over the grid's cells —
     /// the building block of the occupancy-imbalance gauge.
-    pub(crate) fn cell_stats(&self) -> (usize, usize, usize) {
+    fn cell_stats(&self) -> (usize, usize, usize) {
         let mut max = 0usize;
         let mut non_empty = 0usize;
-        let mut total = 0usize;
-        for cell in &self.cells {
-            if cell.is_empty() {
-                continue;
-            }
+        for cell in self.cells.iter().filter(|c| !c.is_empty()) {
             max = max.max(cell.len());
             non_empty += 1;
-            total += cell.len();
         }
-        (max, non_empty, total)
+        (max, non_empty, self.len)
     }
 
-    fn cell_coords(
-        origin: Location,
-        cell_size: f64,
-        cols: usize,
-        rows: usize,
-        loc: &Location,
-    ) -> (usize, usize) {
-        let cx = ((loc.x - origin.x) / cell_size).floor().max(0.0) as usize;
-        let cy = ((loc.y - origin.y) / cell_size).floor().max(0.0) as usize;
-        (cx.min(cols - 1), cy.min(rows - 1))
+    /// Calls `visit` on every cell whose Chebyshev distance from cell
+    /// `(qx, qy)` is exactly `ring` (the ring's border, clipped to the grid),
+    /// so each cell is visited once across all rings: clamped re-visits
+    /// would add duplicate candidates and trip the stop test before enough
+    /// distinct workers were found.
+    fn for_ring(&self, qx: usize, qy: usize, ring: usize, mut visit: impl FnMut(&[IndexedWorker])) {
+        let last = self.cols - 1;
+        let (x_lo, x_hi) = (qx.saturating_sub(ring), (qx + ring).min(last));
+        for cy in qy.saturating_sub(ring)..=(qy + ring).min(last) {
+            let row = &self.cells[cy * self.cols..][..self.cols];
+            if cy.abs_diff(qy) == ring {
+                row[x_lo..=x_hi].iter().for_each(|cell| visit(cell));
+            } else {
+                if qx >= ring {
+                    visit(&row[qx - ring]);
+                }
+                if qx + ring <= last {
+                    visit(&row[qx + ring]);
+                }
+            }
+        }
     }
 
     /// Lower bound on the distance from `query` to any worker in a cell NOT
@@ -345,187 +370,105 @@ impl SlotGrid {
     /// A search may stop once its current answer is **strictly** below this
     /// bound; at exact equality one more ring is scanned so a worker sitting
     /// precisely on the rectangle edge can still win a distance tie on its
-    /// id.  Shared by [`SlotGrid::nearest`] and [`SlotGrid::nearest_filtered`]
-    /// so the bound math exists exactly once.
+    /// id.  A NaN answer never passes the strict test, so NaN queries scan
+    /// every cell.
     fn unscanned_bound(&self, query: &Location, qx: usize, qy: usize, ring: usize) -> f64 {
+        let edge = |cells: usize, origin: f64| origin + cells as f64 * self.cell_size;
         let mut bound = f64::INFINITY;
         if qx > ring {
-            bound = bound.min(query.x - (self.origin.x + (qx - ring) as f64 * self.cell_size));
+            bound = bound.min(query.x - edge(qx - ring, self.origin.x));
         }
         if qx + ring + 1 < self.cols {
-            bound = bound.min(self.origin.x + (qx + ring + 1) as f64 * self.cell_size - query.x);
+            bound = bound.min(edge(qx + ring + 1, self.origin.x) - query.x);
         }
         if qy > ring {
-            bound = bound.min(query.y - (self.origin.y + (qy - ring) as f64 * self.cell_size));
+            bound = bound.min(query.y - edge(qy - ring, self.origin.y));
         }
-        if qy + ring + 1 < self.rows {
-            bound = bound.min(self.origin.y + (qy + ring + 1) as f64 * self.cell_size - query.y);
+        if qy + ring + 1 < self.cols {
+            bound = bound.min(edge(qy + ring + 1, self.origin.y) - query.y);
         }
         bound
     }
 
-    /// The `count` nearest workers to `query`, sorted by distance.
-    /// Ring-expansion search over the grid; falls back to scanning everything
-    /// when the rings are exhausted.
-    pub(crate) fn nearest(&self, query: &Location, count: usize) -> Vec<NearestWorker> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        self.nearest_append(query, count, &mut scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`SlotGrid::nearest`]: runs the search in
-    /// the caller-provided `scratch` buffer and *appends* the top-`count`
-    /// answers to `out` (callers merging several tiles reuse both buffers
-    /// across tiles and calls).  Identical candidates in identical order.
-    pub(crate) fn nearest_append(
-        &self,
-        query: &Location,
-        count: usize,
-        scratch: &mut Vec<(f64, u32)>,
-        out: &mut Vec<NearestWorker>,
-    ) {
-        if self.workers.is_empty() || count == 0 {
-            return;
+    /// The `count` nearest workers to `query` in rank order: ring expansion,
+    /// stopping once the `count`-th answer is strictly closer than any
+    /// unscanned cell.
+    fn k_nearest(&self, query: &Location, count: usize) -> Vec<NearestWorker> {
+        let mut found: Vec<NearestWorker> = Vec::new();
+        if count == 0 || self.len == 0 {
+            return found;
         }
-        scratch.clear();
-        let found: &mut Vec<(f64, u32)> = scratch;
-        // Tiny grids (common for the sharded index's per-tile buckets, which
-        // hold a few workers each) skip the ring machinery: every worker is a
-        // candidate anyway, and the final sort yields the identical order the
-        // ring expansion would.
-        if self.workers.len() <= count {
+        let add = |found: &mut Vec<NearestWorker>, cell: &[IndexedWorker]| {
             found.extend(
-                self.workers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, w)| (query.distance(&w.location), i as u32)),
+                cell.iter()
+                    .map(|w| w.at_distance(query.distance(&w.location))),
             );
-            found.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            out.extend(
-                found
-                    .iter()
-                    .map(|&(d, idx)| self.workers[idx as usize].at_distance(d)),
-            );
-            return;
-        }
-        let (qx, qy) = Self::cell_coords(self.origin, self.cell_size, self.cols, self.rows, query);
-        let max_ring = self.cols.max(self.rows);
-        for ring in 0..=max_ring {
-            // Visit the cells of this ring.
-            let x_lo = qx.saturating_sub(ring);
-            let x_hi = (qx + ring).min(self.cols - 1);
-            let y_lo = qy.saturating_sub(ring);
-            let y_hi = (qy + ring).min(self.rows - 1);
-            for cy in y_lo..=y_hi {
-                for cx in x_lo..=x_hi {
-                    // Visit cells whose exact Chebyshev distance equals the
-                    // ring: clamping at the grid borders would otherwise
-                    // re-visit border cells on every later ring, and the
-                    // duplicate entries would trip the stop condition before
-                    // `count` *distinct* workers have been collected.
-                    if cx.abs_diff(qx).max(cy.abs_diff(qy)) != ring {
-                        continue;
-                    }
-                    for &idx in &self.cells[cy * self.cols + cx] {
-                        let d = query.distance(&self.workers[idx as usize].location);
-                        found.push((d, idx));
+        };
+        if self.len <= count {
+            // Every worker is an answer: skip the ring machinery.
+            self.cells.iter().for_each(|cell| add(&mut found, cell));
+        } else {
+            let (qx, qy) = self.cell_coords(query);
+            for ring in 0..self.cols {
+                self.for_ring(qx, qy, ring, |cell| add(&mut found, cell));
+                if found.len() >= count {
+                    found.sort_by(NearestWorker::cmp_rank);
+                    if found[count - 1].distance < self.unscanned_bound(query, qx, qy, ring) {
+                        break;
                     }
                 }
             }
-            // Stop once we have enough candidates and no unscanned cell can
-            // hold anything closer (see `unscanned_bound`).
-            if found.len() >= count {
-                found.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                let kth = found[count - 1].0;
-                if kth < self.unscanned_bound(query, qx, qy, ring) {
-                    break;
-                }
-            }
         }
-        found.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out.extend(
-            found
-                .iter()
-                .take(count)
-                .map(|&(d, idx)| self.workers[idx as usize].at_distance(d)),
-        );
+        found.sort_by(NearestWorker::cmp_rank);
+        found.truncate(count);
+        found
     }
 
-    /// The nearest worker to `query` for which `skip` is false: the minimum
-    /// of `(distance.total_cmp, worker id)` over the non-skipped workers, the
-    /// same total order as the sorted [`SlotGrid::nearest`] and
-    /// [`WorkerIndex::nearest_brute_force`].  The single-best search of both
-    /// indexes: every `nearest*` query of the dense index is this search over
-    /// the slot grid, and the sharded router runs it per tile bucket.
-    ///
-    /// Same ring expansion and stop bound as [`SlotGrid::nearest`]: a ring is
-    /// scanned while the best answer so far is not strictly closer than the
-    /// edge of the scanned cell rectangle, so skipped workers cost one
-    /// predicate call each and never widen a fetch.  A NaN best distance
-    /// never passes the strict stop test, so NaN queries scan every cell.
-    pub(crate) fn nearest_filtered(
+    /// The first worker in rank order for which `skip` is false.  Same ring
+    /// expansion and stop bound as [`SlotGrid::k_nearest`], so skipped
+    /// workers cost one predicate call each and never widen the search.
+    fn nearest_filtered(
         &self,
         query: &Location,
-        mut skip: impl FnMut(WorkerId) -> bool,
-    ) -> Option<(f64, IndexedWorker)> {
-        if self.workers.is_empty() {
+        mut skip: impl FnMut(&IndexedWorker) -> bool,
+    ) -> Option<NearestWorker> {
+        if self.len == 0 {
             return None;
         }
-        let (qx, qy) = Self::cell_coords(self.origin, self.cell_size, self.cols, self.rows, query);
-        let mut best: Option<(f64, IndexedWorker)> = None;
-        let max_ring = self.cols.max(self.rows);
-        for ring in 0..=max_ring {
-            let x_lo = qx.saturating_sub(ring);
-            let x_hi = (qx + ring).min(self.cols - 1);
-            let y_lo = qy.saturating_sub(ring);
-            let y_hi = (qy + ring).min(self.rows - 1);
-            for cy in y_lo..=y_hi {
-                for cx in x_lo..=x_hi {
-                    if cx.abs_diff(qx).max(cy.abs_diff(qy)) != ring {
+        let (qx, qy) = self.cell_coords(query);
+        let mut best: Option<NearestWorker> = None;
+        for ring in 0..self.cols {
+            self.for_ring(qx, qy, ring, |cell| {
+                for w in cell {
+                    if skip(w) {
                         continue;
                     }
-                    for &idx in &self.cells[cy * self.cols + cx] {
-                        let w = self.workers[idx as usize];
-                        if skip(w.worker) {
-                            continue;
-                        }
-                        let d = query.distance(&w.location);
-                        if precedes(d, w.worker, best.as_ref()) {
-                            best = Some((d, w));
-                        }
+                    let candidate = w.at_distance(query.distance(&w.location));
+                    if best
+                        .as_ref()
+                        .map_or(true, |b| candidate.cmp_rank(b).is_lt())
+                    {
+                        best = Some(candidate);
                     }
                 }
-            }
-            if let Some((bd, _)) = &best {
-                if *bd < self.unscanned_bound(query, qx, qy, ring) {
-                    break;
-                }
+            });
+            if best.is_some_and(|b| b.distance < self.unscanned_bound(query, qx, qy, ring)) {
+                break;
             }
         }
         best
     }
 }
 
-/// Whether a candidate at distance `d` with id `id` beats the current `best`
-/// under the `(distance.total_cmp, worker id)` total order of every index
-/// query.  Plain `<` on `f64` is not a total order: with a NaN distance it
-/// would keep whichever candidate came first in scan order, so the dense and
-/// sharded scans (which visit workers in different orders) would disagree.
-pub(crate) fn precedes(d: f64, id: WorkerId, best: Option<&(f64, IndexedWorker)>) -> bool {
-    best.map_or(true, |(bd, bw)| {
-        d.total_cmp(bd).then(id.cmp(&bw.worker)).is_lt()
-    })
-}
-
 /// Per-slot spatial index over a worker pool.
 ///
 /// Building the index costs `O(Σ availability)`; each nearest-worker query is
-/// answered from the grid of the queried slot only.
+/// answered from the grid of the queried slot only, and each mutation edits
+/// only the grid cells its entries leave or enter.
 #[derive(Debug, Clone)]
 pub struct WorkerIndex {
     slots: Vec<SlotGrid>,
-    /// The build domain, kept so mutations can re-grid a slot identically.
+    /// The build domain, which a slot re-grids over.
     domain: Domain,
     registry: WorkerRegistry,
     indexed_entries: usize,
@@ -534,49 +477,45 @@ pub struct WorkerIndex {
 impl WorkerIndex {
     /// Builds the index for the given pool over `num_slots` time slots within
     /// `domain`.
+    ///
+    /// Of several pool workers sharing an id, only the first (in pool order)
+    /// is indexed — the rule [`Worker::new`] applies to duplicate slots — so
+    /// the index and [`MutableSpatialIndex::worker_profile`] always agree.
     pub fn build(pool: &WorkerPool, num_slots: usize, domain: &Domain) -> Self {
+        let mut registry = WorkerRegistry::default();
+        // Pool iteration is worker-id ascending, so every slot's list is too.
         let mut per_slot: Vec<Vec<IndexedWorker>> = vec![Vec::new(); num_slots];
         for worker in pool.workers() {
-            for ws in worker.availability() {
-                if ws.slot < num_slots {
-                    per_slot[ws.slot].push(IndexedWorker {
-                        worker: worker.id,
-                        location: ws.location,
-                        reliability: worker.reliability,
-                    });
-                }
+            let Some(entries) = registry.insert(worker, num_slots) else {
+                continue;
+            };
+            for &(slot, location) in entries {
+                per_slot[slot].push(IndexedWorker {
+                    worker: worker.id,
+                    location,
+                    reliability: worker.reliability,
+                });
             }
         }
-        let indexed_entries = per_slot.iter().map(Vec::len).sum();
-        let slots = per_slot
-            .into_iter()
-            .map(|workers| SlotGrid::build(workers, domain))
-            .collect();
         Self {
-            slots,
+            indexed_entries: per_slot.iter().map(Vec::len).sum(),
+            slots: per_slot
+                .into_iter()
+                .map(|workers| SlotGrid::build(workers, domain))
+                .collect(),
             domain: *domain,
-            registry: WorkerRegistry::from_pool(pool, num_slots),
-            indexed_entries,
+            registry,
         }
     }
 
-    /// Splices one slot's worker list and rebuilds its grid whole — the dense
-    /// index's (deliberately coarse) unit of mutation, and the reason it is
-    /// the rebuild-equivalence oracle: the rebuilt grid is *by construction*
-    /// the grid a fresh [`WorkerIndex::build`] would produce for the slot.
-    /// Returns the number of entries re-gridded.
-    fn regrid_slot(
-        &mut self,
-        slot: SlotIndex,
-        edit: impl FnOnce(&mut Vec<IndexedWorker>),
-    ) -> usize {
-        let mut workers = self.slots[slot].take_workers();
-        let before = workers.len();
-        edit(&mut workers);
-        let after = workers.len();
-        self.indexed_entries = self.indexed_entries + after - before;
-        self.slots[slot] = SlotGrid::build(workers, &self.domain);
-        after
+    /// The outcome of an applied mutation that wrote `entries_touched`
+    /// entries.
+    fn applied(&self, entries_touched: usize) -> IndexMutation {
+        IndexMutation {
+            applied: true,
+            entries_touched,
+            rebuild_equiv_entries: self.indexed_entries,
+        }
     }
 
     /// Number of time slots covered by the index.
@@ -591,7 +530,7 @@ impl WorkerIndex {
 
     /// Number of workers available during `slot`.
     pub fn available_count(&self, slot: SlotIndex) -> usize {
-        self.slots.get(slot).map_or(0, |g| g.workers.len())
+        self.slots.get(slot).map_or(0, |g| g.len)
     }
 
     /// The nearest available worker to `query` during `slot`.
@@ -606,7 +545,7 @@ impl WorkerIndex {
     pub fn k_nearest(&self, slot: SlotIndex, query: &Location, count: usize) -> Vec<NearestWorker> {
         self.slots
             .get(slot)
-            .map_or_else(Vec::new, |g| g.nearest(query, count))
+            .map_or_else(Vec::new, |g| g.k_nearest(query, count))
     }
 
     /// The nearest worker to `query` during `slot` whose id is not in
@@ -623,18 +562,18 @@ impl WorkerIndex {
         query: &Location,
         excluded: &BTreeSet<WorkerId>,
     ) -> Option<NearestWorker> {
-        self.nearest_filtered(slot, query, |id| excluded.contains(&id))
+        self.nearest_filtered(slot, query, |w| excluded.contains(&w.worker))
     }
 
-    /// [`SlotGrid::nearest_filtered`] over the grid of `slot`.
-    fn nearest_filtered(
+    /// The nearest worker to `query` during `slot` for which `skip` is false:
+    /// the single-best search behind every `nearest*` query.
+    pub(crate) fn nearest_filtered(
         &self,
         slot: SlotIndex,
         query: &Location,
-        skip: impl FnMut(WorkerId) -> bool,
+        skip: impl FnMut(&IndexedWorker) -> bool,
     ) -> Option<NearestWorker> {
-        let (distance, w) = self.slots.get(slot)?.nearest_filtered(query, skip)?;
-        Some(w.at_distance(distance))
+        self.slots.get(slot)?.nearest_filtered(query, skip)
     }
 
     /// Brute-force nearest query, used as a correctness oracle in tests.
@@ -650,11 +589,7 @@ impl WorkerIndex {
                 reliability: w.reliability,
                 distance: query.distance(&loc),
             })
-            .min_by(|a, b| {
-                a.distance
-                    .total_cmp(&b.distance)
-                    .then(a.worker.cmp(&b.worker))
-            })
+            .min_by(NearestWorker::cmp_rank)
     }
 }
 
@@ -664,24 +599,17 @@ impl MutableSpatialIndex for WorkerIndex {
             return IndexMutation::default();
         };
         let mut entries_touched = 0;
-        for (slot, location) in entries {
-            entries_touched += self.regrid_slot(slot, |workers| {
-                let at = workers.partition_point(|w| w.worker < worker.id);
-                workers.insert(
-                    at,
-                    IndexedWorker {
-                        worker: worker.id,
-                        location,
-                        reliability: worker.reliability,
-                    },
-                );
+        for &(slot, location) in entries {
+            let grid = &mut self.slots[slot];
+            grid.insert(IndexedWorker {
+                worker: worker.id,
+                location,
+                reliability: worker.reliability,
             });
+            entries_touched += 1 + grid.rebalance(&self.domain);
         }
-        IndexMutation {
-            applied: true,
-            entries_touched,
-            rebuild_equiv_entries: self.indexed_entries,
-        }
+        self.indexed_entries += entries.len();
+        self.applied(entries_touched)
     }
 
     fn remove_worker(&mut self, id: WorkerId) -> IndexMutation {
@@ -689,35 +617,29 @@ impl MutableSpatialIndex for WorkerIndex {
             return IndexMutation::default();
         };
         let mut entries_touched = 0;
-        for &(slot, _) in reg.slots() {
-            entries_touched += self.regrid_slot(slot, |workers| {
-                workers.retain(|w| w.worker != id);
-            });
+        for (slot, location) in &reg.slots {
+            let grid = &mut self.slots[*slot];
+            grid.remove(id, location);
+            entries_touched += 1 + grid.rebalance(&self.domain);
         }
-        IndexMutation {
-            applied: true,
-            entries_touched,
-            rebuild_equiv_entries: self.indexed_entries,
-        }
+        self.indexed_entries -= reg.slots.len();
+        self.applied(entries_touched)
     }
 
     fn move_worker(&mut self, id: WorkerId, new_loc: Location) -> IndexMutation {
-        let Some(old) = self.registry.relocate(id, new_loc) else {
+        let Some(entries) = self.registry.slots_mut(id) else {
             return IndexMutation::default();
         };
-        let mut entries_touched = 0;
-        for (slot, _) in old {
-            entries_touched += self.regrid_slot(slot, |workers| {
-                if let Some(w) = workers.iter_mut().find(|w| w.worker == id) {
-                    w.location = new_loc;
-                }
-            });
+        for (slot, location) in entries.iter_mut() {
+            let grid = &mut self.slots[*slot];
+            if let Some(mut w) = grid.remove(id, location) {
+                w.location = new_loc;
+                grid.insert(w);
+            }
+            *location = new_loc;
         }
-        IndexMutation {
-            applied: true,
-            entries_touched,
-            rebuild_equiv_entries: self.indexed_entries,
-        }
+        let entries_touched = entries.len();
+        self.applied(entries_touched)
     }
 
     fn worker_profile(&self, id: WorkerId) -> Option<WorkerProfile> {
@@ -729,26 +651,19 @@ impl MutableSpatialIndex for WorkerIndex {
     }
 
     fn occupancy_imbalance_milli(&self) -> u64 {
-        let mut max = 0usize;
-        let mut non_empty = 0usize;
-        let mut total = 0usize;
+        let (mut max, mut cells, mut total) = (0, 0, 0);
         for grid in &self.slots {
             let (m, n, t) = grid.cell_stats();
             max = max.max(m);
-            non_empty += n;
+            cells += n;
             total += t;
         }
-        imbalance_milli(max, non_empty, total)
+        // `max * 1000 / (total / cells)` in integer arithmetic.
+        if total == 0 {
+            return 0;
+        }
+        (max as u64 * 1000 * cells as u64) / total as u64
     }
-}
-
-/// `max * 1000 / (total / buckets)` in integer arithmetic: the milli-scaled
-/// max-over-mean bucket-occupancy ratio (0 when there are no buckets).
-pub(crate) fn imbalance_milli(max: usize, buckets: usize, total: usize) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    (max as u64 * 1000 * buckets as u64) / total as u64
 }
 
 impl SpatialQuery for WorkerIndex {
@@ -968,6 +883,72 @@ mod tests {
         let index = WorkerIndex::build(&pool, 5, &Domain::square(10.0));
         assert_eq!(index.num_slots(), 5);
         assert_eq!(index.available_count(4), 0);
+    }
+
+    #[test]
+    fn duplicate_worker_ids_index_only_the_first() {
+        // The pool keeps both id-7 workers; the registry keeps the first, and
+        // the index must hold exactly what the registry holds, or a removal
+        // would leave the second entry behind as a ghost.
+        let at = |v: f64| {
+            vec![WorkerSlot {
+                slot: 0,
+                location: Location::new(v, v),
+            }]
+        };
+        let pool = WorkerPool::new(vec![
+            Worker::new(WorkerId(7), at(10.0)),
+            Worker::new(WorkerId(7), at(90.0)),
+        ]);
+        let mut index = WorkerIndex::build(&pool, 1, &Domain::square(100.0));
+        assert_eq!(index.total_workers(), 1);
+        assert_eq!(index.available_count(0), 1);
+        assert_eq!(index.indexed_entries(), 1);
+        let far_corner = Location::new(95.0, 95.0);
+        assert_eq!(
+            index.nearest(0, &far_corner).unwrap().location,
+            Location::new(10.0, 10.0)
+        );
+        assert_eq!(
+            index.worker_profile(WorkerId(7)).unwrap().entries,
+            vec![(0, Location::new(10.0, 10.0))]
+        );
+        assert!(index.remove_worker(WorkerId(7)).applied);
+        assert_eq!(index.available_count(0), 0);
+        assert!(index.nearest(0, &far_corner).is_none());
+    }
+
+    #[test]
+    fn mutations_edit_cells_in_place_and_regrid_on_double_or_halve() {
+        // Slot 0 is built with 4 workers.  Inserts touch one entry each until
+        // the population doubles to 8, which re-grids all 8; moves never
+        // re-grid; removals re-grid once the population halves to 4.
+        let pool = pool_of(&[(0, 1.0, 1.0), (0, 3.0, 7.0), (0, 6.0, 2.0), (0, 9.0, 9.0)]);
+        let mut index = WorkerIndex::build(&pool, 1, &Domain::square(10.0));
+        let joiner = |id: u32| {
+            let x = f64::from(id) - 9.5;
+            Worker::new(
+                WorkerId(id),
+                vec![WorkerSlot {
+                    slot: 0,
+                    location: Location::new(x, 10.0 - x),
+                }],
+            )
+        };
+        let touched: Vec<usize> = (10..14)
+            .map(|id| index.insert_worker(&joiner(id)).entries_touched)
+            .collect();
+        assert_eq!(touched, [1, 1, 1, 1 + 8]);
+        let moved = index.move_worker(WorkerId(0), Location::new(5.0, 5.0));
+        assert_eq!((moved.entries_touched, moved.rebuild_equiv_entries), (1, 8));
+        let touched: Vec<usize> = (10..14)
+            .map(|id| index.remove_worker(WorkerId(id)).entries_touched)
+            .collect();
+        assert_eq!(touched, [1, 1, 1, 1 + 4]);
+        assert_eq!(
+            index.nearest(0, &Location::new(5.2, 5.2)).unwrap().worker,
+            WorkerId(0)
+        );
     }
 
     #[test]

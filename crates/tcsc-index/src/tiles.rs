@@ -4,34 +4,26 @@
 
 use tcsc_core::{Domain, Location};
 
-/// Shard-grid layout: how many spatial tiles per axis and how many contiguous
-/// time ranges the slot axis is split into.
+/// Shard-grid layout: how many spatial tiles per axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardGridConfig {
     /// Number of tiles along the x axis (min 1).
     pub tiles_x: usize,
     /// Number of tiles along the y axis (min 1).
     pub tiles_y: usize,
-    /// Number of contiguous time ranges the slot axis is split into (min 1;
-    /// 1 means no time split).
+    /// Ignored: tiles span every slot.  The field remains so that existing
+    /// struct literals still compile.
     pub time_splits: usize,
 }
 
 impl ShardGridConfig {
-    /// A `tiles_x x tiles_y` spatial grid without a time split.
+    /// A `tiles_x x tiles_y` spatial grid.
     pub fn new(tiles_x: usize, tiles_y: usize) -> Self {
         Self {
             tiles_x: tiles_x.max(1),
             tiles_y: tiles_y.max(1),
             time_splits: 1,
         }
-    }
-
-    /// Adds a time-range split: shards own `ceil(num_slots / time_splits)`
-    /// consecutive slots each.
-    pub fn with_time_splits(mut self, time_splits: usize) -> Self {
-        self.time_splits = time_splits.max(1);
-        self
     }
 
     /// Number of spatial tiles.
@@ -41,7 +33,7 @@ impl ShardGridConfig {
 }
 
 impl Default for ShardGridConfig {
-    /// An 8×8 spatial grid without a time split.
+    /// An 8×8 spatial grid.
     fn default() -> Self {
         Self::new(8, 8)
     }
@@ -50,8 +42,8 @@ impl Default for ShardGridConfig {
 /// Maps locations to the tiles of a [`ShardGridConfig`] laid over a
 /// [`Domain`].
 ///
-/// Every count of the grid is clamped to at least 1, so a struct literal with
-/// zero tiles routes like the 1×1 grid.  Out-of-domain locations route to the
+/// Both tile counts are clamped to at least 1, so a struct literal with zero
+/// tiles routes like the 1×1 grid.  Out-of-domain locations route to the
 /// nearest border tile (the **border-clamp invariant**): negative offsets to
 /// tile 0, offsets at or beyond the domain edge to the last tile.  Border
 /// tiles are therefore unbounded on their grid-edge sides.
@@ -59,20 +51,16 @@ impl Default for ShardGridConfig {
 pub struct TileRouter {
     pub(crate) grid: ShardGridConfig,
     /// Where tile `(0, 0)` starts: the domain's minimum corner.
-    pub(crate) origin: Location,
+    origin: Location,
     /// Tile extents, positive even over a degenerate domain.
-    pub(crate) tile_w: f64,
-    pub(crate) tile_h: f64,
+    tile_w: f64,
+    tile_h: f64,
 }
 
 impl TileRouter {
     /// The router of `grid` over `domain`.
     pub fn new(domain: &Domain, grid: ShardGridConfig) -> Self {
-        let grid = ShardGridConfig {
-            tiles_x: grid.tiles_x.max(1),
-            tiles_y: grid.tiles_y.max(1),
-            time_splits: grid.time_splits.max(1),
-        };
+        let grid = ShardGridConfig::new(grid.tiles_x, grid.tiles_y);
         Self {
             grid,
             origin: domain.min,

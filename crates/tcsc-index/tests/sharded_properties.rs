@@ -1,9 +1,14 @@
-//! Property tests: [`ShardedWorkerIndex`] must answer every query
-//! **bit-identically** to the dense [`WorkerIndex`] — same workers, same
-//! order, same `f64` distances — across seeded domains, shard layouts,
-//! tile-boundary workers and empty shards.  This equivalence is what lets the
-//! assignment layer swap the sharded router in without changing a single
-//! plan.
+//! Oracle properties of the worker index: the dense [`WorkerIndex`] and the
+//! tile-routed [`ShardedWorkerIndex`] view over it must answer every query
+//! like a brute-force scan of the pool — same workers, same order, same
+//! `f64` distances — across seeded domains, tile layouts, boundary and
+//! out-of-domain workers, duplicate locations, heavy occupancy and
+//! non-finite queries.
+//!
+//! Every index is checked twice: freshly built, and reached by mutation from
+//! a different pool through several re-grids.  The mutated grids keep
+//! geometries a fresh build would not choose, so these checks also lock in
+//! that no answer depends on grid geometry.
 
 use std::collections::BTreeSet;
 
@@ -11,7 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcsc_core::{Domain, Location, Worker, WorkerId, WorkerPool, WorkerSlot};
 use tcsc_index::{
-    MutableSpatialIndex, ShardGridConfig, ShardedWorkerIndex, SpatialQuery, WorkerIndex,
+    MutableSpatialIndex, NearestWorker, ShardGridConfig, ShardedWorkerIndex, SpatialQuery,
+    WorkerIndex,
 };
 
 /// A seeded pool of workers with 1–4 availability slots each.
@@ -35,6 +41,23 @@ fn random_pool(seed: u64, num_workers: usize, num_slots: usize, domain: &Domain)
         .collect()
 }
 
+/// One-slot workers at the given points, with ids in point order.
+fn point_pool(points: &[(usize, f64, f64)]) -> WorkerPool {
+    points
+        .iter()
+        .enumerate()
+        .map(|(i, &(slot, x, y))| {
+            Worker::new(
+                WorkerId(i as u32),
+                vec![WorkerSlot {
+                    slot,
+                    location: Location::new(x, y),
+                }],
+            )
+        })
+        .collect()
+}
+
 /// Seeded query points, including the domain corners and centre.
 fn query_points(seed: u64, count: usize, domain: &Domain) -> Vec<Location> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -54,492 +77,6 @@ fn query_points(seed: u64, count: usize, domain: &Domain) -> Vec<Location> {
     points
 }
 
-fn shard_layouts() -> Vec<ShardGridConfig> {
-    vec![
-        ShardGridConfig::new(1, 1),
-        ShardGridConfig::new(2, 2),
-        ShardGridConfig::new(4, 4),
-        ShardGridConfig::new(5, 3),
-        ShardGridConfig::new(16, 16),
-        ShardGridConfig::new(4, 4).with_time_splits(2),
-        ShardGridConfig::new(3, 5).with_time_splits(4),
-    ]
-}
-
-/// Asserts every query of every slot agrees bit-for-bit between the two
-/// indexes.
-fn assert_equivalent(
-    pool: &WorkerPool,
-    num_slots: usize,
-    domain: &Domain,
-    config: ShardGridConfig,
-    queries: &[Location],
-) {
-    let dense = WorkerIndex::build(pool, num_slots, domain);
-    let sharded = ShardedWorkerIndex::build(pool, num_slots, domain, config);
-    assert_eq!(dense.num_slots(), SpatialQuery::num_slots(&sharded));
-    for slot in 0..num_slots {
-        assert_eq!(
-            dense.available_count(slot),
-            SpatialQuery::available_count(&sharded, slot),
-            "availability at slot {slot} under {config:?}"
-        );
-        for q in queries {
-            assert_eq!(
-                dense.nearest(slot, q),
-                sharded.nearest(slot, q),
-                "nearest at slot {slot}, query {q}, {config:?}"
-            );
-            for count in [2, 5, 17] {
-                assert_eq!(
-                    dense.k_nearest(slot, q, count),
-                    sharded.k_nearest(slot, q, count),
-                    "{count}-nearest at slot {slot}, query {q}, {config:?}"
-                );
-            }
-            // Exclusion sets built from the actual nearest workers (the
-            // conflict-fallback shape) plus ids absent from the slot.
-            let top: Vec<WorkerId> = dense
-                .k_nearest(slot, q, 4)
-                .into_iter()
-                .map(|w| w.worker)
-                .collect();
-            for take in 0..=top.len() {
-                let mut excluded: BTreeSet<WorkerId> = top[..take].iter().copied().collect();
-                excluded.insert(WorkerId(u32::MAX));
-                assert_eq!(
-                    dense.nearest_excluding_set(slot, q, &excluded),
-                    sharded.nearest_excluding_set(slot, q, &excluded),
-                    "excluding {excluded:?} at slot {slot}, query {q}, {config:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn random_domains_agree_across_shard_layouts() {
-    let domain = Domain::square(100.0);
-    for seed in [3, 17, 92] {
-        let pool = random_pool(seed, 150, 12, &domain);
-        let queries = query_points(seed ^ 0xbeef, 12, &domain);
-        for config in shard_layouts() {
-            assert_equivalent(&pool, 12, &domain, config, &queries);
-        }
-    }
-}
-
-#[test]
-fn rectangular_domains_agree() {
-    let domain = Domain::new(Location::new(-40.0, 10.0), Location::new(60.0, 35.0));
-    let pool = random_pool(7, 120, 6, &domain);
-    let queries = query_points(8, 10, &domain);
-    for config in [
-        ShardGridConfig::new(8, 2),
-        ShardGridConfig::new(2, 8).with_time_splits(3),
-    ] {
-        assert_equivalent(&pool, 6, &domain, config, &queries);
-    }
-}
-
-#[test]
-fn workers_on_tile_boundaries_agree() {
-    // Workers placed exactly on every 4x4 tile boundary line of a 100x100
-    // domain (x or y multiples of 25), including tile corners, plus queries
-    // on the same lines: the router must not lose or double-count them.
-    let domain = Domain::square(100.0);
-    let mut entries = Vec::new();
-    for i in 0..=4 {
-        for j in 0..=10 {
-            entries.push((0usize, i as f64 * 25.0, j as f64 * 10.0));
-            entries.push((0usize, j as f64 * 10.0, i as f64 * 25.0));
-        }
-    }
-    let pool: WorkerPool = entries
-        .iter()
-        .enumerate()
-        .map(|(i, &(slot, x, y))| {
-            Worker::new(
-                WorkerId(i as u32),
-                vec![WorkerSlot {
-                    slot,
-                    location: Location::new(x, y),
-                }],
-            )
-        })
-        .collect();
-    let mut queries = vec![
-        Location::new(25.0, 25.0),
-        Location::new(50.0, 50.0),
-        Location::new(75.0, 24.999999999),
-        Location::new(25.000000001, 80.0),
-    ];
-    queries.extend(query_points(11, 8, &domain));
-    for config in [
-        ShardGridConfig::new(4, 4),
-        ShardGridConfig::new(8, 8),
-        ShardGridConfig::new(4, 4).with_time_splits(2),
-    ] {
-        assert_equivalent(&pool, 1, &domain, config, &queries);
-    }
-}
-
-#[test]
-fn empty_shards_and_empty_slots_agree() {
-    // Every worker clusters into one corner tile, so almost every shard is
-    // empty, and slot 1 has no workers at all.
-    let domain = Domain::square(100.0);
-    let mut rng = StdRng::seed_from_u64(23);
-    let pool: WorkerPool = (0..60)
-        .map(|i| {
-            Worker::new(
-                WorkerId(i as u32),
-                vec![WorkerSlot {
-                    slot: if i % 3 == 0 { 2 } else { 0 },
-                    location: Location::new(rng.gen_range(0.0..8.0), rng.gen_range(0.0..8.0)),
-                }],
-            )
-        })
-        .collect();
-    let queries = query_points(29, 10, &domain);
-    for config in shard_layouts() {
-        assert_equivalent(&pool, 3, &domain, config, &queries);
-    }
-    let sharded = ShardedWorkerIndex::build(&pool, 3, &domain, ShardGridConfig::new(10, 10));
-    let empty = (0..sharded.num_shards())
-        .filter(|&s| sharded.shard_entries(s) == 0)
-        .count();
-    assert!(
-        empty > 90,
-        "expected mostly empty shards, got {empty} empty"
-    );
-}
-
-#[test]
-fn dense_tiles_exercise_the_interior_grids() {
-    // Many workers packed into few tiles force multi-cell interior grids in
-    // every populated (shard, slot) bucket; answers must stay bit-identical
-    // to the dense index.  (600 workers over a 2x2 grid gives ~150 workers
-    // per tile-slot — far past the handful-per-cell target of `SlotGrid`.)
-    let domain = Domain::square(50.0);
-    let mut rng = StdRng::seed_from_u64(57);
-    let pool: WorkerPool = (0..600)
-        .map(|i| {
-            // Two dense clusters, both inside single tiles of the 2x2 grid.
-            let (cx, cy) = if i % 2 == 0 {
-                (10.0, 10.0)
-            } else {
-                (40.0, 35.0)
-            };
-            Worker::new(
-                WorkerId(i as u32),
-                vec![WorkerSlot {
-                    slot: (i % 2) as usize,
-                    location: Location::new(
-                        cx + rng.gen_range(-9.0..9.0),
-                        cy + rng.gen_range(-9.0..9.0),
-                    ),
-                }],
-            )
-        })
-        .collect();
-    let queries = query_points(59, 14, &domain);
-    for config in [
-        ShardGridConfig::new(2, 2),
-        ShardGridConfig::new(1, 1),
-        ShardGridConfig::new(2, 2).with_time_splits(2),
-    ] {
-        assert_equivalent(&pool, 2, &domain, config, &queries);
-    }
-}
-
-#[test]
-fn interior_grid_filtered_search_survives_heavy_occupancy() {
-    // Exclude large prefixes of a dense tile's workers through the filtered
-    // query: the interior grid must keep expanding past excluded cells and
-    // agree with the dense index's equivalent set query.
-    let domain = Domain::square(40.0);
-    let mut rng = StdRng::seed_from_u64(61);
-    let pool: WorkerPool = (0..200)
-        .map(|i| {
-            Worker::new(
-                WorkerId(i as u32),
-                vec![WorkerSlot {
-                    slot: 0,
-                    location: Location::new(rng.gen_range(0.0..40.0), rng.gen_range(0.0..40.0)),
-                }],
-            )
-        })
-        .collect();
-    let dense = WorkerIndex::build(&pool, 1, &domain);
-    let config = ShardGridConfig::new(3, 3);
-    let sharded = ShardedWorkerIndex::build(&pool, 1, &domain, config);
-    for q in query_points(67, 8, &domain) {
-        let order: Vec<_> = dense.k_nearest(0, &q, 200);
-        for take in [0, 1, 5, 40, 150, 199, 200] {
-            let excluded: BTreeSet<WorkerId> = order[..take].iter().map(|w| w.worker).collect();
-            let by_shard: BTreeSet<(usize, WorkerId)> = order[..take]
-                .iter()
-                .map(|w| (sharded.spatial_shard_of(&w.location), w.worker))
-                .collect();
-            let via_dense = dense.nearest_excluding_set(0, &q, &excluded);
-            let via_filter =
-                sharded.nearest_excluding_with(0, &q, |s, w| by_shard.contains(&(s, w)));
-            assert_eq!(
-                via_dense.map(|w| (w.worker, w.distance.to_bits())),
-                via_filter.map(|w| (w.worker, w.distance.to_bits())),
-                "excluding the {take} nearest at query {q}"
-            );
-        }
-    }
-}
-
-/// Asserts a *mutated* sharded index agrees bit-for-bit with a dense index
-/// rebuilt from the mirror pool — the pruning-exactness check after a
-/// mutation tape: `tile_min_distance` skips and `unscanned_bound` stops must
-/// not lose any relocated (possibly out-of-domain, border-clamped) worker.
-fn assert_mutated_exact(
-    mutated: &ShardedWorkerIndex,
-    mirror: &[Worker],
-    num_slots: usize,
-    domain: &Domain,
-    queries: &[Location],
-    ctx: &str,
-) {
-    let pool = WorkerPool::new(mirror.to_vec());
-    let dense = WorkerIndex::build(&pool, num_slots, domain);
-    for slot in 0..num_slots {
-        assert_eq!(
-            SpatialQuery::available_count(mutated, slot),
-            dense.available_count(slot),
-            "{ctx}: availability at slot {slot}"
-        );
-        for q in queries {
-            for count in [1, 4, 13] {
-                assert_eq!(
-                    mutated.k_nearest(slot, q, count),
-                    dense.k_nearest(slot, q, count),
-                    "{ctx}: {count}-nearest at slot {slot}, query {q}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn mutation_tapes_keep_pruning_bounds_exact() {
-    // Arbitrary move/remove sequences — with moves drifting workers across
-    // tiles and beyond the domain edges — must leave every distance bound
-    // exact: the mutated index answers like a fresh dense rebuild.
-    let domain = Domain::square(80.0);
-    for seed in [5u64, 29, 71, 113] {
-        for config in [
-            ShardGridConfig::new(4, 4),
-            ShardGridConfig::new(3, 5).with_time_splits(2),
-        ] {
-            let pool = random_pool(seed, 80, 6, &domain);
-            let mut mirror: Vec<Worker> = pool.workers().to_vec();
-            let mut sharded = ShardedWorkerIndex::build(&pool, 6, &domain, config);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x7a9e);
-            let queries = query_points(seed ^ 0x51, 8, &domain);
-            for step in 0..30 {
-                if rng.gen_range(0..10) < 7 || mirror.len() < 10 {
-                    // Move: up to 35% beyond the domain on either axis.
-                    let at = rng.gen_range(0..mirror.len());
-                    let to = Location::new(
-                        rng.gen_range(domain.min.x - 28.0..domain.max.x + 28.0),
-                        rng.gen_range(domain.min.y - 28.0..domain.max.y + 28.0),
-                    );
-                    let old = &mirror[at];
-                    let id = old.id;
-                    let slots = old
-                        .availability()
-                        .iter()
-                        .map(|ws| WorkerSlot {
-                            slot: ws.slot,
-                            location: to,
-                        })
-                        .collect();
-                    mirror[at] = Worker::with_reliability(id, slots, old.reliability);
-                    assert!(sharded.move_worker(id, to).applied);
-                } else {
-                    let at = rng.gen_range(0..mirror.len());
-                    let id = mirror.remove(at).id;
-                    assert!(sharded.remove_worker(id).applied);
-                }
-                if step % 10 == 9 {
-                    let ctx = format!("seed {seed}, step {step}, {config:?}");
-                    assert_mutated_exact(&sharded, &mirror, 6, &domain, &queries, &ctx);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn worker_moved_out_of_domain_lands_in_the_rebuild_tile() {
-    // The border-clamp invariant regression: a worker moved beyond any
-    // domain edge must land in exactly the border tile a from-scratch
-    // rebuild places it in — same per-shard entry counts, same answers.
-    let domain = Domain::square(40.0);
-    let config = ShardGridConfig::new(4, 4);
-    let pool: WorkerPool = [(5.0, 5.0), (22.0, 13.0), (35.0, 30.0)]
-        .iter()
-        .enumerate()
-        .map(|(i, &(x, y))| {
-            Worker::new(
-                WorkerId(i as u32),
-                vec![WorkerSlot {
-                    slot: 0,
-                    location: Location::new(x, y),
-                }],
-            )
-        })
-        .collect();
-    for target in [
-        Location::new(-5.0, -5.0),
-        Location::new(45.0, 20.0),
-        Location::new(20.0, 47.0),
-        Location::new(-3.0, 44.0),
-        Location::new(41.0, -2.0),
-        Location::new(2000.0, 2000.0),
-    ] {
-        let mut mutated = ShardedWorkerIndex::build(&pool, 1, &domain, config);
-        assert!(mutated.move_worker(WorkerId(0), target).applied);
-
-        let mut mirror: Vec<Worker> = pool.workers().to_vec();
-        mirror[0] = Worker::new(
-            WorkerId(0),
-            vec![WorkerSlot {
-                slot: 0,
-                location: target,
-            }],
-        );
-        let rebuilt = ShardedWorkerIndex::build(&WorkerPool::new(mirror), 1, &domain, config);
-
-        // Same bucket placement, clamped into a border tile.
-        for shard in 0..rebuilt.num_shards() {
-            assert_eq!(
-                mutated.shard_entries(shard),
-                rebuilt.shard_entries(shard),
-                "target {target}: shard {shard} entries"
-            );
-        }
-        let (tx, ty) = mutated.tile_of(&target);
-        assert!(
-            tx == 0 || tx == 3 || ty == 0 || ty == 3,
-            "target {target}: expected a border tile, got ({tx}, {ty})"
-        );
-        // And the clamped worker is still found from everywhere, never
-        // pruned by the border-tile distance bounds.
-        for q in [
-            Location::new(0.0, 0.0),
-            Location::new(39.0, 39.0),
-            target,
-            Location::new(20.0, 0.0),
-        ] {
-            assert_eq!(
-                mutated.k_nearest(0, &q, 3),
-                rebuilt.k_nearest(0, &q, 3),
-                "target {target}, query {q}"
-            );
-        }
-    }
-}
-
-/// The filtered-query oracle, independent of both indexes: the minimum of
-/// `(distance.total_cmp, worker id)` over the slot's workers outside
-/// `excluded`, as `(worker, distance bits)`.
-fn brute_force_excluding(
-    pool: &WorkerPool,
-    slot: usize,
-    query: &Location,
-    excluded: &BTreeSet<WorkerId>,
-) -> Option<(WorkerId, u64)> {
-    pool.available_at(slot)
-        .filter(|(w, _)| !excluded.contains(&w.id))
-        .map(|(w, loc)| (query.distance(&loc), w.id))
-        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-        .map(|(d, id)| (id, d.to_bits()))
-}
-
-fn answer(found: Option<tcsc_index::NearestWorker>) -> Option<(WorkerId, u64)> {
-    found.map(|w| (w.worker, w.distance.to_bits()))
-}
-
-/// Asserts every single-best query of both indexes — dense `nearest` and
-/// `nearest_excluding_set`, sharded `nearest`, `nearest_excluding_set` and
-/// the tile-routed `nearest_excluding_with` — matches the brute-force oracle
-/// when a seeded random 0 / 25 / 50 / 90 / 100% of each slot's workers is
-/// occupied, plus ids absent from the slot.
-fn assert_filtered_match_oracle(
-    pool: &WorkerPool,
-    num_slots: usize,
-    domain: &Domain,
-    configs: &[ShardGridConfig],
-    queries: &[Location],
-    seed: u64,
-) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let dense = WorkerIndex::build(pool, num_slots, domain);
-    let sharded: Vec<_> = configs
-        .iter()
-        .map(|&config| ShardedWorkerIndex::build(pool, num_slots, domain, config))
-        .collect();
-    for slot in 0..num_slots {
-        // A seeded permutation of the slot's workers; each occupancy level
-        // excludes a prefix of it.
-        let mut order: Vec<(u64, WorkerId, Location)> = pool
-            .available_at(slot)
-            .map(|(w, loc)| (rng.gen_range(0..u64::MAX), w.id, loc))
-            .collect();
-        order.sort_by_key(|e| e.0);
-        for q in queries {
-            let oracle = brute_force_excluding(pool, slot, q, &BTreeSet::new());
-            assert_eq!(answer(dense.nearest(slot, q)), oracle, "dense nearest");
-            for (index, config) in sharded.iter().zip(configs) {
-                assert_eq!(
-                    answer(index.nearest(slot, q)),
-                    oracle,
-                    "sharded nearest at slot {slot}, query {q}, {config:?}"
-                );
-            }
-            for percent in [0, 25, 50, 90, 100] {
-                let occupied = &order[..order.len() * percent / 100];
-                let mut excluded: BTreeSet<WorkerId> = occupied.iter().map(|e| e.1).collect();
-                excluded.extend([WorkerId(u32::MAX), WorkerId(pool.len() as u32)]);
-                let ctx = format!("slot {slot}, query {q}, {percent}% occupied");
-                let oracle = brute_force_excluding(pool, slot, q, &excluded);
-                assert_eq!(
-                    answer(dense.nearest_excluding_set(slot, q, &excluded)),
-                    oracle,
-                    "dense: {ctx}"
-                );
-                for (index, config) in sharded.iter().zip(configs) {
-                    assert_eq!(
-                        answer(index.nearest_excluding_set(slot, q, &excluded)),
-                        oracle,
-                        "sharded set: {ctx}, {config:?}"
-                    );
-                    // Occupancy recorded under each worker's own tile, as
-                    // the concurrent engine's per-shard ledgers hold it.
-                    let by_shard: BTreeSet<(usize, WorkerId)> = occupied
-                        .iter()
-                        .map(|e| (index.spatial_shard_of(&e.2), e.1))
-                        .collect();
-                    assert_eq!(
-                        answer(index.nearest_excluding_with(slot, q, |s, w| {
-                            by_shard.contains(&(s, w))
-                        })),
-                        oracle,
-                        "sharded filter: {ctx}, {config:?}"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Queries outside the domain on every side, including far away.
 fn outside_queries(domain: &Domain) -> Vec<Location> {
     let (w, h) = (domain.width(), domain.height());
@@ -551,20 +88,366 @@ fn outside_queries(domain: &Domain) -> Vec<Location> {
     ]
 }
 
+/// Tile layouts the views are checked under.
+fn layouts() -> [ShardGridConfig; 4] {
+    [(1, 1), (2, 2), (5, 3), (16, 16)].map(|(x, y)| ShardGridConfig::new(x, y))
+}
+
+/// An index holding `pool`, reached by mutation.  It is built from another
+/// pool: a quarter of the workers at swapped coordinates and with reliability
+/// 0.5, plus ghosts that copy an eighth of the workers under new ids.  The
+/// displaced quarter is moved, then removed.  Every worker of `pool` is then
+/// inserted in descending id order, and the ghosts are removed.  Each slot's
+/// population doubles and halves along the way.
+fn reach_by_mutation<I: MutableSpatialIndex>(
+    pool: &WorkerPool,
+    build: impl Fn(&WorkerPool) -> I,
+) -> I {
+    let workers = pool.workers();
+    let quarter = &workers[..workers.len() / 4];
+    let ghost_base = workers.last().map_or(0, |w| w.id.0 + 1);
+    let ghosts: Vec<Worker> = workers[..workers.len() / 8]
+        .iter()
+        .zip(ghost_base..)
+        .map(|(w, id)| Worker::with_reliability(WorkerId(id), w.availability().to_vec(), 1.0))
+        .collect();
+    let displaced = quarter.iter().map(|w| {
+        let swapped = w
+            .availability()
+            .iter()
+            .map(|ws| WorkerSlot {
+                slot: ws.slot,
+                location: Location::new(ws.location.y, ws.location.x),
+            })
+            .collect();
+        Worker::with_reliability(w.id, swapped, 0.5)
+    });
+    let mut index = build(&displaced.chain(ghosts.iter().cloned()).collect());
+    for w in quarter {
+        let to = w
+            .availability()
+            .first()
+            .map_or(Location::new(0.0, 0.0), |ws| ws.location);
+        assert!(index.move_worker(w.id, to).applied);
+        assert!(index.remove_worker(w.id).applied);
+    }
+    for w in workers.iter().rev() {
+        assert!(index.insert_worker(w).applied);
+    }
+    for g in &ghosts {
+        assert!(index.remove_worker(g.id).applied);
+    }
+    index
+}
+
+/// Bit-exact `(worker, distance bits)` keys of query answers.
+fn keys(found: impl IntoIterator<Item = NearestWorker>) -> Vec<(WorkerId, u64)> {
+    found
+        .into_iter()
+        .map(|w| (w.worker, w.distance.to_bits()))
+        .collect()
+}
+
+/// The oracle: the slot's workers outside `excluded`, ranked by
+/// `(distance.total_cmp, worker id)`, as [`keys`].
+fn ranked(
+    pool: &WorkerPool,
+    slot: usize,
+    query: &Location,
+    excluded: &BTreeSet<WorkerId>,
+) -> Vec<(WorkerId, u64)> {
+    let mut all: Vec<(f64, WorkerId)> = pool
+        .available_at(slot)
+        .filter(|(w, _)| !excluded.contains(&w.id))
+        .map(|(w, loc)| (query.distance(&loc), w.id))
+        .collect();
+    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    all.into_iter().map(|(d, id)| (id, d.to_bits())).collect()
+}
+
+/// Asserts `index` answers like the oracle over `pool`: every slot's
+/// availability, `nearest`, `k_nearest`, and `nearest_excluding_set` under
+/// seeded random occupancy (0–100% of the slot) and under nearest-first
+/// occupancy, with absent ids mixed in.  A `view` additionally has its
+/// tile-filtered `nearest_excluding_with` checked, each occupied worker filed
+/// under the tile it stands in (as the sharded ledger files it).
+fn assert_matches_oracle(
+    index: &impl SpatialQuery,
+    view: Option<&ShardedWorkerIndex>,
+    pool: &WorkerPool,
+    num_slots: usize,
+    queries: &[Location],
+    ctx: &str,
+) {
+    let mut rng = StdRng::seed_from_u64(pool.len() as u64);
+    assert_eq!(index.num_slots(), num_slots, "{ctx}");
+    assert_eq!(index.total_workers(), pool.len(), "{ctx}");
+    for slot in 0..num_slots {
+        let ctx = format!("{ctx}, slot {slot}");
+        let mut shuffled: Vec<(u64, WorkerId)> = pool
+            .available_at(slot)
+            .map(|(w, _)| (rng.gen_range(0..u64::MAX), w.id))
+            .collect();
+        shuffled.sort_unstable();
+        let n = shuffled.len();
+        assert_eq!(index.available_count(slot), n, "{ctx}");
+        for q in queries {
+            let ctx = format!("{ctx}, query {q}");
+            let all = ranked(pool, slot, q, &BTreeSet::new());
+            assert_eq!(keys(index.nearest(slot, q)), all[..n.min(1)], "{ctx}");
+            for count in [2, 5, 17] {
+                let found = keys(index.k_nearest(slot, q, count));
+                assert_eq!(found, all[..n.min(count)], "{ctx}, {count}-nearest");
+            }
+            let random = [0, 25, 50, 90, 100].map(|p| &shuffled[..n * p / 100]);
+            let random = random.iter().map(|s| s.iter().map(|e| e.1).collect());
+            let nearest = [1, 5, n / 2, n.saturating_sub(1), n].map(|take| &all[..take.min(n)]);
+            let nearest = nearest.iter().map(|s| s.iter().map(|e| e.0).collect());
+            for occupied in random.chain(nearest).collect::<Vec<BTreeSet<WorkerId>>>() {
+                let want = ranked(pool, slot, q, &occupied).first().copied();
+                let ctx = format!("{ctx}, {} occupied", occupied.len());
+                let mut excluded = occupied.clone();
+                excluded.extend([WorkerId(u32::MAX), WorkerId(u32::MAX - 1)]);
+                let found = index.nearest_excluding_set(slot, q, &excluded);
+                assert_eq!(keys(found).first().copied(), want, "{ctx}: set");
+                let Some(view) = view else {
+                    continue;
+                };
+                let by_tile: BTreeSet<(usize, WorkerId)> = pool
+                    .available_at(slot)
+                    .filter(|(w, _)| occupied.contains(&w.id))
+                    .map(|(w, loc)| (view.spatial_shard_of(&loc), w.id))
+                    .collect();
+                let found = view.nearest_excluding_with(slot, q, |t, w| by_tile.contains(&(t, w)));
+                assert_eq!(keys(found).first().copied(), want, "{ctx}: tile filter");
+            }
+        }
+    }
+}
+
+/// [`assert_matches_oracle`] on the fresh and the mutated dense index, and
+/// on fresh and mutated views under every tile layout.
+fn assert_all_match_oracle(
+    pool: &WorkerPool,
+    num_slots: usize,
+    domain: &Domain,
+    queries: &[Location],
+) {
+    let dense = |p: &WorkerPool| WorkerIndex::build(p, num_slots, domain);
+    assert_matches_oracle(&dense(pool), None, pool, num_slots, queries, "fresh");
+    let mutated = reach_by_mutation(pool, dense);
+    assert_matches_oracle(&mutated, None, pool, num_slots, queries, "mutated");
+    for config in layouts() {
+        let view = |p: &WorkerPool| ShardedWorkerIndex::build(p, num_slots, domain, config);
+        for (index, how) in [
+            (view(pool), "fresh"),
+            (reach_by_mutation(pool, view), "mutated"),
+        ] {
+            let ctx = format!("{how} view, {config:?}");
+            assert_matches_oracle(&index, Some(&index), pool, num_slots, queries, &ctx);
+        }
+    }
+}
+
+#[test]
+fn random_domains_agree_across_shard_layouts() {
+    let domain = Domain::square(100.0);
+    for seed in [3, 17, 92] {
+        let pool = random_pool(seed, 150, 12, &domain);
+        let queries = query_points(seed ^ 0xbeef, 12, &domain);
+        assert_all_match_oracle(&pool, 12, &domain, &queries);
+    }
+}
+
+#[test]
+fn rectangular_domains_agree() {
+    // The grid's square cells span the longer side; the short side clamps.
+    let domain = Domain::new(Location::new(-40.0, 10.0), Location::new(60.0, 35.0));
+    let pool = random_pool(7, 120, 6, &domain);
+    let mut queries = query_points(8, 10, &domain);
+    queries.extend(outside_queries(&domain));
+    assert_all_match_oracle(&pool, 6, &domain, &queries);
+}
+
+#[test]
+fn workers_on_tile_boundaries_agree() {
+    // Workers placed exactly on every 4x4 tile boundary line of a 100x100
+    // domain (x or y multiples of 25), including tile corners, plus queries
+    // on the same lines: no search may lose or double-count them.
+    let domain = Domain::square(100.0);
+    let mut entries = Vec::new();
+    for i in 0..=4 {
+        for j in 0..=10 {
+            entries.push((0usize, i as f64 * 25.0, j as f64 * 10.0));
+            entries.push((0usize, j as f64 * 10.0, i as f64 * 25.0));
+        }
+    }
+    let pool = point_pool(&entries);
+    let mut queries = vec![
+        Location::new(25.0, 25.0),
+        Location::new(50.0, 50.0),
+        Location::new(75.0, 24.999999999),
+        Location::new(25.000000001, 80.0),
+    ];
+    queries.extend(query_points(11, 8, &domain));
+    assert_all_match_oracle(&pool, 1, &domain, &queries);
+}
+
+#[test]
+fn empty_shards_and_empty_slots_agree() {
+    // Every worker clusters into one corner tile, so almost every tile and
+    // grid cell is empty, and slot 1 has no workers at all.
+    let domain = Domain::square(100.0);
+    let mut rng = StdRng::seed_from_u64(23);
+    let points: Vec<(usize, f64, f64)> = (0..60)
+        .map(|i| {
+            let slot = if i % 3 == 0 { 2 } else { 0 };
+            (slot, rng.gen_range(0.0..8.0), rng.gen_range(0.0..8.0))
+        })
+        .collect();
+    let queries = query_points(29, 10, &domain);
+    assert_all_match_oracle(&point_pool(&points), 3, &domain, &queries);
+}
+
+#[test]
+fn dense_tiles_exercise_the_interior_grids() {
+    // Two dense clusters of 300 workers each, one per slot, put far more
+    // workers in a few cells than the two-per-cell target of the grid.
+    let domain = Domain::square(50.0);
+    let mut rng = StdRng::seed_from_u64(57);
+    let points: Vec<(usize, f64, f64)> = (0..600)
+        .map(|i| {
+            let (cx, cy) = if i % 2 == 0 {
+                (10.0, 10.0)
+            } else {
+                (40.0, 35.0)
+            };
+            let (dx, dy) = (rng.gen_range(-9.0..9.0), rng.gen_range(-9.0..9.0));
+            (i % 2, cx + dx, cy + dy)
+        })
+        .collect();
+    let queries = query_points(59, 14, &domain);
+    assert_all_match_oracle(&point_pool(&points), 2, &domain, &queries);
+}
+
+#[test]
+fn interior_grid_filtered_search_survives_heavy_occupancy() {
+    // The oracle check excludes nearest-first prefixes up to the whole slot,
+    // so the filtered search must keep expanding past fully occupied cells.
+    let domain = Domain::square(40.0);
+    let mut rng = StdRng::seed_from_u64(61);
+    let points: Vec<(usize, f64, f64)> = (0..200)
+        .map(|_| (0, rng.gen_range(0.0..40.0), rng.gen_range(0.0..40.0)))
+        .collect();
+    let queries = query_points(67, 8, &domain);
+    assert_all_match_oracle(&point_pool(&points), 1, &domain, &queries);
+}
+
+#[test]
+fn mutation_tapes_keep_pruning_bounds_exact() {
+    // Arbitrary move/remove sequences — with moves drifting workers beyond
+    // the domain edges, where the grid clamps them into border cells — must
+    // keep every distance bound exact: the mutated index answers like the
+    // oracle over the mirror pool.
+    let domain = Domain::square(80.0);
+    let config = ShardGridConfig::new(4, 4);
+    for seed in [5u64, 29, 71, 113] {
+        let pool = random_pool(seed, 80, 6, &domain);
+        let mut mirror: Vec<Worker> = pool.workers().to_vec();
+        let mut view = ShardedWorkerIndex::build(&pool, 6, &domain, config);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7a9e);
+        let queries = query_points(seed ^ 0x51, 8, &domain);
+        for step in 0..30 {
+            if rng.gen_range(0..10) < 7 || mirror.len() < 10 {
+                // Move: up to 35% beyond the domain on either axis.
+                let at = rng.gen_range(0..mirror.len());
+                let to = Location::new(
+                    rng.gen_range(domain.min.x - 28.0..domain.max.x + 28.0),
+                    rng.gen_range(domain.min.y - 28.0..domain.max.y + 28.0),
+                );
+                let old = &mirror[at];
+                let id = old.id;
+                let slots = old
+                    .availability()
+                    .iter()
+                    .map(|ws| WorkerSlot {
+                        slot: ws.slot,
+                        location: to,
+                    })
+                    .collect();
+                mirror[at] = Worker::with_reliability(id, slots, old.reliability);
+                assert!(view.move_worker(id, to).applied);
+            } else {
+                let at = rng.gen_range(0..mirror.len());
+                let id = mirror.remove(at).id;
+                assert!(view.remove_worker(id).applied);
+            }
+            if step % 10 == 9 {
+                let ctx = format!("seed {seed}, step {step}");
+                let pool = WorkerPool::new(mirror.clone());
+                assert_matches_oracle(&view, Some(&view), &pool, 6, &queries, &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn worker_moved_out_of_domain_lands_in_the_rebuild_tile() {
+    // The border-clamp invariant: a worker moved beyond any domain edge is
+    // routed to a border tile, so the tile filter finds its occupancy where
+    // the ledger files it, and every query still finds the worker.
+    let domain = Domain::square(40.0);
+    let config = ShardGridConfig::new(4, 4);
+    let pool = point_pool(&[(0, 5.0, 5.0), (0, 22.0, 13.0), (0, 35.0, 30.0)]);
+    for target in [
+        Location::new(-5.0, -5.0),
+        Location::new(45.0, 20.0),
+        Location::new(20.0, 47.0),
+        Location::new(-3.0, 44.0),
+        Location::new(41.0, -2.0),
+        Location::new(2000.0, 2000.0),
+    ] {
+        let mut view = ShardedWorkerIndex::build(&pool, 1, &domain, config);
+        assert!(view.move_worker(WorkerId(0), target).applied);
+        let (tx, ty) = view.tile_of(&target);
+        assert!(
+            tx == 0 || tx == 3 || ty == 0 || ty == 3,
+            "target {target}: expected a border tile, got ({tx}, {ty})"
+        );
+        let mut mirror: Vec<Worker> = pool.workers().to_vec();
+        mirror[0] = point_pool(&[(0, target.x, target.y)]).workers()[0].clone();
+        let queries = [
+            Location::new(0.0, 0.0),
+            Location::new(39.0, 39.0),
+            target,
+            Location::new(20.0, 0.0),
+        ];
+        let ctx = format!("target {target}");
+        assert_matches_oracle(
+            &view,
+            Some(&view),
+            &mirror.into_iter().collect(),
+            1,
+            &queries,
+            &ctx,
+        );
+    }
+}
+
 #[test]
 fn filtered_queries_match_the_brute_force_oracle() {
     let domain = Domain::square(100.0);
     let pool = random_pool(73, 240, 4, &domain);
     let mut queries = query_points(79, 10, &domain);
     queries.extend(outside_queries(&domain));
-    assert_filtered_match_oracle(&pool, 4, &domain, &shard_layouts(), &queries, 83);
+    assert_all_match_oracle(&pool, 4, &domain, &queries);
 }
 
 #[test]
 fn filtered_queries_resolve_duplicate_and_cell_edge_ties_by_id() {
     // 128 workers on the 8x8 lattice of multiples of 12.5 — exactly the
     // cell edges of the 8x8 slot grid a 128-worker slot builds over this
-    // domain, and tile edges of the 2x2, 4x4 and 16x16 layouts — each lattice
+    // domain, and tile edges of the 2x2 and 16x16 layouts — each lattice
     // point held by two workers (ids `i` and `i + 64`).  Lattice and
     // half-lattice queries put many workers at equal distance, so every
     // answer is decided by the id tie-break across cell and tile borders.
@@ -599,7 +482,7 @@ fn filtered_queries_resolve_duplicate_and_cell_edge_ties_by_id() {
         Location::new(-12.5, 50.0),
     ];
     queries.extend(outside_queries(&domain));
-    assert_filtered_match_oracle(&pool, 2, &domain, &shard_layouts(), &queries, 89);
+    assert_all_match_oracle(&pool, 2, &domain, &queries);
 }
 
 #[test]
@@ -607,7 +490,7 @@ fn non_finite_queries_agree_with_brute_force() {
     // Every distance from a NaN query is NaN and every distance from an
     // infinite one is +inf, so all workers tie and the lowest free id must
     // win on every path.  A plain `<` comparison never prefers a later NaN,
-    // so it would keep whichever worker each index's scan order meets first.
+    // so it would keep whichever worker a scan meets first.
     let domain = Domain::square(100.0);
     let pool = random_pool(97, 50, 1, &domain);
     let queries = [
@@ -620,75 +503,44 @@ fn non_finite_queries_agree_with_brute_force() {
         Location::new(f64::INFINITY, f64::NEG_INFINITY),
         Location::new(f64::NAN, f64::INFINITY),
     ];
-    let dense = WorkerIndex::build(&pool, 1, &domain);
-    let sharded = ShardedWorkerIndex::build(&pool, 1, &domain, ShardGridConfig::new(4, 4));
-    let tile_of: Vec<usize> = pool
-        .available_at(0)
-        .map(|(_, loc)| sharded.spatial_shard_of(&loc))
-        .collect();
-    for q in &queries {
-        for excluded in [vec![], vec![0u32, 1], vec![0, 2, 3, 7]] {
-            let set: BTreeSet<WorkerId> = excluded.iter().copied().map(WorkerId).collect();
-            let oracle = brute_force_excluding(&pool, 0, q, &set);
-            let ctx = format!("query {q}, excluding {excluded:?}");
-            if excluded.is_empty() {
-                assert_eq!(answer(dense.nearest(0, q)), oracle, "dense nearest: {ctx}");
-                assert_eq!(
-                    answer(sharded.nearest(0, q)),
-                    oracle,
-                    "sharded nearest: {ctx}"
-                );
-            }
-            assert_eq!(
-                answer(dense.nearest_excluding_set(0, q, &set)),
-                oracle,
-                "dense set: {ctx}"
-            );
-            assert_eq!(
-                answer(sharded.nearest_excluding_set(0, q, &set)),
-                oracle,
-                "sharded set: {ctx}"
-            );
-            assert_eq!(
-                answer(sharded.nearest_excluding_with(0, q, |s, w| {
-                    set.contains(&w) && tile_of[w.0 as usize] == s
-                })),
-                oracle,
-                "sharded filter: {ctx}"
-            );
-        }
-    }
+    assert_all_match_oracle(&pool, 1, &domain, &queries);
 }
 
 #[test]
 fn nearest_excluding_with_matches_the_set_query() {
-    // The closure-filtered query (used by the concurrent engine's per-shard
-    // ledgers) must agree with the global-set query when the filter encodes
-    // the same exclusions, with occupancy routed by the worker's tile.
+    // The tile-filtered query of the sharded engine agrees with the set
+    // query when each excluded worker is filed under its own tile, and an
+    // exclusion filed under any other tile hides nothing.
     let domain = Domain::square(100.0);
     let pool = random_pool(41, 120, 4, &domain);
     let queries = query_points(43, 10, &domain);
-    for config in [
-        ShardGridConfig::new(4, 4),
-        ShardGridConfig::new(6, 2).with_time_splits(2),
-    ] {
-        let sharded = ShardedWorkerIndex::build(&pool, 4, &domain, config);
-        for slot in 0..4 {
-            for q in &queries {
-                let top: Vec<_> = sharded.k_nearest(slot, q, 3);
-                for take in 0..=top.len() {
-                    let excluded: BTreeSet<WorkerId> =
-                        top[..take].iter().map(|w| w.worker).collect();
-                    // Record each excluded worker under its owning tile, as
-                    // the sharded ledger would.
-                    let by_shard: BTreeSet<(usize, WorkerId)> = top[..take]
-                        .iter()
-                        .map(|w| (sharded.spatial_shard_of(&w.location), w.worker))
-                        .collect();
-                    let via_set = sharded.nearest_excluding_set(slot, q, &excluded);
-                    let via_filter =
-                        sharded.nearest_excluding_with(slot, q, |s, w| by_shard.contains(&(s, w)));
-                    assert_eq!(via_set, via_filter, "slot {slot}, query {q}, {config:?}");
+    for config in [ShardGridConfig::new(4, 4), ShardGridConfig::new(6, 2)] {
+        let build = |p: &WorkerPool| ShardedWorkerIndex::build(p, 4, &domain, config);
+        for view in [build(&pool), reach_by_mutation(&pool, build)] {
+            for slot in 0..4 {
+                for q in &queries {
+                    let top = view.k_nearest(slot, q, 3);
+                    for take in 0..=top.len() {
+                        let excluded: BTreeSet<WorkerId> =
+                            top[..take].iter().map(|w| w.worker).collect();
+                        let tile_of = |w: &NearestWorker| view.spatial_shard_of(&w.location);
+                        let filed: BTreeSet<(usize, WorkerId)> =
+                            top[..take].iter().map(|w| (tile_of(w), w.worker)).collect();
+                        let ctx = format!("slot {slot}, query {q}, {config:?}");
+                        assert_eq!(
+                            view.nearest_excluding_set(slot, q, &excluded),
+                            view.nearest_excluding_with(slot, q, |t, w| filed.contains(&(t, w))),
+                            "{ctx}"
+                        );
+                        let misfiled = |t: usize, w: WorkerId| {
+                            top[..take].iter().any(|n| n.worker == w && tile_of(n) != t)
+                        };
+                        assert_eq!(
+                            view.nearest(slot, q),
+                            view.nearest_excluding_with(slot, q, misfiled),
+                            "{ctx}"
+                        );
+                    }
                 }
             }
         }
