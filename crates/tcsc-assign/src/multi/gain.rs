@@ -26,7 +26,14 @@
 //!   priority queue;
 //! * affordability never forces a recompute: entries costing more than the
 //!   query bound are *parked* and reactivated the moment a later query with
-//!   a larger bound (a caller that raised the budget) can afford them again.
+//!   a larger bound (a caller that raised the budget) can afford them again;
+//! * a query nothing can afford never reaches the ledger: when the V-tree's
+//!   cheapest candidate (its root's minimum cost over unexecuted slots)
+//!   exceeds the bound, [`crate::multi::TaskState`] answers `None` at once,
+//!   instead of popping and parking every entry one by one and re-scoring
+//!   entries of executed slots only to find them dead;
+//! * a stale top entry is re-keyed in place (`BinaryHeap::peek_mut`): the
+//!   fresh score overwrites it and sifts down, with no pop and push.
 //!
 //! # Why the committed plan stays bit-identical
 //!
@@ -37,7 +44,11 @@
 //! same argmax: stale keys only ever *over*-estimate (diminishing gains), so
 //! popping until the top entry is freshly scored yields the true maximum, and
 //! final comparisons use the exact `>` / `==` + lower-slot tie-break of the
-//! full search.  Floating-point jitter can push a re-scored gain a few ULP
+//! full search.  Neither the early-out nor the in-place re-key changes a
+//! returned candidate: the early-out answers only when every entry the pop
+//! could reach is unaffordable or dead, and the entries' order is total, so
+//! where an entry sits in the heap does not change what pops first.
+//! Floating-point jitter can push a re-scored gain a few ULP
 //! *above* its stale key; the pop loop therefore keeps re-scoring every entry
 //! whose key is within a small margin (`RESCORE_MARGIN`) of the current
 //! best — orders of magnitude wider than the observed jitter (~1e-15) and
@@ -51,6 +62,7 @@
 //! grids × threads.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use tcsc_core::{SlotIndex, WorkerId};
@@ -86,7 +98,9 @@ pub struct RefreshStats {
     pub full_refreshes: usize,
     /// Ledger entries patched (re-keyed) by candidate refreshes / undos.
     pub incremental_patches: usize,
-    /// Stale ledger entries re-scored on pop (the lazy-greedy work).
+    /// Stale ledger entries re-scored on pop (the lazy-greedy work).  A
+    /// request the V-tree shows nothing can afford skips the pop, so the
+    /// entries of executed slots it would have probed dead are not counted.
     pub stale_pops: usize,
     /// Nanoseconds spent in commit-tail refresh work (searches beyond the
     /// warm start, ledger pops and patches).  Measurement, not behaviour:
@@ -288,11 +302,6 @@ impl GainLedger {
         self.score_version = self.score_version.wrapping_add(1);
     }
 
-    /// Whether an entry is still the live entry of its slot.
-    fn is_live(&self, entry: &GainEntry) -> bool {
-        entry.slot_version == self.slot_versions[entry.slot]
-    }
-
     /// Reactivates the parked entries `max_cost` can now afford (the
     /// raised-budget case), dropping version-dead garbage and keeping the
     /// still-unaffordable rest parked so a budget oscillation never cycles
@@ -334,14 +343,17 @@ impl GainLedger {
         self.reactivate_parked(max_cost);
         let mut best: Option<GainEntry> = None;
         let mut aside: Vec<GainEntry> = Vec::new();
-        while let Some(top) = self.heap.peek().copied() {
+        loop {
+            let Some(mut top) = self.heap.peek_mut() else {
+                break;
+            };
             if let Some(b) = &best {
                 if !Self::could_beat(top.heuristic, b.heuristic) {
                     break;
                 }
             }
-            self.heap.pop();
-            if !self.is_live(&top) {
+            if top.slot_version != self.slot_versions[top.slot] {
+                PeekMut::pop(top);
                 continue;
             }
             // Affordability first: the recorded cost is exact while the slot
@@ -350,7 +362,7 @@ impl GainLedger {
             // paying for a gain re-score — the case where the full search
             // prunes on `min_cost > max_cost` for free.
             if top.cost > max_cost {
-                self.parked.push(top);
+                self.parked.push(PeekMut::pop(top));
                 continue;
             }
             if top.scored_at != self.score_version {
@@ -359,7 +371,8 @@ impl GainLedger {
                 match probe(top.slot) {
                     EntryState::Dead => {
                         // Kill the slot so later duplicates die cheaply.
-                        self.invalidate_slot(top.slot);
+                        let slot = PeekMut::pop(top).slot;
+                        self.invalidate_slot(slot);
                     }
                     EntryState::Stale {
                         gain,
@@ -367,7 +380,10 @@ impl GainLedger {
                         heuristic,
                         worker,
                     } => {
-                        self.heap.push(GainEntry {
+                        // Re-key in place: dropping `top` sifts the entry
+                        // down, so the heap is in order again without a pop
+                        // and a push.
+                        *top = GainEntry {
                             heuristic,
                             gain,
                             cost,
@@ -375,11 +391,12 @@ impl GainLedger {
                             worker,
                             slot_version: top.slot_version,
                             scored_at: self.score_version,
-                        });
+                        };
                     }
                 }
                 continue;
             }
+            let top = PeekMut::pop(top);
             // Fresh and affordable: exact comparison, exact tie-break.
             let better = match &best {
                 None => true,

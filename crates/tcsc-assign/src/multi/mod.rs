@@ -167,6 +167,24 @@ fn score_slot(
     Some((gain, cost, heuristic, candidate.worker))
 }
 
+/// The task's quality: the V-tree's slot-order sum of its cached partial
+/// qualities when the index is on (bit-identical to the evaluator's walk over
+/// every slot, which it saves), the walk otherwise.
+fn task_quality(evaluator: &QualityEvaluator, tree: &Option<VTree>) -> f64 {
+    match tree {
+        Some(tree) => {
+            let quality = tree.slot_quality_sum();
+            debug_assert_eq!(
+                quality.to_bits(),
+                evaluator.quality().to_bits(),
+                "the V-tree's cached partial qualities disagree with the evaluator"
+            );
+            quality
+        }
+        None => evaluator.quality(),
+    }
+}
+
 impl TaskState {
     /// Initialises the state of one task against the worker index.
     pub fn new(
@@ -193,7 +211,7 @@ impl TaskState {
             .then(|| VTree::build(&evaluator, candidates.costs(), VTreeConfig::new(config.ts)));
         Self {
             task: task.clone(),
-            quality: evaluator.quality(),
+            quality: task_quality(&evaluator, &tree),
             evaluator,
             tree,
             candidates,
@@ -250,7 +268,18 @@ impl TaskState {
     /// the lazy-greedy pop.  Zero-cost candidates (`heuristic == INFINITY`)
     /// fall back to the full search, whose tie-break among them depends on
     /// the V-tree's visit order that the ledger does not replicate.
+    ///
+    /// When the V-tree's cheapest candidate already exceeds `max_cost`,
+    /// nothing is affordable and the answer is `None` without touching the
+    /// ledger: the pop would only park or kill every entry it reached.
     fn best_candidate_incremental(&mut self, max_cost: f64) -> Option<TaskCandidate> {
+        if self
+            .tree
+            .as_ref()
+            .is_some_and(|tree| tree.min_candidate_cost() > max_cost)
+        {
+            return None;
+        }
         let Self {
             evaluator,
             tree,
@@ -392,10 +421,10 @@ impl TaskState {
         } else {
             self.evaluator.execute(slot);
         }
-        self.quality = self.evaluator.quality();
         if let Some(tree) = &mut self.tree {
             tree.notify_executed(&self.evaluator, slot);
         }
+        self.quality = task_quality(&self.evaluator, &self.tree);
         if let Some(ledger) = &mut self.gain_ledger {
             // The task's gains shifted: every ledger key becomes a stale
             // upper bound, re-scored lazily on pop.
@@ -483,7 +512,10 @@ impl TaskState {
         }
     }
 
-    /// The task's current quality (cached; recomputed once per execution).
+    /// The task's current quality, cached and recomputed once per execution:
+    /// from the V-tree's cached partial qualities when the index is on, by
+    /// the evaluator's walk otherwise.  Either way it is the bits of
+    /// [`QualityEvaluator::quality`].
     pub fn quality(&self) -> f64 {
         self.quality
     }
@@ -612,6 +644,126 @@ mod tests {
         let plan = state.into_plan();
         assert_eq!(plan.executed_count(), 1);
         assert!(plan.quality > 0.0);
+    }
+
+    /// The bits of a best-candidate answer, for exact comparisons.
+    fn bits(c: Option<TaskCandidate>) -> Option<(SlotIndex, u64, u64, u64)> {
+        c.map(|c| {
+            (
+                c.slot,
+                c.gain.to_bits(),
+                c.cost.to_bits(),
+                c.heuristic.to_bits(),
+            )
+        })
+    }
+
+    /// One task's state under each refresh strategy, indexed.
+    fn incremental_and_full(seed: u64) -> (TaskState, TaskState) {
+        let (tasks, index, cost) = small_instance(seed, 1, 40, 200);
+        let cfg = MultiTaskConfig::new(100.0);
+        let full_cfg = cfg.with_refresh(RefreshStrategy::Full);
+        (
+            TaskState::new(&tasks[0], &index, &cost, &cfg),
+            TaskState::new(&tasks[0], &index, &cost, &full_cfg),
+        )
+    }
+
+    /// Grants both states their (identical) best candidate `n` times.
+    fn execute_best(inc: &mut TaskState, full: &mut TaskState, n: usize) -> Vec<SlotIndex> {
+        (0..n)
+            .map(|_| {
+                let best = inc.best_candidate(f64::INFINITY);
+                assert_eq!(bits(best), bits(full.best_candidate(f64::INFINITY)));
+                let slot = best.expect("a 200-worker pool offers candidates").slot;
+                inc.execute(slot);
+                full.execute(slot);
+                slot
+            })
+            .collect()
+    }
+
+    /// The largest `f64` below a positive finite `x`.
+    fn just_below(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    fn ledger_len(state: &TaskState) -> usize {
+        state
+            .gain_ledger
+            .as_ref()
+            .expect("the incremental strategy owns a gain ledger")
+            .len()
+    }
+
+    #[test]
+    fn unaffordable_request_leaves_the_ledger_untouched() {
+        let (mut inc, mut full) = incremental_and_full(3);
+        let min_cost = inc.tree.as_ref().unwrap().min_candidate_cost();
+        let below = just_below(min_cost);
+        // Before the warm start: nothing is built, nothing is affordable.
+        assert_eq!(bits(inc.best_candidate(below)), None);
+        assert_eq!(bits(full.best_candidate(below)), None);
+        assert!(!inc.gain_ledger.as_ref().unwrap().is_built());
+        execute_best(&mut inc, &mut full, 2);
+        let min_cost = inc.tree.as_ref().unwrap().min_candidate_cost();
+        let below = just_below(min_cost);
+        let len = ledger_len(&inc);
+        let pops = inc.refresh_stats().stale_pops;
+        assert!(len > 0);
+        assert_eq!(bits(inc.best_candidate(below)), None);
+        assert_eq!(bits(full.best_candidate(below)), None);
+        assert_eq!(ledger_len(&inc), len, "the early-out must not pop");
+        assert_eq!(inc.refresh_stats().stale_pops, pops);
+        // A later, larger bound answers exactly like the full search.
+        for max_cost in [min_cost, f64::INFINITY] {
+            let got = inc.best_candidate(max_cost);
+            assert!(got.is_some());
+            assert_eq!(bits(got), bits(full.best_candidate(max_cost)));
+        }
+    }
+
+    #[test]
+    fn early_out_skips_ledger_entries_of_executed_slots() {
+        let (mut inc, mut full) = incremental_and_full(4);
+        let executed = execute_best(&mut inc, &mut full, 3);
+        let slots = 0..inc.task.num_slots;
+        let keep = slots
+            .clone()
+            .find(|s| !executed.contains(s) && inc.candidates.get(*s).is_some())
+            .expect("an unexecuted slot with a candidate");
+        let kept = *inc.candidates.get(keep).unwrap();
+        // Withdraw every unexecuted slot's candidate: the live entries left
+        // in the ledger are those of executed slots, which a pop would only
+        // re-score to find dead.
+        for slot in slots.filter(|s| !executed.contains(s)) {
+            inc.set_candidate(slot, None);
+            full.set_candidate(slot, None);
+        }
+        assert_eq!(
+            inc.tree.as_ref().unwrap().min_candidate_cost(),
+            f64::INFINITY
+        );
+        let len = ledger_len(&inc);
+        let pops = inc.refresh_stats().stale_pops;
+        assert!(len > 0);
+        for max_cost in [kept.cost, 1e9] {
+            assert_eq!(bits(inc.best_candidate(max_cost)), None);
+            assert_eq!(bits(full.best_candidate(max_cost)), None);
+            assert_eq!(ledger_len(&inc), len);
+            assert_eq!(inc.refresh_stats().stale_pops, pops);
+        }
+        // One candidate back: below its cost the ledger is still untouched,
+        // at its cost both strategies grant it.
+        inc.set_candidate(keep, Some(kept));
+        full.set_candidate(keep, Some(kept));
+        let len = ledger_len(&inc);
+        assert_eq!(bits(inc.best_candidate(just_below(kept.cost))), None);
+        assert_eq!(bits(full.best_candidate(just_below(kept.cost))), None);
+        assert_eq!(ledger_len(&inc), len);
+        let got = inc.best_candidate(kept.cost);
+        assert_eq!(got.map(|c| c.slot), Some(keep));
+        assert_eq!(bits(got), bits(full.best_candidate(kept.cost)));
     }
 
     #[test]

@@ -32,7 +32,10 @@
 //!   tentative execution cannot reach keeps its cached partial quality; with
 //!   unit reliabilities a slot it does reach reads the evaluator's shared
 //!   entropy table at the exactly updated distance sum, so no neighbour walk
-//!   runs and the result stays bit-identical to a full leaf recompute;
+//!   runs and the result stays bit-identical to a full leaf recompute.  The
+//!   same table gives each leaf slot's potential, and the cached partial
+//!   qualities summed in slot order give the task quality
+//!   ([`VTree::slot_quality_sum`]) without a walk;
 //! * [`VTree::best_slot`] — best-first search over the tree with an
 //!   admissible upper bound on each node's heuristic value (quality increment
 //!   per unit cost), pruning nodes that cannot beat the best exact value
@@ -280,6 +283,24 @@ impl VTree {
         self.nodes[self.root].quality
     }
 
+    /// Task quality summed from the cached per-slot partial qualities in slot
+    /// order.  Every leaf recompute stores [`QualityEvaluator::slot_summary`],
+    /// which is exactly [`QualityEvaluator::partial_quality`], and a slot
+    /// outside every rebuilt leaf keeps a value the execution cannot change,
+    /// so this is [`QualityEvaluator::quality`] to the bit: the same values
+    /// summed in the same order.  [`VTree::total_quality`] sums them in tree
+    /// order instead, which may differ in the last bits.
+    pub fn slot_quality_sum(&self) -> f64 {
+        self.slot_pq.iter().sum()
+    }
+
+    /// Lowest assignment cost among unexecuted slots with a candidate
+    /// (`INFINITY` when there is none): no slot is affordable under a bound
+    /// below it.
+    pub fn min_candidate_cost(&self) -> f64 {
+        self.nodes[self.root].min_cost
+    }
+
     /// The assignment cost currently recorded for a slot.
     pub fn cost_of(&self, slot: SlotIndex) -> Option<f64> {
         self.costs[slot]
@@ -370,12 +391,21 @@ impl VTree {
         }
     }
 
+    /// Recomputes a leaf's slot caches and aggregates from `evaluator`.
+    ///
+    /// A slot's potential (Eq. 6) is its partial quality once its k-th
+    /// neighbour moves to distance 1, `pq_ub` at neighbour-distance sum
+    /// `S − kth + 1`.  While the unit-reliability table applies, that is the
+    /// table entry at `S − kth + 1`: the table is built by the same
+    /// operations as [`VTree::potential_bound`] on the same operands, so the
+    /// lookup replaces a `log2` per slot without changing a bit of the
+    /// leaf's potential.
     fn recompute_leaf(&mut self, evaluator: &QualityEvaluator, idx: usize) {
         let (start, end) = {
             let n = &self.nodes[idx];
             (n.start, n.end)
         };
-        let m = self.num_slots as f64;
+        let table = evaluator.unit_partial_table();
         let mut quality = 0.0;
         let mut potential = 0.0;
         let mut min_unexec_pq = f64::INFINITY;
@@ -396,15 +426,19 @@ impl VTree {
             }
             // Potential improvement of this slot under one more execution
             // elsewhere (Eq. 6): its k-th NN distance can drop to 1 at best.
-            let kth_dist = summary.kth_distance;
-            max_kth_dist = max_kth_dist.max(kth_dist);
-            let dist_sum = summary.distance_sum as f64;
-            let k = self.k as f64;
-            // Lower bound on the error ratio after one extra execution: the
-            // k-th neighbour is replaced by one at distance 1.
-            let rho_lb = ((dist_sum - kth_dist as f64 + 1.0) / (k * m)).max(0.0);
-            let p_ub = ((1.0 - rho_lb) / m).max(0.0);
-            let pq_ub = Self::entropy_term(p_ub);
+            let (kth, sum) = (summary.kth_distance, summary.distance_sum);
+            max_kth_dist = max_kth_dist.max(kth);
+            let pq_ub = match table {
+                Some(table) => table[sum - kth + 1],
+                None => self.potential_bound(sum, kth),
+            };
+            // The two differ only in the sign of a zero bound (`m = 1`),
+            // where `pq` is `-0.0` and both headrooms come out `+0.0`.
+            debug_assert_eq!(
+                (pq_ub - pq).max(0.0).to_bits(),
+                (self.potential_bound(sum, kth) - pq).max(0.0).to_bits(),
+                "table potential of slot {slot} disagrees with the formula"
+            );
             potential += (pq_ub - pq).max(0.0);
 
             if let Some(cost) = self.costs[slot] {
@@ -458,6 +492,17 @@ impl VTree {
         node.candidates = lc + rc;
     }
 
+    /// The partial quality a slot with neighbour-distance sum `sum` and k-th
+    /// neighbour distance `kth` reaches when that neighbour is replaced by
+    /// one at distance 1: the error ratio falls to `(sum − kth + 1) / (k·m)`.
+    fn potential_bound(&self, sum: usize, kth: usize) -> f64 {
+        let m = self.num_slots as f64;
+        let k = self.k as f64;
+        let rho_lb = ((sum as f64 - kth as f64 + 1.0) / (k * m)).max(0.0);
+        let p_ub = ((1.0 - rho_lb) / m).max(0.0);
+        Self::entropy_term(p_ub)
+    }
+
     #[inline]
     fn entropy_term(p: f64) -> f64 {
         if p <= 0.0 {
@@ -485,9 +530,13 @@ impl VTree {
     /// `slot_sum[j] − slot_kth[j] + d` (at `d = slot_kth[j]` the sum does not
     /// change and the stored value stands).  That index is the exact integer
     /// the walk sums and the entry is the one it reads; mixed reliabilities
-    /// and shapes without a table walk as before.  Either way the summed
-    /// values and their order are those of a full leaf recompute, so the
-    /// result is bit-identical to it.
+    /// and shapes without a table walk as before.  The table kernel reads a
+    /// leaf's three caches as slices in two runs, the slots left of `slot`
+    /// (`d = slot − j`) and those right of it (`d = j − slot`), with entry
+    /// `0` between them, so no slot pays for an `abs_diff` or an index
+    /// check.  Either way the summed values and their ascending-slot order
+    /// are those of a full leaf recompute, so the result is bit-identical to
+    /// it.
     pub fn gain(&self, evaluator: &QualityEvaluator, slot: SlotIndex) -> f64 {
         if evaluator.is_executed(slot) {
             return 0.0;
@@ -511,31 +560,33 @@ impl VTree {
             return node.quality;
         }
         if node.is_leaf() {
-            let slots = node.start..=node.end;
             match evaluator.unit_partial_table() {
-                Some(table) => slots
-                    .map(|j| {
-                        let d = j.abs_diff(extra.slot);
-                        let kth = self.slot_kth[j];
-                        let pq = if d == 0 {
-                            table[0]
-                        } else if d < kth {
-                            table[self.slot_sum[j] - kth + d]
-                        } else {
-                            self.slot_pq[j]
-                        };
+                Some(table) => {
+                    // `[start, lo)` lies left of `t` and `[hi, end]` right of
+                    // it; `t` itself is in the leaf when `lo < hi`.
+                    let t = extra.slot;
+                    let lo = t.clamp(node.start, node.end + 1);
+                    let hi = (t + 1).clamp(node.start, node.end + 1);
+                    let reached = |j: SlotIndex, d: usize, pq: f64, kth: usize, sum: usize| {
+                        let pq = if d < kth { table[sum - kth + d] } else { pq };
                         debug_assert_eq!(
                             pq.to_bits(),
                             evaluator
                                 .partial_quality_with_extra(j, Some(extra))
                                 .to_bits(),
-                            "cached sums of slot {j} disagree with the walk (tentative {})",
-                            extra.slot
+                            "cached sums of slot {j} disagree with the walk (tentative {t})"
                         );
                         pq
-                    })
-                    .sum(),
-                None => slots
+                    };
+                    let left = self
+                        .cached_run(node.start, lo)
+                        .map(|(j, pq, kth, sum)| reached(j, t - j, pq, kth, sum));
+                    let right = self
+                        .cached_run(hi, node.end + 1)
+                        .map(|(j, pq, kth, sum)| reached(j, j - t, pq, kth, sum));
+                    left.chain((lo < hi).then_some(table[0])).chain(right).sum()
+                }
+                None => (node.start..=node.end)
                     .map(|j| {
                         if j.abs_diff(extra.slot) > self.slot_kth[j] {
                             self.slot_pq[j]
@@ -549,6 +600,22 @@ impl VTree {
             self.quality_with_extra(evaluator, node.left.unwrap(), extra)
                 + self.quality_with_extra(evaluator, node.right.unwrap(), extra)
         }
+    }
+
+    /// The cached `(j, slot_pq, slot_kth, slot_sum)` of the slots in
+    /// `[from, to)`, in ascending slot order.
+    fn cached_run(
+        &self,
+        from: SlotIndex,
+        to: SlotIndex,
+    ) -> impl Iterator<Item = (SlotIndex, f64, usize, usize)> + '_ {
+        let slots = from..to;
+        slots
+            .clone()
+            .zip(&self.slot_pq[slots.clone()])
+            .zip(&self.slot_kth[slots.clone()])
+            .zip(&self.slot_sum[slots])
+            .map(|(((j, &pq), &kth), &sum)| (j, pq, kth, sum))
     }
 
     /// [`VTree::gain`] without the per-slot cache: every slot of an
@@ -930,6 +997,100 @@ mod tests {
                     };
                     if ev.execute_with_reliability(slot, reliability) {
                         tree.notify_executed(&ev, slot);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The leaves reachable from the root (rebuilt subtrees leave their old
+    /// nodes behind in `nodes`).
+    fn leaves(tree: &VTree) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut stack = vec![tree.root];
+        while let Some(idx) = stack.pop() {
+            let node = &tree.nodes[idx];
+            match (node.left, node.right) {
+                (Some(l), Some(r)) => stack.extend([l, r]),
+                _ => out.push(idx),
+            }
+        }
+        out
+    }
+
+    /// Checks the three table- and cache-backed kernels of `tree` against
+    /// their references, bit for bit: the slot-order quality sum against the
+    /// evaluator, every leaf's potential against the `log2` formula fed by
+    /// fresh neighbour walks, and the sliced gain of every unexecuted slot
+    /// against the uncached leaf sum.
+    fn assert_kernels_bit_identical(tree: &VTree, ev: &QualityEvaluator, label: &str) {
+        assert_eq!(
+            tree.slot_quality_sum().to_bits(),
+            ev.quality().to_bits(),
+            "{label}: slot-order quality sum"
+        );
+        for idx in leaves(tree) {
+            let node = &tree.nodes[idx];
+            let mut potential = 0.0;
+            for j in node.start..=node.end {
+                let summary = ev.slot_summary(j);
+                if summary.executed {
+                    continue;
+                }
+                let pq_ub = tree.potential_bound(summary.distance_sum, summary.kth_distance);
+                potential += (pq_ub - summary.partial_quality).max(0.0);
+            }
+            assert_eq!(
+                node.potential.to_bits(),
+                potential.to_bits(),
+                "{label}: potential of leaf [{}, {}]",
+                node.start,
+                node.end
+            );
+        }
+        for t in (0..ev.num_slots()).filter(|&t| !ev.is_executed(t)) {
+            let sliced = tree.gain(ev, t);
+            let full = tree.gain_uncached(ev, t);
+            assert_eq!(
+                sliced.to_bits(),
+                full.to_bits(),
+                "{label}: gain of slot {t}: {sliced} vs {full}"
+            );
+        }
+    }
+
+    #[test]
+    fn table_and_slice_kernels_are_bit_identical_on_random_states() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x7ab1e);
+        for m in [1, 2, 5, 17, 96] {
+            for k in [1, 3, 5] {
+                for ts in [1, 4, 96] {
+                    for mixed in [false, true] {
+                        let mut ev = QualityEvaluator::with_slots(m, k);
+                        let costs = (0..m).map(|_| Some(rng.gen_range(0.5..4.0))).collect();
+                        let mut tree = VTree::build(&ev, costs, VTreeConfig::new(ts));
+                        let label = |n: usize| format!("m={m} k={k} ts={ts} mixed={mixed} n={n}");
+                        assert_kernels_bit_identical(&tree, &ev, &label(0));
+                        // Execute in random order up to all `m` slots, so the
+                        // states run from a one-leaf tree of padded slots
+                        // through split trees to a fully executed task.
+                        let mut order: Vec<usize> = (0..m).collect();
+                        for i in (1..m).rev() {
+                            order.swap(i, rng.gen_range(0..=i));
+                        }
+                        for (n, slot) in order.into_iter().enumerate() {
+                            let reliability = if mixed && rng.gen_bool(0.5) {
+                                rng.gen_range(0.2..1.0)
+                            } else {
+                                1.0
+                            };
+                            assert!(ev.execute_with_reliability(slot, reliability));
+                            tree.notify_executed(&ev, slot);
+                            assert_kernels_bit_identical(&tree, &ev, &label(n + 1));
+                        }
                     }
                 }
             }
