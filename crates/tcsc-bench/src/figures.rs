@@ -66,17 +66,14 @@ pub fn by_id(id: &str) -> Option<Driver> {
 
 #[cfg(test)]
 mod tests {
-    use tcsc_assign::{AssignmentEngine, MultiTaskConfig};
+    use tcsc_assign::AssignmentEngine;
     use tcsc_core::EuclideanCost;
-    use tcsc_index::WorkerIndex;
-    use tcsc_workload::{ScenarioConfig, SpatialDistribution};
-
-    use tcsc_index::ShardGridConfig;
     use tcsc_sim::LatencyModel;
+    use tcsc_workload::PhaseSchedule;
 
     use super::extensions::{
-        fig9dist_sized, fig9mob_sized, fig9obs_sized, fig9p_sized, fig9svc_service_run,
-        fig9svc_sized, svc_latency_session, SVC_DRAIN_EVERY_US, SVC_NUM_SLOTS,
+        fig9dist_sized, fig9mob_sized, fig9obs_sized, fig9p_sized, fig9svc_sized, service_run,
+        svc_latency_session, Maintenance, ServiceLoad, SVC_SERVICE_US,
     };
     use super::*;
 
@@ -143,7 +140,7 @@ mod tests {
 
     #[test]
     fn fig9mob_json_is_well_formed() {
-        let report = fig9mob_sized(2_000, 400, ShardGridConfig::new(2, 2));
+        let report = fig9mob_sized(2_000, 400);
         let json = bench_json(&report, "fig9mob");
         assert_fields(
             &json,
@@ -261,9 +258,9 @@ mod tests {
         );
     }
 
-    // The figure drivers are exercised end-to-end by the benches and the
-    // `experiments` binary; here we only smoke-test the cheapest quality
-    // figures so `cargo test` stays fast.
+    // The figure drivers are exercised end-to-end by the `experiments`
+    // binary; here we only smoke-test the cheapest quality figures so
+    // `cargo test` stays fast.
 
     #[test]
     fn fig6a_quick_produces_four_rows_with_expected_ordering() {
@@ -313,31 +310,19 @@ mod tests {
         // calm, and every phase must report a windowed p99 — the stream ends
         // long after the rush, so a window read only at stream end has
         // rotated past it.
-        use tcsc_workload::{BoundedPareto, HeavyTailedArrivals, PhaseSchedule};
         const TASKS: usize = 8000;
-        let cfg = ScenarioConfig::small()
-            .with_num_slots(SVC_NUM_SLOTS)
-            .with_num_workers(300);
-        let scenario = cfg.build();
-        let index = WorkerIndex::build(&scenario.workers, SVC_NUM_SLOTS, &scenario.domain);
+        let mut load = ServiceLoad::new(TASKS, 300);
+        load.arrivals.seed = 7;
+        load.arrivals.schedule = PhaseSchedule::rush_hour(200_000, 20_000, 4.0);
+        let index = load.index();
         let cost = EuclideanCost::default();
-        let inter = BoundedPareto::new(1.5, 20.0, 10_000.0);
-        let arrivals = HeavyTailedArrivals {
-            seed: 7,
-            inter_arrival_us: inter,
-            schedule: PhaseSchedule::rush_hour(200_000, 20_000, 4.0),
-            num_slots: SVC_NUM_SLOTS,
-            distribution: SpatialDistribution::Uniform,
-            domain: scenario.domain,
-        };
-        let capacity = ((SVC_DRAIN_EVERY_US as f64 / inter.mean()) * 1.7).ceil() as usize;
-        let mcfg = MultiTaskConfig::new(capacity as f64 * 2.0);
+        let service = Some(SVC_SERVICE_US);
 
-        let mut a = AssignmentEngine::borrowed(&index, &cost, mcfg);
+        let mut a = AssignmentEngine::borrowed(&index, &cost, load.config());
         let session = svc_latency_session();
-        let run_a = fig9svc_service_run(&mut a, &arrivals, TASKS, capacity, Some(&session));
-        let mut b = AssignmentEngine::borrowed(&index, &cost, mcfg);
-        let run_b = fig9svc_service_run(&mut b, &arrivals, TASKS, capacity, None);
+        let run_a = service_run(&mut a, &load, service, None, Some(&session));
+        let mut b = AssignmentEngine::borrowed(&index, &cost, load.config());
+        let run_b = service_run(&mut b, &load, service, None, None);
 
         assert_eq!(
             run_a.plan_hash, run_b.plan_hash,
@@ -370,6 +355,50 @@ mod tests {
             "every phase reports a windowed p99: {:?}",
             run_a.phase_window_p99
         );
+    }
+
+    #[test]
+    fn service_run_with_gc_and_motion_matches_across_maintenance() {
+        // `mob-churn`'s shape, which neither figure runs: the retired-task
+        // GC and a motion tape together.  Mutating in place and rebuilding
+        // before each drain must commit the same plans and release every
+        // commitment exactly once — by the GC, by `remove_worker`, or by the
+        // rebuilt index dropping a worker gone offline.
+        let load = ServiceLoad::new(2_000, 400);
+        let tape = load.motion_tape();
+        let cost = EuclideanCost::default();
+        let pass = |mode| {
+            let mut engine = AssignmentEngine::new(load.index(), &cost, load.config());
+            service_run(
+                &mut engine,
+                &load,
+                Some(SVC_SERVICE_US),
+                Some((&tape, mode)),
+                None,
+            )
+        };
+        let mutate = pass(Maintenance::Mutate);
+        let rebuild = pass(Maintenance::Rebuild);
+
+        assert!(mutate.moves > 0 && mutate.offline > 0, "the tape is live");
+        assert!(rebuild.rebuilds > 0);
+        assert_eq!(mutate.plan_hash, rebuild.plan_hash);
+        assert_eq!(mutate.executions, rebuild.executions);
+        assert!(mutate.executions > 0);
+        assert_eq!(mutate.released, rebuild.released);
+        assert_eq!(mutate.released, mutate.executions);
+        assert_eq!(mutate.final_ledger, 0);
+        assert_eq!(rebuild.final_ledger, 0);
+    }
+
+    #[test]
+    fn fig8c_json_carries_the_vtree_gain_row() {
+        let json = bench_json(&fig8c(Scale::Quick), "fig8c");
+        assert!(
+            json.contains("\"label\": \"vtree_gain\", \"Executed0Us\": "),
+            "{json}"
+        );
+        assert_fields(&json, &["Executed3Us", "Executed12Us"]);
     }
 
     #[test]

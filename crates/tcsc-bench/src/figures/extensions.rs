@@ -1,13 +1,19 @@
 //! Repo-extension figures beyond the paper: the incremental-gain commit
 //! engine (fig9p), the simulated distributed runtime (fig9dist), the
 //! observability layer (fig9obs), the service-mode SLO driver (fig9svc) and
-//! mobile workers on the mutable index (fig9mob).
+//! mobile workers on the mutable index (fig9mob).  fig9svc and fig9mob run
+//! one service loop, [`service_run`], on the dense engine: fig9svc with the
+//! retired-task GC and latency windows, fig9mob with a worker-motion tape.
 
-use tcsc_assign::{AssignmentEngine, ConcurrentAssignmentEngine, MultiTaskConfig, Objective};
-use tcsc_core::EuclideanCost;
-use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
+use tcsc_assign::{AssignmentEngine, MultiTaskConfig, Objective};
+use tcsc_core::{AssignmentPlan, EuclideanCost, Task, Worker, WorkerPool, WorkerSlot};
+use tcsc_index::{MutableSpatialIndex as _, WorkerIndex};
+use tcsc_obs::ObsSession;
 use tcsc_sim::LatencyModel;
-use tcsc_workload::{ScenarioConfig, SpatialDistribution, StreamingConfig, TaskPlacement};
+use tcsc_workload::{
+    BoundedPareto, HeavyTailedArrivals, MotionTape, PhaseSchedule, Scenario, ScenarioConfig,
+    SpatialDistribution, StreamingConfig, TaskPlacement, WorkerChurnConfig, WorkerMotion,
+};
 
 use crate::{best_of, prepare_multi, timed, Report, Row, Scale};
 
@@ -348,7 +354,7 @@ pub(super) fn fig9obs_sized(
 ) -> Report {
     use std::rc::Rc;
 
-    use tcsc_obs::{parse_chrome_trace_jsonl, replay_digest, ObsSession};
+    use tcsc_obs::{parse_chrome_trace_jsonl, replay_digest};
     use tcsc_sim::{run_cluster, SimBatch, SimClusterConfig};
 
     let cfg = ScenarioConfig::small()
@@ -472,19 +478,20 @@ pub(super) fn fig9obs_sized(
 }
 
 // ---------------------------------------------------------------------------
-// Figure 9svc (repo extension): service-mode SLOs — the streaming engine fed
-// by a heavy-tailed arrival process with rush-hour bursts, windowed latency
-// percentiles per phase, span-tree profile and retired-task GC
+// The service loop shared by fig9svc and fig9mob: the streaming engine fed by
+// a heavy-tailed arrival process with rush-hour bursts, drained on a virtual
+// tick, with retired-task GC and fleet motion between drains
 // ---------------------------------------------------------------------------
 
-/// Slots per service task (kept small: the service figure measures latency
-/// under load, not assignment quality).
+/// Slots per service task (kept small: the service figures measure latency
+/// and index maintenance under load, not assignment quality).
 pub(super) const SVC_NUM_SLOTS: usize = 2;
-/// The service drains its queue every `DRAIN` microseconds of virtual time.
+/// The service drains its queue every `SVC_DRAIN_EVERY_US` microseconds of
+/// virtual time (fig9mob's fleet moves on the same tick).
 pub(super) const SVC_DRAIN_EVERY_US: u64 = 5_000;
 /// A committed plan occupies its workers for this long before the
 /// retired-task GC releases them back to the pool.
-const SVC_SERVICE_US: u64 = 20_000;
+pub(super) const SVC_SERVICE_US: u64 = 20_000;
 /// Per-phase submit→commit latency windows installed on the virtual-clock
 /// session (indexed by phase position in the rush-hour schedule).
 const SVC_WINDOWS: [&str; 3] = [
@@ -498,16 +505,96 @@ const SVC_WINDOW_SLICE_NANOS: u64 = 2 * SVC_DRAIN_EVERY_US * 1_000;
 const SVC_WINDOW_SLICES: usize = 8;
 
 /// A virtual-clock session holding the per-phase latency windows.
-pub(super) fn svc_latency_session() -> tcsc_obs::ObsSession {
-    let session = tcsc_obs::ObsSession::virtual_time();
+pub(super) fn svc_latency_session() -> ObsSession {
+    let session = ObsSession::virtual_time();
     for name in SVC_WINDOWS {
         session.install_window(name, SVC_WINDOW_SLICE_NANOS, SVC_WINDOW_SLICES);
     }
     session
 }
 
-/// The outcome of one service pass (shared by the obs-off and obs-on runs).
-pub(super) struct SvcRun {
+/// A service workload: `total_tasks` two-slot tasks streamed over the
+/// workers of a seeded scenario, and the per-tick drain capacity.
+pub(super) struct ServiceLoad {
+    scenario: Scenario,
+    pub(super) arrivals: HeavyTailedArrivals,
+    total_tasks: usize,
+    capacity: usize,
+}
+
+impl ServiceLoad {
+    /// Bounded-Pareto inter-arrivals (mean ≈ 57 µs) under the canonical
+    /// calm → rush(×4) → recovery schedule.  The per-tick capacity sits
+    /// between the calm and rush arrival rates, so the backlog — and the
+    /// latency tail — grows during every rush and drains during recovery.
+    pub(super) fn new(total_tasks: usize, workers: usize) -> Self {
+        let scenario = ScenarioConfig::small()
+            .with_num_slots(SVC_NUM_SLOTS)
+            .with_num_workers(workers)
+            .build();
+        let inter = BoundedPareto::new(1.5, 20.0, 10_000.0);
+        let arrivals = HeavyTailedArrivals {
+            seed: 4242,
+            inter_arrival_us: inter,
+            schedule: PhaseSchedule::rush_hour(200_000, 50_000, 4.0),
+            num_slots: SVC_NUM_SLOTS,
+            distribution: SpatialDistribution::Uniform,
+            domain: scenario.domain,
+        };
+        let capacity = ((SVC_DRAIN_EVERY_US as f64 / inter.mean()) * 1.7).ceil() as usize;
+        Self {
+            scenario,
+            arrivals,
+            total_tasks,
+            capacity,
+        }
+    }
+
+    /// The dense index over the scenario's workers.
+    pub(super) fn index(&self) -> WorkerIndex {
+        WorkerIndex::build(&self.scenario.workers, SVC_NUM_SLOTS, &self.scenario.domain)
+    }
+
+    /// The engine configuration: a budget of two per task of per-tick
+    /// capacity.
+    pub(super) fn config(&self) -> MultiTaskConfig {
+        MultiTaskConfig::new(self.capacity as f64 * 2.0)
+    }
+
+    /// Waypoint drift plus session churn, one motion tick per drain tick,
+    /// generously over-provisioned past the expected stream duration
+    /// (leftover events are simply never due).
+    pub(super) fn motion_tape(&self) -> MotionTape {
+        let churn = WorkerChurnConfig {
+            seed: 77,
+            tick_us: SVC_DRAIN_EVERY_US,
+            moves_per_tick: 6,
+            churn_prob: 0.3,
+            drift_fraction: 0.25,
+            num_slots: SVC_NUM_SLOTS,
+            domain: self.scenario.domain,
+        };
+        let mean_us = self.arrivals.inter_arrival_us.mean();
+        let ticks =
+            (self.total_tasks as f64 * mean_us / SVC_DRAIN_EVERY_US as f64 * 2.0) as usize + 50;
+        MotionTape::generate(&churn, &self.scenario.workers, ticks)
+    }
+}
+
+/// How a service pass keeps its index current as the fleet moves.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Maintenance {
+    /// Apply each motion in place through the engine's mutation API (grid
+    /// cell edits).
+    Mutate,
+    /// Track the fleet in a mirror pool and swap in a rebuilt index before
+    /// every drain that follows motion — the pre-mutable-index baseline.
+    Rebuild,
+}
+
+/// The outcome of one service pass.
+#[derive(Default)]
+pub(super) struct ServiceRun {
     pub(super) plan_hash: u64,
     pub(super) commits: u64,
     pub(super) executions: u64,
@@ -515,6 +602,8 @@ pub(super) struct SvcRun {
     drain_wall_ms: f64,
     peak_backlog: usize,
     pub(super) peak_ledger: usize,
+    /// Commitments freed by the GC, by a worker going offline, or by a
+    /// rebuilt index no longer holding the worker.
     pub(super) released: u64,
     pub(super) final_ledger: usize,
     virtual_end_us: u64,
@@ -525,6 +614,15 @@ pub(super) struct SvcRun {
     /// Each phase's sliding-window p99, read as the phase's last tick
     /// closes (0 without a latency session).
     pub(super) phase_window_p99: Vec<u64>,
+    /// Wall clock spent keeping the index current with the fleet.
+    maintenance_ms: f64,
+    pub(super) rebuilds: u64,
+    pub(super) moves: u64,
+    pub(super) offline: u64,
+    online: u64,
+    entries_spliced: u64,
+    rebuild_equiv: u64,
+    imbalance_milli: u64,
 }
 
 /// Folds one drain's plan hash into the running stream hash (order matters:
@@ -533,58 +631,93 @@ fn fold_plan_hash(acc: u64, h: u64) -> u64 {
     (acc.rotate_left(7) ^ h).wrapping_mul(0x0100_0000_01b3)
 }
 
-/// Drives one full service pass: a virtual clock ticking every
-/// [`SVC_DRAIN_EVERY_US`], arrivals pulled from the heavy-tailed sampler
-/// into a driver-side backlog, at most `capacity` tasks submitted per tick
-/// (the modelled drain rate — rush-hour arrivals outpace it, so the backlog
-/// and the latency tail grow), and committed plans retired back to the pool
-/// [`SVC_SERVICE_US`] later.  Submit→commit latency is the virtual time from
-/// arrival to the end of the drain that served the task; when a latency
-/// session (see [`svc_latency_session`]) is supplied, every latency feeds its
-/// phase's sliding window, the backlog depth is emitted as a counter track,
-/// and each phase's window p99 is read when the phase's last tick closes.
-pub(super) fn fig9svc_service_run<R: tcsc_obs::Recorder>(
+/// Applies one motion to a mirror of the fleet.
+fn mirror_motion(mirror: &mut Vec<Worker>, motion: &WorkerMotion) {
+    match motion {
+        WorkerMotion::Move { id, to } => {
+            let at = mirror
+                .iter()
+                .position(|w| w.id == *id)
+                .expect("move targets a live session");
+            let old = &mirror[at];
+            let slots = old
+                .availability()
+                .iter()
+                .map(|ws| WorkerSlot {
+                    slot: ws.slot,
+                    location: *to,
+                })
+                .collect();
+            mirror[at] = Worker::with_reliability(*id, slots, old.reliability);
+        }
+        WorkerMotion::Offline { id } => mirror.retain(|w| w.id != *id),
+        WorkerMotion::Online { worker } => mirror.push(worker.clone()),
+    }
+}
+
+/// Drives one service pass over `load`: a virtual clock ticking every
+/// [`SVC_DRAIN_EVERY_US`], and per tick, in order:
+///
+/// 1. arrivals due by the tick join a driver-side backlog (the sampler is
+///    an infinite iterator, nothing is materialised);
+/// 2. with a `service_us`, plans committed that long ago retire and
+///    release their workers;
+/// 3. with a `fleet`, the tape's motions due by the tick are applied —
+///    in place under [`Maintenance::Mutate`]; under
+///    [`Maintenance::Rebuild`] they update a mirror pool and a rebuilt
+///    index is swapped in before the next drain, so both strategies plan
+///    every drain against the same fleet and the timed maintenance is
+///    exactly the work each does to get there;
+/// 4. at most `capacity` backlog tasks are submitted and drained (timed);
+/// 5. each served task's submit→commit latency — the virtual time from its
+///    arrival to the end of the tick — is recorded per phase.  With a
+///    latency session (see [`svc_latency_session`]) it also feeds the
+///    phase's sliding window, the backlog depth is emitted as a gauge, and
+///    each phase's window p99 is read when the phase's last tick closes.
+///
+/// The pass ends once every task is served and every plan retired.
+pub(super) fn service_run<R: tcsc_obs::Recorder>(
     engine: &mut AssignmentEngine<'_, R>,
-    arrivals: &tcsc_workload::HeavyTailedArrivals,
-    total_tasks: usize,
-    capacity: usize,
-    latency: Option<&tcsc_obs::ObsSession>,
-) -> SvcRun {
+    load: &ServiceLoad,
+    service_us: Option<u64>,
+    fleet: Option<(&MotionTape, Maintenance)>,
+    latency: Option<&ObsSession>,
+) -> ServiceRun {
     use std::collections::VecDeque;
 
     use tcsc_obs::Recorder as _;
 
+    let arrivals = &load.arrivals;
     let nphases = arrivals.schedule.phases().len();
-    let mut run = SvcRun {
+    let mut run = ServiceRun {
         plan_hash: 0xcbf2_9ce4_8422_2325,
-        commits: 0,
-        executions: 0,
-        drains: 0,
-        drain_wall_ms: 0.0,
-        peak_backlog: 0,
-        peak_ledger: 0,
-        released: 0,
-        final_ledger: 0,
-        virtual_end_us: 0,
         phase_arrivals: vec![0; nphases],
         phase_commits: vec![0; nphases],
         phase_time_us: vec![0; nphases],
         phase_hist: vec![tcsc_obs::Histogram::default(); nphases],
         phase_window_p99: vec![0; nphases],
+        ..ServiceRun::default()
     };
     let mut sampler = arrivals.sampler();
     let mut next = sampler.next_arrival();
-    let mut backlog: VecDeque<(u64, usize, tcsc_core::Task)> = VecDeque::new();
-    let mut retire: VecDeque<(u64, tcsc_core::AssignmentPlan)> = VecDeque::new();
+    let mut backlog: VecDeque<(u64, usize, Task)> = VecDeque::new();
+    let mut retire: VecDeque<(u64, AssignmentPlan)> = VecDeque::new();
+    let mut motions = fleet
+        .map_or(&[][..], |(tape, _)| &tape.events)
+        .iter()
+        .peekable();
+    let mut mirror: Vec<Worker> = match fleet {
+        Some((_, Maintenance::Rebuild)) => load.scenario.workers.workers().to_vec(),
+        _ => Vec::new(),
+    };
+    let mut stale = false;
     let mut streamed = 0usize;
     let mut tick_us = 0u64;
 
-    while streamed < total_tasks || !backlog.is_empty() || !retire.is_empty() {
+    while streamed < load.total_tasks || !backlog.is_empty() || !retire.is_empty() {
         tick_us += SVC_DRAIN_EVERY_US;
 
-        // Arrivals up to the tick join the backlog (O(1) memory upstream:
-        // the sampler is an infinite iterator, nothing is materialised).
-        while streamed < total_tasks && next.at_us < tick_us {
+        while streamed < load.total_tasks && next.at_us < tick_us {
             let arrival = std::mem::replace(&mut next, sampler.next_arrival());
             let phase = arrival.round % nphases;
             run.phase_arrivals[phase] += 1;
@@ -593,24 +726,80 @@ pub(super) fn fig9svc_service_run<R: tcsc_obs::Recorder>(
         }
         run.peak_backlog = run.peak_backlog.max(backlog.len());
 
-        // Retired-task GC: plans whose service window elapsed release their
-        // workers, keeping the ledger proportional to live commitments.
+        // Retired-task GC: keeps the ledger proportional to live
+        // commitments.
         while retire.front().is_some_and(|(at, _)| *at <= tick_us) {
             let (_, plan) = retire.pop_front().expect("front checked");
             run.released += engine.release_plan(&plan) as u64;
         }
 
-        // Serve up to `capacity` backlog tasks this tick.
-        let take = backlog.len().min(capacity);
-        if take > 0 {
-            let mut meta = Vec::with_capacity(take);
-            let mut batch = Vec::with_capacity(take);
-            for _ in 0..take {
-                let (at, phase, task) = backlog.pop_front().expect("take <= len");
-                meta.push((at, phase));
-                batch.push(task);
+        let mut due = Vec::new();
+        while motions.peek().is_some_and(|e| e.at_us <= tick_us) {
+            due.push(&motions.next().expect("peeked").motion);
+        }
+        for motion in &due {
+            match motion {
+                WorkerMotion::Move { .. } => run.moves += 1,
+                WorkerMotion::Offline { .. } => run.offline += 1,
+                WorkerMotion::Online { .. } => run.online += 1,
             }
-            engine.submit(batch);
+        }
+        match fleet {
+            Some((_, Maintenance::Mutate)) if !due.is_empty() => {
+                let held = engine.ledger().len();
+                let (mutations, ms) = timed(|| {
+                    due.iter()
+                        .map(|motion| match motion {
+                            WorkerMotion::Move { id, to } => engine.move_worker(*id, *to),
+                            WorkerMotion::Offline { id } => engine.remove_worker(*id),
+                            WorkerMotion::Online { worker } => engine.insert_worker(worker),
+                        })
+                        .collect::<Vec<_>>()
+                });
+                run.maintenance_ms += ms;
+                // `remove_worker` frees the worker's commitments itself.
+                run.released += (held - engine.ledger().len()) as u64;
+                for m in mutations {
+                    assert!(m.applied, "motion tapes only target live sessions");
+                    run.entries_spliced += m.entries_touched as u64;
+                    run.rebuild_equiv += m.rebuild_equiv_entries as u64;
+                }
+            }
+            Some((_, Maintenance::Rebuild)) if !due.is_empty() => {
+                let ((), ms) = timed(|| {
+                    for motion in &due {
+                        mirror_motion(&mut mirror, motion);
+                    }
+                });
+                run.maintenance_ms += ms;
+                stale = true;
+            }
+            _ => {}
+        }
+
+        let take = backlog.len().min(load.capacity);
+        if take > 0 {
+            if stale {
+                let held = engine.ledger().len();
+                let ((), ms) = timed(|| {
+                    let pool = WorkerPool::new(mirror.clone());
+                    engine.replace_index(WorkerIndex::build(
+                        &pool,
+                        SVC_NUM_SLOTS,
+                        &arrivals.domain,
+                    ));
+                });
+                run.maintenance_ms += ms;
+                run.rebuilds += 1;
+                // The swap releases the commitments of workers gone offline.
+                run.released += (held - engine.ledger().len()) as u64;
+                stale = false;
+            }
+            let mut meta = Vec::with_capacity(take);
+            engine.submit(backlog.drain(..take).map(|(at, phase, task)| {
+                meta.push((at, phase));
+                task
+            }));
             let (outcome, ms) = timed(|| engine.drain(Objective::SumQuality));
             run.drain_wall_ms += ms;
             run.drains += 1;
@@ -629,9 +818,11 @@ pub(super) fn fig9svc_service_run<R: tcsc_obs::Recorder>(
                     session.value(SVC_WINDOWS[phase.min(SVC_WINDOWS.len() - 1)], lat_us);
                 }
             }
-            for plan in outcome.assignment.plans {
-                if !plan.executions.is_empty() {
-                    retire.push_back((tick_us + SVC_SERVICE_US, plan));
+            if let Some(service_us) = service_us {
+                for plan in outcome.assignment.plans {
+                    if !plan.executions.is_empty() {
+                        retire.push_back((tick_us + service_us, plan));
+                    }
                 }
             }
         }
@@ -645,7 +836,7 @@ pub(super) fn fig9svc_service_run<R: tcsc_obs::Recorder>(
         // starts a new segment, or the stream ends): by stream end it has
         // rotated past every earlier phase.  A closing window that holds no
         // samples keeps the phase's previous reading.
-        let stream_done = streamed == total_tasks && backlog.is_empty() && retire.is_empty();
+        let stream_done = streamed == load.total_tasks && backlog.is_empty() && retire.is_empty();
         let closes = stream_done || arrivals.schedule.segment_at(tick_us).0 != segment;
         if let (Some(session), true) = (latency, closes) {
             let window_p99 = session
@@ -659,9 +850,15 @@ pub(super) fn fig9svc_service_run<R: tcsc_obs::Recorder>(
         }
     }
     run.final_ledger = engine.ledger().len();
+    run.imbalance_milli = engine.index().occupancy_imbalance_milli();
     run.virtual_end_us = tick_us;
     run
 }
+
+// ---------------------------------------------------------------------------
+// Figure 9svc (repo extension): service-mode SLOs — windowed latency
+// percentiles per phase, span-tree profile and retired-task GC
+// ---------------------------------------------------------------------------
 
 /// Fig. 9svc (repo extension): streams the heavy-tailed rush-hour workload
 /// through the batched engine twice — once unobserved (NoopRecorder), once
@@ -679,43 +876,23 @@ pub fn fig9svc(scale: Scale) -> Report {
 /// [`fig9svc`] on an explicit workload: a stream of `total_tasks` tasks
 /// over `workers` workers.
 pub(super) fn fig9svc_sized(total_tasks: usize, workers: usize) -> Report {
-    use tcsc_obs::{profile_spans, ObsSession};
-    use tcsc_workload::{BoundedPareto, HeavyTailedArrivals, PhaseSchedule};
+    use tcsc_obs::profile_spans;
 
-    let cfg = ScenarioConfig::small()
-        .with_num_slots(SVC_NUM_SLOTS)
-        .with_num_workers(workers);
-    let scenario = cfg.build();
-    let index = WorkerIndex::build(&scenario.workers, SVC_NUM_SLOTS, &scenario.domain);
+    let load = ServiceLoad::new(total_tasks, workers);
+    let index = load.index();
     let cost = EuclideanCost::default();
-
-    // Bounded-Pareto inter-arrivals (mean ≈ 57 µs) under the canonical
-    // calm → rush(×4) → recovery schedule.  The per-tick capacity sits
-    // between the calm and rush arrival rates, so the backlog — and the
-    // latency tail — grows during every rush and drains during recovery.
-    let inter = BoundedPareto::new(1.5, 20.0, 10_000.0);
-    let arrivals = HeavyTailedArrivals {
-        seed: 4242,
-        inter_arrival_us: inter,
-        schedule: PhaseSchedule::rush_hour(200_000, 50_000, 4.0),
-        num_slots: SVC_NUM_SLOTS,
-        distribution: SpatialDistribution::Uniform,
-        domain: scenario.domain,
-    };
-    let capacity = ((SVC_DRAIN_EVERY_US as f64 / inter.mean()) * 1.7).ceil() as usize;
-    let mcfg = MultiTaskConfig::new(capacity as f64 * 2.0);
+    let service = Some(SVC_SERVICE_US);
 
     // Pass 1: unobserved — the NoopRecorder default compiles every hook away.
-    let mut plain = AssignmentEngine::borrowed(&index, &cost, mcfg);
-    let off = fig9svc_service_run(&mut plain, &arrivals, total_tasks, capacity, None);
+    let mut plain = AssignmentEngine::borrowed(&index, &cost, load.config());
+    let off = service_run(&mut plain, &load, service, None, None);
 
     // Pass 2: observed — wall-clock session on the engine (spans, gauges),
     // virtual-clock session owning the per-phase latency windows.
     let wall = ObsSession::wall();
     let virt = svc_latency_session();
-    let mut engine = AssignmentEngine::borrowed(&index, &cost, mcfg).with_recorder(&wall);
-    let on = fig9svc_service_run(&mut engine, &arrivals, total_tasks, capacity, Some(&virt));
-
+    let mut engine = AssignmentEngine::borrowed(&index, &cost, load.config()).with_recorder(&wall);
+    let on = service_run(&mut engine, &load, service, None, Some(&virt));
     // Span-tree profile over the engine's wall session: every root span is
     // an `engine.drain`, so total self-time telescopes to the summed drain
     // time and must reconcile with the stopwatch around the same calls.
@@ -744,7 +921,7 @@ pub(super) fn fig9svc_sized(total_tasks: usize, workers: usize) -> Report {
     ];
     let mut p99_finite = true;
     let mut throughput_positive = true;
-    for (i, phase) in arrivals.schedule.phases().iter().enumerate() {
+    for (i, phase) in load.arrivals.schedule.phases().iter().enumerate() {
         let hist = &on.phase_hist[i];
         let per_sec = on.phase_commits[i] as f64 * 1e6 / on.phase_time_us[i].max(1) as f64;
         p99_finite &= on.phase_commits[i] > 0 && hist.quantile(0.99) > 0;
@@ -775,7 +952,7 @@ pub(super) fn fig9svc_sized(total_tasks: usize, workers: usize) -> Report {
         rows,
     )
     .num("workers", workers as f64)
-    .num("capacity", capacity as f64)
+    .num("capacity", load.capacity as f64)
     .num("virtual_end_us", on.virtual_end_us as f64)
     .num(
         "peak_queue_depth",
@@ -836,196 +1013,9 @@ pub(super) fn fig9svc_sized(total_tasks: usize, workers: usize) -> Report {
 // Figure 9mob (repo extension): mobile workers on the mutable index
 // ---------------------------------------------------------------------------
 
-/// Drain interval of the mobile-worker service loop, virtual µs (one motion
-/// tick per drain tick).
-const MOB_DRAIN_EVERY_US: u64 = 5_000;
-
-/// How the mobile-worker pass keeps its index current between drains.
-enum MobMaintenance {
-    /// Apply each motion event through the engine's mutation API (in-place
-    /// grid cell edits).
-    Mutate,
-    /// Track the fleet in a mirror pool and rebuild the sharded index from
-    /// scratch before every drain that saw motion — the pre-mutable-index
-    /// baseline.
-    Rebuild,
-}
-
-/// One pass of the fig9mob service loop.
-struct MobRun {
-    plan_hash: u64,
-    executions: u64,
-    drains: u64,
-    maintenance_ms: f64,
-    rebuilds: u64,
-    moves: u64,
-    offline: u64,
-    online: u64,
-    entries_spliced: u64,
-    rebuild_equiv: u64,
-    final_ledger: usize,
-    final_imbalance_milli: u64,
-}
-
-/// Drives one mobile-worker service pass.  Arrivals join a backlog per tick
-/// and at most `capacity` are drained; motion events with `at_us` up to the
-/// tick are applied first (fleet state precedes planning, matching
-/// [`tcsc_workload::interleave`]'s tie order).  Under
-/// [`MobMaintenance::Mutate`] each event goes through the engine's mutation
-/// API as it arrives; under [`MobMaintenance::Rebuild`] events update a
-/// mirror pool and the sharded index is rebuilt before the next drain — so
-/// both passes plan every drain against the same fleet state, and the timed
-/// maintenance regions are exactly the work each strategy does to get there.
-fn fig9mob_service_run(
-    mode: MobMaintenance,
-    pool: &tcsc_core::WorkerPool,
-    arrivals: &tcsc_workload::HeavyTailedArrivals,
-    tape: &tcsc_workload::MotionTape,
-    total_tasks: usize,
-    capacity: usize,
-    grid: ShardGridConfig,
-) -> MobRun {
-    use std::collections::VecDeque;
-
-    use tcsc_index::MutableSpatialIndex as _;
-    use tcsc_workload::WorkerMotion;
-
-    let cost = EuclideanCost::default();
-    let domain = arrivals.domain;
-    let num_slots = arrivals.num_slots;
-    let cfg = MultiTaskConfig::new(capacity as f64 * 2.0);
-    let mut engine = ConcurrentAssignmentEngine::new(
-        ShardedWorkerIndex::build(pool, num_slots, &domain, grid),
-        &cost,
-        cfg,
-        1,
-    );
-    let mut mirror: Vec<tcsc_core::Worker> = pool.workers().to_vec();
-
-    let mut run = MobRun {
-        plan_hash: 0xcbf2_9ce4_8422_2325,
-        executions: 0,
-        drains: 0,
-        maintenance_ms: 0.0,
-        rebuilds: 0,
-        moves: 0,
-        offline: 0,
-        online: 0,
-        entries_spliced: 0,
-        rebuild_equiv: 0,
-        final_ledger: 0,
-        final_imbalance_milli: 0,
-    };
-    let mut sampler = arrivals.sampler();
-    let mut next = sampler.next_arrival();
-    let mut events = tape.events.iter().peekable();
-    let mut backlog: VecDeque<tcsc_core::Task> = VecDeque::new();
-    let mut streamed = 0usize;
-    let mut tick_us = 0u64;
-    let mut stale = false;
-
-    while streamed < total_tasks || !backlog.is_empty() {
-        tick_us += MOB_DRAIN_EVERY_US;
-        while streamed < total_tasks && next.at_us < tick_us {
-            let arrival = std::mem::replace(&mut next, sampler.next_arrival());
-            backlog.push_back(arrival.task);
-            streamed += 1;
-        }
-
-        // Fleet motion up to the tick.
-        let mut due = Vec::new();
-        while events.peek().is_some_and(|e| e.at_us <= tick_us) {
-            due.push(&events.next().expect("peeked").motion);
-        }
-        for motion in &due {
-            match motion {
-                WorkerMotion::Move { .. } => run.moves += 1,
-                WorkerMotion::Offline { .. } => run.offline += 1,
-                WorkerMotion::Online { .. } => run.online += 1,
-            }
-        }
-        match mode {
-            MobMaintenance::Mutate => {
-                let (mutations, ms) = timed(|| {
-                    due.iter()
-                        .map(|motion| match motion {
-                            WorkerMotion::Move { id, to } => engine.move_worker(*id, *to),
-                            WorkerMotion::Offline { id } => engine.remove_worker(*id),
-                            WorkerMotion::Online { worker } => engine.insert_worker(worker),
-                        })
-                        .collect::<Vec<_>>()
-                });
-                run.maintenance_ms += ms;
-                for m in mutations {
-                    assert!(m.applied, "motion tapes only target live sessions");
-                    run.entries_spliced += m.entries_touched as u64;
-                    run.rebuild_equiv += m.rebuild_equiv_entries as u64;
-                }
-            }
-            MobMaintenance::Rebuild => {
-                let (_, ms) = timed(|| {
-                    for motion in &due {
-                        match motion {
-                            WorkerMotion::Move { id, to } => {
-                                let at = mirror
-                                    .iter()
-                                    .position(|w| w.id == *id)
-                                    .expect("move targets a live session");
-                                let old = &mirror[at];
-                                let slots = old
-                                    .availability()
-                                    .iter()
-                                    .map(|ws| tcsc_core::WorkerSlot {
-                                        slot: ws.slot,
-                                        location: *to,
-                                    })
-                                    .collect();
-                                mirror[at] = tcsc_core::Worker::with_reliability(
-                                    *id,
-                                    slots,
-                                    old.reliability,
-                                );
-                            }
-                            WorkerMotion::Offline { id } => {
-                                mirror.retain(|w| w.id != *id);
-                            }
-                            WorkerMotion::Online { worker } => mirror.push((*worker).clone()),
-                        }
-                    }
-                });
-                run.maintenance_ms += ms;
-                stale = stale || !due.is_empty();
-            }
-        }
-
-        let take = backlog.len().min(capacity);
-        if take > 0 {
-            if let (MobMaintenance::Rebuild, true) = (&mode, stale) {
-                let (_, ms) = timed(|| {
-                    let rebuilt = tcsc_core::WorkerPool::new(mirror.clone());
-                    engine.replace_index(ShardedWorkerIndex::build(
-                        &rebuilt, num_slots, &domain, grid,
-                    ));
-                });
-                run.maintenance_ms += ms;
-                run.rebuilds += 1;
-                stale = false;
-            }
-            engine.submit(backlog.drain(..take));
-            let outcome = engine.drain(Objective::SumQuality);
-            run.drains += 1;
-            run.executions += outcome.executions as u64;
-            run.plan_hash = fold_plan_hash(run.plan_hash, tcsc_sim::plan_hash(&outcome.assignment));
-        }
-    }
-    run.final_ledger = engine.ledger().len();
-    run.final_imbalance_milli = engine.index().occupancy_imbalance_milli();
-    run
-}
-
 /// Fig. 9mob (repo extension): the heavy-tailed service stream with
 /// per-tick worker motion (waypoint drift + session churn), served by the
-/// concurrent sharded engine twice over identical tapes — mutate-in-place vs
+/// dense engine twice over identical tapes — mutate-in-place vs
 /// rebuild-per-drain — with the plan-hash identity and the ≥5×
 /// maintenance-speedup gate.
 pub fn fig9mob(scale: Scale) -> Report {
@@ -1034,71 +1024,29 @@ pub fn fig9mob(scale: Scale) -> Report {
     // pays O(cell), so the fleet size is what separates the two
     // maintenance strategies (mobile fleets are big; drains are frequent).
     match scale {
-        Scale::Quick => fig9mob_sized(6_000, 2_400, ShardGridConfig::new(5, 5)),
-        Scale::Full => fig9mob_sized(200_000, 10_000, ShardGridConfig::new(8, 8)),
+        Scale::Quick => fig9mob_sized(6_000, 2_400),
+        Scale::Full => fig9mob_sized(200_000, 10_000),
     }
 }
 
 /// [`fig9mob`] on an explicit workload: a stream of `total_tasks` tasks
-/// over `workers` mobile workers on a `grid` of shards.
-pub(super) fn fig9mob_sized(total_tasks: usize, workers: usize, grid: ShardGridConfig) -> Report {
-    use tcsc_workload::{
-        BoundedPareto, HeavyTailedArrivals, MotionTape, PhaseSchedule, WorkerChurnConfig,
+/// over `workers` mobile workers.
+pub(super) fn fig9mob_sized(total_tasks: usize, workers: usize) -> Report {
+    let load = ServiceLoad::new(total_tasks, workers);
+    let tape = load.motion_tape();
+    let cost = EuclideanCost::default();
+    let pass = |mode| {
+        let mut engine = AssignmentEngine::new(load.index(), &cost, load.config());
+        service_run(&mut engine, &load, None, Some((&tape, mode)), None)
     };
-
-    let cfg = ScenarioConfig::small()
-        .with_num_slots(SVC_NUM_SLOTS)
-        .with_num_workers(workers);
-    let scenario = cfg.build();
-    let inter = BoundedPareto::new(1.5, 20.0, 10_000.0);
-    let arrivals = HeavyTailedArrivals {
-        seed: 4242,
-        inter_arrival_us: inter,
-        schedule: PhaseSchedule::rush_hour(200_000, 50_000, 4.0),
-        num_slots: SVC_NUM_SLOTS,
-        distribution: SpatialDistribution::Uniform,
-        domain: scenario.domain,
-    };
-    let capacity = ((MOB_DRAIN_EVERY_US as f64 / inter.mean()) * 1.7).ceil() as usize;
-
-    // One motion tick per drain tick, generously over-provisioned past the
-    // expected stream duration (leftover events are simply never due).
-    let churn = WorkerChurnConfig {
-        seed: 77,
-        tick_us: MOB_DRAIN_EVERY_US,
-        moves_per_tick: 6,
-        churn_prob: 0.3,
-        drift_fraction: 0.25,
-        num_slots: SVC_NUM_SLOTS,
-        domain: scenario.domain,
-    };
-    let ticks = (total_tasks as f64 * inter.mean() / MOB_DRAIN_EVERY_US as f64 * 2.0) as usize + 50;
-    let tape = MotionTape::generate(&churn, &scenario.workers, ticks);
-
-    let mutate = fig9mob_service_run(
-        MobMaintenance::Mutate,
-        &scenario.workers,
-        &arrivals,
-        &tape,
-        total_tasks,
-        capacity,
-        grid,
-    );
-    let rebuild = fig9mob_service_run(
-        MobMaintenance::Rebuild,
-        &scenario.workers,
-        &arrivals,
-        &tape,
-        total_tasks,
-        capacity,
-        grid,
-    );
+    let mutate = pass(Maintenance::Mutate);
+    let rebuild = pass(Maintenance::Rebuild);
 
     let speedup = rebuild.maintenance_ms / mutate.maintenance_ms.max(1e-9);
     Report::new(
         "fig9mob",
         "Mobile workers: in-place cell edits vs rebuild-per-drain on the \
-         tile-routed index \
+         dense index \
          — maintenance cost under the identical-plans gate",
         vec![
             Row::new(
@@ -1126,13 +1074,13 @@ pub(super) fn fig9mob_sized(total_tasks: usize, workers: usize, grid: ShardGridC
                     ("Tasks".into(), total_tasks as f64),
                     ("Drains".into(), mutate.drains as f64),
                     ("Execs".into(), mutate.executions as f64),
-                    ("ImbalanceMilli".into(), mutate.final_imbalance_milli as f64),
+                    ("ImbalanceMilli".into(), mutate.imbalance_milli as f64),
                 ],
             ),
         ],
     )
     .num("workers", workers as f64)
-    .num("capacity", capacity as f64)
+    .num("capacity", load.capacity as f64)
     .num("final_ledger", mutate.final_ledger as f64)
     .hash("mutate_plan_hash", mutate.plan_hash)
     .hash("rebuild_plan_hash", rebuild.plan_hash)

@@ -11,10 +11,12 @@ use tcsc_assign::{
     AssignmentEngine, MultiOutcome, MultiTaskConfig, Objective, SingleTaskConfig,
     SpatioTemporalObjective,
 };
+use tcsc_core::quality::QualityEvaluator;
 use tcsc_core::{EuclideanCost, InterpolationWeights};
+use tcsc_index::vtree::{VTree, VTreeConfig};
 use tcsc_workload::{PoiConfig, ScenarioConfig, SpatialDistribution, TaskPlacement};
 
-use crate::{prepare_multi, prepare_single, timed, PreparedMulti, Report, Row, Scale};
+use crate::{best_of, prepare_multi, prepare_single, timed, PreparedMulti, Report, Row, Scale};
 
 /// Shorthand: a [`SolverBuilder`] seeded from a figure's `MultiTaskConfig`.
 ///
@@ -424,7 +426,8 @@ pub fn fig8b(scale: Scale) -> Report {
 }
 
 /// Fig. 8(c): time breakdown of Approx vs Approx* (worker cost retrieval,
-/// heuristic calculation / k-NN interpolation, tree construction).
+/// heuristic calculation / k-NN interpolation, tree construction), plus the
+/// exact-gain kernel `VTree::gain` alone (the `vtree_gain` row).
 pub fn fig8c(scale: Scale) -> Report {
     let p = params(scale);
     let m = p.m_sweep[p.m_sweep.len() / 2];
@@ -468,8 +471,34 @@ pub fn fig8c(scale: Scale) -> Report {
                     ("Total".into(), fast_ms + prepared.retrieval_ms),
                 ],
             ),
+            vtree_gain_row(),
         ],
     )
+}
+
+/// `VTree::gain` over all 96 slots of a `k = 3` task (the `batch-replan`
+/// shape) with 0, 3 and 12 slots executed, spread evenly over the timeline:
+/// µs per 96-slot sweep, best of 5 runs of 100 sweeps each.
+fn vtree_gain_row() -> Row {
+    const M: usize = 96;
+    const SWEEPS: usize = 100;
+    let values = [0usize, 3, 12]
+        .into_iter()
+        .map(|executed| {
+            let mut evaluator = QualityEvaluator::with_slots(M, 3);
+            for i in 0..executed {
+                evaluator.execute((2 * i + 1) * M / (2 * executed));
+            }
+            let tree = VTree::build(&evaluator, vec![Some(1.0); M], VTreeConfig::default());
+            let ms = best_of(5, || {
+                for _ in 0..SWEEPS {
+                    std::hint::black_box((0..M).map(|t| tree.gain(&evaluator, t)).sum::<f64>());
+                }
+            });
+            (format!("Executed{executed}Us"), ms * 1e3 / SWEEPS as f64)
+        })
+        .collect();
+    Row::new("vtree_gain", values)
 }
 
 /// Fig. 8(d): pruning ratio of Approx* vs `m`, per distribution.

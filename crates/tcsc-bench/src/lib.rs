@@ -5,8 +5,8 @@
 //! Each figure has a driver in [`figures`] that generates the corresponding
 //! workload, runs the competing algorithms and returns a [`Report`]: the
 //! table rows the figure plots, named scalars and pass/fail gates.  The
-//! `experiments` binary prints and writes every report, and the Criterion
-//! benches time the underlying algorithm calls.
+//! `experiments` binary prints, writes and gates every report; the timings
+//! are part of the reports.
 //!
 //! Absolute running times differ from the paper (different language, machine
 //! and data substitutes); the drivers are designed so the *shape* of every
@@ -269,8 +269,8 @@ fn json_str(s: &str) -> String {
 /// Times a closure, returning (result, elapsed milliseconds).
 ///
 /// The single wall-clock timing path of the harness — a thin alias of
-/// [`tcsc_obs::time_closure`] so every fig driver, bench and example reads
-/// the same [`tcsc_obs::Stopwatch`] clock.
+/// [`tcsc_obs::time_closure`] so every fig driver reads the same
+/// [`tcsc_obs::Stopwatch`] clock.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     tcsc_obs::time_closure(f)
 }

@@ -14,9 +14,8 @@
 //!
 //! The mobile-worker side of a service workload lives here too: seeded
 //! [`WorkerMotion`] tapes (waypoint drift plus offline/online session churn,
-//! generated by [`MotionTape::generate`]) and [`interleave`], which merges a
-//! motion tape into an arrival trace as one time-ordered [`ServiceEvent`]
-//! stream — the input of the `fig9mob` mutable-index driver.
+//! generated by [`MotionTape::generate`]), which the `fig9mob` mutable-index
+//! driver applies between drains.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,22 +66,6 @@ impl ArrivalTrace {
             arrivals,
             round_interval_us,
             rounds: scenario.rounds.len(),
-        }
-    }
-
-    /// A one-round trace with every task arriving at time 0.
-    pub fn immediate(tasks: Vec<Task>) -> Self {
-        Self {
-            arrivals: tasks
-                .into_iter()
-                .map(|task| TaskArrival {
-                    at_us: 0,
-                    round: 0,
-                    task,
-                })
-                .collect(),
-            round_interval_us: 0,
-            rounds: 1,
         }
     }
 
@@ -543,58 +526,6 @@ impl MotionTape {
     }
 }
 
-/// One event of a merged service stream: a task arriving or a worker moving.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServiceEvent {
-    /// A worker motion event.
-    Motion(MotionEvent),
-    /// A task arrival.
-    Arrival(TaskArrival),
-}
-
-impl ServiceEvent {
-    /// The event's virtual time.
-    pub fn at_us(&self) -> u64 {
-        match self {
-            ServiceEvent::Motion(m) => m.at_us,
-            ServiceEvent::Arrival(a) => a.at_us,
-        }
-    }
-}
-
-/// Merges an arrival trace and a motion tape into one stream ordered by
-/// time.  At equal timestamps motion sorts **first**: the worker fleet's
-/// state at time `t` is updated before tasks arriving at `t` are planned
-/// against it.  Both inputs are already time-sorted, so the merge is stable
-/// within each stream.
-pub fn interleave(arrivals: &ArrivalTrace, motions: &MotionTape) -> Vec<ServiceEvent> {
-    let mut out = Vec::with_capacity(arrivals.len() + motions.len());
-    let (mut a, mut m) = (arrivals.arrivals.iter(), motions.events.iter());
-    let (mut next_a, mut next_m) = (a.next(), m.next());
-    loop {
-        match (next_a, next_m) {
-            (Some(arrival), Some(motion)) => {
-                if motion.at_us <= arrival.at_us {
-                    out.push(ServiceEvent::Motion(motion.clone()));
-                    next_m = m.next();
-                } else {
-                    out.push(ServiceEvent::Arrival(arrival.clone()));
-                    next_a = a.next();
-                }
-            }
-            (Some(arrival), None) => {
-                out.push(ServiceEvent::Arrival(arrival.clone()));
-                next_a = a.next();
-            }
-            (None, Some(motion)) => {
-                out.push(ServiceEvent::Motion(motion.clone()));
-                next_m = m.next();
-            }
-            (None, None) => return out,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,16 +548,6 @@ mod tests {
         // The flattened trace preserves the submission order exactly.
         let flat: Vec<_> = trace.arrivals.iter().map(|a| a.task.clone()).collect();
         assert_eq!(flat, streaming.concatenated());
-    }
-
-    #[test]
-    fn immediate_trace_is_one_round_at_time_zero() {
-        let streaming = StreamingConfig::small(2, 3).build();
-        let trace = ArrivalTrace::immediate(streaming.concatenated());
-        assert_eq!(trace.rounds, 1);
-        assert_eq!(trace.duration_us(), 0);
-        assert_eq!(trace.batches().len(), 1);
-        assert!(!trace.is_empty());
     }
 
     #[test]
@@ -818,39 +739,6 @@ mod tests {
         assert!(moves > 0, "drift events occurred");
         assert!(churns > 0, "a 25% churn chance fires within 60 ticks");
         assert_eq!(live.len(), pool.len(), "churn keeps the pool size stable");
-    }
-
-    #[test]
-    fn interleave_orders_by_time_with_motion_first_on_ties() {
-        let (mut config, pool) = churn_pool(3);
-        // Align motion ticks with arrival rounds so ties actually occur.
-        config.tick_us = 50_000;
-        let streaming = StreamingConfig::small(4, 2).build();
-        let arrivals = ArrivalTrace::from_streaming(&streaming, 50_000);
-        let tape = MotionTape::generate(&config, &pool, 3);
-        let merged = interleave(&arrivals, &tape);
-        assert_eq!(merged.len(), arrivals.len() + tape.len());
-        for pair in merged.windows(2) {
-            assert!(pair[0].at_us() <= pair[1].at_us(), "merged stream sorted");
-            if pair[0].at_us() == pair[1].at_us() {
-                assert!(
-                    !matches!(
-                        (&pair[0], &pair[1]),
-                        (ServiceEvent::Arrival(_), ServiceEvent::Motion(_))
-                    ),
-                    "at a tie, fleet updates precede arrivals"
-                );
-            }
-        }
-        // Order within each stream is preserved.
-        let only_arrivals: Vec<_> = merged
-            .iter()
-            .filter_map(|e| match e {
-                ServiceEvent::Arrival(a) => Some(a.clone()),
-                ServiceEvent::Motion(_) => None,
-            })
-            .collect();
-        assert_eq!(only_arrivals, arrivals.arrivals);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   traces for the discrete-event distributed runtime (`tcsc-sim`), plus
 //!   heavy-tailed service streams (bounded-Pareto inter-arrivals under a
 //!   cyclic rush-hour [`PhaseSchedule`], sampled one arrival at a time by
-//!   the O(1)-memory [`ArrivalSampler`]), seeded worker-motion tapes
-//!   ([`MotionTape`]: waypoint drift + session churn) and the merged
-//!   [`ServiceEvent`] stream consumed by the mobile-worker service driver.
+//!   the O(1)-memory [`ArrivalSampler`]) and seeded worker-motion tapes
+//!   ([`MotionTape`]: waypoint drift + session churn) for the mobile-worker
+//!   service driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,9 +34,8 @@ pub mod trajectory;
 
 pub use distribution::SpatialDistribution;
 pub use events::{
-    interleave, ArrivalPhase, ArrivalSampler, ArrivalTrace, BoundedPareto, HeavyTailedArrivals,
-    MotionEvent, MotionTape, PhaseSchedule, ServiceEvent, TaskArrival, WorkerChurnConfig,
-    WorkerMotion,
+    ArrivalPhase, ArrivalSampler, ArrivalTrace, BoundedPareto, HeavyTailedArrivals, MotionEvent,
+    MotionTape, PhaseSchedule, TaskArrival, WorkerChurnConfig, WorkerMotion,
 };
 pub use poi::{PoiConfig, PoiDataset};
 pub use scenario::{Scenario, ScenarioConfig, TaskPlacement};

@@ -86,9 +86,9 @@ pub mod prelude {
         plan_hash, run_cluster, LatencyModel, SimBatch, SimClusterConfig, SimOutcome,
     };
     pub use tcsc_workload::{
-        interleave, ArrivalPhase, ArrivalSampler, ArrivalTrace, BoundedPareto, HeavyTailedArrivals,
+        ArrivalPhase, ArrivalSampler, ArrivalTrace, BoundedPareto, HeavyTailedArrivals,
         MotionEvent, MotionTape, PhaseSchedule, PoiConfig, PoiDataset, Scenario, ScenarioConfig,
-        ServiceEvent, SpatialDistribution, StreamingConfig, StreamingScenario, TaskPlacement,
-        TrajectoryConfig, WorkerChurnConfig, WorkerMotion,
+        SpatialDistribution, StreamingConfig, StreamingScenario, TaskPlacement, TrajectoryConfig,
+        WorkerChurnConfig, WorkerMotion,
     };
 }
