@@ -1,10 +1,10 @@
 //! The batched / streaming multi-task assignment engine.
 //!
-//! The per-call solvers of [`crate::multi`] rebuild every piece of per-task
-//! candidate state from scratch on each invocation: `TaskState::new` runs one
-//! index query per slot, and nothing survives between calls even when the
-//! same tasks are solved again (budget sweeps, objective comparisons,
-//! re-planning).  [`GreedyEngine`] is the long-lived alternative: it owns
+//! A per-call solve would rebuild every piece of per-task candidate state
+//! from scratch on each invocation: `TaskState::new` runs one index query
+//! per slot, and nothing survives between calls even when the same tasks
+//! are solved again (budget sweeps, objective comparisons, re-planning).
+//! [`GreedyEngine`] is the long-lived alternative: it owns
 //! (or borrows) a worker index, a persistent occupancy store and a
 //! [`CandidateCache`] keyed by task, so that re-planning the same tasks
 //! amortises the worker-cost-retrieval work across calls.
@@ -61,10 +61,10 @@
 //! targets `(slot, worker)` — exactly the predicate of the serial scan — so
 //! the engine performs the *same* candidate refreshes, counts the *same*
 //! conflicts and executes the *same* subtasks in the same order.  On a fresh
-//! engine, [`GreedyEngine::assign_batch`] is bit-identical to
-//! [`crate::multi::rebuild::msqm_rebuild`] / [`crate::multi::rebuild::mmqm_rebuild`]
-//! (the pre-engine solvers, kept as the rebuild-per-call baseline); the
-//! equivalence is locked in by `tests/engine_equivalence.rs`.  The sharded
+//! engine, [`GreedyEngine::assign_batch`] is bit-identical to the
+//! rebuild-per-call greedies that recompute every candidate and every best
+//! candidate from scratch; `tests/engine_equivalence.rs` locks this against
+//! test-local ports of them.  The sharded
 //! index is a tile-routed view over the dense one, so the two aliases
 //! commit the same plans with the same counters on the same history, for
 //! any shard grid (`tests/concurrent_equivalence.rs`).
@@ -89,8 +89,8 @@ use crate::candidates::{candidate_for_slot, SlotCandidates, WorkerLedger};
 use crate::engine::commit::{mmqm_commit_loop, msqm_commit_loop};
 pub use crate::engine::concurrent::ShardedLedger;
 use crate::multi::sapprox::SpatioTemporalObjective;
+pub use crate::multi::RefreshStats;
 use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
-pub use crate::multi::{RefreshStats, RefreshStrategy};
 
 /// Which aggregate objective a batch solve maximises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,18 +107,18 @@ pub enum Objective {
 /// `slot_computations` counts actual index-backed candidate computations
 /// (initial builds plus refreshes); `rebuild_slot_computations` counts what a
 /// rebuild-per-call strategy — recomputing every task's candidates from
-/// scratch, as the pre-engine solvers do — would have performed for the same
+/// scratch, as a fresh engine does — would have performed for the same
 /// work.  The difference is the engine's saving.
 ///
 /// The refresh-accounting block (`full_refreshes`, `incremental_patches`,
 /// `stale_pops`, `commit_rescores`, `refresh_nanos`, `warm_nanos`) measures
 /// the best-candidate work of the commit loop — the warm start, and the
-/// *commit tail* beyond it that the [`RefreshStrategy::Incremental`] gain
-/// ledger attacks.  Those fields are **measurement, not behaviour**:
-/// different drivers of the same plan (engine greedy vs task-parallel master
-/// vs simulated cluster) legitimately issue different best-candidate request
-/// sequences, so the refresh block is excluded from `PartialEq` and from
-/// every bit-identity contract.
+/// *commit tail* beyond it that the per-task
+/// [`GainLedger`](crate::GainLedger) attacks.  Those fields are
+/// **measurement, not behaviour**: different drivers of the same plan
+/// (engine greedy vs task-parallel master vs simulated cluster) legitimately
+/// issue different best-candidate request sequences, so the refresh block is
+/// excluded from `PartialEq` and from every bit-identity contract.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Tasks whose candidates were computed from scratch (cache misses).
@@ -133,8 +133,8 @@ pub struct CacheStats {
     /// Per-slot computations a rebuild-per-call strategy would have performed
     /// for the same solves.
     pub rebuild_slot_computations: usize,
-    /// Full best-candidate searches beyond each task's warm start (the
-    /// commit-tail recomputes; `0` in steady state on the incremental path).
+    /// Zero-cost fallback searches: best-candidate requests the gain ledger
+    /// handed to the full search because the top candidate costs 0.
     pub full_refreshes: usize,
     /// Gain-ledger entries patched (re-keyed) after candidate refreshes.
     pub incremental_patches: usize,
@@ -147,8 +147,8 @@ pub struct CacheStats {
     /// the refresh block this is measurement, not behaviour (excluded from
     /// `PartialEq`).
     pub commit_rescores: usize,
-    /// Nanoseconds spent in commit-tail refresh work (searches beyond the
-    /// warm start, ledger pops and patches).
+    /// Nanoseconds spent in commit-tail refresh work (requests beyond the
+    /// warm start: ledger pops, fallback searches and patches).
     pub refresh_nanos: u64,
     /// Nanoseconds spent in each task's warm start (its first best-candidate
     /// request, which `refresh_nanos` leaves out).  Both run inside the
@@ -189,7 +189,7 @@ impl CacheStats {
     /// Counts one conflict-driven slot refresh (a real index-backed
     /// recompute that the rebuild baseline would also have performed) — the
     /// single site of this accounting convention, shared by every commit
-    /// backend and the rebuild solvers.
+    /// backend.
     pub(crate) fn count_conflict_refresh(&mut self) {
         self.slot_computations += 1;
         self.slot_refreshes += 1;
@@ -777,11 +777,9 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
     /// against the current ledger, committing the resulting occupancy.
     ///
     /// On a fresh engine this is bit-identical (plans, conflicts, executions)
-    /// to the rebuild-per-call solvers
-    /// [`crate::multi::rebuild::msqm_rebuild`] /
-    /// [`crate::multi::rebuild::mmqm_rebuild`]; the candidate cache only
-    /// changes *how* candidates are obtained, never *which* candidates the
-    /// greedy sees.
+    /// to a rebuild-per-call greedy (see the [module docs](self)); the
+    /// candidate cache only changes *how* candidates are obtained, never
+    /// *which* candidates the greedy sees.
     pub fn assign_batch(&mut self, tasks: &[Task], objective: Objective) -> MultiOutcome {
         self.solve(tasks, objective, true)
     }

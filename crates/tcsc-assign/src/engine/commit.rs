@@ -2,23 +2,21 @@
 //!
 //! The MSQM holder-map loop and the MMQM lazy-heap loop each exist once, here,
 //! generic over the engine's [`Occupancy`] store: the only thing the drivers
-//! (the engine on either index, the rebuild baseline) differ in is *where
-//! occupancy lives* (a dense [`crate::WorkerLedger`] vs the sharded per-tile
-//! ledgers) and therefore how a conflict-invalidated slot is refreshed.
+//! (the engine on either index) differ in is *where occupancy lives* (a
+//! dense [`crate::WorkerLedger`] vs the sharded per-tile ledgers) and
+//! therefore how a conflict-invalidated slot is refreshed.
 //!
 //! The loops never compute candidates themselves — they call
-//! [`TaskState::best_candidate`], which dispatches on the task's
-//! [`crate::multi::RefreshStrategy`]; the refresh accounting each state
-//! accumulates is absorbed into the run's [`CacheStats`] when a loop
-//! finishes.
+//! [`TaskState::best_candidate`], which answers from the task's gain ledger;
+//! the refresh accounting each state accumulates is absorbed into the run's
+//! [`CacheStats`] when a loop finishes.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 
 use tcsc_core::{CostModel, SlotIndex, WorkerId};
 
 use crate::engine::{CacheStats, Occupancy};
-use crate::multi::rebuild::HeapEntry;
 use crate::multi::{TaskCandidate, TaskState};
 
 /// Folds every state's refresh accounting into the run's stats (called once
@@ -26,6 +24,23 @@ use crate::multi::{TaskCandidate, TaskState};
 pub(crate) fn absorb_refresh_stats(states: &[TaskState], stats: &mut CacheStats) {
     for state in states {
         stats.absorb_refresh(&state.refresh_stats());
+    }
+}
+
+/// Ordered heap entry: (quality, task index).  `f64` is wrapped through its
+/// total ordering to make the heap usable.
+#[derive(Debug, PartialEq)]
+struct HeapEntry(f64, usize);
+
+impl Eq for HeapEntry {}
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
     }
 }
 
@@ -219,8 +234,7 @@ pub(crate) fn msqm_commit_loop<I, L: Occupancy<I>>(
 /// matches the task is re-pushed with the current quality instead of being
 /// trusted.  Returns `(conflicts, executions)`.
 ///
-/// The single implementation behind the engine on either index and the
-/// rebuild baseline.
+/// The single implementation behind the engine on either index.
 pub(crate) fn mmqm_commit_loop<I, L: Occupancy<I>>(
     states: &mut [TaskState],
     budget: f64,

@@ -60,12 +60,9 @@ pub use multi::conflict::{independence_graph, IndependenceGraph};
 pub use multi::gain::GainLedger;
 pub use multi::group_parallel::{msqm_group_parallel, GroupParallelOutcome};
 pub use multi::protocol::{CommittedExecution, MasterCommand, TaskMaster, TaskOwner, WorkerEvent};
-pub use multi::rebuild::{mmqm_rebuild, msqm_rebuild};
 pub use multi::sapprox::SpatioTemporalObjective;
 pub use multi::task_parallel::{msqm_task_parallel, TaskParallelOutcome};
-pub use multi::{
-    MultiOutcome, MultiTaskConfig, RefreshStats, RefreshStrategy, TaskCandidate, TaskState,
-};
+pub use multi::{MultiOutcome, MultiTaskConfig, RefreshStats, TaskCandidate, TaskState};
 pub use single::baseline::{random_assignment, random_summary, RandSummary};
 pub use single::dual::{min_budget_for_quality, DualOutcome};
 pub use single::greedy::{approx, GreedyOutcome, GreedyStats};

@@ -3,11 +3,10 @@
 //! Every multi-task driver (the engine on either index, the task-parallel
 //! master, the simulated cluster) repeatedly asks one question of a task: *"what
 //! is your best affordable `(gain / cost)` execution right now?"*.  The
-//! original answer — [`RefreshStrategy::Full`] — recomputes it from scratch
-//! on every call: a V-tree best-first search (or a plain scan) over the whole
-//! candidate set, per grant, per conflict, per budget-staleness
-//! invalidation.  That recompute is the serial commit tail that caps the
-//! parallel engines' speedup.
+//! direct answer recomputes it from scratch on every call: a V-tree
+//! best-first search (or a plain scan) over the whole candidate set, per
+//! grant, per conflict, per budget-staleness invalidation.  That recompute
+//! is the serial commit tail that caps the parallel engines' speedup.
 //!
 //! [`GainLedger`] replaces the recompute with a **per-task lazy max-structure
 //! over the `(slot, worker)` candidate pairs**:
@@ -57,9 +56,9 @@
 //! tie-break depends on the V-tree's internal visit order; the caller falls
 //! back to the full search for those (they are immediately executed, so the
 //! fallback is at most a handful of searches per task).  The differential
-//! fuzz suite (`crates/tcsc-assign/tests/incremental_gain_fuzz.rs`) and every
-//! pre-existing equivalence suite pin the bit-identity across presets ×
-//! grids × threads.
+//! fuzz suite (`crates/tcsc-assign/tests/incremental_gain_fuzz.rs`) and the
+//! engine equivalence suite pin the bit-identity against a test-local full
+//! search across presets, budgets and threads.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
@@ -67,34 +66,17 @@ use std::collections::BinaryHeap;
 
 use tcsc_core::{SlotIndex, WorkerId};
 
-/// Which best-candidate maintenance strategy a solve uses.
-///
-/// The committed plans, conflicts and executions are **bit-identical** under
-/// both strategies; only the amount of per-grant recomputation differs.
-/// `Full` is retained as the in-tree equivalence oracle and for the
-/// `fig9p` old-vs-new measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefreshStrategy {
-    /// Recompute the best candidate from scratch on every request (V-tree
-    /// best-first search / plain scan) — the pre-ledger behaviour.
-    Full,
-    /// Maintain a [`GainLedger`] per task: patch entries on candidate
-    /// refreshes, lazily re-score on pop after executions.
-    #[default]
-    Incremental,
-}
-
 /// Refresh-accounting counters of one task state (merged into
 /// [`crate::engine::CacheStats`] by the drivers).
 ///
-/// `full_refreshes` counts full best-candidate searches *beyond the first*
-/// per task state — the first search is the warm start both strategies pay
-/// identically (the full path's initial search, the ledger's initial build).
-/// On the incremental path the commit tail therefore shows
-/// `full_refreshes == 0` (zero-cost-candidate fallbacks aside).
+/// `full_refreshes` counts the zero-cost fallback searches: a ledger pop
+/// that surfaces a zero-cost candidate (`heuristic == INFINITY`) hands the
+/// request to the full search, whose tie-break among such candidates
+/// follows the V-tree's visit order.  Scenarios without zero-distance
+/// candidates show `full_refreshes == 0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefreshStats {
-    /// Full best-candidate searches beyond the warm start.
+    /// Zero-cost fallback searches (full searches the ledger handed off).
     pub full_refreshes: usize,
     /// Ledger entries patched (re-keyed) by candidate refreshes / undos.
     pub incremental_patches: usize,
@@ -102,12 +84,13 @@ pub struct RefreshStats {
     /// request the V-tree shows nothing can afford skips the pop, so the
     /// entries of executed slots it would have probed dead are not counted.
     pub stale_pops: usize,
-    /// Nanoseconds spent in commit-tail refresh work (searches beyond the
-    /// warm start, ledger pops and patches).  Measurement, not behaviour:
-    /// excluded from every equivalence comparison.
+    /// Nanoseconds spent in commit-tail refresh work (requests beyond the
+    /// warm start: ledger pops, fallback searches and patches).
+    /// Measurement, not behaviour: excluded from every equivalence
+    /// comparison.
     pub refresh_nanos: u64,
     /// Nanoseconds spent in the warm start: the first best-candidate request
-    /// (the initial search, or the ledger's build and first pop), which
+    /// (the ledger's build and first pop), which
     /// `refresh_nanos` leaves out.  Measurement, like `refresh_nanos`.
     pub warm_nanos: u64,
 }

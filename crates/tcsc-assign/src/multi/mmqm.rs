@@ -12,9 +12,8 @@
 //! slot.
 //!
 //! The solver is [`crate::engine::AssignmentEngine::assign_batch`] with
-//! [`crate::engine::Objective::MinQuality`]; the pre-engine implementation
-//! survives as [`crate::multi::rebuild::mmqm_rebuild`], the rebuild-per-call
-//! baseline.  This module holds the solver's unit tests.
+//! [`crate::engine::Objective::MinQuality`].  This module holds the solver's
+//! unit tests.
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,6 @@ pub mod group_parallel;
 pub mod mmqm;
 pub mod msqm;
 pub mod protocol;
-pub mod rebuild;
 pub mod sapprox;
 pub mod task_parallel;
 
@@ -22,8 +21,8 @@ use tcsc_index::{SearchStats, SpatialQuery, VTree, VTreeConfig};
 
 use crate::candidates::{candidate_for_slot, SlotCandidates, WorkerLedger};
 use crate::engine::CacheStats;
+pub use crate::multi::gain::RefreshStats;
 use crate::multi::gain::{EntryState, GainLedger};
-pub use crate::multi::gain::{RefreshStats, RefreshStrategy};
 
 /// Parameters shared by the multi-task solvers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,17 +38,10 @@ pub struct MultiTaskConfig {
     /// Whether per-task candidate search uses the aggregated tree index
     /// (`Approx*`) or the plain enumeration (`Approx`).
     pub use_index: bool,
-    /// How best-candidate values are maintained across the commit loop:
-    /// recomputed from scratch per request ([`RefreshStrategy::Full`], the
-    /// in-tree equivalence oracle) or maintained incrementally through a
-    /// per-task [`GainLedger`] ([`RefreshStrategy::Incremental`], the
-    /// default).  The committed plans are bit-identical either way.
-    pub refresh: RefreshStrategy,
 }
 
 impl MultiTaskConfig {
-    /// Default configuration (`k = 3`, `ts = 4`, indexed search, incremental
-    /// gain maintenance).
+    /// Default configuration (`k = 3`, `ts = 4`, indexed search).
     pub fn new(budget: f64) -> Self {
         Self {
             budget,
@@ -57,7 +49,6 @@ impl MultiTaskConfig {
             ts: 4,
             use_reliability: false,
             use_index: true,
-            refresh: RefreshStrategy::Incremental,
         }
     }
 
@@ -83,12 +74,6 @@ impl MultiTaskConfig {
     /// Enables reliability weighting.
     pub fn with_reliability(mut self) -> Self {
         self.use_reliability = true;
-        self
-    }
-
-    /// Overrides the best-candidate refresh strategy.
-    pub fn with_refresh(mut self, refresh: RefreshStrategy) -> Self {
-        self.refresh = refresh;
         self
     }
 }
@@ -127,16 +112,13 @@ pub struct TaskState {
     /// Accumulated best-first search statistics.
     pub search_stats: SearchStats,
     use_reliability: bool,
-    refresh: RefreshStrategy,
-    /// The incremental-gain structure (present under
-    /// [`RefreshStrategy::Incremental`]; built lazily by the first
-    /// best-candidate request).
-    gain_ledger: Option<GainLedger>,
+    /// The incremental-gain structure answering best-candidate requests
+    /// (built lazily by the first one).
+    gain_ledger: GainLedger,
     /// Refresh-accounting counters of this state's commit-tail work.
     refresh_stats: RefreshStats,
-    /// Best-candidate requests served so far (the first is the warm start
-    /// both strategies pay identically; it is excluded from the refresh
-    /// accounting).
+    /// Best-candidate requests served so far (the first is the warm start;
+    /// it is excluded from the refresh accounting).
     searches: usize,
 }
 
@@ -218,9 +200,7 @@ impl TaskState {
             executions: Vec::new(),
             search_stats: SearchStats::default(),
             use_reliability: config.use_reliability,
-            refresh: config.refresh,
-            gain_ledger: matches!(config.refresh, RefreshStrategy::Incremental)
-                .then(|| GainLedger::new(task.num_slots)),
+            gain_ledger: GainLedger::new(task.num_slots),
             refresh_stats: RefreshStats::default(),
             searches: 0,
         }
@@ -234,27 +214,20 @@ impl TaskState {
     /// The best affordable candidate execution of this task, or `None` when no
     /// remaining slot has an available worker within `max_cost`.
     ///
-    /// Under [`RefreshStrategy::Full`] every call runs the full search
-    /// (V-tree best-first / plain scan); under
-    /// [`RefreshStrategy::Incremental`] the [`GainLedger`] answers with a
-    /// lazy-greedy pop.  The returned candidate is bit-identical either way.
+    /// The [`GainLedger`] is built on first use and then answers with a
+    /// lazy-greedy pop; the answer is bit-identical to a full search (V-tree
+    /// best-first or plain scan) over the current state.  Zero-cost
+    /// candidates (`heuristic == INFINITY`) fall back to that full search,
+    /// whose tie-break among them depends on the V-tree's visit order that
+    /// the ledger does not replicate.
     pub fn best_candidate(&mut self, max_cost: f64) -> Option<TaskCandidate> {
         self.searches += 1;
-        // The first request is the warm start both strategies pay alike (the
-        // full path's initial search, the ledger's initial build); it is
-        // timed on its own, and only the commit tail beyond it is accounted
-        // as refresh work.
+        // The first request is the warm start (the ledger's initial build);
+        // it is timed on its own, and only the commit tail beyond it is
+        // accounted as refresh work.
         let warm = self.searches == 1;
         let start = Stopwatch::start();
-        let result = match self.refresh {
-            RefreshStrategy::Full => {
-                if !warm {
-                    self.refresh_stats.full_refreshes += 1;
-                }
-                self.search_best(max_cost)
-            }
-            RefreshStrategy::Incremental => self.best_candidate_incremental(max_cost),
-        };
+        let result = self.pop_best(max_cost);
         let nanos = start.elapsed_nanos();
         if warm {
             self.refresh_stats.warm_nanos += nanos;
@@ -264,15 +237,13 @@ impl TaskState {
         result
     }
 
-    /// The incremental path: build the ledger on first use, then answer via
-    /// the lazy-greedy pop.  Zero-cost candidates (`heuristic == INFINITY`)
-    /// fall back to the full search, whose tie-break among them depends on
-    /// the V-tree's visit order that the ledger does not replicate.
+    /// [`TaskState::best_candidate`] without the timing: build the ledger on
+    /// first use, then pop.
     ///
     /// When the V-tree's cheapest candidate already exceeds `max_cost`,
     /// nothing is affordable and the answer is `None` without touching the
     /// ledger: the pop would only park or kill every entry it reached.
-    fn best_candidate_incremental(&mut self, max_cost: f64) -> Option<TaskCandidate> {
+    fn pop_best(&mut self, max_cost: f64) -> Option<TaskCandidate> {
         if self
             .tree
             .as_ref()
@@ -284,14 +255,11 @@ impl TaskState {
             evaluator,
             tree,
             candidates,
-            gain_ledger,
+            gain_ledger: ledger,
             refresh_stats,
             task,
             ..
         } = self;
-        let ledger = gain_ledger
-            .as_mut()
-            .expect("the incremental strategy always owns a gain ledger");
         if !ledger.is_built() {
             match tree {
                 Some(tree) => {
@@ -361,9 +329,9 @@ impl TaskState {
         })
     }
 
-    /// The full best-candidate search (the [`RefreshStrategy::Full`] path and
-    /// the pre-ledger behaviour): a V-tree best-first search when the index
-    /// is enabled, a plain scan otherwise.
+    /// The full best-candidate search, the zero-cost fallback of the ledger
+    /// pop: a V-tree best-first search when the index is enabled, a plain
+    /// scan otherwise.
     fn search_best(&mut self, max_cost: f64) -> Option<TaskCandidate> {
         if let Some(tree) = &self.tree {
             let best = tree.best_slot(&self.evaluator, max_cost, &mut self.search_stats)?;
@@ -425,11 +393,9 @@ impl TaskState {
             tree.notify_executed(&self.evaluator, slot);
         }
         self.quality = task_quality(&self.evaluator, &self.tree);
-        if let Some(ledger) = &mut self.gain_ledger {
-            // The task's gains shifted: every ledger key becomes a stale
-            // upper bound, re-scored lazily on pop.
-            ledger.bump_score_version();
-        }
+        // The task's gains shifted: every ledger key becomes a stale upper
+        // bound, re-scored lazily on pop.
+        self.gain_ledger.bump_score_version();
         self.executions.push(ExecutedSubtask {
             slot,
             worker: candidate.worker,
@@ -441,20 +407,17 @@ impl TaskState {
     /// Patches the gain ledger after one slot's candidate changed (conflict
     /// fallback): the old `(slot, worker)` entry is
     /// version-killed and a freshly scored replacement installed.  Touches
-    /// exactly one slot — this is the incremental alternative to the full
-    /// path's recompute-on-next-request.
+    /// exactly one slot, where a full search would recompute the whole task
+    /// on its next request.
     fn patch_gain_slot(&mut self, slot: SlotIndex) {
         let Self {
             evaluator,
             tree,
             candidates,
-            gain_ledger,
+            gain_ledger: ledger,
             refresh_stats,
             ..
         } = self;
-        let Some(ledger) = gain_ledger.as_mut() else {
-            return;
-        };
         if !ledger.is_built() {
             // Nothing installed yet; the initial build scores current state.
             return;
@@ -658,26 +621,28 @@ mod tests {
         })
     }
 
-    /// One task's state under each refresh strategy, indexed.
-    fn incremental_and_full(seed: u64) -> (TaskState, TaskState) {
+    /// One indexed task state.
+    fn indexed_state(seed: u64) -> TaskState {
         let (tasks, index, cost) = small_instance(seed, 1, 40, 200);
-        let cfg = MultiTaskConfig::new(100.0);
-        let full_cfg = cfg.with_refresh(RefreshStrategy::Full);
-        (
-            TaskState::new(&tasks[0], &index, &cost, &cfg),
-            TaskState::new(&tasks[0], &index, &cost, &full_cfg),
-        )
+        TaskState::new(&tasks[0], &index, &cost, &MultiTaskConfig::new(100.0))
     }
 
-    /// Grants both states their (identical) best candidate `n` times.
-    fn execute_best(inc: &mut TaskState, full: &mut TaskState, n: usize) -> Vec<SlotIndex> {
+    /// The state's best candidate under `max_cost`, checked bit for bit
+    /// against the full search over the same state.
+    fn checked_best(state: &mut TaskState, max_cost: f64) -> Option<TaskCandidate> {
+        let got = state.best_candidate(max_cost);
+        assert_eq!(bits(got), bits(state.search_best(max_cost)));
+        got
+    }
+
+    /// Grants the state its checked best candidate `n` times.
+    fn execute_best(state: &mut TaskState, n: usize) -> Vec<SlotIndex> {
         (0..n)
             .map(|_| {
-                let best = inc.best_candidate(f64::INFINITY);
-                assert_eq!(bits(best), bits(full.best_candidate(f64::INFINITY)));
-                let slot = best.expect("a 200-worker pool offers candidates").slot;
-                inc.execute(slot);
-                full.execute(slot);
+                let slot = checked_best(state, f64::INFINITY)
+                    .expect("a 200-worker pool offers candidates")
+                    .slot;
+                state.execute(slot);
                 slot
             })
             .collect()
@@ -688,82 +653,117 @@ mod tests {
         f64::from_bits(x.to_bits() - 1)
     }
 
-    fn ledger_len(state: &TaskState) -> usize {
-        state
-            .gain_ledger
-            .as_ref()
-            .expect("the incremental strategy owns a gain ledger")
-            .len()
-    }
-
     #[test]
     fn unaffordable_request_leaves_the_ledger_untouched() {
-        let (mut inc, mut full) = incremental_and_full(3);
-        let min_cost = inc.tree.as_ref().unwrap().min_candidate_cost();
+        let mut state = indexed_state(3);
+        let min_cost = state.tree.as_ref().unwrap().min_candidate_cost();
         let below = just_below(min_cost);
         // Before the warm start: nothing is built, nothing is affordable.
-        assert_eq!(bits(inc.best_candidate(below)), None);
-        assert_eq!(bits(full.best_candidate(below)), None);
-        assert!(!inc.gain_ledger.as_ref().unwrap().is_built());
-        execute_best(&mut inc, &mut full, 2);
-        let min_cost = inc.tree.as_ref().unwrap().min_candidate_cost();
+        assert_eq!(bits(checked_best(&mut state, below)), None);
+        assert!(!state.gain_ledger.is_built());
+        execute_best(&mut state, 2);
+        let min_cost = state.tree.as_ref().unwrap().min_candidate_cost();
         let below = just_below(min_cost);
-        let len = ledger_len(&inc);
-        let pops = inc.refresh_stats().stale_pops;
+        let len = state.gain_ledger.len();
+        let pops = state.refresh_stats().stale_pops;
         assert!(len > 0);
-        assert_eq!(bits(inc.best_candidate(below)), None);
-        assert_eq!(bits(full.best_candidate(below)), None);
-        assert_eq!(ledger_len(&inc), len, "the early-out must not pop");
-        assert_eq!(inc.refresh_stats().stale_pops, pops);
+        assert_eq!(bits(checked_best(&mut state, below)), None);
+        assert_eq!(state.gain_ledger.len(), len, "the early-out must not pop");
+        assert_eq!(state.refresh_stats().stale_pops, pops);
         // A later, larger bound answers exactly like the full search.
         for max_cost in [min_cost, f64::INFINITY] {
-            let got = inc.best_candidate(max_cost);
-            assert!(got.is_some());
-            assert_eq!(bits(got), bits(full.best_candidate(max_cost)));
+            assert!(checked_best(&mut state, max_cost).is_some());
         }
     }
 
     #[test]
     fn early_out_skips_ledger_entries_of_executed_slots() {
-        let (mut inc, mut full) = incremental_and_full(4);
-        let executed = execute_best(&mut inc, &mut full, 3);
-        let slots = 0..inc.task.num_slots;
+        let mut state = indexed_state(4);
+        let executed = execute_best(&mut state, 3);
+        let slots = 0..state.task.num_slots;
         let keep = slots
             .clone()
-            .find(|s| !executed.contains(s) && inc.candidates.get(*s).is_some())
+            .find(|s| !executed.contains(s) && state.candidates.get(*s).is_some())
             .expect("an unexecuted slot with a candidate");
-        let kept = *inc.candidates.get(keep).unwrap();
+        let kept = *state.candidates.get(keep).unwrap();
         // Withdraw every unexecuted slot's candidate: the live entries left
         // in the ledger are those of executed slots, which a pop would only
         // re-score to find dead.
         for slot in slots.filter(|s| !executed.contains(s)) {
-            inc.set_candidate(slot, None);
-            full.set_candidate(slot, None);
+            state.set_candidate(slot, None);
         }
         assert_eq!(
-            inc.tree.as_ref().unwrap().min_candidate_cost(),
+            state.tree.as_ref().unwrap().min_candidate_cost(),
             f64::INFINITY
         );
-        let len = ledger_len(&inc);
-        let pops = inc.refresh_stats().stale_pops;
+        let len = state.gain_ledger.len();
+        let pops = state.refresh_stats().stale_pops;
         assert!(len > 0);
         for max_cost in [kept.cost, 1e9] {
-            assert_eq!(bits(inc.best_candidate(max_cost)), None);
-            assert_eq!(bits(full.best_candidate(max_cost)), None);
-            assert_eq!(ledger_len(&inc), len);
-            assert_eq!(inc.refresh_stats().stale_pops, pops);
+            assert_eq!(bits(checked_best(&mut state, max_cost)), None);
+            assert_eq!(state.gain_ledger.len(), len);
+            assert_eq!(state.refresh_stats().stale_pops, pops);
         }
         // One candidate back: below its cost the ledger is still untouched,
-        // at its cost both strategies grant it.
-        inc.set_candidate(keep, Some(kept));
-        full.set_candidate(keep, Some(kept));
-        let len = ledger_len(&inc);
-        assert_eq!(bits(inc.best_candidate(just_below(kept.cost))), None);
-        assert_eq!(bits(full.best_candidate(just_below(kept.cost))), None);
-        assert_eq!(ledger_len(&inc), len);
-        let got = inc.best_candidate(kept.cost);
+        // at its cost the ledger grants it.
+        state.set_candidate(keep, Some(kept));
+        let len = state.gain_ledger.len();
+        assert_eq!(bits(checked_best(&mut state, just_below(kept.cost))), None);
+        assert_eq!(state.gain_ledger.len(), len);
+        let got = checked_best(&mut state, kept.cost);
         assert_eq!(got.map(|c| c.slot), Some(keep));
-        assert_eq!(bits(got), bits(full.best_candidate(kept.cost)));
+    }
+
+    #[test]
+    fn zero_cost_candidates_fall_back_to_the_full_search() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use tcsc_core::{Domain, EuclideanCost, Location, TaskId, Worker, WorkerPool, WorkerSlot};
+        use tcsc_index::WorkerIndex;
+
+        // Worker 0 stands on the task during slots 2..=6, so those five
+        // slots cost 0 and score `heuristic == INFINITY`.
+        let num_slots = 12;
+        let here = Location::new(50.0, 50.0);
+        let task = Task::new(TaskId(0), here, num_slots);
+        let mut rng = StdRng::seed_from_u64(5);
+        let pool: WorkerPool = std::iter::once(Worker::new(
+            WorkerId(0),
+            (2..=6)
+                .map(|slot| WorkerSlot {
+                    slot,
+                    location: here,
+                })
+                .collect(),
+        ))
+        .chain((1..40).map(|i| {
+            let at = Location::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
+            let availability = (0..num_slots)
+                .map(|slot| WorkerSlot { slot, location: at })
+                .collect();
+            Worker::new(WorkerId(i), availability)
+        }))
+        .collect();
+        let index = WorkerIndex::build(&pool, num_slots, &Domain::square(100.0));
+        let cost = EuclideanCost::default();
+        for use_index in [true, false] {
+            let cfg = MultiTaskConfig::new(100.0).with_index(use_index);
+            let mut state = TaskState::new(&task, &index, &cost, &cfg);
+            let mut fallbacks = 0;
+            while let Some(best) = checked_best(&mut state, f64::INFINITY) {
+                if best.heuristic == f64::INFINITY {
+                    fallbacks += 1;
+                }
+                state.execute(best.slot);
+            }
+            assert_eq!(state.executions.len(), num_slots, "index {use_index}");
+            assert_eq!(fallbacks, 5, "index {use_index}");
+            assert_eq!(
+                state.refresh_stats().full_refreshes,
+                fallbacks,
+                "index {use_index}"
+            );
+        }
     }
 
     #[test]

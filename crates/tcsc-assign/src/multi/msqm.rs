@@ -14,9 +14,8 @@
 //! The serial solver is the "Without Parallelization" baseline of Fig. 9(a)
 //! and the reference plan that both parallel frameworks must reproduce.  It
 //! is [`crate::engine::AssignmentEngine::assign_batch`] with
-//! [`crate::engine::Objective::SumQuality`]; the pre-engine implementation
-//! survives as [`crate::multi::rebuild::msqm_rebuild`], the rebuild-per-call
-//! baseline.  This module holds the solver's unit tests.
+//! [`crate::engine::Objective::SumQuality`].  This module holds the solver's
+//! unit tests.
 
 #[cfg(test)]
 mod tests {

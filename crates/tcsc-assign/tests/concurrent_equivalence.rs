@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use tcsc_assign::{
     AssignmentEngine, ConcurrentAssignmentEngine, MultiOutcome, MultiTaskConfig, Objective,
-    RefreshStrategy, SpatioTemporalObjective,
+    SpatioTemporalObjective,
 };
 use tcsc_core::{EuclideanCost, InterpolationWeights, Task};
 use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
@@ -102,8 +102,7 @@ fn batch_assign_matches_the_serial_engine_on_every_preset() {
         }
     }
     // Random small instances: task/slot/worker counts, placement, budget,
-    // shard grid, thread count, search and refresh strategy all drawn per
-    // seed.
+    // shard grid, thread count and search all drawn per seed.
     for seed in 1000..1100u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let preset = ScenarioConfig::small()
@@ -126,14 +125,7 @@ fn batch_assign_matches_the_serial_engine_on_every_preset() {
             _ => ShardGridConfig::new(3, 3),
         };
         let (tasks, dense, sharded) = prepare(&preset, grid);
-        let refresh = if rng.gen_bool(0.5) {
-            RefreshStrategy::Full
-        } else {
-            RefreshStrategy::Incremental
-        };
-        let cfg = MultiTaskConfig::new(preset.budget)
-            .with_index(rng.gen_bool(0.7))
-            .with_refresh(refresh);
+        let cfg = MultiTaskConfig::new(preset.budget).with_index(rng.gen_bool(0.7));
         let threads = rng.gen_range(1..=6);
         let serial = AssignmentEngine::borrowed(&dense, &cost, cfg)
             .assign_batch(&tasks, Objective::SumQuality);

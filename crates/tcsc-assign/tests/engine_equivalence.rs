@@ -1,12 +1,17 @@
 //! Engine equivalence: the cache-backed [`AssignmentEngine`] must reproduce
-//! the rebuild-per-call solvers bit-for-bit on the seeded scenario presets,
+//! the rebuild-per-call greedies (`support::oracle`: fresh candidates per
+//! call, a full search per best-candidate request) bit-for-bit on the seeded
+//! scenario presets,
 //! streaming `submit`/`drain` must equal the one-shot batch call, and the
 //! candidate-refresh counters must show the cache doing strictly less work
 //! than the rebuild-per-call baseline.
 
+mod support;
+
+use support::oracle::{mmqm_oracle, msqm_oracle};
 use tcsc_assign::{
-    mmqm_rebuild, msqm_rebuild, AssignmentEngine, MultiOutcome, MultiTaskConfig, Objective,
-    SpatioTemporalObjective,
+    AssignmentEngine, MultiOutcome, MultiTaskConfig, Objective, SpatioTemporalObjective,
+    WorkerLedger,
 };
 use tcsc_core::{EuclideanCost, InterpolationWeights, Task};
 use tcsc_index::WorkerIndex;
@@ -40,6 +45,18 @@ fn presets() -> Vec<ScenarioConfig> {
     ]
 }
 
+/// The MSQM oracle on an empty ledger.
+fn msqm_fresh(tasks: &[Task], index: &WorkerIndex, cfg: &MultiTaskConfig) -> MultiOutcome {
+    let cost = EuclideanCost::default();
+    msqm_oracle(tasks, index, &cost, cfg, &mut WorkerLedger::new()).0
+}
+
+/// The MMQM oracle on an empty ledger.
+fn mmqm_fresh(tasks: &[Task], index: &WorkerIndex, cfg: &MultiTaskConfig) -> MultiOutcome {
+    let cost = EuclideanCost::default();
+    mmqm_oracle(tasks, index, &cost, cfg, &mut WorkerLedger::new())
+}
+
 /// Asserts that two outcomes agree on everything except the cache counters.
 fn assert_same_outcome(label: &str, engine: &MultiOutcome, reference: &MultiOutcome) {
     assert_eq!(
@@ -62,7 +79,7 @@ fn assign_batch_matches_msqm_rebuild_on_every_preset() {
     for (i, preset) in presets().into_iter().enumerate() {
         let (tasks, index) = prepare(&preset);
         let cfg = MultiTaskConfig::new(preset.budget);
-        let reference = msqm_rebuild(&tasks, &index, &cost, &cfg);
+        let reference = msqm_fresh(&tasks, &index, &cfg);
         let mut engine = AssignmentEngine::borrowed(&index, &cost, cfg);
         let outcome = engine.assign_batch(&tasks, Objective::SumQuality);
         assert_same_outcome(&format!("msqm preset {i}"), &outcome, &reference);
@@ -75,7 +92,7 @@ fn assign_batch_matches_mmqm_rebuild_on_every_preset() {
     for (i, preset) in presets().into_iter().enumerate() {
         let (tasks, index) = prepare(&preset);
         let cfg = MultiTaskConfig::new(preset.budget);
-        let reference = mmqm_rebuild(&tasks, &index, &cost, &cfg);
+        let reference = mmqm_fresh(&tasks, &index, &cfg);
         let mut engine = AssignmentEngine::borrowed(&index, &cost, cfg);
         let outcome = engine.assign_batch(&tasks, Objective::MinQuality);
         assert_same_outcome(&format!("mmqm preset {i}"), &outcome, &reference);
@@ -88,7 +105,7 @@ fn equivalence_holds_without_the_tree_index() {
     let cost = EuclideanCost::default();
     let (tasks, index) = prepare(&ScenarioConfig::small().with_seed(11));
     let cfg = MultiTaskConfig::new(30.0).with_index(false);
-    let reference = msqm_rebuild(&tasks, &index, &cost, &cfg);
+    let reference = msqm_fresh(&tasks, &index, &cfg);
     let mut engine = AssignmentEngine::borrowed(&index, &cost, cfg);
     let outcome = engine.assign_batch(&tasks, Objective::SumQuality);
     assert_same_outcome("msqm no-index", &outcome, &reference);
@@ -211,9 +228,9 @@ fn candidate_cache_beats_the_rebuild_baseline_on_a_large_batch() {
     // Re-planning workload: the same batch solved under two budgets.  The
     // rebuild baseline pays the full candidate build twice; the engine pays
     // it once and serves the second solve from the cache.
-    let reference_a = msqm_rebuild(&tasks, &index, &cost, &cfg);
+    let reference_a = msqm_fresh(&tasks, &index, &cfg);
     let cfg_b = MultiTaskConfig::new(preset.budget * 0.5);
-    let reference_b = msqm_rebuild(&tasks, &index, &cost, &cfg_b);
+    let reference_b = msqm_fresh(&tasks, &index, &cfg_b);
 
     let mut engine = AssignmentEngine::borrowed(&index, &cost, cfg);
     let first = engine.assign_batch(&tasks, Objective::SumQuality);

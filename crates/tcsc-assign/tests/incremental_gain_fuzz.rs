@@ -1,28 +1,30 @@
-//! Differential fuzz: [`RefreshStrategy::Full`] vs
-//! [`RefreshStrategy::Incremental`] must commit **bit-identical** outcomes —
-//! plans, conflicts, executions — over random scenarios, streaming drains and
-//! task-parallel runs, while the incremental path performs zero full
-//! best-candidate recomputes on the commit tail.  The MSQM batches are also
-//! checked against the [`msqm_rebuild`] oracle.
+//! Differential fuzz: the gain ledger behind [`TaskState::best_candidate`]
+//! must commit **bit-identical** outcomes — plans, conflicts, executions — to
+//! a full search per request (`support::oracle`), over random scenarios,
+//! streaming drains, task-parallel runs and raw owner command tapes, while
+//! the commit tail performs zero full best-candidate recomputes.  The two
+//! strategies the suite names compare are the ledger and that full search.
 //!
 //! ≥300 seeded cases across the four suites below.  Every case that fails
 //! here is a case where the gain ledger's lazy-greedy pop (or its patch
-//! protocol) returned a different argmax than the full
-//! search — the exact regression the `Full` oracle exists to catch.
+//! protocol) returned a different argmax than the full search.
+
+mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use support::oracle::{full_best, mmqm_oracle, msqm_oracle};
 use tcsc_assign::{
-    msqm_rebuild, msqm_task_parallel, AssignmentEngine, MasterCommand, MultiTaskConfig, Objective,
-    RefreshStrategy, SlotCandidates, TaskOwner, TaskState, WorkerEvent,
+    msqm_task_parallel, AssignmentEngine, MasterCommand, MultiOutcome, MultiTaskConfig, Objective,
+    SlotCandidates, TaskOwner, TaskState, WorkerEvent, WorkerLedger,
 };
 use tcsc_core::{EuclideanCost, Task, WorkerId};
 use tcsc_index::WorkerIndex;
 use tcsc_workload::{ScenarioConfig, SpatialDistribution, TaskPlacement};
 
 /// A random small scenario (uniform / gaussian / zipf placements only: exact
-/// zero-distance candidates cannot occur, so the incremental path never needs
-/// its zero-cost full-search fallback and `full_refreshes == 0` is exact).
+/// zero-distance candidates cannot occur, so the ledger never needs its
+/// zero-cost full-search fallback and `full_refreshes == 0` is exact).
 fn random_instance(rng: &mut StdRng) -> (Vec<Task>, WorkerIndex, f64, usize) {
     let num_tasks = rng.gen_range(3..=10);
     let num_slots = rng.gen_range(8..=32);
@@ -44,12 +46,19 @@ fn random_instance(rng: &mut StdRng) -> (Vec<Task>, WorkerIndex, f64, usize) {
     (scenario.tasks, index, budget, num_slots)
 }
 
-fn configs(budget: f64, use_index: bool) -> (MultiTaskConfig, MultiTaskConfig) {
-    let base = MultiTaskConfig::new(budget).with_index(use_index);
-    (
-        base.with_refresh(RefreshStrategy::Full),
-        base.with_refresh(RefreshStrategy::Incremental),
-    )
+/// The oracle run of `objective`, committing into `ledger`.
+fn oracle(
+    tasks: &[Task],
+    index: &WorkerIndex,
+    cfg: &MultiTaskConfig,
+    objective: Objective,
+    ledger: &mut WorkerLedger,
+) -> MultiOutcome {
+    let cost = EuclideanCost::default();
+    match objective {
+        Objective::SumQuality => msqm_oracle(tasks, index, &cost, cfg, ledger).0,
+        Objective::MinQuality => mmqm_oracle(tasks, index, &cost, cfg, ledger),
+    }
 }
 
 #[test]
@@ -65,12 +74,10 @@ fn batch_plans_are_bit_identical_across_strategies() {
             Objective::MinQuality
         };
         // Every third case exercises the plain (non-V-tree) search.
-        let (full_cfg, inc_cfg) = configs(budget, seed % 3 != 0);
+        let cfg = MultiTaskConfig::new(budget).with_index(seed % 3 != 0);
 
-        let full =
-            AssignmentEngine::borrowed(&index, &cost, full_cfg).assign_batch(&tasks, objective);
-        let inc =
-            AssignmentEngine::borrowed(&index, &cost, inc_cfg).assign_batch(&tasks, objective);
+        let full = oracle(&tasks, &index, &cfg, objective, &mut WorkerLedger::new());
+        let inc = AssignmentEngine::borrowed(&index, &cost, cfg).assign_batch(&tasks, objective);
 
         assert_eq!(
             full.assignment, inc.assignment,
@@ -84,32 +91,13 @@ fn batch_plans_are_bit_identical_across_strategies() {
             full.executions, inc.executions,
             "executions diverged, seed {seed}"
         );
-        // The engine's MSQM commit loop against the rebuild-per-call oracle:
-        // same plans, and the same conflicts charged along the way.
-        if objective == Objective::SumQuality {
-            let oracle = msqm_rebuild(&tasks, &index, &cost, &inc_cfg);
-            assert_eq!(
-                oracle.assignment, inc.assignment,
-                "plans diverged from the rebuild oracle, seed {seed}"
-            );
-            assert_eq!(
-                oracle.conflicts, inc.conflicts,
-                "conflicts diverged from the rebuild oracle, seed {seed}"
-            );
-        }
-        // Directional refresh accounting: the incremental commit tail never
-        // runs a full search; the full path runs one per commit-tail request.
+        // Directional refresh accounting: the commit tail never runs a full
+        // search.
         assert_eq!(
             inc.stats.full_refreshes, 0,
-            "incremental path ran a full refresh, seed {seed}: {:?}",
+            "the ledger ran a full refresh, seed {seed}: {:?}",
             inc.stats
         );
-        if inc.executions > 1 {
-            assert!(
-                full.stats.full_refreshes > 0,
-                "full path should recompute on the commit tail, seed {seed}"
-            );
-        }
         if inc.conflicts > 0 {
             assert!(
                 inc.stats.incremental_patches > 0,
@@ -130,9 +118,11 @@ fn streaming_drains_are_bit_identical_across_strategies() {
     for seed in 1000..1060u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let (tasks, index, budget, _) = random_instance(&mut rng);
-        let (full_cfg, inc_cfg) = configs(budget, true);
-        let mut full_engine = AssignmentEngine::borrowed(&index, &cost, full_cfg);
-        let mut inc_engine = AssignmentEngine::borrowed(&index, &cost, inc_cfg);
+        let cfg = MultiTaskConfig::new(budget);
+        let mut engine = AssignmentEngine::borrowed(&index, &cost, cfg);
+        // The oracle's occupancy, carried from drain to drain like the
+        // engine's.
+        let mut ledger = WorkerLedger::new();
 
         let mut start = 0usize;
         let mut round = 0usize;
@@ -145,10 +135,9 @@ fn streaming_drains_are_bit_identical_across_strategies() {
             } else {
                 Objective::MinQuality
             };
-            full_engine.submit(chunk.to_vec());
-            inc_engine.submit(chunk.to_vec());
-            let full = full_engine.drain(objective);
-            let inc = inc_engine.drain(objective);
+            engine.submit(chunk.to_vec());
+            let inc = engine.drain(objective);
+            let full = oracle(chunk, &index, &cfg, objective, &mut ledger);
             assert_eq!(
                 full.assignment, inc.assignment,
                 "round {round} plans diverged, seed {seed}"
@@ -163,43 +152,45 @@ fn streaming_drains_are_bit_identical_across_strategies() {
 
 #[test]
 fn task_parallel_commits_bit_identical_plans_across_strategies() {
-    // The task-parallel owners patch their incremental states' ledgers on
-    // every conflict refresh; the committed outcome must still equal the
-    // full-strategy run and the serial greedy.
+    // The task-parallel owners patch their states' ledgers on every conflict
+    // refresh; the committed outcome must still equal the full-search greedy
+    // and the serial engine.
     let cost = EuclideanCost::default();
     for seed in 2000..2060u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let (tasks, index, budget, _) = random_instance(&mut rng);
-        let (full_cfg, inc_cfg) = configs(budget, true);
+        let cfg = MultiTaskConfig::new(budget);
         let threads = rng.gen_range(2..=4);
 
-        let serial = AssignmentEngine::borrowed(&index, &cost, inc_cfg)
+        let serial = AssignmentEngine::borrowed(&index, &cost, cfg)
             .assign_batch(&tasks, Objective::SumQuality);
-        let full = msqm_task_parallel(&tasks, &index, &cost, &full_cfg, threads, true);
-        let inc = msqm_task_parallel(&tasks, &index, &cost, &inc_cfg, threads, true);
+        let (full, full_committed) =
+            msqm_oracle(&tasks, &index, &cost, &cfg, &mut WorkerLedger::new());
+        let inc = msqm_task_parallel(&tasks, &index, &cost, &cfg, threads, true);
 
         assert_eq!(
-            full.committed, inc.committed,
+            full_committed, inc.committed,
             "committed diverged, seed {seed}"
         );
         assert_eq!(
-            full.outcome.assignment, inc.outcome.assignment,
+            full.assignment, inc.outcome.assignment,
             "plans diverged, seed {seed}"
         );
-        assert_eq!(full.outcome.conflicts, inc.outcome.conflicts, "seed {seed}");
+        assert_eq!(full.conflicts, inc.outcome.conflicts, "seed {seed}");
         assert_eq!(
             serial.assignment, inc.outcome.assignment,
-            "task-parallel+incremental diverged from the serial greedy, seed {seed}"
+            "task-parallel diverged from the serial greedy, seed {seed}"
         );
     }
 }
 
 #[test]
 fn owner_tape_with_raised_budgets_matches_the_full_search() {
-    // Owner-level differential fuzz: drive one Full and one Incremental
-    // `TaskOwner` with the *same* random command tape — computes under
-    // shrinking and re-grown budgets, refreshes, executions — and require
-    // every reply event to be identical.  This is the direct check that
+    // Owner-level differential fuzz: drive a `TaskOwner` with a random
+    // command tape — computes under shrinking and re-grown budgets,
+    // refreshes, executions — while a mirror `TaskState` replays the same
+    // refreshes and executions, and require every heartbeat to report the
+    // mirror's full-search best candidate.  This is the direct check that
     // patching and parked-entry reactivation leave the gain ledger answering
     // exactly like a full search.
     let cost = EuclideanCost::default();
@@ -215,13 +206,9 @@ fn owner_tape_with_raised_budgets_matches_the_full_search() {
         let task = scenario.tasks[0].clone();
         let candidates = SlotCandidates::compute(&task, &index, &cost);
 
-        let (full_cfg, inc_cfg) = configs(1000.0, rng.gen_bool(0.7));
-        let mut full_owner = TaskOwner::new([(
-            0,
-            TaskState::from_candidates(&task, candidates.clone(), &full_cfg),
-        )]);
-        let mut inc_owner =
-            TaskOwner::new([(0, TaskState::from_candidates(&task, candidates, &inc_cfg))]);
+        let mcfg = MultiTaskConfig::new(1000.0).with_index(rng.gen_bool(0.7));
+        let mut mirror = TaskState::from_candidates(&task, candidates.clone(), &mcfg);
+        let mut owner = TaskOwner::new([(0, TaskState::from_candidates(&task, candidates, &mcfg))]);
 
         let mut max_cost: f64 = rng.gen_range(5.0..50.0);
         let mut last_best: Option<(usize, WorkerId)> = None;
@@ -256,25 +243,63 @@ fn owner_tape_with_raised_budgets_matches_the_full_search() {
                     None => MasterCommand::Compute { task: 0, max_cost },
                 },
             };
-            let full_reply = full_owner.handle(command.clone(), &index, &cost);
-            let inc_reply = inc_owner.handle(command.clone(), &index, &cost);
+            let expected = match &command {
+                MasterCommand::Compute { max_cost, .. } => heartbeat(&mirror, &mcfg, *max_cost),
+                MasterCommand::Refresh {
+                    slot,
+                    occupied,
+                    max_cost,
+                    ..
+                } => {
+                    let mut ledger = WorkerLedger::new();
+                    for w in occupied {
+                        ledger.occupy(*slot, *w);
+                    }
+                    mirror.refresh_slot(*slot, &index, &cost, &ledger);
+                    heartbeat(&mirror, &mcfg, *max_cost)
+                }
+                MasterCommand::Execute { slot, .. } => {
+                    let planned = *mirror.candidates.get(*slot).expect("granted slot");
+                    mirror.execute(*slot);
+                    WorkerEvent::Executed {
+                        task: 0,
+                        slot: *slot,
+                        worker: planned.worker,
+                        cost: planned.cost,
+                    }
+                }
+            };
+            let reply = owner.handle(command.clone(), &index, &cost);
             assert_eq!(
-                full_reply, inc_reply,
-                "replies diverged at step {step}, seed {seed}, command {command:?}"
+                reply, expected,
+                "reply diverged from the full search at step {step}, seed {seed}, \
+                 command {command:?}"
             );
             if let WorkerEvent::Heartbeat {
                 candidate: Some(c),
                 planned_worker: Some(w),
                 ..
-            } = &full_reply
+            } = &reply
             {
                 last_best = Some((c.slot, *w));
             }
         }
-        let mut full_plans = full_owner.into_plans();
-        let mut inc_plans = inc_owner.into_plans();
-        full_plans.sort_by_key(|(i, _)| *i);
-        inc_plans.sort_by_key(|(i, _)| *i);
-        assert_eq!(full_plans, inc_plans, "final plans diverged, seed {seed}");
+        let plans = owner.into_plans();
+        assert_eq!(
+            plans,
+            vec![(0, mirror.into_plan())],
+            "final plans diverged, seed {seed}"
+        );
+    }
+}
+
+/// The heartbeat a task owner must send for `state` under `max_cost`: the
+/// full-search best candidate and its planned worker.
+fn heartbeat(state: &TaskState, cfg: &MultiTaskConfig, max_cost: f64) -> WorkerEvent {
+    let candidate = full_best(state, cfg, max_cost);
+    WorkerEvent::Heartbeat {
+        task: 0,
+        candidate,
+        planned_worker: candidate.and_then(|c| state.planned_worker(c.slot)),
     }
 }

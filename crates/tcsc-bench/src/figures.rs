@@ -9,7 +9,7 @@
 mod extensions;
 mod paper;
 
-pub use extensions::{fig9dist, fig9mob, fig9obs, fig9p, fig9svc};
+pub use extensions::{fig9dist, fig9mob, fig9obs, fig9svc};
 pub use paper::{
     fig11a, fig11b, fig11c, fig6a, fig6b, fig7a, fig7b, fig7c, fig7d, fig8a, fig8b, fig8c, fig8d,
     fig8e, fig8f, fig8g, fig8h, fig9a, fig9b, fig9c, fig9d, fig9e, fig9f, fig9g, fig9h, fig9i,
@@ -46,7 +46,6 @@ pub const FIGURES: &[(&str, Driver)] = &[
     ("fig9g", fig9g),
     ("fig9h", fig9h),
     ("fig9i", fig9i),
-    ("fig9p", fig9p),
     ("fig9dist", fig9dist),
     ("fig9obs", fig9obs),
     ("fig9svc", fig9svc),
@@ -72,7 +71,7 @@ mod tests {
     use tcsc_workload::PhaseSchedule;
 
     use super::extensions::{
-        fig9dist_sized, fig9mob_sized, fig9obs_sized, fig9p_sized, fig9svc_sized, service_run,
+        fig9dist_sized, fig9mob_sized, fig9obs_sized, fig9svc_sized, service_run,
         svc_latency_session, Maintenance, ServiceLoad, SVC_SERVICE_US,
     };
     use super::*;
@@ -117,25 +116,6 @@ mod tests {
                 "gate {gate} missing:\n{json}"
             );
         }
-    }
-
-    #[test]
-    fn fig9p_json_is_well_formed() {
-        let report = fig9p_sized(16, 12, 300, 0.2, 1);
-        let json = bench_json(&report, "fig9p");
-        assert_fields(
-            &json,
-            &[
-                "num_tasks",
-                "executions",
-                "conflicts",
-                "refresh_speedup",
-                "PerGrantUs",
-            ],
-        );
-        assert!(json.contains("\"label\": \"incremental\", \"BatchMs\": "));
-        assert_gates_pass(&json, &["plans_match", "full_refreshes_zero"]);
-        assert_gates_present(&json, &["refresh_le_full"]);
     }
 
     #[test]
@@ -289,12 +269,12 @@ mod tests {
     #[test]
     fn by_id_knows_every_figure() {
         // Only check the id table, not the (expensive) runs: ids are unique,
-        // all 31 figures are present, and unknown ids are rejected.
+        // all 30 figures are present, and unknown ids are rejected.
         let unique: std::collections::HashSet<_> = FIGURES.iter().map(|(id, _)| id).collect();
         assert_eq!(unique.len(), FIGURES.len());
-        assert_eq!(FIGURES.len(), 31);
+        assert_eq!(FIGURES.len(), 30);
         for id in [
-            "fig6a", "fig9p", "fig9dist", "fig9obs", "fig9svc", "fig9mob",
+            "fig6a", "fig9i", "fig9dist", "fig9obs", "fig9svc", "fig9mob",
         ] {
             assert!(by_id(id).is_some(), "{id} missing");
         }
@@ -414,7 +394,7 @@ mod tests {
                     .unwrap()
             };
             assert!(
-                get("EngineSlotComps") < get("RebuildSlotComps"),
+                get("EngineSlotComps") < get("FreshSlotComps"),
                 "engine must amortise candidate computations across the sweep ({})",
                 row.label
             );

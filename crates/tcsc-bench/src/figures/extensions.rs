@@ -1,9 +1,9 @@
-//! Repo-extension figures beyond the paper: the incremental-gain commit
-//! engine (fig9p), the simulated distributed runtime (fig9dist), the
-//! observability layer (fig9obs), the service-mode SLO driver (fig9svc) and
-//! mobile workers on the mutable index (fig9mob).  fig9svc and fig9mob run
-//! one service loop, [`service_run`], on the dense engine: fig9svc with the
-//! retired-task GC and latency windows, fig9mob with a worker-motion tape.
+//! Repo-extension figures beyond the paper: the simulated distributed
+//! runtime (fig9dist), the observability layer (fig9obs), the service-mode
+//! SLO driver (fig9svc) and mobile workers on the mutable index (fig9mob).
+//! fig9svc and fig9mob run one service loop, [`service_run`], on the dense
+//! engine: fig9svc with the retired-task GC and latency windows, fig9mob
+//! with a worker-motion tape.
 
 use tcsc_assign::{AssignmentEngine, MultiTaskConfig, Objective};
 use tcsc_core::{AssignmentPlan, EuclideanCost, Task, Worker, WorkerPool, WorkerSlot};
@@ -16,132 +16,6 @@ use tcsc_workload::{
 };
 
 use crate::{best_of, prepare_multi, timed, Report, Row, Scale};
-
-// ---------------------------------------------------------------------------
-// Figure 9p (repo extension): incremental-gain commit engine
-// ---------------------------------------------------------------------------
-
-/// Fig. 9p (repo extension): one cold-cache MSQM batch with a commit-heavy
-/// budget (many grants, so the per-grant refresh dominates), solved under
-/// [`tcsc_assign::RefreshStrategy::Full`] (the recompute-per-grant path,
-/// kept as the oracle) and under
-/// [`tcsc_assign::RefreshStrategy::Incremental`] (the gain ledger), with the
-/// commit-tail refresh cost broken out.
-pub fn fig9p(scale: Scale) -> Report {
-    // A wide batch of many-slot tasks under a tight budget, where every
-    // grant triggers the winner's recompute *and* budget-staleness
-    // invalidations across the batch: the commit tail dominates.
-    match scale {
-        Scale::Quick => fig9p_sized(128, 96, 4000, 0.2, 3),
-        Scale::Full => fig9p_sized(256, 300, 10_357, 0.25, 3),
-    }
-}
-
-/// [`fig9p`] on an explicit workload: `num_tasks` tasks of `slots` slots
-/// over `workers` workers, a budget of `budget_per_task` per task, best of
-/// `runs`.
-pub(super) fn fig9p_sized(
-    num_tasks: usize,
-    slots: usize,
-    workers: usize,
-    budget_per_task: f64,
-    runs: usize,
-) -> Report {
-    let cfg = ScenarioConfig::small()
-        .with_num_tasks(num_tasks)
-        .with_num_slots(slots)
-        .with_num_workers(workers);
-    let prepared = prepare_multi(&cfg);
-    let tasks = &prepared.scenario.tasks;
-    let cost = EuclideanCost::default();
-    let budget = num_tasks as f64 * budget_per_task;
-
-    // Best-of-`runs` on *both* reported quantities independently: the batch
-    // wall clock and the commit-tail refresh nanos.  The refresh figure is a
-    // hard gate (incremental must not exceed full), so it must not inherit
-    // the noise of whichever run happened to win on batch time — a
-    // preemption inside a timed section would flake the gate otherwise.
-    // All deterministic counters are identical across runs by construction.
-    let run = |strategy: tcsc_assign::RefreshStrategy| {
-        let mcfg = MultiTaskConfig::new(budget).with_refresh(strategy);
-        let mut best: Option<(tcsc_assign::MultiOutcome, f64)> = None;
-        let mut best_refresh_nanos = u64::MAX;
-        for _ in 0..runs.max(1) {
-            let (outcome, ms) = timed(|| {
-                AssignmentEngine::borrowed(&prepared.index, &cost, mcfg)
-                    .assign_batch(tasks, Objective::SumQuality)
-            });
-            best_refresh_nanos = best_refresh_nanos.min(outcome.stats.refresh_nanos);
-            if best.as_ref().map_or(true, |(_, best_ms)| ms < *best_ms) {
-                best = Some((outcome, ms));
-            }
-        }
-        let (outcome, ms) = best.expect("at least one run");
-        (outcome, ms, best_refresh_nanos)
-    };
-    let (full, full_ms, full_nanos) = run(tcsc_assign::RefreshStrategy::Full);
-    let (inc, inc_ms, inc_nanos) = run(tcsc_assign::RefreshStrategy::Incremental);
-
-    // Refresh time per committed grant (µs).
-    let per_grant_us = |outcome: &tcsc_assign::MultiOutcome, nanos: u64| {
-        nanos as f64 / 1e3 / outcome.executions.max(1) as f64
-    };
-    let strategy_row = |name: &str, outcome: &tcsc_assign::MultiOutcome, batch_ms: f64, nanos| {
-        let refresh_ms = nanos as f64 / 1e6;
-        Row::new(
-            name,
-            vec![
-                ("BatchMs".into(), batch_ms),
-                ("RefreshMs".into(), refresh_ms),
-                ("PerGrantUs".into(), per_grant_us(outcome, nanos)),
-                (
-                    "TailShare".into(),
-                    refresh_ms / batch_ms.max(f64::MIN_POSITIVE),
-                ),
-                ("FullRefreshes".into(), outcome.stats.full_refreshes as f64),
-                ("Patches".into(), outcome.stats.incremental_patches as f64),
-                ("StalePops".into(), outcome.stats.stale_pops as f64),
-            ],
-        )
-    };
-    let full_us = per_grant_us(&full, full_nanos);
-    let inc_us = per_grant_us(&inc, inc_nanos);
-    let plans_match = full.assignment == inc.assignment
-        && full.conflicts == inc.conflicts
-        && full.executions == inc.executions;
-
-    Report::new(
-        "fig9p",
-        "Incremental-gain commit engine: per-grant refresh cost and commit-tail \
-         share, full vs incremental strategy",
-        vec![
-            strategy_row("full", &full, full_ms, full_nanos),
-            strategy_row("incremental", &inc, inc_ms, inc_nanos),
-        ],
-    )
-    .num("num_tasks", num_tasks as f64)
-    .num("executions", inc.executions as f64)
-    .num("conflicts", inc.conflicts as f64)
-    .num("refresh_speedup", full_us / inc_us.max(f64::MIN_POSITIVE))
-    .gate(
-        "plans_match",
-        plans_match,
-        "incremental and full-refresh commits must agree on plans, conflicts and executions",
-    )
-    .gate(
-        "refresh_le_full",
-        inc_us <= full_us,
-        format!("per-grant refresh: incremental {inc_us:.2}us <= full {full_us:.2}us"),
-    )
-    .gate(
-        "full_refreshes_zero",
-        inc.stats.full_refreshes == 0,
-        format!(
-            "the incremental commit tail ran {} full best-candidate recomputes, must be 0",
-            inc.stats.full_refreshes
-        ),
-    )
-}
 
 // ---------------------------------------------------------------------------
 // Figure 9dist (repo extension): the simulated distributed runtime
@@ -314,8 +188,8 @@ pub(super) fn fig9dist_sized(
 
 /// Fig. 9obs (repo extension): records the seeded sim across node count ×
 /// latency and checks the logical digest is layout-invariant, round-trips
-/// one trace through the chrome exporter/parser, then times the
-/// fig9p-shaped commit-tail batch with and without a live recorder.
+/// one trace through the chrome exporter/parser, then times a commit-heavy
+/// MSQM batch with and without a live recorder.
 pub fn fig9obs(scale: Scale) -> Report {
     match scale {
         Scale::Quick => fig9obs_sized(
@@ -396,9 +270,10 @@ pub(super) fn fig9obs_sized(
     let trace_jsonl = kept.chrome_trace();
     let replayed = replay_digest(&parse_chrome_trace_jsonl(&trace_jsonl));
 
-    // Recorder overhead on the fig9p commit-tail shape: the per-grant
-    // incremental-refresh batch, untimed instrumentation (NoopRecorder
-    // default) against a live wall-clock session.
+    // Recorder overhead on a commit-heavy batch (many-slot tasks under a
+    // tight budget, so per-grant refreshes dominate): untimed
+    // instrumentation (NoopRecorder default) against a live wall-clock
+    // session.
     let pcfg = ScenarioConfig::small()
         .with_num_tasks(overhead_tasks)
         .with_num_slots(96)
@@ -406,8 +281,7 @@ pub(super) fn fig9obs_sized(
     let prepared = prepare_multi(&pcfg);
     let tasks = &prepared.scenario.tasks;
     let cost = EuclideanCost::default();
-    let mcfg = MultiTaskConfig::new(overhead_tasks as f64 * 0.2)
-        .with_refresh(tcsc_assign::RefreshStrategy::Incremental);
+    let mcfg = MultiTaskConfig::new(overhead_tasks as f64 * 0.2);
     let noop_ms = best_of(runs, || {
         AssignmentEngine::borrowed(&prepared.index, &cost, mcfg)
             .assign_batch(tasks, Objective::SumQuality)

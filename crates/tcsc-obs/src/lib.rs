@@ -33,7 +33,7 @@
 //! ```
 //!
 //! and compile to **nothing** under the default — the disabled overhead is
-//! not a branch but dead code, which is what keeps the fig9p per-grant
+//! not a branch but dead code, which is what keeps the engine's per-grant
 //! refresh cost identical with observability compiled in.  The bit-identity
 //! of plans/conflicts/executions with observability *on vs. off* is locked
 //! by `tcsc-assign/tests/obs_noop_equivalence.rs`.

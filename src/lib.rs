@@ -65,8 +65,8 @@ pub mod prelude {
     pub use tcsc_assign::{
         approx, approx_star, independence_graph, min_budget_for_quality, optimal,
         random_assignment, random_summary, AssignmentEngine, CacheStats, CandidateCache,
-        ChurnCounters, MultiTaskConfig, Objective, RefreshStrategy, SingleTaskConfig,
-        SlotCandidates, SpatioTemporalObjective, WorkerLedger,
+        ChurnCounters, MultiTaskConfig, Objective, SingleTaskConfig, SlotCandidates,
+        SpatioTemporalObjective, WorkerLedger,
     };
     pub use tcsc_assign::{msqm_group_parallel, msqm_task_parallel};
     pub use tcsc_core::{

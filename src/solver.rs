@@ -31,8 +31,7 @@
 use std::rc::Rc;
 
 use tcsc_assign::{
-    AssignmentEngine, MultiOutcome, MultiTaskConfig, Objective, RefreshStrategy,
-    SpatioTemporalObjective,
+    AssignmentEngine, MultiOutcome, MultiTaskConfig, Objective, SpatioTemporalObjective,
 };
 use tcsc_core::{CostModel, Domain, InterpolationWeights, Task, WorkerPool};
 use tcsc_index::{ShardGridConfig, WorkerIndex};
@@ -107,7 +106,7 @@ impl SolverBuilder {
     }
 
     /// Replaces the full assignment configuration (budget, `k`, `ts`,
-    /// V-tree, reliability weighting, refresh strategy).
+    /// V-tree, reliability weighting).
     pub fn with_config(mut self, config: MultiTaskConfig) -> Self {
         self.config = config;
         self
@@ -127,12 +126,6 @@ impl SolverBuilder {
     /// Selects the objective.
     pub fn with_objective(mut self, objective: SolveObjective) -> Self {
         self.objective = objective;
-        self
-    }
-
-    /// Selects the candidate refresh strategy.
-    pub fn with_refresh(mut self, refresh: RefreshStrategy) -> Self {
-        self.config = self.config.with_refresh(refresh);
         self
     }
 
