@@ -60,7 +60,6 @@ pub use multi::conflict::{independence_graph, IndependenceGraph};
 pub use multi::gain::GainLedger;
 pub use multi::group_parallel::{msqm_group_parallel, GroupParallelOutcome};
 pub use multi::protocol::{CommittedExecution, MasterCommand, TaskMaster, TaskOwner, WorkerEvent};
-pub use multi::sapprox::SpatioTemporalObjective;
 pub use multi::task_parallel::{msqm_task_parallel, TaskParallelOutcome};
 pub use multi::{MultiOutcome, MultiTaskConfig, RefreshStats, TaskCandidate, TaskState};
 pub use single::baseline::{random_assignment, random_summary, RandSummary};

@@ -9,22 +9,14 @@
 //! applies: at each step execute the (task, slot) pair with the largest
 //! increase of the objective per unit cost.
 //!
-//! The greedy is [`crate::engine::AssignmentEngine::assign_spatiotemporal`];
-//! this module holds its objective type and unit tests.
-
-/// Which aggregate objective `SApprox` maximises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpatioTemporalObjective {
-    /// Maximise the summation quality `q_sum` (Problem 2 / STCC variant).
-    Sum,
-    /// Maximise the minimum quality `q_min` (Problem 3 / STCC variant).
-    Min,
-}
+//! The greedy is [`crate::engine::AssignmentEngine::assign_spatiotemporal`],
+//! which takes the same [`crate::Objective`] as the MSQM/MMQM batch solve
+//! (`SumQuality` for the STCC variant of Problem 2, `MinQuality` for that of
+//! Problem 3); this module holds its unit tests.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::AssignmentEngine;
+    use crate::engine::{AssignmentEngine, Objective};
     use crate::multi::test_support::small_instance;
     use crate::multi::{MultiOutcome, MultiTaskConfig};
     use tcsc_core::{Domain, InterpolationWeights};
@@ -33,7 +25,7 @@ mod tests {
         seed: u64,
         budget: f64,
         weights: InterpolationWeights,
-        objective: SpatioTemporalObjective,
+        objective: Objective,
     ) -> MultiOutcome {
         let (tasks, index, cost) = small_instance(seed, 4, 20, 150);
         let domain = Domain::square(100.0);
@@ -48,7 +40,7 @@ mod tests {
                 51,
                 budget,
                 InterpolationWeights::paper_default(),
-                SpatioTemporalObjective::Sum,
+                Objective::SumQuality,
             );
             assert!(outcome.assignment.total_cost() <= budget + 1e-6);
         }
@@ -62,7 +54,7 @@ mod tests {
                 52,
                 budget,
                 InterpolationWeights::paper_default(),
-                SpatioTemporalObjective::Sum,
+                Objective::SumQuality,
             )
             .sum_quality();
             assert!(q >= last - 1e-9);
@@ -76,13 +68,13 @@ mod tests {
             53,
             40.0,
             InterpolationWeights::paper_default(),
-            SpatioTemporalObjective::Sum,
+            Objective::SumQuality,
         );
         let min = run(
             53,
             40.0,
             InterpolationWeights::paper_default(),
-            SpatioTemporalObjective::Min,
+            Objective::MinQuality,
         );
         assert!(min.min_quality() + 1e-9 >= sum.min_quality() * 0.99);
     }
@@ -93,7 +85,7 @@ mod tests {
             54,
             200.0,
             InterpolationWeights::paper_default(),
-            SpatioTemporalObjective::Sum,
+            Objective::SumQuality,
         );
         let mut seen = std::collections::HashSet::new();
         for plan in &outcome.assignment.plans {
@@ -112,7 +104,7 @@ mod tests {
             55,
             30.0,
             InterpolationWeights::temporal_only(),
-            SpatioTemporalObjective::Sum,
+            Objective::SumQuality,
         );
         for plan in &outcome.assignment.plans {
             let mut ev = tcsc_core::QualityEvaluator::with_slots(plan.num_slots, 3);
@@ -131,7 +123,7 @@ mod tests {
                 &[],
                 &Domain::square(100.0),
                 InterpolationWeights::paper_default(),
-                SpatioTemporalObjective::Sum,
+                Objective::SumQuality,
             );
         assert_eq!(outcome.executions, 0);
     }

@@ -253,7 +253,6 @@ pub fn msqm_task_parallel(
         // engine does.
         stats.slot_computations += conflicts;
         stats.slot_refreshes += conflicts;
-        stats.rebuild_slot_computations += conflicts;
 
         TaskParallelOutcome {
             outcome: MultiOutcome {

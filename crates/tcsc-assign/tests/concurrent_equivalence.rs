@@ -10,7 +10,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use tcsc_assign::{
     AssignmentEngine, ConcurrentAssignmentEngine, MultiOutcome, MultiTaskConfig, Objective,
-    SpatioTemporalObjective,
 };
 use tcsc_core::{EuclideanCost, InterpolationWeights, Task};
 use tcsc_index::{ShardGridConfig, ShardedWorkerIndex, WorkerIndex};
@@ -147,7 +146,7 @@ fn spatiotemporal_matches_the_serial_engine_on_every_preset() {
         for grid in grids() {
             let (tasks, dense, sharded) = prepare(&preset, grid);
             let cfg = MultiTaskConfig::new(preset.budget);
-            for objective in [SpatioTemporalObjective::Sum, SpatioTemporalObjective::Min] {
+            for objective in [Objective::SumQuality, Objective::MinQuality] {
                 let weights = InterpolationWeights::paper_default();
                 let serial = AssignmentEngine::borrowed(&dense, &cost, cfg)
                     .assign_spatiotemporal(&tasks, &domain, weights, objective);

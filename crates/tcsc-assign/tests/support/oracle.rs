@@ -98,7 +98,6 @@ fn checkout(
 fn count_conflict_refresh(stats: &mut CacheStats) {
     stats.slot_computations += 1;
     stats.slot_refreshes += 1;
-    stats.rebuild_slot_computations += 1;
 }
 
 fn outcome(states: Vec<TaskState>, conflicts: usize, stats: CacheStats) -> MultiOutcome {

@@ -4,11 +4,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tcsc::solver::{Runtime, SolveObjective, SolverBuilder};
 use tcsc_assign::candidates::SlotCandidates;
 use tcsc_assign::{
-    approx, approx_star, independence_graph, optimal, random_summary, AssignmentEngine,
-    MultiOutcome, MultiTaskConfig, Objective, SingleTaskConfig, SpatioTemporalObjective,
+    approx, approx_star, independence_graph, msqm_group_parallel, msqm_task_parallel, optimal,
+    random_summary, AssignmentEngine, MultiOutcome, MultiTaskConfig, Objective, SingleTaskConfig,
 };
 use tcsc_core::quality::QualityEvaluator;
 use tcsc_core::{EuclideanCost, InterpolationWeights};
@@ -17,29 +16,46 @@ use tcsc_workload::{PoiConfig, ScenarioConfig, SpatialDistribution, TaskPlacemen
 
 use crate::{best_of, prepare_multi, prepare_single, timed, PreparedMulti, Report, Row, Scale};
 
-/// Shorthand: a [`SolverBuilder`] seeded from a figure's `MultiTaskConfig`.
-///
-/// Every multi-task figure routes through the facade; the prebuilt dense
-/// index stays outside the timed regions via [`SolvePrepared`].
-fn builder(cfg: &MultiTaskConfig) -> SolverBuilder {
-    SolverBuilder::new(cfg.budget).with_config(*cfg)
+// The multi-task solvers over a prepared batch's prebuilt dense index
+// (Euclidean cost), so the index build stays outside every timed region.
+
+/// The serial engine greedy: MSQM or MMQM.
+fn serial(prepared: &PreparedMulti, cfg: &MultiTaskConfig, objective: Objective) -> MultiOutcome {
+    AssignmentEngine::borrowed(&prepared.index, &EuclideanCost::default(), *cfg)
+        .assign_batch(&prepared.scenario.tasks, objective)
 }
 
-/// Solving a prepared batch through the facade over its prebuilt dense
-/// index (Euclidean cost), so the index build stays outside timed regions.
-trait SolvePrepared {
-    fn solve_prepared(&self, prepared: &PreparedMulti) -> MultiOutcome;
+/// The task-level parallel framework (MSQM) on `cores` threads, with or
+/// without the master's priority queue.
+fn task_parallel(
+    prepared: &PreparedMulti,
+    cfg: &MultiTaskConfig,
+    cores: usize,
+    priorities: bool,
+) -> MultiOutcome {
+    let cost_model = EuclideanCost::default();
+    msqm_task_parallel(
+        &prepared.scenario.tasks,
+        &prepared.index,
+        &cost_model,
+        cfg,
+        cores,
+        priorities,
+    )
+    .outcome
 }
 
-impl SolvePrepared for SolverBuilder {
-    fn solve_prepared(&self, prepared: &PreparedMulti) -> MultiOutcome {
-        self.solve_indexed(
-            &prepared.scenario.tasks,
-            &prepared.index,
-            &prepared.scenario.domain,
-            &EuclideanCost::default(),
-        )
-    }
+/// The group-level parallel framework (MSQM) on `cores` threads.
+fn group_parallel(prepared: &PreparedMulti, cfg: &MultiTaskConfig, cores: usize) -> MultiOutcome {
+    let cost_model = EuclideanCost::default();
+    msqm_group_parallel(
+        &prepared.scenario.tasks,
+        &prepared.index,
+        &cost_model,
+        cfg,
+        cores,
+    )
+    .outcome
 }
 
 /// Workload sizes per scale.
@@ -243,7 +259,7 @@ pub fn fig7a(scale: Scale) -> Report {
         let budget = budget_for_multi(&prepared, 0.25);
         let cfg = MultiTaskConfig::new(budget);
         let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, p.rand_runs.min(5));
-        let outcome = builder(&cfg).solve_prepared(&prepared);
+        let outcome = serial(&prepared, &cfg, Objective::SumQuality);
         rows.push(Row::new(
             placement.label(),
             vec![
@@ -285,7 +301,7 @@ pub fn fig7b(scale: Scale) -> Report {
         let budget = budget_for_multi(&prepared, fraction);
         let cfg = MultiTaskConfig::new(budget);
         let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, 3);
-        let outcome = builder(&cfg).solve_prepared(&prepared);
+        let outcome = serial(&prepared, &cfg, Objective::SumQuality);
         rows.push(Row::new(
             format!("b={:.1}%", fraction * 100.0),
             vec![
@@ -311,9 +327,7 @@ pub fn fig7c(scale: Scale) -> Report {
         let cfg = MultiTaskConfig::new(budget);
         let (_, _, rand_min_avg, rand_max_avg) =
             multi_rand_baseline(&prepared, &cfg, p.rand_runs.min(5));
-        let outcome = builder(&cfg)
-            .with_objective(SolveObjective::MinQuality)
-            .solve_prepared(&prepared);
+        let outcome = serial(&prepared, &cfg, Objective::MinQuality);
         rows.push(Row::new(
             placement.label(),
             vec![
@@ -342,9 +356,7 @@ pub fn fig7d(scale: Scale) -> Report {
         let budget = budget_for_multi(&prepared, fraction);
         let cfg = MultiTaskConfig::new(budget);
         let (_, _, rand_min_avg, _) = multi_rand_baseline(&prepared, &cfg, 3);
-        let outcome = builder(&cfg)
-            .with_objective(SolveObjective::MinQuality)
-            .solve_prepared(&prepared);
+        let outcome = serial(&prepared, &cfg, Objective::MinQuality);
         rows.push(Row::new(
             format!("b={:.1}%", fraction * 100.0),
             vec![
@@ -657,22 +669,11 @@ pub fn fig9a(scale: Scale) -> Report {
     ));
     let budget = budget_for_multi(&prepared, 0.25);
     let cfg = MultiTaskConfig::new(budget);
-    let (_, serial_ms) = timed(|| builder(&cfg).solve_prepared(&prepared));
+    let (_, serial_ms) = timed(|| serial(&prepared, &cfg, Objective::SumQuality));
     let mut rows = Vec::new();
     for &cores in &p.cores {
-        let (_, task_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_threads(cores)
-                .with_priorities(true)
-                .solve_prepared(&prepared)
-        });
-        let (_, group_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::GroupParallel)
-                .with_threads(cores)
-                .solve_prepared(&prepared)
-        });
+        let (_, task_ms) = timed(|| task_parallel(&prepared, &cfg, cores, true));
+        let (_, group_ms) = timed(|| group_parallel(&prepared, &cfg, cores));
         rows.push(Row::new(
             format!("cores={cores}"),
             vec![
@@ -694,19 +695,8 @@ pub fn fig9b(scale: Scale) -> Report {
         let prepared = prepare_multi(&multi_scenario(&p, placement.clone()));
         let budget = budget_for_multi(&prepared, 0.25);
         let cfg = MultiTaskConfig::new(budget);
-        let (task_outcome, task_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_threads(cores)
-                .with_priorities(true)
-                .solve_prepared(&prepared)
-        });
-        let (_, group_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::GroupParallel)
-                .with_threads(cores)
-                .solve_prepared(&prepared)
-        });
+        let (task_outcome, task_ms) = timed(|| task_parallel(&prepared, &cfg, cores, true));
+        let (_, group_ms) = timed(|| group_parallel(&prepared, &cfg, cores));
         rows.push(Row::new(
             placement.label(),
             vec![
@@ -733,7 +723,7 @@ pub fn fig9c(scale: Scale) -> Report {
             let prepared = prepare_multi(&multi_scenario(&p, placement.clone()).with_num_tasks(t));
             let budget = budget_for_multi(&prepared, 0.25);
             let cfg = MultiTaskConfig::new(budget);
-            let outcome = builder(&cfg).solve_prepared(&prepared);
+            let outcome = serial(&prepared, &cfg, Objective::SumQuality);
             let graph = independence_graph(&prepared.scenario.tasks, &prepared.index, 4);
             values.push((
                 placement.label().to_string(),
@@ -761,19 +751,8 @@ pub fn fig9d(scale: Scale) -> Report {
         );
         let budget = budget_for_multi(&prepared, 0.25);
         let cfg = MultiTaskConfig::new(budget);
-        let (_, task_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_threads(cores)
-                .with_priorities(true)
-                .solve_prepared(&prepared)
-        });
-        let (_, group_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::GroupParallel)
-                .with_threads(cores)
-                .solve_prepared(&prepared)
-        });
+        let (_, task_ms) = timed(|| task_parallel(&prepared, &cfg, cores, true));
+        let (_, group_ms) = timed(|| group_parallel(&prepared, &cfg, cores));
         rows.push(Row::new(
             format!("|T|={t}"),
             vec![
@@ -801,13 +780,7 @@ pub fn fig9e(scale: Scale) -> Report {
             let prepared = prepare_multi(&multi_scenario(&p, placement.clone()).with_num_slots(m));
             let budget = budget_for_multi(&prepared, 0.25);
             let cfg = MultiTaskConfig::new(budget);
-            let (_, ms) = timed(|| {
-                builder(&cfg)
-                    .with_runtime(Runtime::TaskParallel)
-                    .with_threads(cores)
-                    .with_priorities(true)
-                    .solve_prepared(&prepared)
-            });
+            let (_, ms) = timed(|| task_parallel(&prepared, &cfg, cores, true));
             values.push((placement.label().to_string(), ms));
         }
         rows.push(Row::new(format!("m={m}"), values));
@@ -830,20 +803,8 @@ pub fn fig9f(scale: Scale) -> Report {
     let cfg = MultiTaskConfig::new(budget);
     let mut rows = Vec::new();
     for &cores in &p.cores {
-        let (_, with_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_threads(cores)
-                .with_priorities(true)
-                .solve_prepared(&prepared)
-        });
-        let (_, without_ms) = timed(|| {
-            builder(&cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_threads(cores)
-                .with_priorities(false)
-                .solve_prepared(&prepared)
-        });
+        let (_, with_ms) = timed(|| task_parallel(&prepared, &cfg, cores, true));
+        let (_, without_ms) = timed(|| task_parallel(&prepared, &cfg, cores, false));
         rows.push(Row::new(
             format!("cores={cores}"),
             vec![("Priority".into(), with_ms), ("Default".into(), without_ms)],
@@ -867,14 +828,18 @@ pub fn fig9g(scale: Scale) -> Report {
         );
         let budget = budget_for_multi(&prepared, 0.25);
         let (_, plain_ms) = timed(|| {
-            builder(&MultiTaskConfig::new(budget).with_index(false))
-                .with_objective(SolveObjective::MinQuality)
-                .solve_prepared(&prepared)
+            serial(
+                &prepared,
+                &MultiTaskConfig::new(budget).with_index(false),
+                Objective::MinQuality,
+            )
         });
         let (_, fast_ms) = timed(|| {
-            builder(&MultiTaskConfig::new(budget))
-                .with_objective(SolveObjective::MinQuality)
-                .solve_prepared(&prepared)
+            serial(
+                &prepared,
+                &MultiTaskConfig::new(budget),
+                Objective::MinQuality,
+            )
         });
         rows.push(Row::new(
             format!("|T|={t}"),
@@ -895,14 +860,18 @@ pub fn fig9h(scale: Scale) -> Report {
         );
         let budget = budget_for_multi(&prepared, 0.25);
         let (_, plain_ms) = timed(|| {
-            builder(&MultiTaskConfig::new(budget).with_index(false))
-                .with_objective(SolveObjective::MinQuality)
-                .solve_prepared(&prepared)
+            serial(
+                &prepared,
+                &MultiTaskConfig::new(budget).with_index(false),
+                Objective::MinQuality,
+            )
         });
         let (_, fast_ms) = timed(|| {
-            builder(&MultiTaskConfig::new(budget))
-                .with_objective(SolveObjective::MinQuality)
-                .solve_prepared(&prepared)
+            serial(
+                &prepared,
+                &MultiTaskConfig::new(budget),
+                Objective::MinQuality,
+            )
         });
         rows.push(Row::new(
             format!("m={m}"),
@@ -989,12 +958,19 @@ fn st_scenario(p: &Params, placement: TaskPlacement) -> ScenarioConfig {
         .with_placement(placement)
 }
 
-/// The facade on the summed spatiotemporal (STCC) objective.
-fn st_sum(cfg: &MultiTaskConfig, weights: InterpolationWeights) -> SolverBuilder {
-    builder(cfg).with_objective(SolveObjective::SpatioTemporal {
-        weights,
-        objective: SpatioTemporalObjective::Sum,
-    })
+/// `SApprox` on the summed spatiotemporal (STCC) objective.
+fn st_sum(
+    prepared: &PreparedMulti,
+    cfg: &MultiTaskConfig,
+    weights: InterpolationWeights,
+) -> MultiOutcome {
+    AssignmentEngine::borrowed(&prepared.index, &EuclideanCost::default(), *cfg)
+        .assign_spatiotemporal(
+            &prepared.scenario.tasks,
+            &prepared.scenario.domain,
+            weights,
+            Objective::SumQuality,
+        )
 }
 
 /// Fig. 11(a): quality per distribution with spatiotemporal interpolation
@@ -1008,10 +984,8 @@ pub fn fig11a(scale: Scale) -> Report {
         let budget = budget_for_multi(&prepared, 0.25);
         let cfg = MultiTaskConfig::new(budget);
         let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, 5);
-        let temporal =
-            st_sum(&cfg, InterpolationWeights::temporal_only()).solve_prepared(&prepared);
-        let spatiotemporal =
-            st_sum(&cfg, InterpolationWeights::paper_default()).solve_prepared(&prepared);
+        let temporal = st_sum(&prepared, &cfg, InterpolationWeights::temporal_only());
+        let spatiotemporal = st_sum(&prepared, &cfg, InterpolationWeights::paper_default());
         // Per-task OPT (temporal metric) with an even budget split serves as
         // the optimal yardstick of the appendix figure.
         let per_task_budget = budget / prepared.scenario.tasks.len() as f64;
@@ -1056,10 +1030,8 @@ pub fn fig11b(scale: Scale) -> Report {
         let cfg = MultiTaskConfig::new(budget);
         let (rand_min, rand_max, _, _) = multi_rand_baseline(&prepared, &cfg, 3);
         let n = prepared.scenario.tasks.len() as f64;
-        let temporal =
-            st_sum(&cfg, InterpolationWeights::temporal_only()).solve_prepared(&prepared);
-        let spatiotemporal =
-            st_sum(&cfg, InterpolationWeights::paper_default()).solve_prepared(&prepared);
+        let temporal = st_sum(&prepared, &cfg, InterpolationWeights::temporal_only());
+        let spatiotemporal = st_sum(&prepared, &cfg, InterpolationWeights::paper_default());
         rows.push(Row::new(
             format!("b={:.0}%", fraction * 100.0),
             vec![
@@ -1088,8 +1060,11 @@ pub fn fig11c(scale: Scale) -> Report {
     let n = prepared.scenario.tasks.len() as f64;
     let mut rows = Vec::new();
     for wt in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
-        let outcome =
-            st_sum(&cfg, InterpolationWeights::from_temporal_ratio(wt)).solve_prepared(&prepared);
+        let outcome = st_sum(
+            &prepared,
+            &cfg,
+            InterpolationWeights::from_temporal_ratio(wt),
+        );
         rows.push(Row::new(
             format!("wt={wt:.1}"),
             vec![("SApprox".into(), outcome.sum_quality() / n)],

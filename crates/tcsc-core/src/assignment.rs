@@ -54,29 +54,9 @@ impl AssignmentPlan {
         self.executions.len()
     }
 
-    /// Completion ratio: executed subtasks over total subtasks.
-    pub fn completion_ratio(&self) -> f64 {
-        self.executions.len() as f64 / self.num_slots as f64
-    }
-
-    /// The executed slots, sorted.
-    pub fn executed_slots(&self) -> Vec<SlotIndex> {
-        let mut slots: Vec<_> = self.executions.iter().map(|e| e.slot).collect();
-        slots.sort_unstable();
-        slots
-    }
-
     /// Whether a particular slot is executed by the plan.
     pub fn is_executed(&self, slot: SlotIndex) -> bool {
         self.executions.iter().any(|e| e.slot == slot)
-    }
-
-    /// The worker assigned to a slot, if any.
-    pub fn worker_at(&self, slot: SlotIndex) -> Option<WorkerId> {
-        self.executions
-            .iter()
-            .find(|e| e.slot == slot)
-            .map(|e| e.worker)
     }
 }
 
@@ -109,15 +89,6 @@ impl MultiAssignment {
             .pipe_finite()
     }
 
-    /// Average per-task quality.
-    pub fn average_quality(&self) -> f64 {
-        if self.plans.is_empty() {
-            0.0
-        } else {
-            self.sum_quality() / self.plans.len() as f64
-        }
-    }
-
     /// Total cost across all plans.
     pub fn total_cost(&self) -> f64 {
         self.plans.iter().map(|p| p.total_cost()).sum()
@@ -126,11 +97,6 @@ impl MultiAssignment {
     /// Total number of executed subtasks across all plans.
     pub fn executed_count(&self) -> usize {
         self.plans.iter().map(|p| p.executed_count()).sum()
-    }
-
-    /// The plan for a given task id, if present.
-    pub fn plan_for(&self, task: TaskId) -> Option<&AssignmentPlan> {
-        self.plans.iter().find(|p| p.task == task)
     }
 }
 
@@ -177,7 +143,6 @@ mod tests {
         assert_eq!(p.total_cost(), 0.0);
         assert_eq!(p.quality, 0.0);
         assert_eq!(p.executed_count(), 0);
-        assert_eq!(p.completion_ratio(), 0.0);
     }
 
     #[test]
@@ -185,12 +150,8 @@ mod tests {
         let p = plan(1, 2.5, &[(3, 7, 1.5), (1, 9, 2.0)]);
         assert!((p.total_cost() - 3.5).abs() < 1e-12);
         assert_eq!(p.executed_count(), 2);
-        assert_eq!(p.executed_slots(), vec![1, 3]);
         assert!(p.is_executed(3));
         assert!(!p.is_executed(2));
-        assert_eq!(p.worker_at(1), Some(WorkerId(9)));
-        assert_eq!(p.worker_at(5), None);
-        assert!((p.completion_ratio() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -202,11 +163,8 @@ mod tests {
         ]);
         assert!((multi.sum_quality() - 6.0).abs() < 1e-12);
         assert!((multi.min_quality() - 1.0).abs() < 1e-12);
-        assert!((multi.average_quality() - 2.0).abs() < 1e-12);
         assert!((multi.total_cost() - 3.0).abs() < 1e-12);
         assert_eq!(multi.executed_count(), 2);
-        assert_eq!(multi.plan_for(TaskId(1)).unwrap().quality, 1.0);
-        assert!(multi.plan_for(TaskId(9)).is_none());
     }
 
     #[test]
@@ -214,6 +172,5 @@ mod tests {
         let multi = MultiAssignment::default();
         assert_eq!(multi.sum_quality(), 0.0);
         assert_eq!(multi.min_quality(), 0.0);
-        assert_eq!(multi.average_quality(), 0.0);
     }
 }

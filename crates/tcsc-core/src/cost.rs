@@ -76,58 +76,6 @@ impl CostModel for EuclideanCost {
     }
 }
 
-/// Manhattan (L1) travel-distance cost, useful for grid-like road networks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ManhattanCost {
-    /// Price per unit of travelled distance.
-    pub unit_cost: f64,
-}
-
-impl Default for ManhattanCost {
-    fn default() -> Self {
-        Self { unit_cost: 1.0 }
-    }
-}
-
-impl CostModel for ManhattanCost {
-    fn assignment_cost_at(
-        &self,
-        subtask: &Subtask,
-        _worker: WorkerId,
-        worker_loc: Location,
-    ) -> f64 {
-        self.unit_cost
-            * ((subtask.location.x - worker_loc.x).abs()
-                + (subtask.location.y - worker_loc.y).abs())
-    }
-}
-
-/// Flat per-assignment cost, independent of distance.  Setting the fee to `1`
-/// turns the budget constraint into a cardinality constraint, which is the
-/// special case used in the paper's NP-hardness reduction (Lemma 3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UnitCost {
-    /// Fee charged for every executed subtask.
-    pub fee: f64,
-}
-
-impl Default for UnitCost {
-    fn default() -> Self {
-        Self { fee: 1.0 }
-    }
-}
-
-impl CostModel for UnitCost {
-    fn assignment_cost_at(
-        &self,
-        _subtask: &Subtask,
-        _worker: WorkerId,
-        _worker_loc: Location,
-    ) -> f64 {
-        self.fee
-    }
-}
-
 /// Tracks spending against a fixed budget `b`.
 ///
 /// All assignment algorithms share this accounting so that budget-feasibility
@@ -153,15 +101,6 @@ impl Budget {
             "budget limit must be finite and non-negative, got {limit}"
         );
         Self { limit, spent: 0.0 }
-    }
-
-    /// An effectively unlimited budget (useful for tests and for computing the
-    /// full-completion cost of a task).
-    pub fn unlimited() -> Self {
-        Self {
-            limit: f64::MAX,
-            spent: 0.0,
-        }
     }
 
     /// The budget limit `b`.
@@ -193,12 +132,6 @@ impl Budget {
         } else {
             false
         }
-    }
-
-    /// Refunds a previously charged amount (used when a tentative execution is
-    /// rolled back, e.g. by the group-level parallel framework on a conflict).
-    pub fn refund(&mut self, cost: f64) {
-        self.spent = (self.spent - cost).max(0.0);
     }
 }
 
@@ -254,27 +187,14 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_cost() {
-        let model = ManhattanCost::default();
-        let c = model.assignment_cost(&subtask(), &worker(), Location::new(3.0, 4.0));
-        assert!((c - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn assignment_cost_at_matches_the_worker_entry_point() {
         // The allocation-free hot-path entry must price identically to the
-        // `Worker`-based convenience wrapper for every bundled model.
+        // `Worker`-based convenience wrapper.
         let loc = Location::new(3.0, 4.0);
-        let models: Vec<Box<dyn CostModel>> = vec![
-            Box::new(EuclideanCost::new(2.0)),
-            Box::new(ManhattanCost::default()),
-            Box::new(UnitCost { fee: 3.0 }),
-        ];
-        for model in &models {
-            let direct = model.assignment_cost_at(&subtask(), worker().id, loc);
-            let via_worker = model.assignment_cost(&subtask(), &worker(), loc);
-            assert!((direct - via_worker).abs() < 1e-12);
-        }
+        let model = EuclideanCost::new(2.0);
+        let direct = model.assignment_cost_at(&subtask(), worker().id, loc);
+        let via_worker = model.assignment_cost(&subtask(), &worker(), loc);
+        assert!((direct - via_worker).abs() < 1e-12);
     }
 
     #[test]
@@ -311,13 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_cost_ignores_distance() {
-        let model = UnitCost { fee: 1.0 };
-        let c = model.assignment_cost(&subtask(), &worker(), Location::new(100.0, 100.0));
-        assert!((c - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn euclidean_rejects_negative_unit_cost() {
         let _ = EuclideanCost::new(-1.0);
@@ -339,8 +252,6 @@ mod tests {
         );
         assert!(b.charge(6.0));
         assert!(b.remaining() < 1e-9);
-        b.refund(6.0);
-        assert!((b.remaining() - 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -356,12 +267,5 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn budget_rejects_negative_limit() {
         let _ = Budget::new(-1.0);
-    }
-
-    #[test]
-    fn unlimited_budget_accepts_everything() {
-        let mut b = Budget::unlimited();
-        assert!(b.charge(1e12));
-        assert!(b.can_afford(1e12));
     }
 }

@@ -54,7 +54,7 @@ pub mod quality;
 pub mod spatiotemporal;
 
 pub use assignment::{AssignmentPlan, ExecutedSubtask, MultiAssignment};
-pub use cost::{Budget, CandidateAssignment, CostModel, EuclideanCost, ManhattanCost, UnitCost};
+pub use cost::{Budget, CandidateAssignment, CostModel, EuclideanCost};
 pub use model::{
     Domain, Location, SlotIndex, Subtask, SubtaskState, Task, TaskId, Worker, WorkerId, WorkerPool,
     WorkerSlot,

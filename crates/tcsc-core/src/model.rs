@@ -49,14 +49,6 @@ impl Location {
         let dy = self.y - other.y;
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// Squared Euclidean distance (avoids the square root when only ordering
-    /// matters, e.g. nearest-neighbour searches in the spatial grid index).
-    pub fn distance_sq(&self, other: &Location) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
 }
 
 impl fmt::Display for Location {
@@ -376,7 +368,6 @@ mod tests {
         let a = Location::new(0.0, 0.0);
         let b = Location::new(3.0, 4.0);
         assert!((a.distance(&b) - 5.0).abs() < 1e-12);
-        assert!((a.distance_sq(&b) - 25.0).abs() < 1e-12);
     }
 
     #[test]

@@ -76,12 +76,6 @@ impl QualityParams {
         assert!(k > 0, "k-NN interpolation needs k >= 1");
         Self { num_slots, k }
     }
-
-    /// The maximum achievable quality, `log2 m`, reached when every subtask is
-    /// executed by fully reliable workers.
-    pub fn max_quality(&self) -> f64 {
-        (self.num_slots as f64).log2()
-    }
 }
 
 /// An executed slot together with the reliability of the worker that probed
@@ -640,7 +634,6 @@ mod tests {
         let mut ev = QualityEvaluator::with_slots(m, 3);
         executed(&mut ev, &(0..m).collect::<Vec<_>>());
         assert!((ev.quality() - (m as f64).log2()).abs() < 1e-12);
-        assert!((ev.params().max_quality() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -301,11 +301,6 @@ impl VTree {
         self.nodes[self.root].min_cost
     }
 
-    /// The assignment cost currently recorded for a slot.
-    pub fn cost_of(&self, slot: SlotIndex) -> Option<f64> {
-        self.costs[slot]
-    }
-
     /// Updates the assignment cost of a slot (used when multi-task conflicts
     /// force a task to fall back to its 2nd, 3rd, ... nearest worker) and
     /// refreshes the cost aggregates along the affected path.

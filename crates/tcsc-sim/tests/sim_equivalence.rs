@@ -5,11 +5,14 @@
 //!   cache counters;
 //! * any node count × latency model must commit the same results (latency
 //!   moves messages, never decisions);
+//! * on the seeded scenario presets, the serial engine, the threaded
+//!   task-parallel framework and the simulated cluster all commit the same
+//!   plans;
 //! * the same seed must replay the identical event trace.
 
 use std::rc::Rc;
 
-use tcsc_assign::{AssignmentEngine, MultiTaskConfig, Objective};
+use tcsc_assign::{msqm_task_parallel, AssignmentEngine, MultiTaskConfig, Objective};
 use tcsc_core::EuclideanCost;
 use tcsc_index::ShardGridConfig;
 use tcsc_sim::{plan_hash, run_cluster, LatencyModel, SimBatch, SimClusterConfig};
@@ -95,6 +98,90 @@ fn node_count_latency_and_policy_never_change_the_committed_results() {
             assert_eq!(outcome.executions, reference.executions);
             assert_eq!(outcome.stats, reference.stats);
             assert_eq!(outcome.shard_commitments, outcome.executions);
+        }
+    }
+}
+
+/// Seeded scenario presets of different task placements.
+fn presets() -> Vec<(&'static str, ScenarioConfig)> {
+    vec![
+        (
+            "small-uniform",
+            ScenarioConfig::small()
+                .with_num_tasks(8)
+                .with_num_slots(40)
+                .with_num_workers(500)
+                .with_seed(11),
+        ),
+        (
+            "small-gaussian",
+            ScenarioConfig::small()
+                .with_num_tasks(6)
+                .with_num_slots(32)
+                .with_num_workers(400)
+                .with_placement(TaskPlacement::Synthetic(SpatialDistribution::Gaussian))
+                .with_seed(12),
+        ),
+        (
+            "small-zipf",
+            ScenarioConfig::small()
+                .with_num_tasks(10)
+                .with_num_slots(24)
+                .with_num_workers(350)
+                .with_placement(TaskPlacement::Synthetic(SpatialDistribution::zipf_default()))
+                .with_seed(13),
+        ),
+    ]
+}
+
+#[test]
+fn serial_task_parallel_and_simulated_runtimes_commit_the_same_plans() {
+    let budget = 50.0;
+    let cost = EuclideanCost::default();
+    for (label, preset) in presets() {
+        let scenario = preset.build();
+        let slots = preset.num_slots;
+        let index = tcsc_index::WorkerIndex::build(&scenario.workers, slots, &scenario.domain);
+        let cfg = MultiTaskConfig::new(budget);
+        let serial = AssignmentEngine::borrowed(&index, &cost, cfg)
+            .assign_batch(&scenario.tasks, Objective::SumQuality);
+        assert!(serial.executions > 0, "{label}: nothing was planned");
+
+        // (runtime, plans, conflicts, executions) of every other runtime.
+        let mut runs = Vec::new();
+        for threads in [1, 4] {
+            let o = msqm_task_parallel(&scenario.tasks, &index, &cost, &cfg, threads, true).outcome;
+            runs.push((
+                format!("{threads} threads"),
+                o.assignment,
+                o.conflicts,
+                o.executions,
+            ));
+        }
+        for (nodes, latency) in [
+            (1, LatencyModel::Zero),
+            (4, LatencyModel::Zero),
+            (3, LatencyModel::Fixed(250)),
+        ] {
+            let o = run_cluster(
+                &scenario.workers,
+                slots,
+                &scenario.domain,
+                vec![SimBatch::immediate(scenario.tasks.clone())],
+                Rc::new(EuclideanCost::default()),
+                &SimClusterConfig::new(nodes, 2, budget, latency),
+            );
+            let run = format!("{nodes} nodes, {latency:?}");
+            runs.push((run, o.assignment, o.conflicts, o.executions));
+        }
+        for (run, assignment, conflicts, executions) in &runs {
+            assert_eq!(
+                assignment, &serial.assignment,
+                "{label}, {run}: plans diverged"
+            );
+            assert_eq!(plan_hash(assignment), plan_hash(&serial.assignment));
+            assert_eq!(*conflicts, serial.conflicts, "{label}, {run}");
+            assert_eq!(*executions, serial.executions, "{label}, {run}");
         }
     }
 }

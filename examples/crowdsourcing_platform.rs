@@ -34,30 +34,19 @@ fn main() {
 
     // Serial reference.
     let sw = Stopwatch::start();
-    let serial = SolverBuilder::new(budget).with_config(multi).solve_indexed(
-        &scenario.tasks,
-        &index,
-        &scenario.domain,
-        &cost_model,
-    );
+    let serial = AssignmentEngine::borrowed(&index, &cost_model, multi)
+        .assign_batch(&scenario.tasks, Objective::SumQuality);
     let serial_ms = sw.elapsed_ms();
 
     // Group-level parallelization.
     let sw = Stopwatch::start();
-    let grouped = SolverBuilder::new(budget)
-        .with_config(multi)
-        .with_runtime(Runtime::GroupParallel)
-        .with_threads(4)
-        .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost_model);
+    let grouped = msqm_group_parallel(&scenario.tasks, &index, &cost_model, &multi, 4).outcome;
     let grouped_ms = sw.elapsed_ms();
 
     // Task-level parallelization (deterministic: same plan as the serial run).
     let sw = Stopwatch::start();
-    let task_level = SolverBuilder::new(budget)
-        .with_config(multi)
-        .with_runtime(Runtime::TaskParallel)
-        .with_threads(4)
-        .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost_model);
+    let task_level =
+        msqm_task_parallel(&scenario.tasks, &index, &cost_model, &multi, 4, true).outcome;
     let task_ms = sw.elapsed_ms();
 
     println!();

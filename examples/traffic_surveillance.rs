@@ -29,23 +29,20 @@ fn main() {
     let cost_model = EuclideanCost::default();
     let budget = 150.0;
     let config = MultiTaskConfig::new(budget);
+    // `SApprox` maximising the summed quality under the given weights.
+    let sapprox = |weights| {
+        AssignmentEngine::borrowed(&index, &cost_model, config).assign_spatiotemporal(
+            &tasks,
+            &scenario.domain,
+            weights,
+            Objective::SumQuality,
+        )
+    };
 
     // Temporal-only interpolation (the base TCSC metric) ...
-    let temporal = SolverBuilder::new(budget)
-        .with_config(config)
-        .with_objective(SolveObjective::SpatioTemporal {
-            weights: InterpolationWeights::temporal_only(),
-            objective: SpatioTemporalObjective::Sum,
-        })
-        .solve_indexed(&tasks, &index, &scenario.domain, &cost_model);
+    let temporal = sapprox(InterpolationWeights::temporal_only());
     // ... versus the weighted spatiotemporal metric (w_t = 0.7, w_s = 0.3).
-    let spatiotemporal = SolverBuilder::new(budget)
-        .with_config(config)
-        .with_objective(SolveObjective::SpatioTemporal {
-            weights: InterpolationWeights::paper_default(),
-            objective: SpatioTemporalObjective::Sum,
-        })
-        .solve_indexed(&tasks, &index, &scenario.domain, &cost_model);
+    let spatiotemporal = sapprox(InterpolationWeights::paper_default());
 
     println!("road segments        : {}", tasks.len());
     println!("budget               : {budget}");
@@ -67,13 +64,7 @@ fn main() {
     // Sweep the temporal weight, as in Fig. 11(c).
     println!("{:<8} {:>12}", "w_t", "sum quality");
     for wt in [0.0, 0.25, 0.5, 0.7, 0.9, 1.0] {
-        let outcome = SolverBuilder::new(budget)
-            .with_config(config)
-            .with_objective(SolveObjective::SpatioTemporal {
-                weights: InterpolationWeights::from_temporal_ratio(wt),
-                objective: SpatioTemporalObjective::Sum,
-            })
-            .solve_indexed(&tasks, &index, &scenario.domain, &cost_model);
+        let outcome = sapprox(InterpolationWeights::from_temporal_ratio(wt));
         println!("{wt:<8.2} {:>12.3}", outcome.sum_quality());
     }
 }

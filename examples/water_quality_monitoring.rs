@@ -43,10 +43,8 @@ fn main() {
     // is left unmonitored (MMQM), with worker reliability weighting.
     let budget = 120.0;
     let config = MultiTaskConfig::new(budget).with_reliability();
-    let outcome = SolverBuilder::new(budget)
-        .with_config(config)
-        .with_objective(SolveObjective::MinQuality)
-        .solve_indexed(&tasks, &index, &scenario.domain, &cost_model);
+    let outcome = AssignmentEngine::borrowed(&index, &cost_model, config)
+        .assign_batch(&tasks, Objective::MinQuality);
 
     println!("budget shared by {} sites : {budget}", tasks.len());
     println!("worker conflicts          : {}", outcome.conflicts);
@@ -71,9 +69,8 @@ fn main() {
 
     // For comparison: the sum-oriented objective concentrates probes on cheap
     // sites and can starve the weakest one.
-    let sum_outcome = SolverBuilder::new(budget)
-        .with_config(config)
-        .solve_indexed(&tasks, &index, &scenario.domain, &cost_model);
+    let sum_outcome = AssignmentEngine::borrowed(&index, &cost_model, config)
+        .assign_batch(&tasks, Objective::SumQuality);
     println!(
         "MSQM (sum-oriented)       : min {:.3}, sum {:.3}",
         sum_outcome.min_quality(),

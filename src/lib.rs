@@ -32,6 +32,13 @@
 //!   export), chrome://tracing export (spans and counter tracks) and the
 //!   stable logical-stream digest used as an equivalence lock.
 //!
+//! The multi-task solvers are called directly, each over a prebuilt
+//! [`index::WorkerIndex`]: [`assign::AssignmentEngine::assign_batch`] (MSQM
+//! or MMQM, by [`assign::Objective`]),
+//! [`assign::AssignmentEngine::assign_spatiotemporal`] (`SApprox`), and the
+//! MSQM-only [`assign::msqm_task_parallel`] and [`assign::msqm_group_parallel`];
+//! [`sim::run_cluster`] builds its own index from the worker pool.
+//!
 //! See the `examples/` directory for end-to-end usage and `DESIGN.md` /
 //! `EXPERIMENTS.md` for the mapping to the paper.
 //!
@@ -57,16 +64,12 @@ pub use tcsc_obs as obs;
 pub use tcsc_sim as sim;
 pub use tcsc_workload as workload;
 
-pub mod solver;
-
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    pub use crate::solver::{Runtime, SolveObjective, SolverBuilder};
     pub use tcsc_assign::{
         approx, approx_star, independence_graph, min_budget_for_quality, optimal,
         random_assignment, random_summary, AssignmentEngine, CacheStats, CandidateCache,
-        ChurnCounters, MultiTaskConfig, Objective, SingleTaskConfig, SlotCandidates,
-        SpatioTemporalObjective, WorkerLedger,
+        ChurnCounters, MultiTaskConfig, Objective, SingleTaskConfig, SlotCandidates, WorkerLedger,
     };
     pub use tcsc_assign::{msqm_group_parallel, msqm_task_parallel};
     pub use tcsc_core::{

@@ -76,22 +76,11 @@ fn multi_task_frameworks_agree_and_respect_constraints() {
     let cost_model = EuclideanCost::default();
     let cfg = MultiTaskConfig::new(80.0);
 
-    let serial = SolverBuilder::new(80.0).with_config(cfg).solve_indexed(
-        &scenario.tasks,
-        &index,
-        &scenario.domain,
-        &cost_model,
-    );
-    let task_level = SolverBuilder::new(80.0)
-        .with_config(cfg)
-        .with_runtime(Runtime::TaskParallel)
-        .with_threads(3)
-        .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost_model);
-    let grouped = SolverBuilder::new(80.0)
-        .with_config(cfg)
-        .with_runtime(Runtime::GroupParallel)
-        .with_threads(3)
-        .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost_model);
+    let serial = AssignmentEngine::borrowed(&index, &cost_model, cfg)
+        .assign_batch(&scenario.tasks, Objective::SumQuality);
+    let task_level =
+        msqm_task_parallel(&scenario.tasks, &index, &cost_model, &cfg, 3, true).outcome;
+    let grouped = msqm_group_parallel(&scenario.tasks, &index, &cost_model, &cfg, 3).outcome;
 
     // Determinism of the task-level framework.
     assert!((serial.sum_quality() - task_level.sum_quality()).abs() < 1e-9);
@@ -118,16 +107,10 @@ fn mmqm_lifts_the_weakest_task() {
     let (scenario, index) = build_world(5, 6, 40, 500);
     let cost_model = EuclideanCost::default();
     let cfg = MultiTaskConfig::new(60.0);
-    let min_focused = SolverBuilder::new(60.0)
-        .with_config(cfg)
-        .with_objective(SolveObjective::MinQuality)
-        .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost_model);
-    let sum_focused = SolverBuilder::new(60.0).with_config(cfg).solve_indexed(
-        &scenario.tasks,
-        &index,
-        &scenario.domain,
-        &cost_model,
-    );
+    let min_focused = AssignmentEngine::borrowed(&index, &cost_model, cfg)
+        .assign_batch(&scenario.tasks, Objective::MinQuality);
+    let sum_focused = AssignmentEngine::borrowed(&index, &cost_model, cfg)
+        .assign_batch(&scenario.tasks, Objective::SumQuality);
     assert!(min_focused.min_quality() + 1e-9 >= sum_focused.min_quality());
 }
 
@@ -136,13 +119,12 @@ fn spatiotemporal_extension_runs_through_the_facade() {
     let (scenario, index) = build_world(6, 5, 30, 400);
     let cost_model = EuclideanCost::default();
     let cfg = MultiTaskConfig::new(50.0);
-    let outcome = SolverBuilder::new(50.0)
-        .with_config(cfg)
-        .with_objective(SolveObjective::SpatioTemporal {
-            weights: InterpolationWeights::paper_default(),
-            objective: SpatioTemporalObjective::Sum,
-        })
-        .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost_model);
+    let outcome = AssignmentEngine::borrowed(&index, &cost_model, cfg).assign_spatiotemporal(
+        &scenario.tasks,
+        &scenario.domain,
+        InterpolationWeights::paper_default(),
+        Objective::SumQuality,
+    );
     assert!(outcome.assignment.total_cost() <= 50.0 + 1e-6);
     assert!(outcome.sum_quality() > 0.0);
 }
