@@ -151,6 +151,13 @@ pub struct CacheStats {
     /// `engine.commit` span, so `warm_nanos + refresh_nanos` never exceeds
     /// it; the remainder is the commit loop's own work.
     pub warm_nanos: u64,
+    /// Slot partial qualities the tasks' V-trees computed: `m` per tree at
+    /// construction, then one per slot an execution changed.  A work
+    /// counter, excluded from `PartialEq` like the refresh block.
+    pub vtree_recomputed_slots: usize,
+    /// Nodes the tasks' V-trees allocated: one per tree at construction,
+    /// then the children of every split an execution caused.
+    pub vtree_nodes_built: usize,
 }
 
 /// Equality covers the candidate-computation counters only; the refresh
@@ -178,6 +185,8 @@ impl CacheStats {
         self.commit_rescores += other.commit_rescores;
         self.refresh_nanos += other.refresh_nanos;
         self.warm_nanos += other.warm_nanos;
+        self.vtree_recomputed_slots += other.vtree_recomputed_slots;
+        self.vtree_nodes_built += other.vtree_nodes_built;
     }
 
     /// Counts one conflict-driven slot refresh (a real index-backed
@@ -195,6 +204,8 @@ impl CacheStats {
         self.stale_pops += refresh.stale_pops;
         self.refresh_nanos += refresh.refresh_nanos;
         self.warm_nanos += refresh.warm_nanos;
+        self.vtree_recomputed_slots += refresh.vtree_recomputed_slots;
+        self.vtree_nodes_built += refresh.vtree_nodes_built;
     }
 }
 

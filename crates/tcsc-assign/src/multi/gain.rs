@@ -93,6 +93,12 @@ pub struct RefreshStats {
     /// (the ledger's build and first pop), which
     /// `refresh_nanos` leaves out.  Measurement, like `refresh_nanos`.
     pub warm_nanos: u64,
+    /// Slot partial qualities the task's V-tree computed
+    /// ([`tcsc_index::VTree::recomputed_slots`]); 0 without the index.
+    pub vtree_recomputed_slots: usize,
+    /// Nodes the task's V-tree allocated
+    /// ([`tcsc_index::VTree::nodes_built`]); 0 without the index.
+    pub vtree_nodes_built: usize,
 }
 
 impl RefreshStats {
@@ -103,6 +109,8 @@ impl RefreshStats {
         self.stale_pops += other.stale_pops;
         self.refresh_nanos += other.refresh_nanos;
         self.warm_nanos += other.warm_nanos;
+        self.vtree_recomputed_slots += other.vtree_recomputed_slots;
+        self.vtree_nodes_built += other.vtree_nodes_built;
     }
 }
 
@@ -218,6 +226,15 @@ impl GainLedger {
         self.built = true;
     }
 
+    /// The entries held (heap + parked) whose key is exact for the current
+    /// state: live and scored since the task's last execution.
+    #[cfg(test)]
+    pub(crate) fn fresh_entries(&self) -> impl Iterator<Item = &GainEntry> {
+        self.heap.iter().chain(&self.parked).filter(|e| {
+            e.slot_version == self.slot_versions[e.slot] && e.scored_at == self.score_version
+        })
+    }
+
     /// Live entries currently in the structure (heap + parked; may include
     /// version-dead garbage awaiting a pop).
     pub fn len(&self) -> usize {
@@ -260,16 +277,29 @@ impl GainLedger {
         cost: f64,
         heuristic: f64,
     ) {
-        let entry = GainEntry {
-            heuristic,
-            gain,
-            cost,
-            slot,
-            worker,
-            slot_version: self.slot_versions[slot],
-            scored_at: self.score_version,
-        };
-        self.heap.push(entry);
+        self.extend_scored([(slot, worker, gain, cost, heuristic)]);
+    }
+
+    /// Installs freshly scored `(slot, worker, gain, cost, heuristic)`
+    /// entries at once (one heap rebuild instead of a sift per entry).
+    pub(crate) fn extend_scored(
+        &mut self,
+        scored: impl IntoIterator<Item = (SlotIndex, WorkerId, f64, f64, f64)>,
+    ) {
+        let (versions, score_version) = (&self.slot_versions, self.score_version);
+        self.heap.extend(
+            scored
+                .into_iter()
+                .map(|(slot, worker, gain, cost, heuristic)| GainEntry {
+                    heuristic,
+                    gain,
+                    cost,
+                    slot,
+                    worker,
+                    slot_version: versions[slot],
+                    scored_at: score_version,
+                }),
+        );
     }
 
     /// Patch entry point: the slot's candidate changed (conflict fallback).  Bumps the slot version so the old entry dies; the

@@ -11,6 +11,9 @@ pub mod protocol;
 pub mod sapprox;
 pub mod task_parallel;
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
 use tcsc_obs::Stopwatch;
 
 use tcsc_core::{
@@ -141,12 +144,50 @@ fn score_slot(
         Some(tree) => tree.gain(evaluator, slot),
         None => evaluator.gain_if_executed(slot),
     };
-    let heuristic = if cost > 0.0 {
+    Some((gain, cost, heuristic(gain, cost), candidate.worker))
+}
+
+/// The heuristic value `gain / cost`, `INFINITY` for a zero-cost candidate.
+fn heuristic(gain: f64, cost: f64) -> f64 {
+    if cost > 0.0 {
         gain / cost
     } else {
         f64::INFINITY
-    };
-    Some((gain, cost, heuristic, candidate.worker))
+    }
+}
+
+/// The exact [`VTree::gain`] of every slot of a task with no executions and
+/// unit reliabilities, shared process-wide per shape `(m, k)`.
+///
+/// With nothing executed, every V-tree is one leaf (its end slots share the
+/// empty k-NN set) and every cached slot value depends only on `(m, k)`, so
+/// a slot's gain depends only on `(m, k)` and the slot: neither costs nor
+/// `ts` enter it.  The vector is filled by [`VTree::gain`] itself on an
+/// empty tree, so each entry is the `f64` a re-score would produce.  Only
+/// shapes with a unit-reliability table are asked for, which bounds `m`.
+fn empty_task_gains(params: QualityParams) -> Arc<[f64]> {
+    type Registry = Mutex<HashMap<(usize, usize), Arc<[f64]>>>;
+    static GAINS: OnceLock<Registry> = OnceLock::new();
+    // A poisoned lock still guards a valid map: a vector is inserted only
+    // after it is fully computed.
+    let mut gains = GAINS
+        .get_or_init(Registry::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let gains = gains
+        .entry((params.num_slots, params.k))
+        .or_insert_with(|| {
+            let evaluator = QualityEvaluator::new(params);
+            let tree = VTree::build(
+                &evaluator,
+                vec![None; params.num_slots],
+                VTreeConfig::default(),
+            );
+            (0..params.num_slots)
+                .map(|slot| tree.gain(&evaluator, slot))
+                .collect()
+        });
+    Arc::clone(gains)
 }
 
 /// The task's quality: the V-tree's slot-order sum of its cached partial
@@ -206,9 +247,15 @@ impl TaskState {
         }
     }
 
-    /// The refresh-accounting counters accumulated by this state.
+    /// The refresh-accounting counters accumulated by this state, with the
+    /// V-tree's upkeep counters.
     pub fn refresh_stats(&self) -> RefreshStats {
-        self.refresh_stats
+        let mut stats = self.refresh_stats;
+        if let Some(tree) = &self.tree {
+            stats.vtree_recomputed_slots = tree.recomputed_slots();
+            stats.vtree_nodes_built = tree.nodes_built();
+        }
+        stats
     }
 
     /// The best affordable candidate execution of this task, or `None` when no
@@ -262,6 +309,25 @@ impl TaskState {
         } = self;
         if !ledger.is_built() {
             match tree {
+                Some(tree)
+                    if evaluator.executed_len() == 0
+                        && evaluator.unit_partial_table().is_some() =>
+                {
+                    // An empty task's gains depend on its shape alone: seed
+                    // fresh, exact entries from the shared vector, so the
+                    // first pop re-scores nothing.
+                    let gains = empty_task_gains(evaluator.params());
+                    ledger.extend_scored(gains.iter().enumerate().filter_map(|(slot, &gain)| {
+                        let candidate = candidates.get(slot)?;
+                        debug_assert_eq!(
+                            gain.to_bits(),
+                            tree.gain(evaluator, slot).to_bits(),
+                            "seeded gain of slot {slot} disagrees with the V-tree"
+                        );
+                        let cost = candidate.cost;
+                        Some((slot, candidate.worker, gain, cost, heuristic(gain, cost)))
+                    }));
+                }
                 Some(tree) => {
                     // Seed with the V-tree's admissible leaf gain bounds
                     // (stale upper-bound keys): one cheap tree walk instead
@@ -276,11 +342,7 @@ impl TaskState {
                             let Some(candidate) = candidates.get(slot) else {
                                 continue;
                             };
-                            let key = if candidate.cost > 0.0 {
-                                gain_ub / candidate.cost
-                            } else {
-                                f64::INFINITY
-                            };
+                            let key = heuristic(gain_ub, candidate.cost);
                             ledger.push_bounded(slot, candidate.worker, candidate.cost, key);
                         }
                     }
@@ -354,11 +416,7 @@ impl TaskState {
                     continue;
                 }
                 let gain = self.evaluator.gain_if_executed(slot);
-                let heuristic = if cost > 0.0 {
-                    gain / cost
-                } else {
-                    f64::INFINITY
-                };
+                let heuristic = heuristic(gain, cost);
                 let better = best.map_or(true, |b| {
                     heuristic > b.heuristic || (heuristic == b.heuristic && slot < b.slot)
                 });
@@ -764,6 +822,60 @@ mod tests {
                 "index {use_index}"
             );
         }
+    }
+
+    #[test]
+    fn empty_tasks_seed_exact_gains() {
+        for m in [1, 2, 5, 17, 96] {
+            for k in 1..=5 {
+                for ts in [1, 4, 96] {
+                    for mixed in [false, true] {
+                        let label = format!("m={m} k={k} ts={ts} mixed={mixed}");
+                        let (tasks, index, cost) = small_instance(m as u64, 1, m, 200);
+                        let mut cfg = MultiTaskConfig::new(100.0).with_k(k).with_ts(ts);
+                        if mixed {
+                            cfg = cfg.with_reliability();
+                        }
+                        let mut state = TaskState::new(&tasks[0], &index, &cost, &cfg);
+                        let got = state.best_candidate(f64::INFINITY);
+                        // At `m = 1` the only gain is `-0.0`: the ledger offers
+                        // it, while the best-first search prunes its zero
+                        // bound and offers nothing.
+                        if m > 1 {
+                            let full = state.search_best(f64::INFINITY);
+                            assert_eq!(bits(got), bits(full), "{label}");
+                        }
+                        assert_eq!(state.refresh_stats().stale_pops, 0, "{label}");
+                        // Every seeded key is the re-score's key, bit for bit.
+                        let tree = state.tree.as_ref().unwrap();
+                        let mut seeded = 0;
+                        for entry in state.gain_ledger.fresh_entries() {
+                            let gain = tree.gain(&state.evaluator, entry.slot);
+                            assert_eq!(entry.gain.to_bits(), gain.to_bits(), "{label}");
+                            let key = heuristic(gain, entry.cost);
+                            assert_eq!(entry.heuristic.to_bits(), key.to_bits(), "{label}");
+                            seeded += 1;
+                        }
+                        let feasible = (0..m).filter(|&s| state.candidates.get(s).is_some());
+                        assert_eq!(seeded, feasible.count(), "{label}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shape_without_a_table_seeds_leaf_bounds() {
+        // `k·m + 1 > 65_536`: no unit-reliability table, so the ledger is
+        // seeded with the V-tree's leaf bounds and re-scored on pop.
+        let (tasks, index, cost) = small_instance(6, 1, 64, 200);
+        let cfg = MultiTaskConfig::new(100.0).with_k(1_025);
+        let mut state = TaskState::new(&tasks[0], &index, &cost, &cfg);
+        assert!(state.evaluator.unit_partial_table().is_none());
+        let got = checked_best(&mut state, f64::INFINITY);
+        assert!(got.is_some());
+        assert!(state.refresh_stats().stale_pops > 0);
+        execute_best(&mut state, 3);
     }
 
     #[test]

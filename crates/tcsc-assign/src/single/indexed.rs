@@ -53,6 +53,11 @@ pub struct IndexedOutcome {
     pub timings: IndexedTimings,
     /// Number of tree nodes after the final iteration.
     pub tree_nodes: usize,
+    /// Slot partial qualities the tree computed over the run
+    /// ([`VTree::recomputed_slots`]).
+    pub recomputed_slots: usize,
+    /// Tree nodes allocated over the run ([`VTree::nodes_built`]).
+    pub nodes_built: usize,
     /// Number of greedy iterations (executed subtasks).
     pub iterations: usize,
 }
@@ -147,6 +152,8 @@ pub fn approx_star(
         search_stats: stats,
         timings,
         tree_nodes: tree.node_count(),
+        recomputed_slots: tree.recomputed_slots(),
+        nodes_built: tree.nodes_built(),
         iterations,
     }
 }

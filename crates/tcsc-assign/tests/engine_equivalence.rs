@@ -71,7 +71,7 @@ fn assert_same_outcome(label: &str, engine: &MultiOutcome, reference: &MultiOutc
 }
 
 #[test]
-fn assign_batch_matches_msqm_rebuild_on_every_preset() {
+fn assign_batch_matches_msqm_oracle_on_every_preset() {
     let cost = EuclideanCost::default();
     for (i, preset) in presets().into_iter().enumerate() {
         let (tasks, index) = prepare(&preset);
@@ -84,7 +84,7 @@ fn assign_batch_matches_msqm_rebuild_on_every_preset() {
 }
 
 #[test]
-fn assign_batch_matches_mmqm_rebuild_on_every_preset() {
+fn assign_batch_matches_mmqm_oracle_on_every_preset() {
     let cost = EuclideanCost::default();
     for (i, preset) in presets().into_iter().enumerate() {
         let (tasks, index) = prepare(&preset);

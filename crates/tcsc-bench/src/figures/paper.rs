@@ -437,8 +437,10 @@ pub fn fig8b(scale: Scale) -> Report {
 }
 
 /// Fig. 8(c): time breakdown of Approx vs Approx* (worker cost retrieval,
-/// heuristic calculation / k-NN interpolation, tree construction), plus the
-/// exact-gain kernel `VTree::gain` alone (the `vtree_gain` row).
+/// heuristic calculation / k-NN interpolation, tree construction), with the
+/// tree's deterministic upkeep counters on the `Approx*` row (slot partial
+/// qualities computed, nodes allocated), plus the exact-gain kernel
+/// `VTree::gain` alone (the `vtree_gain` row).
 pub fn fig8c(scale: Scale) -> Report {
     let p = params(scale);
     let m = p.m_sweep[p.m_sweep.len() / 2];
@@ -480,6 +482,8 @@ pub fn fig8c(scale: Scale) -> Report {
                         fast.timings.tree_maintenance * 1000.0,
                     ),
                     ("Total".into(), fast_ms + prepared.retrieval_ms),
+                    ("RecomputedSlots".into(), fast.recomputed_slots as f64),
+                    ("NodesBuilt".into(), fast.nodes_built as f64),
                 ],
             ),
             vtree_gain_row(),

@@ -8,8 +8,8 @@
 //!
 //! * the k-th NN distances `kmax(l)`, `kmax(r)` of the two end slots, from
 //!   which the node's *influence range* `[l − kmax(l), r + kmax(r)]` is
-//!   derived (their k-NN sets decide the split at build time and are not
-//!   kept);
+//!   derived (their k-NN sets decide the split; every slot's set is kept
+//!   per slot, see below);
 //! * the aggregated partial quality `q′` of all slots in the segment;
 //! * additional aggregates used by the pruned search: the summed *potential*
 //!   (the largest possible partial-quality improvement of each unexecuted
@@ -22,8 +22,24 @@
 //! drops below the threshold `ts` (Condition 2), which bounds the tree depth
 //! by `⌈log2(m/ts)⌉` and acts as the approximation knob.
 //!
-//! Two operations drive the `Approx*` algorithm:
+//! Three operations drive the `Approx*` algorithm:
 //!
+//! * [`VTree::notify_executed`] — upkeep after an execution, as continuous
+//!   k-NN monitoring per slot in one dimension.  Every slot keeps its k-NN
+//!   site set (the `k` nearest executed slots, itself included when
+//!   executed) as compact slot ids.  An execution at `t` enters slot `j`'s
+//!   set only if it beats the set's farthest member, and changes `j`'s
+//!   cached partial quality only if `|j − t|` is below `j`'s k-th neighbour
+//!   distance; such a slot's new neighbour-distance sum is the exact integer
+//!   the neighbour walk would reach, so with unit reliabilities its partial
+//!   quality is one table read.  The tree keeps the shape a from-scratch
+//!   rebuild of every influenced leaf would give: the same influence test
+//!   picks the nodes to touch, an influenced inner node stays inner and
+//!   re-reads its endpoints' sets, and an influenced leaf re-splits from the
+//!   cached sets exactly where a rebuild would, in place.  Under mixed
+//!   reliabilities, and for shapes with no table (`k·m + 1 > 65_536`), a
+//!   slot whose set changed re-walks its neighbours instead of reading the
+//!   table — the one fallback, with the same result;
 //! * [`VTree::gain`] — the exact quality increment of tentatively executing a
 //!   slot, computed by reusing the stored `q′` of every node whose influence
 //!   range excludes the tentative slot (the "locality of k-NN searching");
@@ -44,7 +60,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use tcsc_core::quality::{ExecutedSlot, QualityEvaluator};
+use tcsc_core::quality::{ExecutedSlot, QualityEvaluator, SlotSummary};
 use tcsc_core::SlotIndex;
 
 use crate::voronoi::site_knn_set;
@@ -141,6 +157,10 @@ struct Node {
     kmax_l: usize,
     /// Same for the right end slot.
     kmax_r: usize,
+    /// Build order: the number of nodes built (or rebuilt in place) before
+    /// this one.  [`VTree::best_slot`] visits equal-bound nodes oldest
+    /// first, so its order does not depend on where the arena keeps a node.
+    stamp: usize,
 }
 
 impl Node {
@@ -157,15 +177,17 @@ impl Node {
     }
 }
 
-/// Max-heap entry for the best-first search.
+/// Max-heap entry for the best-first search: highest bound first, ties to
+/// the older node (lower [`Node::stamp`]).
 struct HeapEntry {
     bound: f64,
+    stamp: usize,
     node: usize,
 }
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.bound == other.bound && self.node == other.node
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapEntry {}
@@ -178,7 +200,33 @@ impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         self.bound
             .total_cmp(&other.bound)
-            .then_with(|| other.node.cmp(&self.node))
+            .then_with(|| other.stamp.cmp(&self.stamp))
+    }
+}
+
+/// One slot's cached neighbour state, kept exact by every update.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SlotCache {
+    /// Partial quality `−p·log2 p` of the slot.
+    pq: f64,
+    /// k-th NN distance (`0` for an executed slot).  A tentative execution
+    /// at `t` with `|j − t| > kth` cannot enter slot `j`'s neighbour set, so
+    /// `pq` stays exact.
+    kth: u32,
+    /// Sum of the `k` neighbour distances, missing neighbours padded with
+    /// `m` (`0` for an executed slot).  With `kth` it gives the exact
+    /// distance sum under a tentative execution, `sum − kth + |j − t|`,
+    /// which [`VTree::gain`] looks up in the unit-reliability table.
+    sum: u32,
+}
+
+impl SlotCache {
+    fn of(summary: SlotSummary) -> Self {
+        Self {
+            pq: summary.partial_quality,
+            kth: summary.kth_distance as u32,
+            sum: summary.distance_sum as u32,
+        }
     }
 }
 
@@ -193,25 +241,25 @@ pub struct VTree {
     num_slots: usize,
     k: usize,
     costs: Vec<Option<f64>>,
-    /// Per-slot partial quality, written by the slot's leaf on every
-    /// recompute.
-    slot_pq: Vec<f64>,
-    /// Per-slot k-th NN distance (`0` for an executed slot), written with
-    /// `slot_pq`.  A tentative execution at `t` with `|j − t| > slot_kth[j]`
-    /// cannot enter slot `j`'s neighbour set, so `slot_pq[j]` stays exact.
-    slot_kth: Vec<usize>,
-    /// Per-slot sum of the `k` neighbour distances, missing neighbours
-    /// padded with `m` (`0` for an executed slot), written with `slot_pq`.
-    /// With `slot_kth` it gives the exact distance sum under a tentative
-    /// execution, `slot_sum[j] − slot_kth[j] + |j − t|`, which
-    /// [`VTree::gain`] looks up in the unit-reliability table.
-    slot_sum: Vec<usize>,
+    /// Per-slot caches, one 16-byte record per slot.
+    slots: Vec<SlotCache>,
+    /// Per-slot k-NN site sets, `k` entries per slot: slot `j`'s set is
+    /// `site_sets[j·k..][..min(k, sites)]`, ascending (the sets of
+    /// `crate::voronoi::site_knn_set`, kept current by
+    /// [`VTree::notify_executed`]).
+    site_sets: Vec<u32>,
+    /// Number of executed slots the sets hold.
+    sites: usize,
     nodes: Vec<Node>,
     root: usize,
-    /// Milliseconds-free construction statistics: number of slots whose
-    /// aggregates were recomputed since construction (for the Fig. 8(c)
+    /// Nodes built or rebuilt in place so far: the next [`Node::stamp`].
+    stamps: usize,
+    /// Slot partial qualities computed: `m` at construction, then one per
+    /// slot an execution changed (the upkeep work of the Fig. 8(c)
     /// breakdown).
     recomputed_slots: usize,
+    /// Nodes allocated in the arena since construction.
+    nodes_built: usize,
 }
 
 impl VTree {
@@ -219,26 +267,50 @@ impl VTree {
     ///
     /// `costs[j]` is the assignment cost of slot `j` (distance to its nearest
     /// available worker), or `None` when the slot cannot be executed.
+    ///
+    /// # Panics
+    /// Panics if `costs` does not have one entry per slot, or if `k·m`
+    /// exceeds `u32::MAX` (slot ids and distance sums are kept as `u32`).
     pub fn build(
         evaluator: &QualityEvaluator,
         costs: Vec<Option<f64>>,
         config: VTreeConfig,
     ) -> Self {
         let m = evaluator.num_slots();
+        let k = evaluator.k();
         assert_eq!(costs.len(), m, "one cost entry per slot is required");
+        assert!(
+            k.checked_mul(m).is_some_and(|km| u32::try_from(km).is_ok()),
+            "slot ids and distance sums must fit in u32"
+        );
         let mut tree = Self {
             config,
             num_slots: m,
-            k: evaluator.k(),
+            k,
             costs,
-            slot_pq: vec![0.0; m],
-            slot_kth: vec![0; m],
-            slot_sum: vec![0; m],
+            slots: Vec::new(),
+            site_sets: vec![0; m * k],
+            sites: evaluator.executed_len(),
             nodes: Vec::with_capacity(2 * m / config.ts.max(1) + 4),
             root: 0,
+            stamps: 0,
             recomputed_slots: 0,
+            nodes_built: 0,
         };
-        tree.root = tree.build_node(evaluator, 0, m - 1);
+        if tree.sites == 0 {
+            // Every slot's `k` neighbours are padding: one summary fits all.
+            tree.slots = vec![SlotCache::of(evaluator.slot_summary(0)); m];
+        } else {
+            for slot in 0..m {
+                let set = site_knn_set(evaluator, slot, k);
+                for (cached, site) in tree.site_sets[slot * k..].iter_mut().zip(set) {
+                    *cached = site as u32;
+                }
+                tree.slots.push(SlotCache::of(evaluator.slot_summary(slot)));
+            }
+        }
+        tree.recomputed_slots = m;
+        tree.root = tree.build_node(evaluator, None, 0, m - 1);
         tree
     }
 
@@ -247,16 +319,10 @@ impl VTree {
         self.config
     }
 
-    /// Number of nodes currently in the tree (including rebuilt garbage-free
-    /// nodes only).
+    /// Number of nodes in the tree.  Updates refresh nodes in place and
+    /// only a split allocates, so every arena node is in the tree.
     pub fn node_count(&self) -> usize {
-        self.count_nodes(self.root)
-    }
-
-    fn count_nodes(&self, idx: usize) -> usize {
-        let node = &self.nodes[idx];
-        1 + node.left.map_or(0, |l| self.count_nodes(l))
-            + node.right.map_or(0, |r| self.count_nodes(r))
+        self.nodes.len()
     }
 
     /// Maximum depth of the tree.
@@ -272,10 +338,17 @@ impl VTree {
             .max(node.right.map_or(0, |r| self.depth_of(r)))
     }
 
-    /// Total number of per-slot aggregate recomputations performed so far
-    /// (construction + updates); a proxy for the index maintenance cost.
+    /// Number of slot partial qualities computed so far: `m` at construction,
+    /// then one per slot an execution actually changed (a table read, or a
+    /// neighbour walk under the fallback).  The index upkeep work.
     pub fn recomputed_slots(&self) -> usize {
         self.recomputed_slots
+    }
+
+    /// Number of nodes allocated so far: the construction's, then the
+    /// children of every split an execution caused.
+    pub fn nodes_built(&self) -> usize {
+        self.nodes_built
     }
 
     /// Aggregated quality `q(τ)` stored at the root.
@@ -284,14 +357,16 @@ impl VTree {
     }
 
     /// Task quality summed from the cached per-slot partial qualities in slot
-    /// order.  Every leaf recompute stores [`QualityEvaluator::slot_summary`],
-    /// which is exactly [`QualityEvaluator::partial_quality`], and a slot
-    /// outside every rebuilt leaf keeps a value the execution cannot change,
-    /// so this is [`QualityEvaluator::quality`] to the bit: the same values
-    /// summed in the same order.  [`VTree::total_quality`] sums them in tree
-    /// order instead, which may differ in the last bits.
+    /// order.  Every cached value is exactly
+    /// [`QualityEvaluator::partial_quality`] (a walk's
+    /// [`QualityEvaluator::slot_summary`], or the table entry at the walk's
+    /// distance sum), and a slot an execution does not reach keeps a value
+    /// the execution cannot change, so this is [`QualityEvaluator::quality`]
+    /// to the bit: the same values summed in the same order.
+    /// [`VTree::total_quality`] sums them in tree order instead, which may
+    /// differ in the last bits.
     pub fn slot_quality_sum(&self) -> f64 {
-        self.slot_pq.iter().sum()
+        self.slots.iter().map(|s| s.pq).sum()
     }
 
     /// Lowest assignment cost among unexecuted slots with a candidate
@@ -323,7 +398,7 @@ impl VTree {
             return;
         }
         if is_leaf {
-            self.recompute_leaf(evaluator, idx);
+            self.aggregate_leaf(evaluator, idx);
             return;
         }
         if let Some(l) = left {
@@ -339,16 +414,22 @@ impl VTree {
     // Construction
     // ------------------------------------------------------------------
 
-    fn build_node(&mut self, evaluator: &QualityEvaluator, start: usize, end: usize) -> usize {
-        let knn_l = site_knn_set(evaluator, start, self.k);
-        let knn_r = site_knn_set(evaluator, end, self.k);
-        let kmax_l = Self::kth_distance(&knn_l, start, self.k, self.num_slots);
-        let kmax_r = Self::kth_distance(&knn_r, end, self.k, self.num_slots);
+    /// Builds the subtree over `[start, end]` from the cached site sets and
+    /// slot caches, the way a rebuild from the evaluator would: a segment
+    /// stays a leaf when it is not longer than `ts` or its two end slots
+    /// share one k-NN set, and splits at its midpoint otherwise.  The root
+    /// of the subtree takes arena node `at` when given (a leaf rebuilt in
+    /// place); every other node is allocated.
+    fn build_node(
+        &mut self,
+        evaluator: &QualityEvaluator,
+        at: Option<usize>,
+        start: usize,
+        end: usize,
+    ) -> usize {
         let len = end - start + 1;
-        let stop = len <= self.config.ts || knn_l == knn_r;
-
-        let idx = self.nodes.len();
-        self.nodes.push(Node {
+        let stop = len <= self.config.ts || self.site_set(start) == self.site_set(end);
+        let node = Node {
             start,
             end,
             left: None,
@@ -359,16 +440,29 @@ impl VTree {
             min_cost: f64::INFINITY,
             max_kth_dist: 0,
             candidates: 0,
-            kmax_l,
-            kmax_r,
-        });
+            kmax_l: self.site_kth(start),
+            kmax_r: self.site_kth(end),
+            stamp: self.stamps,
+        };
+        self.stamps += 1;
+        let idx = match at {
+            Some(idx) => {
+                self.nodes[idx] = node;
+                idx
+            }
+            None => {
+                self.nodes_built += 1;
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+        };
 
         if stop {
-            self.recompute_leaf(evaluator, idx);
+            self.aggregate_leaf(evaluator, idx);
         } else {
             let mid = start + (end - start) / 2;
-            let left = self.build_node(evaluator, start, mid);
-            let right = self.build_node(evaluator, mid + 1, end);
+            let left = self.build_node(evaluator, None, start, mid);
+            let right = self.build_node(evaluator, None, mid + 1, end);
             self.nodes[idx].left = Some(left);
             self.nodes[idx].right = Some(right);
             self.recompute_inner(idx);
@@ -376,17 +470,26 @@ impl VTree {
         idx
     }
 
-    /// Distance from `slot` to its k-th nearest executed site, or `m` when
-    /// fewer than `k` sites exist.
-    fn kth_distance(knn: &[SlotIndex], slot: SlotIndex, k: usize, m: usize) -> usize {
-        if knn.len() < k {
-            m
-        } else {
-            knn.iter().map(|&e| e.abs_diff(slot)).max().unwrap_or(m)
-        }
+    /// The cached k-NN site set of `slot`, ascending.
+    fn site_set(&self, slot: SlotIndex) -> &[u32] {
+        &self.site_sets[slot * self.k..][..self.sites.min(self.k)]
     }
 
-    /// Recomputes a leaf's slot caches and aggregates from `evaluator`.
+    /// Distance from `slot` to its k-th nearest executed site, or `m` when
+    /// fewer than `k` sites exist.  The set is a contiguous run of the
+    /// executed slots, so its farthest member is one of its two ends.
+    fn site_kth(&self, slot: SlotIndex) -> usize {
+        let set = self.site_set(slot);
+        if set.len() < self.k {
+            return self.num_slots;
+        }
+        let (first, last) = (set[0] as usize, set[set.len() - 1] as usize);
+        slot.abs_diff(first).max(slot.abs_diff(last))
+    }
+
+    /// Recomputes a leaf's aggregates from its slot caches and costs.  An
+    /// executed slot is the one with `kth == 0`: an unexecuted slot's
+    /// nearest neighbour, or its padding at `m`, is at distance 1 or more.
     ///
     /// A slot's potential (Eq. 6) is its partial quality once its k-th
     /// neighbour moves to distance 1, `pq_ub` at neighbour-distance sum
@@ -395,7 +498,7 @@ impl VTree {
     /// operations as [`VTree::potential_bound`] on the same operands, so the
     /// lookup replaces a `log2` per slot without changing a bit of the
     /// leaf's potential.
-    fn recompute_leaf(&mut self, evaluator: &QualityEvaluator, idx: usize) {
+    fn aggregate_leaf(&mut self, evaluator: &QualityEvaluator, idx: usize) {
         let (start, end) = {
             let n = &self.nodes[idx];
             (n.start, n.end)
@@ -409,19 +512,14 @@ impl VTree {
         let mut candidates = 0usize;
 
         for slot in start..=end {
-            self.recomputed_slots += 1;
-            let summary = evaluator.slot_summary(slot);
-            let pq = summary.partial_quality;
+            let SlotCache { pq, kth, sum } = self.slots[slot];
+            let (kth, sum) = (kth as usize, sum as usize);
             quality += pq;
-            self.slot_pq[slot] = pq;
-            self.slot_kth[slot] = summary.kth_distance;
-            self.slot_sum[slot] = summary.distance_sum;
-            if summary.executed {
+            if kth == 0 {
                 continue;
             }
             // Potential improvement of this slot under one more execution
             // elsewhere (Eq. 6): its k-th NN distance can drop to 1 at best.
-            let (kth, sum) = (summary.kth_distance, summary.distance_sum);
             max_kth_dist = max_kth_dist.max(kth);
             let pq_ub = match table {
                 Some(table) => table[sum - kth + 1],
@@ -520,13 +618,13 @@ impl VTree {
     /// While the evaluator's unit-reliability table applies
     /// ([`QualityEvaluator::unit_partial_table`]), the reachable slots cost a
     /// table lookup instead of a neighbour walk: `slot` itself reads entry
-    /// `0`, and a slot `j` with `d = |j − slot| < slot_kth[j]` takes the
-    /// tentative execution in place of its k-th neighbour, so it reads entry
-    /// `slot_sum[j] − slot_kth[j] + d` (at `d = slot_kth[j]` the sum does not
+    /// `0`, and a slot `j` with `d = |j − slot| < kth` takes the tentative
+    /// execution in place of its k-th neighbour, so it reads entry
+    /// `sum − kth + d` of its cached sums (at `d = kth` the sum does not
     /// change and the stored value stands).  That index is the exact integer
     /// the walk sums and the entry is the one it reads; mixed reliabilities
     /// and shapes without a table walk as before.  The table kernel reads a
-    /// leaf's three caches as slices in two runs, the slots left of `slot`
+    /// leaf's slot caches as a slice in two runs, the slots left of `slot`
     /// (`d = slot − j`) and those right of it (`d = j − slot`), with entry
     /// `0` between them, so no slot pays for an `abs_diff` or an index
     /// check.  Either way the summed values and their ascending-slot order
@@ -583,8 +681,9 @@ impl VTree {
                 }
                 None => (node.start..=node.end)
                     .map(|j| {
-                        if j.abs_diff(extra.slot) > self.slot_kth[j] {
-                            self.slot_pq[j]
+                        let cache = self.slots[j];
+                        if j.abs_diff(extra.slot) > cache.kth as usize {
+                            cache.pq
                         } else {
                             evaluator.partial_quality_with_extra(j, Some(extra))
                         }
@@ -597,20 +696,16 @@ impl VTree {
         }
     }
 
-    /// The cached `(j, slot_pq, slot_kth, slot_sum)` of the slots in
-    /// `[from, to)`, in ascending slot order.
+    /// The cached `(j, pq, kth, sum)` of the slots in `[from, to)`, in
+    /// ascending slot order.
     fn cached_run(
         &self,
         from: SlotIndex,
         to: SlotIndex,
     ) -> impl Iterator<Item = (SlotIndex, f64, usize, usize)> + '_ {
-        let slots = from..to;
-        slots
-            .clone()
-            .zip(&self.slot_pq[slots.clone()])
-            .zip(&self.slot_kth[slots.clone()])
-            .zip(&self.slot_sum[slots])
-            .map(|(((j, &pq), &kth), &sum)| (j, pq, kth, sum))
+        (from..to)
+            .zip(&self.slots[from..to])
+            .map(|(j, s)| (j, s.pq, s.kth as usize, s.sum as usize))
     }
 
     /// [`VTree::gain`] without the per-slot cache: every slot of an
@@ -655,45 +750,112 @@ impl VTree {
     // ------------------------------------------------------------------
 
     /// Refreshes the tree after `slot` was executed on `evaluator` (call
-    /// *after* `evaluator.execute(slot)`).  Affected subtrees are rebuilt;
-    /// untouched subtrees keep their aggregates.
+    /// *after* `evaluator.execute(slot)`).  A call that finds no new
+    /// execution on `evaluator` changes nothing.
+    ///
+    /// Only nodes whose influence range contains `slot` are touched, and
+    /// inside them only the slots the execution reaches change (module
+    /// docs).  An execution at `t` enters slot `j`'s k-NN site set only if
+    /// it beats the set's farthest member; the set is a contiguous run of
+    /// the executed slots, so that member is one of its two ends.  With unit
+    /// reliabilities, a reached slot with `|j − t|` below its k-th neighbour
+    /// distance takes `t` in place of that neighbour: its new distance sum
+    /// is `sum − kth + |j − t|` of its cached sums, the integer the neighbour
+    /// walk would reach, and its partial quality is the table entry there;
+    /// at `|j − t| = kth` nothing it caches changes.  Under mixed
+    /// reliabilities, and for shapes with no table, a slot whose set changed
+    /// re-walks its neighbours instead.  Either way every cached value, node
+    /// aggregate and split equals what rebuilding each influenced leaf from
+    /// the evaluator would give, bit for bit.  Influenced leaves are rebuilt
+    /// in place from the caches, so only a split allocates nodes.
     pub fn notify_executed(&mut self, evaluator: &QualityEvaluator, slot: SlotIndex) {
-        self.root = self.update_node(evaluator, self.root, slot);
+        debug_assert!(evaluator.is_executed(slot), "slot {slot} is not executed");
+        if evaluator.executed_len() == self.sites {
+            return;
+        }
+        debug_assert_eq!(
+            evaluator.executed_len(),
+            self.sites + 1,
+            "every execution must be notified"
+        );
+        self.sites += 1;
+        self.update_node(evaluator, self.root, slot);
     }
 
-    fn update_node(&mut self, evaluator: &QualityEvaluator, idx: usize, slot: SlotIndex) -> usize {
-        let (affected, start, end) = {
-            let n = &self.nodes[idx];
-            (n.influence_contains(slot, self.num_slots), n.start, n.end)
-        };
-        if !affected {
-            return idx;
+    fn update_node(&mut self, evaluator: &QualityEvaluator, idx: usize, t: SlotIndex) {
+        let node = &self.nodes[idx];
+        if !node.influence_contains(t, self.num_slots) {
+            return;
         }
-        // The endpoint k-NN sets (and hence the split structure) may have
-        // changed: rebuild the affected subtree from scratch.  Rebuilding is
-        // local because unaffected sibling subtrees are returned unchanged.
-        if self.nodes[idx].is_leaf() {
-            self.build_node(evaluator, start, end)
-        } else {
-            let left = self.nodes[idx].left.unwrap();
-            let right = self.nodes[idx].right.unwrap();
-            let new_left = self.update_node(evaluator, left, slot);
-            let new_right = self.update_node(evaluator, right, slot);
-            // Refresh the endpoint information of this node.
-            let knn_l = site_knn_set(evaluator, start, self.k);
-            let knn_r = site_knn_set(evaluator, end, self.k);
-            let kmax_l = Self::kth_distance(&knn_l, start, self.k, self.num_slots);
-            let kmax_r = Self::kth_distance(&knn_r, end, self.k, self.num_slots);
-            {
+        let (start, end) = (node.start, node.end);
+        match (node.left, node.right) {
+            (Some(left), Some(right)) => {
+                // An inner node stays inner; its end slots' sets are current
+                // once its influenced children are.
+                self.update_node(evaluator, left, t);
+                self.update_node(evaluator, right, t);
+                let (kmax_l, kmax_r) = (self.site_kth(start), self.site_kth(end));
                 let node = &mut self.nodes[idx];
-                node.left = Some(new_left);
-                node.right = Some(new_right);
                 node.kmax_l = kmax_l;
                 node.kmax_r = kmax_r;
+                self.recompute_inner(idx);
             }
-            self.recompute_inner(idx);
-            idx
+            _ => {
+                self.admit_leaf(evaluator, start, end, t);
+                self.build_node(evaluator, Some(idx), start, end);
+            }
         }
+    }
+
+    /// Enters the new execution `t` into the site set of every slot of the
+    /// leaf `[start, end]` that now has it among its `k` nearest, and
+    /// refreshes the caches of the slots where that changed them.
+    fn admit_leaf(&mut self, evaluator: &QualityEvaluator, start: usize, end: usize, t: SlotIndex) {
+        let (k, m) = (self.k, self.num_slots);
+        let held = (self.sites - 1).min(k);
+        let table = evaluator.unit_partial_table();
+        let mut recomputed = 0;
+        let sets = self.site_sets[start * k..(end + 1) * k].chunks_exact_mut(k);
+        let caches = self.slots[start..=end].iter_mut();
+        for (j, (set, cache)) in (start..=end).zip(sets.zip(caches)) {
+            if !enter_site(set, held, j, t as u32) {
+                continue;
+            }
+            if j != t && cache.kth == 0 {
+                // Another executed slot: its partial quality is its own.
+                continue;
+            }
+            let d = j.abs_diff(t);
+            match table {
+                Some(table) if j != t => {
+                    let kth = cache.kth as usize;
+                    if d == kth {
+                        // `t` replaced a neighbour at the same distance.
+                        continue;
+                    }
+                    let sum = cache.sum as usize - kth + d;
+                    let kth = if held + 1 < k {
+                        m
+                    } else {
+                        j.abs_diff(set[0] as usize)
+                            .max(j.abs_diff(set[k - 1] as usize))
+                    };
+                    *cache = SlotCache {
+                        pq: table[sum],
+                        kth: kth as u32,
+                        sum: sum as u32,
+                    };
+                    debug_assert_eq!(
+                        SlotCache::of(evaluator.slot_summary(j)),
+                        *cache,
+                        "slot {j}'s caches disagree with the walk after executing {t}"
+                    );
+                }
+                _ => *cache = SlotCache::of(evaluator.slot_summary(j)),
+            }
+            recomputed += 1;
+        }
+        self.recomputed_slots += recomputed;
     }
 
     // ------------------------------------------------------------------
@@ -722,10 +884,7 @@ impl VTree {
         let reach = root.max_kth_dist;
 
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-        heap.push(HeapEntry {
-            bound: self.node_bound(self.root, reach, max_cost),
-            node: self.root,
-        });
+        heap.push(self.heap_entry(self.root, reach, max_cost));
 
         let mut best: Option<BestSlot> = None;
         while let Some(entry) = heap.pop() {
@@ -779,14 +938,19 @@ impl VTree {
                     if self.nodes[child].candidates == 0 {
                         continue;
                     }
-                    heap.push(HeapEntry {
-                        bound: self.node_bound(child, reach, max_cost),
-                        node: child,
-                    });
+                    heap.push(self.heap_entry(child, reach, max_cost));
                 }
             }
         }
         best
+    }
+
+    fn heap_entry(&self, node: usize, reach: usize, max_cost: f64) -> HeapEntry {
+        HeapEntry {
+            bound: self.node_bound(node, reach, max_cost),
+            stamp: self.nodes[node].stamp,
+            node,
+        }
     }
 
     /// Admissible per-leaf *gain* upper bounds: for every leaf with candidate
@@ -881,6 +1045,34 @@ impl VTree {
         self.potential_in_range(node.left.unwrap(), lo, hi)
             + self.potential_in_range(node.right.unwrap(), lo, hi)
     }
+}
+
+/// Enters the executed slot `site` into slot `j`'s k-NN site `set`, which
+/// holds `held` sites ascending (`set.len() = k`), if `site` is among `j`'s
+/// `k` nearest under the walk's order (distance, then the earlier slot).
+/// Returns whether the set changed.  A full set is a contiguous run of the
+/// executed slots, so its farthest member is one of its two ends.
+fn enter_site(set: &mut [u32], held: usize, j: SlotIndex, site: u32) -> bool {
+    let k = set.len();
+    if held == k {
+        let key = |s: u32| (j.abs_diff(s as usize), s);
+        let drop_first = key(set[0]) > key(set[k - 1]);
+        if key(site) >= key(if drop_first { set[0] } else { set[k - 1] }) {
+            return false;
+        }
+        if drop_first {
+            set.copy_within(1.., 0);
+        }
+    }
+    // Insert into the ascending `set[..held.min(k - 1)]`, whose next
+    // position is free.
+    let mut i = held.min(k - 1);
+    while i > 0 && set[i - 1] > site {
+        set[i] = set[i - 1];
+        i -= 1;
+    }
+    set[i] = site;
+    true
 }
 
 #[cfg(test)]
@@ -998,8 +1190,7 @@ mod tests {
         }
     }
 
-    /// The leaves reachable from the root (rebuilt subtrees leave their old
-    /// nodes behind in `nodes`).
+    /// The leaves reachable from the root.
     fn leaves(tree: &VTree) -> Vec<usize> {
         let mut out = Vec::new();
         let mut stack = vec![tree.root];
@@ -1092,20 +1283,242 @@ mod tests {
         }
     }
 
+    /// The rebuild-based upkeep the incremental [`VTree::notify_executed`]
+    /// replaced, kept as its reference: every influenced leaf is rebuilt
+    /// from the evaluator into freshly pushed arena nodes (the old ones stay
+    /// behind as garbage), with fresh neighbour walks for its slots and
+    /// fresh k-NN site sets for every node's end slots.  A node's arena
+    /// index is its build order, which the incremental tree's `stamp` must
+    /// reproduce.
+    mod reference {
+        use super::*;
+
+        pub fn build(evaluator: &QualityEvaluator, costs: Vec<Option<f64>>, ts: usize) -> VTree {
+            let m = evaluator.num_slots();
+            let mut tree = VTree {
+                config: VTreeConfig::new(ts),
+                num_slots: m,
+                k: evaluator.k(),
+                costs,
+                slots: vec![SlotCache::of(evaluator.slot_summary(0)); m],
+                site_sets: Vec::new(),
+                sites: 0,
+                nodes: Vec::new(),
+                root: 0,
+                stamps: 0,
+                recomputed_slots: 0,
+                nodes_built: 0,
+            };
+            tree.root = build_node(&mut tree, evaluator, 0, m - 1);
+            tree
+        }
+
+        pub fn notify_executed(tree: &mut VTree, evaluator: &QualityEvaluator, slot: SlotIndex) {
+            tree.root = update_node(tree, evaluator, tree.root, slot);
+        }
+
+        fn kth_distance(knn: &[SlotIndex], slot: SlotIndex, k: usize, m: usize) -> usize {
+            if knn.len() < k {
+                m
+            } else {
+                knn.iter().map(|&e| e.abs_diff(slot)).max().unwrap_or(m)
+            }
+        }
+
+        fn build_node(
+            tree: &mut VTree,
+            evaluator: &QualityEvaluator,
+            start: usize,
+            end: usize,
+        ) -> usize {
+            let (k, m) = (tree.k, tree.num_slots);
+            let knn_l = site_knn_set(evaluator, start, k);
+            let knn_r = site_knn_set(evaluator, end, k);
+            let stop = end - start < tree.config.ts || knn_l == knn_r;
+            let idx = tree.nodes.len();
+            tree.nodes.push(Node {
+                start,
+                end,
+                left: None,
+                right: None,
+                quality: 0.0,
+                potential: 0.0,
+                min_unexec_pq: f64::INFINITY,
+                min_cost: f64::INFINITY,
+                max_kth_dist: 0,
+                candidates: 0,
+                kmax_l: kth_distance(&knn_l, start, k, m),
+                kmax_r: kth_distance(&knn_r, end, k, m),
+                stamp: idx,
+            });
+            if stop {
+                for slot in start..=end {
+                    tree.slots[slot] = SlotCache::of(evaluator.slot_summary(slot));
+                    tree.recomputed_slots += 1;
+                }
+                tree.aggregate_leaf(evaluator, idx);
+            } else {
+                let mid = start + (end - start) / 2;
+                let left = build_node(tree, evaluator, start, mid);
+                let right = build_node(tree, evaluator, mid + 1, end);
+                tree.nodes[idx].left = Some(left);
+                tree.nodes[idx].right = Some(right);
+                tree.recompute_inner(idx);
+            }
+            idx
+        }
+
+        fn update_node(
+            tree: &mut VTree,
+            evaluator: &QualityEvaluator,
+            idx: usize,
+            slot: SlotIndex,
+        ) -> usize {
+            let node = &tree.nodes[idx];
+            if !node.influence_contains(slot, tree.num_slots) {
+                return idx;
+            }
+            let (start, end) = (node.start, node.end);
+            let Some((left, right)) = node.left.zip(node.right) else {
+                return build_node(tree, evaluator, start, end);
+            };
+            let new_left = update_node(tree, evaluator, left, slot);
+            let new_right = update_node(tree, evaluator, right, slot);
+            let (k, m) = (tree.k, tree.num_slots);
+            let kmax_l = kth_distance(&site_knn_set(evaluator, start, k), start, k, m);
+            let kmax_r = kth_distance(&site_knn_set(evaluator, end, k), end, k, m);
+            let node = &mut tree.nodes[idx];
+            node.left = Some(new_left);
+            node.right = Some(new_right);
+            node.kmax_l = kmax_l;
+            node.kmax_r = kmax_r;
+            tree.recompute_inner(idx);
+            idx
+        }
+    }
+
+    /// Checks that `tree` has `reference`'s shape, node for node in
+    /// pre-order: the same segments and leaves, the same `kmax_l`/`kmax_r`,
+    /// the same aggregates and slot caches bit for bit, and `stamp`s equal
+    /// to the reference's arena indices.  Also bounds the arena by the live
+    /// node count.
+    fn assert_same_tree(tree: &VTree, reference: &VTree, label: &str) {
+        let mut stack = vec![(tree.root, reference.root)];
+        let mut live = 0;
+        while let Some((a, b)) = stack.pop() {
+            live += 1;
+            let (x, y) = (&tree.nodes[a], &reference.nodes[b]);
+            let shape = |n: &Node| {
+                (
+                    n.start,
+                    n.end,
+                    n.is_leaf(),
+                    n.kmax_l,
+                    n.kmax_r,
+                    n.max_kth_dist,
+                    n.candidates,
+                )
+            };
+            let bits =
+                |n: &Node| [n.quality, n.potential, n.min_unexec_pq, n.min_cost].map(f64::to_bits);
+            assert_eq!(shape(x), shape(y), "{label}: node shape");
+            assert_eq!(
+                bits(x),
+                bits(y),
+                "{label}: aggregates of [{}, {}]",
+                x.start,
+                x.end
+            );
+            assert_eq!(
+                x.stamp, b,
+                "{label}: build order of [{}, {}]",
+                x.start, x.end
+            );
+            if let (Some(xl), Some(xr), Some(yl), Some(yr)) = (x.left, x.right, y.left, y.right) {
+                stack.push((xr, yr));
+                stack.push((xl, yl));
+            }
+        }
+        let caches = |t: &VTree| -> Vec<_> {
+            t.slots
+                .iter()
+                .map(|s| (s.pq.to_bits(), s.kth, s.sum))
+                .collect()
+        };
+        assert_eq!(caches(tree), caches(reference), "{label}: slot caches");
+        assert!(
+            tree.nodes.len() <= 2 * live + 4,
+            "{label}: {} arena nodes for {live} live ones",
+            tree.nodes.len()
+        );
+    }
+
+    #[test]
+    fn incremental_upkeep_matches_the_rebuild_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x1c9e);
+        for m in [1, 2, 5, 17, 96] {
+            for k in 1..=5 {
+                for ts in [1, 4, 96] {
+                    for mixed in [false, true] {
+                        let mut ev = QualityEvaluator::with_slots(m, k);
+                        let costs: Vec<_> = (0..m).map(|_| Some(rng.gen_range(0.5..4.0))).collect();
+                        let mut tree = VTree::build(&ev, costs.clone(), VTreeConfig::new(ts));
+                        let mut expected = reference::build(&ev, costs, ts);
+                        let label = |n: usize| format!("m={m} k={k} ts={ts} mixed={mixed} n={n}");
+                        assert_same_tree(&tree, &expected, &label(0));
+                        let mut order: Vec<usize> = (0..m).collect();
+                        for i in (1..m).rev() {
+                            order.swap(i, rng.gen_range(0..=i));
+                        }
+                        for (n, slot) in order.into_iter().enumerate() {
+                            if rng.gen_bool(0.2) {
+                                // A conflict fallback moves some slot's cost.
+                                let at = rng.gen_range(0..m);
+                                let cost = rng.gen_bool(0.8).then(|| rng.gen_range(0.5..4.0));
+                                tree.update_cost(&ev, at, cost);
+                                expected.update_cost(&ev, at, cost);
+                            }
+                            let reliability = if mixed && rng.gen_bool(0.5) {
+                                rng.gen_range(0.2..1.0)
+                            } else {
+                                1.0
+                            };
+                            assert!(ev.execute_with_reliability(slot, reliability));
+                            tree.notify_executed(&ev, slot);
+                            reference::notify_executed(&mut expected, &ev, slot);
+                            assert_same_tree(&tree, &expected, &label(n + 1));
+                        }
+                        assert!(tree.recomputed_slots() <= expected.recomputed_slots());
+                        assert!(tree.nodes_built() <= expected.nodes.len());
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn gain_walks_bit_identically_on_a_shape_without_a_table() {
         // `k·m + 1 > 65_536`: no unit-reliability table exists, so
-        // `VTree::gain` keeps the neighbour walk even with unit reliabilities.
+        // `VTree::gain` keeps the neighbour walk even with unit reliabilities,
+        // and the upkeep re-walks every slot an execution reaches.
         let (m, k) = (21_846, 3);
         let mut ev = QualityEvaluator::with_slots(m, k);
         assert!(ev.unit_partial_table().is_none());
         let mut tree = VTree::build(&ev, uniform_costs(m, 1.0), VTreeConfig::default());
+        let mut expected = reference::build(&ev, uniform_costs(m, 1.0), 4);
         let probes = [
             0, 1, 99, 100, 101, 2_500, 5_000, 10_922, 10_923, 17_000, 21_844, 21_845,
         ];
         for slot in [5_000, 100, 17_001, 10_923, 21_845] {
             ev.execute(slot);
             tree.notify_executed(&ev, slot);
+            reference::notify_executed(&mut expected, &ev, slot);
+            // A repeated notification finds nothing new.
+            tree.notify_executed(&ev, slot);
+            assert_same_tree(&tree, &expected, &format!("after executing {slot}"));
             for &t in &probes {
                 let cached = tree.gain(&ev, t);
                 let full = tree.gain_uncached(&ev, t);
