@@ -112,12 +112,13 @@ pub enum Objective {
 /// The refresh-accounting block (`full_refreshes`, `incremental_patches`,
 /// `stale_pops`, `commit_rescores`, `refresh_nanos`, `warm_nanos`) measures
 /// the best-candidate work of the commit loop — the warm start, and the
-/// *commit tail* beyond it that the per-task
-/// [`GainLedger`](crate::GainLedger) attacks.  Those fields are
-/// **measurement, not behaviour**: different drivers of the same plan
-/// (engine greedy vs task-parallel master vs simulated cluster) legitimately
-/// issue different best-candidate request sequences, so the refresh block is
-/// excluded from `PartialEq` and from every bit-identity contract.
+/// *commit tail* beyond it that each task's gain ledger (behind
+/// [`TaskState::best_candidate`](crate::TaskState::best_candidate)) attacks.
+/// Those fields are **measurement, not behaviour**: different drivers of the
+/// same plan (engine greedy vs task-parallel master vs simulated cluster)
+/// legitimately issue different best-candidate request sequences, so the
+/// refresh block is excluded from `PartialEq` and from every bit-identity
+/// contract.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Tasks whose candidates were computed from scratch (cache misses).
@@ -130,7 +131,8 @@ pub struct CacheStats {
     /// (checkout reconciliation and in-run worker conflicts).
     pub slot_refreshes: usize,
     /// Zero-cost fallback searches: best-candidate requests the gain ledger
-    /// handed to the full search because the top candidate costs 0.
+    /// handed to the V-tree's best-first search because the top candidate
+    /// costs 0 (indexed states only).
     pub full_refreshes: usize,
     /// Gain-ledger entries patched (re-keyed) after candidate refreshes.
     pub incremental_patches: usize,

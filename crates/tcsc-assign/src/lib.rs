@@ -57,7 +57,6 @@ pub use engine::{
     ConcurrentAssignmentEngine, GreedyEngine, Objective, Occupancy, ShardedLedger,
 };
 pub use multi::conflict::{independence_graph, IndependenceGraph};
-pub use multi::gain::GainLedger;
 pub use multi::group_parallel::{msqm_group_parallel, GroupParallelOutcome};
 pub use multi::protocol::{CommittedExecution, MasterCommand, TaskMaster, TaskOwner, WorkerEvent};
 pub use multi::task_parallel::{msqm_task_parallel, TaskParallelOutcome};

@@ -12,7 +12,14 @@
 //! over the `(slot, worker)` candidate pairs**:
 //!
 //! * every feasible slot owns one live entry `(heuristic key, gain, cost,
-//!   slot, worker)` in a max-heap ordered by `(key, slot asc)`;
+//!   slot, worker)` in a max-heap ordered by `(key, slot asc)`; a slot is
+//!   feasible when it is unexecuted, has a candidate worker and its exact
+//!   gain is positive (a slot that cannot raise the quality is never
+//!   offered);
+//! * the first request builds the ledger with exact, fresh entries only: a
+//!   task with no executions whose shape has a unit-reliability table reads
+//!   its gains from one vector shared per shape, and every other task scores
+//!   each slot exactly, so the first pop re-scores nothing;
 //! * when a grant lands on *another* `(slot, worker)` pair, nothing here is
 //!   touched — entries are only **patched** (re-scored and re-stamped) for
 //!   the slots whose candidate actually changed: the conflict-loser refreshes
@@ -52,13 +59,15 @@
 //! whose key is within a small margin (`RESCORE_MARGIN`) of the current
 //! best — orders of magnitude wider than the observed jitter (~1e-15) and
 //! narrower than any meaningful heuristic gap — before trusting the argmax.
-//! Zero-cost candidates (`heuristic == INFINITY`) are the one case whose
-//! tie-break depends on the V-tree's internal visit order; the caller falls
-//! back to the full search for those (they are immediately executed, so the
-//! fallback is at most a handful of searches per task).  The differential
-//! fuzz suite (`crates/tcsc-assign/tests/incremental_gain_fuzz.rs`) and the
-//! engine equivalence suite pin the bit-identity against a test-local full
-//! search across presets, budgets and threads.
+//! Zero-cost candidates (`heuristic == INFINITY`) tie, and the ledger
+//! breaks the tie to the lower slot, as the plain scan does.  The V-tree's
+//! best-first search breaks it by its visit order instead, so with the index
+//! on the caller hands such a request to [`tcsc_index::VTree::best_slot`]
+//! (the zero-cost fallback; such candidates are executed at once, so it is
+//! at most a handful of searches per task).  The differential fuzz suite
+//! (`crates/tcsc-assign/tests/incremental_gain_fuzz.rs`) and the engine
+//! equivalence suite pin the bit-identity against a test-local full search
+//! across presets, budgets and threads.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
@@ -69,14 +78,15 @@ use tcsc_core::{SlotIndex, WorkerId};
 /// Refresh-accounting counters of one task state (merged into
 /// [`crate::engine::CacheStats`] by the drivers).
 ///
-/// `full_refreshes` counts the zero-cost fallback searches: a ledger pop
-/// that surfaces a zero-cost candidate (`heuristic == INFINITY`) hands the
-/// request to the full search, whose tie-break among such candidates
-/// follows the V-tree's visit order.  Scenarios without zero-distance
-/// candidates show `full_refreshes == 0`.
+/// `full_refreshes` counts the zero-cost fallback searches: with the index
+/// on, a ledger pop that surfaces a zero-cost candidate (`heuristic ==
+/// INFINITY`) hands the request to the V-tree's best-first search, whose
+/// tie-break among such candidates follows its visit order.  The plain path
+/// never falls back, and scenarios without zero-distance candidates show
+/// `full_refreshes == 0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefreshStats {
-    /// Zero-cost fallback searches (full searches the ledger handed off).
+    /// Zero-cost fallback searches (V-tree searches the ledger handed off).
     pub full_refreshes: usize,
     /// Ledger entries patched (re-keyed) by candidate refreshes / undos.
     pub incremental_patches: usize,
@@ -188,7 +198,7 @@ pub(crate) enum EntryState {
 /// and candidates, so [`crate::multi::TaskState`] drives it and hands in the
 /// scores.  See the [module docs](self) for the maintenance protocol.
 #[derive(Debug, Default)]
-pub struct GainLedger {
+pub(crate) struct GainLedger {
     heap: BinaryHeap<GainEntry>,
     /// Entries whose cost exceeded a query's budget bound: kept aside so a
     /// later query with a larger bound can reactivate them instead of
@@ -206,7 +216,7 @@ pub struct GainLedger {
 impl GainLedger {
     /// An unbuilt ledger over `num_slots` slots (entries are installed by the
     /// first [`GainLedger::is_built`]-gated build).
-    pub fn new(num_slots: usize) -> Self {
+    pub(crate) fn new(num_slots: usize) -> Self {
         Self {
             heap: BinaryHeap::with_capacity(num_slots),
             parked: Vec::new(),
@@ -217,7 +227,7 @@ impl GainLedger {
     }
 
     /// Whether the initial build has run.
-    pub fn is_built(&self) -> bool {
+    pub(crate) fn is_built(&self) -> bool {
         self.built
     }
 
@@ -235,37 +245,11 @@ impl GainLedger {
         })
     }
 
-    /// Live entries currently in the structure (heap + parked; may include
+    /// Entries currently in the structure (heap + parked; may include
     /// version-dead garbage awaiting a pop).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len() + self.parked.len()
-    }
-
-    /// Whether no entry is held at all.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.parked.is_empty()
-    }
-
-    /// Installs a *bounded* entry for a slot: `key` is an admissible upper
-    /// bound on the slot's heuristic (e.g. the V-tree's leaf gain bound over
-    /// the slot's own cost) rather than its exact value, so the entry enters
-    /// stale and is exact-scored only if it ever reaches the top — the
-    /// initial build then costs one cheap tree walk instead of one exact
-    /// gain per slot, mirroring the pruning of the full best-first search.
-    pub(crate) fn push_bounded(&mut self, slot: SlotIndex, worker: WorkerId, cost: f64, key: f64) {
-        let entry = GainEntry {
-            heuristic: key,
-            gain: 0.0,
-            cost,
-            slot,
-            worker,
-            slot_version: self.slot_versions[slot],
-            // One behind the current version: stale until re-scored.  The
-            // version only moves forward (per execution of this task), so a
-            // sentinel collision would need u32::MAX executions.
-            scored_at: self.score_version.wrapping_sub(1),
-        };
-        self.heap.push(entry);
     }
 
     /// Installs a freshly scored entry for a slot.
@@ -553,7 +537,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(best.slot, 1);
-        let empty = GainLedger::new(0);
-        assert!(empty.is_empty());
+        assert_eq!(GainLedger::new(0).len(), 0);
     }
 }

@@ -3,7 +3,7 @@
 //! conflict machinery, and the group-level / task-level parallel frameworks.
 
 pub mod conflict;
-pub mod gain;
+mod gain;
 pub mod group_parallel;
 pub mod mmqm;
 pub mod msqm;
@@ -112,8 +112,6 @@ pub struct TaskState {
     pub candidates: SlotCandidates,
     /// Executions performed so far, in selection order.
     pub executions: Vec<ExecutedSubtask>,
-    /// Accumulated best-first search statistics.
-    pub search_stats: SearchStats,
     use_reliability: bool,
     /// The incremental-gain structure answering best-candidate requests
     /// (built lazily by the first one).
@@ -126,8 +124,9 @@ pub struct TaskState {
 }
 
 /// Scores one slot of a task against the current evaluator / tree state:
-/// `(gain, cost, heuristic, worker)`, or `None` when the slot is executed or
-/// has no candidate.  This is the *same* computation the full search performs
+/// `(gain, cost, heuristic, worker)`, or `None` when the slot is executed,
+/// has no candidate, or would not raise the quality (exact gain `≤ 0`, as on
+/// a one-slot task).  This is the *same* computation the full search performs
 /// per evaluated slot, so ledger entries carry bit-identical values.
 fn score_slot(
     evaluator: &QualityEvaluator,
@@ -144,7 +143,7 @@ fn score_slot(
         Some(tree) => tree.gain(evaluator, slot),
         None => evaluator.gain_if_executed(slot),
     };
-    Some((gain, cost, heuristic(gain, cost), candidate.worker))
+    (gain > 0.0).then(|| (gain, cost, heuristic(gain, cost), candidate.worker))
 }
 
 /// The heuristic value `gain / cost`, `INFINITY` for a zero-cost candidate.
@@ -239,7 +238,6 @@ impl TaskState {
             tree,
             candidates,
             executions: Vec::new(),
-            search_stats: SearchStats::default(),
             use_reliability: config.use_reliability,
             gain_ledger: GainLedger::new(task.num_slots),
             refresh_stats: RefreshStats::default(),
@@ -259,14 +257,16 @@ impl TaskState {
     }
 
     /// The best affordable candidate execution of this task, or `None` when no
-    /// remaining slot has an available worker within `max_cost`.
+    /// remaining slot has an available worker within `max_cost` and a
+    /// positive gain.
     ///
-    /// The [`GainLedger`] is built on first use and then answers with a
+    /// The gain ledger is built on first use and then answers with a
     /// lazy-greedy pop; the answer is bit-identical to a full search (V-tree
-    /// best-first or plain scan) over the current state.  Zero-cost
-    /// candidates (`heuristic == INFINITY`) fall back to that full search,
-    /// whose tie-break among them depends on the V-tree's visit order that
-    /// the ledger does not replicate.
+    /// best-first or plain scan) over the current state.  With the index on,
+    /// zero-cost candidates (`heuristic == INFINITY`) fall back to
+    /// [`VTree::best_slot`], whose tie-break among them depends on its visit
+    /// order; the ledger breaks that tie to the lower slot, as the plain scan
+    /// does.
     pub fn best_candidate(&mut self, max_cost: f64) -> Option<TaskCandidate> {
         self.searches += 1;
         // The first request is the warm start (the ledger's initial build);
@@ -287,17 +287,15 @@ impl TaskState {
     /// [`TaskState::best_candidate`] without the timing: build the ledger on
     /// first use, then pop.
     ///
+    /// The build gives every feasible slot an exact, fresh entry.  A task
+    /// with no executions reads its gains from the vector shared by its
+    /// shape when the shape has a unit-reliability table; every other state
+    /// scores each slot.
+    ///
     /// When the V-tree's cheapest candidate already exceeds `max_cost`,
     /// nothing is affordable and the answer is `None` without touching the
     /// ledger: the pop would only park or kill every entry it reached.
     fn pop_best(&mut self, max_cost: f64) -> Option<TaskCandidate> {
-        if self
-            .tree
-            .as_ref()
-            .is_some_and(|tree| tree.min_candidate_cost() > max_cost)
-        {
-            return None;
-        }
         let Self {
             evaluator,
             tree,
@@ -307,18 +305,21 @@ impl TaskState {
             task,
             ..
         } = self;
+        if tree
+            .as_ref()
+            .is_some_and(|tree| tree.min_candidate_cost() > max_cost)
+        {
+            return None;
+        }
         if !ledger.is_built() {
             match tree {
                 Some(tree)
                     if evaluator.executed_len() == 0
                         && evaluator.unit_partial_table().is_some() =>
                 {
-                    // An empty task's gains depend on its shape alone: seed
-                    // fresh, exact entries from the shared vector, so the
-                    // first pop re-scores nothing.
                     let gains = empty_task_gains(evaluator.params());
                     ledger.extend_scored(gains.iter().enumerate().filter_map(|(slot, &gain)| {
-                        let candidate = candidates.get(slot)?;
+                        let candidate = candidates.get(slot).filter(|_| gain > 0.0)?;
                         debug_assert_eq!(
                             gain.to_bits(),
                             tree.gain(evaluator, slot).to_bits(),
@@ -328,36 +329,11 @@ impl TaskState {
                         Some((slot, candidate.worker, gain, cost, heuristic(gain, cost)))
                     }));
                 }
-                Some(tree) => {
-                    // Seed with the V-tree's admissible leaf gain bounds
-                    // (stale upper-bound keys): one cheap tree walk instead
-                    // of one exact gain per slot, so the first pop cascades
-                    // exactly like the pruned best-first search — exact-
-                    // scoring only slots that can reach the top.
-                    for (start, end, gain_ub) in tree.leaf_bounds() {
-                        for slot in start..=end {
-                            if evaluator.is_executed(slot) {
-                                continue;
-                            }
-                            let Some(candidate) = candidates.get(slot) else {
-                                continue;
-                            };
-                            let key = heuristic(gain_ub, candidate.cost);
-                            ledger.push_bounded(slot, candidate.worker, candidate.cost, key);
-                        }
-                    }
-                }
-                None => {
-                    // The plain path has no aggregate bounds (and no pruned
-                    // search to match); exact-score every slot up front.
-                    for slot in 0..task.num_slots {
-                        if let Some((gain, cost, heuristic, worker)) =
-                            score_slot(evaluator, tree, candidates, slot)
-                        {
-                            ledger.push_scored(slot, worker, gain, cost, heuristic);
-                        }
-                    }
-                }
+                _ => ledger.extend_scored((0..task.num_slots).filter_map(|slot| {
+                    let (gain, cost, heuristic, worker) =
+                        score_slot(evaluator, tree, candidates, slot)?;
+                    Some((slot, worker, gain, cost, heuristic))
+                })),
             }
             ledger.mark_built();
         }
@@ -375,62 +351,24 @@ impl TaskState {
             &mut refresh_stats.stale_pops,
         )?;
         debug_assert_eq!(
-            self.candidates.get(best.slot).map(|c| c.worker),
+            candidates.get(best.slot).map(|c| c.worker),
             Some(best.worker),
             "a live ledger entry must agree with the slot's planned worker"
         );
-        if best.heuristic == f64::INFINITY {
-            self.refresh_stats.full_refreshes += 1;
-            return self.search_best(max_cost);
-        }
-        Some(TaskCandidate {
-            slot: best.slot,
-            gain: best.gain,
-            cost: best.cost,
-            heuristic: best.heuristic,
-        })
-    }
-
-    /// The full best-candidate search, the zero-cost fallback of the ledger
-    /// pop: a V-tree best-first search when the index is enabled, a plain
-    /// scan otherwise.
-    fn search_best(&mut self, max_cost: f64) -> Option<TaskCandidate> {
-        if let Some(tree) = &self.tree {
-            let best = tree.best_slot(&self.evaluator, max_cost, &mut self.search_stats)?;
-            Some(TaskCandidate {
-                slot: best.slot,
-                gain: best.gain,
-                cost: best.cost,
-                heuristic: best.heuristic,
-            })
-        } else {
-            let mut best: Option<TaskCandidate> = None;
-            for slot in 0..self.task.num_slots {
-                if self.evaluator.is_executed(slot) {
-                    continue;
-                }
-                let Some(cost) = self.candidates.cost(slot) else {
-                    continue;
-                };
-                if cost > max_cost {
-                    continue;
-                }
-                let gain = self.evaluator.gain_if_executed(slot);
-                let heuristic = heuristic(gain, cost);
-                let better = best.map_or(true, |b| {
-                    heuristic > b.heuristic || (heuristic == b.heuristic && slot < b.slot)
-                });
-                if better {
-                    best = Some(TaskCandidate {
-                        slot,
-                        gain,
-                        cost,
-                        heuristic,
-                    });
-                }
+        let (slot, gain, cost, heuristic) = match tree {
+            Some(tree) if best.heuristic == f64::INFINITY => {
+                refresh_stats.full_refreshes += 1;
+                let best = tree.best_slot(evaluator, max_cost, &mut SearchStats::default())?;
+                (best.slot, best.gain, best.cost, best.heuristic)
             }
-            best
-        }
+            _ => (best.slot, best.gain, best.cost, best.heuristic),
+        };
+        Some(TaskCandidate {
+            slot,
+            gain,
+            cost,
+            heuristic,
+        })
     }
 
     /// Executes a slot with the currently recorded candidate worker, updating
@@ -685,12 +623,72 @@ mod tests {
         TaskState::new(&tasks[0], &index, &cost, &MultiTaskConfig::new(100.0))
     }
 
+    /// The full best-candidate search over the state, the reference the
+    /// ledger must match: the V-tree's best-first search when the index is
+    /// on, a plain scan (ties to the lower slot) otherwise.  Neither offers
+    /// a slot whose exact gain is `≤ 0`.
+    fn reference_best(state: &TaskState, max_cost: f64) -> Option<TaskCandidate> {
+        if let Some(tree) = &state.tree {
+            let best = tree.best_slot(&state.evaluator, max_cost, &mut SearchStats::default())?;
+            return (best.gain > 0.0).then_some(TaskCandidate {
+                slot: best.slot,
+                gain: best.gain,
+                cost: best.cost,
+                heuristic: best.heuristic,
+            });
+        }
+        let mut best: Option<TaskCandidate> = None;
+        for slot in 0..state.task.num_slots {
+            if state.evaluator.is_executed(slot) {
+                continue;
+            }
+            let Some(cost) = state.candidates.cost(slot) else {
+                continue;
+            };
+            let gain = state.evaluator.gain_if_executed(slot);
+            if cost > max_cost || gain <= 0.0 {
+                continue;
+            }
+            let heuristic = heuristic(gain, cost);
+            if best.map_or(true, |b| heuristic > b.heuristic) {
+                best = Some(TaskCandidate {
+                    slot,
+                    gain,
+                    cost,
+                    heuristic,
+                });
+            }
+        }
+        best
+    }
+
     /// The state's best candidate under `max_cost`, checked bit for bit
     /// against the full search over the same state.
     fn checked_best(state: &mut TaskState, max_cost: f64) -> Option<TaskCandidate> {
         let got = state.best_candidate(max_cost);
-        assert_eq!(bits(got), bits(state.search_best(max_cost)));
+        assert_eq!(bits(got), bits(reference_best(state, max_cost)));
         got
+    }
+
+    /// Asserts that every fresh ledger entry carries the exact `VTree::gain`
+    /// of its slot and the matching key, and that one entry exists per slot
+    /// with a candidate and a positive gain.
+    fn assert_exact_entries(state: &TaskState, label: &str) {
+        let tree = state.tree.as_ref().unwrap();
+        let mut seeded = 0;
+        for entry in state.gain_ledger.fresh_entries() {
+            let gain = tree.gain(&state.evaluator, entry.slot);
+            assert_eq!(entry.gain.to_bits(), gain.to_bits(), "{label}");
+            let key = heuristic(gain, entry.cost);
+            assert_eq!(entry.heuristic.to_bits(), key.to_bits(), "{label}");
+            seeded += 1;
+        }
+        let feasible = (0..state.task.num_slots).filter(|&s| {
+            !state.evaluator.is_executed(s)
+                && state.candidates.get(s).is_some()
+                && tree.gain(&state.evaluator, s) > 0.0
+        });
+        assert_eq!(seeded, feasible.count(), "{label}");
     }
 
     /// Grants the state its checked best candidate `n` times.
@@ -807,15 +805,18 @@ mod tests {
         for use_index in [true, false] {
             let cfg = MultiTaskConfig::new(100.0).with_index(use_index);
             let mut state = TaskState::new(&task, &index, &cost, &cfg);
-            let mut fallbacks = 0;
+            let mut zero_cost = 0;
             while let Some(best) = checked_best(&mut state, f64::INFINITY) {
                 if best.heuristic == f64::INFINITY {
-                    fallbacks += 1;
+                    zero_cost += 1;
                 }
                 state.execute(best.slot);
             }
             assert_eq!(state.executions.len(), num_slots, "index {use_index}");
-            assert_eq!(fallbacks, 5, "index {use_index}");
+            assert_eq!(zero_cost, 5, "index {use_index}");
+            // Only the V-tree's visit-order tie-break needs the fallback; the
+            // plain scan breaks ties to the lower slot, as the ledger does.
+            let fallbacks = if use_index { zero_cost } else { 0 };
             assert_eq!(
                 state.refresh_stats().full_refreshes,
                 fallbacks,
@@ -837,27 +838,12 @@ mod tests {
                             cfg = cfg.with_reliability();
                         }
                         let mut state = TaskState::new(&tasks[0], &index, &cost, &cfg);
-                        let got = state.best_candidate(f64::INFINITY);
-                        // At `m = 1` the only gain is `-0.0`: the ledger offers
-                        // it, while the best-first search prunes its zero
-                        // bound and offers nothing.
-                        if m > 1 {
-                            let full = state.search_best(f64::INFINITY);
-                            assert_eq!(bits(got), bits(full), "{label}");
-                        }
+                        let got = checked_best(&mut state, f64::INFINITY);
+                        // A one-slot task cannot raise its quality: nothing
+                        // is offered.
+                        assert_eq!(got.is_none(), m == 1, "{label}");
                         assert_eq!(state.refresh_stats().stale_pops, 0, "{label}");
-                        // Every seeded key is the re-score's key, bit for bit.
-                        let tree = state.tree.as_ref().unwrap();
-                        let mut seeded = 0;
-                        for entry in state.gain_ledger.fresh_entries() {
-                            let gain = tree.gain(&state.evaluator, entry.slot);
-                            assert_eq!(entry.gain.to_bits(), gain.to_bits(), "{label}");
-                            let key = heuristic(gain, entry.cost);
-                            assert_eq!(entry.heuristic.to_bits(), key.to_bits(), "{label}");
-                            seeded += 1;
-                        }
-                        let feasible = (0..m).filter(|&s| state.candidates.get(s).is_some());
-                        assert_eq!(seeded, feasible.count(), "{label}");
+                        assert_exact_entries(&state, &label);
                     }
                 }
             }
@@ -865,17 +851,41 @@ mod tests {
     }
 
     #[test]
-    fn a_shape_without_a_table_seeds_leaf_bounds() {
-        // `k·m + 1 > 65_536`: no unit-reliability table, so the ledger is
-        // seeded with the V-tree's leaf bounds and re-scored on pop.
+    fn a_shape_without_a_table_seeds_exact_scores() {
+        // `k·m + 1 > 65_536`: no unit-reliability table, so every slot is
+        // scored exactly by the first request.
         let (tasks, index, cost) = small_instance(6, 1, 64, 200);
         let cfg = MultiTaskConfig::new(100.0).with_k(1_025);
         let mut state = TaskState::new(&tasks[0], &index, &cost, &cfg);
         assert!(state.evaluator.unit_partial_table().is_none());
         let got = checked_best(&mut state, f64::INFINITY);
         assert!(got.is_some());
-        assert!(state.refresh_stats().stale_pops > 0);
+        assert_eq!(state.refresh_stats().stale_pops, 0);
+        assert_exact_entries(&state, "no table");
         execute_best(&mut state, 3);
+    }
+
+    #[test]
+    fn a_state_executed_before_its_first_request_seeds_exact_scores() {
+        for mixed in [false, true] {
+            let (tasks, index, cost) = small_instance(7, 1, 40, 200);
+            let mut cfg = MultiTaskConfig::new(100.0);
+            if mixed {
+                cfg = cfg.with_reliability();
+            }
+            let mut state = TaskState::new(&tasks[0], &index, &cost, &cfg);
+            let slots = (0..40).filter(|&s| state.candidates.get(s).is_some());
+            for slot in slots.step_by(7).collect::<Vec<_>>() {
+                state.execute(slot);
+            }
+            assert!(state.executions.len() > 1);
+            let label = format!("mixed={mixed}");
+            let got = checked_best(&mut state, f64::INFINITY);
+            assert!(got.is_some(), "{label}");
+            assert_eq!(state.refresh_stats().stale_pops, 0, "{label}");
+            assert_exact_entries(&state, &label);
+            execute_best(&mut state, 3);
+        }
     }
 
     #[test]

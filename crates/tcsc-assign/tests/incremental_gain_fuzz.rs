@@ -5,7 +5,7 @@
 //! the commit tail performs zero full best-candidate recomputes.  The two
 //! strategies the suite names compare are the ledger and that full search.
 //!
-//! ≥300 seeded cases across the four suites below.  Every case that fails
+//! ≥300 seeded cases across the five suites below.  Every case that fails
 //! here is a case where the gain ledger's lazy-greedy pop (or its patch
 //! protocol) returned a different argmax than the full search.
 
@@ -13,6 +13,7 @@ mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::ops::RangeInclusive;
 use support::oracle::{full_best, mmqm_oracle, msqm_oracle};
 use tcsc_assign::{
     msqm_task_parallel, AssignmentEngine, MasterCommand, MultiOutcome, MultiTaskConfig, Objective,
@@ -22,12 +23,16 @@ use tcsc_core::{EuclideanCost, Task, WorkerId};
 use tcsc_index::WorkerIndex;
 use tcsc_workload::{ScenarioConfig, SpatialDistribution, TaskPlacement};
 
-/// A random small scenario (uniform / gaussian / zipf placements only: exact
-/// zero-distance candidates cannot occur, so the ledger never needs its
-/// zero-cost full-search fallback and `full_refreshes == 0` is exact).
-fn random_instance(rng: &mut StdRng) -> (Vec<Task>, WorkerIndex, f64, usize) {
+/// A random small scenario with a slot count drawn from `slots` (uniform /
+/// gaussian / zipf placements only: exact zero-distance candidates cannot
+/// occur, so the ledger never needs its zero-cost full-search fallback and
+/// `full_refreshes == 0` is exact).
+fn random_instance(
+    rng: &mut StdRng,
+    slots: RangeInclusive<usize>,
+) -> (Vec<Task>, WorkerIndex, f64, usize) {
     let num_tasks = rng.gen_range(3..=10);
-    let num_slots = rng.gen_range(8..=32);
+    let num_slots = rng.gen_range(slots);
     let num_workers = rng.gen_range(30..=160);
     let budget = rng.gen_range(4.0..70.0);
     let placement = match rng.gen_range(0..3) {
@@ -67,7 +72,7 @@ fn batch_plans_are_bit_identical_across_strategies() {
     let mut total_stale_pops = 0usize;
     for seed in 0..110u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (tasks, index, budget, _) = random_instance(&mut rng);
+        let (tasks, index, budget, _) = random_instance(&mut rng, 8..=32);
         let objective = if seed % 2 == 0 {
             Objective::SumQuality
         } else {
@@ -113,11 +118,42 @@ fn batch_plans_are_bit_identical_across_strategies() {
 }
 
 #[test]
+fn tiny_tasks_are_bit_identical_across_strategies() {
+    // One- and two-slot tasks: a one-slot task's only gain is zero, so no
+    // strategy may plan it; both strategies agree on feasibility.
+    let cost = EuclideanCost::default();
+    let mut one_slot_cases = 0;
+    for seed in 4000..4040u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (tasks, index, budget, num_slots) = random_instance(&mut rng, 1..=2);
+        for (objective, use_index) in [
+            (Objective::SumQuality, true),
+            (Objective::MinQuality, true),
+            (Objective::SumQuality, false),
+        ] {
+            let cfg = MultiTaskConfig::new(budget).with_index(use_index);
+            let full = oracle(&tasks, &index, &cfg, objective, &mut WorkerLedger::new());
+            let inc =
+                AssignmentEngine::borrowed(&index, &cost, cfg).assign_batch(&tasks, objective);
+            let label = format!("seed {seed}, {objective:?}, index {use_index}");
+            assert_eq!(full.assignment, inc.assignment, "plans diverged, {label}");
+            assert_eq!(full.conflicts, inc.conflicts, "{label}");
+            assert_eq!(full.executions, inc.executions, "{label}");
+            if num_slots == 1 {
+                assert_eq!(inc.executions, 0, "a one-slot task was planned, {label}");
+            }
+        }
+        one_slot_cases += usize::from(num_slots == 1);
+    }
+    assert!(one_slot_cases > 0, "no one-slot instance was drawn");
+}
+
+#[test]
 fn streaming_drains_are_bit_identical_across_strategies() {
     let cost = EuclideanCost::default();
     for seed in 1000..1060u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (tasks, index, budget, _) = random_instance(&mut rng);
+        let (tasks, index, budget, _) = random_instance(&mut rng, 8..=32);
         let cfg = MultiTaskConfig::new(budget);
         let mut engine = AssignmentEngine::borrowed(&index, &cost, cfg);
         // The oracle's occupancy, carried from drain to drain like the
@@ -158,7 +194,7 @@ fn task_parallel_commits_bit_identical_plans_across_strategies() {
     let cost = EuclideanCost::default();
     for seed in 2000..2060u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (tasks, index, budget, _) = random_instance(&mut rng);
+        let (tasks, index, budget, _) = random_instance(&mut rng, 8..=32);
         let cfg = MultiTaskConfig::new(budget);
         let threads = rng.gen_range(2..=4);
 

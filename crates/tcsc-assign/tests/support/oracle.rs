@@ -25,7 +25,8 @@ use tcsc_index::{SearchStats, WorkerIndex};
 /// The best affordable candidate of `state` under `max_cost`, recomputed
 /// from scratch: the state's executions are replayed into a fresh evaluator,
 /// then the V-tree's best-first search runs (index on) or every slot's
-/// candidate is scanned, ties to the lower slot (index off).
+/// candidate is scanned, ties to the lower slot (index off).  A slot whose
+/// exact gain is `≤ 0` (every slot of a one-slot task) is never offered.
 pub fn full_best(state: &TaskState, cfg: &MultiTaskConfig, max_cost: f64) -> Option<TaskCandidate> {
     let mut evaluator = QualityEvaluator::new(QualityParams::new(state.task.num_slots, cfg.k));
     for exec in &state.executions {
@@ -37,7 +38,7 @@ pub fn full_best(state: &TaskState, cfg: &MultiTaskConfig, max_cost: f64) -> Opt
     }
     if let Some(tree) = &state.tree {
         let best = tree.best_slot(&evaluator, max_cost, &mut SearchStats::default())?;
-        return Some(TaskCandidate {
+        return (best.gain > 0.0).then_some(TaskCandidate {
             slot: best.slot,
             gain: best.gain,
             cost: best.cost,
@@ -52,10 +53,10 @@ pub fn full_best(state: &TaskState, cfg: &MultiTaskConfig, max_cost: f64) -> Opt
         let Some(cost) = state.candidates.cost(slot) else {
             continue;
         };
-        if cost > max_cost {
+        let gain = evaluator.gain_if_executed(slot);
+        if cost > max_cost || gain <= 0.0 {
             continue;
         }
-        let gain = evaluator.gain_if_executed(slot);
         let heuristic = if cost > 0.0 {
             gain / cost
         } else {

@@ -351,11 +351,6 @@ impl VTree {
         self.nodes_built
     }
 
-    /// Aggregated quality `q(τ)` stored at the root.
-    pub fn total_quality(&self) -> f64 {
-        self.nodes[self.root].quality
-    }
-
     /// Task quality summed from the cached per-slot partial qualities in slot
     /// order.  Every cached value is exactly
     /// [`QualityEvaluator::partial_quality`] (a walk's
@@ -363,8 +358,6 @@ impl VTree {
     /// distance sum), and a slot an execution does not reach keeps a value
     /// the execution cannot change, so this is [`QualityEvaluator::quality`]
     /// to the bit: the same values summed in the same order.
-    /// [`VTree::total_quality`] sums them in tree order instead, which may
-    /// differ in the last bits.
     pub fn slot_quality_sum(&self) -> f64 {
         self.slots.iter().map(|s| s.pq).sum()
     }
@@ -953,62 +946,6 @@ impl VTree {
         }
     }
 
-    /// Admissible per-leaf *gain* upper bounds: for every leaf with candidate
-    /// slots, `(start, end, gain_ub)` such that the exact quality increment of
-    /// executing any unexecuted slot in `[start, end]` is at most `gain_ub`.
-    ///
-    /// This is the numerator of `VTree::node_bound` (the slot's own
-    /// partial-quality headroom plus the summed potential of every slot it
-    /// can influence), shared so a caller seeding a lazy structure keys its
-    /// entries with the *same* admissible bounds the best-first search prunes
-    /// with — dividing by each slot's own cost gives a per-slot heuristic
-    /// bound at least as tight as the search's per-node one.
-    pub fn leaf_bounds(&self) -> Vec<(SlotIndex, SlotIndex, f64)> {
-        let root = &self.nodes[self.root];
-        if root.candidates == 0 {
-            return Vec::new();
-        }
-        let reach = root.max_kth_dist;
-        let mut out = Vec::new();
-        self.collect_leaf_bounds(self.root, reach, &mut out);
-        out
-    }
-
-    fn collect_leaf_bounds(
-        &self,
-        idx: usize,
-        reach: usize,
-        out: &mut Vec<(SlotIndex, SlotIndex, f64)>,
-    ) {
-        let node = &self.nodes[idx];
-        if node.candidates == 0 {
-            return;
-        }
-        if node.is_leaf() {
-            out.push((node.start, node.end, self.node_gain_bound(idx, reach)));
-        } else {
-            self.collect_leaf_bounds(node.left.unwrap(), reach, out);
-            self.collect_leaf_bounds(node.right.unwrap(), reach, out);
-        }
-    }
-
-    /// The gain part of [`VTree::node_bound`]: own headroom + reachable
-    /// potential.
-    fn node_gain_bound(&self, idx: usize, reach: usize) -> f64 {
-        let node = &self.nodes[idx];
-        let m = self.num_slots as f64;
-        let own_ub = (Self::entropy_term(1.0 / m)
-            - if node.min_unexec_pq.is_finite() {
-                node.min_unexec_pq
-            } else {
-                0.0
-            })
-        .max(0.0);
-        let lo = node.start.saturating_sub(reach);
-        let hi = (node.end + reach).min(self.num_slots - 1);
-        own_ub + self.potential_in_range(self.root, lo, hi)
-    }
-
     /// Admissible upper bound on the heuristic value of any slot within the
     /// node:
     ///
@@ -1023,8 +960,18 @@ impl VTree {
         if node.candidates == 0 || node.min_cost > max_cost {
             return 0.0;
         }
+        let m = self.num_slots as f64;
+        let own_ub = (Self::entropy_term(1.0 / m)
+            - if node.min_unexec_pq.is_finite() {
+                node.min_unexec_pq
+            } else {
+                0.0
+            })
+        .max(0.0);
+        let lo = node.start.saturating_sub(reach);
+        let hi = (node.end + reach).min(self.num_slots - 1);
         let cost = node.min_cost.max(f64::MIN_POSITIVE);
-        self.node_gain_bound(idx, reach) / cost
+        (own_ub + self.potential_in_range(self.root, lo, hi)) / cost
     }
 
     /// Sum of stored potentials of slots within `[lo, hi]`, accumulated from
@@ -1095,7 +1042,7 @@ mod tests {
     fn tree_quality_matches_evaluator() {
         let ev = evaluator(64, 3, &[3, 17, 40, 41, 60]);
         let tree = VTree::build(&ev, uniform_costs(64, 1.0), VTreeConfig::default());
-        assert!((tree.total_quality() - ev.quality()).abs() < 1e-9);
+        assert_eq!(tree.slot_quality_sum().to_bits(), ev.quality().to_bits());
     }
 
     #[test]
@@ -1545,8 +1492,9 @@ mod tests {
         for slot in [48, 10, 70, 11, 90, 0, 30] {
             ev.execute(slot);
             tree.notify_executed(&ev, slot);
-            assert!(
-                (tree.total_quality() - ev.quality()).abs() < 1e-9,
+            assert_eq!(
+                tree.slot_quality_sum().to_bits(),
+                ev.quality().to_bits(),
                 "after executing {slot}"
             );
             // Gains must stay exact after updates.
