@@ -247,32 +247,25 @@ pub(crate) fn mmqm_commit_loop<I, L: Occupancy<I>>(
     let mut conflicts = 0usize;
     let mut executions = 0usize;
 
-    // Min-heap over (quality, task index); entries are lazily refreshed.
+    // Min-heap over (quality, task index).  Every live task has exactly one
+    // entry, pushed with its current quality; a task that runs out of
+    // affordable candidates is retired by not pushing it back.
     let mut heap: BinaryHeap<Reverse<HeapEntry>> = states
         .iter()
         .enumerate()
         .map(|(i, s)| Reverse(HeapEntry(s.quality(), i)))
         .collect();
-    // Tasks that ran out of affordable candidates are retired.
-    let mut retired = vec![false; states.len()];
 
     while let Some(Reverse(HeapEntry(quality, task_idx))) = heap.pop() {
-        if retired[task_idx] {
-            continue;
-        }
-        // Lazy entry: skip if stale (the task's quality has changed since the
-        // entry was pushed).
-        if (states[task_idx].quality() - quality).abs() > 1e-12 {
-            heap.push(Reverse(HeapEntry(states[task_idx].quality(), task_idx)));
-            continue;
-        }
-
+        debug_assert_eq!(
+            states[task_idx].quality().to_bits(),
+            quality.to_bits(),
+            "task {task_idx}'s heap entry is stale"
+        );
         let Some(candidate) = states[task_idx].best_candidate(remaining) else {
-            retired[task_idx] = true;
             continue;
         };
         if candidate.cost > remaining {
-            retired[task_idx] = true;
             continue;
         }
         // Conflict check against the shared occupancy.

@@ -5,9 +5,10 @@
 //!
 //! * [`candidates`] — per-slot worker candidates ("worker cost retrieval") and
 //!   the worker-occupancy ledger used for conflict arbitration;
-//! * [`single`] — the sQM problem: greedy `Approx` (Algorithm 1),
-//!   index-accelerated `Approx*`, exhaustive `OPT`, the randomized baselines
-//!   and the dual (min-budget) search;
+//! * [`single`] — the sQM problem: one budgeted greedy loop (Algorithm 1)
+//!   behind `Approx` (plain scan) and `Approx*` (V-tree best-first search),
+//!   exhaustive `OPT`, the randomized baselines and the dual (min-budget)
+//!   search;
 //! * [`multi`] — the MSQM / MMQM problems, worker-conflict analysis, the
 //!   group-level and task-level parallel frameworks, and the spatiotemporal
 //!   `SApprox` extension;
@@ -63,7 +64,6 @@ pub use multi::task_parallel::{msqm_task_parallel, TaskParallelOutcome};
 pub use multi::{MultiOutcome, MultiTaskConfig, RefreshStats, TaskCandidate, TaskState};
 pub use single::baseline::{random_assignment, random_summary, RandSummary};
 pub use single::dual::{min_budget_for_quality, DualOutcome};
-pub use single::greedy::{approx, GreedyOutcome, GreedyStats};
-pub use single::indexed::{approx_star, IndexedOutcome, IndexedTimings};
+pub use single::greedy::{approx, approx_star, GreedyOutcome, GreedyTimings};
 pub use single::opt::optimal;
 pub use single::SingleTaskConfig;

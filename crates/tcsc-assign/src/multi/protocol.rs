@@ -40,7 +40,6 @@ use tcsc_index::SpatialQuery;
 use tcsc_obs::{NoopRecorder, Recorder, Scope};
 
 use crate::candidates::WorkerLedger;
-use crate::multi::task_parallel::{ConflictRecord, LogEntry};
 use crate::multi::{TaskCandidate, TaskState};
 
 /// A command from the master to the owner (thread or region node) of a task.
@@ -273,11 +272,7 @@ pub struct TaskMaster<R: Recorder = NoopRecorder> {
     conflicts: usize,
     executions: usize,
     committed: Vec<CommittedExecution>,
-    conflict_table: Vec<ConflictRecord>,
-    conflict_ranks: HashMap<(SlotIndex, WorkerId), usize>,
-    log: Vec<LogEntry>,
-    /// Last reported heuristic per task (the priority-ordering key), kept in
-    /// step with the log so the sort never re-scans it.
+    /// Last reported heuristic per task (the priority-ordering key).
     last_heuristic: Vec<Option<f64>>,
     done: bool,
     /// Event recorder (statically dispatched; `NoopRecorder` by default, so
@@ -316,9 +311,6 @@ impl TaskMaster {
             conflicts: 0,
             executions: 0,
             committed: Vec::new(),
-            conflict_table: Vec::new(),
-            conflict_ranks: HashMap::new(),
-            log: Vec::new(),
             last_heuristic: vec![None; num_tasks],
             done: num_tasks == 0,
             obs: NoopRecorder,
@@ -348,9 +340,6 @@ impl<R: Recorder> TaskMaster<R> {
             conflicts: self.conflicts,
             executions: self.executions,
             committed: self.committed,
-            conflict_table: self.conflict_table,
-            conflict_ranks: self.conflict_ranks,
-            log: self.log,
             last_heuristic: self.last_heuristic,
             done: self.done,
             obs,
@@ -377,24 +366,9 @@ impl<R: Recorder> TaskMaster<R> {
         &self.committed
     }
 
-    /// Consumes the machine, returning its tables:
-    /// `(conflict_table, log, committed, conflicts, executions)`.
-    pub fn into_tables(
-        self,
-    ) -> (
-        Vec<ConflictRecord>,
-        Vec<LogEntry>,
-        Vec<CommittedExecution>,
-        usize,
-        usize,
-    ) {
-        (
-            self.conflict_table,
-            self.log,
-            self.committed,
-            self.conflicts,
-            self.executions,
-        )
+    /// Consumes the machine, returning `(committed, conflicts, executions)`.
+    pub fn into_committed(self) -> (Vec<CommittedExecution>, usize, usize) {
+        (self.committed, self.conflicts, self.executions)
     }
 
     /// Feeds one worker event into the machine, returning the commands it
@@ -416,10 +390,6 @@ impl<R: Recorder> TaskMaster<R> {
                         0,
                     );
                 }
-                self.log.push(LogEntry::Heartbeat {
-                    task,
-                    heuristic: candidate.map(|c| c.heuristic),
-                });
                 if let Some(c) = &candidate {
                     self.last_heuristic[task] = Some(c.heuristic);
                 }
@@ -429,17 +399,8 @@ impl<R: Recorder> TaskMaster<R> {
                 };
             }
             WorkerEvent::Executed {
-                task,
-                slot,
-                worker,
-                cost,
+                task, slot, worker, ..
             } => {
-                self.log.push(LogEntry::Execution {
-                    task,
-                    slot,
-                    worker,
-                    cost,
-                });
                 self.executions += 1;
                 if R::IS_ENABLED {
                     self.obs.instant(
@@ -466,26 +427,6 @@ impl<R: Recorder> TaskMaster<R> {
         }
         self.done = self.pending == 0 && self.select().is_none();
         out
-    }
-
-    /// Records one conflict event: counts the losing tasks, bumps the
-    /// `(slot, worker)` fallback rank (first conflict starts at the 2nd NN)
-    /// and appends the conflicting-table record.  The single site of the
-    /// rank convention — the selection-conflict and grant-loser paths both go
-    /// through it.
-    fn record_conflict(&mut self, tasks: Vec<usize>, slot: SlotIndex, worker: WorkerId) {
-        self.conflicts += tasks.len();
-        let rank = self
-            .conflict_ranks
-            .entry((slot, worker))
-            .and_modify(|r| *r += 1)
-            .or_insert(2);
-        self.conflict_table.push(ConflictRecord {
-            tasks,
-            slot,
-            worker,
-            next_rank: *rank,
-        });
     }
 
     /// Sorts a request batch by descending last-reported heuristic when the
@@ -569,8 +510,8 @@ impl<R: Recorder> TaskMaster<R> {
         let slot = candidate.slot;
         if self.ledger.is_occupied(slot, worker) {
             // The cached candidate's worker was taken since the candidate was
-            // computed: count it, record it, and refresh the slot.
-            self.record_conflict(vec![task], slot, worker);
+            // computed: count it and refresh the slot.
+            self.conflicts += 1;
             self.request(task);
             out.push(MasterCommand::Refresh {
                 task,
@@ -614,9 +555,7 @@ impl<R: Recorder> TaskMaster<R> {
                 }
             }
         }
-        if !losers.is_empty() {
-            self.record_conflict(losers.clone(), slot, worker);
-        }
+        self.conflicts += losers.len();
         self.priority_sort(&mut losers);
         let occupied = self.ledger.occupied_at(slot);
         for loser in losers {
@@ -701,16 +640,6 @@ mod tests {
         );
         assert_eq!(master.conflicts(), 1);
         assert_eq!(master.committed()[0].worker, WorkerId(4));
-        let (table, ..) = master.into_tables();
-        assert_eq!(
-            table,
-            vec![ConflictRecord {
-                tasks: vec![1],
-                slot: 0,
-                worker: WorkerId(4),
-                next_rank: 2,
-            }]
-        );
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! aggregated tree).  The master maintains the control structures of the
 //! paper:
 //!
-//! * **Heartbeat table** — the latest heuristic value reported per task;
-//! * **Conflicting table** — records `⟨conflicting tasks, slot, j-th NN⟩`
-//!   describing which tasks competed for a worker and which fallback rank the
-//!   losers must use next;
-//! * **Logging table** — the history of heartbeats and executions;
+//! * **Heartbeat table** — the latest candidate reported per task;
+//! * **conflict resolution** — a task that loses a worker to another task is
+//!   sent a refresh whose exclusion set (the workers occupied at the slot)
+//!   names its fallback, so it needs no separate conflicting table;
 //! * **dynamic priorities** — tasks are re-evaluated in descending order of
 //!   their last reported heuristic value, so threads working on promising
 //!   tasks are served first (Fig. 9(f) ablates this).
@@ -28,7 +27,7 @@
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
-use tcsc_core::{AssignmentPlan, CostModel, MultiAssignment, SlotIndex, Task, WorkerId};
+use tcsc_core::{AssignmentPlan, CostModel, MultiAssignment, Task};
 use tcsc_index::WorkerIndex;
 
 use crate::candidates::WorkerLedger;
@@ -38,53 +37,11 @@ use crate::multi::protocol::{
 };
 use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
 
-/// One record of the conflicting table: the tasks that competed for a worker
-/// at a slot and the NN rank the losers must fall back to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConflictRecord {
-    /// Indices of the conflicting tasks.
-    pub tasks: Vec<usize>,
-    /// The contested time slot.
-    pub slot: SlotIndex,
-    /// The worker that was contested.
-    pub worker: WorkerId,
-    /// The NN rank the losing tasks have to use next (1-based; 1 = nearest).
-    pub next_rank: usize,
-}
-
-/// One entry of the logging table.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LogEntry {
-    /// A task reported a heartbeat (its best heuristic value), or `None` when
-    /// it has no affordable candidate left.
-    Heartbeat {
-        /// Task index.
-        task: usize,
-        /// Reported heuristic value.
-        heuristic: Option<f64>,
-    },
-    /// A task was granted an execution.
-    Execution {
-        /// Task index.
-        task: usize,
-        /// Executed slot.
-        slot: SlotIndex,
-        /// Assigned worker.
-        worker: WorkerId,
-        /// Charged cost.
-        cost: f64,
-    },
-}
-
-/// Outcome of the task-level parallel run, including the master's tables.
+/// Outcome of the task-level parallel run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskParallelOutcome {
     /// The combined multi-task outcome.
     pub outcome: MultiOutcome,
-    /// The conflicting table accumulated by the master thread.
-    pub conflict_table: Vec<ConflictRecord>,
-    /// The logging table (heartbeats and executions, in arrival order).
-    pub log: Vec<LogEntry>,
     /// The committed execution sequence, in grant order.
     pub committed: Vec<CommittedExecution>,
     /// Number of worker threads used.
@@ -126,8 +83,6 @@ pub fn msqm_task_parallel(
                 executions: 0,
                 stats: CacheStats::default(),
             },
-            conflict_table: Vec::new(),
-            log: Vec::new(),
             committed: Vec::new(),
             threads,
         };
@@ -247,7 +202,7 @@ pub fn msqm_task_parallel(
             })
             .collect();
 
-        let (conflict_table, log, committed, conflicts, executions) = master.into_tables();
+        let (committed, conflicts, executions) = master.into_committed();
         // Each committed conflict (selection-time or loser) triggered exactly
         // one slot refresh on the owning thread; account them like the serial
         // engine does.
@@ -261,8 +216,6 @@ pub fn msqm_task_parallel(
                 executions,
                 stats,
             },
-            conflict_table,
-            log,
             committed,
             threads,
         }
@@ -292,6 +245,7 @@ mod tests {
                 serial.sum_quality()
             );
             assert_eq!(parallel.outcome.executions, serial.executions);
+            assert_eq!(parallel.committed.len(), parallel.outcome.executions);
         }
     }
 
@@ -325,43 +279,16 @@ mod tests {
     }
 
     #[test]
-    fn conflicts_are_recorded_in_the_conflict_table() {
-        // Scarce workers and clustered tasks force conflicts.
+    fn scarce_workers_conflict_as_in_the_serial_engine() {
+        // Scarce workers and clustered tasks force conflicts; the master
+        // counts exactly the serial engine's.
         let (tasks, index, cost) = small_instance(44, 8, 15, 20);
-        let outcome =
-            msqm_task_parallel(&tasks, &index, &cost, &MultiTaskConfig::new(400.0), 4, true);
-        assert_eq!(
-            outcome.outcome.conflicts > 0,
-            !outcome.conflict_table.is_empty(),
-            "conflict count and table must agree on whether conflicts happened"
-        );
-        for record in &outcome.conflict_table {
-            assert!(record.next_rank >= 2, "fallback rank starts at the 2nd NN");
-            assert!(!record.tasks.is_empty());
-        }
-    }
-
-    #[test]
-    fn log_contains_heartbeats_and_executions() {
-        let (tasks, index, cost) = small_instance(45, 4, 15, 80);
-        let outcome =
-            msqm_task_parallel(&tasks, &index, &cost, &MultiTaskConfig::new(40.0), 2, true);
-        let heartbeats = outcome
-            .log
-            .iter()
-            .filter(|e| matches!(e, LogEntry::Heartbeat { .. }))
-            .count();
-        let execs = outcome
-            .log
-            .iter()
-            .filter(|e| matches!(e, LogEntry::Execution { .. }))
-            .count();
-        assert!(
-            heartbeats >= tasks.len(),
-            "every task reports at least once"
-        );
-        assert_eq!(execs, outcome.outcome.executions);
-        assert_eq!(outcome.committed.len(), outcome.outcome.executions);
+        let cfg = MultiTaskConfig::new(400.0);
+        let serial = AssignmentEngine::borrowed(&index, &cost, cfg)
+            .assign_batch(&tasks, Objective::SumQuality);
+        let outcome = msqm_task_parallel(&tasks, &index, &cost, &cfg, 4, true);
+        assert!(outcome.outcome.conflicts > 0);
+        assert_eq!(outcome.outcome.conflicts, serial.conflicts);
     }
 
     #[test]

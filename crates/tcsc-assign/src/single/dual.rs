@@ -11,7 +11,7 @@
 use tcsc_core::{AssignmentPlan, Task};
 
 use crate::candidates::SlotCandidates;
-use crate::single::indexed::approx_star;
+use crate::single::greedy::approx_star;
 use crate::single::SingleTaskConfig;
 
 /// Result of the dual search.
@@ -89,7 +89,7 @@ mod tests {
         // The found budget should be (near-)minimal: lowering it noticeably
         // must break the target.
         let smaller = SingleTaskConfig::new((budget - 1.0).max(0.0));
-        let plan = crate::single::indexed::approx_star(&task, &candidates, &smaller).plan;
+        let plan = crate::single::greedy::approx_star(&task, &candidates, &smaller).plan;
         assert!(plan.quality < 2.0 + 1e-6);
     }
 

@@ -1,47 +1,83 @@
-//! `Approx`: the greedy single-task assignment of Algorithm 1.
+//! `Approx` and `Approx*`: the greedy single-task assignment of Algorithm 1
+//! and its index-accelerated variant (Section III-C of the paper).
 //!
-//! At every iteration the algorithm tentatively executes every remaining
-//! subtask, computes the quality increment per unit cost (the *heuristic
-//! value*), and executes the subtask with the largest value that still fits
-//! the budget.  The quality metric is submodular and non-decreasing
-//! (Lemma 2), so the greedy plan — combined with the best single subtask
-//! (`T′_cur`) — achieves the `(1 − 1/√e)` approximation of budgeted
-//! submodular maximisation.
+//! At every iteration the algorithm finds, among the remaining affordable
+//! subtasks, the one with the largest quality increment per unit cost (the
+//! *heuristic value*) and executes it.  The quality metric is submodular and
+//! non-decreasing (Lemma 2), so the greedy plan — combined with the best
+//! single subtask (`T′_cur`, line 3) — achieves the `(1 − 1/√e)`
+//! approximation of budgeted submodular maximisation.  A subtask whose exact
+//! gain is not positive is never executed: it would spend budget for nothing.
 //!
-//! This is the *unaccelerated* reference implementation: every iteration
-//! enumerates all remaining slots and recomputes the quality gain from the
-//! plain [`QualityEvaluator`], which is what the paper's efficiency plots call
-//! `Approx`.  The index-accelerated variant lives in [`super::indexed`].
+//! Both solvers run the same budgeted loop and differ only in how an
+//! iteration finds its subtask:
+//!
+//! * [`approx`] enumerates every remaining slot and recomputes its gain from
+//!   the plain [`QualityEvaluator`] (what the paper's efficiency plots call
+//!   `Approx`);
+//! * [`approx_star`] runs the best-first search over the aggregated Voronoi
+//!   tree with upper-bound pruning ([`VTree::best_slot`]), whose exact gain
+//!   ([`VTree::gain`]) reuses the stored partial-quality aggregates of every
+//!   node the tentative slot cannot reach, and keeps the tree current with
+//!   [`VTree::notify_executed`].
+//!
+//! The run records a wall-clock breakdown (tree construction / index
+//! maintenance / search) and the search statistics that feed
+//! Fig. 8(c)–(e).
 
 use tcsc_obs::Stopwatch;
 
-use tcsc_core::{AssignmentPlan, Budget, ExecutedSubtask, QualityEvaluator, QualityParams, Task};
+use tcsc_core::{
+    AssignmentPlan, Budget, ExecutedSubtask, QualityEvaluator, QualityParams, SlotIndex, Task,
+};
+use tcsc_index::{SearchStats, VTree, VTreeConfig};
 
 use crate::candidates::SlotCandidates;
 use crate::single::{best_single_slot, execute_slot, plan_from_executions, SingleTaskConfig};
 
-/// Instrumentation counters of one `Approx` run (feeds the Fig. 8(c) time
-/// breakdown).
+/// Wall-clock breakdown of one greedy run, in seconds.  The tree phases are
+/// 0 for `Approx`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GreedyStats {
-    /// Number of exact heuristic-value evaluations (tentative executions).
-    pub gain_evaluations: usize,
-    /// Number of greedy iterations (executed subtasks).
-    pub iterations: usize,
-    /// Wall time spent computing heuristic values, in seconds.
-    pub heuristic_seconds: f64,
+pub struct GreedyTimings {
+    /// Initial construction of the aggregated tree.
+    pub tree_construction: f64,
+    /// Incremental maintenance of the tree after each execution.
+    pub tree_maintenance: f64,
+    /// Per-iteration search for the best subtask (heuristic-value
+    /// calculation, with pruning under `Approx*`).
+    pub search: f64,
 }
 
-/// Result of an `Approx` run.
+impl GreedyTimings {
+    /// Total indexing + search time.
+    pub fn total(&self) -> f64 {
+        self.tree_construction + self.tree_maintenance + self.search
+    }
+}
+
+/// Result of an `Approx` or `Approx*` run.  The tree fields are 0 for
+/// `Approx`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GreedyOutcome {
     /// The assignment plan.
     pub plan: AssignmentPlan,
-    /// Instrumentation counters.
-    pub stats: GreedyStats,
+    /// Search statistics accumulated over all greedy iterations.  The plain
+    /// scan visits and prunes no node.
+    pub search_stats: SearchStats,
+    /// Wall-clock breakdown.
+    pub timings: GreedyTimings,
+    /// Number of tree nodes after the final iteration.
+    pub tree_nodes: usize,
+    /// Slot partial qualities the tree computed over the run
+    /// ([`VTree::recomputed_slots`]).
+    pub recomputed_slots: usize,
+    /// Tree nodes allocated over the run ([`VTree::nodes_built`]).
+    pub nodes_built: usize,
+    /// Number of greedy iterations (executed subtasks).
+    pub iterations: usize,
 }
 
-/// Runs Algorithm 1 on one task.
+/// Runs Algorithm 1 (`Approx`) on one task with the plain scan.
 ///
 /// `candidates` must hold the per-slot candidate assignments (nearest
 /// available worker per slot); slots without candidates are never executed.
@@ -49,6 +85,26 @@ pub fn approx(
     task: &Task,
     candidates: &SlotCandidates,
     config: &SingleTaskConfig,
+) -> GreedyOutcome {
+    budgeted_greedy(task, candidates, config, false)
+}
+
+/// Runs `Approx*` on one task: Algorithm 1 with the V-tree's best-first
+/// search, built once per run.
+pub fn approx_star(
+    task: &Task,
+    candidates: &SlotCandidates,
+    config: &SingleTaskConfig,
+) -> GreedyOutcome {
+    budgeted_greedy(task, candidates, config, true)
+}
+
+/// The greedy loop of Algorithm 1, searching with the V-tree when `indexed`.
+fn budgeted_greedy(
+    task: &Task,
+    candidates: &SlotCandidates,
+    config: &SingleTaskConfig,
+    indexed: bool,
 ) -> GreedyOutcome {
     assert_eq!(
         candidates.len(),
@@ -59,60 +115,38 @@ pub fn approx(
     let mut evaluator = QualityEvaluator::new(params);
     let mut budget = Budget::new(config.budget);
     let mut executions: Vec<ExecutedSubtask> = Vec::new();
-    let mut stats = GreedyStats::default();
+    let mut search_stats = SearchStats::default();
+    let mut timings = GreedyTimings::default();
 
-    // Line 3 of Algorithm 1: remember the best single affordable subtask.
-    let single_seed = best_single_slot(candidates, task.num_slots, config.budget);
+    let mut tree = indexed.then(|| {
+        let construction_start = Stopwatch::start();
+        let tree = VTree::build(&evaluator, candidates.costs(), VTreeConfig::new(config.ts));
+        timings.tree_construction = construction_start.elapsed_secs();
+        tree
+    });
 
     loop {
-        // Find the affordable subtask with the maximum heuristic value.
-        let heuristic_start = Stopwatch::start();
-        let mut best: Option<(usize, f64, f64)> = None; // (slot, gain, cost)
-        for slot in 0..task.num_slots {
-            if evaluator.is_executed(slot) {
-                continue;
-            }
-            let Some(candidate) = candidates.get(slot) else {
-                continue;
-            };
-            if !budget.can_afford(candidate.cost) {
-                continue;
-            }
-            stats.gain_evaluations += 1;
-            let gain = if config.use_reliability {
-                evaluator.gain_if_executed_with_reliability(slot, candidate.reliability)
-            } else {
-                evaluator.gain_if_executed(slot)
-            };
-            let heuristic = if candidate.cost > 0.0 {
-                gain / candidate.cost
-            } else {
-                f64::INFINITY
-            };
-            let better = match best {
-                None => true,
-                Some((best_slot, best_gain, best_cost)) => {
-                    let best_h = if best_cost > 0.0 {
-                        best_gain / best_cost
-                    } else {
-                        f64::INFINITY
-                    };
-                    heuristic > best_h || (heuristic == best_h && slot < best_slot)
-                }
-            };
-            if better {
-                best = Some((slot, gain, candidate.cost));
-            }
-        }
-        stats.heuristic_seconds += heuristic_start.elapsed_secs();
-
-        let Some((slot, _gain, cost)) = best else {
-            break;
+        let search_start = Stopwatch::start();
+        let best = match &tree {
+            Some(tree) => tree
+                .best_slot(&evaluator, budget.remaining(), &mut search_stats)
+                .filter(|best| best.gain > 0.0)
+                .map(|best| best.slot),
+            None => scan_best(
+                &evaluator,
+                candidates,
+                &budget,
+                config.use_reliability,
+                &mut search_stats,
+            ),
         };
-        let candidate = candidates
+        timings.search += search_start.elapsed_secs();
+
+        let Some(slot) = best else { break };
+        let candidate = *candidates
             .get(slot)
-            .expect("candidate exists for chosen slot");
-        if !budget.charge(cost) {
+            .expect("the search only returns slots with candidates");
+        if !budget.charge(candidate.cost) {
             break;
         }
         execute_slot(
@@ -121,42 +155,35 @@ pub fn approx(
             candidate.reliability,
             config.use_reliability,
         );
+        if let Some(tree) = &mut tree {
+            let maintain_start = Stopwatch::start();
+            tree.notify_executed(&evaluator, slot);
+            timings.tree_maintenance += maintain_start.elapsed_secs();
+        }
         executions.push(ExecutedSubtask {
             slot,
             worker: candidate.worker,
-            cost,
+            cost: candidate.cost,
             reliability: candidate.reliability,
         });
-        stats.iterations += 1;
     }
 
-    let greedy_plan = plan_from_executions(task, &evaluator, executions);
+    let iterations = executions.len();
+    let mut plan = plan_from_executions(task, &evaluator, executions);
 
-    // Compare against the single-subtask seed plan and keep the better one.
-    let plan = match single_seed {
-        Some(slot)
-            if greedy_plan.executions.is_empty() || {
-                // Evaluate the single-slot plan's quality.
-                let mut single_eval = QualityEvaluator::new(params);
-                let candidate = candidates.get(slot).expect("seed slot has a candidate");
-                execute_slot(
-                    &mut single_eval,
-                    slot,
-                    candidate.reliability,
-                    config.use_reliability,
-                );
-                single_eval.quality() > greedy_plan.quality
-            } =>
-        {
-            let mut single_eval = QualityEvaluator::new(params);
-            let candidate = *candidates.get(slot).expect("seed slot has a candidate");
-            execute_slot(
-                &mut single_eval,
-                slot,
-                candidate.reliability,
-                config.use_reliability,
-            );
-            plan_from_executions(
+    // Line 3 of Algorithm 1: keep the best single affordable subtask instead
+    // when it alone reaches a strictly higher quality.
+    if let Some(slot) = best_single_slot(candidates, task.num_slots, config.budget) {
+        let mut single_eval = QualityEvaluator::new(params);
+        let candidate = *candidates.get(slot).expect("seed slot has a candidate");
+        execute_slot(
+            &mut single_eval,
+            slot,
+            candidate.reliability,
+            config.use_reliability,
+        );
+        if single_eval.quality() > plan.quality {
+            plan = plan_from_executions(
                 task,
                 &single_eval,
                 vec![ExecutedSubtask {
@@ -165,12 +192,64 @@ pub fn approx(
                     cost: candidate.cost,
                     reliability: candidate.reliability,
                 }],
-            )
+            );
         }
-        _ => greedy_plan,
-    };
+    }
 
-    GreedyOutcome { plan, stats }
+    let tree = tree.as_ref();
+    GreedyOutcome {
+        plan,
+        search_stats,
+        timings,
+        tree_nodes: tree.map_or(0, VTree::node_count),
+        recomputed_slots: tree.map_or(0, VTree::recomputed_slots),
+        nodes_built: tree.map_or(0, VTree::nodes_built),
+        iterations,
+    }
+}
+
+/// The plain scan of `Approx`: tentatively executes every remaining
+/// affordable slot and returns the one with the largest positive-gain
+/// heuristic value, ties to the lower slot.
+fn scan_best(
+    evaluator: &QualityEvaluator,
+    candidates: &SlotCandidates,
+    budget: &Budget,
+    use_reliability: bool,
+    stats: &mut SearchStats,
+) -> Option<SlotIndex> {
+    let mut best: Option<(SlotIndex, f64)> = None; // (slot, heuristic)
+    for slot in 0..evaluator.num_slots() {
+        if evaluator.is_executed(slot) {
+            continue;
+        }
+        let Some(candidate) = candidates.get(slot) else {
+            continue;
+        };
+        stats.candidate_slots += 1;
+        if !budget.can_afford(candidate.cost) {
+            continue;
+        }
+        stats.evaluated_slots += 1;
+        let gain = if use_reliability {
+            evaluator.gain_if_executed_with_reliability(slot, candidate.reliability)
+        } else {
+            evaluator.gain_if_executed(slot)
+        };
+        if gain <= 0.0 {
+            continue;
+        }
+        let heuristic = if candidate.cost > 0.0 {
+            gain / candidate.cost
+        } else {
+            f64::INFINITY
+        };
+        // Slots are scanned in ascending order, so a tie keeps the lower one.
+        if best.map_or(true, |(_, best_h)| heuristic > best_h) {
+            best = Some((slot, heuristic));
+        }
+    }
+    best.map(|(slot, _)| slot)
 }
 
 #[cfg(test)]
@@ -178,36 +257,64 @@ mod tests {
     use super::*;
     use crate::single::test_support::{gappy_instance, line_instance};
 
+    type Solver = fn(&Task, &SlotCandidates, &SingleTaskConfig) -> GreedyOutcome;
+
+    /// Both solvers, with the names their assertion messages use.
+    const SOLVERS: [(&str, Solver); 2] = [("Approx", approx), ("Approx*", approx_star)];
+
     #[test]
     fn empty_budget_executes_nothing() {
         let (task, candidates) = line_instance(20);
-        let outcome = approx(&task, &candidates, &SingleTaskConfig::new(0.0));
-        assert_eq!(outcome.plan.executed_count(), 0);
-        assert_eq!(outcome.plan.quality, 0.0);
+        for (name, solver) in SOLVERS {
+            let outcome = solver(&task, &candidates, &SingleTaskConfig::new(0.0));
+            assert_eq!(outcome.plan.executed_count(), 0, "{name}");
+            assert_eq!(outcome.plan.quality, 0.0, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_one_slot_task_spends_nothing() {
+        // A lone slot's quality is 0 executed or not: executing it would
+        // spend budget for no gain, so neither solver plans it.
+        let (task, candidates) = line_instance(1);
+        for (name, solver) in SOLVERS {
+            let outcome = solver(&task, &candidates, &SingleTaskConfig::new(10.0));
+            assert_eq!(outcome.plan.executed_count(), 0, "{name}");
+            assert_eq!(outcome.plan.total_cost(), 0.0, "{name}");
+            assert_eq!(outcome.iterations, 0, "{name}");
+        }
     }
 
     #[test]
     fn budget_is_never_exceeded() {
-        let (task, candidates) = line_instance(30);
-        for budget in [1.0, 3.0, 7.5, 20.0] {
-            let outcome = approx(&task, &candidates, &SingleTaskConfig::new(budget));
-            assert!(
-                outcome.plan.total_cost() <= budget + 1e-9,
-                "budget {budget} exceeded: {}",
-                outcome.plan.total_cost()
-            );
+        for (m, budgets) in [(30, &[1.0, 3.0, 7.5, 20.0][..]), (50, &[2.0, 9.0, 31.0])] {
+            let (task, candidates) = line_instance(m);
+            for (name, solver) in SOLVERS {
+                for &budget in budgets {
+                    let outcome = solver(&task, &candidates, &SingleTaskConfig::new(budget));
+                    assert!(
+                        outcome.plan.total_cost() <= budget + 1e-9,
+                        "{name}: m={m} budget {budget} exceeded: {}",
+                        outcome.plan.total_cost()
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn unlimited_budget_executes_every_available_slot() {
-        let (task, candidates) = line_instance(16);
-        let outcome = approx(&task, &candidates, &SingleTaskConfig::new(1e9));
-        assert_eq!(outcome.plan.executed_count(), 16);
-        assert!(
-            (outcome.plan.quality - 4.0).abs() < 1e-9,
-            "full quality is log2(16)"
-        );
+        for (m, full_quality) in [(16, 4.0), (32, 5.0)] {
+            let (task, candidates) = line_instance(m);
+            for (name, solver) in SOLVERS {
+                let outcome = solver(&task, &candidates, &SingleTaskConfig::new(1e9));
+                assert_eq!(outcome.plan.executed_count(), m, "{name}: m={m}");
+                assert!(
+                    (outcome.plan.quality - full_quality).abs() < 1e-9,
+                    "{name}: full quality is log2({m})"
+                );
+            }
+        }
     }
 
     #[test]
@@ -226,12 +333,16 @@ mod tests {
 
     #[test]
     fn slots_without_workers_are_never_selected() {
-        let (task, candidates) = gappy_instance(30);
-        let outcome = approx(&task, &candidates, &SingleTaskConfig::new(1e6));
-        for exec in &outcome.plan.executions {
-            assert_ne!(exec.slot % 3, 2, "slot {} has no worker", exec.slot);
+        for (m, available) in [(30, 20), (24, 16)] {
+            let (task, candidates) = gappy_instance(m);
+            for (name, solver) in SOLVERS {
+                let outcome = solver(&task, &candidates, &SingleTaskConfig::new(1e6));
+                for exec in &outcome.plan.executions {
+                    assert_ne!(exec.slot % 3, 2, "{name}: slot {} has no worker", exec.slot);
+                }
+                assert_eq!(outcome.plan.executed_count(), available, "{name}: m={m}");
+            }
         }
-        assert_eq!(outcome.plan.executed_count(), 20);
     }
 
     #[test]
@@ -249,8 +360,21 @@ mod tests {
     fn stats_count_iterations_and_evaluations() {
         let (task, candidates) = line_instance(12);
         let outcome = approx(&task, &candidates, &SingleTaskConfig::new(6.0));
-        assert_eq!(outcome.stats.iterations, outcome.plan.executed_count());
-        assert!(outcome.stats.gain_evaluations >= outcome.stats.iterations);
+        let stats = outcome.search_stats;
+        assert_eq!(outcome.iterations, outcome.plan.executed_count());
+        assert!(stats.evaluated_slots >= outcome.iterations);
+        assert!(stats.candidate_slots >= stats.evaluated_slots);
+        assert_eq!((stats.visited_nodes, stats.pruned_nodes), (0, 0));
+        assert_eq!(
+            (
+                outcome.tree_nodes,
+                outcome.recomputed_slots,
+                outcome.nodes_built
+            ),
+            (0, 0, 0),
+            "the plain scan builds no tree"
+        );
+        assert_eq!(outcome.timings.tree_construction, 0.0);
     }
 
     #[test]
@@ -294,5 +418,67 @@ mod tests {
         );
         let without = approx(&task, &candidates, &SingleTaskConfig::new(1e6));
         assert!(with.plan.quality < without.plan.quality);
+    }
+
+    #[test]
+    fn approx_star_matches_approx_quality() {
+        // Both algorithms follow the same greedy rule; with exact gains and an
+        // admissible bound the plans must achieve the same quality.
+        for m in [16, 40, 75] {
+            let (task, candidates) = line_instance(m);
+            for budget in [3.0, 10.0, 40.0] {
+                let cfg = SingleTaskConfig::new(budget);
+                let plain = approx(&task, &candidates, &cfg);
+                let fast = approx_star(&task, &candidates, &cfg);
+                assert!(
+                    (plain.plan.quality - fast.plan.quality).abs() < 1e-6,
+                    "m={m} b={budget}: Approx {} vs Approx* {}",
+                    plain.plan.quality,
+                    fast.plan.quality
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stats_and_timings_are_populated() {
+        let (task, candidates) = line_instance(64);
+        let outcome = approx_star(&task, &candidates, &SingleTaskConfig::new(20.0));
+        assert!(outcome.iterations > 0);
+        assert!(outcome.search_stats.candidate_slots > 0);
+        assert!(outcome.tree_nodes > 0);
+        assert!(outcome.timings.total() >= 0.0);
+        assert!(outcome.timings.tree_construction > 0.0);
+    }
+
+    #[test]
+    fn ts_variations_keep_the_result_quality() {
+        let (task, candidates) = line_instance(60);
+        let reference = approx_star(&task, &candidates, &SingleTaskConfig::new(15.0))
+            .plan
+            .quality;
+        for ts in [2, 6, 10] {
+            let q = approx_star(&task, &candidates, &SingleTaskConfig::new(15.0).with_ts(ts))
+                .plan
+                .quality;
+            assert!((q - reference).abs() < 1e-6, "ts={ts}: {q} vs {reference}");
+        }
+    }
+
+    #[test]
+    fn approx_star_evaluates_fewer_slots_than_approx() {
+        // Approx evaluates every remaining slot each iteration; Approx* only
+        // evaluates slots the bound cannot prune.  On an instance with a wide
+        // cost spread the indexed variant must do strictly less work.
+        let (task, candidates) = line_instance(200);
+        let cfg = SingleTaskConfig::new(25.0);
+        let plain = approx(&task, &candidates, &cfg);
+        let fast = approx_star(&task, &candidates, &cfg);
+        assert!(
+            fast.search_stats.evaluated_slots < plain.search_stats.evaluated_slots,
+            "Approx*: {} exact evaluations, Approx: {}",
+            fast.search_stats.evaluated_slots,
+            plain.search_stats.evaluated_slots
+        );
     }
 }

@@ -8,9 +8,9 @@
 //! * [`greedy::approx`] — the polynomial greedy Algorithm 1 (`Approx`),
 //!   selecting at every step the subtask with the largest quality increment
 //!   per unit cost;
-//! * [`indexed::approx_star`] — `Approx*`, the same greedy framework
-//!   accelerated by the aggregated Voronoi tree index and best-first
-//!   upper-bound pruning (Section III-C);
+//! * [`greedy::approx_star`] — `Approx*`, the same greedy loop with its
+//!   per-iteration search accelerated by the aggregated Voronoi tree index
+//!   and best-first upper-bound pruning (Section III-C);
 //! * [`opt::optimal`] — exhaustive search, feasible for small `m`, used as the
 //!   quality yardstick of Fig. 6;
 //! * [`baseline::random_assignment`] — the randomized baseline (`Rand`) and
@@ -21,7 +21,6 @@
 pub mod baseline;
 pub mod dual;
 pub mod greedy;
-pub mod indexed;
 pub mod opt;
 
 use tcsc_core::{AssignmentPlan, ExecutedSubtask, QualityEvaluator, SlotIndex, Task};

@@ -120,8 +120,7 @@ pub fn optimal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::single::greedy::approx;
-    use crate::single::indexed::approx_star;
+    use crate::single::greedy::{approx, approx_star};
     use crate::single::test_support::line_instance;
 
     #[test]

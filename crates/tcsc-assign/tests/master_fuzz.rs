@@ -95,7 +95,7 @@ fn run_interleaved(
         .flat_map(TaskOwner::into_plans)
         .map(|(_, plan)| plan.quality)
         .sum();
-    let (_, _, committed, conflicts, executions) = master.into_tables();
+    let (committed, conflicts, executions) = master.into_committed();
     FuzzOutcome {
         committed,
         conflicts,

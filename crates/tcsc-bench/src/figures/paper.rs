@@ -461,10 +461,7 @@ pub fn fig8c(scale: Scale) -> Report {
                 "Approx",
                 vec![
                     ("WorkerCostRetrieval".into(), prepared.retrieval_ms),
-                    (
-                        "HeuristicCalc".into(),
-                        plain.stats.heuristic_seconds * 1000.0,
-                    ),
+                    ("HeuristicCalc".into(), plain.timings.search * 1000.0),
                     ("Total".into(), plain_ms + prepared.retrieval_ms),
                 ],
             ),

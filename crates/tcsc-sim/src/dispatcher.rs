@@ -234,10 +234,11 @@ impl Dispatcher {
         }
     }
 
-    /// Folds a finished batch's tables into the run report.
+    /// Folds a finished batch's committed sequence and counters into the
+    /// run report.
     fn finish_batch(&mut self, batch: Batch) {
         let global = batch.global;
-        let (_, _, committed, conflicts, executions) = batch.master.into_tables();
+        let (committed, conflicts, executions) = batch.master.into_committed();
         self.report.conflicts += conflicts;
         self.report.executions += executions;
         self.report
