@@ -134,6 +134,11 @@ pub(crate) mod test_support {
     use tcsc_index::WorkerIndex;
 
     use crate::candidates::SlotCandidates;
+    use crate::single::greedy::GreedyOutcome;
+    use crate::single::SingleTaskConfig;
+
+    /// A greedy single-task solver: `approx` or `approx_star`.
+    pub type Solver = fn(&Task, &SlotCandidates, &SingleTaskConfig) -> GreedyOutcome;
 
     /// A deterministic small instance: a task with `m` slots at the origin and
     /// one worker per slot at a varying distance (slot `j`'s worker sits at
@@ -176,6 +181,156 @@ pub(crate) mod test_support {
         let index = WorkerIndex::build(&workers, m, &domain);
         let candidates = SlotCandidates::compute(&task, &index, &EuclideanCost::default());
         (task, candidates)
+    }
+
+    // The budget checks both greedy solvers must pass; `name` labels the
+    // solver in assertion messages.
+
+    /// A zero budget executes nothing and leaves the quality at 0.
+    pub fn check_empty_budget_executes_nothing(name: &str, solver: Solver) {
+        let (task, candidates) = line_instance(20);
+        let outcome = solver(&task, &candidates, &SingleTaskConfig::new(0.0));
+        assert_eq!(outcome.plan.executed_count(), 0, "{name}");
+        assert_eq!(outcome.plan.quality, 0.0, "{name}");
+    }
+
+    /// The plan's total cost never exceeds the budget.
+    pub fn check_budget_is_never_exceeded(name: &str, solver: Solver) {
+        for (m, budgets) in [(30, &[1.0, 3.0, 7.5, 20.0][..]), (50, &[2.0, 9.0, 31.0])] {
+            let (task, candidates) = line_instance(m);
+            for &budget in budgets {
+                let outcome = solver(&task, &candidates, &SingleTaskConfig::new(budget));
+                assert!(
+                    outcome.plan.total_cost() <= budget + 1e-9,
+                    "{name}: m={m} budget {budget} exceeded: {}",
+                    outcome.plan.total_cost()
+                );
+            }
+        }
+    }
+
+    /// An unlimited budget executes every slot and reaches `log2(m)`.
+    pub fn check_unlimited_budget_executes_every_available_slot(name: &str, solver: Solver) {
+        for (m, full_quality) in [(16, 4.0), (32, 5.0)] {
+            let (task, candidates) = line_instance(m);
+            let outcome = solver(&task, &candidates, &SingleTaskConfig::new(1e9));
+            assert_eq!(outcome.plan.executed_count(), m, "{name}: m={m}");
+            assert!(
+                (outcome.plan.quality - full_quality).abs() < 1e-9,
+                "{name}: full quality is log2({m})"
+            );
+        }
+    }
+
+    /// A slot without a worker is never executed; every other slot is.
+    pub fn check_slots_without_workers_are_never_selected(name: &str, solver: Solver) {
+        for (m, available) in [(30, 20), (24, 16)] {
+            let (task, candidates) = gappy_instance(m);
+            let outcome = solver(&task, &candidates, &SingleTaskConfig::new(1e6));
+            for exec in &outcome.plan.executions {
+                assert_ne!(exec.slot % 3, 2, "{name}: slot {} has no worker", exec.slot);
+            }
+            assert_eq!(outcome.plan.executed_count(), available, "{name}: m={m}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod indexed {
+    //! Tests of `Approx*`, the greedy loop searched through the V-tree index
+    //! ([`super::greedy::approx_star`]): the budget checks `Approx` also
+    //! passes, and its agreement with the plain scan.
+
+    mod tests {
+        use crate::single::greedy::{approx, approx_star};
+        use crate::single::test_support::{
+            check_budget_is_never_exceeded, check_empty_budget_executes_nothing,
+            check_slots_without_workers_are_never_selected,
+            check_unlimited_budget_executes_every_available_slot, line_instance,
+        };
+        use crate::single::SingleTaskConfig;
+
+        #[test]
+        fn zero_budget_executes_nothing() {
+            check_empty_budget_executes_nothing("Approx*", approx_star);
+        }
+
+        #[test]
+        fn budget_is_respected() {
+            check_budget_is_never_exceeded("Approx*", approx_star);
+        }
+
+        #[test]
+        fn unlimited_budget_reaches_full_quality() {
+            check_unlimited_budget_executes_every_available_slot("Approx*", approx_star);
+        }
+
+        #[test]
+        fn gaps_are_skipped() {
+            check_slots_without_workers_are_never_selected("Approx*", approx_star);
+        }
+
+        #[test]
+        fn approx_star_matches_approx_quality() {
+            // Both algorithms follow the same greedy rule; with exact gains and an
+            // admissible bound the plans must achieve the same quality.
+            for m in [16, 40, 75] {
+                let (task, candidates) = line_instance(m);
+                for budget in [3.0, 10.0, 40.0] {
+                    let cfg = SingleTaskConfig::new(budget);
+                    let plain = approx(&task, &candidates, &cfg);
+                    let fast = approx_star(&task, &candidates, &cfg);
+                    assert!(
+                        (plain.plan.quality - fast.plan.quality).abs() < 1e-6,
+                        "m={m} b={budget}: Approx {} vs Approx* {}",
+                        plain.plan.quality,
+                        fast.plan.quality
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn stats_and_timings_are_populated() {
+            let (task, candidates) = line_instance(64);
+            let outcome = approx_star(&task, &candidates, &SingleTaskConfig::new(20.0));
+            assert!(outcome.iterations > 0);
+            assert!(outcome.search_stats.candidate_slots > 0);
+            assert!(outcome.tree_nodes > 0);
+            assert!(outcome.timings.total() >= 0.0);
+            assert!(outcome.timings.tree_construction > 0.0);
+        }
+
+        #[test]
+        fn ts_variations_keep_the_result_quality() {
+            let (task, candidates) = line_instance(60);
+            let reference = approx_star(&task, &candidates, &SingleTaskConfig::new(15.0))
+                .plan
+                .quality;
+            for ts in [2, 6, 10] {
+                let q = approx_star(&task, &candidates, &SingleTaskConfig::new(15.0).with_ts(ts))
+                    .plan
+                    .quality;
+                assert!((q - reference).abs() < 1e-6, "ts={ts}: {q} vs {reference}");
+            }
+        }
+
+        #[test]
+        fn approx_star_fewer_gain_evaluations_than_approx() {
+            // Approx evaluates every remaining slot each iteration; Approx* only
+            // evaluates slots the bound cannot prune.  On an instance with a wide
+            // cost spread the indexed variant must do strictly less work.
+            let (task, candidates) = line_instance(200);
+            let cfg = SingleTaskConfig::new(25.0);
+            let plain = approx(&task, &candidates, &cfg);
+            let fast = approx_star(&task, &candidates, &cfg);
+            assert!(
+                fast.search_stats.evaluated_slots < plain.search_stats.evaluated_slots,
+                "Approx*: {} exact evaluations, Approx: {}",
+                fast.search_stats.evaluated_slots,
+                plain.search_stats.evaluated_slots
+            );
+        }
     }
 }
 
