@@ -48,10 +48,11 @@
 //! * At checkout the base is cloned and reconciled with the engine's current
 //!   ledger: only slots whose base candidate is occupied are recomputed;
 //!   every other slot is served without touching the index.
-//! * During a solve, a **reverse holder map** `(slot, worker) -> tasks whose
-//!   best pending candidate targets that worker` is maintained.  Occupying a
-//!   worker then refreshes exactly the affected tasks' slots instead of
-//!   re-scanning (or worse, recomputing) every task.
+//! * During a solve, the MSQM loop's heartbeat table (the one the
+//!   task-parallel master decides through too) keeps a **reverse holder
+//!   map** `(slot, worker) -> tasks whose best pending candidate targets
+//!   that worker`.  Occupying a worker then refreshes exactly the affected
+//!   tasks' slots instead of re-scanning (or worse, recomputing) every task.
 //!
 //! # Determinism
 //!
@@ -191,16 +192,12 @@ impl CacheStats {
         self.vtree_nodes_built += other.vtree_nodes_built;
     }
 
-    /// Counts one conflict-driven slot refresh (a real index-backed
-    /// recompute) — the single site of this accounting convention, shared by
-    /// every commit backend.
-    pub(crate) fn count_conflict_refresh(&mut self) {
-        self.slot_computations += 1;
-        self.slot_refreshes += 1;
-    }
-
-    /// Folds one task state's refresh accounting into the run's counters.
+    /// Folds one task state's refresh accounting into the run's counters:
+    /// its conflict refreshes are slot computations, the rest is the
+    /// refresh block.
     pub fn absorb_refresh(&mut self, refresh: &RefreshStats) {
+        self.slot_computations += refresh.conflict_refreshes;
+        self.slot_refreshes += refresh.conflict_refreshes;
         self.full_refreshes += refresh.full_refreshes;
         self.incremental_patches += refresh.incremental_patches;
         self.stale_pops += refresh.stale_pops;
@@ -858,15 +855,14 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
                 ledger,
                 &mut stats,
             ),
-            Objective::MinQuality => mmqm_commit_loop(
-                &mut states,
-                budget,
-                index,
-                self.cost_model,
-                ledger,
-                &mut stats,
-            ),
+            Objective::MinQuality => {
+                mmqm_commit_loop(&mut states, budget, index, self.cost_model, ledger)
+            }
         };
+        // States are per solve, so each state's accounting is absorbed once.
+        for state in &states {
+            stats.absorb_refresh(&state.refresh_stats());
+        }
         if R::IS_ENABLED {
             self.obs.end("engine.commit", tasks.len() as u64);
         }
@@ -1022,7 +1018,8 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
                     self.ledger
                         .nearest_free(&self.index, &tasks[task_idx], slot, self.cost_model),
                 );
-                stats.count_conflict_refresh();
+                stats.slot_computations += 1;
+                stats.slot_refreshes += 1;
                 continue;
             }
             remaining -= cost;

@@ -30,13 +30,16 @@
 //!   same lazy-greedy justification the MMQM heap already relies on), and
 //!   stale entries are **re-scored on pop**, exactly like a lazy-greedy
 //!   priority queue;
-//! * affordability never forces a recompute: entries costing more than the
-//!   query bound are *parked* and reactivated the moment a later query with
-//!   a larger bound (a caller that raised the budget) can afford them again;
+//! * affordability never forces a re-score: an entry costing more than the
+//!   query bound is dropped, since every driver asks a state with a bound
+//!   that never rises (the remaining budget only shrinks) and so could never
+//!   afford it again; a caller that does raise the bound above the last
+//!   pop's gets a rebuilt ledger from [`crate::multi::TaskState`], so its
+//!   answer stays exact;
 //! * a query nothing can afford never reaches the ledger: when the V-tree's
 //!   cheapest candidate (its root's minimum cost over unexecuted slots)
 //!   exceeds the bound, [`crate::multi::TaskState`] answers `None` at once,
-//!   instead of popping and parking every entry one by one and re-scoring
+//!   instead of popping and dropping every entry one by one and re-scoring
 //!   entries of executed slots only to find them dead;
 //! * a stale top entry is re-keyed in place (`BinaryHeap::peek_mut`): the
 //!   fresh score overwrites it and sifts down, with no pop and push.
@@ -86,6 +89,12 @@ use tcsc_core::{SlotIndex, WorkerId};
 /// `full_refreshes == 0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefreshStats {
+    /// Conflict-driven slot refreshes: candidates replaced through
+    /// [`crate::multi::TaskState::set_candidate`] after the planned worker
+    /// was taken, each one index-backed recompute.  Behaviour, not
+    /// measurement: [`crate::engine::CacheStats::absorb_refresh`] folds it
+    /// into `slot_computations` and `slot_refreshes`.
+    pub conflict_refreshes: usize,
     /// Zero-cost fallback searches (V-tree searches the ledger handed off).
     pub full_refreshes: usize,
     /// Ledger entries patched (re-keyed) by candidate refreshes / undos.
@@ -114,6 +123,7 @@ pub struct RefreshStats {
 impl RefreshStats {
     /// Accumulates another stats block into this one.
     pub fn merge(&mut self, other: &RefreshStats) {
+        self.conflict_refreshes += other.conflict_refreshes;
         self.full_refreshes += other.full_refreshes;
         self.incremental_patches += other.incremental_patches;
         self.stale_pops += other.stale_pops;
@@ -200,10 +210,10 @@ pub(crate) enum EntryState {
 #[derive(Debug, Default)]
 pub(crate) struct GainLedger {
     heap: BinaryHeap<GainEntry>,
-    /// Entries whose cost exceeded a query's budget bound: kept aside so a
-    /// later query with a larger bound can reactivate them instead of
-    /// recomputing.
-    parked: Vec<GainEntry>,
+    /// The bound of the last pop (`INFINITY` until the first pop after a
+    /// build): entries costing more were dropped, so a larger bound needs a
+    /// rebuild.
+    bound: f64,
     /// Per-slot patch versions; entries stamped with an older version are
     /// dead.
     slot_versions: Vec<u32>,
@@ -214,12 +224,12 @@ pub(crate) struct GainLedger {
 }
 
 impl GainLedger {
-    /// An unbuilt ledger over `num_slots` slots (entries are installed by the
-    /// first [`GainLedger::is_built`]-gated build).
+    /// An unbuilt ledger over `num_slots` slots (entries are installed by
+    /// [`GainLedger::build`]).
     pub(crate) fn new(num_slots: usize) -> Self {
         Self {
             heap: BinaryHeap::with_capacity(num_slots),
-            parked: Vec::new(),
+            bound: f64::INFINITY,
             slot_versions: vec![0; num_slots],
             score_version: 0,
             built: false,
@@ -231,37 +241,39 @@ impl GainLedger {
         self.built
     }
 
-    /// Marks the ledger built (after the caller pushed the initial entries).
-    pub(crate) fn mark_built(&mut self) {
+    /// Whether the ledger holds every entry a query with bound `max_cost`
+    /// may need: it is built and no earlier pop dropped an entry that
+    /// `max_cost` affords.
+    pub(crate) fn is_built_for(&self, max_cost: f64) -> bool {
+        self.built && max_cost <= self.bound
+    }
+
+    /// (Re)builds the ledger from freshly scored entries (see
+    /// [`GainLedger::extend_scored`]), dropping whatever it held.
+    pub(crate) fn build(
+        &mut self,
+        scored: impl IntoIterator<Item = (SlotIndex, WorkerId, f64, f64, f64)>,
+    ) {
+        self.heap.clear();
+        self.bound = f64::INFINITY;
+        self.extend_scored(scored);
         self.built = true;
     }
 
-    /// The entries held (heap + parked) whose key is exact for the current
-    /// state: live and scored since the task's last execution.
+    /// The entries held whose key is exact for the current state: live and
+    /// scored since the task's last execution.
     #[cfg(test)]
     pub(crate) fn fresh_entries(&self) -> impl Iterator<Item = &GainEntry> {
-        self.heap.iter().chain(&self.parked).filter(|e| {
+        self.heap.iter().filter(|e| {
             e.slot_version == self.slot_versions[e.slot] && e.scored_at == self.score_version
         })
     }
 
-    /// Entries currently in the structure (heap + parked; may include
-    /// version-dead garbage awaiting a pop).
+    /// Entries currently in the structure (may include version-dead garbage
+    /// awaiting a pop).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.heap.len() + self.parked.len()
-    }
-
-    /// Installs a freshly scored entry for a slot.
-    pub(crate) fn push_scored(
-        &mut self,
-        slot: SlotIndex,
-        worker: WorkerId,
-        gain: f64,
-        cost: f64,
-        heuristic: f64,
-    ) {
-        self.extend_scored([(slot, worker, gain, cost, heuristic)]);
+        self.heap.len()
     }
 
     /// Installs freshly scored `(slot, worker, gain, cost, heuristic)`
@@ -286,9 +298,9 @@ impl GainLedger {
         );
     }
 
-    /// Patch entry point: the slot's candidate changed (conflict fallback).  Bumps the slot version so the old entry dies; the
-    /// caller re-scores and [`GainLedger::push_scored`]s the replacement if a
-    /// candidate remains.
+    /// Patch entry point: the slot's candidate changed (conflict fallback).
+    /// Bumps the slot version so the old entry dies; the caller re-scores
+    /// and installs the replacement if a candidate remains.
     pub(crate) fn invalidate_slot(&mut self, slot: SlotIndex) {
         self.slot_versions[slot] = self.slot_versions[slot].wrapping_add(1);
     }
@@ -297,27 +309,6 @@ impl GainLedger {
     /// stale upper bound.
     pub(crate) fn bump_score_version(&mut self) {
         self.score_version = self.score_version.wrapping_add(1);
-    }
-
-    /// Reactivates the parked entries `max_cost` can now afford (the
-    /// raised-budget case), dropping version-dead garbage and keeping the
-    /// still-unaffordable rest parked so a budget oscillation never cycles
-    /// high-cost entries through the heap.
-    fn reactivate_parked(&mut self, max_cost: f64) {
-        if !self.parked.iter().any(|e| e.cost <= max_cost) {
-            return;
-        }
-        let parked = std::mem::take(&mut self.parked);
-        for entry in parked {
-            if entry.slot_version != self.slot_versions[entry.slot] {
-                continue;
-            }
-            if entry.cost <= max_cost {
-                self.heap.push(entry);
-            } else {
-                self.parked.push(entry);
-            }
-        }
     }
 
     /// Could an entry with stale key `key` still beat `best_key` once
@@ -331,13 +322,20 @@ impl GainLedger {
     /// re-scoring stale entries through `probe` on the way.  `probe` returns
     /// [`EntryState::Dead`] when the slot is executed / candidate-less, or
     /// the fresh score.  `stale_pops` counts the re-scores performed.
+    /// Entries costing more than `max_cost` are dropped; the caller asks
+    /// with a larger bound only after a rebuild
+    /// ([`GainLedger::is_built_for`]).
     pub(crate) fn pop_best(
         &mut self,
         max_cost: f64,
         mut probe: impl FnMut(SlotIndex) -> EntryState,
         stale_pops: &mut usize,
     ) -> Option<GainEntry> {
-        self.reactivate_parked(max_cost);
+        debug_assert!(
+            self.is_built_for(max_cost),
+            "the bound rose without a rebuild"
+        );
+        self.bound = max_cost;
         let mut best: Option<GainEntry> = None;
         let mut aside: Vec<GainEntry> = Vec::new();
         loop {
@@ -355,11 +353,11 @@ impl GainLedger {
             }
             // Affordability first: the recorded cost is exact while the slot
             // version matches (patches re-stamp it; executions of *other*
-            // slots never change it), so an unaffordable entry parks without
+            // slots never change it), so an unaffordable entry drops without
             // paying for a gain re-score — the case where the full search
             // prunes on `min_cost > max_cost` for free.
             if top.cost > max_cost {
-                self.parked.push(PeekMut::pop(top));
+                PeekMut::pop(top);
                 continue;
             }
             if top.scored_at != self.score_version {
@@ -427,38 +425,39 @@ impl GainLedger {
 mod tests {
     use super::*;
 
+    use crate::multi::heuristic;
+
     fn probe_table(scores: Vec<Option<(f64, f64)>>) -> impl FnMut(SlotIndex) -> EntryState {
         move |slot| match scores[slot] {
             None => EntryState::Dead,
             Some((gain, cost)) => EntryState::Stale {
                 gain,
                 cost,
-                heuristic: if cost > 0.0 {
-                    gain / cost
-                } else {
-                    f64::INFINITY
-                },
+                heuristic: heuristic(gain, cost),
                 worker: WorkerId(slot as u32),
             },
         }
     }
 
-    fn push(ledger: &mut GainLedger, slot: SlotIndex, gain: f64, cost: f64) {
-        let h = if cost > 0.0 {
-            gain / cost
-        } else {
-            f64::INFINITY
-        };
-        ledger.push_scored(slot, WorkerId(slot as u32), gain, cost, h);
+    /// A ledger built over `(slot, gain, cost)` entries.
+    fn ledger_of(num_slots: usize, entries: &[(SlotIndex, f64, f64)]) -> GainLedger {
+        let mut ledger = GainLedger::new(num_slots);
+        ledger.build(entries.iter().map(|&(slot, gain, cost)| {
+            (
+                slot,
+                WorkerId(slot as u32),
+                gain,
+                cost,
+                heuristic(gain, cost),
+            )
+        }));
+        ledger
     }
 
     #[test]
     fn pop_returns_the_exact_argmax_with_lower_slot_ties() {
-        let mut ledger = GainLedger::new(4);
-        push(&mut ledger, 2, 4.0, 2.0); // h = 2.0
-        push(&mut ledger, 0, 2.0, 1.0); // h = 2.0 (tie, lower slot wins)
-        push(&mut ledger, 3, 9.0, 2.0); // h = 4.5
-        ledger.mark_built();
+        // h = 2.0, 2.0 (tie, lower slot wins), 4.5
+        let mut ledger = ledger_of(4, &[(2, 4.0, 2.0), (0, 2.0, 1.0), (3, 9.0, 2.0)]);
         let mut pops = 0;
         let best = ledger
             .pop_best(f64::INFINITY, |_| EntryState::Dead, &mut pops)
@@ -475,10 +474,7 @@ mod tests {
 
     #[test]
     fn stale_entries_are_rescored_on_pop() {
-        let mut ledger = GainLedger::new(2);
-        push(&mut ledger, 0, 10.0, 1.0); // h = 10
-        push(&mut ledger, 1, 8.0, 1.0); // h = 8
-        ledger.mark_built();
+        let mut ledger = ledger_of(2, &[(0, 10.0, 1.0), (1, 8.0, 1.0)]);
         ledger.bump_score_version();
         // After the "execution", slot 0's gain collapsed below slot 1's.
         let mut pops = 0;
@@ -502,30 +498,8 @@ mod tests {
     }
 
     #[test]
-    fn unaffordable_entries_park_and_reactivate() {
-        let mut ledger = GainLedger::new(2);
-        push(&mut ledger, 0, 50.0, 10.0); // h = 5, cost 10
-        push(&mut ledger, 1, 3.0, 1.0); // h = 3, cost 1
-        ledger.mark_built();
-        let mut pops = 0;
-        let tight = ledger
-            .pop_best(2.0, |_| EntryState::Dead, &mut pops)
-            .unwrap();
-        assert_eq!(tight.slot, 1, "the expensive slot is parked");
-        // A raised budget reactivates the parked entry.
-        let wide = ledger
-            .pop_best(20.0, |_| EntryState::Dead, &mut pops)
-            .unwrap();
-        assert_eq!(wide.slot, 0);
-        assert_eq!(pops, 0);
-    }
-
-    #[test]
     fn dead_slots_are_skipped() {
-        let mut ledger = GainLedger::new(2);
-        push(&mut ledger, 0, 5.0, 1.0);
-        push(&mut ledger, 1, 4.0, 1.0);
-        ledger.mark_built();
+        let mut ledger = ledger_of(2, &[(0, 5.0, 1.0), (1, 4.0, 1.0)]);
         ledger.bump_score_version();
         let mut pops = 0;
         // Slot 0 reports dead on re-score (it was executed).

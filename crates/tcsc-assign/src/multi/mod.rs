@@ -5,6 +5,7 @@
 pub mod conflict;
 mod gain;
 pub mod group_parallel;
+mod heartbeat;
 pub mod mmqm;
 pub mod msqm;
 pub mod protocol;
@@ -26,6 +27,7 @@ use crate::candidates::{candidate_for_slot, SlotCandidates, WorkerLedger};
 use crate::engine::CacheStats;
 pub use crate::multi::gain::RefreshStats;
 use crate::multi::gain::{EntryState, GainLedger};
+pub(crate) use crate::multi::heartbeat::HeartbeatTable;
 
 /// Parameters shared by the multi-task solvers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -290,11 +292,13 @@ impl TaskState {
     /// The build gives every feasible slot an exact, fresh entry.  A task
     /// with no executions reads its gains from the vector shared by its
     /// shape when the shape has a unit-reliability table; every other state
-    /// scores each slot.
+    /// scores each slot.  A pop drops the entries its bound cannot afford,
+    /// so a request whose bound rises above the last pop's rebuilds the
+    /// ledger first (no driver does: the remaining budget only shrinks).
     ///
     /// When the V-tree's cheapest candidate already exceeds `max_cost`,
     /// nothing is affordable and the answer is `None` without touching the
-    /// ledger: the pop would only park or kill every entry it reached.
+    /// ledger: the pop would only drop or kill every entry it reached.
     fn pop_best(&mut self, max_cost: f64) -> Option<TaskCandidate> {
         let Self {
             evaluator,
@@ -311,14 +315,14 @@ impl TaskState {
         {
             return None;
         }
-        if !ledger.is_built() {
+        if !ledger.is_built_for(max_cost) {
             match tree {
                 Some(tree)
                     if evaluator.executed_len() == 0
                         && evaluator.unit_partial_table().is_some() =>
                 {
                     let gains = empty_task_gains(evaluator.params());
-                    ledger.extend_scored(gains.iter().enumerate().filter_map(|(slot, &gain)| {
+                    ledger.build(gains.iter().enumerate().filter_map(|(slot, &gain)| {
                         let candidate = candidates.get(slot).filter(|_| gain > 0.0)?;
                         debug_assert_eq!(
                             gain.to_bits(),
@@ -329,13 +333,12 @@ impl TaskState {
                         Some((slot, candidate.worker, gain, cost, heuristic(gain, cost)))
                     }));
                 }
-                _ => ledger.extend_scored((0..task.num_slots).filter_map(|slot| {
+                _ => ledger.build((0..task.num_slots).filter_map(|slot| {
                     let (gain, cost, heuristic, worker) =
                         score_slot(evaluator, tree, candidates, slot)?;
                     Some((slot, worker, gain, cost, heuristic))
                 })),
             }
-            ledger.mark_built();
         }
         let best = ledger.pop_best(
             max_cost,
@@ -422,7 +425,7 @@ impl TaskState {
         ledger.invalidate_slot(slot);
         if let Some((gain, cost, heuristic, worker)) = score_slot(evaluator, tree, candidates, slot)
         {
-            ledger.push_scored(slot, worker, gain, cost, heuristic);
+            ledger.extend_scored([(slot, worker, gain, cost, heuristic)]);
         }
         refresh_stats.incremental_patches += 1;
         refresh_stats.refresh_nanos += start.elapsed_nanos();
@@ -443,12 +446,15 @@ impl TaskState {
 
     /// Replaces the candidate of one slot directly (the entry point of the
     /// engine's commit loops, whose refreshes go through its occupancy
-    /// store), keeping the tree's cost aggregates in sync.
+    /// store), keeping the tree's cost aggregates in sync.  Every call is
+    /// one conflict refresh, counted in
+    /// [`RefreshStats::conflict_refreshes`].
     pub fn set_candidate(
         &mut self,
         slot: SlotIndex,
         candidate: Option<tcsc_core::CandidateAssignment>,
     ) {
+        self.refresh_stats.conflict_refreshes += 1;
         self.candidates.set(slot, candidate);
         if let Some(tree) = &mut self.tree {
             tree.update_cost(&self.evaluator, slot, self.candidates.cost(slot));
@@ -729,6 +735,23 @@ mod tests {
         // A later, larger bound answers exactly like the full search.
         for max_cost in [min_cost, f64::INFINITY] {
             assert!(checked_best(&mut state, max_cost).is_some());
+        }
+    }
+
+    #[test]
+    fn a_raised_bound_rebuilds_the_ledger() {
+        for use_index in [true, false] {
+            let (tasks, index, cost) = small_instance(5, 1, 40, 200);
+            let cfg = MultiTaskConfig::new(100.0).with_index(use_index);
+            let mut state = TaskState::new(&tasks[0], &index, &cost, &cfg);
+            execute_best(&mut state, 3);
+            let tight = checked_best(&mut state, 2.0).expect("a candidate within 2");
+            // The wide answer outranks the tight one but costs more than 2:
+            // the tight pop dropped its entry, so only a rebuilt ledger
+            // can match the full search.
+            let wide = checked_best(&mut state, 20.0).expect("a candidate within 20");
+            assert!(wide.cost > 2.0, "index {use_index}: {wide:?}");
+            assert!(wide.heuristic > tight.heuristic, "index {use_index}");
         }
     }
 

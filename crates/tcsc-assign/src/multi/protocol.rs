@@ -21,7 +21,10 @@
 //! The master is the paper's deterministic one: a grant is only decided when
 //! **every** outstanding reply has arrived, so each selection sees the
 //! complete heartbeat table and the committed execution sequence is the
-//! serial greedy's.  After every event the master
+//! serial greedy's.  The table and its selection rule are the crate's one
+//! `HeartbeatTable` (`multi/heartbeat.rs`), which the engine's serial commit
+//! loop decides through too; the master adds the messages and its count of
+//! outstanding replies.  After every event the master
 //!
 //! 1. re-requests every entry whose candidate the remaining budget can no
 //!    longer afford (a recompute may find a cheaper slot);
@@ -40,7 +43,7 @@ use tcsc_index::SpatialQuery;
 use tcsc_obs::{NoopRecorder, Recorder, Scope};
 
 use crate::candidates::WorkerLedger;
-use crate::multi::{TaskCandidate, TaskState};
+use crate::multi::{HeartbeatTable, TaskCandidate, TaskState};
 
 /// A command from the master to the owner (thread or region node) of a task.
 /// Every command is answered by exactly one [`WorkerEvent`].
@@ -246,18 +249,6 @@ impl TaskOwner {
     }
 }
 
-/// Per-task heartbeat-table entry.
-#[derive(Debug, Clone, PartialEq)]
-enum Entry {
-    /// A compute / refresh request is outstanding.
-    Pending,
-    /// The latest heartbeat.
-    Known {
-        candidate: Option<TaskCandidate>,
-        worker: Option<WorkerId>,
-    },
-}
-
 /// The master state machine of the task-level parallel framework.  Feed it
 /// [`WorkerEvent`]s via [`TaskMaster::handle`]; dispatch the returned
 /// [`MasterCommand`]s to the task owners; broadcast the finish signal when
@@ -266,7 +257,7 @@ pub struct TaskMaster<R: Recorder = NoopRecorder> {
     use_priorities: bool,
     remaining: f64,
     ledger: WorkerLedger,
-    table: Vec<Entry>,
+    table: HeartbeatTable,
     /// Outstanding replies (heartbeats and execution confirmations).
     pending: usize,
     conflicts: usize,
@@ -274,7 +265,6 @@ pub struct TaskMaster<R: Recorder = NoopRecorder> {
     committed: Vec<CommittedExecution>,
     /// Last reported heuristic per task (the priority-ordering key).
     last_heuristic: Vec<Option<f64>>,
-    done: bool,
     /// Event recorder (statically dispatched; `NoopRecorder` by default, so
     /// un-instrumented drivers pay nothing).
     obs: R,
@@ -286,7 +276,6 @@ impl<R: Recorder> std::fmt::Debug for TaskMaster<R> {
             .field("remaining", &self.remaining)
             .field("pending", &self.pending)
             .field("executions", &self.executions)
-            .field("done", &self.done)
             .finish_non_exhaustive()
     }
 }
@@ -306,13 +295,12 @@ impl TaskMaster {
             use_priorities,
             remaining: budget,
             ledger,
-            table: vec![Entry::Pending; num_tasks],
+            table: HeartbeatTable::new(num_tasks),
             pending: num_tasks,
             conflicts: 0,
             executions: 0,
             committed: Vec::new(),
             last_heuristic: vec![None; num_tasks],
-            done: num_tasks == 0,
             obs: NoopRecorder,
         };
         let commands = (0..num_tasks)
@@ -341,14 +329,13 @@ impl<R: Recorder> TaskMaster<R> {
             executions: self.executions,
             committed: self.committed,
             last_heuristic: self.last_heuristic,
-            done: self.done,
             obs,
         }
     }
 
     /// Whether every grant is committed and no reply is outstanding.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.pending == 0 && self.table.select(self.remaining).is_none()
     }
 
     /// Number of worker conflicts recorded so far.
@@ -393,10 +380,8 @@ impl<R: Recorder> TaskMaster<R> {
                 if let Some(c) = &candidate {
                     self.last_heuristic[task] = Some(c.heuristic);
                 }
-                self.table[task] = Entry::Known {
-                    candidate,
-                    worker: planned_worker,
-                };
+                // A candidate without a planned worker cannot be granted.
+                self.table.record(task, candidate.zip(planned_worker));
             }
             WorkerEvent::Executed {
                 task, slot, worker, ..
@@ -417,7 +402,15 @@ impl<R: Recorder> TaskMaster<R> {
         let mut out = Vec::new();
         loop {
             let before = out.len();
-            self.rerequest_stale(&mut out);
+            // Budget staleness: a candidate computed under a larger budget
+            // is recomputed under the current one (a cheaper slot may
+            // still be affordable).
+            let stale = self.table.expire_unaffordable(self.remaining);
+            let max_cost = self.remaining;
+            self.request(stale, &mut out, |task| MasterCommand::Compute {
+                task,
+                max_cost,
+            });
             if self.pending == 0 {
                 self.decide(&mut out);
             }
@@ -425,14 +418,19 @@ impl<R: Recorder> TaskMaster<R> {
                 break;
             }
         }
-        self.done = self.pending == 0 && self.select().is_none();
         out
     }
 
-    /// Sorts a request batch by descending last-reported heuristic when the
-    /// dynamic priorities are enabled (Fig. 9(f)); affects only the emission
-    /// order, never the result.
-    fn priority_sort(&self, tasks: &mut [usize]) {
+    /// Emits one `command` per task the table just marked pending (each is
+    /// one more outstanding reply).  With the dynamic priorities enabled
+    /// (Fig. 9(f)) the batch goes out by descending last-reported
+    /// heuristic; that affects only the emission order, never the result.
+    fn request(
+        &mut self,
+        mut tasks: Vec<usize>,
+        out: &mut Vec<MasterCommand>,
+        command: impl FnMut(usize) -> MasterCommand,
+    ) {
         if self.use_priorities {
             tasks.sort_by(|&a, &b| {
                 let ha = self.last_heuristic[a].unwrap_or(f64::INFINITY);
@@ -440,71 +438,14 @@ impl<R: Recorder> TaskMaster<R> {
                 hb.total_cmp(&ha)
             });
         }
-    }
-
-    /// Marks a task's entry pending: one more reply is outstanding.
-    fn request(&mut self, task: usize) {
-        self.table[task] = Entry::Pending;
-        self.pending += 1;
-    }
-
-    /// Budget staleness: cached candidates computed under a larger budget
-    /// may have become unaffordable; recompute them under the current budget
-    /// so cheaper slots are still considered.
-    fn rerequest_stale(&mut self, out: &mut Vec<MasterCommand>) {
-        let mut stale: Vec<usize> = Vec::new();
-        for (task, entry) in self.table.iter().enumerate() {
-            if let Entry::Known {
-                candidate: Some(c), ..
-            } = entry
-            {
-                if c.cost > self.remaining {
-                    stale.push(task);
-                }
-            }
-        }
-        self.priority_sort(&mut stale);
-        for task in stale {
-            self.request(task);
-            out.push(MasterCommand::Compute {
-                task,
-                max_cost: self.remaining,
-            });
-        }
-    }
-
-    /// The serial selection rule: the affordable candidate with the maximum
-    /// heuristic, ties to the lower task index.
-    fn select(&self) -> Option<(usize, TaskCandidate, WorkerId)> {
-        let mut best: Option<(usize, TaskCandidate, WorkerId)> = None;
-        for (task, entry) in self.table.iter().enumerate() {
-            let Entry::Known {
-                candidate: Some(c),
-                worker: Some(worker),
-            } = entry
-            else {
-                continue;
-            };
-            if c.cost > self.remaining {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((bt, b, _)) => {
-                    c.heuristic > b.heuristic || (c.heuristic == b.heuristic && task < *bt)
-                }
-            };
-            if better {
-                best = Some((task, *c, *worker));
-            }
-        }
-        best
+        self.pending += tasks.len();
+        out.extend(tasks.into_iter().map(command));
     }
 
     /// Decides one selection with the complete heartbeat table: either a
     /// selection-time conflict (refresh and wait) or a grant.
     fn decide(&mut self, out: &mut Vec<MasterCommand>) {
-        let Some((task, candidate, worker)) = self.select() else {
+        let Some((task, candidate, worker)) = self.table.select(self.remaining) else {
             return;
         };
         let slot = candidate.slot;
@@ -512,7 +453,8 @@ impl<R: Recorder> TaskMaster<R> {
             // The cached candidate's worker was taken since the candidate was
             // computed: count it and refresh the slot.
             self.conflicts += 1;
-            self.request(task);
+            self.table.invalidate(task);
+            self.pending += 1;
             out.push(MasterCommand::Refresh {
                 task,
                 slot,
@@ -543,35 +485,20 @@ impl<R: Recorder> TaskMaster<R> {
 
         // Conflict losers: every other task whose candidate targets the
         // granted worker at the granted slot.
-        let mut losers: Vec<usize> = Vec::new();
-        for (other, entry) in self.table.iter().enumerate() {
-            if let Entry::Known {
-                candidate: Some(c),
-                worker: Some(w),
-            } = entry
-            {
-                if other != task && c.slot == slot && *w == worker {
-                    losers.push(other);
-                }
-            }
-        }
+        self.table.invalidate(task);
+        let losers = self.table.take_losers(slot, worker);
         self.conflicts += losers.len();
-        self.priority_sort(&mut losers);
-        let occupied = self.ledger.occupied_at(slot);
-        for loser in losers {
-            self.request(loser);
-            out.push(MasterCommand::Refresh {
-                task: loser,
-                slot,
-                occupied: occupied.clone(),
-                max_cost: self.remaining,
-            });
-        }
+        let (occupied, max_cost) = (self.ledger.occupied_at(slot), self.remaining);
+        self.request(losers, out, |task| MasterCommand::Refresh {
+            task,
+            slot,
+            occupied: occupied.clone(),
+            max_cost,
+        });
 
         // The winner replies twice: the execution confirmation and the
         // heartbeat of its follow-up compute.
-        self.request(task);
-        self.pending += 1;
+        self.pending += 2;
         out.push(MasterCommand::Execute { task, slot });
         out.push(MasterCommand::Compute {
             task,

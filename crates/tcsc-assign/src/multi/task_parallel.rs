@@ -6,7 +6,9 @@
 //! aggregated tree).  The master maintains the control structures of the
 //! paper:
 //!
-//! * **Heartbeat table** — the latest candidate reported per task;
+//! * **Heartbeat table** — the latest candidate reported per task, with the
+//!   selection rule and the conflict losers of a grant (the crate's one
+//!   `HeartbeatTable`, shared with the serial engine's commit loop);
 //! * **conflict resolution** — a task that loses a worker to another task is
 //!   sent a refresh whose exclusion set (the workers occupied at the slot)
 //!   names its fallback, so it needs no separate conflicting table;
@@ -203,11 +205,6 @@ pub fn msqm_task_parallel(
             .collect();
 
         let (committed, conflicts, executions) = master.into_committed();
-        // Each committed conflict (selection-time or loser) triggered exactly
-        // one slot refresh on the owning thread; account them like the serial
-        // engine does.
-        stats.slot_computations += conflicts;
-        stats.slot_refreshes += conflicts;
 
         TaskParallelOutcome {
             outcome: MultiOutcome {
@@ -289,6 +286,9 @@ mod tests {
         let outcome = msqm_task_parallel(&tasks, &index, &cost, &cfg, 4, true);
         assert!(outcome.outcome.conflicts > 0);
         assert_eq!(outcome.outcome.conflicts, serial.conflicts);
+        // A fresh batch reconciles nothing: every slot refresh is a conflict.
+        assert_eq!(serial.stats.slot_refreshes, serial.conflicts);
+        assert_eq!(outcome.outcome.stats, serial.stats);
     }
 
     #[test]

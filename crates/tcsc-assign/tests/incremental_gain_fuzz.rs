@@ -111,7 +111,7 @@ fn batch_plans_are_bit_identical_across_strategies() {
         }
         total_stale_pops += inc.stats.stale_pops;
     }
-    // Individual tight-budget runs may park everything without a single
+    // Individual tight-budget runs may drop everything without a single
     // re-score, but across the sweep the lazy-greedy pop must have done real
     // work.
     assert!(total_stale_pops > 0, "the ledger never re-scored anything");
@@ -227,8 +227,8 @@ fn owner_tape_with_raised_budgets_matches_the_full_search() {
     // refreshes, executions — while a mirror `TaskState` replays the same
     // refreshes and executions, and require every heartbeat to report the
     // mirror's full-search best candidate.  This is the direct check that
-    // patching and parked-entry reactivation leave the gain ledger answering
-    // exactly like a full search.
+    // patching, dropping unaffordable entries and the rebuild a raised bound
+    // triggers leave the gain ledger answering exactly like a full search.
     let cost = EuclideanCost::default();
     for seed in 3000..3090u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -251,7 +251,7 @@ fn owner_tape_with_raised_budgets_matches_the_full_search() {
         for step in 0..40 {
             let command = match rng.gen_range(0..8) {
                 // Compute under a wandering budget: mostly shrinking, but
-                // sometimes raised — that reactivates parked ledger entries.
+                // sometimes raised — that rebuilds the gain ledger.
                 0..=3 => {
                     max_cost = if rng.gen_bool(0.25) {
                         max_cost * rng.gen_range(1.1..2.0)

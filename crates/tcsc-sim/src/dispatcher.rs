@@ -341,10 +341,6 @@ impl Component<NetMessage> for Dispatcher {
                 self.report.worker_pings += pings;
                 self.plans_outstanding -= 1;
                 if self.plans_outstanding == 0 {
-                    // The engines charge one slot refresh per conflict; match
-                    // their accounting so the stats are comparable.
-                    self.report.stats.slot_computations += self.report.conflicts;
-                    self.report.stats.slot_refreshes += self.report.conflicts;
                     self.report.plans.sort_by_key(|(g, _)| *g);
                     self.report.finish_time_us = ctx.now();
                     *self.outbox.borrow_mut() = Some(std::mem::take(&mut self.report));
