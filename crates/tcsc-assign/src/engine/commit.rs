@@ -43,8 +43,10 @@ impl Ord for HeapEntry {
 /// The serial MSQM greedy over already-checked-out task states: repeatedly
 /// execute the globally best affordable `(gain / cost)` candidate, arbitrate
 /// worker conflicts through the occupancy store and refresh exactly the
-/// invalidated slots (the heartbeat table's holder map yields them without
-/// scanning the batch).  Returns `(conflicts, executions)`.
+/// invalidated slots.  No step scans the batch: the heartbeat table's
+/// lazy heaps yield the argmax and the budget-expired tasks, its dirty list
+/// the pending ones and its holder lists the conflict losers, all into one
+/// reused buffer.  Returns `(conflicts, executions)`.
 ///
 /// The engine on either index (and, through it, the group-parallel
 /// framework) commits through this loop; the task-parallel master applies
@@ -65,22 +67,25 @@ pub(crate) fn msqm_commit_loop<I, L: Occupancy<I>>(
     let mut executions = 0usize;
     let mut table = HeartbeatTable::new(states.len());
     let mut warm_start_done = false;
+    // One buffer takes every task list the table hands out; each list is
+    // used up before the next is asked for.
+    let mut tasks = Vec::new();
 
     loop {
         // Candidates the shrinking budget made unaffordable turn pending:
         // recomputed under the current budget, a cheaper slot of the same
         // task may still be affordable.
-        table.expire_unaffordable(remaining);
+        table.expire_unaffordable(remaining, &mut tasks);
         // Answer every pending entry, in ascending task order (the first
         // iteration answers the whole batch — the warm start).
-        let pending = table.pending();
-        if !pending.is_empty() {
+        table.pending(&mut tasks);
+        if !tasks.is_empty() {
             if warm_start_done {
                 // Everything past the warm start is per-grant re-score work.
-                stats.commit_rescores += pending.len();
+                stats.commit_rescores += tasks.len();
             }
             warm_start_done = true;
-            for i in pending {
+            for &i in &tasks {
                 let candidate = states[i].best_candidate(remaining);
                 let worker = candidate.and_then(|c| states[i].planned_worker(c.slot));
                 table.record(i, candidate.zip(worker));
@@ -114,7 +119,8 @@ pub(crate) fn msqm_commit_loop<I, L: Occupancy<I>>(
         table.invalidate(task_idx);
         // Tasks that planned the same worker at the same slot fall back to
         // the next nearest free worker.
-        for i in table.take_losers(candidate.slot, planned.worker) {
+        table.take_losers(candidate.slot, planned.worker, &mut tasks);
+        for &i in &tasks {
             conflicts += 1;
             let refreshed = ledger.nearest_free(index, &states[i].task, candidate.slot, cost_model);
             states[i].set_candidate(candidate.slot, refreshed);

@@ -335,7 +335,7 @@ impl<R: Recorder> TaskMaster<R> {
 
     /// Whether every grant is committed and no reply is outstanding.
     pub fn is_done(&self) -> bool {
-        self.pending == 0 && self.table.select(self.remaining).is_none()
+        self.pending == 0 && !self.table.has_selectable(self.remaining)
     }
 
     /// Number of worker conflicts recorded so far.
@@ -405,7 +405,8 @@ impl<R: Recorder> TaskMaster<R> {
             // Budget staleness: a candidate computed under a larger budget
             // is recomputed under the current one (a cheaper slot may
             // still be affordable).
-            let stale = self.table.expire_unaffordable(self.remaining);
+            let mut stale = Vec::new();
+            self.table.expire_unaffordable(self.remaining, &mut stale);
             let max_cost = self.remaining;
             self.request(stale, &mut out, |task| MasterCommand::Compute {
                 task,
@@ -486,7 +487,8 @@ impl<R: Recorder> TaskMaster<R> {
         // Conflict losers: every other task whose candidate targets the
         // granted worker at the granted slot.
         self.table.invalidate(task);
-        let losers = self.table.take_losers(slot, worker);
+        let mut losers = Vec::new();
+        self.table.take_losers(slot, worker, &mut losers);
         self.conflicts += losers.len();
         let (occupied, max_cost) = (self.ledger.occupied_at(slot), self.remaining);
         self.request(losers, out, |task| MasterCommand::Refresh {
@@ -592,5 +594,33 @@ mod tests {
         // Task 0 has nothing left; task 1 is granted now.
         let out = master.handle(hb(0, None, None));
         assert_eq!(out[0], MasterCommand::Execute { task: 1, slot: 1 });
+    }
+
+    #[test]
+    fn done_once_the_last_heartbeats_report_nothing_after_a_grant() {
+        let (mut master, _) = TaskMaster::new(2, 10.0, WorkerLedger::new(), false);
+        master.handle(hb(0, Some(cand(0, 1.0, 5.0)), Some(WorkerId(4))));
+        master.handle(hb(1, Some(cand(1, 1.0, 3.0)), Some(WorkerId(2))));
+        // Task 0 was granted; task 1's candidate is still live.
+        master.handle(WorkerEvent::Executed {
+            task: 0,
+            slot: 0,
+            worker: WorkerId(4),
+            cost: 1.0,
+        });
+        let out = master.handle(hb(0, None, None));
+        assert_eq!(out[0], MasterCommand::Execute { task: 1, slot: 1 });
+        assert!(!master.is_done());
+        // Every heap entry left is stale: both grants' winners report nothing.
+        master.handle(WorkerEvent::Executed {
+            task: 1,
+            slot: 1,
+            worker: WorkerId(2),
+            cost: 1.0,
+        });
+        assert!(!master.is_done());
+        assert!(master.handle(hb(1, None, None)).is_empty());
+        assert!(master.is_done());
+        assert_eq!(master.executions(), 2);
     }
 }
