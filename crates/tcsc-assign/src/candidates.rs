@@ -8,9 +8,10 @@
 //! forces the task to fall back to its 2nd, 3rd, ... nearest worker
 //! (Section IV-A), which is what the [`WorkerLedger`] tracks.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use tcsc_core::{CandidateAssignment, CostModel, SlotIndex, Task, WorkerId};
+use tcsc_core::{CandidateAssignment, CostModel, IdHasher, SlotIndex, Task, WorkerId, WorkerSet};
 use tcsc_index::{NearestWorker, SpatialQuery};
 
 /// The per-slot candidate assignments of one task.
@@ -135,13 +136,15 @@ pub(crate) fn priced(
 /// multi-task assignment, so that two tasks never use the same worker during
 /// the same slot.
 ///
-/// The occupancy is stored per slot (`slot -> sorted worker set`) so that a
-/// slot's exclusion set is answered in `O(1)` instead of scanning every
-/// commitment of the whole run, and membership checks are `O(log n)` in the
-/// slot's own occupancy.
+/// The occupancy is stored per slot (`slot -> WorkerSet`), both levels
+/// hashed with [`IdHasher`]: a slot's exclusion set is found with one
+/// multiply instead of scanning every commitment of the whole run, and a
+/// membership probe costs expected `O(1)` however full the slot is.  The
+/// hash order never leaks: every enumeration the ledger hands out
+/// ([`WorkerLedger::occupied_at`], [`WorkerLedger::commitments`]) is sorted.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerLedger {
-    occupied: HashMap<SlotIndex, BTreeSet<WorkerId>>,
+    occupied: HashMap<SlotIndex, WorkerSet, BuildHasherDefault<IdHasher>>,
     commitments: usize,
 }
 
@@ -170,16 +173,20 @@ impl WorkerLedger {
 
     /// The workers occupied during a slot, in ascending id order.
     pub fn occupied_at(&self, slot: SlotIndex) -> Vec<WorkerId> {
-        self.occupied
+        let mut out: Vec<WorkerId> = self
+            .occupied
             .get(&slot)
             .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
+            .unwrap_or_default();
+        out.sort_unstable();
+        out
     }
 
     /// The slot's occupancy set, or `None` when nothing is occupied at the
     /// slot.  This is the allocation-free fast path consumed by
-    /// [`SpatialQuery::nearest_excluding_set`].
-    pub fn occupied_set_at(&self, slot: SlotIndex) -> Option<&BTreeSet<WorkerId>> {
+    /// [`SpatialQuery::nearest_excluding_set`]; its iteration order is the
+    /// hash table's, so use [`WorkerLedger::occupied_at`] to enumerate.
+    pub fn occupied_set_at(&self, slot: SlotIndex) -> Option<&WorkerSet> {
         self.occupied.get(&slot).filter(|set| !set.is_empty())
     }
 
@@ -221,15 +228,23 @@ impl WorkerLedger {
     }
 
     /// Releases every commitment, returning the ledger to its empty state
-    /// (used by the engine between re-planning rounds).
+    /// (used by the engine between re-planning rounds).  The per-slot sets
+    /// are emptied in place, so the next round re-uses their tables.
     pub fn clear(&mut self) {
-        self.occupied.clear();
+        for set in self.occupied.values_mut() {
+            set.clear();
+        }
         self.commitments = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
     use tcsc_core::{Domain, EuclideanCost, Location, TaskId, Worker, WorkerPool, WorkerSlot};
     use tcsc_index::WorkerIndex;
@@ -346,6 +361,108 @@ mod tests {
         assert_eq!(set.len(), 2);
         assert!(set.contains(&WorkerId(4)));
         assert!(ledger.occupied_set_at(1).is_none());
+    }
+
+    /// The ledger's former layout, sorted sets in a sorted map, kept as the
+    /// reference model of the hashed one.
+    type ReferenceLedger = BTreeMap<SlotIndex, BTreeSet<WorkerId>>;
+
+    /// Asserts every read of `ledger` answers as `model`, and that each
+    /// enumeration comes out strictly ascending.
+    fn assert_agrees(
+        ledger: &WorkerLedger,
+        model: &ReferenceLedger,
+        slots: &[SlotIndex],
+        ids: &[WorkerId],
+        ctx: &str,
+    ) {
+        let held: usize = model.values().map(BTreeSet::len).sum();
+        assert_eq!(ledger.len(), held, "{ctx}");
+        assert_eq!(ledger.is_empty(), held == 0, "{ctx}");
+        for &slot in slots {
+            let want: Vec<WorkerId> = model
+                .get(&slot)
+                .map(|set| set.iter().copied().collect())
+                .unwrap_or_default();
+            let got = ledger.occupied_at(slot);
+            assert!(
+                got.windows(2).all(|w| w[0] < w[1]),
+                "{ctx}: slot {slot} unsorted"
+            );
+            assert_eq!(got, want, "{ctx}: slot {slot}");
+            match ledger.occupied_set_at(slot) {
+                None => assert!(want.is_empty(), "{ctx}: slot {slot}"),
+                Some(set) => {
+                    assert!(
+                        !want.is_empty(),
+                        "{ctx}: slot {slot} hands out an empty set"
+                    );
+                    assert_eq!(set.len(), want.len(), "{ctx}: slot {slot}");
+                    assert!(want.iter().all(|w| set.contains(w)), "{ctx}: slot {slot}");
+                }
+            }
+            for &worker in ids {
+                assert_eq!(
+                    ledger.is_occupied(slot, worker),
+                    model.get(&slot).is_some_and(|set| set.contains(&worker)),
+                    "{ctx}: slot {slot}, {worker:?}"
+                );
+            }
+        }
+        let commitments = ledger.commitments();
+        assert!(
+            commitments.windows(2).all(|c| c[0] < c[1]),
+            "{ctx}: commitments unsorted"
+        );
+        let want: Vec<(SlotIndex, WorkerId)> = model
+            .iter()
+            .flat_map(|(slot, set)| set.iter().map(move |w| (*slot, *w)))
+            .collect();
+        assert_eq!(commitments, want, "{ctx}");
+    }
+
+    #[test]
+    fn the_hashed_ledger_answers_as_the_sorted_reference() {
+        // Both ends of the id range, and ids equal in their low 16 bits.
+        let ids: Vec<WorkerId> = [0, 1, 2, 0xFFFF, u32::MAX - 1, u32::MAX]
+            .into_iter()
+            .chain((1..6).flat_map(|high| [high << 16, (high << 16) | 0x2A]))
+            .chain([0xFFFF_0000, 0xFFFF_002A])
+            .map(WorkerId)
+            .collect();
+        let slots: Vec<SlotIndex> = vec![0, 1, 2, 3, 5, 8, usize::MAX / 2, usize::MAX];
+        for seed in 0..150 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ledger = WorkerLedger::new();
+            let mut model = ReferenceLedger::new();
+            for step in 0..200 {
+                let ctx = format!("seed {seed}, step {step}");
+                let slot = slots[rng.gen_range(0..slots.len())];
+                let worker = ids[rng.gen_range(0..ids.len())];
+                match rng.gen_range(0..100) {
+                    0..=54 => assert_eq!(
+                        ledger.occupy(slot, worker),
+                        model.entry(slot).or_default().insert(worker),
+                        "{ctx}: occupy"
+                    ),
+                    55..=97 => assert_eq!(
+                        ledger.release(slot, worker),
+                        model.get_mut(&slot).is_some_and(|set| set.remove(&worker)),
+                        "{ctx}: release"
+                    ),
+                    _ => {
+                        ledger.clear();
+                        model.clear();
+                    }
+                }
+                if step == 100 {
+                    // Every tape re-uses a cleared ledger for its second half.
+                    ledger.clear();
+                    model.clear();
+                }
+                assert_agrees(&ledger, &model, &slots, &ids, &ctx);
+            }
+        }
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //! * **Holders**: each `(slot, worker)` key maps to its lowest holding task
 //!   and a per-task `next` link chains the other holders in ascending order,
 //!   so a record allocates nothing and [`HeartbeatTable::take_losers`] walks
-//!   one chain.  The keys hash through a two-word multiplicative hasher
-//!   instead of SipHash.
+//!   one chain.  The keys hash through the multiplicative
+//!   [`tcsc_core::IdHasher`] instead of SipHash.
 //!
 //! The selection sequence is the linear scan's: every known candidate
 //! within the budget has exactly one live selection entry, and the heap's
@@ -48,9 +48,9 @@
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
-use tcsc_core::{SlotIndex, WorkerId};
+use tcsc_core::{IdHasher, SlotIndex, WorkerId};
 
 use crate::multi::TaskCandidate;
 
@@ -104,42 +104,6 @@ impl Ord for Stamped {
     }
 }
 
-/// A multiplicative hasher for the `(slot, worker)` holder keys (the
-/// `rustc-hash` construction): one multiply per word, a final rotation that
-/// brings the well-mixed high bits down to the bucket index.  It gives up
-/// SipHash's resistance to crafted collisions; the map holds at most one key
-/// per task of the batch, so colliding worker ids cost at worst the linear
-/// scan of the batch that the holder map replaced.
-#[derive(Debug, Default, Clone, Copy)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    const MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
-
-    fn add(&mut self, word: u64) {
-        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::MULTIPLIER);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
 /// Per-task latest heartbeats, the selection and expiry heaps, the dirty
 /// list and the holder chains.
 #[derive(Debug)]
@@ -153,7 +117,10 @@ pub(crate) struct HeartbeatTable {
     /// [`HeartbeatTable::pending`]), each at most once.
     dirty: Vec<usize>,
     /// `(slot, worker)` to the lowest task whose known candidate targets it.
-    holders: HashMap<(SlotIndex, WorkerId), u32, BuildHasherDefault<KeyHasher>>,
+    /// The map holds at most one key per task of the batch, so ids crafted
+    /// to collide under [`IdHasher`] cost at worst the linear scan of the
+    /// batch that the map replaced.
+    holders: HashMap<(SlotIndex, WorkerId), u32, BuildHasherDefault<IdHasher>>,
 }
 
 impl HeartbeatTable {

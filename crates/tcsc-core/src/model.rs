@@ -7,7 +7,9 @@
 //! assignment maps workers to subtasks; see `tcsc-assign` for the assignment
 //! algorithms and `crate::quality` for the entropy-based quality metric.
 
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a TCSC task within a task set `T`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -16,6 +18,52 @@ pub struct TaskId(pub u32);
 /// Identifier of a registered worker within the worker set `W`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId(pub u32);
+
+/// A multiplicative hasher for worker ids, slot indices and their tuples
+/// (the `rustc-hash` construction): one multiply per word, a final rotation
+/// that brings the well-mixed high bits down to the bucket index.
+///
+/// It gives up SipHash's resistance to crafted collisions.  Ids that agree
+/// in their low bits still spread (the multiply carries every input bit
+/// upwards), but a caller who picks ids to collide can push a set towards
+/// the linear scan it replaced.  The ids hashed here are the program's own
+/// slot indices and registered worker ids, and every map and set keyed by
+/// them answers the same whatever the collisions: no enumeration of one
+/// depends on its hash order.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    const MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::MULTIPLIER);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A set of worker ids hashed with [`IdHasher`]: a membership probe costs
+/// expected `O(1)`.  Its iteration order is the hash table's, so whoever
+/// enumerates one sorts first.
+pub type WorkerSet = HashSet<WorkerId, BuildHasherDefault<IdHasher>>;
 
 /// Zero-based index of a time slot within a task's duration (`0..m`).
 ///

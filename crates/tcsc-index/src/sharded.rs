@@ -9,9 +9,7 @@
 //! of each worker the dense search visits, so the filter consults only the
 //! ledger shard of the tile the worker stands in.
 
-use std::collections::BTreeSet;
-
-use tcsc_core::{Domain, Location, SlotIndex, Worker, WorkerId, WorkerPool};
+use tcsc_core::{Domain, Location, SlotIndex, Worker, WorkerId, WorkerPool, WorkerSet};
 
 use crate::spatial::{
     IndexMutation, MutableSpatialIndex, NearestWorker, SpatialQuery, WorkerIndex, WorkerProfile,
@@ -130,7 +128,7 @@ impl SpatialQuery for ShardedWorkerIndex {
         &self,
         slot: SlotIndex,
         query: &Location,
-        excluded: &BTreeSet<WorkerId>,
+        excluded: &WorkerSet,
     ) -> Option<NearestWorker> {
         self.index.nearest_excluding_set(slot, query, excluded)
     }

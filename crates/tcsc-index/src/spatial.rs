@@ -10,9 +10,9 @@
 //! or grids?", GIS 2009).  A brute-force path is kept as a correctness oracle
 //! for the tests.
 
-use std::collections::{hash_map::Entry, BTreeSet, HashMap};
+use std::collections::{hash_map::Entry, HashMap};
 
-use tcsc_core::{Domain, Location, SlotIndex, Worker, WorkerId, WorkerPool};
+use tcsc_core::{Domain, Location, SlotIndex, Worker, WorkerId, WorkerPool, WorkerSet};
 
 /// Nearest-available-worker queries over a per-slot worker index.
 ///
@@ -39,12 +39,14 @@ pub trait SpatialQuery {
     fn k_nearest(&self, slot: SlotIndex, query: &Location, count: usize) -> Vec<NearestWorker>;
 
     /// The nearest worker to `query` during `slot` whose id is not in
-    /// `excluded` (the occupancy-aware conflict-fallback query).
+    /// `excluded` (the occupancy-aware conflict-fallback query).  Each
+    /// occupied worker the search passes costs one expected-`O(1)` probe of
+    /// the hashed set; the set's iteration order never matters.
     fn nearest_excluding_set(
         &self,
         slot: SlotIndex,
         query: &Location,
-        excluded: &BTreeSet<WorkerId>,
+        excluded: &WorkerSet,
     ) -> Option<NearestWorker>;
 }
 
@@ -553,14 +555,14 @@ impl WorkerIndex {
     ///
     /// Takes the per-slot occupancy set of a ledger directly and filters
     /// inside the slot grid's ring search: each occupied worker the rings
-    /// pass costs one `O(log n)` membership test, so the query does the work
-    /// of a plain nearest search however large the occupancy grows.  Ids
-    /// absent from the slot are never visited and cost nothing.
+    /// pass costs one expected-`O(1)` probe of the hashed set, so the query
+    /// does the work of a plain nearest search however large the occupancy
+    /// grows.  Ids absent from the slot are never visited and cost nothing.
     pub fn nearest_excluding_set(
         &self,
         slot: SlotIndex,
         query: &Location,
-        excluded: &BTreeSet<WorkerId>,
+        excluded: &WorkerSet,
     ) -> Option<NearestWorker> {
         self.nearest_filtered(slot, query, |w| excluded.contains(&w.worker))
     }
@@ -691,7 +693,7 @@ impl SpatialQuery for WorkerIndex {
         &self,
         slot: SlotIndex,
         query: &Location,
-        excluded: &BTreeSet<WorkerId>,
+        excluded: &WorkerSet,
     ) -> Option<NearestWorker> {
         WorkerIndex::nearest_excluding_set(self, slot, query, excluded)
     }
@@ -776,7 +778,7 @@ mod tests {
         let index = WorkerIndex::build(&pool, 1, &Domain::square(10.0));
         let q = Location::new(0.0, 0.0);
         let excluding = |ids: &[u32]| {
-            let set: BTreeSet<WorkerId> = ids.iter().copied().map(WorkerId).collect();
+            let set: WorkerSet = ids.iter().copied().map(WorkerId).collect();
             index.nearest_excluding_set(0, &q, &set).map(|w| w.worker)
         };
         assert_eq!(excluding(&[]), Some(WorkerId(0)));
@@ -791,7 +793,7 @@ mod tests {
         pool: &WorkerPool,
         slot: SlotIndex,
         query: &Location,
-        excluded: &BTreeSet<WorkerId>,
+        excluded: &WorkerSet,
     ) -> Option<(WorkerId, u64)> {
         pool.available_at(slot)
             .filter(|(w, _)| !excluded.contains(&w.id))
@@ -821,7 +823,7 @@ mod tests {
                 vec![0, 1, 2, 3],
                 vec![0, 1, 2, 3, 4],
             ] {
-                let set: BTreeSet<WorkerId> = excluded.iter().copied().map(WorkerId).collect();
+                let set: WorkerSet = excluded.iter().copied().map(WorkerId).collect();
                 assert_eq!(
                     index
                         .nearest_excluding_set(0, &q, &set)
@@ -839,7 +841,9 @@ mod tests {
         // the slot's own workers.
         let pool = pool_of(&[(0, 1.0, 0.0), (0, 2.0, 0.0)]);
         let index = WorkerIndex::build(&pool, 1, &Domain::square(10.0));
-        let set: BTreeSet<WorkerId> = [WorkerId(0), WorkerId(7), WorkerId(9)].into();
+        let set: WorkerSet = [WorkerId(0), WorkerId(7), WorkerId(9)]
+            .into_iter()
+            .collect();
         let found = index
             .nearest_excluding_set(0, &Location::new(0.0, 0.0), &set)
             .unwrap();

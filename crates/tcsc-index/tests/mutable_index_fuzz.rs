@@ -22,11 +22,9 @@
 //! geometry of its last build.  Tapes deliberately move and insert workers
 //! *outside* the domain, exercising the border-clamp of cells and tiles.
 
-use std::collections::BTreeSet;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tcsc_core::{Domain, Location, Worker, WorkerId, WorkerPool, WorkerSlot};
+use tcsc_core::{Domain, Location, Worker, WorkerId, WorkerPool, WorkerSet, WorkerSlot};
 use tcsc_index::{
     MutableSpatialIndex, NearestWorker, ShardGridConfig, ShardedWorkerIndex, SpatialQuery,
     WorkerIndex,
@@ -178,13 +176,13 @@ impl Tape {
             let ctx = format!("{ctx}, slot {slot}");
             // The global exclusion set equivalent to the pseudo-occupancy
             // predicate: every available worker the predicate marks occupied.
-            let occupied_set: BTreeSet<WorkerId> = pool
+            let occupied_set: WorkerSet = pool
                 .available_at(slot)
                 .filter(|(w, _)| occupied(w.id))
                 .map(|(w, _)| w.id)
                 .collect();
             // An exclusion set mixing present and absent ids.
-            let mixed_set: BTreeSet<WorkerId> = pool
+            let mixed_set: WorkerSet = pool
                 .workers()
                 .iter()
                 .filter(|w| w.id.0 % 3 == 0)

@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tcsc_core::{Domain, Location, Worker, WorkerId, WorkerPool, WorkerSlot};
+use tcsc_core::{Domain, Location, Worker, WorkerId, WorkerPool, WorkerSet, WorkerSlot};
 use tcsc_index::{
     MutableSpatialIndex, NearestWorker, ShardGridConfig, ShardedWorkerIndex, SpatialQuery,
     WorkerIndex,
@@ -154,7 +154,7 @@ fn ranked(
     pool: &WorkerPool,
     slot: usize,
     query: &Location,
-    excluded: &BTreeSet<WorkerId>,
+    excluded: &WorkerSet,
 ) -> Vec<(WorkerId, u64)> {
     let mut all: Vec<(f64, WorkerId)> = pool
         .available_at(slot)
@@ -193,7 +193,7 @@ fn assert_matches_oracle(
         assert_eq!(index.available_count(slot), n, "{ctx}");
         for q in queries {
             let ctx = format!("{ctx}, query {q}");
-            let all = ranked(pool, slot, q, &BTreeSet::new());
+            let all = ranked(pool, slot, q, &WorkerSet::default());
             assert_eq!(keys(index.nearest(slot, q)), all[..n.min(1)], "{ctx}");
             for count in [2, 5, 17] {
                 let found = keys(index.k_nearest(slot, q, count));
@@ -203,7 +203,7 @@ fn assert_matches_oracle(
             let random = random.iter().map(|s| s.iter().map(|e| e.1).collect());
             let nearest = [1, 5, n / 2, n.saturating_sub(1), n].map(|take| &all[..take.min(n)]);
             let nearest = nearest.iter().map(|s| s.iter().map(|e| e.0).collect());
-            for occupied in random.chain(nearest).collect::<Vec<BTreeSet<WorkerId>>>() {
+            for occupied in random.chain(nearest).collect::<Vec<WorkerSet>>() {
                 let want = ranked(pool, slot, q, &occupied).first().copied();
                 let ctx = format!("{ctx}, {} occupied", occupied.len());
                 let mut excluded = occupied.clone();
@@ -521,8 +521,7 @@ fn nearest_excluding_with_matches_the_set_query() {
                 for q in &queries {
                     let top = view.k_nearest(slot, q, 3);
                     for take in 0..=top.len() {
-                        let excluded: BTreeSet<WorkerId> =
-                            top[..take].iter().map(|w| w.worker).collect();
+                        let excluded: WorkerSet = top[..take].iter().map(|w| w.worker).collect();
                         let tile_of = |w: &NearestWorker| view.spatial_shard_of(&w.location);
                         let filed: BTreeSet<(usize, WorkerId)> =
                             top[..take].iter().map(|w| (tile_of(w), w.worker)).collect();
