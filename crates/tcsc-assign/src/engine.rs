@@ -89,7 +89,6 @@ use tcsc_obs::{NoopRecorder, Recorder, Stopwatch};
 use crate::candidates::{candidate_for_slot, SlotCandidates, WorkerLedger};
 use crate::engine::commit::{mmqm_commit_loop, msqm_commit_loop};
 pub use crate::engine::concurrent::ShardedLedger;
-pub use crate::multi::RefreshStats;
 use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
 
 /// Which aggregate objective a solve maximises: the temporal metric of
@@ -190,21 +189,6 @@ impl CacheStats {
         self.warm_nanos += other.warm_nanos;
         self.vtree_recomputed_slots += other.vtree_recomputed_slots;
         self.vtree_nodes_built += other.vtree_nodes_built;
-    }
-
-    /// Folds one task state's refresh accounting into the run's counters:
-    /// its conflict refreshes are slot computations, the rest is the
-    /// refresh block.
-    pub fn absorb_refresh(&mut self, refresh: &RefreshStats) {
-        self.slot_computations += refresh.conflict_refreshes;
-        self.slot_refreshes += refresh.conflict_refreshes;
-        self.full_refreshes += refresh.full_refreshes;
-        self.incremental_patches += refresh.incremental_patches;
-        self.stale_pops += refresh.stale_pops;
-        self.refresh_nanos += refresh.refresh_nanos;
-        self.warm_nanos += refresh.warm_nanos;
-        self.vtree_recomputed_slots += refresh.vtree_recomputed_slots;
-        self.vtree_nodes_built += refresh.vtree_nodes_built;
     }
 }
 
@@ -859,9 +843,9 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
                 mmqm_commit_loop(&mut states, budget, index, self.cost_model, ledger)
             }
         };
-        // States are per solve, so each state's accounting is absorbed once.
+        // States are per solve, so each state's counters are merged once.
         for state in &states {
-            stats.absorb_refresh(&state.refresh_stats());
+            stats.merge(&state.stats());
         }
         if R::IS_ENABLED {
             self.obs.end("engine.commit", tasks.len() as u64);

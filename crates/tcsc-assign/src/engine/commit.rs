@@ -12,8 +12,8 @@
 //!
 //! The loops never compute candidates themselves — they call
 //! [`TaskState::best_candidate`], which answers from the task's gain ledger;
-//! the engine absorbs the refresh accounting each state accumulates into
-//! the run's [`CacheStats`] once a loop finishes.
+//! the engine merges the counters each state accumulates into the run's
+//! [`CacheStats`] once a loop finishes.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;

@@ -61,7 +61,7 @@ pub use multi::conflict::{independence_graph, IndependenceGraph};
 pub use multi::group_parallel::{msqm_group_parallel, GroupParallelOutcome};
 pub use multi::protocol::{CommittedExecution, MasterCommand, TaskMaster, TaskOwner, WorkerEvent};
 pub use multi::task_parallel::{msqm_task_parallel, TaskParallelOutcome};
-pub use multi::{MultiOutcome, MultiTaskConfig, RefreshStats, TaskCandidate, TaskState};
+pub use multi::{MultiOutcome, MultiTaskConfig, TaskCandidate, TaskState};
 pub use single::baseline::{random_assignment, random_summary, RandSummary};
 pub use single::dual::{min_budget_for_quality, DualOutcome};
 pub use single::greedy::{approx, approx_star, GreedyOutcome, GreedyTimings};

@@ -78,62 +78,6 @@ use std::collections::BinaryHeap;
 
 use tcsc_core::{SlotIndex, WorkerId};
 
-/// Refresh-accounting counters of one task state (merged into
-/// [`crate::engine::CacheStats`] by the drivers).
-///
-/// `full_refreshes` counts the zero-cost fallback searches: with the index
-/// on, a ledger pop that surfaces a zero-cost candidate (`heuristic ==
-/// INFINITY`) hands the request to the V-tree's best-first search, whose
-/// tie-break among such candidates follows its visit order.  The plain path
-/// never falls back, and scenarios without zero-distance candidates show
-/// `full_refreshes == 0`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RefreshStats {
-    /// Conflict-driven slot refreshes: candidates replaced through
-    /// [`crate::multi::TaskState::set_candidate`] after the planned worker
-    /// was taken, each one index-backed recompute.  Behaviour, not
-    /// measurement: [`crate::engine::CacheStats::absorb_refresh`] folds it
-    /// into `slot_computations` and `slot_refreshes`.
-    pub conflict_refreshes: usize,
-    /// Zero-cost fallback searches (V-tree searches the ledger handed off).
-    pub full_refreshes: usize,
-    /// Ledger entries patched (re-keyed) by candidate refreshes / undos.
-    pub incremental_patches: usize,
-    /// Stale ledger entries re-scored on pop (the lazy-greedy work).  A
-    /// request the V-tree shows nothing can afford skips the pop, so the
-    /// entries of executed slots it would have probed dead are not counted.
-    pub stale_pops: usize,
-    /// Nanoseconds spent in commit-tail refresh work (requests beyond the
-    /// warm start: ledger pops, fallback searches and patches).
-    /// Measurement, not behaviour: excluded from every equivalence
-    /// comparison.
-    pub refresh_nanos: u64,
-    /// Nanoseconds spent in the warm start: the first best-candidate request
-    /// (the ledger's build and first pop), which
-    /// `refresh_nanos` leaves out.  Measurement, like `refresh_nanos`.
-    pub warm_nanos: u64,
-    /// Slot partial qualities the task's V-tree computed
-    /// ([`tcsc_index::VTree::recomputed_slots`]); 0 without the index.
-    pub vtree_recomputed_slots: usize,
-    /// Nodes the task's V-tree allocated
-    /// ([`tcsc_index::VTree::nodes_built`]); 0 without the index.
-    pub vtree_nodes_built: usize,
-}
-
-impl RefreshStats {
-    /// Accumulates another stats block into this one.
-    pub fn merge(&mut self, other: &RefreshStats) {
-        self.conflict_refreshes += other.conflict_refreshes;
-        self.full_refreshes += other.full_refreshes;
-        self.incremental_patches += other.incremental_patches;
-        self.stale_pops += other.stale_pops;
-        self.refresh_nanos += other.refresh_nanos;
-        self.warm_nanos += other.warm_nanos;
-        self.vtree_recomputed_slots += other.vtree_recomputed_slots;
-        self.vtree_nodes_built += other.vtree_nodes_built;
-    }
-}
-
 /// Re-score margin of the lazy pop: an entry whose stale key is within this
 /// (relative + absolute) band of the current best is re-scored before the
 /// argmax is trusted.  Wide enough to swallow the float jitter of re-scored

@@ -25,7 +25,6 @@ use tcsc_index::{SearchStats, SpatialQuery, VTree, VTreeConfig};
 
 use crate::candidates::{candidate_for_slot, SlotCandidates, WorkerLedger};
 use crate::engine::CacheStats;
-pub use crate::multi::gain::RefreshStats;
 use crate::multi::gain::{EntryState, GainLedger};
 pub(crate) use crate::multi::heartbeat::HeartbeatTable;
 
@@ -118,8 +117,10 @@ pub struct TaskState {
     /// The incremental-gain structure answering best-candidate requests
     /// (built lazily by the first one).
     gain_ledger: GainLedger,
-    /// Refresh-accounting counters of this state's commit-tail work.
-    refresh_stats: RefreshStats,
+    /// This state's counters: its conflict refreshes (as slot
+    /// computations) and its commit-tail refresh accounting.  The V-tree
+    /// fields are filled in by [`TaskState::stats`].
+    stats: CacheStats,
     /// Best-candidate requests served so far (the first is the warm start;
     /// it is excluded from the refresh accounting).
     searches: usize,
@@ -242,15 +243,15 @@ impl TaskState {
             executions: Vec::new(),
             use_reliability: config.use_reliability,
             gain_ledger: GainLedger::new(task.num_slots),
-            refresh_stats: RefreshStats::default(),
+            stats: CacheStats::default(),
             searches: 0,
         }
     }
 
-    /// The refresh-accounting counters accumulated by this state, with the
-    /// V-tree's upkeep counters.
-    pub fn refresh_stats(&self) -> RefreshStats {
-        let mut stats = self.refresh_stats;
+    /// The counters accumulated by this state, with the V-tree's upkeep
+    /// counters; the drivers fold them with [`CacheStats::merge`].
+    pub fn stats(&self) -> CacheStats {
+        let mut stats = self.stats;
         if let Some(tree) = &self.tree {
             stats.vtree_recomputed_slots = tree.recomputed_slots();
             stats.vtree_nodes_built = tree.nodes_built();
@@ -279,9 +280,9 @@ impl TaskState {
         let result = self.pop_best(max_cost);
         let nanos = start.elapsed_nanos();
         if warm {
-            self.refresh_stats.warm_nanos += nanos;
+            self.stats.warm_nanos += nanos;
         } else {
-            self.refresh_stats.refresh_nanos += nanos;
+            self.stats.refresh_nanos += nanos;
         }
         result
     }
@@ -305,7 +306,7 @@ impl TaskState {
             tree,
             candidates,
             gain_ledger: ledger,
-            refresh_stats,
+            stats,
             task,
             ..
         } = self;
@@ -351,7 +352,7 @@ impl TaskState {
                     worker,
                 },
             },
-            &mut refresh_stats.stale_pops,
+            &mut stats.stale_pops,
         )?;
         debug_assert_eq!(
             candidates.get(best.slot).map(|c| c.worker),
@@ -360,7 +361,7 @@ impl TaskState {
         );
         let (slot, gain, cost, heuristic) = match tree {
             Some(tree) if best.heuristic == f64::INFINITY => {
-                refresh_stats.full_refreshes += 1;
+                stats.full_refreshes += 1;
                 let best = tree.best_slot(evaluator, max_cost, &mut SearchStats::default())?;
                 (best.slot, best.gain, best.cost, best.heuristic)
             }
@@ -414,7 +415,7 @@ impl TaskState {
             tree,
             candidates,
             gain_ledger: ledger,
-            refresh_stats,
+            stats,
             ..
         } = self;
         if !ledger.is_built() {
@@ -427,8 +428,8 @@ impl TaskState {
         {
             ledger.extend_scored([(slot, worker, gain, cost, heuristic)]);
         }
-        refresh_stats.incremental_patches += 1;
-        refresh_stats.refresh_nanos += start.elapsed_nanos();
+        stats.incremental_patches += 1;
+        stats.refresh_nanos += start.elapsed_nanos();
     }
 
     /// Refreshes the candidate of one slot against the ledger (after a worker
@@ -447,14 +448,15 @@ impl TaskState {
     /// Replaces the candidate of one slot directly (the entry point of the
     /// engine's commit loops, whose refreshes go through its occupancy
     /// store), keeping the tree's cost aggregates in sync.  Every call is
-    /// one conflict refresh, counted in
-    /// [`RefreshStats::conflict_refreshes`].
+    /// one index-backed recompute, counted in the state's
+    /// [`CacheStats::slot_computations`] and [`CacheStats::slot_refreshes`].
     pub fn set_candidate(
         &mut self,
         slot: SlotIndex,
         candidate: Option<tcsc_core::CandidateAssignment>,
     ) {
-        self.refresh_stats.conflict_refreshes += 1;
+        self.stats.slot_computations += 1;
+        self.stats.slot_refreshes += 1;
         self.candidates.set(slot, candidate);
         if let Some(tree) = &mut self.tree {
             tree.update_cost(&self.evaluator, slot, self.candidates.cost(slot));
@@ -727,11 +729,11 @@ mod tests {
         let min_cost = state.tree.as_ref().unwrap().min_candidate_cost();
         let below = just_below(min_cost);
         let len = state.gain_ledger.len();
-        let pops = state.refresh_stats().stale_pops;
+        let pops = state.stats().stale_pops;
         assert!(len > 0);
         assert_eq!(bits(checked_best(&mut state, below)), None);
         assert_eq!(state.gain_ledger.len(), len, "the early-out must not pop");
-        assert_eq!(state.refresh_stats().stale_pops, pops);
+        assert_eq!(state.stats().stale_pops, pops);
         // A later, larger bound answers exactly like the full search.
         for max_cost in [min_cost, f64::INFINITY] {
             assert!(checked_best(&mut state, max_cost).is_some());
@@ -776,12 +778,12 @@ mod tests {
             f64::INFINITY
         );
         let len = state.gain_ledger.len();
-        let pops = state.refresh_stats().stale_pops;
+        let pops = state.stats().stale_pops;
         assert!(len > 0);
         for max_cost in [kept.cost, 1e9] {
             assert_eq!(bits(checked_best(&mut state, max_cost)), None);
             assert_eq!(state.gain_ledger.len(), len);
-            assert_eq!(state.refresh_stats().stale_pops, pops);
+            assert_eq!(state.stats().stale_pops, pops);
         }
         // One candidate back: below its cost the ledger is still untouched,
         // at its cost the ledger grants it.
@@ -840,11 +842,7 @@ mod tests {
             // Only the V-tree's visit-order tie-break needs the fallback; the
             // plain scan breaks ties to the lower slot, as the ledger does.
             let fallbacks = if use_index { zero_cost } else { 0 };
-            assert_eq!(
-                state.refresh_stats().full_refreshes,
-                fallbacks,
-                "index {use_index}"
-            );
+            assert_eq!(state.stats().full_refreshes, fallbacks, "index {use_index}");
         }
     }
 
@@ -865,7 +863,7 @@ mod tests {
                         // A one-slot task cannot raise its quality: nothing
                         // is offered.
                         assert_eq!(got.is_none(), m == 1, "{label}");
-                        assert_eq!(state.refresh_stats().stale_pops, 0, "{label}");
+                        assert_eq!(state.stats().stale_pops, 0, "{label}");
                         assert_exact_entries(&state, &label);
                     }
                 }
@@ -883,7 +881,7 @@ mod tests {
         assert!(state.evaluator.unit_partial_table().is_none());
         let got = checked_best(&mut state, f64::INFINITY);
         assert!(got.is_some());
-        assert_eq!(state.refresh_stats().stale_pops, 0);
+        assert_eq!(state.stats().stale_pops, 0);
         assert_exact_entries(&state, "no table");
         execute_best(&mut state, 3);
     }
@@ -905,7 +903,7 @@ mod tests {
             let label = format!("mixed={mixed}");
             let got = checked_best(&mut state, f64::INFINITY);
             assert!(got.is_some(), "{label}");
-            assert_eq!(state.refresh_stats().stale_pops, 0, "{label}");
+            assert_eq!(state.stats().stale_pops, 0, "{label}");
             assert_exact_entries(&state, &label);
             execute_best(&mut state, 3);
         }

@@ -43,6 +43,7 @@ use tcsc_index::SpatialQuery;
 use tcsc_obs::{NoopRecorder, Recorder, Scope};
 
 use crate::candidates::WorkerLedger;
+use crate::engine::CacheStats;
 use crate::multi::{HeartbeatTable, TaskCandidate, TaskState};
 
 /// A command from the master to the owner (thread or region node) of a task.
@@ -159,28 +160,17 @@ impl TaskOwner {
         self.states.insert(task_idx, state);
     }
 
-    /// The location of the worker currently planned for a task's slot (used
-    /// by the simulated runtime to route claim replication to the worker's
-    /// owning shard).
-    pub fn planned_location(&self, task: usize, slot: SlotIndex) -> Option<tcsc_core::Location> {
-        self.states
-            .get(&task)
-            .and_then(|s| s.candidates.get(slot))
-            .map(|c| c.worker_location)
-    }
-
     /// Whether no task is owned.
     pub fn is_empty(&self) -> bool {
         self.states.is_empty()
     }
 
-    /// The summed refresh accounting of every owned task state (merged into
-    /// the run's [`crate::engine::CacheStats`] by the drivers when the
-    /// protocol finishes).
-    pub fn refresh_stats(&self) -> crate::multi::RefreshStats {
-        let mut total = crate::multi::RefreshStats::default();
+    /// The summed counters of every owned task state (merged into the
+    /// run's [`CacheStats`] by the drivers when the protocol finishes).
+    pub fn stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
         for state in self.states.values() {
-            total.merge(&state.refresh_stats());
+            total.merge(&state.stats());
         }
         total
     }

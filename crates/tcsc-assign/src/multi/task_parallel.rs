@@ -61,8 +61,8 @@ enum ThreadCommand {
 /// What travels back to the master.
 enum ThreadEvent {
     Worker(WorkerEvent),
-    /// The thread's task plans plus its states' refresh accounting.
-    Plans(Vec<(usize, AssignmentPlan)>, crate::multi::RefreshStats),
+    /// The thread's task plans plus its states' counters.
+    Plans(Vec<(usize, AssignmentPlan)>, CacheStats),
 }
 
 /// Runs MSQM with the task-level parallel framework on `threads` worker
@@ -135,9 +135,9 @@ pub fn msqm_task_parallel(
                             event_tx.send(ThreadEvent::Worker(event)).ok();
                         }
                         ThreadCommand::Finish => {
-                            let refresh = owner.refresh_stats();
+                            let owned = owner.stats();
                             event_tx
-                                .send(ThreadEvent::Plans(owner.into_plans(), refresh))
+                                .send(ThreadEvent::Plans(owner.into_plans(), owned))
                                 .ok();
                             break;
                         }
@@ -184,11 +184,11 @@ pub fn msqm_task_parallel(
         let mut finished = 0usize;
         while finished < threads {
             match event_rx.recv().expect("threads reply with their plans") {
-                ThreadEvent::Plans(batch, refresh) => {
+                ThreadEvent::Plans(batch, owned) => {
                     for (task_idx, plan) in batch {
                         plans[task_idx] = Some(plan);
                     }
-                    stats.absorb_refresh(&refresh);
+                    stats.merge(&owned);
                     finished += 1;
                 }
                 ThreadEvent::Worker(_) => {

@@ -130,9 +130,7 @@ pub(super) fn fig9dist_sized(
                     &streaming.domain,
                     batches(&trace),
                     Rc::new(EuclideanCost::default()),
-                    &SimClusterConfig::new(nodes, regions, budget, *latency)
-                        .with_service_us(50)
-                        .with_pings(10_000, 16),
+                    &SimClusterConfig::new(nodes, regions, budget, *latency).with_service_us(50),
                 )
             });
             let label = format!("n={nodes} {}", latency.describe());

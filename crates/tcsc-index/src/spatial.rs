@@ -578,8 +578,10 @@ impl WorkerIndex {
         self.slots.get(slot)?.nearest_filtered(query, skip)
     }
 
-    /// Brute-force nearest query, used as a correctness oracle in tests.
-    pub fn nearest_brute_force(
+    /// Brute-force nearest query: the correctness oracle of this crate's
+    /// unit tests.
+    #[cfg(test)]
+    pub(crate) fn nearest_brute_force(
         pool: &WorkerPool,
         slot: SlotIndex,
         query: &Location,

@@ -45,9 +45,7 @@ pub fn obs_digest(events: &[TraceEvent]) -> u64 {
 
 /// [`obs_digest`] over pre-projected parts — the entry point trace *replay*
 /// uses, where labels are owned strings parsed back out of a JSONL dump.
-pub fn obs_digest_parts<'a>(
-    parts: impl IntoIterator<Item = (&'a str, Phase, u64, u64, u64)>,
-) -> u64 {
+fn obs_digest_parts<'a>(parts: impl IntoIterator<Item = (&'a str, Phase, u64, u64, u64)>) -> u64 {
     let mut hash = FNV_OFFSET;
     for (label, phase, a, b, c) in parts {
         hash = fold_event(hash, label, phase, a, b, c);

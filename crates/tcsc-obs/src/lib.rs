@@ -60,8 +60,7 @@ mod session;
 mod slo;
 
 pub use export::{
-    chrome_trace_jsonl, obs_digest, obs_digest_parts, parse_chrome_trace_jsonl, replay_digest,
-    ReplayedEvent,
+    chrome_trace_jsonl, obs_digest, parse_chrome_trace_jsonl, replay_digest, ReplayedEvent,
 };
 pub use metrics::{Gauge, Histogram, MetricsRegistry};
 pub use profile::{profile_spans, PathStat, SpanProfile};
@@ -303,33 +302,6 @@ impl<R: Recorder> Recorder for Option<R> {
     }
 }
 
-/// RAII span: begins on creation, ends on drop.  Convenient where no `&mut
-/// self` borrows overlap the span; the engines' commit loops use explicit
-/// `begin`/`end` pairs instead.
-pub struct SpanGuard<'r, R: Recorder> {
-    obs: &'r R,
-    label: &'static str,
-    a: u64,
-}
-
-impl<'r, R: Recorder> SpanGuard<'r, R> {
-    /// Opens the span.
-    pub fn enter(obs: &'r R, label: &'static str, a: u64) -> Self {
-        if R::IS_ENABLED {
-            obs.begin(label, a);
-        }
-        Self { obs, label, a }
-    }
-}
-
-impl<R: Recorder> Drop for SpanGuard<'_, R> {
-    fn drop(&mut self) {
-        if R::IS_ENABLED {
-            self.obs.end(self.label, self.a);
-        }
-    }
-}
-
 /// The one wall-clock timing primitive of the repository: a monotonic
 /// stopwatch.  Every hand-rolled `Instant::now()` pair (the bench drivers'
 /// `timed`, the single-task solvers' phase timings, the gain ledger's
@@ -406,19 +378,5 @@ mod tests {
         assert_eq!(value, 42);
         assert!(ms >= 0.0);
         assert!(sw.elapsed_nanos() > 0 || sw.elapsed_ms() >= 0.0);
-    }
-
-    #[test]
-    fn span_guard_brackets_events() {
-        let session = ObsSession::wall();
-        {
-            let _span = SpanGuard::enter(&session, "work", 7);
-        }
-        let events = session.merged_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].phase, Phase::Begin);
-        assert_eq!(events[1].phase, Phase::End);
-        assert_eq!(events[0].label, "work");
-        assert_eq!(events[0].a, 7);
     }
 }

@@ -1,20 +1,20 @@
-//! Cluster assembly and the one-call run harness: wire a dispatcher, `n`
-//! region nodes and their worker pools over a simulated network, feed task
-//! arrivals, run to quiescence and collect the [`SimOutcome`].
+//! Cluster assembly and the one-call run harness: wire a dispatcher and `n`
+//! region nodes over a simulated network, feed task arrivals, run to
+//! quiescence and collect the [`SimOutcome`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use tcsc_assign::{CacheStats, CommittedExecution, MultiTaskConfig};
-use tcsc_core::{CostModel, Domain, MultiAssignment, Task, WorkerPool as CoreWorkerPool};
+use tcsc_core::{CostModel, Domain, MultiAssignment, Task, WorkerPool};
 use tcsc_index::{ShardGridConfig, TileRouter, WorkerIndex};
 use tcsc_obs::{ObsReport, ObsSession, Recorder, Scope};
 
 use crate::dispatcher::{Dispatcher, DispatcherReport};
-use crate::kernel::{SimTime, Simulation, TraceRecord};
+use crate::kernel::{fnv_bytes, SimTime, Simulation, FNV_OFFSET};
 use crate::latency::LatencyModel;
 use crate::messages::NetMessage;
-use crate::node::{RegionNode, WorkerPool};
+use crate::node::RegionNode;
 
 /// Configuration of one simulated cluster run.
 #[derive(Debug, Clone)]
@@ -22,9 +22,8 @@ pub struct SimClusterConfig {
     /// Number of region nodes (spatial shards are striped over them; 0 runs
     /// as 1).
     pub nodes: usize,
-    /// The spatial shard grid: the dispatcher routes tasks and claims by its
-    /// [`TileRouter`], and the nodes partition their ledgers by its tiles
-    /// (the time split is ignored).
+    /// The spatial shard grid: the dispatcher homes each task on a node by
+    /// its [`TileRouter`] tile (the time split is ignored).
     pub grid: ShardGridConfig,
     /// Assignment parameters (budget, `k`, `ts`, ...).
     pub assignment: MultiTaskConfig,
@@ -32,14 +31,8 @@ pub struct SimClusterConfig {
     pub latency: LatencyModel,
     /// Node service time added to every command reply, in microseconds.
     pub service_us: SimTime,
-    /// Worker-pool liveness ping period (0 disables the pools' ticking).
-    pub ping_interval_us: SimTime,
-    /// Maximum number of pings per pool (bounds the event count).
-    pub max_pings: u32,
     /// Seed of the latency draws.
     pub seed: u64,
-    /// Whether to retain the full delivery trace (determinism tests).
-    pub record_trace: bool,
     /// Whether to record a virtual-time observability trace: a shared
     /// [`ObsSession`] is driven by the kernel clock, the dispatcher's master
     /// records its heartbeat, grant and execution events through it, and the outcome carries the
@@ -57,10 +50,7 @@ impl SimClusterConfig {
             assignment: MultiTaskConfig::new(budget),
             latency,
             service_us: 0,
-            ping_interval_us: 0,
-            max_pings: 0,
             seed: 42,
-            record_trace: false,
             record_obs: false,
         }
     }
@@ -68,19 +58,6 @@ impl SimClusterConfig {
     /// Overrides the latency seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables worker-pool liveness pings.
-    pub fn with_pings(mut self, interval_us: SimTime, max_pings: u32) -> Self {
-        self.ping_interval_us = interval_us;
-        self.max_pings = max_pings;
-        self
-    }
-
-    /// Enables trace recording.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
         self
     }
 
@@ -131,13 +108,10 @@ pub struct SimOutcome {
     pub finish_time_us: SimTime,
     /// Total delivered events.
     pub delivered_events: u64,
-    /// Worker-pool liveness pings observed by the nodes.
-    pub worker_pings: u64,
-    /// Commitments replicated into the nodes' shard-ledger partitions
-    /// (equals `executions` when the claim replication is consistent).
-    pub shard_commitments: usize,
-    /// The full delivery trace (empty unless trace recording was enabled).
-    pub trace: Vec<TraceRecord>,
+    /// The kernel's FNV-1a fold of every delivery's `(time, seq, src, dst,
+    /// label)` ([`Simulation::delivery_digest`]): same seed and inputs, same
+    /// digest.
+    pub delivery_digest: u64,
     /// The observability report (`None` unless `record_obs` was enabled):
     /// the merged virtual-time event stream, the metrics snapshot and the
     /// logical digest — same seed ⇒ same digest across node counts and
@@ -157,15 +131,8 @@ impl SimOutcome {
 /// the CI gate to compare the simulated runtime against the in-process
 /// engine without serialising full plans.
 pub fn plan_hash(assignment: &MultiAssignment) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    let mut eat = |value: u64| {
-        for byte in value.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |value: u64| h = fnv_bytes(h, &value.to_le_bytes());
     for plan in &assignment.plans {
         eat(plan.task.0 as u64);
         eat(plan.num_slots as u64);
@@ -184,10 +151,10 @@ pub fn plan_hash(assignment: &MultiAssignment) -> u64 {
 ///
 /// The dense [`WorkerIndex`] is built once from the pool and shared
 /// (read-only) by every node and the dispatcher — the simulated stand-in for
-/// each node holding a copy of the immutable index.  Tasks and claims are
-/// routed to nodes by the [`TileRouter`] of `config.grid` over `domain`.
+/// each node holding a copy of the immutable index.  Tasks are routed to
+/// nodes by the [`TileRouter`] of `config.grid` over `domain`.
 pub fn run_cluster(
-    workers: &CoreWorkerPool,
+    workers: &WorkerPool,
     num_slots: usize,
     domain: &Domain,
     batches: Vec<SimBatch>,
@@ -201,30 +168,26 @@ pub fn run_cluster(
             assignment: MultiAssignment::default(),
             conflicts: 0,
             executions: 0,
-            stats: tcsc_assign::CacheStats::default(),
+            stats: CacheStats::default(),
             committed: Vec::new(),
             finish_time_us: 0,
             delivered_events: 0,
-            worker_pings: 0,
-            shard_commitments: 0,
-            trace: Vec::new(),
+            delivery_digest: FNV_OFFSET,
             obs: None,
         };
     }
     let nodes = config.nodes.max(1);
     let index = Rc::new(WorkerIndex::build(workers, num_slots, domain));
-    let mut sim: Simulation<NetMessage> =
-        Simulation::new(config.latency, config.seed, config.record_trace);
+    let mut sim: Simulation<NetMessage> = Simulation::new(config.latency, config.seed);
     let obs_session = config
         .record_obs
         .then(|| Rc::new(ObsSession::virtual_time()));
     sim.set_obs(obs_session.clone());
 
-    // Component wiring: the dispatcher's id is allocated first so the nodes
-    // can address it; its construction needs the node ids, so it is
-    // registered through a placeholder-free two-phase add (nodes first,
-    // dispatcher last, nodes learn the dispatcher id up front).
-    let dispatcher_id = nodes + nodes; // nodes + pools precede it
+    // Component wiring: the dispatcher's construction needs the node ids and
+    // the nodes need its id, so the nodes are registered first and learn the
+    // dispatcher's id, the next one, up front.
+    let dispatcher_id = nodes;
     let mut node_ids = Vec::with_capacity(nodes);
     for _ in 0..nodes {
         let id = sim.add_component(Box::new(RegionNode::new(
@@ -236,24 +199,12 @@ pub fn run_cluster(
         )));
         node_ids.push(id);
     }
-    let per_pool = workers.len().div_ceil(nodes);
-    let mut pool_ids = Vec::with_capacity(nodes);
-    for &node in &node_ids {
-        let id = sim.add_component(Box::new(WorkerPool::new(
-            node,
-            per_pool,
-            config.ping_interval_us.max(1),
-            config.max_pings,
-        )));
-        pool_ids.push(id);
-    }
     let outbox: Rc<RefCell<Option<DispatcherReport>>> = Rc::new(RefCell::new(None));
     let actual_dispatcher = sim.add_component(Box::new(Dispatcher::new(
         index,
         TileRouter::new(domain, config.grid),
         config.assignment.budget,
         node_ids,
-        pool_ids.clone(),
         batches.len(),
         outbox.clone(),
         obs_session.clone(),
@@ -263,12 +214,7 @@ pub fn run_cluster(
         "component registration order is fixed"
     );
 
-    // Kick the worker pools and feed the arrival schedule.
-    if config.ping_interval_us > 0 && config.max_pings > 0 {
-        for &pool in &pool_ids {
-            sim.schedule(pool, NetMessage::Tick, config.ping_interval_us);
-        }
-    }
+    // Feed the arrival schedule.
     let mut next_global = 0usize;
     for batch in batches {
         let entries: Vec<(usize, Task)> = batch
@@ -293,7 +239,6 @@ pub fn run_cluster(
         .take()
         .expect("the dispatcher reports when every node returned its plans");
     let delivered_events = sim.delivered();
-    let trace = sim.into_trace();
 
     let plans = report.plans.into_iter().map(|(_, plan)| plan).collect();
     let assignment = MultiAssignment::new(plans);
@@ -334,9 +279,7 @@ pub fn run_cluster(
         committed: report.committed,
         finish_time_us: report.finish_time_us,
         delivered_events,
-        worker_pings: report.worker_pings,
-        shard_commitments: report.shard_commitments,
-        trace,
+        delivery_digest: sim.delivery_digest(),
         obs,
     }
 }

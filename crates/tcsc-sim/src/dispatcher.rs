@@ -5,8 +5,9 @@
 //! The dispatcher is deliberately thin: every grant decision lives
 //! in the shared, fuzz-verified machine of `tcsc-assign::multi::protocol`;
 //! this component only translates between batch-local and global task
-//! indices, snapshots committed occupancy for checkouts, and replicates
-//! committed claims to the worker's owning shard.
+//! indices and mirrors committed occupancy across batches.  The mirror is
+//! the checkout snapshot source and the double-grant authority check: a
+//! committed `(slot, worker)` must be fresh in it.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -43,13 +44,9 @@ pub struct DispatcherReport {
     pub conflicts: usize,
     /// Committed executions across all batches.
     pub executions: usize,
-    /// Candidate-cache counters summed over the nodes, plus the
-    /// conflict-refresh accounting (matches the engines' convention).
+    /// Candidate-cache counters summed over the nodes, conflict refreshes
+    /// included (matches the engines' convention).
     pub stats: CacheStats,
-    /// Commitments replicated into the nodes' shard-ledger partitions.
-    pub shard_commitments: usize,
-    /// Worker-pool liveness pings observed by the nodes.
-    pub worker_pings: u64,
     /// Virtual time at which the last plan arrived.
     pub finish_time_us: SimTime,
 }
@@ -57,13 +54,11 @@ pub struct DispatcherReport {
 /// The master/router component.
 pub struct Dispatcher {
     index: Rc<WorkerIndex>,
-    /// Location → tile routing of tasks and claims.
+    /// Location → tile routing of tasks.
     router: TileRouter,
     budget: f64,
     /// Region-node component ids, indexed by node number.
     nodes: Vec<ComponentId>,
-    /// Worker-pool component ids (quiesced at finish).
-    pools: Vec<ComponentId>,
     /// Pending batches (not yet started).
     queue: VecDeque<Vec<(usize, Task)>>,
     /// Batches the harness promised to submit; the run only ends after all
@@ -74,7 +69,8 @@ pub struct Dispatcher {
     current: Option<Batch>,
     /// Node number per global task index (fixed at submit time).
     node_of_task: BTreeMap<usize, usize>,
-    /// Committed occupancy across batches (the checkout snapshot source).
+    /// Committed occupancy across batches (the checkout snapshot source and
+    /// the double-grant check).
     mirror: WorkerLedger,
     report: DispatcherReport,
     plans_outstanding: usize,
@@ -86,15 +82,13 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// A dispatcher over the given nodes and pools, writing its final report
-    /// into `outbox` when every node has returned its plans.
-    #[allow(clippy::too_many_arguments)]
+    /// A dispatcher over the given nodes, writing its final report into
+    /// `outbox` when every node has returned its plans.
     pub fn new(
         index: Rc<WorkerIndex>,
         router: TileRouter,
         budget: f64,
         nodes: Vec<ComponentId>,
-        pools: Vec<ComponentId>,
         batches_expected: usize,
         outbox: Rc<RefCell<Option<DispatcherReport>>>,
         obs: Option<Rc<ObsSession>>,
@@ -104,7 +98,6 @@ impl Dispatcher {
             router,
             budget,
             nodes,
-            pools,
             queue: VecDeque::new(),
             batches_expected,
             batches_done: 0,
@@ -249,11 +242,8 @@ impl Dispatcher {
             }));
     }
 
-    /// Ends the run: quiesce the pools and collect plans from every node.
+    /// Ends the run: collect plans from every node.
     fn broadcast_finish(&mut self, ctx: &mut Context<'_, NetMessage>) {
-        for &pool in &self.pools {
-            ctx.send(pool, NetMessage::Quiesce);
-        }
         for &node in &self.nodes {
             ctx.send(node, NetMessage::Finish);
         }
@@ -273,10 +263,7 @@ impl Component<NetMessage> for Dispatcher {
                 self.queue.push_back(entries);
                 self.pump(ctx);
             }
-            NetMessage::Event {
-                event,
-                worker_location,
-            } => {
+            NetMessage::Event(event) => {
                 let mut batch = self.current.take().expect("an event implies a live batch");
                 // Translate the global task index back to the batch-local one.
                 let localize = |global_idx: usize| {
@@ -301,21 +288,11 @@ impl Component<NetMessage> for Dispatcher {
                         worker,
                         cost,
                     } => {
-                        // A committed execution: mirror the occupancy and
-                        // replicate the claim to the worker's owning shard.
-                        self.mirror.occupy(slot, worker);
-                        let location =
-                            worker_location.expect("executed events carry the worker location");
-                        let shard = self.router.tile_id(&location);
-                        let node = shard % self.nodes.len();
-                        ctx.send(
-                            self.nodes[node],
-                            NetMessage::Claim {
-                                shard,
-                                slot,
-                                worker,
-                            },
-                        );
+                        // A committed execution: mirror the occupancy.  The
+                        // mirror holds every commitment of the run, so a
+                        // second grant of the pair would find it taken.
+                        let fresh = self.mirror.occupy(slot, worker);
+                        assert!(fresh, "the master must never double-grant a (slot, worker)");
                         WorkerEvent::Executed {
                             task: localize(task),
                             slot,
@@ -329,16 +306,9 @@ impl Component<NetMessage> for Dispatcher {
                 self.current = Some(batch);
                 self.pump(ctx);
             }
-            NetMessage::Plans {
-                plans,
-                stats,
-                commitments,
-                pings,
-            } => {
+            NetMessage::Plans { plans, stats } => {
                 self.report.plans.extend(plans);
                 self.report.stats.merge(&stats);
-                self.report.shard_commitments += commitments;
-                self.report.worker_pings += pings;
                 self.plans_outstanding -= 1;
                 if self.plans_outstanding == 0 {
                     self.report.plans.sort_by_key(|(g, _)| *g);
@@ -348,5 +318,90 @@ impl Component<NetMessage> for Dispatcher {
             }
             _ => unreachable!("unexpected message at the dispatcher"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use tcsc_assign::TaskCandidate;
+    use tcsc_core::{Domain, Location, TaskId, WorkerId, WorkerPool};
+    use tcsc_index::ShardGridConfig;
+
+    use super::*;
+    use crate::kernel::Simulation;
+    use crate::latency::LatencyModel;
+
+    /// A node that offers one candidate for its task and then confirms the
+    /// grant twice, as a faulty replica would.
+    struct DoubleConfirmingNode {
+        dispatcher: ComponentId,
+        offered: bool,
+    }
+
+    impl Component<NetMessage> for DoubleConfirmingNode {
+        fn on_message(
+            &mut self,
+            _from: ComponentId,
+            message: NetMessage,
+            ctx: &mut Context<'_, NetMessage>,
+        ) {
+            let event = match message {
+                NetMessage::Command(MasterCommand::Compute { task, .. }) => {
+                    let offered = std::mem::replace(&mut self.offered, true);
+                    WorkerEvent::Heartbeat {
+                        task,
+                        candidate: (!offered).then_some(TaskCandidate {
+                            slot: 0,
+                            gain: 1.0,
+                            cost: 1.0,
+                            heuristic: 1.0,
+                        }),
+                        planned_worker: (!offered).then_some(WorkerId(7)),
+                    }
+                }
+                NetMessage::Command(MasterCommand::Execute { task, slot }) => {
+                    let executed = WorkerEvent::Executed {
+                        task,
+                        slot,
+                        worker: WorkerId(7),
+                        cost: 1.0,
+                    };
+                    ctx.send(self.dispatcher, NetMessage::Event(executed.clone()));
+                    executed
+                }
+                _ => return,
+            };
+            ctx.send(self.dispatcher, NetMessage::Event(event));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the master must never double-grant a (slot, worker)")]
+    fn a_second_confirmation_of_a_grant_is_rejected() {
+        let domain = Domain::square(10.0);
+        let index = Rc::new(WorkerIndex::build(&WorkerPool::empty(), 1, &domain));
+        let mut sim: Simulation<NetMessage> = Simulation::new(LatencyModel::Zero, 1);
+        let node = sim.add_component(Box::new(DoubleConfirmingNode {
+            dispatcher: 1,
+            offered: false,
+        }));
+        let dispatcher = sim.add_component(Box::new(Dispatcher::new(
+            index,
+            TileRouter::new(&domain, ShardGridConfig::new(1, 1)),
+            10.0,
+            vec![node],
+            1,
+            Rc::default(),
+            None,
+        )));
+        let task = Task::new(TaskId(0), Location::new(5.0, 5.0), 1);
+        sim.schedule(
+            dispatcher,
+            NetMessage::SubmitBatch {
+                entries: vec![(0, task)],
+            },
+            0,
+        );
+        sim.run();
     }
 }

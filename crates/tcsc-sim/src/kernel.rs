@@ -16,6 +16,12 @@
 //!   `Compute` must not overtake its `Execute`.
 //! * Latency samples are drawn from one seeded generator in delivery order,
 //!   so the virtual timeline itself is a pure function of `(seed, inputs)`.
+//!
+//! The kernel folds every delivery's `(time, seq, src, dst, label)` into one
+//! FNV-1a [`Simulation::delivery_digest`]: the same timeline gives the same
+//! digest, and any change to a delivery changes it, barring a hash
+//! collision.  The determinism tests compare whole runs by it without
+//! retaining them.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -37,9 +43,23 @@ pub type SimTime = u64;
 /// arrivals injected by the harness rather than sent by a component).
 pub const EXTERNAL: ComponentId = usize::MAX;
 
+/// FNV-1a offset basis: the delivery digest of a run that delivered nothing.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// Folds `bytes` into an FNV-1a hash.
+pub(crate) fn fnv_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
 /// A typed simulation message.
 pub trait Message: Clone {
-    /// A short static label for the trace (message kind, not payload).
+    /// A short static label (message kind, not payload): the transport
+    /// events' name and part of the delivery digest.
     fn label(&self) -> &'static str;
 }
 
@@ -50,25 +70,9 @@ pub trait Component<M: Message> {
     fn on_message(&mut self, from: ComponentId, message: M, ctx: &mut Context<'_, M>);
 }
 
-/// One delivered event, as recorded in the trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Delivery time.
-    pub time: SimTime,
-    /// Global send sequence number (the tie-break).
-    pub seq: u64,
-    /// Sender (or [`EXTERNAL`]).
-    pub src: ComponentId,
-    /// Receiver.
-    pub dst: ComponentId,
-    /// Message label.
-    pub label: &'static str,
-}
-
 /// The send-side API handed to a component while it processes a message.
 pub struct Context<'a, M: Message> {
     now: SimTime,
-    self_id: ComponentId,
     outbox: &'a mut Vec<(ComponentId, M, SimTime)>,
 }
 
@@ -78,19 +82,13 @@ impl<M: Message> Context<'_, M> {
         self.now
     }
 
-    /// The id of the component processing the message.
-    pub fn self_id(&self) -> ComponentId {
-        self.self_id
-    }
-
     /// Sends a message (network latency is added by the kernel).
     pub fn send(&mut self, dst: ComponentId, message: M) {
         self.send_after(dst, message, 0);
     }
 
     /// Sends a message after an extra local delay (service time) on top of
-    /// the network latency.  Sends to `self_id` are local timers: they pay
-    /// `extra` only, never a latency draw.
+    /// the network latency.
     pub fn send_after(&mut self, dst: ComponentId, message: M, extra: SimTime) {
         self.outbox.push((dst, message, extra));
     }
@@ -141,8 +139,8 @@ pub struct Simulation<M: Message> {
     /// Last scheduled delivery time per `(src, dst)` link (FIFO clamp).
     last_delivery: HashMap<(ComponentId, ComponentId), SimTime>,
     delivered: u64,
-    record_trace: bool,
-    trace: Vec<TraceRecord>,
+    /// FNV-1a fold of every delivery's `(time, seq, src, dst, label)`.
+    digest: u64,
     /// Optional shared observability session.  The kernel drives its virtual
     /// clock (`set_virtual_nanos` before every delivery) and emits
     /// transport-scope send/recv events plus an execute span per delivery;
@@ -153,10 +151,8 @@ pub struct Simulation<M: Message> {
 
 impl<M: Message> Simulation<M> {
     /// A simulation over the given latency model, seeded for reproducible
-    /// latency draws.  `record_trace` retains the full delivery trace (used
-    /// by the determinism tests; costs memory proportional to the event
-    /// count).
-    pub fn new(latency: LatencyModel, seed: u64, record_trace: bool) -> Self {
+    /// latency draws.
+    pub fn new(latency: LatencyModel, seed: u64) -> Self {
         Self {
             clock: 0,
             seq: 0,
@@ -166,8 +162,7 @@ impl<M: Message> Simulation<M> {
             rng: StdRng::seed_from_u64(seed),
             last_delivery: HashMap::new(),
             delivered: 0,
-            record_trace,
-            trace: Vec::new(),
+            digest: FNV_OFFSET,
             obs: None,
         }
     }
@@ -205,15 +200,12 @@ impl<M: Message> Simulation<M> {
             debug_assert!(event.time >= self.clock, "time must not run backwards");
             self.clock = event.time;
             self.delivered += 1;
-            if self.record_trace {
-                self.trace.push(TraceRecord {
-                    time: event.time,
-                    seq: event.seq,
-                    src: event.src,
-                    dst: event.dst,
-                    label: event.message.label(),
-                });
+            for word in [event.time, event.seq, event.src as u64, event.dst as u64] {
+                self.digest = fnv_bytes(self.digest, &word.to_le_bytes());
             }
+            // The 0xff separator keeps label boundaries unambiguous.
+            self.digest = fnv_bytes(self.digest, event.message.label().as_bytes());
+            self.digest = fnv_bytes(self.digest, &[0xff]);
             if let Some(obs) = &self.obs {
                 // SimTime is microseconds; the session clock is nanoseconds.
                 obs.set_virtual_nanos(event.time.saturating_mul(1_000));
@@ -231,7 +223,6 @@ impl<M: Message> Simulation<M> {
                 .expect("components never send to themselves re-entrantly");
             let mut ctx = Context {
                 now: self.clock,
-                self_id: event.dst,
                 outbox: &mut outbox,
             };
             component.on_message(event.src, event.message, &mut ctx);
@@ -240,15 +231,7 @@ impl<M: Message> Simulation<M> {
                 obs.end("sim.execute", event.dst as u64);
             }
             for (dst, message, extra) in outbox.drain(..) {
-                // Self-sends are local timers, not network messages: they pay
-                // the requested delay only (no latency draw is consumed, so a
-                // component's tick cadence never perturbs the latency samples
-                // of protocol messages).
-                let latency = if dst == event.dst {
-                    0
-                } else {
-                    self.latency.sample(&mut self.rng)
-                };
+                let latency = self.latency.sample(&mut self.rng);
                 let mut deliver_at = self.clock + extra + latency;
                 // FIFO clamp: never deliver before an earlier message of the
                 // same link (ties resolve by seq = send order).
@@ -290,19 +273,19 @@ impl<M: Message> Simulation<M> {
         self.delivered
     }
 
-    /// The recorded delivery trace (empty unless `record_trace` was set).
-    pub fn trace(&self) -> &[TraceRecord] {
-        &self.trace
-    }
-
-    /// Consumes the simulation, returning the trace.
-    pub fn into_trace(self) -> Vec<TraceRecord> {
-        self.trace
+    /// The FNV-1a fold of every delivery's `(time, seq, src, dst, label)`,
+    /// in delivery order (the FNV-1a offset basis before the first
+    /// delivery).
+    pub fn delivery_digest(&self) -> u64 {
+        self.digest
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -320,71 +303,111 @@ mod tests {
         }
     }
 
+    /// Deliveries as the receiving components saw them: `(time, receiver,
+    /// payload)`, in delivery order.
+    type Log = Rc<RefCell<Vec<(SimTime, ComponentId, u32)>>>;
+
     struct Echo {
+        me: ComponentId,
         peer: ComponentId,
-        received: Vec<(SimTime, u32)>,
+        log: Log,
         bounces: u32,
     }
 
     impl Component<Ping> for Echo {
         fn on_message(&mut self, _from: ComponentId, message: Ping, ctx: &mut Context<'_, Ping>) {
-            match message {
-                Ping::Ping(n) => {
-                    self.received.push((ctx.now(), n));
-                    if n < self.bounces {
-                        ctx.send(self.peer, Ping::Pong(n + 1));
-                    }
-                }
-                Ping::Pong(n) => {
-                    self.received.push((ctx.now(), n));
-                    if n < self.bounces {
-                        ctx.send(self.peer, Ping::Ping(n + 1));
-                    }
-                }
+            let (Ping::Ping(n) | Ping::Pong(n)) = message.clone();
+            self.log.borrow_mut().push((ctx.now(), self.me, n));
+            if n < self.bounces {
+                let reply = match message {
+                    Ping::Ping(_) => Ping::Pong(n + 1),
+                    Ping::Pong(_) => Ping::Ping(n + 1),
+                };
+                ctx.send(self.peer, reply);
             }
         }
     }
 
-    fn run_pair(latency: LatencyModel, seed: u64) -> (SimTime, Vec<TraceRecord>) {
-        let mut sim: Simulation<Ping> = Simulation::new(latency, seed, true);
-        let a = sim.add_component(Box::new(Echo {
-            peer: 1,
-            received: Vec::new(),
-            bounces: 8,
-        }));
-        let _b = sim.add_component(Box::new(Echo {
-            peer: 0,
-            received: Vec::new(),
-            bounces: 8,
-        }));
-        sim.schedule(a, Ping::Ping(0), 0);
+    /// A ping-pong of 8 bounces: the final time, the receivers' log and the
+    /// kernel's delivery digest.
+    fn run_pair(
+        latency: LatencyModel,
+        seed: u64,
+    ) -> (SimTime, Vec<(SimTime, ComponentId, u32)>, u64) {
+        let log = Log::default();
+        let mut sim: Simulation<Ping> = Simulation::new(latency, seed);
+        for (me, peer) in [(0, 1), (1, 0)] {
+            let id = sim.add_component(Box::new(Echo {
+                me,
+                peer,
+                log: log.clone(),
+                bounces: 8,
+            }));
+            assert_eq!(id, me);
+        }
+        sim.schedule(0, Ping::Ping(0), 0);
         sim.run();
-        (sim.time(), sim.into_trace())
+        let log = log.take();
+        (sim.time(), log, sim.delivery_digest())
     }
 
     #[test]
     fn same_seed_replays_the_identical_trace() {
-        let (t1, trace1) = run_pair(LatencyModel::Uniform { min: 10, max: 500 }, 42);
-        let (t2, trace2) = run_pair(LatencyModel::Uniform { min: 10, max: 500 }, 42);
+        let latency = LatencyModel::Uniform { min: 10, max: 500 };
+        let (t1, log1, digest1) = run_pair(latency, 42);
+        let (t2, log2, digest2) = run_pair(latency, 42);
         assert_eq!(t1, t2);
-        assert_eq!(trace1, trace2);
-        assert_eq!(trace1.len(), 9, "ping + 8 bounces");
+        assert_eq!(log1, log2);
+        assert_eq!(digest1, digest2);
+        assert_eq!(log1.len(), 9, "ping + 8 bounces");
+        assert_eq!(t1, log1[8].0, "the clock stops at the last delivery");
+        // Another seed moves the timeline, and the digest sees it.
+        let (_, log3, digest3) = run_pair(latency, 43);
+        assert_ne!(log1, log3);
+        assert_ne!(digest1, digest3);
     }
 
     #[test]
     fn zero_latency_orders_by_sequence() {
-        let (t, trace) = run_pair(LatencyModel::Zero, 7);
-        assert_eq!(t, 0, "zero latency keeps the virtual clock at 0");
-        let seqs: Vec<u64> = trace.iter().map(|r| r.seq).collect();
-        let mut sorted = seqs.clone();
-        sorted.sort_unstable();
-        assert_eq!(seqs, sorted, "same-instant events deliver in send order");
+        // One burst fans out to two receivers at the same instant: with no
+        // link in common, only the send sequence orders the deliveries.
+        struct Burst {
+            peers: [ComponentId; 2],
+        }
+        impl Component<Ping> for Burst {
+            fn on_message(&mut self, _: ComponentId, _: Ping, ctx: &mut Context<'_, Ping>) {
+                for n in 0..20 {
+                    ctx.send(self.peers[n as usize % 2], Ping::Ping(n));
+                }
+            }
+        }
+        let log = Log::default();
+        let mut sim: Simulation<Ping> = Simulation::new(LatencyModel::Zero, 7);
+        for me in 0..2 {
+            sim.add_component(Box::new(Echo {
+                me,
+                peer: me,
+                log: log.clone(),
+                bounces: 0,
+            }));
+        }
+        let burst = sim.add_component(Box::new(Burst { peers: [0, 1] }));
+        sim.schedule(burst, Ping::Ping(0), 0);
+        sim.run();
+        assert_eq!(sim.time(), 0, "zero latency keeps the virtual clock at 0");
+        let expected: Vec<_> = (0..20).map(|n| (0, n as usize % 2, n)).collect();
+        assert_eq!(
+            log.take(),
+            expected,
+            "same-instant events deliver in send order"
+        );
     }
 
     #[test]
     fn links_are_fifo_under_random_latency() {
         // A sender fires many messages back to back; the receiver must see
-        // them in send order even when later messages sample lower latency.
+        // them in send order, at non-decreasing times, even when later
+        // messages sample lower latency.
         struct Burst {
             peer: ComponentId,
         }
@@ -395,23 +418,22 @@ mod tests {
                 }
             }
         }
-        struct Sink {
-            seen: std::rc::Rc<std::cell::RefCell<Vec<u32>>>,
-        }
-        impl Component<Ping> for Sink {
-            fn on_message(&mut self, _: ComponentId, message: Ping, _: &mut Context<'_, Ping>) {
-                if let Ping::Ping(n) = message {
-                    self.seen.borrow_mut().push(n);
-                }
-            }
-        }
-        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log = Log::default();
         let mut sim: Simulation<Ping> =
-            Simulation::new(LatencyModel::Uniform { min: 1, max: 1000 }, 99, false);
-        let sink = sim.add_component(Box::new(Sink { seen: seen.clone() }));
+            Simulation::new(LatencyModel::Uniform { min: 1, max: 1000 }, 99);
+        let sink = sim.add_component(Box::new(Echo {
+            me: 0,
+            peer: 0,
+            log: log.clone(),
+            bounces: 0,
+        }));
         let burst = sim.add_component(Box::new(Burst { peer: sink }));
         sim.schedule(burst, Ping::Ping(0), 0);
         sim.run();
-        assert_eq!(*seen.borrow(), (0..50).collect::<Vec<_>>());
+        let log = log.take();
+        let payloads: Vec<u32> = log.iter().map(|&(_, _, n)| n).collect();
+        assert_eq!(payloads, (0..50).collect::<Vec<_>>());
+        assert!(log.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert!(log[49].0 > 0, "the draws are not all zero");
     }
 }

@@ -11,30 +11,33 @@
 //!   jitter), reproducible per seed;
 //! * [`messages`] — the runtime's network protocol, wrapping the
 //!   master/owner protocol of `tcsc-assign::multi::protocol`;
-//! * [`node`] — [`node::RegionNode`] components owning spatial-shard
-//!   ledger partitions and task states, computing against one shared
-//!   read-only worker index, plus [`node::WorkerPool`] components emitting
-//!   liveness heartbeats;
+//! * [`node`] — [`node::RegionNode`] components owning the task states of
+//!   their spatial shards, computing against one shared read-only worker
+//!   index;
 //! * [`dispatcher`] — the [`dispatcher::Dispatcher`] component routing tasks
-//!   by their [`tcsc_index::TileRouter`] tile and driving the barrier
-//!   task-parallel master over the simulated network;
+//!   by their [`tcsc_index::TileRouter`] tile, driving the barrier
+//!   task-parallel master over the simulated network and rejecting any
+//!   double grant of a `(slot, worker)`;
 //! * [`cluster`] — one-call assembly: build the cluster, feed timed task
 //!   arrivals, run to quiescence, collect the [`cluster::SimOutcome`].
 //!
 //! # Guarantees
 //!
-//! * **Determinism** — same seed, same inputs ⇒ identical event trace,
-//!   plans, conflicts and executions, for every latency model.
+//! * **Determinism** — same seed, same inputs ⇒ identical delivery
+//!   timeline ([`cluster::SimOutcome::delivery_digest`]), plans, conflicts
+//!   and executions, for every latency model.
 //! * **Engine bit-identity** — the committed results (plans, conflicts,
 //!   executions, cache counters) are identical to the in-process
 //!   [`tcsc_assign::AssignmentEngine`] for *any* node count and latency
 //!   model; with zero latency and a single node the run degrades to exactly
 //!   the engine's loop.  Locked in by `tests/sim_equivalence.rs`.
 //!
-//! The simulated runtime is the staging ground for a real multi-process
-//! deployment: the message protocol, the shard routing and the master's
-//! barrier are exercised here against the exact serial results before any
-//! real networking exists.
+//! The simulated runtime is the third driver of the paper's task-level
+//! master (Section IV-A.2), next to the serial engine and the threaded
+//! task-parallel framework: it shows that message latency and task
+//! placement over nodes move the virtual timeline but never a decision, and
+//! it feeds the `fig9dist` (timeline vs node count × latency) and `fig9obs`
+//! (layout-invariant logical digest) figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +51,7 @@ pub mod node;
 
 pub use cluster::{plan_hash, run_cluster, SimBatch, SimClusterConfig, SimOutcome};
 pub use dispatcher::{Dispatcher, DispatcherReport};
-pub use kernel::{Component, ComponentId, Context, Message, SimTime, Simulation, TraceRecord};
+pub use kernel::{Component, ComponentId, Context, Message, SimTime, Simulation};
 pub use latency::LatencyModel;
 pub use messages::NetMessage;
-pub use node::{RegionNode, WorkerPool};
+pub use node::RegionNode;

@@ -2,13 +2,12 @@
 //!
 //! The dispatcher and the region nodes exchange exactly the master/owner
 //! protocol of `tcsc-assign::multi::protocol` ([`MasterCommand`] /
-//! [`WorkerEvent`]), wrapped in envelope variants that add what a distributed
-//! deployment needs on top: batch checkout with an occupancy snapshot, claim
-//! replication to the worker's owning shard, plan collection, and the worker
-//! pools' liveness pings.
+//! [`WorkerEvent`]), wrapped in envelope variants for what the protocol
+//! leaves to its driver: batch arrival, batch checkout with an occupancy
+//! snapshot, and plan collection.
 
 use tcsc_assign::{CacheStats, MasterCommand, WorkerEvent};
-use tcsc_core::{AssignmentPlan, Location, SlotIndex, Task, WorkerId};
+use tcsc_core::{AssignmentPlan, SlotIndex, Task, WorkerId};
 
 use crate::kernel::Message;
 
@@ -33,24 +32,8 @@ pub enum NetMessage {
     /// (task indices are *global*; the dispatcher translates).
     Command(MasterCommand),
     /// Region node → dispatcher: one owner event (heartbeat or execution
-    /// confirmation), with the executed worker's location attached so the
-    /// dispatcher can route the claim replication to the owning shard.
-    Event {
-        /// The protocol event (global task index).
-        event: WorkerEvent,
-        /// Location of the executed worker (for `Executed` events).
-        worker_location: Option<Location>,
-    },
-    /// Dispatcher → owning region node: replicate a committed claim into the
-    /// shard's ledger partition (the authority check for double grants).
-    Claim {
-        /// The spatial shard owning the worker.
-        shard: usize,
-        /// The claimed slot.
-        slot: SlotIndex,
-        /// The claimed worker.
-        worker: WorkerId,
-    },
+    /// confirmation), with a global task index.
+    Event(WorkerEvent),
     /// Dispatcher → region node: the run is over; report plans and counters.
     Finish,
     /// Region node → dispatcher: final per-task plans and node counters.
@@ -59,20 +42,7 @@ pub enum NetMessage {
         plans: Vec<(usize, AssignmentPlan)>,
         /// The node's accumulated candidate-cache counters.
         stats: CacheStats,
-        /// Commitments recorded in the node's ledger partitions.
-        commitments: usize,
-        /// Worker-pool liveness pings the node received.
-        pings: u64,
     },
-    /// Worker pool → its region node: liveness heartbeat.
-    WorkerPing {
-        /// Number of workers the pool reports for.
-        workers: usize,
-    },
-    /// Worker pool → itself: periodic timer.
-    Tick,
-    /// Dispatcher → worker pool: stop ticking (the run is over).
-    Quiesce,
 }
 
 impl Message for NetMessage {
@@ -83,20 +53,10 @@ impl Message for NetMessage {
             Self::Command(MasterCommand::Compute { .. }) => "compute",
             Self::Command(MasterCommand::Refresh { .. }) => "refresh",
             Self::Command(MasterCommand::Execute { .. }) => "execute",
-            Self::Event {
-                event: WorkerEvent::Heartbeat { .. },
-                ..
-            } => "heartbeat",
-            Self::Event {
-                event: WorkerEvent::Executed { .. },
-                ..
-            } => "executed",
-            Self::Claim { .. } => "claim",
+            Self::Event(WorkerEvent::Heartbeat { .. }) => "heartbeat",
+            Self::Event(WorkerEvent::Executed { .. }) => "executed",
             Self::Finish => "finish",
             Self::Plans { .. } => "plans",
-            Self::WorkerPing { .. } => "worker-ping",
-            Self::Tick => "tick",
-            Self::Quiesce => "quiesce",
         }
     }
 }

@@ -109,8 +109,7 @@ fn exported_trace_replays_to_the_same_digest() {
 fn recording_never_perturbs_the_outcome() {
     let (scenario, slots) = scenario();
     let base = SimClusterConfig::new(3, 3, 55.0, LatencyModel::Uniform { min: 20, max: 4000 })
-        .with_seed(13)
-        .with_trace();
+        .with_seed(13);
     let off = run(&scenario, slots, &base);
     let on = run(&scenario, slots, &base.clone().with_obs());
     assert!(off.obs.is_none());
@@ -121,7 +120,10 @@ fn recording_never_perturbs_the_outcome() {
     assert_eq!(off.stats, on.stats);
     assert_eq!(off.finish_time_us, on.finish_time_us);
     assert_eq!(off.delivered_events, on.delivered_events);
-    assert_eq!(off.trace, on.trace, "the event trace must be untouched");
+    assert_eq!(
+        off.delivery_digest, on.delivery_digest,
+        "the delivery timeline must be untouched"
+    );
 }
 
 #[test]
@@ -191,7 +193,7 @@ fn kernel_clock_rotates_session_windows_on_virtual_time() {
     // Four live slices of 250 µs: samples older than 1 ms of virtual time
     // must have been evicted by the kernel's clock advances alone.
     session.install_window("sim.hop_us", 250_000, 4);
-    let mut sim: Simulation<Tick> = Simulation::new(LatencyModel::Fixed(250), 5, false);
+    let mut sim: Simulation<Tick> = Simulation::new(LatencyModel::Fixed(250), 5);
     sim.set_obs(Some(session.clone()));
     let a = sim.add_component(Box::new(Bouncer {
         peer: 1,
