@@ -264,7 +264,7 @@ impl CandidateCache {
     /// retained) on a miss.  A cached entry is only reused when the stored
     /// task is identical to the queried one, so id reuse across different
     /// tasks falls back to a recompute instead of serving wrong candidates.
-    pub fn checkout_base(
+    fn checkout_base(
         &mut self,
         task: &Task,
         index: &dyn SpatialQuery,

@@ -219,14 +219,6 @@ impl HeartbeatTable {
         None
     }
 
-    /// Whether [`HeartbeatTable::select`] would find a candidate within
-    /// `remaining`, without dropping any entry.
-    pub(crate) fn has_selectable(&self, remaining: f64) -> bool {
-        self.by_heuristic
-            .iter()
-            .any(|&e| self.live(e).is_some_and(|(c, _)| c.cost <= remaining))
-    }
-
     /// The conflict losers of a grant of `worker` at `slot`: every task whose
     /// known candidate targets that pair, listed in `losers` ascending, each
     /// marked pending.  The caller invalidates the winner first, so it is
@@ -424,7 +416,6 @@ mod tests {
         table.invalidate(2);
         assert!(expire(&mut table, 0.0).is_empty());
         assert_eq!(table.select(4.0), None);
-        assert!(!table.has_selectable(4.0));
         assert_eq!(pending(&mut table), vec![1, 2]);
         // Its worker is still held.
         assert_eq!(losers(&mut table, 0, 1), vec![0]);
@@ -437,9 +428,10 @@ mod tests {
         table.record(1, hb(1, 1.0, 2.0, 2));
         table.record(1, None);
         table.invalidate(0);
-        // Both heap entries are still there, both stale.
-        assert!(!table.has_selectable(10.0));
+        // Both heap entries are still there, both stale: select drops them.
+        assert_eq!(table.by_heuristic.len(), 2);
         assert_eq!(table.select(10.0), None);
+        assert!(table.by_heuristic.is_empty());
     }
 
     /// The linear-scan table the heaps replaced, kept as the reference model.
@@ -591,8 +583,6 @@ mod tests {
                 }
                 _ => {
                     remaining -= 0.25 * f64::from(rng.gen_range(0..3u32));
-                    let selectable = scan.select(remaining).is_some();
-                    assert_eq!(heap.has_selectable(remaining), selectable, "{at}");
                     assert_eq!(heap.select(remaining), scan.select(remaining), "{at}");
                 }
             }

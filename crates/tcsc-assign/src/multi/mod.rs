@@ -498,9 +498,10 @@ pub struct MultiOutcome {
     pub conflicts: usize,
     /// Number of executed subtasks across all tasks.
     pub executions: usize,
-    /// Candidate-cache counters of the run: how many per-slot candidates were
-    /// computed, refreshed after occupancy changes, or served from the
-    /// engine's cache — and what a rebuild-per-call strategy would have cost.
+    /// Candidate counters of the run: how many tasks and per-slot candidates
+    /// were computed, refreshed after occupancy changes, or served from the
+    /// engine's cache, and the commit loop's refresh work (see
+    /// [`CacheStats`]).
     pub stats: CacheStats,
 }
 

@@ -324,8 +324,12 @@ impl<R: Recorder> TaskMaster<R> {
     }
 
     /// Whether every grant is committed and no reply is outstanding.
-    pub fn is_done(&self) -> bool {
-        self.pending == 0 && !self.table.has_selectable(self.remaining)
+    ///
+    /// Takes `&mut self` because it asks the heartbeat table's `select`,
+    /// which drops dead tops and tops over the budget on the way: the
+    /// budget only shrinks, so neither could ever be granted again.
+    pub fn is_done(&mut self) -> bool {
+        self.pending == 0 && self.table.select(self.remaining).is_none()
     }
 
     /// Number of worker conflicts recorded so far.

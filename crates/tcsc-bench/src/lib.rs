@@ -266,13 +266,13 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Times a closure, returning (result, elapsed milliseconds).
-///
-/// The single wall-clock timing path of the harness — a thin alias of
-/// [`tcsc_obs::time_closure`] so every fig driver reads the same
-/// [`tcsc_obs::Stopwatch`] clock.
+/// Times a closure on the wall clock, returning (result, elapsed
+/// milliseconds): the harness's one timing path, on the same
+/// [`tcsc_obs::Stopwatch`] the solvers read.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    tcsc_obs::time_closure(f)
+    let sw = tcsc_obs::Stopwatch::start();
+    let result = f();
+    (result, sw.elapsed_ms())
 }
 
 /// The best-of-`runs` wall-clock time of a closure, in milliseconds.
@@ -342,6 +342,13 @@ mod tests {
         assert_eq!(Scale::from_flag("--quick"), Some(Scale::Quick));
         assert_eq!(Scale::from_flag("paper"), Some(Scale::Full));
         assert_eq!(Scale::from_flag("bogus"), None);
+    }
+
+    #[test]
+    fn timed_returns_the_closure_result() {
+        let (value, ms) = timed(|| 41 + 1);
+        assert_eq!(value, 42);
+        assert!(ms >= 0.0);
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub mod spatiotemporal;
 pub use assignment::{AssignmentPlan, ExecutedSubtask, MultiAssignment};
 pub use cost::{Budget, CandidateAssignment, CostModel, EuclideanCost};
 pub use model::{
-    Domain, IdHasher, Location, SlotIndex, Subtask, SubtaskState, Task, TaskId, Worker, WorkerId,
-    WorkerPool, WorkerSet, WorkerSlot,
+    Domain, IdHasher, Location, SlotIndex, Subtask, Task, TaskId, Worker, WorkerId, WorkerPool,
+    WorkerSet, WorkerSlot,
 };
 pub use quality::{ExecutedSlot, Neighbor, QualityEvaluator, QualityParams};
 pub use spatiotemporal::{InterpolationWeights, SpatioTemporalEvaluator};

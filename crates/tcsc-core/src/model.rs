@@ -178,23 +178,6 @@ impl Default for Domain {
     }
 }
 
-/// Execution state of a subtask (Section II-B).
-///
-/// All subtasks start as [`SubtaskState::Null`].  When a worker is assigned
-/// and probes the value, the state becomes [`SubtaskState::Executed`].  The
-/// remaining subtasks are [`SubtaskState::Interpolated`] from the executed
-/// ones once at least one subtask has been executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SubtaskState {
-    /// No information at all: not executed and nothing to interpolate from.
-    #[default]
-    Null,
-    /// Probed by an assigned worker.
-    Executed,
-    /// Inferred from executed subtasks by k-NN interpolation.
-    Interpolated,
-}
-
 /// A subtask `τ(j)`: one time slot of a TCSC task.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Subtask {

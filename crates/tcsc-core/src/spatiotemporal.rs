@@ -162,19 +162,10 @@ impl SpatioTemporalEvaluator {
         true
     }
 
-    /// Temporal error ratio of subtask `(task, slot)` (Eq. 3 / Eq. 5).
-    pub fn temporal_error_ratio(&self, task: usize, slot: SlotIndex) -> f64 {
-        self.temporal[task].error_ratio(slot)
-    }
-
     /// Spatial error ratio of subtask `(task, slot)` (Eq. 13): inverse
     /// distance interpolation from the `k` spatially nearest subtasks executed
-    /// during the same slot by other tasks, with distances normalised by the
-    /// domain size.
-    pub fn spatial_error_ratio(&self, task: usize, slot: SlotIndex) -> f64 {
-        self.spatial_error_ratio_with_extra(task, slot, None)
-    }
-
+    /// during the same slot by other tasks (plus the optional tentative
+    /// execution `extra`), with distances normalised by the domain size.
     fn spatial_error_ratio_with_extra(
         &self,
         task: usize,
@@ -454,8 +445,11 @@ mod tests {
         let mut far = SpatioTemporalEvaluator::new(locations, QualityParams::new(10, 1), domain, w);
         near.execute(1, 2, 1.0); // 5 units away from task 0
         far.execute(2, 2, 1.0); // ~127 units away (clamped to |D|)
-        assert!(near.spatial_error_ratio(0, 2) < far.spatial_error_ratio(0, 2));
-        assert!(far.spatial_error_ratio(0, 2) <= 1.0);
+        assert!(
+            near.spatial_error_ratio_with_extra(0, 2, None)
+                < far.spatial_error_ratio_with_extra(0, 2, None)
+        );
+        assert!(far.spatial_error_ratio_with_extra(0, 2, None) <= 1.0);
     }
 
     #[test]
@@ -463,7 +457,7 @@ mod tests {
         let mut st = evaluator(2, 10, InterpolationWeights::paper_default());
         st.execute(0, 5, 1.0);
         assert_eq!(st.error_ratio(0, 5), 0.0);
-        assert_eq!(st.spatial_error_ratio(0, 5), 0.0);
+        assert_eq!(st.spatial_error_ratio_with_extra(0, 5, None), 0.0);
         assert!((st.finishing_probability(0, 5) - 0.1).abs() < 1e-12);
     }
 

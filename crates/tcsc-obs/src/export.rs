@@ -61,6 +61,7 @@ fn escape(label: &str) -> String {
 /// one event object per line, wrapped in `[` ... `]` so the file loads
 /// directly in `chrome://tracing` / Perfetto.  `ts` is microseconds (the
 /// tool's native unit); sub-microsecond precision is kept as a fraction.
+/// One session records, so every event sits on one track (`"tid":0`).
 ///
 /// [`Phase::Counter`] samples (gauges, rates) use the tool's counter-event
 /// convention: the sampled value is the sole `args` series (`"value"`), so
@@ -76,21 +77,19 @@ pub fn chrome_trace_jsonl(events: &[TraceEvent]) -> String {
         if e.phase == Phase::Counter {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":0,\
-                 \"tid\":{},\"args\":{{\"seq\":{},\"value\":{}}}}}{comma}\n",
+                 \"tid\":0,\"args\":{{\"seq\":{},\"value\":{}}}}}{comma}\n",
                 escape(e.label),
                 e.scope.name(),
-                e.tid,
                 e.seq,
                 e.a,
             ));
         } else {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{ts:.3},\"pid\":0,\
-                 \"tid\":{},\"args\":{{\"seq\":{},\"a\":{},\"b\":{},\"c\":{}}}}}{comma}\n",
+                 \"tid\":0,\"args\":{{\"seq\":{},\"a\":{},\"b\":{},\"c\":{}}}}}{comma}\n",
                 escape(e.label),
                 e.scope.name(),
                 e.phase.letter(),
-                e.tid,
                 e.seq,
                 e.a,
                 e.b,
@@ -108,10 +107,8 @@ pub fn chrome_trace_jsonl(events: &[TraceEvent]) -> String {
 pub struct ReplayedEvent {
     /// Event time in nanoseconds.
     pub time: u64,
-    /// Per-buffer sequence number.
+    /// Record sequence number.
     pub seq: u64,
-    /// Recording thread id.
-    pub tid: u32,
     /// Stream projection.
     pub scope: Scope,
     /// Span phase.
@@ -196,7 +193,6 @@ pub fn parse_chrome_trace_jsonl(dump: &str) -> Vec<ReplayedEvent> {
         events.push(ReplayedEvent {
             time: (ts * 1000.0).round() as u64,
             seq: int_field(line, "seq").unwrap_or(0),
-            tid: int_field(line, "tid").unwrap_or(0) as u32,
             scope,
             phase,
             label: label.replace("\\\"", "\"").replace("\\\\", "\\"),
@@ -226,7 +222,6 @@ mod tests {
         TraceEvent {
             time: 1_500,
             seq: a,
-            tid: 0,
             scope,
             phase: Phase::Instant,
             label,

@@ -8,7 +8,7 @@
 //!   epoch) and **virtual time** (the discrete-event simulator's clock,
 //!   driven externally via [`ObsSession::set_virtual_nanos`]);
 //! * lightweight **spans and events** ([`TraceEvent`]) recorded into the
-//!   session and ordered deterministically by `(time, thread, seq)`
+//!   session and ordered deterministically by `(time, seq)`
 //!   ([`ObsSession::merged_events`]);
 //! * a [`MetricsRegistry`] of named counters and log-linear [`Histogram`]s
 //!   (16 sub-buckets per power of two: p50/p99 assignment latency,
@@ -153,16 +153,13 @@ impl Phase {
 ///
 /// `time` is nanoseconds — since the session epoch under the wall clock,
 /// or virtual-simulation nanoseconds under the virtual clock.  `seq` is the
-/// session's record sequence; the deterministic merge key is
-/// `(time, tid, seq)`.
+/// session's record sequence; the deterministic order is `(time, seq)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Event time in nanoseconds (wall-since-epoch or virtual).
     pub time: u64,
     /// Monotone record sequence number.
     pub seq: u64,
-    /// Logical thread id (0 = session owner; the chrome export's `tid`).
-    pub tid: u32,
     /// Stream projection (see [`Scope`]).
     pub scope: Scope,
     /// Span phase.
@@ -179,33 +176,79 @@ pub struct TraceEvent {
 
 /// The recording interface every instrumented runtime is generic over.
 ///
-/// All methods take `&self` (the live implementations use interior
-/// mutability) so a shared `&ObsSession` handle can be held by several
-/// runtimes at once.  The [`NoopRecorder`] default has
-/// [`Recorder::IS_ENABLED`]` == false` and empty bodies; instrumentation
-/// sites guard on the const so the disabled path compiles away entirely.
+/// An implementation names the session it records into, if any; the
+/// recording methods are written once, here, against that session.  All
+/// methods take `&self` (the session uses interior mutability) so a shared
+/// `&ObsSession` handle can be held by several runtimes at once.  The
+/// [`NoopRecorder`] default has [`Recorder::IS_ENABLED`]` == false` and no
+/// session; instrumentation sites guard on the const so the disabled path
+/// compiles away entirely.
 pub trait Recorder {
     /// Statically-known enablement: `false` compiles instrumentation out.
     const IS_ENABLED: bool;
 
+    /// The session this recorder records into (`None` records nothing).
+    fn session(&self) -> Option<&ObsSession>;
+
     /// Records a span begin at the current clock reading.
-    fn begin(&self, label: &'static str, a: u64);
+    #[inline]
+    fn begin(&self, label: &'static str, a: u64) {
+        if let Some(s) = self.session() {
+            s.push(Scope::Perf, Phase::Begin, label, a, 0, 0);
+        }
+    }
+
     /// Records a span end at the current clock reading.
-    fn end(&self, label: &'static str, a: u64);
+    #[inline]
+    fn end(&self, label: &'static str, a: u64) {
+        if let Some(s) = self.session() {
+            s.push(Scope::Perf, Phase::End, label, a, 0, 0);
+        }
+    }
+
     /// Records an instantaneous event.
-    fn instant(&self, scope: Scope, label: &'static str, a: u64, b: u64, c: u64);
+    #[inline]
+    fn instant(&self, scope: Scope, label: &'static str, a: u64, b: u64, c: u64) {
+        if let Some(s) = self.session() {
+            s.push(scope, Phase::Instant, label, a, b, c);
+        }
+    }
+
     /// Adds `delta` to the named counter.
-    fn counter(&self, name: &'static str, delta: u64);
+    #[inline]
+    fn counter(&self, name: &'static str, delta: u64) {
+        if let Some(s) = self.session() {
+            s.metrics.borrow_mut().counter(name, delta);
+        }
+    }
+
     /// Sets the named gauge to `value` (a point-in-time level: queue depth,
-    /// ledger size, live cache entries).  Live implementations also emit a
-    /// [`Phase::Counter`] trace event so the level is plottable over time.
-    fn gauge(&self, name: &'static str, value: u64);
-    /// Records one observation into the named histogram.
-    fn value(&self, name: &'static str, value: u64);
+    /// ledger size, live cache entries) and emits a [`Phase::Counter`] trace
+    /// event so the level is plottable over time.
+    #[inline]
+    fn gauge(&self, name: &'static str, value: u64) {
+        if let Some(s) = self.session() {
+            s.push(Scope::Perf, Phase::Counter, name, value, 0, 0);
+            s.metrics.borrow_mut().gauge_set(name, value);
+        }
+    }
+
+    /// Records one observation into the named histogram, and into the
+    /// sliding window of that name if one is installed
+    /// ([`ObsSession::install_window`]).
+    #[inline]
+    fn value(&self, name: &'static str, value: u64) {
+        if let Some(s) = self.session() {
+            let now = s.now_nanos();
+            let mut metrics = s.metrics.borrow_mut();
+            metrics.value(name, value);
+            metrics.window_record(name, now, value);
+        }
+    }
 }
 
 /// The statically-dispatched disabled recorder: every instrumented runtime
-/// defaults to it, and every method body is empty.
+/// defaults to it, and it has no session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopRecorder;
 
@@ -213,17 +256,9 @@ impl Recorder for NoopRecorder {
     const IS_ENABLED: bool = false;
 
     #[inline(always)]
-    fn begin(&self, _label: &'static str, _a: u64) {}
-    #[inline(always)]
-    fn end(&self, _label: &'static str, _a: u64) {}
-    #[inline(always)]
-    fn instant(&self, _scope: Scope, _label: &'static str, _a: u64, _b: u64, _c: u64) {}
-    #[inline(always)]
-    fn counter(&self, _name: &'static str, _delta: u64) {}
-    #[inline(always)]
-    fn gauge(&self, _name: &'static str, _value: u64) {}
-    #[inline(always)]
-    fn value(&self, _name: &'static str, _value: u64) {}
+    fn session(&self) -> Option<&ObsSession> {
+        None
+    }
 }
 
 /// Shared references record through the referent, so runtimes can hold
@@ -232,28 +267,8 @@ impl<R: Recorder> Recorder for &R {
     const IS_ENABLED: bool = R::IS_ENABLED;
 
     #[inline]
-    fn begin(&self, label: &'static str, a: u64) {
-        (**self).begin(label, a)
-    }
-    #[inline]
-    fn end(&self, label: &'static str, a: u64) {
-        (**self).end(label, a)
-    }
-    #[inline]
-    fn instant(&self, scope: Scope, label: &'static str, a: u64, b: u64, c: u64) {
-        (**self).instant(scope, label, a, b, c)
-    }
-    #[inline]
-    fn counter(&self, name: &'static str, delta: u64) {
-        (**self).counter(name, delta)
-    }
-    #[inline]
-    fn gauge(&self, name: &'static str, value: u64) {
-        (**self).gauge(name, value)
-    }
-    #[inline]
-    fn value(&self, name: &'static str, value: u64) {
-        (**self).value(name, value)
+    fn session(&self) -> Option<&ObsSession> {
+        (**self).session()
     }
 }
 
@@ -265,47 +280,15 @@ impl<R: Recorder> Recorder for Option<R> {
     const IS_ENABLED: bool = true;
 
     #[inline]
-    fn begin(&self, label: &'static str, a: u64) {
-        if let Some(r) = self {
-            r.begin(label, a)
-        }
-    }
-    #[inline]
-    fn end(&self, label: &'static str, a: u64) {
-        if let Some(r) = self {
-            r.end(label, a)
-        }
-    }
-    #[inline]
-    fn instant(&self, scope: Scope, label: &'static str, a: u64, b: u64, c: u64) {
-        if let Some(r) = self {
-            r.instant(scope, label, a, b, c)
-        }
-    }
-    #[inline]
-    fn counter(&self, name: &'static str, delta: u64) {
-        if let Some(r) = self {
-            r.counter(name, delta)
-        }
-    }
-    #[inline]
-    fn gauge(&self, name: &'static str, value: u64) {
-        if let Some(r) = self {
-            r.gauge(name, value)
-        }
-    }
-    #[inline]
-    fn value(&self, name: &'static str, value: u64) {
-        if let Some(r) = self {
-            r.value(name, value)
-        }
+    fn session(&self) -> Option<&ObsSession> {
+        self.as_ref().and_then(R::session)
     }
 }
 
 /// The one wall-clock timing primitive of the repository: a monotonic
-/// stopwatch.  Every hand-rolled `Instant::now()` pair (the bench drivers'
-/// `timed`, the single-task solvers' phase timings, the gain ledger's
-/// `refresh_nanos`) routes through it, so there is exactly one timing path.
+/// stopwatch.  The bench harness's `timed`, the single-task solvers' phase
+/// timings, the engine's drain timings and the gain ledger's
+/// `refresh_nanos` all read it, so there is exactly one timing path.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -335,15 +318,10 @@ impl Stopwatch {
     }
 }
 
-/// Times a closure on the wall clock, returning `(result, elapsed ms)`.
-pub fn time_closure<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let sw = Stopwatch::start();
-    let result = f();
-    (result, sw.elapsed_ms())
-}
-
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
+
     use super::*;
 
     // The IS_ENABLED consts are checked at compile time — a non-constant
@@ -359,6 +337,59 @@ mod tests {
         noop.counter("c", 1);
     }
 
+    /// One span, one instant, one counter, one gauge and one windowed value.
+    fn record_sequence(r: &impl Recorder, session: &ObsSession) {
+        session.install_window("svc.latency_ns", 1_000, 4);
+        session.set_virtual_nanos(100);
+        r.begin("drain", 3);
+        session.set_virtual_nanos(250);
+        r.instant(Scope::Logical, "execute", 1, 2, 3);
+        r.counter("engine.conflicts", 2);
+        r.gauge("engine.queue_depth", 7);
+        r.value("svc.latency_ns", 150);
+        session.set_virtual_nanos(400);
+        r.end("drain", 3);
+    }
+
+    #[test]
+    fn every_recorder_handle_records_through_its_session() {
+        let direct = ObsSession::virtual_time();
+        record_sequence(&&direct, &direct);
+        let shared = Rc::new(ObsSession::virtual_time());
+        record_sequence(&shared, &shared);
+        let some_ref = ObsSession::virtual_time();
+        record_sequence(&Some(&some_ref), &some_ref);
+        let some_rc = Rc::new(ObsSession::virtual_time());
+        record_sequence(&Some(Rc::clone(&some_rc)), &some_rc);
+
+        let events = direct.merged_events();
+        assert_eq!(events.len(), 4, "begin, instant, gauge sample, end");
+        assert_eq!(events[1].time, 250);
+        let metrics = direct.metrics().render();
+        assert!(metrics.contains("counter engine.conflicts"));
+        assert!(metrics.contains("window  svc.latency_ns"));
+        for other in [&*shared, &some_ref, &*some_rc] {
+            assert_eq!(other.merged_events(), events);
+            assert_eq!(other.metrics().render(), metrics);
+        }
+
+        let none = ObsSession::virtual_time();
+        record_sequence(&None::<&ObsSession>, &none);
+        let noop = ObsSession::virtual_time();
+        record_sequence(&NoopRecorder, &noop);
+        for idle in [none, noop] {
+            assert!(idle.merged_events().is_empty());
+            let metrics = idle.metrics();
+            assert!(metrics.counters().is_empty());
+            assert!(metrics.gauges().is_empty());
+            assert!(metrics.histograms().is_empty());
+            assert_eq!(
+                metrics.window("svc.latency_ns").unwrap().lifetime_count(),
+                0
+            );
+        }
+    }
+
     #[test]
     fn scope_and_phase_round_trip() {
         for scope in [Scope::Logical, Scope::Policy, Scope::Transport, Scope::Perf] {
@@ -372,11 +403,9 @@ mod tests {
     }
 
     #[test]
-    fn stopwatch_measures_and_time_closure_returns_result() {
+    fn stopwatch_measures_elapsed_time() {
         let sw = Stopwatch::start();
-        let (value, ms) = time_closure(|| 41 + 1);
-        assert_eq!(value, 42);
-        assert!(ms >= 0.0);
         assert!(sw.elapsed_nanos() > 0 || sw.elapsed_ms() >= 0.0);
+        assert!(sw.elapsed_secs() >= 0.0);
     }
 }

@@ -241,11 +241,6 @@ impl MetricsRegistry {
         self.gauges.iter().find(|(n, _)| *n == name).map(|(_, g)| g)
     }
 
-    /// The named gauge's latest value (0 when never set).
-    pub fn gauge_value(&self, name: &str) -> u64 {
-        self.gauge(name).map_or(0, |g| g.last)
-    }
-
     /// The named gauge's peak value (0 when never set).
     pub fn gauge_peak(&self, name: &str) -> u64 {
         self.gauge(name).map_or(0, |g| g.max)
@@ -332,45 +327,6 @@ impl MetricsRegistry {
         &self.histograms
     }
 
-    /// Merges another registry into this one.  Counters add, histograms
-    /// merge bucket-wise, gauges keep the larger peak (and the other's last
-    /// value, it being the newer write), and windows merge slice-wise when
-    /// their specs match — a mismatched spec keeps this registry's window
-    /// (merging rings of different granularity has no meaningful result).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, delta) in &other.counters {
-            self.counter(name, *delta);
-        }
-        for (name, hist) in &other.histograms {
-            match self.histograms.binary_search_by_key(name, |(n, _)| n) {
-                Ok(i) => self.histograms[i].1.merge(hist),
-                Err(i) => self.histograms.insert(i, (name, hist.clone())),
-            }
-        }
-        for (name, gauge) in &other.gauges {
-            match self.gauges.binary_search_by_key(name, |(n, _)| n) {
-                Ok(i) => {
-                    let g = &mut self.gauges[i].1;
-                    g.last = gauge.last;
-                    g.max = g.max.max(gauge.max);
-                    g.samples += gauge.samples;
-                }
-                Err(i) => self.gauges.insert(i, (name, *gauge)),
-            }
-        }
-        for (name, window) in &other.windows {
-            match self.windows.binary_search_by_key(name, |(n, _)| n) {
-                Ok(i) => {
-                    let w = &mut self.windows[i].1;
-                    if w.slice_nanos() == window.slice_nanos() && w.slices() == window.slices() {
-                        w.merge(window);
-                    }
-                }
-                Err(i) => self.windows.insert(i, (name, window.clone())),
-            }
-        }
-    }
-
     /// The plain-text summary table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -442,22 +398,18 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_and_merge() {
+    fn registry_counters_and_histograms() {
         let mut a = MetricsRegistry::new();
         a.counter("z", 1);
         a.counter("a", 2);
         a.counter("z", 1);
         a.value("lat", 10);
-        let mut b = MetricsRegistry::new();
-        b.counter("z", 5);
-        b.value("lat", 20);
-        b.value("other", 1);
-        a.merge(&b);
-        assert_eq!(a.counter_value("z"), 7);
+        a.value("lat", 20);
+        assert_eq!(a.counter_value("z"), 2);
         assert_eq!(a.counter_value("a"), 2);
         assert_eq!(a.counter_value("missing"), 0);
         assert_eq!(a.histogram("lat").unwrap().count(), 2);
-        assert_eq!(a.histogram("other").unwrap().count(), 1);
+        assert!(a.histogram("other").is_none());
         // Sorted-name order is deterministic.
         let names: Vec<_> = a.counters().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, vec!["a", "z"]);
@@ -466,27 +418,20 @@ mod tests {
     }
 
     #[test]
-    fn registry_gauges_track_last_and_peak_across_merge() {
+    fn registry_gauges_track_last_and_peak() {
         let mut a = MetricsRegistry::new();
         a.gauge_set("depth", 5);
         a.gauge_set("depth", 2);
-        assert_eq!(a.gauge_value("depth"), 2);
-        assert_eq!(a.gauge_peak("depth"), 5);
-        assert_eq!(a.gauge_value("missing"), 0);
-        let mut b = MetricsRegistry::new();
-        b.gauge_set("depth", 9);
-        b.gauge_set("other", 1);
-        a.merge(&b);
         let g = a.gauge("depth").unwrap();
-        assert_eq!(g.last, 9, "merge takes the newer write");
-        assert_eq!(g.max, 9);
-        assert_eq!(g.samples, 3);
-        assert_eq!(a.gauge_peak("other"), 1);
+        assert_eq!((g.last, g.max, g.samples), (2, 5, 2));
+        assert_eq!(a.gauge_peak("depth"), 5);
+        assert_eq!(a.gauge_peak("missing"), 0);
+        assert!(a.gauge("missing").is_none());
         assert!(a.render().contains("gauge   depth"));
     }
 
     #[test]
-    fn registry_windows_install_record_and_merge() {
+    fn registry_windows_install_record_and_advance() {
         let mut a = MetricsRegistry::new();
         assert!(!a.window_record("lat", 0, 1), "uninstalled window rejects");
         a.install_window("lat", 1_000, 4);
@@ -496,12 +441,9 @@ mod tests {
         a.install_window("lat", 1_000, 4);
         assert_eq!(a.window("lat").unwrap().windowed_count(), 0);
         a.window_record("lat", 100, 7);
-        let mut b = MetricsRegistry::new();
-        b.install_window("lat", 1_000, 4);
-        b.window_record("lat", 200, 9);
-        b.install_window("fresh", 500, 2);
-        b.window_record("fresh", 10, 3);
-        a.merge(&b);
+        a.window_record("lat", 200, 9);
+        a.install_window("fresh", 500, 2);
+        a.window_record("fresh", 10, 3);
         assert_eq!(a.window("lat").unwrap().windowed_count(), 2);
         assert_eq!(a.window("fresh").unwrap().windowed_count(), 1);
         assert!(a.render().contains("window  lat"));
@@ -509,19 +451,5 @@ mod tests {
         a.advance_windows(10_000_000);
         assert_eq!(a.window("lat").unwrap().windowed_count(), 0);
         assert_eq!(a.window("fresh").unwrap().windowed_count(), 0);
-    }
-
-    #[test]
-    fn mismatched_window_specs_survive_merge_unchanged() {
-        let mut a = MetricsRegistry::new();
-        a.install_window("lat", 1_000, 4);
-        a.window_record("lat", 100, 7);
-        let mut b = MetricsRegistry::new();
-        b.install_window("lat", 2_000, 4);
-        b.window_record("lat", 100, 9);
-        a.merge(&b);
-        let w = a.window("lat").unwrap();
-        assert_eq!(w.slice_nanos(), 1_000);
-        assert_eq!(w.windowed_count(), 1);
     }
 }

@@ -46,39 +46,30 @@ pub struct SpanProfile {
     stats: Vec<PathStat>,
 }
 
-/// One open frame while folding a thread's span stream.
+/// One open frame while folding the span stream.
 struct Frame {
     label: &'static str,
     start: u64,
     child_nanos: u64,
 }
 
-/// Folds the span events of a merged stream into a [`SpanProfile`].
+/// Folds the span events of a recorded stream into a [`SpanProfile`].
 ///
-/// Only `Begin`/`End` phases participate; instants and counter samples are
-/// ignored.  Each thread id is folded as its own stack (per-thread buffers
-/// interleave in the merged stream).  Malformed streams degrade rather than
-/// panic: an `End` with no matching open frame on its thread is dropped, and
-/// frames still open when the stream finishes are discarded (their time was
-/// never measured to completion).
+/// Only `Begin`/`End` phases participate, in `(time, seq)` order; instants
+/// and counter samples are ignored.  Malformed streams degrade rather than
+/// panic: an `End` with no matching open frame is dropped, and frames still
+/// open when the stream finishes are discarded (their time was never
+/// measured to completion).
 pub fn profile_spans(events: &[TraceEvent]) -> SpanProfile {
-    // Per-tid event sequences in deterministic (time, seq) order.
     let mut ordered: Vec<&TraceEvent> = events
         .iter()
         .filter(|e| matches!(e.phase, Phase::Begin | Phase::End))
         .collect();
-    ordered.sort_by_key(|e| (e.tid, e.time, e.seq));
+    ordered.sort_by_key(|e| (e.time, e.seq));
 
     let mut paths: HashMap<String, PathStat> = HashMap::new();
     let mut stack: Vec<Frame> = Vec::new();
-    let mut current_tid: Option<u32> = None;
     for event in ordered {
-        if current_tid != Some(event.tid) {
-            // A new thread's stream begins; open frames of the previous
-            // thread can never close.
-            stack.clear();
-            current_tid = Some(event.tid);
-        }
         match event.phase {
             Phase::Begin => stack.push(Frame {
                 label: event.label,
@@ -136,19 +127,10 @@ impl SpanProfile {
         self.stats.iter().find(|s| s.path == path)
     }
 
-    /// Sum of every path's self time — equal, by telescoping, to
-    /// [`SpanProfile::root_total_nanos`].
+    /// Sum of every path's self time — equal, by telescoping, to the summed
+    /// total time of the root (depth-1) spans.
     pub fn total_self_nanos(&self) -> u64 {
         self.stats.iter().map(|s| s.self_nanos).sum()
-    }
-
-    /// Sum of the root (depth-1) spans' total time.
-    pub fn root_total_nanos(&self) -> u64 {
-        self.stats
-            .iter()
-            .filter(|s| s.depth == 1)
-            .map(|s| s.total_nanos)
-            .sum()
     }
 
     /// The flamegraph.pl collapsed-stack dump: one `path weight` line per
@@ -185,11 +167,10 @@ mod tests {
     use super::*;
     use crate::Scope;
 
-    fn span(tid: u32, seq: u64, time: u64, phase: Phase, label: &'static str) -> TraceEvent {
+    fn span(seq: u64, time: u64, phase: Phase, label: &'static str) -> TraceEvent {
         TraceEvent {
             time,
             seq,
-            tid,
             scope: Scope::Perf,
             phase,
             label,
@@ -202,12 +183,12 @@ mod tests {
     #[test]
     fn nested_spans_fold_into_paths_with_self_times() {
         let events = vec![
-            span(0, 0, 0, Phase::Begin, "drain"),
-            span(0, 1, 10, Phase::Begin, "checkout"),
-            span(0, 2, 40, Phase::End, "checkout"),
-            span(0, 3, 50, Phase::Begin, "commit"),
-            span(0, 4, 90, Phase::End, "commit"),
-            span(0, 5, 100, Phase::End, "drain"),
+            span(0, 0, Phase::Begin, "drain"),
+            span(1, 10, Phase::Begin, "checkout"),
+            span(2, 40, Phase::End, "checkout"),
+            span(3, 50, Phase::Begin, "commit"),
+            span(4, 90, Phase::End, "commit"),
+            span(5, 100, Phase::End, "drain"),
         ];
         let profile = profile_spans(&events);
         let drain = profile.get("drain").unwrap();
@@ -219,16 +200,15 @@ mod tests {
         assert_eq!(checkout.self_nanos, 30);
         assert_eq!(checkout.depth, 2);
         // Self times telescope to the root total.
-        assert_eq!(profile.total_self_nanos(), profile.root_total_nanos());
-        assert_eq!(profile.root_total_nanos(), 100);
+        assert_eq!(profile.total_self_nanos(), drain.total_nanos);
     }
 
     #[test]
     fn repeated_calls_accumulate() {
         let mut events = Vec::new();
         for i in 0..3u64 {
-            events.push(span(0, i * 2, i * 100, Phase::Begin, "work"));
-            events.push(span(0, i * 2 + 1, i * 100 + 20, Phase::End, "work"));
+            events.push(span(i * 2, i * 100, Phase::Begin, "work"));
+            events.push(span(i * 2 + 1, i * 100 + 20, Phase::End, "work"));
         }
         let profile = profile_spans(&events);
         let work = profile.get("work").unwrap();
@@ -237,29 +217,34 @@ mod tests {
     }
 
     #[test]
-    fn threads_fold_as_independent_stacks() {
+    fn a_same_label_span_opened_inside_another_nests() {
+        // An End closes the innermost open frame of its label.
         let events = vec![
-            span(1, 0, 0, Phase::Begin, "region"),
-            span(2, 0, 5, Phase::Begin, "region"),
-            span(1, 1, 10, Phase::End, "region"),
-            span(2, 1, 25, Phase::End, "region"),
+            span(0, 0, Phase::Begin, "region"),
+            span(1, 5, Phase::Begin, "region"),
+            span(2, 10, Phase::End, "region"),
+            span(3, 25, Phase::End, "region"),
         ];
         let profile = profile_spans(&events);
-        let region = profile.get("region").unwrap();
-        assert_eq!(region.calls, 2);
-        assert_eq!(region.total_nanos, 10 + 20);
+        let outer = profile.get("region").unwrap();
+        assert_eq!(
+            (outer.calls, outer.total_nanos, outer.self_nanos),
+            (1, 25, 20)
+        );
+        let inner = profile.get("region;region").unwrap();
+        assert_eq!((inner.calls, inner.total_nanos, inner.depth), (1, 5, 2));
     }
 
     #[test]
     fn malformed_streams_degrade_gracefully() {
         let events = vec![
             // End with no Begin: dropped.
-            span(0, 0, 5, Phase::End, "ghost"),
+            span(0, 5, Phase::End, "ghost"),
             // Begin that never closes: discarded.
-            span(0, 1, 10, Phase::Begin, "open"),
+            span(1, 10, Phase::Begin, "open"),
             // A clean span inside the dangling one still folds.
-            span(0, 2, 20, Phase::Begin, "inner"),
-            span(0, 3, 30, Phase::End, "inner"),
+            span(2, 20, Phase::Begin, "inner"),
+            span(3, 30, Phase::End, "inner"),
         ];
         let profile = profile_spans(&events);
         assert!(profile.get("ghost").is_none());
@@ -270,10 +255,10 @@ mod tests {
     #[test]
     fn collapsed_stacks_render_path_and_weight() {
         let events = vec![
-            span(0, 0, 0, Phase::Begin, "a"),
-            span(0, 1, 10, Phase::Begin, "b"),
-            span(0, 2, 30, Phase::End, "b"),
-            span(0, 3, 50, Phase::End, "a"),
+            span(0, 0, Phase::Begin, "a"),
+            span(1, 10, Phase::Begin, "b"),
+            span(2, 30, Phase::End, "b"),
+            span(3, 50, Phase::End, "a"),
         ];
         let profile = profile_spans(&events);
         let collapsed = profile.collapsed_stacks();

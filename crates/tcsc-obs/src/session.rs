@@ -17,17 +17,18 @@ enum ClockKind {
     Virtual(Cell<u64>),
 }
 
-/// A live observability session: one clock, one merged event stream, one
-/// metrics registry.  Implements [`Recorder`]; runtimes hold it by shared
-/// reference (`&ObsSession`) or `Rc` and the caller extracts the
-/// [`ObsReport`] when the run finishes.
+/// A live observability session: one clock, one event stream, one metrics
+/// registry.  Every [`Recorder`] that records names one;
+/// runtimes hold it by shared reference (`&ObsSession`) or `Rc` and the
+/// caller extracts the [`ObsReport`] when the run finishes.  The cells make
+/// it `!Sync`: exactly one thread records.
 #[derive(Debug)]
 pub struct ObsSession {
     epoch: Instant,
     clock: ClockKind,
     seq: Cell<u64>,
     events: RefCell<Vec<TraceEvent>>,
-    metrics: RefCell<MetricsRegistry>,
+    pub(crate) metrics: RefCell<MetricsRegistry>,
 }
 
 impl ObsSession {
@@ -76,20 +77,27 @@ impl ObsSession {
     }
 
     /// The current clock reading in nanoseconds.
-    pub fn now_nanos(&self) -> u64 {
+    pub(crate) fn now_nanos(&self) -> u64 {
         match &self.clock {
             ClockKind::Wall => u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
             ClockKind::Virtual(cell) => cell.get(),
         }
     }
 
-    fn push(&self, scope: Scope, phase: Phase, label: &'static str, a: u64, b: u64, c: u64) {
+    pub(crate) fn push(
+        &self,
+        scope: Scope,
+        phase: Phase,
+        label: &'static str,
+        a: u64,
+        b: u64,
+        c: u64,
+    ) {
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         self.events.borrow_mut().push(TraceEvent {
             time: self.now_nanos(),
             seq,
-            tid: 0,
             scope,
             phase,
             label,
@@ -100,10 +108,10 @@ impl ObsSession {
     }
 
     /// The recorded event stream, sorted deterministically by
-    /// `(time, tid, seq)` — one total order, so re-merging is stable.
+    /// `(time, seq)` — one total order, so re-sorting is stable.
     pub fn merged_events(&self) -> Vec<TraceEvent> {
         let mut events = self.events.borrow().clone();
-        events.sort_by_key(|e| (e.time, e.tid, e.seq));
+        events.sort_by_key(|e| (e.time, e.seq));
         events
     }
 
@@ -154,36 +162,8 @@ impl Recorder for ObsSession {
     const IS_ENABLED: bool = true;
 
     #[inline]
-    fn begin(&self, label: &'static str, a: u64) {
-        self.push(Scope::Perf, Phase::Begin, label, a, 0, 0);
-    }
-
-    #[inline]
-    fn end(&self, label: &'static str, a: u64) {
-        self.push(Scope::Perf, Phase::End, label, a, 0, 0);
-    }
-
-    #[inline]
-    fn instant(&self, scope: Scope, label: &'static str, a: u64, b: u64, c: u64) {
-        self.push(scope, Phase::Instant, label, a, b, c);
-    }
-
-    #[inline]
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.metrics.borrow_mut().counter(name, delta);
-    }
-
-    fn gauge(&self, name: &'static str, value: u64) {
-        self.push(Scope::Perf, Phase::Counter, name, value, 0, 0);
-        self.metrics.borrow_mut().gauge_set(name, value);
-    }
-
-    #[inline]
-    fn value(&self, name: &'static str, value: u64) {
-        let now = self.now_nanos();
-        let mut metrics = self.metrics.borrow_mut();
-        metrics.value(name, value);
-        metrics.window_record(name, now, value);
+    fn session(&self) -> Option<&ObsSession> {
+        Some(self)
     }
 }
 
@@ -193,35 +173,15 @@ impl Recorder for std::rc::Rc<ObsSession> {
     const IS_ENABLED: bool = true;
 
     #[inline]
-    fn begin(&self, label: &'static str, a: u64) {
-        (**self).begin(label, a)
-    }
-    #[inline]
-    fn end(&self, label: &'static str, a: u64) {
-        (**self).end(label, a)
-    }
-    #[inline]
-    fn instant(&self, scope: Scope, label: &'static str, a: u64, b: u64, c: u64) {
-        (**self).instant(scope, label, a, b, c)
-    }
-    #[inline]
-    fn counter(&self, name: &'static str, delta: u64) {
-        (**self).counter(name, delta)
-    }
-    #[inline]
-    fn gauge(&self, name: &'static str, value: u64) {
-        (**self).gauge(name, value)
-    }
-    #[inline]
-    fn value(&self, name: &'static str, value: u64) {
-        (**self).value(name, value)
+    fn session(&self) -> Option<&ObsSession> {
+        Some(self)
     }
 }
 
 /// The keepable output of a session: merged events, digest, metrics.
 #[derive(Debug, Clone)]
 pub struct ObsReport {
-    /// The merged `(time, tid, seq)`-ordered event stream.
+    /// The `(time, seq)`-ordered event stream.
     pub events: Vec<TraceEvent>,
     /// [`obs_digest`] over the stream's logical projection.
     pub digest: u64,

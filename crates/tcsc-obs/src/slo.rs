@@ -35,7 +35,6 @@ pub struct SlidingWindow {
     /// live once touched).
     touched: bool,
     lifetime_count: u64,
-    lifetime_sum: u64,
 }
 
 impl SlidingWindow {
@@ -52,7 +51,6 @@ impl SlidingWindow {
             current_slice: 0,
             touched: false,
             lifetime_count: 0,
-            lifetime_sum: 0,
         }
     }
 
@@ -64,11 +62,6 @@ impl SlidingWindow {
     /// The configured number of slices.
     pub fn slices(&self) -> usize {
         self.ring.len()
-    }
-
-    /// The full window span (`slices × slice_nanos`) in nanoseconds.
-    pub fn span_nanos(&self) -> u64 {
-        self.slice_nanos * self.ring.len() as u64
     }
 
     /// Rotates the ring so that `now` falls in the current slice, clearing
@@ -106,7 +99,6 @@ impl SlidingWindow {
         let slices = self.ring.len() as u64;
         self.ring[(self.current_slice % slices) as usize].record(value);
         self.lifetime_count += 1;
-        self.lifetime_sum = self.lifetime_sum.saturating_add(value);
     }
 
     /// The merged histogram over every live slice — the windowed view.
@@ -149,11 +141,6 @@ impl SlidingWindow {
         self.lifetime_count
     }
 
-    /// Sum of every observation ever recorded (saturating).
-    pub fn lifetime_sum(&self) -> u64 {
-        self.lifetime_sum
-    }
-
     /// Per-slice observation counts in ring order, oldest slice first — the
     /// observable surface of the eviction property tests.
     pub fn slice_counts(&self) -> Vec<u64> {
@@ -165,25 +152,6 @@ impl SlidingWindow {
                 self.ring[pos as usize].count()
             })
             .collect()
-    }
-
-    /// Merges another window into this one (slice-by-ring-position; both
-    /// windows must share the same spec).
-    ///
-    /// # Panics
-    /// Panics when the windows' slice width or count differ.
-    pub fn merge(&mut self, other: &SlidingWindow) {
-        assert!(
-            self.slice_nanos == other.slice_nanos && self.ring.len() == other.ring.len(),
-            "merging sliding windows requires identical specs"
-        );
-        self.current_slice = self.current_slice.max(other.current_slice);
-        self.touched |= other.touched;
-        for (a, b) in self.ring.iter_mut().zip(other.ring.iter()) {
-            a.merge(b);
-        }
-        self.lifetime_count += other.lifetime_count;
-        self.lifetime_sum = self.lifetime_sum.saturating_add(other.lifetime_sum);
     }
 }
 
@@ -260,25 +228,6 @@ mod tests {
         w.advance(3_999_999_999);
         assert_eq!(w.windowed_count(), 2);
         assert!((w.rate_per_sec() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_requires_matching_specs_and_adds_counts() {
-        let mut a = SlidingWindow::new(1_000, 2);
-        let mut b = SlidingWindow::new(1_000, 2);
-        a.record(100, 5);
-        b.record(1_100, 7);
-        a.merge(&b);
-        assert_eq!(a.windowed_count(), 2);
-        assert_eq!(a.lifetime_count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical specs")]
-    fn merge_rejects_mismatched_specs() {
-        let mut a = SlidingWindow::new(1_000, 2);
-        let b = SlidingWindow::new(2_000, 2);
-        a.merge(&b);
     }
 
     #[test]

@@ -205,13 +205,13 @@ impl Dispatcher {
     fn pump(&mut self, ctx: &mut Context<'_, NetMessage>) {
         loop {
             match self.current.take() {
-                Some(batch) if batch.master.is_done() => {
+                Some(mut batch) => {
+                    if !batch.master.is_done() {
+                        self.current = Some(batch);
+                        return;
+                    }
                     self.finish_batch(batch);
                     self.batches_done += 1;
-                }
-                Some(batch) => {
-                    self.current = Some(batch);
-                    return;
                 }
                 None => {
                     if !self.queue.is_empty() {

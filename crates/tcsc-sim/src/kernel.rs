@@ -41,7 +41,7 @@ pub type SimTime = u64;
 
 /// The pseudo-component id used for externally scheduled events (workload
 /// arrivals injected by the harness rather than sent by a component).
-pub const EXTERNAL: ComponentId = usize::MAX;
+const EXTERNAL: ComponentId = usize::MAX;
 
 /// FNV-1a offset basis: the delivery digest of a run that delivered nothing.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
