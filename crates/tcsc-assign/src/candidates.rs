@@ -15,11 +15,24 @@ use tcsc_core::{CandidateAssignment, CostModel, IdHasher, SlotIndex, Task, Worke
 use tcsc_index::{NearestWorker, SpatialQuery};
 
 /// The per-slot candidate assignments of one task.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SlotCandidates {
     /// `candidates[j]` is the currently cheapest feasible assignment for slot
     /// `j`, or `None` when no (unoccupied) worker is available at that slot.
     candidates: Vec<Option<CandidateAssignment>>,
+}
+
+/// `clone_from` copies into the buffer it already holds.
+impl Clone for SlotCandidates {
+    fn clone(&self) -> Self {
+        Self {
+            candidates: self.candidates.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.candidates.clone_from(&source.candidates);
+    }
 }
 
 impl SlotCandidates {
@@ -39,10 +52,25 @@ impl SlotCandidates {
         cost_model: &dyn CostModel,
         ledger: &WorkerLedger,
     ) -> Self {
-        let candidates = (0..task.num_slots)
-            .map(|slot| candidate_for_slot(task, slot, index, cost_model, ledger))
-            .collect();
-        Self { candidates }
+        let mut candidates = Self::default();
+        candidates.fill(task, index, cost_model, ledger);
+        candidates
+    }
+
+    /// [`SlotCandidates::compute_excluding`] into the buffer this set
+    /// already holds, replacing whatever it held.
+    pub(crate) fn fill(
+        &mut self,
+        task: &Task,
+        index: &dyn SpatialQuery,
+        cost_model: &dyn CostModel,
+        ledger: &WorkerLedger,
+    ) {
+        self.candidates.clear();
+        self.candidates.extend(
+            (0..task.num_slots)
+                .map(|slot| candidate_for_slot(task, slot, index, cost_model, ledger)),
+        );
     }
 
     /// Number of slots.
@@ -228,8 +256,10 @@ impl WorkerLedger {
     }
 
     /// Releases every commitment, returning the ledger to its empty state
-    /// (used by the engine between re-planning rounds).  The per-slot sets
-    /// are emptied in place, so the next round re-uses their tables.
+    /// (what the engine's `release_all` does between re-planning rounds).
+    /// The per-slot sets are emptied in place, so the next round re-uses
+    /// their tables; an emptied set reads as no set at all
+    /// ([`WorkerLedger::occupied_set_at`]).
     pub fn clear(&mut self) {
         for set in self.occupied.values_mut() {
             set.clear();

@@ -54,6 +54,15 @@
 //!   that worker`.  Occupying a worker then refreshes exactly the affected
 //!   tasks' slots instead of re-scanning (or worse, recomputing) every task.
 //!
+//! # Scratch
+//!
+//! The engine also owns the buffers its solves rebuild: a pool of
+//! [`TaskState`]s re-initialised in place, the MSQM heartbeat table, the
+//! MMQM heap and the commit loops' small buffers, plus the `pending`
+//! queue's buffer.  A reused state is the state a fresh one would be, bit
+//! for bit.  [`GreedyEngine::release_all`] drops the pooled states with the
+//! ledger's commitments.
+//!
 //! # Determinism
 //!
 //! The engine's greedy loops are ports of the serial solvers with the holder
@@ -87,7 +96,7 @@ use tcsc_index::{
 use tcsc_obs::{NoopRecorder, Recorder, Stopwatch};
 
 use crate::candidates::{candidate_for_slot, SlotCandidates, WorkerLedger};
-use crate::engine::commit::{mmqm_commit_loop, msqm_commit_loop};
+use crate::engine::commit::{mmqm_commit_loop, msqm_commit_loop, Scratch};
 pub use crate::engine::concurrent::ShardedLedger;
 use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
 
@@ -118,7 +127,9 @@ pub enum Objective {
 /// same plan (engine greedy vs task-parallel master vs simulated cluster)
 /// legitimately issue different best-candidate request sequences, so the
 /// refresh block is excluded from `PartialEq` and from every bit-identity
-/// contract.
+/// contract.  Its counts are kept by every driver, with or without a
+/// recorder; its two times are taken only by the engine's commit loops and
+/// only under a live recorder, and read 0 everywhere else.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Tasks whose candidates were computed from scratch (cache misses).
@@ -145,13 +156,16 @@ pub struct CacheStats {
     /// the refresh block this is measurement, not behaviour (excluded from
     /// `PartialEq`).
     pub commit_rescores: usize,
-    /// Nanoseconds spent in commit-tail refresh work (requests beyond the
-    /// warm start: ledger pops, fallback searches and patches).
+    /// Nanoseconds spent in commit-tail refresh work: every best-candidate
+    /// request after a task's first (ledger pops and fallback searches) and
+    /// every gain-ledger patch.  Timed by the engine's commit loops under a
+    /// live recorder only; 0 otherwise.
     pub refresh_nanos: u64,
     /// Nanoseconds spent in each task's warm start (its first best-candidate
-    /// request, which `refresh_nanos` leaves out).  Both run inside the
-    /// `engine.commit` span, so `warm_nanos + refresh_nanos` never exceeds
-    /// it; the remainder is the commit loop's own work.
+    /// request, which `refresh_nanos` leaves out); timed like
+    /// `refresh_nanos`.  Both run inside the `engine.commit` span, so
+    /// `warm_nanos + refresh_nanos` never exceeds it; the remainder is the
+    /// commit loop's own work.
     pub warm_nanos: u64,
     /// Slot partial qualities the tasks' V-trees computed: `m` per tree at
     /// construction, then one per slot an execution changed.  A work
@@ -259,8 +273,8 @@ impl CandidateCache {
         slots
     }
 
-    /// Checks a task's *base* candidates out of the cache: a clone of the
-    /// per-slot nearest workers under an empty ledger, computed (and
+    /// Checks a task's *base* candidates out of the cache into `out`: a copy
+    /// of the per-slot nearest workers under an empty ledger, computed (and
     /// retained) on a miss.  A cached entry is only reused when the stored
     /// task is identical to the queried one, so id reuse across different
     /// tasks falls back to a recompute instead of serving wrong candidates.
@@ -270,42 +284,45 @@ impl CandidateCache {
         index: &dyn SpatialQuery,
         cost_model: &dyn CostModel,
         stats: &mut CacheStats,
-    ) -> SlotCandidates {
+        out: &mut SlotCandidates,
+    ) {
         if let Some((cached, base)) = self.base.get(&task.id) {
             if cached == task {
                 stats.tasks_reused += 1;
-                return base.clone();
+                out.clone_from(base);
+                return;
             }
         }
-        let base = compute_base(task, index, cost_model, stats);
-        self.base.insert(task.id, (task.clone(), base.clone()));
-        base
+        compute_base(task, index, cost_model, stats, out);
+        self.base.insert(task.id, (task.clone(), out.clone()));
     }
 }
 
-/// A task's base candidates computed straight from the index, counted as a
-/// cache miss — what a drain pays for every one-shot arrival.
+/// A task's base candidates computed straight from the index into `out`,
+/// counted as a cache miss — what a drain pays for every one-shot arrival.
 pub(crate) fn compute_base(
     task: &Task,
     index: &dyn SpatialQuery,
     cost_model: &dyn CostModel,
     stats: &mut CacheStats,
-) -> SlotCandidates {
+    out: &mut SlotCandidates,
+) {
     stats.tasks_computed += 1;
     stats.slot_computations += task.num_slots;
-    SlotCandidates::compute(task, index, cost_model)
+    out.fill(task, index, cost_model, &WorkerLedger::new());
 }
 
-/// Reconciles base candidates with `ledger`: every slot whose base candidate
-/// is occupied is recomputed against the ledger, every other slot is kept.
+/// Reconciles base candidates with `ledger` in place: every slot whose base
+/// candidate is occupied is recomputed against the ledger, every other slot
+/// is kept.
 fn reconcile<I, L: Occupancy<I>>(
     task: &Task,
-    mut working: SlotCandidates,
+    working: &mut SlotCandidates,
     index: &I,
     cost_model: &dyn CostModel,
     ledger: &L,
     stats: &mut CacheStats,
-) -> SlotCandidates {
+) {
     for slot in 0..working.len() {
         // A `None` base candidate means the slot has no worker at all;
         // occupancy can only shrink availability, so it stays `None`.
@@ -315,7 +332,6 @@ fn reconcile<I, L: Occupancy<I>>(
             stats.slot_refreshes += 1;
         }
     }
-    working
 }
 
 /// A one-shot arrival's working candidates, checked out the way a drain
@@ -328,8 +344,10 @@ pub fn checkout_one_shot<I: MutableSpatialIndex, L: Occupancy<I>>(
     ledger: &L,
     stats: &mut CacheStats,
 ) -> SlotCandidates {
-    let base = compute_base(task, index, cost_model, stats);
-    reconcile(task, base, index, cost_model, ledger, stats)
+    let mut working = SlotCandidates::default();
+    compute_base(task, index, cost_model, stats, &mut working);
+    reconcile(task, &mut working, index, cost_model, ledger, stats);
+    working
 }
 
 /// Where `index` holds `worker` during `slot`, if it does.
@@ -360,6 +378,10 @@ pub trait Occupancy<I> {
 
     /// Number of `(slot, worker)` commitments held.
     fn held(&self) -> usize;
+
+    /// Releases every commitment, keeping the store laid out for the index
+    /// it serves.
+    fn clear(&mut self);
 
     /// Whether the candidate's worker is occupied at the candidate's slot.
     fn is_taken(&self, index: &I, candidate: &CandidateAssignment) -> bool;
@@ -403,6 +425,10 @@ impl<I: MutableSpatialIndex> Occupancy<I> for WorkerLedger {
 
     fn held(&self) -> usize {
         self.len()
+    }
+
+    fn clear(&mut self) {
+        WorkerLedger::clear(self);
     }
 
     fn is_taken(&self, _index: &I, candidate: &CandidateAssignment) -> bool {
@@ -468,6 +494,7 @@ pub struct GreedyEngine<'a, I: Clone, L, R: Recorder = NoopRecorder> {
     ledger: L,
     cache: CandidateCache,
     pending: Vec<Task>,
+    scratch: Scratch,
     lifetime_stats: CacheStats,
     churn: ChurnCounters,
     obs: R,
@@ -524,6 +551,7 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>> GreedyEngine<'a, I, L>
             config,
             cache: CandidateCache::default(),
             pending: Vec::new(),
+            scratch: Scratch::default(),
             lifetime_stats: CacheStats::default(),
             churn: ChurnCounters::default(),
             obs: NoopRecorder,
@@ -544,6 +572,7 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
             ledger: self.ledger,
             cache: self.cache,
             pending: self.pending,
+            scratch: self.scratch,
             lifetime_stats: self.lifetime_stats,
             churn: self.churn,
             obs,
@@ -612,9 +641,12 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
 
     /// Releases every occupancy commitment while keeping the candidate cache
     /// warm (re-planning the same scenario under a different budget or
-    /// objective).
+    /// objective).  The ledger is emptied in place, and the pooled task
+    /// states are dropped with it, so a re-planning engine holds no more
+    /// memory between solves than its cache and ledger need.
     pub fn release_all(&mut self) {
-        self.ledger = L::empty_for(&self.index);
+        self.ledger.clear();
+        self.scratch.states.clear();
     }
 
     /// Releases one committed plan's worker occupancies — the retired-task
@@ -728,13 +760,17 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
     /// re-solve the same tasks should use [`GreedyEngine::assign_batch`],
     /// which keeps the cache warm.)
     pub fn drain(&mut self, objective: Objective) -> MultiOutcome {
-        let tasks = std::mem::take(&mut self.pending);
+        let mut tasks = std::mem::take(&mut self.pending);
+        let drained = tasks.len() as u64;
         if R::IS_ENABLED {
-            self.obs.begin("engine.drain", tasks.len() as u64);
+            self.obs.begin("engine.drain", drained);
         }
         let outcome = self.solve(&tasks, objective, false);
+        // The queue's buffer serves the next round's arrivals.
+        tasks.clear();
+        self.pending = tasks;
         if R::IS_ENABLED {
-            self.obs.end("engine.drain", tasks.len() as u64);
+            self.obs.end("engine.drain", drained);
             // Post-drain service levels: what is queued, held and cached
             // *now* — the SLO gauges a live dashboard samples per drain.
             self.obs
@@ -779,72 +815,76 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
         outcome
     }
 
-    /// Each task's working candidates: the base (through the cache when
-    /// `cached`, else computed directly) reconciled against the current
-    /// ledger.
-    fn checkout(
-        &mut self,
-        tasks: &[Task],
-        cached: bool,
-        stats: &mut CacheStats,
-    ) -> Vec<SlotCandidates> {
+    /// Checks each task's working candidates out into the first
+    /// `tasks.len()` pooled states, growing the pool as needed: the base
+    /// (through the cache when `cached`, else computed directly) reconciled
+    /// against the current ledger.  The states themselves are not reset.
+    fn checkout(&mut self, tasks: &[Task], cached: bool, stats: &mut CacheStats) {
         if R::IS_ENABLED {
             self.ledger.count_routing(&self.index, tasks, &self.obs);
         }
         let index = self.index.as_ref();
         // Counted once per checkout: the sharded count locks every shard.
         let occupied = self.ledger.held() > 0;
-        tasks
-            .iter()
-            .map(|task| {
-                let base = if cached {
-                    self.cache
-                        .checkout_base(task, index, self.cost_model, stats)
-                } else {
-                    compute_base(task, index, self.cost_model, stats)
-                };
-                if occupied {
-                    reconcile(task, base, index, self.cost_model, &self.ledger, stats)
-                } else {
-                    base
-                }
-            })
-            .collect()
+        let states = &mut self.scratch.states;
+        for (i, task) in tasks.iter().enumerate() {
+            if i == states.len() {
+                states.push(TaskState::blank(task, &self.config));
+            }
+            let working = &mut states[i].candidates;
+            if cached {
+                self.cache
+                    .checkout_base(task, index, self.cost_model, stats, working);
+            } else {
+                compute_base(task, index, self.cost_model, stats, working);
+            }
+            if occupied {
+                reconcile(task, working, index, self.cost_model, &self.ledger, stats);
+            }
+        }
     }
 
-    /// Checkout, then the MSQM or MMQM commit loop.
+    /// Checkout and state reset, then the MSQM or MMQM commit loop over the
+    /// pooled states.
     fn run(&mut self, tasks: &[Task], objective: Objective, cached: bool) -> MultiOutcome {
         let mut stats = CacheStats::default();
         if R::IS_ENABLED {
             self.obs.begin("engine.checkout", tasks.len() as u64);
         }
-        let mut states: Vec<TaskState> = self
-            .checkout(tasks, cached, &mut stats)
-            .into_iter()
-            .zip(tasks)
-            .map(|(candidates, task)| TaskState::from_candidates(task, candidates, &self.config))
-            .collect();
+        self.checkout(tasks, cached, &mut stats);
+        for (state, task) in self.scratch.states.iter_mut().zip(tasks) {
+            state.reset(task, &self.config);
+        }
         if R::IS_ENABLED {
             self.obs.end("engine.checkout", tasks.len() as u64);
             self.obs.begin("engine.commit", tasks.len() as u64);
         }
-        let (index, budget) = (self.index.as_ref(), self.config.budget);
-        let ledger = &mut self.ledger;
+        let (index, budget, n) = (self.index.as_ref(), self.config.budget, tasks.len());
+        let (scratch, ledger) = (&mut self.scratch, &mut self.ledger);
         let (conflicts, executions) = match objective {
-            Objective::SumQuality => msqm_commit_loop(
-                &mut states,
+            Objective::SumQuality => msqm_commit_loop::<_, _, R>(
+                scratch,
+                n,
                 budget,
                 index,
                 self.cost_model,
                 ledger,
                 &mut stats,
             ),
-            Objective::MinQuality => {
-                mmqm_commit_loop(&mut states, budget, index, self.cost_model, ledger)
-            }
+            Objective::MinQuality => mmqm_commit_loop::<_, _, R>(
+                scratch,
+                n,
+                budget,
+                index,
+                self.cost_model,
+                ledger,
+                &mut stats,
+            ),
         };
-        // States are per solve, so each state's counters are merged once.
-        for state in &states {
+        let states = &mut self.scratch.states[..n];
+        // States are reset per solve, so each state's counters are merged
+        // once.
+        for state in states.iter() {
             stats.merge(&state.stats());
         }
         if R::IS_ENABLED {
@@ -852,7 +892,7 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
         }
 
         let assignment =
-            MultiAssignment::new(states.into_iter().map(TaskState::into_plan).collect());
+            MultiAssignment::new(states.iter_mut().map(TaskState::take_plan).collect());
         MultiOutcome {
             assignment,
             conflicts,
@@ -916,7 +956,8 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
             *domain,
             weights,
         );
-        let mut candidates = self.checkout(tasks, true, &mut stats);
+        self.checkout(tasks, true, &mut stats);
+        let states = &mut self.scratch.states;
         let mut executions_log: Vec<Vec<ExecutedSubtask>> = vec![Vec::new(); tasks.len()];
         let mut remaining = config.budget;
         let mut conflicts = 0usize;
@@ -945,7 +986,7 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
                     if evaluator.is_executed(task_idx, slot) {
                         continue;
                     }
-                    let Some(candidate) = candidates[task_idx].get(slot) else {
+                    let Some(candidate) = states[task_idx].candidates.get(slot) else {
                         continue;
                     };
                     if candidate.cost > remaining {
@@ -991,13 +1032,14 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
             let Some((task_idx, slot, _gain, cost)) = best else {
                 break;
             };
-            let candidate = *candidates[task_idx]
+            let candidate = *states[task_idx]
+                .candidates
                 .get(slot)
                 .expect("selected candidate exists");
             // Worker conflict: fall back to the next nearest worker.
             if self.ledger.is_taken(&self.index, &candidate) {
                 conflicts += 1;
-                candidates[task_idx].set(
+                states[task_idx].candidates.set(
                     slot,
                     self.ledger
                         .nearest_free(&self.index, &tasks[task_idx], slot, self.cost_model),
@@ -1318,6 +1360,64 @@ mod tests {
         );
         // The second solve is served from the cache.
         assert!(b.stats.slot_computations < a.stats.slot_computations);
+    }
+
+    /// One engine drains an alternating stream of 2-slot and 96-slot
+    /// batches under both objectives, emptying its ledger between drains by
+    /// `release_all` (which drops the pooled states) or by retiring every
+    /// plan (which keeps them); every drain must commit what a fresh engine
+    /// commits for the same batch.
+    fn assert_reuse_matches_fresh<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>>(
+        mut engine: GreedyEngine<'a, I, L>,
+        fresh_engine: impl Fn() -> GreedyEngine<'a, I, L>,
+    ) {
+        let (long, _, _) = crate::multi::test_support::small_world(93, 12, 96, 0);
+        let short: Vec<Task> = long
+            .iter()
+            .map(|t| Task::new(TaskId(t.id.0 + 100), t.location, 2))
+            .collect();
+        let mut conflicts = 0;
+        for round in 0..8 {
+            let batch = if round % 2 == 0 { &short } else { &long };
+            let objective = if round % 4 < 2 {
+                Objective::SumQuality
+            } else {
+                Objective::MinQuality
+            };
+            engine.submit(batch.clone());
+            let reused = engine.drain(objective);
+            let mut fresh = fresh_engine();
+            fresh.submit(batch.clone());
+            assert_eq!(reused, fresh.drain(objective), "round {round}");
+            assert!(reused.executions > 0, "round {round}");
+            conflicts += reused.conflicts;
+            if round % 3 == 0 {
+                engine.release_all();
+            } else {
+                for plan in &reused.assignment.plans {
+                    engine.release_plan(plan);
+                }
+            }
+            assert_eq!(engine.ledger().held(), 0, "round {round}");
+        }
+        assert!(conflicts > 0, "the stream exercises the conflict patches");
+    }
+
+    #[test]
+    fn a_reused_engine_commits_what_a_fresh_engine_commits() {
+        let (_, workers, domain) = crate::multi::test_support::small_world(94, 0, 96, 400);
+        let cost = EuclideanCost::default();
+        let cfg = MultiTaskConfig::new(60.0);
+        let dense = WorkerIndex::build(&workers, 96, &domain);
+        assert_reuse_matches_fresh(AssignmentEngine::borrowed(&dense, &cost, cfg), || {
+            AssignmentEngine::borrowed(&dense, &cost, cfg)
+        });
+        let grid = tcsc_index::ShardGridConfig::new(3, 3);
+        let sharded = ShardedWorkerIndex::build(&workers, 96, &domain, grid);
+        assert_reuse_matches_fresh(
+            ConcurrentAssignmentEngine::borrowed(&sharded, &cost, cfg),
+            || ConcurrentAssignmentEngine::borrowed(&sharded, &cost, cfg),
+        );
     }
 
     #[test]

@@ -122,6 +122,12 @@ impl Occupancy<ShardedWorkerIndex> for ShardedLedger {
         self.len()
     }
 
+    fn clear(&mut self) {
+        for shard in &mut self.shards {
+            shard.get_mut().expect("ledger shard lock poisoned").clear();
+        }
+    }
+
     fn is_taken(&self, index: &ShardedWorkerIndex, candidate: &CandidateAssignment) -> bool {
         let shard = index.spatial_shard_of(&candidate.worker_location);
         self.shards[shard]

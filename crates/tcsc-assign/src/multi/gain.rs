@@ -170,14 +170,23 @@ pub(crate) struct GainLedger {
 impl GainLedger {
     /// An unbuilt ledger over `num_slots` slots (entries are installed by
     /// [`GainLedger::build`]).
+    #[cfg(test)]
     pub(crate) fn new(num_slots: usize) -> Self {
-        Self {
-            heap: BinaryHeap::with_capacity(num_slots),
-            bound: f64::INFINITY,
-            slot_versions: vec![0; num_slots],
-            score_version: 0,
-            built: false,
-        }
+        let mut ledger = Self::default();
+        ledger.reset(num_slots);
+        ledger
+    }
+
+    /// Returns the ledger to the unbuilt state over `num_slots` slots,
+    /// keeping its buffers.
+    pub(crate) fn reset(&mut self, num_slots: usize) {
+        self.heap.clear();
+        self.heap.reserve(num_slots);
+        self.bound = f64::INFINITY;
+        self.slot_versions.clear();
+        self.slot_versions.resize(num_slots, 0);
+        self.score_version = 0;
+        self.built = false;
     }
 
     /// Whether the initial build has run.
@@ -268,20 +277,23 @@ impl GainLedger {
     /// the fresh score.  `stale_pops` counts the re-scores performed.
     /// Entries costing more than `max_cost` are dropped; the caller asks
     /// with a larger bound only after a rebuild
-    /// ([`GainLedger::is_built_for`]).
+    /// ([`GainLedger::is_built_for`]).  `aside` is an empty buffer the pop
+    /// parks the fresh entries it passes over in; it is empty again on
+    /// return.
     pub(crate) fn pop_best(
         &mut self,
         max_cost: f64,
         mut probe: impl FnMut(SlotIndex) -> EntryState,
         stale_pops: &mut usize,
+        aside: &mut Vec<GainEntry>,
     ) -> Option<GainEntry> {
         debug_assert!(
             self.is_built_for(max_cost),
             "the bound rose without a rebuild"
         );
+        debug_assert!(aside.is_empty(), "the aside buffer starts empty");
         self.bound = max_cost;
         let mut best: Option<GainEntry> = None;
-        let mut aside: Vec<GainEntry> = Vec::new();
         loop {
             let Some(mut top) = self.heap.peek_mut() else {
                 break;
@@ -355,7 +367,7 @@ impl GainLedger {
         // Losing fresh entries — and the winner — stay in the structure: the
         // winner's entry dies naturally when the caller executes or refreshes
         // the slot.
-        for entry in aside {
+        for entry in aside.drain(..) {
             self.heap.push(entry);
         }
         if let Some(b) = &best {
@@ -404,14 +416,24 @@ mod tests {
         let mut ledger = ledger_of(4, &[(2, 4.0, 2.0), (0, 2.0, 1.0), (3, 9.0, 2.0)]);
         let mut pops = 0;
         let best = ledger
-            .pop_best(f64::INFINITY, |_| EntryState::Dead, &mut pops)
+            .pop_best(
+                f64::INFINITY,
+                |_| EntryState::Dead,
+                &mut pops,
+                &mut Vec::new(),
+            )
             .unwrap();
         assert_eq!(best.slot, 3);
         assert_eq!(pops, 0, "fresh entries need no re-score");
         // Kill slot 3; the 2.0-tie resolves to slot 0.
         ledger.invalidate_slot(3);
         let best = ledger
-            .pop_best(f64::INFINITY, |_| EntryState::Dead, &mut pops)
+            .pop_best(
+                f64::INFINITY,
+                |_| EntryState::Dead,
+                &mut pops,
+                &mut Vec::new(),
+            )
             .unwrap();
         assert_eq!(best.slot, 0);
     }
@@ -427,6 +449,7 @@ mod tests {
                 f64::INFINITY,
                 probe_table(vec![Some((1.0, 1.0)), Some((7.0, 1.0))]),
                 &mut pops,
+                &mut Vec::new(),
             )
             .unwrap();
         assert_eq!(best.slot, 1);
@@ -435,7 +458,12 @@ mod tests {
         // A second pop re-scores nothing: the tops are fresh now.
         let mut more = 0;
         let again = ledger
-            .pop_best(f64::INFINITY, |_| EntryState::Dead, &mut more)
+            .pop_best(
+                f64::INFINITY,
+                |_| EntryState::Dead,
+                &mut more,
+                &mut Vec::new(),
+            )
             .unwrap();
         assert_eq!(again.slot, 1);
         assert_eq!(more, 0);
@@ -452,6 +480,7 @@ mod tests {
                 f64::INFINITY,
                 probe_table(vec![None, Some((4.0, 1.0))]),
                 &mut pops,
+                &mut Vec::new(),
             )
             .unwrap();
         assert_eq!(best.slot, 1);

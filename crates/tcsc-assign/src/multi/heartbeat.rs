@@ -106,7 +106,7 @@ impl Ord for Stamped {
 
 /// Per-task latest heartbeats, the selection and expiry heaps, the dirty
 /// list and the holder chains.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct HeartbeatTable {
     rows: Vec<Row>,
     /// Known candidates by `(heuristic, lower task)`.
@@ -126,6 +126,14 @@ pub(crate) struct HeartbeatTable {
 impl HeartbeatTable {
     /// A table over `num_tasks` tasks, every entry pending.
     pub(crate) fn new(num_tasks: usize) -> Self {
+        let mut table = Self::default();
+        table.reset(num_tasks);
+        table
+    }
+
+    /// Returns the table to the state [`HeartbeatTable::new`] gives for
+    /// `num_tasks` tasks, keeping its buffers.
+    pub(crate) fn reset(&mut self, num_tasks: usize) {
         assert!(
             u32::try_from(num_tasks).is_ok_and(|n| n < NONE),
             "a heartbeat table indexes its tasks with u32"
@@ -136,13 +144,16 @@ impl HeartbeatTable {
             next: NONE,
             listed: true,
         };
-        Self {
-            rows: vec![row; num_tasks],
-            by_heuristic: BinaryHeap::with_capacity(num_tasks),
-            by_cost: BinaryHeap::with_capacity(num_tasks),
-            dirty: (0..num_tasks).collect(),
-            holders: HashMap::with_capacity_and_hasher(num_tasks, Default::default()),
-        }
+        self.rows.clear();
+        self.rows.resize(num_tasks, row);
+        self.by_heuristic.clear();
+        self.by_heuristic.reserve(num_tasks);
+        self.by_cost.clear();
+        self.by_cost.reserve(num_tasks);
+        self.dirty.clear();
+        self.dirty.extend(0..num_tasks);
+        self.holders.clear();
+        self.holders.reserve(num_tasks);
     }
 
     /// Records a task's heartbeat; its worker becomes held at its slot.

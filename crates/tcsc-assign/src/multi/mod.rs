@@ -15,8 +15,6 @@ pub mod task_parallel;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use tcsc_obs::Stopwatch;
-
 use tcsc_core::{
     AssignmentPlan, CostModel, ExecutedSubtask, MultiAssignment, QualityEvaluator, QualityParams,
     SlotIndex, Task, WorkerId,
@@ -25,6 +23,7 @@ use tcsc_index::{SearchStats, SpatialQuery, VTree, VTreeConfig};
 
 use crate::candidates::{candidate_for_slot, SlotCandidates, WorkerLedger};
 use crate::engine::CacheStats;
+pub(crate) use crate::multi::gain::GainEntry;
 use crate::multi::gain::{EntryState, GainLedger};
 pub(crate) use crate::multi::heartbeat::HeartbeatTable;
 
@@ -223,29 +222,68 @@ impl TaskState {
     }
 
     /// Initialises the state of one task from already-computed per-slot
-    /// candidates (the entry point used by the engine's candidate cache, so
-    /// that reused candidates skip the index queries of [`TaskState::new`]).
+    /// candidates (so that reused candidates skip the index queries of
+    /// [`TaskState::new`]).
     pub fn from_candidates(
         task: &Task,
         candidates: SlotCandidates,
         config: &MultiTaskConfig,
     ) -> Self {
-        let evaluator = QualityEvaluator::new(QualityParams::new(task.num_slots, config.k));
-        let tree = config
-            .use_index
-            .then(|| VTree::build(&evaluator, candidates.costs(), VTreeConfig::new(config.ts)));
+        let mut state = Self::blank(task, config);
+        state.candidates = candidates;
+        state.reset(task, config);
+        state
+    }
+
+    /// A state for `task` with no candidates and nothing built yet: only
+    /// [`TaskState::reset`] makes it usable.  The engine's pool grows with
+    /// these.
+    pub(crate) fn blank(task: &Task, config: &MultiTaskConfig) -> Self {
         Self {
             task: task.clone(),
-            quality: task_quality(&evaluator, &tree),
-            evaluator,
-            tree,
-            candidates,
+            evaluator: QualityEvaluator::new(QualityParams::new(task.num_slots, config.k)),
+            quality: 0.0,
+            tree: None,
+            candidates: SlotCandidates::default(),
             executions: Vec::new(),
             use_reliability: config.use_reliability,
-            gain_ledger: GainLedger::new(task.num_slots),
+            gain_ledger: GainLedger::default(),
             stats: CacheStats::default(),
             searches: 0,
         }
+    }
+
+    /// Re-initialises the state in place for `task` from the candidates it
+    /// holds, keeping the buffers of its evaluator, V-tree, gain ledger and
+    /// execution log.  The one initialisation path: the result is the
+    /// state [`TaskState::from_candidates`] builds from those candidates,
+    /// whatever the state held before.
+    pub(crate) fn reset(&mut self, task: &Task, config: &MultiTaskConfig) {
+        assert_eq!(
+            self.candidates.len(),
+            task.num_slots,
+            "one candidate entry per slot is required"
+        );
+        self.task = task.clone();
+        self.evaluator
+            .reset(QualityParams::new(task.num_slots, config.k));
+        if config.use_index {
+            let candidates = &self.candidates;
+            let costs = (0..task.num_slots).map(|slot| candidates.cost(slot));
+            let tree_config = VTreeConfig::new(config.ts);
+            match &mut self.tree {
+                Some(tree) => tree.rebuild(&self.evaluator, costs, tree_config),
+                tree => *tree = Some(VTree::build(&self.evaluator, costs.collect(), tree_config)),
+            }
+        } else {
+            self.tree = None;
+        }
+        self.quality = task_quality(&self.evaluator, &self.tree);
+        self.executions.clear();
+        self.use_reliability = config.use_reliability;
+        self.gain_ledger.reset(task.num_slots);
+        self.stats = CacheStats::default();
+        self.searches = 0;
     }
 
     /// The counters accumulated by this state, with the V-tree's upkeep
@@ -270,25 +308,23 @@ impl TaskState {
     /// [`VTree::best_slot`], whose tie-break among them depends on its visit
     /// order; the ledger breaks that tie to the lower slot, as the plain scan
     /// does.
+    ///
+    /// No clock is read here: the engine's commit loops time the requests
+    /// themselves, and only under a live recorder.
     pub fn best_candidate(&mut self, max_cost: f64) -> Option<TaskCandidate> {
-        self.searches += 1;
-        // The first request is the warm start (the ledger's initial build);
-        // it is timed on its own, and only the commit tail beyond it is
-        // accounted as refresh work.
-        let warm = self.searches == 1;
-        let start = Stopwatch::start();
-        let result = self.pop_best(max_cost);
-        let nanos = start.elapsed_nanos();
-        if warm {
-            self.stats.warm_nanos += nanos;
-        } else {
-            self.stats.refresh_nanos += nanos;
-        }
-        result
+        self.best_candidate_in(max_cost, &mut Vec::new())
     }
 
-    /// [`TaskState::best_candidate`] without the timing: build the ledger on
-    /// first use, then pop.
+    /// Whether no best-candidate request has been served yet: the next one
+    /// is the task's warm start.
+    pub(crate) fn is_cold(&self) -> bool {
+        self.searches == 0
+    }
+
+    /// [`TaskState::best_candidate`] with the gain ledger's `aside` buffer
+    /// passed in (empty, and empty again on return), so a caller that asks
+    /// many times allocates it once: build the ledger on first use, then
+    /// pop.
     ///
     /// The build gives every feasible slot an exact, fresh entry.  A task
     /// with no executions reads its gains from the vector shared by its
@@ -300,7 +336,12 @@ impl TaskState {
     /// When the V-tree's cheapest candidate already exceeds `max_cost`,
     /// nothing is affordable and the answer is `None` without touching the
     /// ledger: the pop would only drop or kill every entry it reached.
-    fn pop_best(&mut self, max_cost: f64) -> Option<TaskCandidate> {
+    pub(crate) fn best_candidate_in(
+        &mut self,
+        max_cost: f64,
+        aside: &mut Vec<GainEntry>,
+    ) -> Option<TaskCandidate> {
+        self.searches += 1;
         let Self {
             evaluator,
             tree,
@@ -353,6 +394,7 @@ impl TaskState {
                 },
             },
             &mut stats.stale_pops,
+            aside,
         )?;
         debug_assert_eq!(
             candidates.get(best.slot).map(|c| c.worker),
@@ -408,8 +450,9 @@ impl TaskState {
     /// fallback): the old `(slot, worker)` entry is
     /// version-killed and a freshly scored replacement installed.  Touches
     /// exactly one slot, where a full search would recompute the whole task
-    /// on its next request.
-    fn patch_gain_slot(&mut self, slot: SlotIndex) {
+    /// on its next request.  Reads no clock; the commit loops time it under
+    /// a live recorder.
+    pub(crate) fn patch_gain_slot(&mut self, slot: SlotIndex) {
         let Self {
             evaluator,
             tree,
@@ -422,14 +465,12 @@ impl TaskState {
             // Nothing installed yet; the initial build scores current state.
             return;
         }
-        let start = Stopwatch::start();
         ledger.invalidate_slot(slot);
         if let Some((gain, cost, heuristic, worker)) = score_slot(evaluator, tree, candidates, slot)
         {
             ledger.extend_scored([(slot, worker, gain, cost, heuristic)]);
         }
         stats.incremental_patches += 1;
-        stats.refresh_nanos += start.elapsed_nanos();
     }
 
     /// Refreshes the candidate of one slot against the ledger (after a worker
@@ -455,13 +496,23 @@ impl TaskState {
         slot: SlotIndex,
         candidate: Option<tcsc_core::CandidateAssignment>,
     ) {
+        self.place_candidate(slot, candidate);
+        self.patch_gain_slot(slot);
+    }
+
+    /// [`TaskState::set_candidate`] short of the gain-ledger patch, which
+    /// the caller owes with [`TaskState::patch_gain_slot`].
+    pub(crate) fn place_candidate(
+        &mut self,
+        slot: SlotIndex,
+        candidate: Option<tcsc_core::CandidateAssignment>,
+    ) {
         self.stats.slot_computations += 1;
         self.stats.slot_refreshes += 1;
         self.candidates.set(slot, candidate);
         if let Some(tree) = &mut self.tree {
             tree.update_cost(&self.evaluator, slot, self.candidates.cost(slot));
         }
-        self.patch_gain_slot(slot);
     }
 
     /// The worker currently planned for a slot.
@@ -470,12 +521,18 @@ impl TaskState {
     }
 
     /// Finalises the task's assignment plan.
-    pub fn into_plan(self) -> AssignmentPlan {
+    pub fn into_plan(mut self) -> AssignmentPlan {
+        self.take_plan()
+    }
+
+    /// The task's assignment plan, its executions moved out of the state
+    /// (which keeps everything else for the next [`TaskState::reset`]).
+    pub(crate) fn take_plan(&mut self) -> AssignmentPlan {
         AssignmentPlan {
             task: self.task.id,
             num_slots: self.task.num_slots,
             quality: self.quality,
-            executions: self.executions,
+            executions: std::mem::take(&mut self.executions),
         }
     }
 
@@ -907,6 +964,113 @@ mod tests {
             assert_eq!(state.stats().stale_pops, 0, "{label}");
             assert_exact_entries(&state, &label);
             execute_best(&mut state, 3);
+        }
+    }
+
+    /// Drives a state through a dirty solve: requests under a shrinking
+    /// bound, executions, and conflict patches that withdraw a slot's
+    /// candidate.
+    fn dirty_solve(state: &mut TaskState) {
+        let mut budget = 30.0;
+        for step in 0..12 {
+            let Some(best) = state.best_candidate(budget) else {
+                break;
+            };
+            if step % 3 == 2 {
+                state.set_candidate(best.slot, None);
+                continue;
+            }
+            budget -= best.cost;
+            state.execute(best.slot);
+        }
+    }
+
+    /// Requests, executions and one conflict patch, the same on both
+    /// states, compared bit for bit with their counters and plans.
+    fn assert_same_run(reused: &mut TaskState, fresh: &mut TaskState, label: &str) {
+        assert_eq!(
+            reused.quality().to_bits(),
+            fresh.quality().to_bits(),
+            "{label}"
+        );
+        let mut budget = 40.0;
+        for step in 0.. {
+            let a = reused.best_candidate(budget);
+            let b = fresh.best_candidate(budget);
+            assert_eq!(bits(a), bits(b), "{label} step {step}");
+            let Some(best) = a else {
+                break;
+            };
+            if step == 2 {
+                // A conflict: the slot loses its candidate on both.
+                reused.set_candidate(best.slot, None);
+                fresh.set_candidate(best.slot, None);
+                continue;
+            }
+            budget -= best.cost;
+            reused.execute(best.slot);
+            fresh.execute(best.slot);
+            assert_eq!(
+                reused.quality().to_bits(),
+                fresh.quality().to_bits(),
+                "{label}"
+            );
+        }
+        let (x, y) = (reused.stats(), fresh.stats());
+        assert_eq!(x, y, "{label}");
+        for (got, want) in [
+            (x.stale_pops, y.stale_pops),
+            (x.incremental_patches, y.incremental_patches),
+            (x.full_refreshes, y.full_refreshes),
+            (x.vtree_recomputed_slots, y.vtree_recomputed_slots),
+            (x.vtree_nodes_built, y.vtree_nodes_built),
+        ] {
+            assert_eq!(got, want, "{label}");
+        }
+        let (x, y) = (reused.take_plan(), fresh.take_plan());
+        assert_eq!(x.quality.to_bits(), y.quality.to_bits(), "{label}");
+        assert_eq!(x, y, "{label}");
+    }
+
+    #[test]
+    fn a_reused_state_is_a_fresh_state() {
+        for m in [1, 2, 96] {
+            for k in [1, 3] {
+                for use_index in [true, false] {
+                    for reliability in [false, true] {
+                        // The dirty state had another shape, `k` and
+                        // reliability rule, with and without the index.
+                        for dirty_index in [true, false] {
+                            let label = format!(
+                                "m={m} k={k} index={use_index} reliability={reliability} \
+                                 dirty index={dirty_index}"
+                            );
+                            let mut cfg =
+                                MultiTaskConfig::new(40.0).with_k(k).with_index(use_index);
+                            let mut dirty_cfg = MultiTaskConfig::new(40.0)
+                                .with_k(4 - k)
+                                .with_index(dirty_index);
+                            if reliability {
+                                cfg = cfg.with_reliability();
+                            } else {
+                                dirty_cfg = dirty_cfg.with_reliability();
+                            }
+                            let (other, index, cost) = small_instance(m as u64 + 40, 1, 40, 200);
+                            let mut reused = TaskState::new(&other[0], &index, &cost, &dirty_cfg);
+                            dirty_solve(&mut reused);
+                            reused.take_plan();
+
+                            let (tasks, index, cost) = small_instance(m as u64, 1, m, 200);
+                            let candidates = SlotCandidates::compute(&tasks[0], &index, &cost);
+                            reused.candidates.clone_from(&candidates);
+                            reused.reset(&tasks[0], &cfg);
+                            let mut fresh = TaskState::from_candidates(&tasks[0], candidates, &cfg);
+                            assert!(reused.is_cold(), "{label}");
+                            assert_same_run(&mut reused, &mut fresh, &label);
+                        }
+                    }
+                }
+            }
         }
     }
 

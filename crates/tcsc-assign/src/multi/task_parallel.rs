@@ -32,7 +32,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use tcsc_core::{AssignmentPlan, CostModel, MultiAssignment, Task};
 use tcsc_index::WorkerIndex;
 
-use crate::candidates::WorkerLedger;
+use crate::candidates::{SlotCandidates, WorkerLedger};
 use crate::engine::CacheStats;
 use crate::multi::protocol::{
     CommittedExecution, MasterCommand, TaskMaster, TaskOwner, WorkerEvent,
@@ -101,7 +101,8 @@ pub fn msqm_task_parallel(
     let mut per_thread_candidates: Vec<HashMap<usize, crate::candidates::SlotCandidates>> =
         (0..threads).map(|_| HashMap::new()).collect();
     for (task_idx, task) in tasks.iter().enumerate() {
-        let candidates = crate::engine::compute_base(task, index, &cost_model, &mut stats);
+        let mut candidates = SlotCandidates::default();
+        crate::engine::compute_base(task, index, &cost_model, &mut stats, &mut candidates);
         per_thread_candidates[owner[task_idx]].insert(task_idx, candidates);
     }
 

@@ -63,6 +63,57 @@ fn serial_engine_is_bit_identical_with_recorder_attached() {
     }
 }
 
+/// The refresh block's work counters, which no recorder may move.
+fn refresh_work(stats: &tcsc_assign::CacheStats) -> [usize; 4] {
+    [
+        stats.stale_pops,
+        stats.commit_rescores,
+        stats.incremental_patches,
+        stats.full_refreshes,
+    ]
+}
+
+#[test]
+fn only_a_live_recorder_times_the_commit_loop() {
+    // An untraced engine reads no clock in its commit loops: its warm-start
+    // and refresh times stay zero.  A traced one times both, and neither
+    // does any other work.
+    let cost = EuclideanCost::default();
+    for config in presets() {
+        let (tasks, dense, sharded) = prepare(&config);
+        let cfg = MultiTaskConfig::new(config.budget);
+        for objective in [Objective::SumQuality, Objective::MinQuality] {
+            let plain =
+                AssignmentEngine::borrowed(&dense, &cost, cfg).assign_batch(&tasks, objective);
+            let session = ObsSession::wall();
+            let observed = AssignmentEngine::borrowed(&dense, &cost, cfg)
+                .with_recorder(&session)
+                .assign_batch(&tasks, objective);
+            let label = format!("{objective:?}");
+            assert_eq!(plain.stats.warm_nanos, 0, "{label}");
+            assert_eq!(plain.stats.refresh_nanos, 0, "{label}");
+            assert!(observed.stats.warm_nanos > 0, "{label}");
+            assert!(observed.stats.refresh_nanos > 0, "{label}");
+            assert_eq!(
+                refresh_work(&plain.stats),
+                refresh_work(&observed.stats),
+                "{label}"
+            );
+        }
+        let mut plain = ConcurrentAssignmentEngine::new(sharded.clone(), &cost, cfg, 1);
+        plain.submit(tasks.clone());
+        let plain = plain.drain(Objective::SumQuality);
+        let session = ObsSession::wall();
+        let mut observed =
+            ConcurrentAssignmentEngine::new(sharded, &cost, cfg, 1).with_recorder(&session);
+        observed.submit(tasks);
+        let observed = observed.drain(Objective::SumQuality);
+        assert_eq!(plain.stats.warm_nanos + plain.stats.refresh_nanos, 0);
+        assert!(observed.stats.warm_nanos > 0 && observed.stats.refresh_nanos > 0);
+        assert_eq!(refresh_work(&plain.stats), refresh_work(&observed.stats));
+    }
+}
+
 #[test]
 fn streaming_service_mode_is_bit_identical_with_recorder_attached() {
     // The service loop: submit / drain rounds with retired-plan GC between

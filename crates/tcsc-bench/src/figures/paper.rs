@@ -740,7 +740,8 @@ pub fn fig9c(scale: Scale) -> Report {
     )
 }
 
-/// Fig. 9(d): multi-task running time vs number of tasks.
+/// Fig. 9(d): multi-task running time vs number of tasks (task-level,
+/// group-level, without parallelization).
 pub fn fig9d(scale: Scale) -> Report {
     let p = params(scale);
     let cores = *p.cores.last().unwrap();
@@ -754,11 +755,13 @@ pub fn fig9d(scale: Scale) -> Report {
         let cfg = MultiTaskConfig::new(budget);
         let (_, task_ms) = timed(|| task_parallel(&prepared, &cfg, cores, true));
         let (_, group_ms) = timed(|| group_parallel(&prepared, &cfg, cores));
+        let (_, serial_ms) = timed(|| serial(&prepared, &cfg, Objective::SumQuality));
         rows.push(Row::new(
             format!("|T|={t}"),
             vec![
                 ("TaskLevel".into(), task_ms),
                 ("GroupLevel".into(), group_ms),
+                ("NoParallel".into(), serial_ms),
             ],
         ));
     }

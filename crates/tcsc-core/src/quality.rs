@@ -224,6 +224,18 @@ impl QualityEvaluator {
         }
     }
 
+    /// Returns the evaluator to the state [`QualityEvaluator::new`] gives
+    /// for `params`, keeping its buffer: every executed slot is forgotten,
+    /// and the shared table is looked up again only when `params` changed.
+    pub fn reset(&mut self, params: QualityParams) {
+        if params != self.params {
+            self.params = params;
+            self.unit_table = unit_table(params);
+        }
+        self.executed.clear();
+        self.non_unit = 0;
+    }
+
     /// Convenience constructor: `m` slots, interpolation parameter `k`.
     pub fn with_slots(num_slots: usize, k: usize) -> Self {
         Self::new(QualityParams::new(num_slots, k))
@@ -634,6 +646,24 @@ mod tests {
         let mut ev = QualityEvaluator::with_slots(m, 3);
         executed(&mut ev, &(0..m).collect::<Vec<_>>());
         assert!((ev.quality() - (m as f64).log2()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_reset_evaluator_is_a_new_one() {
+        let mut ev = QualityEvaluator::with_slots(12, 2);
+        ev.execute_with_reliability(4, 0.5);
+        ev.execute(9);
+        for params in [QualityParams::new(12, 2), QualityParams::new(30, 3)] {
+            ev.reset(params);
+            let fresh = QualityEvaluator::new(params);
+            assert_eq!(ev.params(), params);
+            assert_eq!(ev.executed(), fresh.executed());
+            assert_eq!(ev.unit_partial_table(), fresh.unit_partial_table());
+            ev.execute(5);
+            let mut fresh = fresh;
+            fresh.execute(5);
+            assert_eq!(ev.quality().to_bits(), fresh.quality().to_bits());
+        }
     }
 
     #[test]

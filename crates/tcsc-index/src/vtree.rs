@@ -276,42 +276,77 @@ impl VTree {
         costs: Vec<Option<f64>>,
         config: VTreeConfig,
     ) -> Self {
-        let m = evaluator.num_slots();
-        let k = evaluator.k();
-        assert_eq!(costs.len(), m, "one cost entry per slot is required");
-        assert!(
-            k.checked_mul(m).is_some_and(|km| u32::try_from(km).is_ok()),
-            "slot ids and distance sums must fit in u32"
-        );
         let mut tree = Self {
             config,
-            num_slots: m,
-            k,
+            num_slots: 0,
+            k: 0,
             costs,
             slots: Vec::new(),
-            site_sets: vec![0; m * k],
-            sites: evaluator.executed_len(),
-            nodes: Vec::with_capacity(2 * m / config.ts.max(1) + 4),
+            site_sets: Vec::new(),
+            sites: 0,
+            nodes: Vec::new(),
             root: 0,
             stamps: 0,
             recomputed_slots: 0,
             nodes_built: 0,
         };
-        if tree.sites == 0 {
+        tree.init(evaluator, config);
+        tree
+    }
+
+    /// Rebuilds this tree in place for the current state of `evaluator`
+    /// and the given per-slot costs, reusing its buffers: the result is the
+    /// tree [`VTree::build`] would return, counters included.
+    ///
+    /// # Panics
+    /// As [`VTree::build`].
+    pub fn rebuild(
+        &mut self,
+        evaluator: &QualityEvaluator,
+        costs: impl IntoIterator<Item = Option<f64>>,
+        config: VTreeConfig,
+    ) {
+        self.costs.clear();
+        self.costs.extend(costs);
+        self.init(evaluator, config);
+    }
+
+    /// The one construction path: every field but `costs` is set afresh
+    /// from `evaluator`, in the buffers the tree already holds.
+    fn init(&mut self, evaluator: &QualityEvaluator, config: VTreeConfig) {
+        let m = evaluator.num_slots();
+        let k = evaluator.k();
+        assert_eq!(self.costs.len(), m, "one cost entry per slot is required");
+        assert!(
+            k.checked_mul(m).is_some_and(|km| u32::try_from(km).is_ok()),
+            "slot ids and distance sums must fit in u32"
+        );
+        self.config = config;
+        self.num_slots = m;
+        self.k = k;
+        self.site_sets.clear();
+        self.site_sets.resize(m * k, 0);
+        self.sites = evaluator.executed_len();
+        self.nodes.clear();
+        self.nodes.reserve(2 * m / config.ts.max(1) + 4);
+        self.stamps = 0;
+        self.nodes_built = 0;
+        self.slots.clear();
+        if self.sites == 0 {
             // Every slot's `k` neighbours are padding: one summary fits all.
-            tree.slots = vec![SlotCache::of(evaluator.slot_summary(0)); m];
+            self.slots
+                .resize(m, SlotCache::of(evaluator.slot_summary(0)));
         } else {
             for slot in 0..m {
                 let set = site_knn_set(evaluator, slot, k);
-                for (cached, site) in tree.site_sets[slot * k..].iter_mut().zip(set) {
+                for (cached, site) in self.site_sets[slot * k..].iter_mut().zip(set) {
                     *cached = site as u32;
                 }
-                tree.slots.push(SlotCache::of(evaluator.slot_summary(slot)));
+                self.slots.push(SlotCache::of(evaluator.slot_summary(slot)));
             }
         }
-        tree.recomputed_slots = m;
-        tree.root = tree.build_node(evaluator, None, 0, m - 1);
-        tree
+        self.recomputed_slots = m;
+        self.root = self.build_node(evaluator, None, 0, m - 1);
     }
 
     /// The configured split threshold `ts`.
@@ -1440,6 +1475,43 @@ mod tests {
                         }
                         assert!(tree.recomputed_slots() <= expected.recomputed_slots());
                         assert!(tree.nodes_built() <= expected.nodes.len());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rebuilt_tree_is_a_fresh_build() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x7e5e);
+        // A dirty tree of another shape, executed and re-costed.
+        let dirty_ev = evaluator(40, 2, &[3, 17, 30]);
+        let mut dirty = VTree::build(&dirty_ev, uniform_costs(40, 2.0), VTreeConfig::new(2));
+        let mut dirty_after = dirty_ev.clone();
+        dirty_after.execute(9);
+        dirty.notify_executed(&dirty_after, 9);
+        dirty.update_cost(&dirty_after, 11, None);
+        for m in [1, 2, 17, 96] {
+            for k in [1, 3] {
+                for ts in [1, 4] {
+                    for executed in [0, m / 3] {
+                        let slots: Vec<usize> = (0..executed).map(|i| i * 3 % m).collect();
+                        let ev = evaluator(m, k, &slots);
+                        let costs: Vec<_> = (0..m)
+                            .map(|_| rng.gen_bool(0.9).then(|| rng.gen_range(0.5..4.0)))
+                            .collect();
+                        let mut tree = dirty.clone();
+                        tree.rebuild(&ev, costs.iter().copied(), VTreeConfig::new(ts));
+                        let fresh = VTree::build(&ev, costs, VTreeConfig::new(ts));
+                        // Every field, counters and build stamps included.
+                        assert_eq!(
+                            format!("{tree:?}"),
+                            format!("{fresh:?}"),
+                            "m={m} k={k} ts={ts} executed={executed}"
+                        );
                     }
                 }
             }

@@ -287,8 +287,10 @@ impl<R: Recorder> Recorder for Option<R> {
 
 /// The one wall-clock timing primitive of the repository: a monotonic
 /// stopwatch.  The bench harness's `timed`, the single-task solvers' phase
-/// timings, the engine's drain timings and the gain ledger's
-/// `refresh_nanos` all read it, so there is exactly one timing path.
+/// timings, the engine's batch timings and its commit loops'
+/// `warm_nanos` / `refresh_nanos` all read it, so there is exactly one
+/// timing path.  The engine starts one only under a live [`Recorder`]
+/// (`R::IS_ENABLED`): an untraced solve reads no clock.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
