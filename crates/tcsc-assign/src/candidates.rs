@@ -66,11 +66,20 @@ impl SlotCandidates {
         cost_model: &dyn CostModel,
         ledger: &WorkerLedger,
     ) {
+        self.fill_with(task.num_slots, |slot| {
+            candidate_for_slot(task, slot, index, cost_model, ledger)
+        });
+    }
+
+    /// Replaces whatever this set held with `num_slots` candidates, slot
+    /// `j`'s from `candidate(j)`, into the buffer it already holds.
+    pub(crate) fn fill_with(
+        &mut self,
+        num_slots: usize,
+        candidate: impl FnMut(SlotIndex) -> Option<CandidateAssignment>,
+    ) {
         self.candidates.clear();
-        self.candidates.extend(
-            (0..task.num_slots)
-                .map(|slot| candidate_for_slot(task, slot, index, cost_model, ledger)),
-        );
+        self.candidates.extend((0..num_slots).map(candidate));
     }
 
     /// Number of slots.

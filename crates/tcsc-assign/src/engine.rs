@@ -38,16 +38,20 @@
 //! * The cache stores, per task, the *base* per-slot candidates — the nearest
 //!   worker per slot under an **empty** ledger.  Only the re-planning entry
 //!   points ([`GreedyEngine::assign_batch`],
-//!   [`GreedyEngine::assign_spatiotemporal`]) use it; a drain computes
-//!   its one-shot arrivals directly.
+//!   [`GreedyEngine::assign_spatiotemporal`]) use it.  A drain checks its
+//!   one-shot arrivals out with [`checkout_one_shot`]: one
+//!   occupancy-filtered search per slot ([`Occupancy::nearest_free`]), or
+//!   the unfiltered one while the ledger is empty, so a one-shot slot
+//!   costs one index search and no refresh.
 //! * The base depends only on the index, and the index only changes through
 //!   the engine's own mutation API ([`GreedyEngine::insert_worker`] /
 //!   [`GreedyEngine::remove_worker`] / [`GreedyEngine::move_worker`])
 //!   or an index swap, each of which clears the cache — so a cached base is
 //!   always exact with respect to the current index.
-//! * At checkout the base is cloned and reconciled with the engine's current
-//!   ledger: only slots whose base candidate is occupied are recomputed;
-//!   every other slot is served without touching the index.
+//! * At a cache hit the base is cloned and reconciled with the engine's
+//!   current ledger: only slots whose base candidate is occupied are
+//!   recomputed (each a refresh); every other slot is served without
+//!   touching the index.
 //! * During a solve, the MSQM loop's heartbeat table (the one the
 //!   task-parallel master decides through too) keeps a **reverse holder
 //!   map** `(slot, worker) -> tasks whose best pending candidate targets
@@ -138,8 +142,10 @@ pub struct CacheStats {
     pub tasks_reused: usize,
     /// Per-slot candidate computations actually performed against the index.
     pub slot_computations: usize,
-    /// Subset of `slot_computations` that were occupancy-driven refreshes
-    /// (checkout reconciliation and in-run worker conflicts).
+    /// Subset of `slot_computations` that were occupancy-driven refreshes:
+    /// a cache hit's slots whose base worker is taken, and in-run worker
+    /// conflicts.  A one-shot checkout searches each slot once against the
+    /// ledger and counts none.
     pub slot_refreshes: usize,
     /// Zero-cost fallback searches: best-candidate requests the gain ledger
     /// handed to the V-tree's best-first search because the top candidate
@@ -312,9 +318,9 @@ pub(crate) fn compute_base(
     out.fill(task, index, cost_model, &WorkerLedger::new());
 }
 
-/// Reconciles base candidates with `ledger` in place: every slot whose base
-/// candidate is occupied is recomputed against the ledger, every other slot
-/// is kept.
+/// Reconciles cached base candidates with `ledger` in place: every slot
+/// whose base candidate is occupied is recomputed against the ledger, every
+/// other slot is kept.
 fn reconcile<I, L: Occupancy<I>>(
     task: &Task,
     working: &mut SlotCandidates,
@@ -334,9 +340,34 @@ fn reconcile<I, L: Occupancy<I>>(
     }
 }
 
+/// A one-shot arrival's working candidates into `out`, counted as a cache
+/// miss: one occupancy-filtered search per slot while `occupied` (the
+/// ledger holds anything), else the unfiltered base.  Either way each slot
+/// costs one index search, and the answer is the base reconciled against
+/// the ledger.
+fn checkout_one_shot_into<I: MutableSpatialIndex, L: Occupancy<I>>(
+    task: &Task,
+    index: &I,
+    cost_model: &dyn CostModel,
+    ledger: &L,
+    occupied: bool,
+    stats: &mut CacheStats,
+    out: &mut SlotCandidates,
+) {
+    if !occupied {
+        compute_base(task, index, cost_model, stats, out);
+        return;
+    }
+    stats.tasks_computed += 1;
+    stats.slot_computations += task.num_slots;
+    out.fill_with(task.num_slots, |slot| {
+        ledger.nearest_free(index, task, slot, cost_model)
+    });
+}
+
 /// A one-shot arrival's working candidates, checked out the way a drain
-/// checks them out: the base computed straight from the index (counted as a
-/// cache miss), then reconciled against `ledger`.
+/// checks them out: each slot's nearest worker that is free in `ledger`,
+/// one index search per slot, counted as a cache miss.
 pub fn checkout_one_shot<I: MutableSpatialIndex, L: Occupancy<I>>(
     task: &Task,
     index: &I,
@@ -345,8 +376,16 @@ pub fn checkout_one_shot<I: MutableSpatialIndex, L: Occupancy<I>>(
     stats: &mut CacheStats,
 ) -> SlotCandidates {
     let mut working = SlotCandidates::default();
-    compute_base(task, index, cost_model, stats, &mut working);
-    reconcile(task, &mut working, index, cost_model, ledger, stats);
+    let occupied = ledger.held() > 0;
+    checkout_one_shot_into(
+        task,
+        index,
+        cost_model,
+        ledger,
+        occupied,
+        stats,
+        &mut working,
+    );
     working
 }
 
@@ -816,9 +855,10 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
     }
 
     /// Checks each task's working candidates out into the first
-    /// `tasks.len()` pooled states, growing the pool as needed: the base
-    /// (through the cache when `cached`, else computed directly) reconciled
-    /// against the current ledger.  The states themselves are not reset.
+    /// `tasks.len()` pooled states, growing the pool as needed: the cached
+    /// base reconciled against the current ledger when `cached`, else one
+    /// occupancy-filtered search per slot ([`checkout_one_shot`]).  The
+    /// states themselves are not reset.
     fn checkout(&mut self, tasks: &[Task], cached: bool, stats: &mut CacheStats) {
         if R::IS_ENABLED {
             self.ledger.count_routing(&self.index, tasks, &self.obs);
@@ -835,11 +875,12 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
             if cached {
                 self.cache
                     .checkout_base(task, index, self.cost_model, stats, working);
+                if occupied {
+                    reconcile(task, working, index, self.cost_model, &self.ledger, stats);
+                }
             } else {
-                compute_base(task, index, self.cost_model, stats, working);
-            }
-            if occupied {
-                reconcile(task, working, index, self.cost_model, &self.ledger, stats);
+                let (cost_model, ledger) = (self.cost_model, &self.ledger);
+                checkout_one_shot_into(task, index, cost_model, ledger, occupied, stats, working);
             }
         }
     }
@@ -1448,5 +1489,106 @@ mod tests {
             .expect("the warm start is published");
         assert_eq!(warm.count(), 1);
         assert_eq!(warm.sum(), stats.warm_nanos);
+    }
+
+    /// The checkout a one-shot arrival had before it searched with the
+    /// ledger: the unfiltered base, then one filtered search for every slot
+    /// whose base worker is taken, counted as a refresh.
+    fn base_then_reconcile<I: MutableSpatialIndex, L: Occupancy<I>>(
+        task: &Task,
+        index: &I,
+        cost: &dyn CostModel,
+        ledger: &L,
+        stats: &mut CacheStats,
+    ) -> SlotCandidates {
+        let mut working = SlotCandidates::compute(task, index, cost);
+        stats.tasks_computed += 1;
+        stats.slot_computations += task.num_slots;
+        for slot in 0..working.len() {
+            if working.get(slot).is_some_and(|c| ledger.is_taken(index, c)) {
+                working.set(slot, ledger.nearest_free(index, task, slot, cost));
+                stats.slot_computations += 1;
+                stats.slot_refreshes += 1;
+            }
+        }
+        working
+    }
+
+    /// Checks every task out both ways against ledgers holding a random
+    /// share of `entries`, and returns the refreshes the oracle needed.
+    fn one_shot_matches_base_then_reconcile<I: MutableSpatialIndex, L: Occupancy<I>>(
+        seed: u64,
+        tasks: &[Task],
+        index: &I,
+        entries: &[(SlotIndex, WorkerId, Location)],
+    ) -> usize {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let cost = tcsc_core::EuclideanCost::default();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut refreshes = 0;
+        for share in [0.0, 0.1, 0.4, 0.8, 1.0] {
+            let mut ledger = L::empty_for(index);
+            for &(slot, worker, worker_location) in entries {
+                if rng.gen_bool(share) {
+                    let held = CandidateAssignment {
+                        slot,
+                        worker,
+                        worker_location,
+                        cost: 0.0,
+                        reliability: 1.0,
+                    };
+                    ledger.take(index, &held);
+                }
+            }
+            let (mut stats, mut oracle_stats) = (CacheStats::default(), CacheStats::default());
+            for task in tasks {
+                let got = checkout_one_shot(task, index, &cost, &ledger, &mut stats);
+                let want = base_then_reconcile(task, index, &cost, &ledger, &mut oracle_stats);
+                assert_eq!(got.len(), want.len());
+                for slot in 0..want.len() {
+                    assert_eq!(got.get(slot), want.get(slot), "share {share}, slot {slot}");
+                }
+            }
+            // The same answers for one search per slot: the oracle's
+            // refreshes are the searches the one-shot path no longer repeats.
+            let expected = CacheStats {
+                slot_computations: oracle_stats.slot_computations - oracle_stats.slot_refreshes,
+                slot_refreshes: 0,
+                ..oracle_stats
+            };
+            assert_eq!(stats, expected, "share {share}");
+            assert_eq!(
+                stats.slot_computations,
+                tasks.iter().map(|t| t.num_slots).sum()
+            );
+            refreshes += oracle_stats.slot_refreshes;
+        }
+        refreshes
+    }
+
+    #[test]
+    fn one_shot_checkout_matches_base_then_reconcile_on_both_ledgers() {
+        let mut refreshes = [0, 0];
+        for seed in 0..12 {
+            let num_workers = 15 + 20 * seed as usize;
+            let (tasks, workers, domain) =
+                crate::multi::test_support::small_world(500 + seed, 8, 16, num_workers);
+            let entries: Vec<_> = workers
+                .workers()
+                .iter()
+                .flat_map(|w| w.availability().iter().map(|a| (a.slot, w.id, a.location)))
+                .collect();
+            let dense = WorkerIndex::build(&workers, 16, &domain);
+            refreshes[0] += one_shot_matches_base_then_reconcile::<_, WorkerLedger>(
+                seed, &tasks, &dense, &entries,
+            );
+            let grid = tcsc_index::ShardGridConfig::new(1 + seed as usize % 4, 3);
+            let sharded = ShardedWorkerIndex::build(&workers, 16, &domain, grid);
+            refreshes[1] += one_shot_matches_base_then_reconcile::<_, ShardedLedger>(
+                seed, &tasks, &sharded, &entries,
+            );
+        }
+        // Both ledgers held base workers, so the filtered path was compared.
+        assert!(refreshes.iter().all(|&r| r > 0), "{refreshes:?}");
     }
 }

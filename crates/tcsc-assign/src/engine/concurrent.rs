@@ -12,8 +12,9 @@
 //!
 //! Everything location-dependent lives in the [`Occupancy`] impl below:
 //! routing checks, claims and releases to the owning shard, the
-//! shard-filtered nearest-free query (one read snapshot of every shard per
-//! query), the migration of a worker's commitments when it moves across a
+//! shard-filtered nearest-free query (one read lock of the owning shard per
+//! occupancy probe, and the search probes only workers that could still
+//! win), the migration of a worker's commitments when it moves across a
 //! tile, the re-routing after an index swap and the `router.*` counters.
 //! The engine itself, its aliases and the sharded `new`/`drain_parallel`
 //! live in [`super`].
@@ -33,7 +34,7 @@
 //! locked in by `tests/concurrent_equivalence.rs` over the seeded
 //! `ScenarioConfig` presets.
 
-use std::sync::{RwLock, RwLockReadGuard};
+use std::sync::RwLock;
 
 use tcsc_core::{CandidateAssignment, CostModel, Location, SlotIndex, Task, WorkerId};
 use tcsc_index::{IndexMutation, MutableSpatialIndex, ShardedWorkerIndex};
@@ -154,14 +155,14 @@ impl Occupancy<ShardedWorkerIndex> for ShardedLedger {
         slot: SlotIndex,
         cost_model: &dyn CostModel,
     ) -> Option<CandidateAssignment> {
-        // One read snapshot of every shard for the whole query.
-        let guards: Vec<RwLockReadGuard<'_, WorkerLedger>> = self
-            .shards
-            .iter()
-            .map(|s| s.read().expect("ledger shard lock poisoned"))
-            .collect();
+        // Each probe read-locks the one shard that can hold the worker's
+        // commitment.  The engine is single-threaded, so every probe of a
+        // query sees the same ledger state.
         let nearest = index.nearest_excluding_with(slot, &task.location, |shard, worker| {
-            guards[shard].is_occupied(slot, worker)
+            self.shards[shard]
+                .read()
+                .expect("ledger shard lock poisoned")
+                .is_occupied(slot, worker)
         })?;
         Some(priced(task, slot, nearest, cost_model))
     }

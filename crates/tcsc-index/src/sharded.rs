@@ -232,7 +232,7 @@ mod tests {
         assert_eq!(index.nearest(0, &q).unwrap().worker, WorkerId(0));
         assert_eq!(
             index.nearest_excluding_with(0, &q, |_, _| false),
-            WorkerIndex::nearest_brute_force(&pool, 0, &q)
+            WorkerIndex::nearest_brute_force(&pool, 0, &q, &WorkerSet::default())
         );
     }
 

@@ -39,9 +39,10 @@ pub trait SpatialQuery {
     fn k_nearest(&self, slot: SlotIndex, query: &Location, count: usize) -> Vec<NearestWorker>;
 
     /// The nearest worker to `query` during `slot` whose id is not in
-    /// `excluded` (the occupancy-aware conflict-fallback query).  Each
-    /// occupied worker the search passes costs one expected-`O(1)` probe of
-    /// the hashed set; the set's iteration order never matters.
+    /// `excluded` (the occupancy-aware query).  The search probes the hashed
+    /// set, expected `O(1)` each, only for a worker that ranks ahead of the
+    /// best free worker found so far; the set's iteration order never
+    /// matters.
     fn nearest_excluding_set(
         &self,
         slot: SlotIndex,
@@ -428,7 +429,10 @@ impl SlotGrid {
 
     /// The first worker in rank order for which `skip` is false.  Same ring
     /// expansion and stop bound as [`SlotGrid::k_nearest`], so skipped
-    /// workers cost one predicate call each and never widen the search.
+    /// workers never widen the search.  `skip` runs only for a worker that
+    /// ranks ahead of the best unskipped worker found so far, at most once
+    /// per visited worker: a worker ranked after it cannot be the answer
+    /// whether or not it is skipped, so its occupancy is never probed.
     fn nearest_filtered(
         &self,
         query: &Location,
@@ -442,13 +446,11 @@ impl SlotGrid {
         for ring in 0..self.cols {
             self.for_ring(qx, qy, ring, |cell| {
                 for w in cell {
-                    if skip(w) {
-                        continue;
-                    }
                     let candidate = w.at_distance(query.distance(&w.location));
                     if best
                         .as_ref()
                         .map_or(true, |b| candidate.cmp_rank(b).is_lt())
+                        && !skip(w)
                     {
                         best = Some(candidate);
                     }
@@ -551,13 +553,15 @@ impl WorkerIndex {
     }
 
     /// The nearest worker to `query` during `slot` whose id is not in
-    /// `excluded` (the occupancy-aware conflict-fallback query).
+    /// `excluded` (the occupancy-aware query of a one-shot checkout and of a
+    /// conflict fallback).
     ///
     /// Takes the per-slot occupancy set of a ledger directly and filters
-    /// inside the slot grid's ring search: each occupied worker the rings
-    /// pass costs one expected-`O(1)` probe of the hashed set, so the query
-    /// does the work of a plain nearest search however large the occupancy
-    /// grows.  Ids absent from the slot are never visited and cost nothing.
+    /// inside the slot grid's ring search: only a worker that ranks ahead of
+    /// the best free worker found so far costs an expected-`O(1)` probe of
+    /// the hashed set, so the query does the work of a plain nearest search
+    /// plus one probe per contender.  Ids absent from the slot are never
+    /// visited and cost nothing.
     pub fn nearest_excluding_set(
         &self,
         slot: SlotIndex,
@@ -578,15 +582,17 @@ impl WorkerIndex {
         self.slots.get(slot)?.nearest_filtered(query, skip)
     }
 
-    /// Brute-force nearest query: the correctness oracle of this crate's
-    /// unit tests.
+    /// Brute-force nearest query over the slot's workers outside `excluded`:
+    /// the correctness oracle of this crate's unit tests.
     #[cfg(test)]
     pub(crate) fn nearest_brute_force(
         pool: &WorkerPool,
         slot: SlotIndex,
         query: &Location,
+        excluded: &WorkerSet,
     ) -> Option<NearestWorker> {
         pool.available_at(slot)
+            .filter(|(w, _)| !excluded.contains(&w.id))
             .map(|(w, loc)| NearestWorker {
                 worker: w.id,
                 location: loc,
@@ -749,7 +755,8 @@ mod tests {
             Location::new(7.0, 3.0),
         ] {
             let fast = index.nearest(0, &q).unwrap();
-            let slow = WorkerIndex::nearest_brute_force(&pool, 0, &q).unwrap();
+            let slow =
+                WorkerIndex::nearest_brute_force(&pool, 0, &q, &WorkerSet::default()).unwrap();
             assert_eq!(fast.worker, slow.worker, "query {q}");
             assert!((fast.distance - slow.distance).abs() < 1e-12);
         }
@@ -789,21 +796,6 @@ mod tests {
         assert_eq!(excluding(&[0, 1, 2]), None);
     }
 
-    /// The filtered-query oracle: the minimum of `(distance.total_cmp, id)`
-    /// over the slot's workers outside `excluded`.
-    fn brute_force_excluding(
-        pool: &WorkerPool,
-        slot: SlotIndex,
-        query: &Location,
-        excluded: &WorkerSet,
-    ) -> Option<(WorkerId, u64)> {
-        pool.available_at(slot)
-            .filter(|(w, _)| !excluded.contains(&w.id))
-            .map(|(w, loc)| (query.distance(&loc), w.id))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(d, id)| (id, d.to_bits()))
-    }
-
     #[test]
     fn nearest_excluding_set_agrees_with_brute_force() {
         // Two workers share a location, so exclusions decide distance ties.
@@ -830,9 +822,71 @@ mod tests {
                     index
                         .nearest_excluding_set(0, &q, &set)
                         .map(|w| (w.worker, w.distance.to_bits())),
-                    brute_force_excluding(&pool, 0, &q, &set),
+                    WorkerIndex::nearest_brute_force(&pool, 0, &q, &set)
+                        .map(|w| (w.worker, w.distance.to_bits())),
                     "query {q}, excluding {excluded:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn filtered_search_probes_only_contenders() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::cmp::Ordering;
+
+        let rank = |a: (f64, WorkerId), b: (f64, WorkerId)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let mut rng = StdRng::seed_from_u64(0x0cc0);
+        for case in 0..200 {
+            // Integer coordinates on a small lattice, so many workers share a
+            // distance (and some a location) and ids decide the ties.
+            let n = rng.gen_range(1usize..=80);
+            let side = rng.gen_range(2u32..=12);
+            let points: Vec<(usize, f64, f64)> = (0..n)
+                .map(|_| {
+                    let x = rng.gen_range(0..=side) as f64;
+                    (0, x, rng.gen_range(0..=side) as f64)
+                })
+                .collect();
+            let pool = pool_of(&points);
+            let index = WorkerIndex::build(&pool, 1, &Domain::square(side as f64));
+            let share = [0.0, 0.3, 0.7, 0.95, 1.0][case % 5];
+            let excluded: WorkerSet = (0..n as u32)
+                .filter(|_| rng.gen_bool(share))
+                .map(WorkerId)
+                .collect();
+            for _ in 0..8 {
+                let q = Location::new(
+                    rng.gen_range(-1..=side as i32 + 1) as f64,
+                    rng.gen_range(-1..=side as i32 + 1) as f64,
+                );
+                let mut probed = WorkerSet::default();
+                let mut best: Option<(f64, WorkerId)> = None;
+                let found = index.nearest_filtered(0, &q, |w| {
+                    assert!(
+                        probed.insert(w.worker),
+                        "case {case}: {:?} probed twice",
+                        w.worker
+                    );
+                    let key = (q.distance(&w.location), w.worker);
+                    assert!(
+                        best.map_or(true, |b| rank(key, b) == Ordering::Less),
+                        "case {case}: probed {key:?}, which ranks after {best:?}"
+                    );
+                    let skip = excluded.contains(&w.worker);
+                    if !skip {
+                        best = Some(key);
+                    }
+                    skip
+                });
+                let keys = |w: Option<NearestWorker>| w.map(|w| (w.worker, w.distance.to_bits()));
+                assert_eq!(
+                    keys(found),
+                    keys(WorkerIndex::nearest_brute_force(&pool, 0, &q, &excluded)),
+                    "case {case}, query {q}"
+                );
+                assert_eq!(found.map(|w| w.worker), best.map(|b| b.1), "case {case}");
             }
         }
     }
@@ -979,7 +1033,8 @@ mod tests {
             Location::new(33.3, 66.6),
         ] {
             let fast = index.nearest(0, &q).unwrap();
-            let slow = WorkerIndex::nearest_brute_force(&pool, 0, &q).unwrap();
+            let slow =
+                WorkerIndex::nearest_brute_force(&pool, 0, &q, &WorkerSet::default()).unwrap();
             assert!((fast.distance - slow.distance).abs() < 1e-9, "query {q}");
         }
     }

@@ -5,10 +5,11 @@
 //! striped over the nodes).  It answers the two message families of the
 //! runtime:
 //!
-//! * **checkout** — build task states from candidates computed against the
-//!   shared read-only index and reconciled against the dispatcher's
-//!   committed-occupancy snapshot, the one-shot checkout of an engine drain
-//!   (every task of a [`crate::SimBatch`] is checked out once, so a per-node
+//! * **checkout** — build task states from [`checkout_one_shot`]
+//!   candidates: one search per slot of the shared read-only index,
+//!   filtered by the dispatcher's committed-occupancy snapshot, the
+//!   one-shot checkout of an engine drain with the same counters (every
+//!   task of a [`crate::SimBatch`] is checked out once, so a per-node
 //!   candidate memo would never hit);
 //! * **candidate** — the [`tcsc_assign::MasterCommand`]
 //!   compute/refresh/execute protocol, executed by the shared [`TaskOwner`]
