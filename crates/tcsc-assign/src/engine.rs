@@ -40,9 +40,8 @@
 //!   points ([`GreedyEngine::assign_batch`],
 //!   [`GreedyEngine::assign_spatiotemporal`]) use it.  A drain checks its
 //!   one-shot arrivals out with [`checkout_one_shot`]: one
-//!   occupancy-filtered search per slot ([`Occupancy::nearest_free`]), or
-//!   the unfiltered one while the ledger is empty, so a one-shot slot
-//!   costs one index search and no refresh.
+//!   occupancy-filtered search per slot ([`Occupancy::nearest_free`]), so
+//!   a one-shot slot costs one index search and no refresh.
 //! * The base depends only on the index, and the index only changes through
 //!   the engine's own mutation API ([`GreedyEngine::insert_worker`] /
 //!   [`GreedyEngine::remove_worker`] / [`GreedyEngine::move_worker`])
@@ -341,23 +340,16 @@ fn reconcile<I, L: Occupancy<I>>(
 }
 
 /// A one-shot arrival's working candidates into `out`, counted as a cache
-/// miss: one occupancy-filtered search per slot while `occupied` (the
-/// ledger holds anything), else the unfiltered base.  Either way each slot
-/// costs one index search, and the answer is the base reconciled against
-/// the ledger.
+/// miss: one occupancy-filtered search per slot, so the answer is the base
+/// reconciled against `ledger` at one index search per slot.
 fn checkout_one_shot_into<I: MutableSpatialIndex, L: Occupancy<I>>(
     task: &Task,
     index: &I,
     cost_model: &dyn CostModel,
     ledger: &L,
-    occupied: bool,
     stats: &mut CacheStats,
     out: &mut SlotCandidates,
 ) {
-    if !occupied {
-        compute_base(task, index, cost_model, stats, out);
-        return;
-    }
     stats.tasks_computed += 1;
     stats.slot_computations += task.num_slots;
     out.fill_with(task.num_slots, |slot| {
@@ -376,16 +368,7 @@ pub fn checkout_one_shot<I: MutableSpatialIndex, L: Occupancy<I>>(
     stats: &mut CacheStats,
 ) -> SlotCandidates {
     let mut working = SlotCandidates::default();
-    let occupied = ledger.held() > 0;
-    checkout_one_shot_into(
-        task,
-        index,
-        cost_model,
-        ledger,
-        occupied,
-        stats,
-        &mut working,
-    );
+    checkout_one_shot_into(task, index, cost_model, ledger, stats, &mut working);
     working
 }
 
@@ -865,7 +848,7 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
         }
         let index = self.index.as_ref();
         // Counted once per checkout: the sharded count locks every shard.
-        let occupied = self.ledger.held() > 0;
+        let occupied = cached && self.ledger.held() > 0;
         let states = &mut self.scratch.states;
         for (i, task) in tasks.iter().enumerate() {
             if i == states.len() {
@@ -880,7 +863,7 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
                 }
             } else {
                 let (cost_model, ledger) = (self.cost_model, &self.ledger);
-                checkout_one_shot_into(task, index, cost_model, ledger, occupied, stats, working);
+                checkout_one_shot_into(task, index, cost_model, ledger, stats, working);
             }
         }
     }
@@ -1501,16 +1484,9 @@ mod tests {
         ledger: &L,
         stats: &mut CacheStats,
     ) -> SlotCandidates {
-        let mut working = SlotCandidates::compute(task, index, cost);
-        stats.tasks_computed += 1;
-        stats.slot_computations += task.num_slots;
-        for slot in 0..working.len() {
-            if working.get(slot).is_some_and(|c| ledger.is_taken(index, c)) {
-                working.set(slot, ledger.nearest_free(index, task, slot, cost));
-                stats.slot_computations += 1;
-                stats.slot_refreshes += 1;
-            }
-        }
+        let mut working = SlotCandidates::default();
+        compute_base(task, index, cost, stats, &mut working);
+        reconcile(task, &mut working, index, cost, ledger, stats);
         working
     }
 
