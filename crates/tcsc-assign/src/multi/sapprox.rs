@@ -19,7 +19,8 @@ mod tests {
     use crate::engine::{AssignmentEngine, Objective};
     use crate::multi::test_support::small_instance;
     use crate::multi::{MultiOutcome, MultiTaskConfig};
-    use tcsc_core::{Domain, InterpolationWeights};
+    use tcsc_core::{Domain, InterpolationWeights, MultiAssignment, Task, TaskId};
+    use tcsc_workload::ScenarioConfig;
 
     fn run(
         seed: u64,
@@ -126,5 +127,82 @@ mod tests {
                 Objective::SumQuality,
             );
         assert_eq!(outcome.executions, 0);
+    }
+
+    /// FNV-1a over every plan's task, slot count, quality and executions.
+    fn plan_hash(assignment: &MultiAssignment) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |value: u64| {
+            for byte in value.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for plan in &assignment.plans {
+            eat(u64::from(plan.task.0));
+            eat(plan.num_slots as u64);
+            eat(plan.quality.to_bits());
+            for exec in &plan.executions {
+                eat(exec.slot as u64);
+                eat(u64::from(exec.worker.0));
+                eat(exec.cost.to_bits());
+            }
+        }
+        h
+    }
+
+    /// `(plan hash, conflicts, executions)` of every golden solve, seed by
+    /// seed, `SumQuality` before `MinQuality`, paper-default weights before
+    /// temporal-only ones.
+    const GOLDEN: [(u64, usize, usize); 12] = [
+        // seed 42
+        (0x5df844b625de17e7, 1, 16),
+        (0xe6ed8727611748d0, 1, 17),
+        (0x7b9d04bcb392b34e, 0, 12),
+        (0xf556ea0857160579, 1, 12),
+        // seed 7
+        (0xdf97c0fe51a798c3, 0, 18),
+        (0x90bd5cb40fcf0350, 1, 18),
+        (0x1ef90b0827c464bf, 1, 9),
+        (0x671a3cca9fd9776d, 2, 13),
+        // seed 9
+        (0xd6335f36c2fbd9b3, 4, 17),
+        (0x44258a909c8da5f2, 5, 17),
+        (0x4b95e0b5d1759a29, 1, 12),
+        (0xfe5c6416df684e7a, 1, 12),
+    ];
+
+    #[test]
+    fn golden_plans_are_bit_identical() {
+        // Dense SApprox at the size of `ScenarioConfig::small()`: a change to
+        // the greedy's selection, tie-breaks, gains or conflict handling
+        // moves a plan hash or a counter.
+        let small = ScenarioConfig::small();
+        let domain = Domain::square(small.domain_side);
+        let config = MultiTaskConfig::new(small.budget);
+        let mut got = Vec::new();
+        for seed in [42, 7, 9] {
+            let (mut tasks, index, cost) =
+                small_instance(seed, small.num_tasks, small.num_slots, small.num_workers);
+            // A twin of the first task ties it on every gain and cost, so
+            // the tie-break between tasks is locked too.
+            let twin = TaskId(tasks.len() as u32);
+            tasks.push(Task::new(twin, tasks[0].location, tasks[0].num_slots));
+            for objective in [Objective::SumQuality, Objective::MinQuality] {
+                for weights in [
+                    InterpolationWeights::paper_default(),
+                    InterpolationWeights::temporal_only(),
+                ] {
+                    let outcome = AssignmentEngine::borrowed(&index, &cost, config)
+                        .assign_spatiotemporal(&tasks, &domain, weights, objective);
+                    got.push((
+                        plan_hash(&outcome.assignment),
+                        outcome.conflicts,
+                        outcome.executions,
+                    ));
+                }
+            }
+        }
+        assert_eq!(got, GOLDEN);
     }
 }
