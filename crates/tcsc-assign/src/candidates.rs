@@ -41,24 +41,14 @@ impl SlotCandidates {
     /// implementation works — the dense and the sharded index answer
     /// bit-identically.)
     pub fn compute(task: &Task, index: &dyn SpatialQuery, cost_model: &dyn CostModel) -> Self {
-        Self::compute_excluding(task, index, cost_model, &WorkerLedger::new())
-    }
-
-    /// Computes the candidates of `task`, skipping workers that the ledger
-    /// marks as occupied at the corresponding slot.
-    pub fn compute_excluding(
-        task: &Task,
-        index: &dyn SpatialQuery,
-        cost_model: &dyn CostModel,
-        ledger: &WorkerLedger,
-    ) -> Self {
         let mut candidates = Self::default();
-        candidates.fill(task, index, cost_model, ledger);
+        candidates.fill(task, index, cost_model, &WorkerLedger::new());
         candidates
     }
 
-    /// [`SlotCandidates::compute_excluding`] into the buffer this set
-    /// already holds, replacing whatever it held.
+    /// The candidates of `task`, skipping workers that `ledger` marks as
+    /// occupied at the corresponding slot, into the buffer this set already
+    /// holds, replacing whatever it held.
     pub(crate) fn fill(
         &mut self,
         task: &Task,
@@ -349,7 +339,8 @@ mod tests {
             !ledger.occupy(0, WorkerId(0)),
             "double occupancy is a conflict"
         );
-        let candidates = SlotCandidates::compute_excluding(&task, &index, &cost, &ledger);
+        let mut candidates = SlotCandidates::default();
+        candidates.fill(&task, &index, &cost, &ledger);
         assert_eq!(candidates.get(0).unwrap().worker, WorkerId(1));
         assert!((candidates.cost(0).unwrap() - 3.0).abs() < 1e-12);
         // Slot 1 is unaffected: worker 0 is only occupied at slot 0.

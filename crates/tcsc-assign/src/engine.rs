@@ -101,7 +101,7 @@ use tcsc_obs::{NoopRecorder, Recorder, Stopwatch};
 use crate::candidates::{candidate_for_slot, SlotCandidates, WorkerLedger};
 use crate::engine::commit::{mmqm_commit_loop, msqm_commit_loop, Scratch};
 pub use crate::engine::concurrent::ShardedLedger;
-use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
+use crate::multi::{heuristic, MultiOutcome, MultiTaskConfig, TaskState};
 
 /// Which aggregate objective a solve maximises: the temporal metric of
 /// `assign_batch`/`drain`, or the interpolated one of `assign_spatiotemporal`.
@@ -787,7 +787,7 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
         if R::IS_ENABLED {
             self.obs.begin("engine.drain", drained);
         }
-        let outcome = self.solve(&tasks, objective, false);
+        let outcome = self.solve(tasks.len(), |engine| engine.run(&tasks, objective, false));
         // The queue's buffer serves the next round's arrivals.
         tasks.clear();
         self.pending = tasks;
@@ -817,22 +817,23 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
     /// candidate cache only changes *how* candidates are obtained, never
     /// *which* candidates the greedy sees.
     pub fn assign_batch(&mut self, tasks: &[Task], objective: Objective) -> MultiOutcome {
-        self.solve(tasks, objective, true)
+        self.solve(tasks.len(), |engine| engine.run(tasks, objective, true))
     }
 
-    /// One instrumented batch solve; `cached` selects whether base
-    /// candidates go through the candidate cache (re-planning) or are
-    /// computed directly (drains).
-    fn solve(&mut self, tasks: &[Task], objective: Objective, cached: bool) -> MultiOutcome {
+    /// The one instrumented solve of a batch of `batch` tasks, which every
+    /// entry point goes through: `run` computes the outcome, whose counters
+    /// join the lifetime stats and, under a live recorder, the
+    /// `engine.assign_batch` span and the published metrics.
+    fn solve(&mut self, batch: usize, run: impl FnOnce(&mut Self) -> MultiOutcome) -> MultiOutcome {
         if R::IS_ENABLED {
-            self.obs.begin("engine.assign_batch", tasks.len() as u64);
+            self.obs.begin("engine.assign_batch", batch as u64);
         }
         let sw = R::IS_ENABLED.then(Stopwatch::start);
-        let outcome = self.run(tasks, objective, cached);
+        let outcome = run(self);
         self.lifetime_stats.merge(&outcome.stats);
         if R::IS_ENABLED {
             self.publish_metrics(&outcome, sw.map_or(0, |s| s.elapsed_nanos()));
-            self.obs.end("engine.assign_batch", tasks.len() as u64);
+            self.obs.end("engine.assign_batch", batch as u64);
         }
         outcome
     }
@@ -869,18 +870,23 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
     }
 
     /// Checkout and state reset, then the MSQM or MMQM commit loop over the
-    /// pooled states.
+    /// pooled states.  `cached` selects whether base candidates go through
+    /// the candidate cache (re-planning) or are computed directly (drains).
     fn run(&mut self, tasks: &[Task], objective: Objective, cached: bool) -> MultiOutcome {
         let mut stats = CacheStats::default();
         if R::IS_ENABLED {
             self.obs.begin("engine.checkout", tasks.len() as u64);
         }
         self.checkout(tasks, cached, &mut stats);
+        if R::IS_ENABLED {
+            self.obs.end("engine.checkout", tasks.len() as u64);
+            self.obs.begin("state.build", tasks.len() as u64);
+        }
         for (state, task) in self.scratch.states.iter_mut().zip(tasks) {
             state.reset(task, &self.config);
         }
         if R::IS_ENABLED {
-            self.obs.end("engine.checkout", tasks.len() as u64);
+            self.obs.end("state.build", tasks.len() as u64);
             self.obs.begin("engine.commit", tasks.len() as u64);
         }
         let (index, budget, n) = (self.index.as_ref(), self.config.budget, tasks.len());
@@ -938,17 +944,9 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
         weights: InterpolationWeights,
         objective: Objective,
     ) -> MultiOutcome {
-        if R::IS_ENABLED {
-            self.obs.begin("engine.assign_batch", tasks.len() as u64);
-        }
-        let sw = R::IS_ENABLED.then(Stopwatch::start);
-        let outcome = self.run_spatiotemporal(tasks, domain, weights, objective);
-        self.lifetime_stats.merge(&outcome.stats);
-        if R::IS_ENABLED {
-            self.publish_metrics(&outcome, sw.map_or(0, |s| s.elapsed_nanos()));
-            self.obs.end("engine.assign_batch", tasks.len() as u64);
-        }
-        outcome
+        self.solve(tasks.len(), |engine| {
+            engine.run_spatiotemporal(tasks, domain, weights, objective)
+        })
     }
 
     fn run_spatiotemporal(
@@ -958,54 +956,53 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
         weights: InterpolationWeights,
         objective: Objective,
     ) -> MultiOutcome {
-        let mut stats = CacheStats::default();
-        if tasks.is_empty() {
-            return MultiOutcome {
-                assignment: MultiAssignment::default(),
-                conflicts: 0,
-                executions: 0,
-                stats,
-            };
-        }
-        let num_slots = tasks[0].num_slots;
+        let Some(num_slots) = tasks.first().map(|t| t.num_slots) else {
+            return MultiOutcome::default();
+        };
         assert!(
             tasks.iter().all(|t| t.num_slots == num_slots),
             "SApprox requires tasks with a uniform number of slots"
         );
 
         let config = self.config;
+        let reliability_of = |candidate: &CandidateAssignment| {
+            if config.use_reliability {
+                candidate.reliability
+            } else {
+                1.0
+            }
+        };
         let mut evaluator = SpatioTemporalEvaluator::new(
             tasks.iter().map(|t| t.location).collect(),
             QualityParams::new(num_slots, config.k),
             *domain,
             weights,
         );
+        let mut stats = CacheStats::default();
         self.checkout(tasks, true, &mut stats);
         let states = &mut self.scratch.states;
         let mut executions_log: Vec<Vec<ExecutedSubtask>> = vec![Vec::new(); tasks.len()];
+        // The task visit order, `(quality, task)`: task order for the sum
+        // objective, weakest first for the min objective (ties to the lower
+        // index).
+        let mut order: Vec<(f64, usize)> = Vec::with_capacity(tasks.len());
         let mut remaining = config.budget;
         let mut conflicts = 0usize;
         let mut executions = 0usize;
 
         loop {
+            order.clear();
+            match objective {
+                Objective::SumQuality => order.extend((0..tasks.len()).map(|i| (0.0, i))),
+                Objective::MinQuality => {
+                    order.extend((0..tasks.len()).map(|i| (evaluator.task_quality(i), i)));
+                    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                }
+            }
             // Candidate search: the (task, slot) pair maximising the
             // objective increase per unit cost among affordable pairs.
-            let mut best: Option<(usize, usize, f64, f64)> = None; // (task, slot, gain, cost)
-            let task_range: Vec<usize> = match objective {
-                Objective::SumQuality => (0..tasks.len()).collect(),
-                Objective::MinQuality => {
-                    // Reinforce the currently weakest task that still has
-                    // affordable candidates.
-                    let mut order: Vec<usize> = (0..tasks.len()).collect();
-                    order.sort_by(|&a, &b| {
-                        evaluator
-                            .task_quality(a)
-                            .total_cmp(&evaluator.task_quality(b))
-                    });
-                    order
-                }
-            };
-            'outer: for &task_idx in &task_range {
+            let mut best: Option<(usize, usize, f64)> = None; // (task, slot, heuristic)
+            for &(_, task_idx) in &order {
                 for slot in 0..num_slots {
                     if evaluator.is_executed(task_idx, slot) {
                         continue;
@@ -1016,11 +1013,7 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
                     if candidate.cost > remaining {
                         continue;
                     }
-                    let reliability = if config.use_reliability {
-                        candidate.reliability
-                    } else {
-                        1.0
-                    };
+                    let reliability = reliability_of(candidate);
                     let gain = match objective {
                         Objective::SumQuality => {
                             evaluator.sum_gain_if_executed(task_idx, slot, reliability)
@@ -1029,31 +1022,20 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
                             evaluator.task_gain_if_executed(task_idx, slot, reliability)
                         }
                     };
-                    let heuristic = if candidate.cost > 0.0 {
-                        gain / candidate.cost
-                    } else {
-                        f64::INFINITY
-                    };
-                    let better = match &best {
-                        None => true,
-                        Some((_, _, bg, bc)) => {
-                            let bh = if *bc > 0.0 { bg / bc } else { f64::INFINITY };
-                            heuristic > bh
-                        }
-                    };
-                    if better {
-                        best = Some((task_idx, slot, gain, candidate.cost));
+                    let h = heuristic(gain, candidate.cost);
+                    if best.map_or(true, |(_, _, bh)| h > bh) {
+                        best = Some((task_idx, slot, h));
                     }
                 }
                 // For the min objective only the weakest task with any
                 // affordable candidate is reinforced, mirroring the MMQM
                 // loop.
                 if matches!(objective, Objective::MinQuality) && best.is_some() {
-                    break 'outer;
+                    break;
                 }
             }
 
-            let Some((task_idx, slot, _gain, cost)) = best else {
+            let Some((task_idx, slot, _)) = best else {
                 break;
             };
             let candidate = *states[task_idx]
@@ -1072,18 +1054,13 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
                 stats.slot_refreshes += 1;
                 continue;
             }
-            remaining -= cost;
+            remaining -= candidate.cost;
             self.ledger.take(&self.index, &candidate);
-            let reliability = if config.use_reliability {
-                candidate.reliability
-            } else {
-                1.0
-            };
-            evaluator.execute(task_idx, slot, reliability);
+            evaluator.execute(task_idx, slot, reliability_of(&candidate));
             executions_log[task_idx].push(ExecutedSubtask {
                 slot,
                 worker: candidate.worker,
-                cost,
+                cost: candidate.cost,
                 reliability: candidate.reliability,
             });
             executions += 1;
@@ -1091,12 +1068,13 @@ impl<'a, I: MutableSpatialIndex + Clone, L: Occupancy<I>, R: Recorder> GreedyEng
 
         let plans = tasks
             .iter()
+            .zip(executions_log)
             .enumerate()
-            .map(|(i, task)| tcsc_core::AssignmentPlan {
+            .map(|(i, (task, executions))| tcsc_core::AssignmentPlan {
                 task: task.id,
                 num_slots,
                 quality: evaluator.task_quality(i),
-                executions: std::mem::take(&mut executions_log[i]),
+                executions,
             })
             .collect();
 

@@ -27,8 +27,6 @@ pub struct GroupParallelOutcome {
     pub groups: usize,
     /// Size of the largest group.
     pub largest_group: usize,
-    /// Number of conflict edges in the independence graph.
-    pub conflict_edges: usize,
 }
 
 /// Runs MSQM with group-level parallelization over at most `threads`
@@ -111,7 +109,6 @@ pub fn msqm_group_parallel(
         },
         groups: groups.len(),
         largest_group: graph.largest_group(),
-        conflict_edges: graph.conflict_count(),
     }
 }
 

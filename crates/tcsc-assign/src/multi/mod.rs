@@ -149,7 +149,7 @@ fn score_slot(
 }
 
 /// The heuristic value `gain / cost`, `INFINITY` for a zero-cost candidate.
-fn heuristic(gain: f64, cost: f64) -> f64 {
+pub(crate) fn heuristic(gain: f64, cost: f64) -> f64 {
     if cost > 0.0 {
         gain / cost
     } else {
@@ -546,7 +546,7 @@ impl TaskState {
 }
 
 /// Outcome of a multi-task assignment run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MultiOutcome {
     /// The per-task assignment plans.
     pub assignment: MultiAssignment,

@@ -19,7 +19,8 @@ mod tests {
     use crate::engine::{AssignmentEngine, Objective};
     use crate::multi::test_support::small_instance;
     use crate::multi::{MultiOutcome, MultiTaskConfig};
-    use tcsc_core::{Domain, InterpolationWeights, MultiAssignment, Task, TaskId};
+    use tcsc_core::fnv::plan_hash;
+    use tcsc_core::{Domain, InterpolationWeights, Task, TaskId};
     use tcsc_workload::ScenarioConfig;
 
     fn run(
@@ -127,28 +128,6 @@ mod tests {
                 Objective::SumQuality,
             );
         assert_eq!(outcome.executions, 0);
-    }
-
-    /// FNV-1a over every plan's task, slot count, quality and executions.
-    fn plan_hash(assignment: &MultiAssignment) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |value: u64| {
-            for byte in value.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        };
-        for plan in &assignment.plans {
-            eat(u64::from(plan.task.0));
-            eat(plan.num_slots as u64);
-            eat(plan.quality.to_bits());
-            for exec in &plan.executions {
-                eat(exec.slot as u64);
-                eat(u64::from(exec.worker.0));
-                eat(exec.cost.to_bits());
-            }
-        }
-        h
     }
 
     /// `(plan hash, conflicts, executions)` of every golden solve, seed by

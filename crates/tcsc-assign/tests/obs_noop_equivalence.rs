@@ -217,7 +217,7 @@ fn concurrent_engine_is_bit_identical_with_recorder_attached() {
             outcome.executions as u64
         );
         let profile = tcsc_obs::profile_spans(&session.merged_events());
-        for leaf in ["engine.checkout", "engine.commit"] {
+        for leaf in ["engine.checkout", "state.build", "engine.commit"] {
             let path = format!("engine.drain;engine.assign_batch;{leaf}");
             assert!(profile.get(&path).is_some(), "no {path} span");
         }

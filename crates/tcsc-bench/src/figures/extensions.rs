@@ -6,6 +6,7 @@
 //! with a worker-motion tape.
 
 use tcsc_assign::{AssignmentEngine, MultiTaskConfig, Objective};
+use tcsc_core::fnv::{self, plan_hash};
 use tcsc_core::{AssignmentPlan, EuclideanCost, Task, Worker, WorkerPool, WorkerSlot};
 use tcsc_index::{MutableSpatialIndex as _, WorkerIndex};
 use tcsc_obs::ObsSession;
@@ -71,7 +72,7 @@ pub(super) fn fig9dist_sized(
 ) -> Report {
     use std::rc::Rc;
 
-    use tcsc_sim::{plan_hash, run_cluster, SimBatch, SimClusterConfig};
+    use tcsc_sim::{run_cluster, SimBatch, SimClusterConfig};
     use tcsc_workload::ArrivalTrace;
 
     let base = ScenarioConfig::small()
@@ -97,7 +98,7 @@ pub(super) fn fig9dist_sized(
         conflicts += outcome.conflicts;
         executions += outcome.executions;
     }
-    let engine_plan_hash = tcsc_sim::plan_hash(&tcsc_core::MultiAssignment::new(engine_plans));
+    let engine_plan_hash = plan_hash(&tcsc_core::MultiAssignment::new(engine_plans));
 
     let batches = |trace: &ArrivalTrace| -> Vec<SimBatch> {
         trace
@@ -497,12 +498,6 @@ pub(super) struct ServiceRun {
     imbalance_milli: u64,
 }
 
-/// Folds one drain's plan hash into the running stream hash (order matters:
-/// the same plans in a different drain order must produce a different fold).
-fn fold_plan_hash(acc: u64, h: u64) -> u64 {
-    (acc.rotate_left(7) ^ h).wrapping_mul(0x0100_0000_01b3)
-}
-
 /// Applies one motion to a mirror of the fleet.
 fn mirror_motion(mirror: &mut Vec<Worker>, motion: &WorkerMotion) {
     match motion {
@@ -562,7 +557,7 @@ pub(super) fn service_run<R: tcsc_obs::Recorder>(
     let arrivals = &load.arrivals;
     let nphases = arrivals.schedule.phases().len();
     let mut run = ServiceRun {
-        plan_hash: 0xcbf2_9ce4_8422_2325,
+        plan_hash: fnv::OFFSET,
         phase_arrivals: vec![0; nphases],
         phase_commits: vec![0; nphases],
         phase_time_us: vec![0; nphases],
@@ -677,7 +672,7 @@ pub(super) fn service_run<R: tcsc_obs::Recorder>(
             run.drains += 1;
             run.commits += take as u64;
             run.executions += outcome.executions as u64;
-            run.plan_hash = fold_plan_hash(run.plan_hash, tcsc_sim::plan_hash(&outcome.assignment));
+            run.plan_hash = fnv::fold(run.plan_hash, plan_hash(&outcome.assignment));
             if let Some(session) = latency {
                 session.set_virtual_nanos(tick_us.saturating_mul(1_000));
                 session.gauge("svc.backlog", backlog.len() as u64);

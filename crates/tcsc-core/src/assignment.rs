@@ -81,12 +81,16 @@ impl MultiAssignment {
     /// Minimum quality `q_min(T) = min_i q(τ_i)` (Definition 4).  Returns
     /// `0.0` for an empty task set.
     pub fn min_quality(&self) -> f64 {
-        self.plans
+        let min = self
+            .plans
             .iter()
             .map(|p| p.quality)
-            .fold(f64::INFINITY, f64::min)
-            .min(f64::INFINITY)
-            .pipe_finite()
+            .fold(f64::INFINITY, f64::min);
+        if min.is_finite() {
+            min
+        } else {
+            0.0
+        }
     }
 
     /// Total cost across all plans.
@@ -97,22 +101,6 @@ impl MultiAssignment {
     /// Total number of executed subtasks across all plans.
     pub fn executed_count(&self) -> usize {
         self.plans.iter().map(|p| p.executed_count()).sum()
-    }
-}
-
-/// Small helper turning the `INFINITY` produced by folding an empty iterator
-/// into `0.0`, so `min_quality` of an empty set is well defined.
-trait PipeFinite {
-    fn pipe_finite(self) -> f64;
-}
-
-impl PipeFinite for f64 {
-    fn pipe_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
     }
 }
 

@@ -20,7 +20,9 @@
 //! * the spatiotemporal (STCC) extension of the metric:
 //!   [`spatiotemporal::SpatioTemporalEvaluator`];
 //! * assignment-plan result types: [`assignment::AssignmentPlan`],
-//!   [`assignment::MultiAssignment`].
+//!   [`assignment::MultiAssignment`];
+//! * the FNV-1a [`fnv::plan_hash`] and stream [`fnv::fold`] every pinned
+//!   plan hash and delivery digest is computed with.
 //!
 //! Assignment algorithms (greedy `Approx`, index-accelerated `Approx*`,
 //! exhaustive `OPT`, randomized baselines, and the multi-task / parallel
@@ -49,6 +51,7 @@
 
 pub mod assignment;
 pub mod cost;
+pub mod fnv;
 pub mod model;
 pub mod quality;
 pub mod spatiotemporal;

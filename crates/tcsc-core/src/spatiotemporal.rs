@@ -273,7 +273,16 @@ impl SpatioTemporalEvaluator {
 
     /// Partial quality `−p·log2 p` of subtask `(task, slot)`.
     pub fn partial_quality(&self, task: usize, slot: SlotIndex) -> f64 {
-        let p = self.finishing_probability(task, slot);
+        self.partial_quality_with_extra(task, slot, None)
+    }
+
+    fn partial_quality_with_extra(
+        &self,
+        task: usize,
+        slot: SlotIndex,
+        extra: Option<(usize, SlotIndex, f64)>,
+    ) -> f64 {
+        let p = self.finishing_probability_with_extra(task, slot, extra);
         if p <= 0.0 {
             0.0
         } else {
@@ -295,10 +304,14 @@ impl SpatioTemporalEvaluator {
 
     /// Minimum quality `q_min(T)` over all tasks (zero for an empty set).
     pub fn min_quality(&self) -> f64 {
-        (0..self.num_tasks())
+        let min = (0..self.num_tasks())
             .map(|i| self.task_quality(i))
-            .fold(f64::INFINITY, f64::min)
-            .to_finite_or_zero()
+            .fold(f64::INFINITY, f64::min);
+        if min.is_finite() {
+            min
+        } else {
+            0.0
+        }
     }
 
     /// Gain in **summation quality** of tentatively executing `(task, slot)`
@@ -311,24 +324,13 @@ impl SpatioTemporalEvaluator {
         if self.is_executed(task, slot) {
             return 0.0;
         }
-        let extra = Some((task, slot, reliability));
-        let mut gain = 0.0;
         // Temporal effect: every slot of the same task may change.
-        for j in 0..self.params.num_slots {
-            let before = self.partial_quality(task, j);
-            let p = self.finishing_probability_with_extra(task, j, extra);
-            let after = if p <= 0.0 { 0.0 } else { -p * p.log2() };
-            gain += after - before;
-        }
+        let mut gain = self.task_gain_if_executed(task, slot, reliability);
         // Spatial effect: other tasks' subtasks at the same slot.
-        for other in 0..self.num_tasks() {
-            if other == task {
-                continue;
-            }
-            let before = self.partial_quality(other, slot);
-            let p = self.finishing_probability_with_extra(other, slot, extra);
-            let after = if p <= 0.0 { 0.0 } else { -p * p.log2() };
-            gain += after - before;
+        let extra = Some((task, slot, reliability));
+        for other in (0..self.num_tasks()).filter(|&other| other != task) {
+            gain += self.partial_quality_with_extra(other, slot, extra)
+                - self.partial_quality(other, slot);
         }
         gain
     }
@@ -342,26 +344,9 @@ impl SpatioTemporalEvaluator {
         let extra = Some((task, slot, reliability));
         let mut gain = 0.0;
         for j in 0..self.params.num_slots {
-            let before = self.partial_quality(task, j);
-            let p = self.finishing_probability_with_extra(task, j, extra);
-            let after = if p <= 0.0 { 0.0 } else { -p * p.log2() };
-            gain += after - before;
+            gain += self.partial_quality_with_extra(task, j, extra) - self.partial_quality(task, j);
         }
         gain
-    }
-}
-
-trait ToFiniteOrZero {
-    fn to_finite_or_zero(self) -> f64;
-}
-
-impl ToFiniteOrZero for f64 {
-    fn to_finite_or_zero(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
     }
 }
 

@@ -102,12 +102,7 @@ impl OrderKVoronoi {
     /// Builds the exact diagram for the current executed-slot set of
     /// `evaluator`, using the evaluator's own `k`.
     pub fn build(evaluator: &QualityEvaluator) -> Self {
-        Self::build_with_k(evaluator, evaluator.k())
-    }
-
-    /// Builds the diagram with an explicit order `k`.
-    pub fn build_with_k(evaluator: &QualityEvaluator, k: usize) -> Self {
-        let m = evaluator.num_slots();
+        let (m, k) = (evaluator.num_slots(), evaluator.k());
         let mut cells: Vec<VoronoiCell> = Vec::new();
         for slot in 0..m {
             let neighbors = site_knn_set(evaluator, slot, k);

@@ -2,8 +2,7 @@
 
 use crate::{Phase, Scope, TraceEvent};
 
-/// FNV-1a offset basis / prime (the same stable hash family the sim's
-/// `plan_hash` uses — no dependency on `std::hash`'s unstable default).
+/// FNV-1a basis / prime, as in `tcsc_core::fnv` (copied: this crate has no dependencies).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 

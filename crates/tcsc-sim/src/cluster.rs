@@ -6,12 +6,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use tcsc_assign::{CacheStats, CommittedExecution, MultiTaskConfig};
-use tcsc_core::{CostModel, Domain, MultiAssignment, Task, WorkerPool};
+use tcsc_core::{fnv, CostModel, Domain, MultiAssignment, Task, WorkerPool};
 use tcsc_index::{ShardGridConfig, TileRouter, WorkerIndex};
 use tcsc_obs::{ObsReport, ObsSession, Recorder, Scope};
 
 use crate::dispatcher::{Dispatcher, DispatcherReport};
-use crate::kernel::{fnv_bytes, SimTime, Simulation, FNV_OFFSET};
+use crate::kernel::{SimTime, Simulation};
 use crate::latency::LatencyModel;
 use crate::messages::NetMessage;
 use crate::node::RegionNode;
@@ -126,26 +126,6 @@ impl SimOutcome {
     }
 }
 
-/// A stable 64-bit FNV-1a hash over an assignment's plans: task ids, slot /
-/// worker sequences and cost bit patterns.  Used by the fig9d artifact and
-/// the CI gate to compare the simulated runtime against the in-process
-/// engine without serialising full plans.
-pub fn plan_hash(assignment: &MultiAssignment) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut eat = |value: u64| h = fnv_bytes(h, &value.to_le_bytes());
-    for plan in &assignment.plans {
-        eat(plan.task.0 as u64);
-        eat(plan.num_slots as u64);
-        eat(plan.quality.to_bits());
-        for exec in &plan.executions {
-            eat(exec.slot as u64);
-            eat(exec.worker.0 as u64);
-            eat(exec.cost.to_bits());
-        }
-    }
-    h
-}
-
 /// Builds the cluster, feeds the batches, runs to quiescence and returns the
 /// outcome.
 ///
@@ -172,7 +152,7 @@ pub fn run_cluster(
             committed: Vec::new(),
             finish_time_us: 0,
             delivered_events: 0,
-            delivery_digest: FNV_OFFSET,
+            delivery_digest: fnv::OFFSET,
             obs: None,
         };
     }
@@ -264,7 +244,7 @@ pub fn run_cluster(
             "logical.totals",
             report.executions as u64,
             report.conflicts as u64,
-            plan_hash(&assignment),
+            fnv::plan_hash(&assignment),
         );
         session.counter("sim.delivered_events", delivered_events);
         session.value("sim.finish_time_us", report.finish_time_us);

@@ -29,6 +29,7 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tcsc_core::fnv;
 use tcsc_obs::{ObsSession, Recorder, Scope};
 
 use crate::latency::LatencyModel;
@@ -42,19 +43,6 @@ pub type SimTime = u64;
 /// The pseudo-component id used for externally scheduled events (workload
 /// arrivals injected by the harness rather than sent by a component).
 const EXTERNAL: ComponentId = usize::MAX;
-
-/// FNV-1a offset basis: the delivery digest of a run that delivered nothing.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// Folds `bytes` into an FNV-1a hash.
-pub(crate) fn fnv_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// A typed simulation message.
 pub trait Message: Clone {
@@ -162,7 +150,7 @@ impl<M: Message> Simulation<M> {
             rng: StdRng::seed_from_u64(seed),
             last_delivery: HashMap::new(),
             delivered: 0,
-            digest: FNV_OFFSET,
+            digest: fnv::OFFSET,
             obs: None,
         }
     }
@@ -201,11 +189,11 @@ impl<M: Message> Simulation<M> {
             self.clock = event.time;
             self.delivered += 1;
             for word in [event.time, event.seq, event.src as u64, event.dst as u64] {
-                self.digest = fnv_bytes(self.digest, &word.to_le_bytes());
+                self.digest = fnv::hash_bytes(self.digest, &word.to_le_bytes());
             }
             // The 0xff separator keeps label boundaries unambiguous.
-            self.digest = fnv_bytes(self.digest, event.message.label().as_bytes());
-            self.digest = fnv_bytes(self.digest, &[0xff]);
+            self.digest = fnv::hash_bytes(self.digest, event.message.label().as_bytes());
+            self.digest = fnv::hash_bytes(self.digest, &[0xff]);
             if let Some(obs) = &self.obs {
                 // SimTime is microseconds; the session clock is nanoseconds.
                 obs.set_virtual_nanos(event.time.saturating_mul(1_000));

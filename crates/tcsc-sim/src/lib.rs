@@ -30,7 +30,9 @@
 //!   executions, cache counters) are identical to the in-process
 //!   [`tcsc_assign::AssignmentEngine`] for *any* node count and latency
 //!   model; with zero latency and a single node the run degrades to exactly
-//!   the engine's loop.  Locked in by `tests/sim_equivalence.rs`.
+//!   the engine's loop.  Locked in by `tests/sim_equivalence.rs`, which
+//!   compares plans through [`tcsc_core::fnv::plan_hash`] — the same hash
+//!   the kernel's delivery digest folds bytes with.
 //!
 //! The simulated runtime is the third driver of the paper's task-level
 //! master (Section IV-A.2), next to the serial engine and the threaded
@@ -49,7 +51,7 @@ pub mod latency;
 pub mod messages;
 pub mod node;
 
-pub use cluster::{plan_hash, run_cluster, SimBatch, SimClusterConfig, SimOutcome};
+pub use cluster::{run_cluster, SimBatch, SimClusterConfig, SimOutcome};
 pub use dispatcher::{Dispatcher, DispatcherReport};
 pub use kernel::{Component, ComponentId, Context, Message, SimTime, Simulation};
 pub use latency::LatencyModel;

@@ -14,9 +14,10 @@
 use std::rc::Rc;
 
 use tcsc_assign::{msqm_task_parallel, AssignmentEngine, MultiTaskConfig, Objective};
+use tcsc_core::fnv::plan_hash;
 use tcsc_core::EuclideanCost;
 use tcsc_index::ShardGridConfig;
-use tcsc_sim::{plan_hash, run_cluster, LatencyModel, SimBatch, SimClusterConfig};
+use tcsc_sim::{run_cluster, LatencyModel, SimBatch, SimClusterConfig};
 use tcsc_workload::{ScenarioConfig, SpatialDistribution, StreamingConfig, TaskPlacement};
 
 fn scenario() -> (tcsc_workload::Scenario, usize) {

@@ -62,14 +62,6 @@ impl SpatialDistribution {
         }
     }
 
-    /// The POI-like clustered substitute for the "real dataset" series.
-    pub fn poi_like() -> Self {
-        Self::Clustered {
-            clusters: 8,
-            spread: 0.04,
-        }
-    }
-
     /// A `regions x regions` region-partitioned lattice with the default
     /// 15% interior margin.
     pub fn region_grid(regions: usize) -> Self {
@@ -221,6 +213,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The POI-like clustered substitute for the "real dataset" series.
+    fn poi_like() -> SpatialDistribution {
+        SpatialDistribution::Clustered {
+            clusters: 8,
+            spread: 0.04,
+        }
+    }
+
     fn domain() -> Domain {
         Domain::square(100.0)
     }
@@ -233,7 +233,7 @@ mod tests {
             SpatialDistribution::Uniform,
             SpatialDistribution::Gaussian,
             SpatialDistribution::zipf_default(),
-            SpatialDistribution::poi_like(),
+            poi_like(),
         ] {
             for loc in dist.sample_many(&mut rng, &d, 500) {
                 assert!(d.contains(&loc), "{} produced {loc}", dist.label());
@@ -297,7 +297,7 @@ mod tests {
     fn clustered_points_form_hot_spots() {
         let mut rng = StdRng::seed_from_u64(19);
         let d = domain();
-        let pts = SpatialDistribution::poi_like().sample_many(&mut rng, &d, 1000);
+        let pts = poi_like().sample_many(&mut rng, &d, 1000);
         // Count points within 10 units of each cluster centre.
         let mut near_any = 0usize;
         for p in &pts {
@@ -358,7 +358,7 @@ mod tests {
         assert_eq!(SpatialDistribution::Uniform.label(), "Uniform");
         assert_eq!(SpatialDistribution::Gaussian.label(), "Gaussian");
         assert_eq!(SpatialDistribution::zipf_default().label(), "Zipfian");
-        assert_eq!(SpatialDistribution::poi_like().label(), "Real(POI)");
+        assert_eq!(poi_like().label(), "Real(POI)");
         assert_eq!(SpatialDistribution::region_grid(4).label(), "Regions");
     }
 }

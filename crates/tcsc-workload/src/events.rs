@@ -400,22 +400,6 @@ pub struct WorkerChurnConfig {
     pub domain: Domain,
 }
 
-impl WorkerChurnConfig {
-    /// A gentle default: 50 ms ticks, 8 drifting workers per tick covering
-    /// 30% of the way to their waypoint, and a 25% churn chance per tick.
-    pub fn gentle(seed: u64, num_slots: usize, domain: Domain) -> Self {
-        Self {
-            seed,
-            tick_us: 50_000,
-            moves_per_tick: 8,
-            churn_prob: 0.25,
-            drift_fraction: 0.3,
-            num_slots,
-            domain,
-        }
-    }
-}
-
 /// A finite, replayable worker-motion tape: the events of
 /// [`MotionTape::generate`], sorted by time (ties keep generation order —
 /// moves before churn within a tick).
@@ -677,8 +661,17 @@ mod tests {
     }
 
     fn churn_pool(seed: u64) -> (WorkerChurnConfig, WorkerPool) {
-        let domain = Domain::square(1_000.0);
-        let config = WorkerChurnConfig::gentle(seed, 3, domain);
+        // 50 ms ticks, 8 drifting workers per tick covering 30% of the way
+        // to their waypoint, and a 25% churn chance per tick.
+        let config = WorkerChurnConfig {
+            seed,
+            tick_us: 50_000,
+            moves_per_tick: 8,
+            churn_prob: 0.25,
+            drift_fraction: 0.3,
+            num_slots: 3,
+            domain: Domain::square(1_000.0),
+        };
         let pool: WorkerPool = (0..20u32)
             .map(|i| {
                 Worker::new(

@@ -30,7 +30,10 @@ impl TaskPlacement {
     }
 }
 
-/// Full description of an experiment scenario.
+/// Full description of an experiment scenario: the workload only.  The
+/// solver parameters of the paper's setup (interpolation `k`, split
+/// threshold `ts`) are not part of it; they live in the solvers' own
+/// configurations (`tcsc_assign::MultiTaskConfig` and `SingleTaskConfig`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Number of TCSC tasks `|T|` (paper: 100 / 300 / 500, default 100).
@@ -42,10 +45,6 @@ pub struct ScenarioConfig {
     pub num_workers: usize,
     /// Budget `b` per task-assignment problem (paper: 50 / 100 / 200).
     pub budget: f64,
-    /// Interpolation parameter `k` (paper default: 3).
-    pub k: usize,
-    /// Tree split threshold `ts` (paper default: 4).
-    pub ts: usize,
     /// Task placement.
     pub placement: TaskPlacement,
     /// Side length of the square spatial domain.
@@ -66,8 +65,6 @@ impl ScenarioConfig {
             num_slots: 500,
             num_workers: 10_357,
             budget: 100.0,
-            k: 3,
-            ts: 4,
             placement: TaskPlacement::Synthetic(SpatialDistribution::Uniform),
             domain_side,
             trajectories: TrajectoryConfig::paper_default(500),
@@ -83,8 +80,6 @@ impl ScenarioConfig {
             num_slots: 60,
             num_workers: 400,
             budget: 30.0,
-            k: 3,
-            ts: 4,
             placement: TaskPlacement::Synthetic(SpatialDistribution::Uniform),
             domain_side: 100.0,
             trajectories: TrajectoryConfig::paper_default(60),
@@ -115,18 +110,6 @@ impl ScenarioConfig {
     /// Sets the budget.
     pub fn with_budget(mut self, b: f64) -> Self {
         self.budget = b;
-        self
-    }
-
-    /// Sets the interpolation parameter `k`.
-    pub fn with_k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Sets the tree split threshold `ts`.
-    pub fn with_ts(mut self, ts: usize) -> Self {
-        self.ts = ts;
         self
     }
 
@@ -211,8 +194,6 @@ mod tests {
             .with_num_tasks(5)
             .with_num_workers(50)
             .with_budget(12.0)
-            .with_k(2)
-            .with_ts(8)
             .with_seed(7);
         assert_eq!(cfg.num_slots, 80);
         assert_eq!(cfg.trajectories.horizon, 80);
@@ -220,8 +201,6 @@ mod tests {
         assert_eq!(scenario.tasks.len(), 5);
         assert_eq!(scenario.workers.len(), 50);
         assert_eq!(scenario.config.budget, 12.0);
-        assert_eq!(scenario.config.k, 2);
-        assert_eq!(scenario.config.ts, 8);
     }
 
     #[test]
@@ -254,7 +233,5 @@ mod tests {
         assert_eq!(cfg.num_slots, 500);
         assert_eq!(cfg.num_workers, 10_357);
         assert_eq!(cfg.budget, 100.0);
-        assert_eq!(cfg.k, 3);
-        assert_eq!(cfg.ts, 4);
     }
 }

@@ -72,6 +72,7 @@ pub mod prelude {
         ChurnCounters, MultiTaskConfig, Objective, SingleTaskConfig, SlotCandidates, WorkerLedger,
     };
     pub use tcsc_assign::{msqm_group_parallel, msqm_task_parallel};
+    pub use tcsc_core::fnv::plan_hash;
     pub use tcsc_core::{
         AssignmentPlan, Budget, CostModel, Domain, EuclideanCost, InterpolationWeights, Location,
         MultiAssignment, QualityEvaluator, QualityParams, SpatioTemporalEvaluator, Task, TaskId,
@@ -85,9 +86,7 @@ pub mod prelude {
         obs_digest, profile_spans, replay_digest, Gauge, Histogram, MetricsRegistry, NoopRecorder,
         ObsReport, ObsSession, PathStat, Recorder, SlidingWindow, SpanProfile, Stopwatch,
     };
-    pub use tcsc_sim::{
-        plan_hash, run_cluster, LatencyModel, SimBatch, SimClusterConfig, SimOutcome,
-    };
+    pub use tcsc_sim::{run_cluster, LatencyModel, SimBatch, SimClusterConfig, SimOutcome};
     pub use tcsc_workload::{
         ArrivalPhase, ArrivalSampler, ArrivalTrace, BoundedPareto, HeavyTailedArrivals,
         MotionEvent, MotionTape, PhaseSchedule, PoiConfig, PoiDataset, Scenario, ScenarioConfig,
